@@ -97,7 +97,7 @@ _PULSE_KEYS = {
     "amplitude": (float, 1.0),
     "file": (str, ""),
 }
-_OUTPUT_KEYS = {"directory": (str, "out"), "formats": (str, "csv")}
+_OUTPUT_KEYS = {"directory": (str, "out")}
 
 #: scenarios whose pulse spectrum must avoid the evanescent band
 _BAND_CHECKED = {"split", "propagate-linear", "propagate-kg",
@@ -210,7 +210,7 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
             violations.append("pulse.carrier: must be positive")
         if pulse["width"] <= 0:
             violations.append("pulse.width: must be positive")
-        if carrier > 0 and pulse["width"] > 0 and scenario in _BAND_CHECKED:
+        if carrier > 0 and pulse["width"] > 0:
             lo = carrier - 4.0 / pulse["width"]
             hi = carrier + 4.0 / pulse["width"]
             if lo <= 0:
@@ -228,14 +228,12 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
             violations.append("pulse.file: required for shape user-file")
     else:
         violations.append(f"pulse.shape: unknown shape {pulse['shape']!r}")
-    if scenario in ("propagate-nonlinear", "propagate-unidirectional",
-                    "stationary-nonlinear") and params.chi3 == 0.0:
-        # allowed (linear limit); nothing to flag
-        pass
+    # only reached without earlier violations, so every run key holds a value
     for key in ("x_end", "xi_end", "duration", "dx", "v"):
-        if key in run and run[key] is not None and run[key] is not REQUIRED:
-            if isinstance(run[key], (int, float)) and run[key] <= 0:
-                violations.append(f"run.{key}: must be positive")
+        if key in run and run[key] <= 0:
+            violations.append(f"run.{key}: must be positive")
+    if "n_stations" in run and run["n_stations"] < 2:
+        violations.append("run.n_stations: must be at least 2 (entry and exit)")
 
 
 def _resolve_grid(config):
@@ -396,20 +394,18 @@ def _linear_runner(config, propagator, tag):
 
     tables = _station_tables(record, grid, tag, with_fields=fields)
     summary = {"stations (m)": [float(x) for x in xs]}
-    return tables, summary
+    return tables, summary, dp0
 
 
 def _run_linear(config):
-    return _linear_runner(config, evolution.propagate_linear_exact, "linear")
+    return _linear_runner(config, evolution.propagate_linear_exact, "linear")[:2]
 
 
 def _run_kg(config):
-    tables, summary = _linear_runner(config, evolution.propagate_kg, "kg")
+    tables, summary, dp0 = _linear_runner(config, evolution.propagate_kg, "kg")
     # document the reduction-error budget: truncation error at the occupied
     # band edge times the accumulated exact phase over the full distance
-    grid = _resolve_grid(config)
-    regime = _boundary(config, grid)
-    dp0 = waves.split(regime, config.params, grid)
+    grid = dp0.grid
     spec = np.abs(np.fft.fft(dp0.pi.samples)) + np.abs(
         np.fft.fft(dp0.lam.samples)
     )
@@ -439,13 +435,6 @@ def _default_steps(config, x_end):
     return max(4, int(np.ceil(50.0 * x_end / beta)))
 
 
-def _thin(record, n_stations):
-    idx = np.unique(np.linspace(0, len(record.states) - 1, n_stations).astype(int))
-    return evolution.PropagationRecord(
-        record.stations[idx], [record.states[i] for i in idx], record.meta
-    )
-
-
 def _run_nonlinear(config):
     grid = _resolve_grid(config)
     regime = _boundary(config, grid)
@@ -454,10 +443,9 @@ def _run_nonlinear(config):
     n_steps = _default_steps(config, x_end)
     record = evolution.propagate_nonlinear(
         dp0, x_end, n_steps, config.params, grid,
-        dealias=config.run["dealias"],
+        dealias=config.run["dealias"], n_stations=config.run["n_stations"],
     )
-    thin = _thin(record, config.run["n_stations"])
-    tables = _station_tables(thin, grid, "nonlinear")
+    tables = _station_tables(record, grid, "nonlinear")
     summary = {"n_steps": n_steps, "dealias": config.run["dealias"],
                "final_pi_peak (T)": record.final.pi.peak,
                "final_lambda_peak (T)": record.final.lam.peak}
@@ -474,10 +462,9 @@ def _run_unidirectional(config):
     n_steps = _default_steps(config, x_end)
     record = evolution.propagate_unidirectional(
         pi0, x_end, n_steps, config.params, grid,
-        dealias=config.run["dealias"],
+        dealias=config.run["dealias"], n_stations=config.run["n_stations"],
     )
-    thin = _thin(record, config.run["n_stations"])
-    tables = _station_tables(thin, grid, "unidirectional")
+    tables = _station_tables(record, grid, "unidirectional")
     summary = {"n_steps": n_steps,
                "final_pi_peak (T)": record.final.pi.peak}
     return tables, summary

@@ -13,11 +13,16 @@ Three propagation models, from exact to reduced:
 
   with K = mu0 chi3 c^3 / (2 p^3 q), marched as a first-order-in-x system
   after applying dt^{-1} (classical RK4, cubic term evaluated pointwise in
-  time with optional 2/3-rule dealiasing).
+  time with optional 2/3-rule dealiasing). The unidirectional model is the
+  same right-hand side with Lambda frozen at zero. Both Kerr marchers keep
+  only ``n_stations`` evenly spread steps (default 2: entry and exit), so
+  memory grows with the stations kept, not with ``n_steps``.
 
 The dimensionless form pi = Pi_tt/alpha, lam = Lambda_tt/alpha, zeta = x/beta
 with alpha = sqrt(2 p^4 q^2 / (mu0 chi3 c^3)), beta = c/(pq) has unit
-coefficients; a solver for it is provided for dual-path consistency checks.
+coefficients. Its solver keeps its own right-hand side on purpose: it is the
+independent reference that the physical path is checked against, and it
+records only entry and exit.
 """
 
 import warnings
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, InadmissibleGridError
-from .spectral import DEFAULT_TOL_A, Signal, apply, make_multiplier
+from .spectral import Signal, apply, make_multiplier
 from .waves import DirectedPair
 
 __all__ = [
@@ -107,27 +112,27 @@ def _apply_phases(grid, dp, f_pi, f_lam):
     return DirectedPair(Signal(grid, pi), Signal(grid, lam))
 
 
-def propagate_linear_exact(dp0, x, params, grid, tol_a=DEFAULT_TOL_A):
+def propagate_linear_exact(dp0, x, params, grid):
     """Exact linear propagation by x >= 0: per-bin phase -/+ w a(w) x."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    a_vals = make_multiplier("a", params, grid, tol_a).values.real
+    a_vals = make_multiplier("a", params, grid).values.real
     w = grid.omegas
     f_pi = _unimodular(grid, -w * a_vals * x)
     f_lam = _unimodular(grid, +w * a_vals * x)
     return _apply_phases(grid, dp0, f_pi, f_lam)
 
 
-def propagate_kg(dp0, x, params, grid, band_warn=0.5):
+def propagate_kg(dp0, x, params, grid):
     """Klein-Gordon-Fock propagation by x: per-bin phase +/- pq x/(c w).
 
     Valid for spectra concentrated well below the plasma frequencies;
-    warns when significant energy sits above ``band_warn * min(p, q)``.
+    warns when significant energy sits above min(p, q) / 2.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
     w = grid.omegas
-    _warn_band(dp0, grid, band_warn * params.band_low)
+    _warn_band(dp0, grid, 0.5 * params.band_low)
     pq_c = params.omega_pe * params.omega_pm / params.c
     expo = np.zeros(grid.n)
     nz = w != 0.0
@@ -150,65 +155,101 @@ def _warn_band(dp, grid, w_max):
         )
 
 
-class _KerrStepper:
-    """Shared spectral plumbing for the RK4 marchers."""
+def _kerr_plumbing(grid, dealias):
+    """Spectral dt^{-1} and the pointwise cube shared by the RK4 right-hand sides.
 
-    def __init__(self, grid, dealias):
-        n = grid.n
-        w = grid.omegas
-        self.grid = grid
-        self.w2 = w**2
-        self.inv_iw = np.zeros(n, dtype=complex)
-        nz = w != 0.0
-        self.inv_iw[nz] = 1.0 / (1j * w[nz])
-        self.inv_iw[n // 2] = 0.0
-        if dealias:
-            k = np.fft.fftfreq(n, 1.0) * n
-            self.mask = (np.abs(k) <= n // 3).astype(float)
-        else:
-            self.mask = None
-
-    def cube(self, u_hat):
-        """Pointwise cube of the time-domain image of u_hat, dealiased."""
-        if self.mask is not None:
-            u_hat = u_hat * self.mask
-        w_hat = np.fft.fft(np.fft.ifft(u_hat).real ** 3)
-        if self.mask is not None:
-            w_hat = w_hat * self.mask
-        return w_hat
-
-
-def _march_rk4(rhs, state, x_end, n_steps, grid, meta):
-    """Classical RK4 over [0, x_end]; records every station.
-
-    ``state`` is a tuple of complex spectra. Aborts via BlowUpError with
-    the partial record when the state turns non-finite.
+    ``cube(u_hat)`` is the spectrum of the cube of the time-domain image of
+    ``u_hat``; with ``dealias`` both its input and output are cut to the
+    lower two thirds of the bins.
     """
+    n = grid.n
+    w = grid.omegas
+    inv_iw = np.zeros(n, dtype=complex)
+    nz = w != 0.0
+    inv_iw[nz] = 1.0 / (1j * w[nz])
+    inv_iw[n // 2] = 0.0
+    if not dealias:
+        return inv_iw, lambda u_hat: np.fft.fft(np.fft.ifft(u_hat).real ** 3)
+    mask = (np.abs(np.fft.fftfreq(n, 1.0) * n) <= n // 3).astype(float)
+    return inv_iw, lambda u_hat: (
+        np.fft.fft(np.fft.ifft(u_hat * mask).real ** 3) * mask
+    )
+
+
+def _kerr_rhs(params, grid, dealias, linear_sign):
+    """Right-hand side of the physical Kerr system on spectral states.
+
+    A state (Pi-hat, Lambda-hat) follows the coupled system of
+    :func:`propagate_nonlinear`; a state (Pi-hat,) follows its first row
+    with Lambda frozen at zero, the unidirectional equation.
+    ``linear_sign`` multiplies the +-(pq/c) pair.
+    """
+    if params.chi3 < 0:
+        raise ValueError("chi3 must be nonnegative")
+    inv_iw, cube = _kerr_plumbing(grid, dealias)
+    w2 = grid.omegas**2
+    pq_c = linear_sign * params.omega_pe * params.omega_pm / params.c
+    k_c = (
+        params.mu0 * params.chi3 * params.c**2
+        / (2.0 * params.omega_pe**3 * params.omega_pm)
+    )
+
+    def rhs(state):
+        pi_hat = state[0]
+        u_hat = pi_hat - state[1] if len(state) == 2 else pi_hat
+        w_hat = cube(-w2 * u_hat)
+        d_pi = inv_iw * (-pq_c * pi_hat - k_c * w_hat)
+        if len(state) == 1:
+            return (d_pi,)
+        return d_pi, inv_iw * (pq_c * state[1] + k_c * w_hat)
+
+    return rhs
+
+
+def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
+    """Classical RK4 over [0, x_end], keeping only the requested stations.
+
+    ``state`` is a tuple of complex spectra. The kept steps are
+    ``linspace(0, n_steps, n_stations)`` truncated to integers, duplicates
+    dropped, so entry and exit are always kept. Aborts via BlowUpError when
+    the state turns non-finite; its record holds the stations kept so far
+    plus the last finite state.
+    """
+    if not x_end > 0:
+        raise ValueError(f"x_end (zeta_end) must be positive, got {x_end!r}")
     if n_steps < 4:
-        raise ValueError("n_steps must be at least 4")
+        raise ValueError(f"n_steps must be at least 4, got {n_steps!r}")
+    if n_stations < 2:
+        raise ValueError(f"n_stations must be at least 2, got {n_stations!r}")
     h = x_end / n_steps
-    stations = [0.0]
+    keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
+    steps = [0]
     states = [_to_pair(grid, state)]
-    for i in range(n_steps):
+    for step in range(1, n_steps + 1):
         k1 = rhs(state)
         k2 = rhs(_axpy(state, k1, 0.5 * h))
         k3 = rhs(_axpy(state, k2, 0.5 * h))
         k4 = rhs(_axpy(state, k3, h))
-        state = tuple(
+        new = tuple(
             s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         )
-        if not all(np.all(np.isfinite(s)) for s in state):
+        if not all(np.all(np.isfinite(s)) for s in new):
+            if steps[-1] != step - 1:
+                steps.append(step - 1)
+                states.append(_to_pair(grid, state))
             partial = PropagationRecord(
-                np.array(stations), states, {**meta, "aborted_at": (i + 1) * h}
+                np.array(steps) * h, states, {**meta, "aborted_at": step * h}
             )
             raise BlowUpError(
-                f"non-finite state at step {i + 1} (x = {(i + 1) * h:g})",
+                f"non-finite state at step {step} (x = {step * h:g})",
                 record=partial,
             )
-        stations.append((i + 1) * h)
-        states.append(_to_pair(grid, state))
-    return PropagationRecord(np.array(stations), states, meta)
+        state = new
+        if step in keep:
+            steps.append(step)
+            states.append(_to_pair(grid, state))
+    return PropagationRecord(np.array(steps) * h, states, meta)
 
 
 def _axpy(state, deriv, scale):
@@ -216,15 +257,15 @@ def _axpy(state, deriv, scale):
 
 
 def _to_pair(grid, state):
-    pi_hat, lam_hat = state
-    return DirectedPair(
-        Signal(grid, np.fft.ifft(pi_hat).real),
-        Signal(grid, np.fft.ifft(lam_hat).real),
-    )
+    """Time-domain pair of a spectral state; a 1-tuple has Lambda = 0."""
+    pi = Signal(grid, np.fft.ifft(state[0]).real)
+    if len(state) == 1:
+        return DirectedPair(pi, Signal.zeros(grid))
+    return DirectedPair(pi, Signal(grid, np.fft.ifft(state[1]).real))
 
 
 def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
-                        _linear_sign=1.0):
+                        n_stations=2, _linear_sign=1.0):
     """March the coupled Kerr system from the entry plane to x_end.
 
     The second-order-in-(x,t) system is integrated in its dt^{-1}-applied
@@ -234,59 +275,26 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
         dLambda/dx = dt^{-1} [ +(pq/c) Lambda + (K/c) ((Pi-Lambda)_tt)^3 ],
 
     which poses the boundary-regime data as an x-initial-value problem.
+    The record keeps ``n_stations`` evenly spread steps, entry and exit
+    included.
 
     ``_linear_sign`` flips the +-(pq/c) pair; the system maps onto itself
     under (Pi, Lambda) -> (-Lambda, -Pi) together with that flip, which the
     test suite uses as a solver diagnostic.
     """
-    if params.chi3 < 0:
-        raise ValueError("chi3 must be nonnegative")
-    st = _KerrStepper(grid, dealias)
-    pq_c = _linear_sign * params.omega_pe * params.omega_pm / params.c
-    k_c = (
-        params.mu0 * params.chi3 * params.c**2
-        / (2.0 * params.omega_pe**3 * params.omega_pm)
-    )
-
-    def rhs(state):
-        pi_hat, lam_hat = state
-        w_hat = st.cube(-st.w2 * (pi_hat - lam_hat))
-        d_pi = st.inv_iw * (-pq_c * pi_hat - k_c * w_hat)
-        d_lam = st.inv_iw * (pq_c * lam_hat + k_c * w_hat)
-        return d_pi, d_lam
-
+    rhs = _kerr_rhs(params, grid, dealias, _linear_sign)
     state0 = (np.fft.fft(dp0.pi.samples), np.fft.fft(dp0.lam.samples))
     meta = _run_meta("nonlinear-coupled", params, grid, n_steps, dealias)
-    return _march_rk4(rhs, state0, x_end, n_steps, grid, meta)
+    return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta)
 
 
-def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True):
-    """Kerr marching with the left wave frozen at zero."""
-    if params.chi3 < 0:
-        raise ValueError("chi3 must be nonnegative")
-    st = _KerrStepper(grid, dealias)
-    pq_c = params.omega_pe * params.omega_pm / params.c
-    k_c = (
-        params.mu0 * params.chi3 * params.c**2
-        / (2.0 * params.omega_pe**3 * params.omega_pm)
-    )
-
-    def rhs(state):
-        (pi_hat,) = state
-        w_hat = st.cube(-st.w2 * pi_hat)
-        return (st.inv_iw * (-pq_c * pi_hat - k_c * w_hat),)
-
-    state0 = (np.fft.fft(pi0.samples),)
+def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
+                             n_stations=2):
+    """Kerr marching with the left wave frozen at zero (and not marched)."""
+    rhs = _kerr_rhs(params, grid, dealias, 1.0)
     meta = _run_meta("nonlinear-unidirectional", params, grid, n_steps, dealias)
-
-    # reuse the coupled marcher by padding with a frozen zero Lambda
-    zero = np.zeros(grid.n, dtype=complex)
-
-    def rhs2(state):
-        d = rhs((state[0],))
-        return (d[0], zero)
-
-    return _march_rk4(rhs2, (state0[0], zero.copy()), x_end, n_steps, grid, meta)
+    return _march_rk4(rhs, (np.fft.fft(pi0.samples),), x_end, n_steps,
+                      n_stations, grid, meta)
 
 
 def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
@@ -294,21 +302,22 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
 
         pi_zeta  = dt^{-1} [ -pi  - ((pi - lam)^3)_tt ],
         lam_zeta = dt^{-1} [ +lam + ((pi - lam)^3)_tt ].
+
+    Kept apart from the physical right-hand side as an independent
+    reference for it; records only entry and exit.
     """
-    st = _KerrStepper(grid, dealias)
+    inv_iw, cube = _kerr_plumbing(grid, dealias)
+    w2 = grid.omegas**2
 
     def rhs(state):
         pi_hat, lam_hat = state
-        w_hat = -st.w2 * st.cube(pi_hat - lam_hat)
-        return (
-            st.inv_iw * (-pi_hat - w_hat),
-            st.inv_iw * (lam_hat + w_hat),
-        )
+        w_hat = -w2 * cube(pi_hat - lam_hat)
+        return inv_iw * (-pi_hat - w_hat), inv_iw * (lam_hat + w_hat)
 
     state0 = (np.fft.fft(dp0.pi.samples), np.fft.fft(dp0.lam.samples))
     meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
             "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
-    return _march_rk4(rhs, state0, zeta_end, n_steps, grid, meta)
+    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta)
 
 
 def _run_meta(model, params, grid, n_steps, dealias):

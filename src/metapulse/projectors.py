@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .spectral import DEFAULT_TOL_A, Multiplier, Signal, TimeGrid, apply, make_multiplier
+from .spectral import Multiplier, Signal, TimeGrid, apply, make_multiplier
 
 __all__ = ["FieldPair", "ProjectorPair", "build_projectors", "apply_projector",
            "l_operator", "commutation_check"]
@@ -62,16 +62,16 @@ class ProjectorPair:
     a_inv: Multiplier
 
 
-def build_projectors(params, grid, tol_a=DEFAULT_TOL_A):
+def build_projectors(params, grid):
     """Construct the projector pair on an admissible grid.
 
     The grid must have no bins in the evanescent band and must keep
-    |a(w)|*c above ``tol_a`` so that a-hat^{-1} stays bounded.
+    |a(w)|*c above ``spectral.TOL_A`` so that a-hat^{-1} stays bounded.
     """
     return ProjectorPair(
         grid=grid,
-        a=make_multiplier("a", params, grid, tol_a),
-        a_inv=make_multiplier("a_inv", params, grid, tol_a),
+        a=make_multiplier("a", params, grid),
+        a_inv=make_multiplier("a_inv", params, grid),
     )
 
 

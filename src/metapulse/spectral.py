@@ -32,8 +32,8 @@ __all__ = [
 
 MULTIPLIER_KINDS = ("eps", "mu", "mu_inv", "a", "a_inv", "a_sq", "d_dt", "d_dt_inv")
 
-#: default lower bound on |a(w)|*c before a_inv is considered unbounded
-DEFAULT_TOL_A = 1e-6
+#: lower bound on |a(w)|*c below which a_inv is considered unbounded
+TOL_A = 1e-6
 
 
 class TimeGrid:
@@ -202,7 +202,7 @@ def _check_band_free(params, grid, kind):
         )
 
 
-def make_multiplier(kind, params, grid, tol_a=DEFAULT_TOL_A):
+def make_multiplier(kind, params, grid):
     """Build the discrete realization of one of the model's operators.
 
     kind: one of ``eps, mu, mu_inv, a, a_inv, a_sq, d_dt, d_dt_inv``.
@@ -232,9 +232,9 @@ def make_multiplier(kind, params, grid, tol_a=DEFAULT_TOL_A):
         if kind == "a":
             vals[nz] = a
         else:
-            if np.any(np.abs(a) * params.c < tol_a):
+            if np.any(np.abs(a) * params.c < TOL_A):
                 raise InadmissibleGridError(
-                    f"|a(w)|*c below tol_a={tol_a:g} on a grid bin; "
+                    f"|a(w)|*c below {TOL_A:g} on a grid bin; "
                     "a_inv would be unbounded"
                 )
             vals[nz] = 1.0 / a

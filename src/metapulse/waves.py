@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError
-from .spectral import DEFAULT_TOL_A, Signal, apply, make_multiplier
+from .spectral import Signal, apply, make_multiplier
 
 __all__ = ["DirectedPair", "BoundaryRegime", "split", "reconstruct"]
 
@@ -81,18 +81,18 @@ class BoundaryRegime:
         return self.j.grid
 
 
-def split(regime, params, grid, tol_a=DEFAULT_TOL_A):
+def split(regime, params, grid):
     """Split a boundary regime into directed-wave amplitudes."""
     if regime.grid != grid:
         raise GridMismatchError("regime grid differs from requested grid")
-    a = make_multiplier("a", params, grid, tol_a)
+    a = make_multiplier("a", params, grid)
     aj = apply(a, regime.j)
     lam = 0.5 * (regime.k - aj)
     pi = 0.5 * (regime.k + aj)
     return DirectedPair(pi=pi, lam=lam)
 
 
-def reconstruct(dp, params, grid, tol_a=DEFAULT_TOL_A):
+def reconstruct(dp, params, grid):
     """Recover the physical (B, E) pair from directed amplitudes.
 
     Requires a-hat^{-1} on the grid, which is a stricter admissibility
@@ -102,7 +102,7 @@ def reconstruct(dp, params, grid, tol_a=DEFAULT_TOL_A):
 
     if dp.grid != grid:
         raise GridMismatchError("directed pair grid differs from requested grid")
-    a_inv = make_multiplier("a_inv", params, grid, tol_a)
+    a_inv = make_multiplier("a_inv", params, grid)
     b = dp.pi + dp.lam
     e = apply(a_inv, dp.pi - dp.lam)
     return FieldPair(b=b, e=e)

@@ -71,6 +71,20 @@ def test_parse_missing_required():
     assert any("run.x_end" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("n_stations", [0, 1, -3])
+@pytest.mark.parametrize("scenario", [
+    "propagate-linear", "propagate-kg", "propagate-nonlinear",
+    "propagate-unidirectional",
+])
+def test_parse_rejects_fewer_than_two_stations(scenario, n_stations):
+    text = BASE.replace("name = split", f"name = {scenario}")
+    text += f"\n[run]\nx_end = 1.0\nn_stations = {n_stations}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(v.startswith("run.n_stations:") for v in err.value.violations)
+    parse_config(text.replace(f"n_stations = {n_stations}", "n_stations = 2"))
+
+
 def test_synthesize_gaussian():
     grid = TimeGrid(1024, 0.2)
     sig = synthesize_pulse(grid, carrier=0.5, width=12.0)

@@ -226,14 +226,73 @@ def test_nonlinear_dealiasing_keeps_top_third_clean(kerr_params, grid):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonlinear_blowup_aborts_with_record(kerr_params, grid):
-    dp0 = DirectedPair(
-        band_pulse(grid, 0.5, 12.0, amplitude=50.0), Signal.zeros(grid)
-    )
-    with pytest.raises(BlowUpError) as err:
-        propagate_nonlinear(dp0, 10.0, 20, kerr_params, grid)
-    rec = err.value.record
-    assert rec.stations[0] == 0.0
-    assert "aborted_at" in rec.meta
+    # the record holds the stations kept so far plus the last finite state
+    for amplitude, n_stations, kept in (
+        (50.0, 2, [0.0, 0.5]),  # non-finite at step 2
+        (2.0, 11, [0.0, 1.0, 1.5]),  # station at step 2, non-finite at step 4
+    ):
+        dp0 = DirectedPair(
+            band_pulse(grid, 0.5, 12.0, amplitude=amplitude), Signal.zeros(grid)
+        )
+        with pytest.raises(BlowUpError) as err:
+            propagate_nonlinear(dp0, 10.0, 20, kerr_params, grid,
+                                n_stations=n_stations)
+        rec = err.value.record
+        assert np.array_equal(rec.stations, kept)
+        assert rec.meta["aborted_at"] == rec.stations[-1] + 0.5
+        assert np.all(np.diff(rec.stations) > 0)
+        assert all(np.all(np.isfinite(s.pi.samples))
+                   and np.all(np.isfinite(s.lam.samples)) for s in rec.states)
+
+
+@pytest.mark.parametrize("n_steps, n_stations", [(37, 5), (6, 20)])
+@pytest.mark.parametrize("coupled", [True, False])
+def test_kerr_marchers_keep_requested_stations(kerr_params, coupled, n_steps,
+                                               n_stations):
+    # kept steps are linspace(0, n_steps, n_stations) as integers, duplicates
+    # dropped; each equals, bit for bit, that step of a run keeping every step
+    grid = TimeGrid(1024, 0.2)
+    pi0 = band_pulse(grid, 0.5, 12.0, amplitude=0.3)
+    dp0 = DirectedPair(pi0, band_pulse(grid, 0.4, 16.0, amplitude=0.1))
+
+    def march(stations):
+        if coupled:
+            return propagate_nonlinear(dp0, 1.0, n_steps, kerr_params, grid,
+                                       n_stations=stations)
+        return propagate_unidirectional(pi0, 1.0, n_steps, kerr_params, grid,
+                                        n_stations=stations)
+
+    rec, every = march(n_stations), march(n_steps + 1)
+    steps = np.unique(np.linspace(0, n_steps, n_stations).astype(int))
+    assert len(rec.states) == len(steps) == min(n_stations, n_steps + 1)
+    assert np.array_equal(rec.stations, every.stations[steps])
+    for state, i in zip(rec.states, steps):
+        assert np.array_equal(state.pi.samples, every.states[i].pi.samples)
+        assert np.array_equal(state.lam.samples, every.states[i].lam.samples)
+    if not coupled:
+        assert all(np.all(s.lam.samples == 0.0) for s in every.states)
+
+
+@pytest.mark.parametrize("x_end, n_steps, n_stations, name", [
+    (0.0, 2000, 2, "x_end"),
+    (-1.0, 2000, 2, "x_end"),
+    (1.0, 3, 2, "n_steps"),
+    (1.0, 2000, 1, "n_stations"),
+])
+def test_kerr_marchers_reject_bad_inputs_before_marching(
+        kerr_params, x_end, n_steps, n_stations, name):
+    grid = TimeGrid(1024, 0.2)
+    pi0 = band_pulse(grid, 0.5, 12.0)
+    dp0 = DirectedPair(pi0, Signal.zeros(grid))
+    with pytest.raises(ValueError, match=name):
+        propagate_nonlinear(dp0, x_end, n_steps, kerr_params, grid,
+                            n_stations=n_stations)
+    with pytest.raises(ValueError, match=name):
+        propagate_unidirectional(pi0, x_end, n_steps, kerr_params, grid,
+                                 n_stations=n_stations)
+    if n_stations >= 2:
+        with pytest.raises(ValueError, match=name.replace("x_end", "zeta_end")):
+            propagate_dimensionless(dp0, x_end, n_steps, grid)
 
 
 @pytest.mark.filterwarnings("ignore:spectral content")
