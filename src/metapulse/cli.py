@@ -20,13 +20,16 @@ from scipy.interpolate import CubicSpline
 
 from . import __version__, evolution, medium, reference, stationary, waves
 from .errors import ConfigError
-from .spectral import Signal, TimeGrid
+from .spectral import Signal, TimeGrid, apply, make_multiplier
 from .waves import BoundaryRegime
 
 __all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse",
            "run_scenario", "main", "SCENARIOS"]
 
 PULSE_CLEAN_TOL = 1e-8
+
+#: rows rendered per string-format call; bounds the transient Python floats
+CSV_CHUNK_ROWS = 4096
 
 # scenario -> (description, {run key: (type, default or REQUIRED)})
 REQUIRED = object()
@@ -289,12 +292,12 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
     return sig
 
 
-def _boundary(config, grid):
-    """Boundary regime from the pulse spec: j = pulse; k per run.boundary."""
-    from .spectral import apply, make_multiplier
+def _boundary(config, grid, mode):
+    """Boundary regime from the pulse spec: j = pulse; k per ``mode``.
 
+    ``pure-right`` sets k = a-hat j, so the entry pair is Pi = k, Lambda = 0.
+    """
     j = synthesize_pulse(grid, **config.pulse)
-    mode = config.run.get("boundary", "e-only")
     if mode == "e-only":
         k = Signal.zeros(grid)
     elif mode == "pure-right":
@@ -305,12 +308,18 @@ def _boundary(config, grid):
 
 
 def _format_table(header, columns):
-    """Render a table deterministically: comma-separated, %.17e."""
+    """Render a table deterministically: comma-separated, %.17e.
+
+    Rows are formatted ``CSV_CHUNK_ROWS`` at a time with one ``%`` call per
+    block, which renders each value exactly as ``f"{v:.17e}"`` does.
+    """
     buf = io.StringIO()
     buf.write(header + "\n")
     data = np.column_stack(columns)
-    for row in data:
-        buf.write(",".join(f"{v:.17e}" for v in row) + "\n")
+    fmt = ",".join(["%.17e"] * data.shape[1]) + "\n"
+    for start in range(0, len(data), CSV_CHUNK_ROWS):
+        rows = data[start:start + CSV_CHUNK_ROWS]
+        buf.write((fmt * len(rows)) % tuple(rows.ravel().tolist()))
     return buf.getvalue()
 
 
@@ -370,7 +379,7 @@ def run_scenario(config, out_dir=None):
 
 def _run_split(config):
     grid = _resolve_grid(config)
-    regime = _boundary(config, grid)
+    regime = _boundary(config, grid, config.run["boundary"])
     dp = waves.split(regime, config.params, grid)
     header = "t (s),j=E(0,t) (V/m),k=B(0,t) (T),Pi (T),Lambda (T)"
     text = _format_table(header, [grid.times, regime.j.samples,
@@ -382,7 +391,7 @@ def _run_split(config):
 
 def _linear_runner(config, propagator, tag):
     grid = _resolve_grid(config)
-    regime = _boundary(config, grid)
+    regime = _boundary(config, grid, config.run["boundary"])
     dp0 = waves.split(regime, config.params, grid)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
     states = [dp0 if x == 0.0 else propagator(dp0, x, config.params, grid)
@@ -435,9 +444,20 @@ def _default_steps(config, x_end):
     return max(4, int(np.ceil(50.0 * x_end / beta)))
 
 
+def _rk4_stiffness(params, grid, x_end, n_steps):
+    """Largest |h lambda| of the linear Kerr term: h pq / (c w_min).
+
+    The stiffest bin is the lowest nonzero one, w_min = 2 pi / T; explicit
+    RK4 is stable on the imaginary axis up to 2 sqrt(2).
+    """
+    w_min = 2.0 * np.pi / grid.window
+    return (x_end / n_steps) * params.omega_pe * params.omega_pm / (
+        params.c * w_min)
+
+
 def _run_nonlinear(config):
     grid = _resolve_grid(config)
-    regime = _boundary(config, grid)
+    regime = _boundary(config, grid, config.run["boundary"])
     dp0 = waves.split(regime, config.params, grid)
     x_end = config.run["x_end"]
     n_steps = _default_steps(config, x_end)
@@ -447,6 +467,8 @@ def _run_nonlinear(config):
     )
     tables = _station_tables(record, grid, "nonlinear")
     summary = {"n_steps": n_steps, "dealias": config.run["dealias"],
+               "rk4_stiffness (1)": _rk4_stiffness(config.params, grid, x_end,
+                                                   n_steps),
                "final_pi_peak (T)": record.final.pi.peak,
                "final_lambda_peak (T)": record.final.lam.peak}
     return tables, summary
@@ -454,10 +476,7 @@ def _run_nonlinear(config):
 
 def _run_unidirectional(config):
     grid = _resolve_grid(config)
-    from .spectral import apply, make_multiplier
-
-    j = synthesize_pulse(grid, **config.pulse)
-    pi0 = apply(make_multiplier("a", config.params, grid), j)
+    pi0 = _boundary(config, grid, "pure-right").k
     x_end = config.run["x_end"]
     n_steps = _default_steps(config, x_end)
     record = evolution.propagate_unidirectional(
@@ -466,6 +485,8 @@ def _run_unidirectional(config):
     )
     tables = _station_tables(record, grid, "unidirectional")
     summary = {"n_steps": n_steps,
+               "rk4_stiffness (1)": _rk4_stiffness(config.params, grid, x_end,
+                                                   n_steps),
                "final_pi_peak (T)": record.final.pi.peak}
     return tables, summary
 

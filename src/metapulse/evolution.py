@@ -13,10 +13,12 @@ Three propagation models, from exact to reduced:
 
   with K = mu0 chi3 c^3 / (2 p^3 q), marched as a first-order-in-x system
   after applying dt^{-1} (classical RK4, cubic term evaluated pointwise in
-  time with optional 2/3-rule dealiasing). The unidirectional model is the
-  same right-hand side with Lambda frozen at zero. Both Kerr marchers keep
-  only ``n_stations`` evenly spread steps (default 2: entry and exit), so
-  memory grows with the stations kept, not with ``n_steps``.
+  time with optional 2/3-rule dealiasing). The march state is one stacked
+  complex array of real half-spectra (rfft bins 0..n/2), one row per
+  field: two rows for (Pi, Lambda), one row for the unidirectional model,
+  which is the same right-hand side with Lambda frozen at zero. Both Kerr
+  marchers keep only ``n_stations`` evenly spread steps (default 2: entry
+  and exit), so memory grows with the stations kept, not with ``n_steps``.
 
 The dimensionless form pi = Pi_tt/alpha, lam = Lambda_tt/alpha, zeta = x/beta
 with alpha = sqrt(2 p^4 q^2 / (mu0 chi3 c^3)), beta = c/(pq) has unit
@@ -155,53 +157,56 @@ def _warn_band(dp, grid, w_max):
         )
 
 
-def _kerr_plumbing(grid, dealias):
-    """Spectral dt^{-1} and the pointwise cube shared by the RK4 right-hand sides.
+def _half_spectrum(grid, dealias):
+    """dt^{-1}, w^2 and the 2/3-rule mask on the rfft bins 0..n/2.
 
-    ``cube(u_hat)`` is the spectrum of the cube of the time-domain image of
-    ``u_hat``; with ``dealias`` both its input and output are cut to the
-    lower two thirds of the bins.
+    dt^{-1} annihilates DC and the unpaired Nyquist bin; without
+    ``dealias`` the mask keeps every bin.
     """
     n = grid.n
-    w = grid.omegas
-    inv_iw = np.zeros(n, dtype=complex)
-    nz = w != 0.0
-    inv_iw[nz] = 1.0 / (1j * w[nz])
-    inv_iw[n // 2] = 0.0
-    if not dealias:
-        return inv_iw, lambda u_hat: np.fft.fft(np.fft.ifft(u_hat).real ** 3)
-    mask = (np.abs(np.fft.fftfreq(n, 1.0) * n) <= n // 3).astype(float)
-    return inv_iw, lambda u_hat: (
-        np.fft.fft(np.fft.ifft(u_hat * mask).real ** 3) * mask
-    )
+    w = 2.0 * np.pi * np.fft.rfftfreq(n, grid.dt)
+    inv_iw = np.zeros(n // 2 + 1, dtype=complex)
+    inv_iw[1:-1] = 1.0 / (1j * w[1:-1])
+    k = np.arange(n // 2 + 1)
+    mask = (k <= n // 3).astype(float) if dealias else np.ones(n // 2 + 1)
+    return inv_iw, w * w, mask
+
+
+def _cube(grid, u_hat):
+    """Half-spectrum of the pointwise cube of u_hat's time-domain image."""
+    u = np.fft.irfft(u_hat, grid.n)
+    return np.fft.rfft(u * u * u)
 
 
 def _kerr_rhs(params, grid, dealias, linear_sign):
-    """Right-hand side of the physical Kerr system on spectral states.
+    """Right-hand side of the physical Kerr system on stacked half-spectra.
 
-    A state (Pi-hat, Lambda-hat) follows the coupled system of
-    :func:`propagate_nonlinear`; a state (Pi-hat,) follows its first row
-    with Lambda frozen at zero, the unidirectional equation.
+    A state of two rows (Pi-hat, Lambda-hat) follows the coupled system of
+    :func:`propagate_nonlinear`; a state of one row follows its first row
+    with Lambda frozen at zero, the unidirectional equation. Each row is
+    ``lin * row + nl * cube(-w^2 mask u)`` with u = Pi - Lambda, where
+    ``lin = -+(pq/c) dt^{-1}`` and ``nl = -+(K/c) dt^{-1} mask``;
     ``linear_sign`` multiplies the +-(pq/c) pair.
     """
     if params.chi3 < 0:
         raise ValueError("chi3 must be nonnegative")
-    inv_iw, cube = _kerr_plumbing(grid, dealias)
-    w2 = grid.omegas**2
+    inv_iw, w2, mask = _half_spectrum(grid, dealias)
     pq_c = linear_sign * params.omega_pe * params.omega_pm / params.c
     k_c = (
         params.mu0 * params.chi3 * params.c**2
         / (2.0 * params.omega_pe**3 * params.omega_pm)
     )
+    row_sign = np.array([[-1.0], [1.0]])
+    lin = row_sign * (pq_c * inv_iw)
+    nl = row_sign * (k_c * (inv_iw * mask))
+    to_cube = -w2 * mask
 
-    def rhs(state):
-        pi_hat = state[0]
-        u_hat = pi_hat - state[1] if len(state) == 2 else pi_hat
-        w_hat = cube(-w2 * u_hat)
-        d_pi = inv_iw * (-pq_c * pi_hat - k_c * w_hat)
-        if len(state) == 1:
-            return (d_pi,)
-        return d_pi, inv_iw * (pq_c * state[1] + k_c * w_hat)
+    def rhs(state, out):
+        rows = len(state)
+        u_hat = state[0] - state[1] if rows == 2 else state[0]
+        np.multiply(lin[:rows], state, out=out)
+        out += nl[:rows] * _cube(grid, to_cube * u_hat)
+        return out
 
     return rhs
 
@@ -209,7 +214,9 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
 def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
     """Classical RK4 over [0, x_end], keeping only the requested stations.
 
-    ``state`` is a tuple of complex spectra. The kept steps are
+    ``state`` is a stacked complex array of half-spectra, one row per field;
+    ``rhs(state, out)`` writes the derivative into ``out`` and returns it, so
+    the four stages reuse three buffers. The kept steps are
     ``linspace(0, n_steps, n_stations)`` truncated to integers, duplicates
     dropped, so entry and exit are always kept. Aborts via BlowUpError when
     the state turns non-finite; its record holds the stations kept so far
@@ -225,16 +232,21 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
     steps = [0]
     states = [_to_pair(grid, state)]
+    acc, k, arg = (np.empty_like(state) for _ in range(3))
     for step in range(1, n_steps + 1):
-        k1 = rhs(state)
-        k2 = rhs(_axpy(state, k1, 0.5 * h))
-        k3 = rhs(_axpy(state, k2, 0.5 * h))
-        k4 = rhs(_axpy(state, k3, h))
-        new = tuple(
-            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        if not all(np.all(np.isfinite(s)) for s in new):
+        rhs(state, acc)
+        np.multiply(acc, 0.5 * h, out=arg)
+        arg += state
+        acc += 2.0 * rhs(arg, k)
+        np.multiply(k, 0.5 * h, out=arg)
+        arg += state
+        acc += 2.0 * rhs(arg, k)
+        np.multiply(k, h, out=arg)
+        arg += state
+        acc += rhs(arg, k)
+        acc *= h / 6.0
+        new = state + acc
+        if not np.all(np.isfinite(new)):
             if steps[-1] != step - 1:
                 steps.append(step - 1)
                 states.append(_to_pair(grid, state))
@@ -252,16 +264,11 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
     return PropagationRecord(np.array(steps) * h, states, meta)
 
 
-def _axpy(state, deriv, scale):
-    return tuple(s + scale * d for s, d in zip(state, deriv))
-
-
 def _to_pair(grid, state):
-    """Time-domain pair of a spectral state; a 1-tuple has Lambda = 0."""
-    pi = Signal(grid, np.fft.ifft(state[0]).real)
-    if len(state) == 1:
-        return DirectedPair(pi, Signal.zeros(grid))
-    return DirectedPair(pi, Signal(grid, np.fft.ifft(state[1]).real))
+    """Time-domain pair of a half-spectrum state; one row has Lambda = 0."""
+    rows = np.fft.irfft(state, grid.n)
+    lam = Signal(grid, rows[1]) if len(rows) == 2 else Signal.zeros(grid)
+    return DirectedPair(Signal(grid, rows[0]), lam)
 
 
 def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
@@ -283,7 +290,7 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     test suite uses as a solver diagnostic.
     """
     rhs = _kerr_rhs(params, grid, dealias, _linear_sign)
-    state0 = (np.fft.fft(dp0.pi.samples), np.fft.fft(dp0.lam.samples))
+    state0 = np.fft.rfft(np.stack([dp0.pi.samples, dp0.lam.samples]))
     meta = _run_meta("nonlinear-coupled", params, grid, n_steps, dealias)
     return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta)
 
@@ -293,7 +300,7 @@ def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
     """Kerr marching with the left wave frozen at zero (and not marched)."""
     rhs = _kerr_rhs(params, grid, dealias, 1.0)
     meta = _run_meta("nonlinear-unidirectional", params, grid, n_steps, dealias)
-    return _march_rk4(rhs, (np.fft.fft(pi0.samples),), x_end, n_steps,
+    return _march_rk4(rhs, np.fft.rfft(pi0.samples[None]), x_end, n_steps,
                       n_stations, grid, meta)
 
 
@@ -306,15 +313,16 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
     Kept apart from the physical right-hand side as an independent
     reference for it; records only entry and exit.
     """
-    inv_iw, cube = _kerr_plumbing(grid, dealias)
-    w2 = grid.omegas**2
+    inv_iw, w2, mask = _half_spectrum(grid, dealias)
 
-    def rhs(state):
+    def rhs(state, out):
         pi_hat, lam_hat = state
-        w_hat = -w2 * cube(pi_hat - lam_hat)
-        return inv_iw * (-pi_hat - w_hat), inv_iw * (lam_hat + w_hat)
+        w_hat = -w2 * mask * _cube(grid, mask * (pi_hat - lam_hat))
+        np.multiply(inv_iw, -pi_hat - w_hat, out=out[0])
+        np.multiply(inv_iw, lam_hat + w_hat, out=out[1])
+        return out
 
-    state0 = (np.fft.fft(dp0.pi.samples), np.fft.fft(dp0.lam.samples))
+    state0 = np.fft.rfft(np.stack([dp0.pi.samples, dp0.lam.samples]))
     meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
             "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
     return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta)
@@ -384,7 +392,7 @@ def build_nonlinearity(e, params, grid, dominant_only=True):
     part of mu-hat is retained for sensitivity studies:
     (chi3/2) * mu0 * (q^2 dt^{-1} e^3 - dt e^3).
     """
-    cube = Signal(grid, e.samples**3)
+    cube = Signal(grid, e.samples * e.samples * e.samples)
     d_dt_inv = make_multiplier("d_dt_inv", params, grid)
     q2 = params.omega_pm**2
     lead = (0.5 * params.chi3 * params.mu0 * q2) * apply(d_dt_inv, cube)

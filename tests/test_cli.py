@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from metapulse import ConfigError, TimeGrid
-from metapulse.cli import main, parse_config, run_scenario, synthesize_pulse
+from metapulse.cli import (
+    CSV_CHUNK_ROWS,
+    _format_table,
+    main,
+    parse_config,
+    run_scenario,
+    synthesize_pulse,
+)
 
 BASE = """
 [scenario]
@@ -131,6 +138,55 @@ def test_run_split_scenario(tmp_path):
     assert (tmp_path / "a" / "manifest.json").read_bytes() == (
         tmp_path / "b" / "manifest.json"
     ).read_bytes()
+
+
+def _format_per_value(header, columns):
+    """Reference rendering: one f-string per value, one row at a time."""
+    rows = np.column_stack(columns)
+    return header + "\n" + "".join(
+        ",".join(f"{v:.17e}" for v in row) + "\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize("n_cols", [2, 5])
+@pytest.mark.parametrize("n_rows", [
+    1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+    3 * CSV_CHUNK_ROWS + 7,
+])
+def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
+    rng = np.random.default_rng(n_rows * 10 + n_cols)
+    special = [0.0, -0.0, 5e-324, -1e308, 1.0 / 3.0]
+    columns = [np.arange(n_rows, dtype=float)]  # integer-valued times
+    for c in range(1, n_cols):
+        exponents = rng.integers(-300, 300, n_rows)
+        col = rng.standard_normal(n_rows) * 10.0**exponents
+        col[: len(special)] = np.roll(special, c)[: n_rows]
+        columns.append(col)
+    header = ",".join(f"c{i}" for i in range(n_cols))
+    text = _format_table(header, columns)
+    assert text == _format_per_value(header, columns)
+    assert text.count("\n") == n_rows + 1
+
+
+@pytest.mark.parametrize("scenario", [
+    "propagate-nonlinear", "propagate-unidirectional",
+])
+def test_kerr_manifest_records_rk4_stiffness(tmp_path, scenario):
+    # |h lambda|max = h pq / (c w_min), w_min = 2 pi / T the lowest bin
+    # p != q with the evanescent band (20, 30) above every grid bin
+    text = BASE.replace("name = split", f"name = {scenario}")
+    text = text.replace("omega_pe = 1.0\nomega_pm = 1.0",
+                        "omega_pe = 20.0\nomega_pm = 30.0")
+    text = text.replace("c = 1.0\neps0 = 1.0\nmu0 = 1.0",
+                        "c = 2.0\neps0 = 0.5\nmu0 = 0.5\nchi3 = 0.01")
+    text += "\n[run]\nx_end = 0.005\nn_steps = 40\n"
+    status, _ = run_scenario(parse_config(text), out_dir=tmp_path)
+    assert status == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    window = 1024 * 0.2
+    expected = (0.005 / 40) * 20.0 * 30.0 / (2.0 * 2.0 * np.pi / window)
+    assert manifest["summary"]["rk4_stiffness (1)"] == pytest.approx(
+        expected, rel=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

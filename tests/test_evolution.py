@@ -295,6 +295,108 @@ def test_kerr_marchers_reject_bad_inputs_before_marching(
             propagate_dimensionless(dp0, x_end, n_steps, grid)
 
 
+def _full_spectrum_rk4(dp0, x_end, n_steps, grid, dealias, lin, nl,
+                       coupled=True, dimensionless=False):
+    """Reference march on complex full spectra (fft/ifft), every step kept.
+
+    Rows follow dt^{-1} [-+lin row -+nl W] with W = (u_tt)^3 (physical
+    form) or (u^3)_tt (``dimensionless``), u = Pi - Lambda, or u = Pi with
+    Lambda held at zero when not ``coupled``.
+    """
+    w2 = grid.omegas**2
+    inv_iw = np.zeros(grid.n, dtype=complex)
+    inv_iw[w2 != 0.0] = 1.0 / (1j * grid.omegas[w2 != 0.0])
+    inv_iw[grid.n // 2] = 0.0
+    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
+    mask = keep if dealias else np.ones(grid.n, dtype=bool)
+
+    def cube(u_hat):
+        return np.fft.fft(np.fft.ifft(u_hat * mask).real ** 3) * mask
+
+    def rhs(state):
+        pi_hat, lam_hat = state
+        u_hat = pi_hat - lam_hat if coupled else pi_hat
+        w_hat = -w2 * cube(u_hat) if dimensionless else cube(-w2 * u_hat)
+        d_lam = inv_iw * (lin * lam_hat + nl * w_hat)
+        return np.array([inv_iw * (-lin * pi_hat - nl * w_hat),
+                         d_lam if coupled else 0.0 * d_lam])
+
+    h = x_end / n_steps
+    state = np.fft.fft([dp0.pi.samples, dp0.lam.samples])
+    out = [np.fft.ifft(state).real]
+    for _ in range(n_steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(np.fft.ifft(state).real)
+    return out
+
+
+def _max_rel_dev(record, reference, steps):
+    assert len(record.states) == len(steps)
+    devs = []
+    for state, step in zip(record.states, steps):
+        for got, want in zip((state.pi.samples, state.lam.samples),
+                             reference[step]):
+            scale = np.max(np.abs(want))
+            if scale > 0.0:
+                devs.append(np.max(np.abs(got - want)) / scale)
+            else:
+                assert np.all(got == 0.0)
+    return max(devs)
+
+
+@pytest.mark.parametrize("medium", ["kerr", "p_ne_q"])
+@pytest.mark.parametrize("linear_sign", [1.0, -1.0])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
+                                                         linear_sign, dealias):
+    # the half-spectrum marchers reproduce a plain complex-fft classical RK4
+    # to rounding at every kept station, for all three Kerr marchers
+    params = kerr_params if medium == "kerr" else DrudeParams(
+        1.0, 1.5, c=2.0, eps0=0.5, mu0=0.5, chi3=0.7)
+    grid = TimeGrid(1024, 0.2)
+    n_steps, x_end = 37, 1.0
+    # third harmonics lie above the 2/3 cut (10.5 rad/s here) and Pi has a
+    # component above it, so both sides of the mask change the march
+    dp0 = DirectedPair(band_pulse(grid, 4.0, 12.0, amplitude=0.01)
+                       + band_pulse(grid, 12.0, 12.0, amplitude=0.001),
+                       band_pulse(grid, 3.5, 16.0, amplitude=0.005))
+    pq_c = params.omega_pe * params.omega_pm / params.c
+    k_c = kerr_coupling(params).big_k / params.c
+    every = np.arange(n_steps + 1)
+
+    rec = propagate_nonlinear(dp0, x_end, n_steps, params, grid,
+                              dealias=dealias, n_stations=n_steps + 1,
+                              _linear_sign=linear_sign)
+    ref = _full_spectrum_rk4(dp0, x_end, n_steps, grid, dealias,
+                             linear_sign * pq_c, k_c)
+    assert _max_rel_dev(rec, ref, every) <= 1e-12
+    # the Kerr term and the mask are resolved: toggling dealias departs by
+    # far more than the bound
+    other = _full_spectrum_rk4(dp0, x_end, n_steps, grid, not dealias,
+                               linear_sign * pq_c, k_c)
+    assert _max_rel_dev(rec, other, every) > 1e-3
+
+    if linear_sign == 1.0:
+        uni0 = DirectedPair(dp0.pi, Signal.zeros(grid))
+        rec = propagate_unidirectional(dp0.pi, x_end, n_steps, params, grid,
+                                       dealias=dealias, n_stations=5)
+        ref = _full_spectrum_rk4(uni0, x_end, n_steps, grid, dealias,
+                                 pq_c, k_c, coupled=False)
+        steps = np.linspace(0, n_steps, 5).astype(int)
+        assert _max_rel_dev(rec, ref, steps) <= 1e-12
+
+    if linear_sign == 1.0 and medium == "kerr":  # takes no medium
+        rec = propagate_dimensionless(dp0, x_end, n_steps, grid,
+                                      dealias=dealias)
+        ref = _full_spectrum_rk4(dp0, x_end, n_steps, grid, dealias, 1.0, 1.0,
+                                 dimensionless=True)
+        assert _max_rel_dev(rec, ref, [0, n_steps]) <= 1e-12
+
+
 @pytest.mark.filterwarnings("ignore:spectral content")
 def test_unidirectional_agrees_while_lambda_small(unit_params, grid):
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0, chi3=1e-5)
