@@ -31,12 +31,9 @@ from .medium import (
 from .spectral import (
     Multiplier,
     Signal,
-    Spectrum,
     TimeGrid,
     apply,
-    from_spectrum,
     make_multiplier,
-    to_spectrum,
 )
 from .projectors import (
     FieldPair,

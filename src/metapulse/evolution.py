@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, InadmissibleGridError
-from .spectral import Signal, apply, make_multiplier
+from .spectral import Multiplier, Signal, apply, make_multiplier
 from .waves import DirectedPair
 
 __all__ = [
@@ -100,17 +100,16 @@ def kerr_coupling(params):
     return KerrCoupling(big_k=big_k, alpha=alpha, beta=beta)
 
 
-def _unimodular(grid, phase_exponent):
-    """Phase factors from exponent array; DC and Nyquist forced to 1."""
-    factors = np.exp(1j * phase_exponent)
-    factors[0] = 1.0
-    factors[grid.n // 2] = 1.0
-    return factors
+def _advance(dp, theta):
+    """Multiply Pi-hat by exp(-i theta) and Lambda-hat by exp(+i theta).
 
-
-def _apply_phases(grid, dp, f_pi, f_lam):
-    pi = np.fft.ifft(f_pi * np.fft.fft(dp.pi.samples)).real
-    lam = np.fft.ifft(f_lam * np.fft.fft(dp.lam.samples)).real
+    ``theta`` holds one phase per rfft bin; DC and Nyquist keep factor 1.
+    """
+    grid = dp.grid
+    factors = np.exp(1j * np.array([[-1.0], [1.0]]) * theta)
+    factors[:, [0, -1]] = 1.0
+    spec = np.fft.rfft([dp.pi.samples, dp.lam.samples])
+    pi, lam = np.fft.irfft(factors * spec, grid.n)
     return DirectedPair(Signal(grid, pi), Signal(grid, lam))
 
 
@@ -119,10 +118,7 @@ def propagate_linear_exact(dp0, x, params, grid):
     if x < 0:
         raise ValueError("x must be nonnegative")
     a_vals = make_multiplier("a", params, grid).values.real
-    w = grid.omegas
-    f_pi = _unimodular(grid, -w * a_vals * x)
-    f_lam = _unimodular(grid, +w * a_vals * x)
-    return _apply_phases(grid, dp0, f_pi, f_lam)
+    return _advance(dp0, grid.half_omegas * a_vals * x)
 
 
 def propagate_kg(dp0, x, params, grid):
@@ -133,23 +129,20 @@ def propagate_kg(dp0, x, params, grid):
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    w = grid.omegas
     _warn_band(dp0, grid, 0.5 * params.band_low)
     pq_c = params.omega_pe * params.omega_pm / params.c
-    expo = np.zeros(grid.n)
-    nz = w != 0.0
-    expo[nz] = pq_c * x / w[nz]
-    f_pi = _unimodular(grid, expo)
-    f_lam = _unimodular(grid, -expo)
-    return _apply_phases(grid, dp0, f_pi, f_lam)
+    w = grid.half_omegas
+    theta = np.zeros(w.size)
+    theta[1:] = -pq_c * x / w[1:]
+    return _advance(dp0, theta)
 
 
 def _warn_band(dp, grid, w_max):
-    spec = np.abs(np.fft.fft(dp.pi.samples)) + np.abs(np.fft.fft(dp.lam.samples))
+    spec = np.abs(np.fft.rfft([dp.pi.samples, dp.lam.samples])).sum(axis=0)
     peak = np.max(spec)
     if peak == 0.0:
         return
-    outside = np.abs(grid.omegas) > w_max
+    outside = grid.half_omegas > w_max
     if np.max(spec[outside], initial=0.0) > 1e-6 * peak:
         warnings.warn(
             f"spectral content above {w_max:g} rad/s; the long-wave "
@@ -163,19 +156,27 @@ def _half_spectrum(grid, dealias):
     dt^{-1} annihilates DC and the unpaired Nyquist bin; without
     ``dealias`` the mask keeps every bin.
     """
-    n = grid.n
-    w = 2.0 * np.pi * np.fft.rfftfreq(n, grid.dt)
-    inv_iw = np.zeros(n // 2 + 1, dtype=complex)
-    inv_iw[1:-1] = 1.0 / (1j * w[1:-1])
-    k = np.arange(n // 2 + 1)
-    mask = (k <= n // 3).astype(float) if dealias else np.ones(n // 2 + 1)
+    inv_iw = make_multiplier("d_dt_inv", None, grid).values
+    w = grid.half_omegas
+    k = np.arange(w.size)
+    mask = (k <= grid.n // 3).astype(float) if dealias else np.ones(w.size)
     return inv_iw, w * w, mask
 
 
-def _cube(grid, u_hat):
-    """Half-spectrum of the pointwise cube of u_hat's time-domain image."""
-    u = np.fft.irfft(u_hat, grid.n)
-    return np.fft.rfft(u * u * u)
+def _cube(grid):
+    """``cube(u_hat)``: half-spectrum of the pointwise cube of u_hat's time
+    image, written into one buffer that every call reuses and returns."""
+    u = np.empty(grid.n)
+    u3 = np.empty(grid.n)
+    out = np.empty(grid.n // 2 + 1, dtype=complex)
+
+    def cube(u_hat):
+        np.fft.irfft(u_hat, grid.n, out=u)
+        np.multiply(u, u, out=u3)
+        np.multiply(u3, u, out=u3)
+        return np.fft.rfft(u3, out=out)
+
+    return cube
 
 
 def _kerr_rhs(params, grid, dealias, linear_sign):
@@ -184,9 +185,10 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
     A state of two rows (Pi-hat, Lambda-hat) follows the coupled system of
     :func:`propagate_nonlinear`; a state of one row follows its first row
     with Lambda frozen at zero, the unidirectional equation. Each row is
-    ``lin * row + nl * cube(-w^2 mask u)`` with u = Pi - Lambda, where
-    ``lin = -+(pq/c) dt^{-1}`` and ``nl = -+(K/c) dt^{-1} mask``;
-    ``linear_sign`` multiplies the +-(pq/c) pair.
+    ``lin * row -+ nl * cube(-w^2 mask u)`` with u = Pi - Lambda, where
+    ``lin = -+(pq/c) dt^{-1}`` and ``nl = (K/c) dt^{-1} mask``;
+    ``linear_sign`` multiplies the +-(pq/c) pair. Every intermediate
+    lives in a buffer made here, so a call allocates no array.
     """
     if params.chi3 < 0:
         raise ValueError("chi3 must be nonnegative")
@@ -196,16 +198,23 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
         params.mu0 * params.chi3 * params.c**2
         / (2.0 * params.omega_pe**3 * params.omega_pm)
     )
-    row_sign = np.array([[-1.0], [1.0]])
-    lin = row_sign * (pq_c * inv_iw)
-    nl = row_sign * (k_c * (inv_iw * mask))
-    to_cube = -w2 * mask
+    lin = np.array([[-1.0], [1.0]]) * (pq_c * inv_iw)
+    nl = k_c * (inv_iw * mask)
+    # complex, so that multiplying a complex row needs no casting buffer
+    to_cube = (-w2 * mask).astype(complex)
+    cube = _cube(grid)
+    u_hat = np.empty_like(to_cube)
+    nl_term = np.empty_like(nl)
 
     def rhs(state, out):
         rows = len(state)
-        u_hat = state[0] - state[1] if rows == 2 else state[0]
+        u = np.subtract(*state, out=u_hat) if rows == 2 else state[0]
+        np.multiply(to_cube, u, out=u_hat)
+        np.multiply(nl, cube(u_hat), out=nl_term)
         np.multiply(lin[:rows], state, out=out)
-        out += nl[:rows] * _cube(grid, to_cube * u_hat)
+        out[0] -= nl_term
+        if rows == 2:
+            out[1] += nl_term
         return out
 
     return rhs
@@ -214,13 +223,16 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
 def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
     """Classical RK4 over [0, x_end], keeping only the requested stations.
 
-    ``state`` is a stacked complex array of half-spectra, one row per field;
-    ``rhs(state, out)`` writes the derivative into ``out`` and returns it, so
-    the four stages reuse three buffers. The kept steps are
-    ``linspace(0, n_steps, n_stations)`` truncated to integers, duplicates
-    dropped, so entry and exit are always kept. Aborts via BlowUpError when
-    the state turns non-finite; its record holds the stations kept so far
-    plus the last finite state.
+    ``state`` is a stacked complex array of half-spectra, one row per field,
+    which the march overwrites; ``rhs(state, out)`` writes the derivative
+    into ``out`` and returns it. A step allocates no array: the stages reuse
+    three buffers, and the new state goes to a fourth that swaps with the
+    old. The stage weights of 2 are applied in place; (2k)(h/4) equals
+    k(h/2) exactly, so every step matches the textbook update bit for bit.
+    The kept steps are ``linspace(0, n_steps, n_stations)`` truncated to
+    integers, duplicates dropped, so entry and exit are always kept. Aborts
+    via BlowUpError when the state turns non-finite; its record holds the
+    stations kept so far plus the last finite state.
     """
     if not x_end > 0:
         raise ValueError(f"x_end (zeta_end) must be positive, got {x_end!r}")
@@ -232,20 +244,20 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
     steps = [0]
     states = [_to_pair(grid, state)]
-    acc, k, arg = (np.empty_like(state) for _ in range(3))
+    acc, k, arg, new = (np.empty_like(state) for _ in range(4))
     for step in range(1, n_steps + 1):
         rhs(state, acc)
         np.multiply(acc, 0.5 * h, out=arg)
         arg += state
-        acc += 2.0 * rhs(arg, k)
-        np.multiply(k, 0.5 * h, out=arg)
-        arg += state
-        acc += 2.0 * rhs(arg, k)
-        np.multiply(k, h, out=arg)
-        arg += state
+        for weight in (0.25, 0.5):
+            rhs(arg, k)
+            k *= 2.0
+            acc += k
+            np.multiply(k, weight * h, out=arg)
+            arg += state
         acc += rhs(arg, k)
         acc *= h / 6.0
-        new = state + acc
+        np.add(state, acc, out=new)
         if not np.all(np.isfinite(new)):
             if steps[-1] != step - 1:
                 steps.append(step - 1)
@@ -257,7 +269,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
                 f"non-finite state at step {step} (x = {step * h:g})",
                 record=partial,
             )
-        state = new
+        state, new = new, state
         if step in keep:
             steps.append(step)
             states.append(_to_pair(grid, state))
@@ -314,10 +326,11 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
     reference for it; records only entry and exit.
     """
     inv_iw, w2, mask = _half_spectrum(grid, dealias)
+    cube = _cube(grid)
 
     def rhs(state, out):
         pi_hat, lam_hat = state
-        w_hat = -w2 * mask * _cube(grid, mask * (pi_hat - lam_hat))
+        w_hat = -w2 * mask * cube(mask * (pi_hat - lam_hat))
         np.multiply(inv_iw, -pi_hat - w_hat, out=out[0])
         np.multiply(inv_iw, lam_hat + w_hat, out=out[1])
         return out
@@ -343,60 +356,39 @@ def _run_meta(model, params, grid, n_steps, dealias):
     }
 
 
-def _second_t_derivative(grid, samples, scale):
-    w2 = grid.omegas**2
-    return np.fft.ifft(-w2 * np.fft.fft(samples)).real * scale
-
-
-def _inverse_second_t_derivative(grid, samples, scale):
-    w2 = grid.omegas**2
-    inv = np.zeros(grid.n)
-    nz = w2 != 0.0
-    inv[nz] = -1.0 / w2[nz]
-    return np.fft.ifft(inv * np.fft.fft(samples)).real * scale
+def _rescale(record, symbol, stations, variables):
+    """Apply one half-spectrum multiplier to every field of a record."""
+    m = Multiplier(record.states[0].grid, symbol)
+    states = [DirectedPair(apply(m, s.pi), apply(m, s.lam))
+              for s in record.states]
+    meta = {**record.meta, "variables": variables}
+    return PropagationRecord(stations, states, meta)
 
 
 def to_dimensionless(record, coupling):
-    """Rescale a physical record to (pi, lam, zeta) variables."""
-    grid = record.states[0].grid
-    states = [
-        DirectedPair(
-            Signal(grid, _second_t_derivative(grid, s.pi.samples, 1.0 / coupling.alpha)),
-            Signal(grid, _second_t_derivative(grid, s.lam.samples, 1.0 / coupling.alpha)),
-        )
-        for s in record.states
-    ]
-    meta = {**record.meta, "variables": "dimensionless"}
-    return PropagationRecord(record.stations / coupling.beta, states, meta)
+    """Rescale a physical record to (pi, lam, zeta) = (Pi_tt, Lambda_tt,
+    x) / (alpha, alpha, beta)."""
+    w2 = record.states[0].grid.half_omegas ** 2
+    return _rescale(record, -w2 / coupling.alpha,
+                    record.stations / coupling.beta, "dimensionless")
 
 
 def from_dimensionless(record, coupling):
     """Invert :func:`to_dimensionless`; dt^{-2} annihilates the DC bin."""
-    grid = record.states[0].grid
-    states = [
-        DirectedPair(
-            Signal(grid, _inverse_second_t_derivative(grid, s.pi.samples, coupling.alpha)),
-            Signal(grid, _inverse_second_t_derivative(grid, s.lam.samples, coupling.alpha)),
-        )
-        for s in record.states
-    ]
-    meta = {**record.meta, "variables": "physical"}
-    return PropagationRecord(record.stations * coupling.beta, states, meta)
+    w2 = record.states[0].grid.half_omegas ** 2
+    symbol = np.zeros(w2.size)
+    symbol[1:] = -coupling.alpha / w2[1:]
+    return _rescale(record, symbol, record.stations * coupling.beta,
+                    "physical")
 
 
-def build_nonlinearity(e, params, grid, dominant_only=True):
+def build_nonlinearity(e, params, grid):
     """Kerr source driven by the electric field.
 
     Dominant form (chi3/2) * mu0 * q^2 * dt^{-1}(e^3), keeping only the
-    q^2 dt^{-2} part of mu-hat. With ``dominant_only=False`` the identity
-    part of mu-hat is retained for sensitivity studies:
-    (chi3/2) * mu0 * (q^2 dt^{-1} e^3 - dt e^3).
+    q^2 dt^{-2} part of mu-hat.
     """
     cube = Signal(grid, e.samples * e.samples * e.samples)
     d_dt_inv = make_multiplier("d_dt_inv", params, grid)
     q2 = params.omega_pm**2
-    lead = (0.5 * params.chi3 * params.mu0 * q2) * apply(d_dt_inv, cube)
-    if dominant_only:
-        return lead
-    d_dt = make_multiplier("d_dt", params, grid)
-    return lead - (0.5 * params.chi3 * params.mu0) * apply(d_dt, cube)
+    return (0.5 * params.chi3 * params.mu0 * q2) * apply(d_dt_inv, cube)

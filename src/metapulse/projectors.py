@@ -125,12 +125,10 @@ def _random_zero_mean_pair(grid, rng):
     """Smooth random zero-mean field pair for property checks."""
 
     def one():
-        spec = np.zeros(grid.n, dtype=complex)
-        # populate a mid-band of bins, conjugate-symmetric, no DC/Nyquist
+        spec = np.zeros(grid.n // 2 + 1, dtype=complex)
+        # populate a mid-band of half-spectrum bins, no DC/Nyquist
         k = np.arange(1, grid.n // 4)
-        amp = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
-        spec[k] = amp
-        spec[-k] = np.conj(amp)
-        return Signal(grid, np.fft.ifft(spec).real)
+        spec[k] = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+        return Signal(grid, np.fft.irfft(spec, grid.n))
 
     return FieldPair(one(), one())

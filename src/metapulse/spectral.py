@@ -3,15 +3,20 @@
 All material operators of the model (eps-hat, mu-hat, a-hat, their inverses
 and powers, and time derivatives) are convolution operators, so on a uniform
 periodic grid they act as diagonal multipliers in the discrete Fourier
-domain. The transform pair uses the exp(+i w t) synthesis convention, which
-numpy's ifft realizes directly; hence d/dt maps to multiplication by i*w.
+domain. Every signal is real and every symbol is Hermitian,
+m(-w) = conj(m(w)), so the real half-spectrum (rfft bins 0..n/2, at
+frequencies ``TimeGrid.half_omegas``) carries all of it: an operator is
+``irfft(values * rfft(s), n)``, real by construction. The transform pair
+uses the exp(+i w t) synthesis convention that irfft realizes; hence d/dt
+maps to multiplication by i*w. irfft reads only the real part of the DC and
+Nyquist bins.
 
 Every Drude-derived multiplier and the inverse time derivative annihilate
 the zero-frequency bin: the underlying symbols are singular at w = 0 and all
 admissible physical signals are zero-mean pulses.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +26,7 @@ from .errors import GridMismatchError, InadmissibleGridError
 __all__ = [
     "TimeGrid",
     "Signal",
-    "Spectrum",
     "Multiplier",
-    "to_spectrum",
-    "from_spectrum",
     "make_multiplier",
     "apply",
     "MULTIPLIER_KINDS",
@@ -44,7 +46,10 @@ class TimeGrid:
     times : ndarray
         Sample instants 0, dt, ..., (n-1)*dt.
     omegas : ndarray
-        Signed angular frequencies 2*pi*k/T in fft bin order.
+        Signed angular frequencies 2*pi*k/T in full fft bin order.
+    half_omegas : ndarray
+        Angular frequencies 2*pi*k/T of the rfft bins k = 0..n/2, on which
+        every multiplier is built.
     window : float
         Period T = n*dt.
     """
@@ -59,7 +64,11 @@ class TimeGrid:
         self.dt = float(dt)
         self.window = n * self.dt
         self.times = np.arange(n) * self.dt
-        self.omegas = 2.0 * np.pi * np.fft.fftfreq(n, self.dt)
+        self.half_omegas = 2.0 * np.pi * np.fft.rfftfreq(n, self.dt)
+        # fft bin order: 0..n/2-1, then -n/2..-1
+        self.omegas = np.concatenate(
+            (self.half_omegas[:-1], -self.half_omegas[:0:-1])
+        )
 
     def __eq__(self, other):
         return (
@@ -122,79 +131,38 @@ class Signal:
 
 
 @dataclass
-class Spectrum:
-    """Complex Fourier coefficients on a grid, unitary normalization."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError("spectrum length must match grid")
-
-
-def to_spectrum(signal):
-    """Forward transform (unitary). Inverse of :func:`from_spectrum`."""
-    return Spectrum(signal.grid, np.fft.fft(signal.samples, norm="ortho"))
-
-
-def from_spectrum(spectrum):
-    """Inverse transform; the imaginary residue is discarded."""
-    return Signal(spectrum.grid, np.fft.ifft(spectrum.values, norm="ortho").real)
-
-
-@dataclass
 class Multiplier:
-    """Diagonal frequency-domain operator.
+    """Diagonal frequency-domain operator on real signals.
 
-    ``values[k]`` multiplies Fourier bin k. ``hermitian`` records whether
-    values(-w) = conj(values(w)), i.e. whether the operator maps real
-    signals to real signals; it is derived from the values at construction.
+    ``values[k]`` multiplies rfft bin k = 0..n/2; the negative frequencies
+    follow by conjugate symmetry, so the operator maps real signals to real
+    signals.
     """
 
     grid: TimeGrid
     values: np.ndarray
     kind: str = "custom"
-    hermitian: bool = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError("multiplier length must match grid")
-        neg = np.concatenate(([self.values[0]], self.values[:0:-1]))
-        self.hermitian = bool(np.allclose(neg, np.conj(self.values), atol=1e-14))
-
-    def __call__(self, signal):
-        return apply(self, signal)
+        if self.values.shape != (self.grid.n // 2 + 1,):
+            raise ValueError("a multiplier holds the n//2+1 rfft bins only")
 
 
 def apply(m, s):
-    """Apply a diagonal multiplier to a signal.
-
-    For Hermitian-symmetric multipliers the output must be real up to
-    1e-10 of the larger of input/output peaks; the residue is truncated
-    after the check.
-    """
+    """Apply a diagonal multiplier to a signal: irfft(values * rfft(s))."""
     if m.grid != s.grid:
         raise GridMismatchError("multiplier and signal grids differ")
-    out = np.fft.ifft(m.values * np.fft.fft(s.samples))
+    out = np.fft.irfft(m.values * np.fft.rfft(s.samples), s.grid.n)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"non-finite output from multiplier {m.kind!r}")
-    if m.hermitian:
-        scale = max(s.peak, float(np.max(np.abs(out.real))), 1e-300)
-        residue = float(np.max(np.abs(out.imag)))
-        if residue > 1e-10 * scale:
-            raise FloatingPointError(
-                f"imaginary residue {residue:.3e} exceeds 1e-10 of peak {scale:.3e}"
-            )
-    return Signal(s.grid, out.real)
+    return Signal(s.grid, out)
 
 
 def _check_band_free(params, grid, kind):
-    aw = np.abs(grid.omegas)
+    w = grid.half_omegas
     lo, hi = params.band_low, params.band_high
-    bad = (aw > lo) & (aw < hi)
+    bad = (w > lo) & (w < hi)
     if np.any(bad):
         raise InadmissibleGridError(
             f"{int(np.sum(bad))} grid bins lie in the evanescent band "
@@ -206,16 +174,18 @@ def make_multiplier(kind, params, grid):
     """Build the discrete realization of one of the model's operators.
 
     kind: one of ``eps, mu, mu_inv, a, a_inv, a_sq, d_dt, d_dt_inv``.
-    The zero-frequency bin is annihilated for every kind. The Nyquist bin
-    of odd-symbol operators (d_dt, d_dt_inv) is zeroed as well, since it is
-    unpaired and would break real-to-real closure.
+    The symbols are evaluated on ``grid.half_omegas``. The zero-frequency
+    bin is annihilated for every kind. The Nyquist bin of odd-symbol
+    operators (d_dt, d_dt_inv) is zeroed as well: it is unpaired, and irfft
+    would drop its imaginary product anyway. ``params`` is unused by the
+    time derivatives and may be None for them.
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
-    w = grid.omegas
+    w = grid.half_omegas
     nz = w != 0.0
     wn = w[nz]
-    vals = np.zeros(grid.n, dtype=complex)
+    vals = np.zeros(w.size, dtype=complex)
 
     if kind == "eps":
         vals[nz] = params.eps0 * medium.drude_response("electric", params, wn)
@@ -242,9 +212,9 @@ def make_multiplier(kind, params, grid):
         vals[nz] = medium.a_squared(params, wn)
     elif kind == "d_dt":
         vals = 1j * w.astype(complex)
-        vals[grid.n // 2] = 0.0
+        vals[-1] = 0.0
     elif kind == "d_dt_inv":
         vals[nz] = 1.0 / (1j * wn)
-        vals[grid.n // 2] = 0.0
+        vals[-1] = 0.0
 
     return Multiplier(grid, vals, kind=kind)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from metapulse import ConfigError, TimeGrid
+from metapulse import ConfigError, TimeGrid, reference
 from metapulse.cli import (
     CSV_CHUNK_ROWS,
     _format_table,
@@ -187,6 +187,34 @@ def test_kerr_manifest_records_rk4_stiffness(tmp_path, scenario):
     expected = (0.005 / 40) * 20.0 * 30.0 / (2.0 * 2.0 * np.pi / window)
     assert manifest["summary"]["rk4_stiffness (1)"] == pytest.approx(
         expected, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("forced", [None, True, False])
+def test_reference_compare_manifest_records_fdtd_contamination(
+        tmp_path, monkeypatch, forced):
+    # the summary carries run_boundary_source's wall-reflection flag as it
+    # came out of the FDTD run (None), and follows it when it is set
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    run_source = reference.run_boundary_source
+    flags = []
+
+    def recorded(*args, **kwargs):
+        out = run_source(*args, **kwargs)
+        if forced is not None:
+            out["contaminated"] = forced
+        flags.append(out["contaminated"])
+        return out
+
+    monkeypatch.setattr(reference, "run_boundary_source", recorded)
+    cfg = parse_config("[scenario]\nname = reference-compare\n"
+                       + BASE_MEDIUM + SCENARIO_CONFIGS["reference-compare"])
+    status, _ = run_scenario(cfg, out_dir=tmp_path)
+    assert status == 0
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert len(flags) == 1
+    assert summary["fdtd_contaminated"] is flags[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

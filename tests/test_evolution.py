@@ -397,6 +397,36 @@ def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
         assert _max_rel_dev(rec, ref, [0, n_steps]) <= 1e-12
 
 
+@pytest.mark.parametrize("rows", [2, 1])
+def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
+    # between two right-hand-side calls of a march (one call plus the RK4
+    # arithmetic after it) no numpy array as large as a quarter of the
+    # state is allocated; tracemalloc sees numpy's array allocations
+    import tracemalloc
+
+    from metapulse.evolution import _kerr_rhs, _march_rk4
+
+    pair = [band_pulse(grid, 0.5, 12.0).samples,
+            band_pulse(grid, 0.4, 15.0, amplitude=0.5).samples]
+    state = np.fft.rfft(np.stack(pair[:rows]))
+    rhs = _kerr_rhs(kerr_params, grid, True, 1.0)
+    gaps = []
+
+    def watched(s, out):
+        current, peak = tracemalloc.get_traced_memory()
+        gaps.append(peak - current)
+        tracemalloc.reset_peak()
+        return rhs(s, out)
+
+    tracemalloc.start()
+    try:
+        _march_rk4(watched, state, 0.1, 6, 2, grid, {})
+    finally:
+        tracemalloc.stop()
+    assert len(gaps) == 24
+    assert max(gaps[1:]) < state.nbytes / 4
+
+
 @pytest.mark.filterwarnings("ignore:spectral content")
 def test_unidirectional_agrees_while_lambda_small(unit_params, grid):
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0, chi3=1e-5)
@@ -481,8 +511,6 @@ def test_build_nonlinearity(kerr_params, grid, rng):
     out = build_nonlinearity(e, kerr_params, grid)
     out_neg = build_nonlinearity(-e, kerr_params, grid)
     np.testing.assert_allclose(out_neg.samples, -out.samples, atol=1e-14)
-    full = build_nonlinearity(e, kerr_params, grid, dominant_only=False)
-    assert (full - out).peak > 0.0  # identity part of mu-hat contributes
 
 
 def test_build_nonlinearity_pipeline_consistency(kerr_params, grid):

@@ -1,0 +1,144 @@
+"""Property tests over random media, grids and band-limited pulses.
+
+Media range over natural units (p, q, c of order 1) and SI magnitudes
+(plasma frequencies 1e14-1e16 rad/s, the SI light speed), with p != q in
+general. Every grid keeps its rfft bins out of the evanescent band: either
+all nonzero bins sit below min(p, q), or the lowest nonzero bin sits above
+max(p, q).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from metapulse import (
+    BoundaryRegime,
+    DrudeParams,
+    Signal,
+    TimeGrid,
+    a_symbol,
+    apply,
+    drude_response,
+    make_multiplier,
+    propagate_linear_exact,
+    reconstruct,
+    split,
+)
+from metapulse.spectral import MULTIPLIER_KINDS
+
+# derandomized, so every run draws the same examples; no example database
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def media(draw):
+    ratio = draw(st.floats(1.0, 4.0))
+    if draw(st.booleans()):
+        low = draw(st.floats(1e14, 1e16))
+        p, q = low, low * ratio
+        params = {}
+    else:
+        low = draw(st.floats(0.2, 5.0))
+        p, q = low, low * ratio
+        c = draw(st.floats(0.5, 4.0))
+        params = {"c": c, "eps0": 1.0 / c, "mu0": 1.0 / c}
+    if draw(st.booleans()):
+        p, q = q, p
+    return DrudeParams(p, q, **params)
+
+
+@st.composite
+def cases(draw):
+    """(params, grid, seed) with every grid bin clear of the band."""
+    params = draw(media())
+    n = draw(st.sampled_from([64, 256, 1024]))
+    if draw(st.booleans()):
+        # every bin below the band: Nyquist at a fraction of min(p, q)
+        dt = np.pi / (draw(st.floats(0.2, 0.9)) * params.band_low)
+    else:
+        # lowest nonzero bin above the band
+        dt = 2.0 * np.pi / (n * draw(st.floats(1.05, 3.0)) * params.band_high)
+    return params, TimeGrid(n, dt), draw(st.integers(0, 2**32 - 1))
+
+
+def random_signal(grid, rng):
+    """Real zero-mean signal on every rfft bin 1..n/2."""
+    spec = np.zeros(grid.n // 2 + 1, dtype=complex)
+    k = grid.n // 2
+    spec[1:] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return Signal(grid, np.fft.irfft(spec, grid.n))
+
+
+def full_spectrum_symbol(kind, params, grid):
+    """The multiplier's symbol on every fft bin, DC (and the Nyquist bin of
+    the odd symbols) zeroed."""
+    w = grid.omegas
+    nz = w != 0.0
+    wn = w[nz]
+    eps = params.eps0 * drude_response("electric", params, wn)
+    mu = params.mu0 * drude_response("magnetic", params, wn)
+    a = a_symbol(params, wn)
+    values = {
+        "eps": eps,
+        "mu": mu,
+        "mu_inv": 1.0 / mu,
+        "a": a,
+        "a_inv": 1.0 / a,
+        "a_sq": a * a,
+        "d_dt": 1j * wn,
+        "d_dt_inv": 1.0 / (1j * wn),
+    }[kind]
+    out = np.zeros(grid.n, dtype=complex)
+    out[nz] = values
+    if kind in ("d_dt", "d_dt_inv"):
+        out[grid.n // 2] = 0.0
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_half_spectrum_apply_matches_full_fft(case):
+    params, grid, seed = case
+    s = random_signal(grid, np.random.default_rng(seed))
+    for kind in MULTIPLIER_KINDS:
+        out = apply(make_multiplier(kind, params, grid), s).samples
+        symbol = full_spectrum_symbol(kind, params, grid)
+        ref = np.fft.ifft(symbol * np.fft.fft(s.samples)).real
+        err = np.max(np.abs(out - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), kind
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@PROPERTY_SETTINGS
+@given(cases())
+def test_split_then_reconstruct_is_identity(case):
+    params, grid, seed = case
+    rng = np.random.default_rng(seed)
+    # E = a-hat^{-1} of a random signal, so that a-hat j and k share one
+    # scale whatever the units (SI E and B differ by about c)
+    a_inv = make_multiplier("a_inv", params, grid)
+    j, k = apply(a_inv, random_signal(grid, rng)), random_signal(grid, rng)
+    fields = reconstruct(split(BoundaryRegime(j=j, k=k), params, grid),
+                         params, grid)
+    assert np.max(np.abs(fields.e.samples - j.samples)) <= 1e-10 * j.peak
+    assert np.max(np.abs(fields.b.samples - k.samples)) <= 1e-12 * k.peak
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@PROPERTY_SETTINGS
+@given(cases(), st.floats(0.1, 50.0), st.floats(0.05, 0.95))
+def test_exact_propagation_is_additive_in_x(case, max_phase, fraction):
+    params, grid, seed = case
+    rng = np.random.default_rng(seed)
+    dp0 = split(BoundaryRegime(j=random_signal(grid, rng),
+                               k=random_signal(grid, rng)), params, grid)
+    # x sized so that the largest per-bin phase |w a(w)| x is max_phase
+    w = grid.half_omegas[1:]
+    x = max_phase / np.max(np.abs(w * a_symbol(params, w)))
+    x1 = fraction * x
+    once = propagate_linear_exact(dp0, x, params, grid)
+    twice = propagate_linear_exact(
+        propagate_linear_exact(dp0, x1, params, grid), x - x1, params, grid)
+    for a, b in ((once.pi, twice.pi), (once.lam, twice.lam)):
+        assert np.max(np.abs(a.samples - b.samples)) <= 1e-10 * dp0.peak
