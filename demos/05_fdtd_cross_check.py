@@ -6,18 +6,19 @@ into directed amplitudes, propagated with the exact spectral method, and
 reconstructed at downstream probes for comparison.
 """
 
-from metapulse import DrudeParams
-from metapulse.cli import reference_compare
+from metapulse import DrudeParams, TimeGrid
+from metapulse.cli import reference_compare, synthesize_pulse
 
 params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
+source = synthesize_pulse(TimeGrid(4096, 0.1), carrier=0.3, width=30.0,
+                          amplitude=1.0)
 
 print("running FDTD oracle at two resolutions (a few seconds)...\n")
 print(f"{'dx':>6} {'probe x':>8} {'L2(E)':>10} {'L2(B)':>10}")
 errors = {}
 for dx in (0.04, 0.02):
     res = reference_compare(
-        params, grid_n=4096, grid_dt=0.1, carrier=0.3, width=30.0,
-        amplitude=1.0, dx=dx, courant=0.5, x_ref=0.48,
+        params, source, dx=dx, courant=0.5, x_ref=0.48,
         x_probes=[1.0, 2.0], duration=400.0, pad=60.0,
     )
     errors[dx] = [p["l2_e"] for p in res["probes"]]

@@ -205,7 +205,13 @@ def parse_config(text):
 def _validate_physics(scenario, params, grid, pulse, run, violations):
     if grid["n"] < 8 or grid["n"] & (grid["n"] - 1):
         violations.append("grid.n: must be a power of two >= 8")
+    if not grid["dt"] >= 0:
+        violations.append("grid.dt: must be positive, or omitted to derive "
+                          "it from pulse.carrier")
     carrier = pulse["carrier"]
+    if scenario in _BAND_CHECKED and grid["dt"] == 0 and not carrier > 0:
+        violations.append("grid.dt: required when no positive pulse.carrier "
+                          "sets its default")
     if scenario not in _BAND_CHECKED:
         pass  # scenario takes no pulse; skip pulse validation
     elif pulse["shape"] == "gaussian-modulated":
@@ -240,14 +246,17 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
 
 
 def _resolve_grid(config):
-    n = config.grid["n"]
-    dt = config.grid["dt"]
-    if dt <= 0:
-        carrier = config.pulse["carrier"]
-        if carrier <= 0:
-            raise ConfigError(["grid.dt: required when no carrier is given"])
-        dt = 2.0 * np.pi / (32.0 * carrier)  # >= 32 samples per period
-    return TimeGrid(n, dt)
+    # an omitted grid.dt defaults to >= 32 samples per carrier period;
+    # parse_config rejects pulse scenarios that have neither
+    dt = config.grid["dt"] or 2.0 * np.pi / (32.0 * config.pulse["carrier"])
+    return TimeGrid(config.grid["n"], dt)
+
+
+def _resample(t, v, grid):
+    """Cubic spline through (t, v) sampled at ``grid.times``; zero outside t."""
+    out = CubicSpline(t, v, extrapolate=False)(grid.times)
+    out[~np.isfinite(out)] = 0.0
+    return out
 
 
 def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
@@ -271,9 +280,7 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
         data = np.loadtxt(file)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError("pulse file must have two numeric columns")
-        spline = CubicSpline(data[:, 0], data[:, 1], extrapolate=False)
-        samples = spline(grid.times)
-        samples[~np.isfinite(samples)] = 0.0
+        samples = _resample(data[:, 0], data[:, 1], grid)
     else:
         raise ValueError(f"unknown pulse shape {shape!r}")
 
@@ -538,20 +545,8 @@ def _run_taylor_error(config):
 
 
 def _run_reference_compare(config):
-    res = reference_compare(
-        config.params,
-        grid_n=config.grid["n"],
-        grid_dt=config.grid["dt"] if config.grid["dt"] > 0 else None,
-        carrier=config.pulse["carrier"],
-        width=config.pulse["width"],
-        amplitude=config.pulse["amplitude"],
-        dx=config.run["dx"],
-        courant=config.run["courant"],
-        x_ref=config.run["x_ref"],
-        x_probes=config.run["x_probes"],
-        duration=config.run["duration"],
-        pad=config.run["pad"],
-    )
+    source = synthesize_pulse(_resolve_grid(config), **config.pulse)
+    res = reference_compare(config.params, source, **config.run)
     tables = {}
     for i, probe in enumerate(res["probes"]):
         header = ("t (s),E fdtd (V/m),E spectral (V/m),"
@@ -573,22 +568,19 @@ def _run_reference_compare(config):
     return tables, summary
 
 
-def reference_compare(params, grid_n, grid_dt, carrier, width, amplitude,
-                      dx, courant, x_ref, x_probes, duration, pad):
+def reference_compare(params, source, dx, courant, x_ref, x_probes,
+                      duration, pad):
     """FDTD oracle vs split -> propagate -> reconstruct, at given probes.
 
-    The FDTD run records (E, B) at the reference plane and at each probe;
-    the reference-plane pair is split into directed waves, propagated the
-    exact linear way, reconstructed, and compared in relative L2.
+    The FDTD run, driven by the boundary ``source`` Signal, records (E, B)
+    at the reference plane and at each probe; the reference-plane pair is
+    resampled onto ``source.grid``, split into directed waves, propagated
+    the exact linear way, reconstructed, and compared in relative L2.
     ``contaminated`` passes on the FDTD run's wall-reflection flag.
     """
-    if grid_dt is None:
-        grid_dt = 2.0 * np.pi / (32.0 * carrier)
-    grid = TimeGrid(grid_n, grid_dt)
+    grid = source.grid
     if grid.window < duration:
         raise ValueError("spectral window shorter than FDTD duration")
-    source = synthesize_pulse(grid, carrier=carrier, width=width,
-                              amplitude=amplitude)
 
     span = x_ref + max(x_probes) + 2.0 * pad
     nx = int(np.ceil(span / dx))
@@ -599,14 +591,8 @@ def reference_compare(params, grid_n, grid_dt, carrier, width, amplitude,
         source, grid1d, params, duration, probes_abs, source_index=i_src,
     )
 
-    def resample(t, v):
-        spline = CubicSpline(t, v, extrapolate=False)
-        out = spline(grid.times)
-        out[~np.isfinite(out)] = 0.0
-        return out
-
-    e_ref = Signal(grid, resample(run["t"], run["e"][0]))
-    b_ref = Signal(grid, resample(run["t"], run["b"][0]))
+    e_ref = Signal(grid, _resample(run["t"], run["e"][0], grid))
+    b_ref = Signal(grid, _resample(run["t"], run["b"][0], grid))
     e_ref = Signal(grid, e_ref.samples - np.mean(e_ref.samples))
     b_ref = Signal(grid, b_ref.samples - np.mean(b_ref.samples))
     dp0 = waves.split(BoundaryRegime(j=e_ref, k=b_ref), params, grid)
@@ -616,8 +602,8 @@ def reference_compare(params, grid_n, grid_dt, carrier, width, amplitude,
     for i, xp in enumerate(x_probes):
         dp = evolution.propagate_linear_exact(dp0, xp, params, grid)
         fp = waves.reconstruct(dp, params, grid)
-        e_fd = resample(run["t"], run["e"][i + 1])
-        b_fd = resample(run["t"], run["b"][i + 1])
+        e_fd = _resample(run["t"], run["e"][i + 1], grid)
+        b_fd = _resample(run["t"], run["b"][i + 1], grid)
         l2_e = _rel_l2(fp.e.samples, e_fd)
         l2_b = _rel_l2(fp.b.samples, b_fd)
         ok = ok and l2_e <= 0.02 and l2_b <= 0.02

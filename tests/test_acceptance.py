@@ -38,7 +38,13 @@ from metapulse import (
     taylor_truncation_error,
     to_dimensionless,
 )
-from metapulse.cli import SCENARIOS, parse_config, reference_compare, run_scenario
+from metapulse.cli import (
+    SCENARIOS,
+    parse_config,
+    reference_compare,
+    run_scenario,
+    synthesize_pulse,
+)
 from metapulse.evolution import PropagationRecord
 from conftest import gaussian_pulse, random_zero_mean
 
@@ -314,11 +320,12 @@ def test_acceptance_08_stationary_suite(capsys):
 
 def test_acceptance_09_oracle_cross_check(capsys):
     t0 = time.perf_counter()
+    source = synthesize_pulse(TimeGrid(4096, 0.1), carrier=0.3, width=30.0,
+                              amplitude=1.0)
     errs = {}
     for dx in (0.04, 0.02):
         res = reference_compare(
-            UNIT, grid_n=4096, grid_dt=0.1, carrier=0.3, width=30.0,
-            amplitude=1.0, dx=dx, courant=0.5, x_ref=0.48,
+            UNIT, source, dx=dx, courant=0.5, x_ref=0.48,
             x_probes=[1.0, 2.0], duration=400.0, pad=60.0,
         )
         errs[dx] = [p["l2_e"] for p in res["probes"]]

@@ -217,6 +217,50 @@ def test_reference_compare_manifest_records_fdtd_contamination(
     assert summary["fdtd_contaminated"] is flags[0]
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_reference_compare_takes_user_file_pulse(tmp_path):
+    # the acceptance-10 Gaussian, sampled at the grid's own times and read
+    # back from a file, gives the Gaussian run's probe tables
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
+            + SCENARIO_CONFIGS["reference-compare"])
+    gauss = parse_config(text)
+    grid = TimeGrid(gauss.grid["n"], gauss.grid["dt"])
+    pulse = synthesize_pulse(grid, **gauss.pulse)
+    f = tmp_path / "pulse.txt"
+    np.savetxt(f, np.column_stack([grid.times, pulse.samples]), fmt="%.17e")
+    user = parse_config(text.replace("carrier = 0.3\nwidth = 15.0\n",
+                                     f"shape = user-file\nfile = {f}\n"))
+    for cfg, name in ((gauss, "gauss"), (user, "user")):
+        status, _ = run_scenario(cfg, out_dir=tmp_path / name)
+        assert status == 0, name
+    tables = sorted(p.name for p in (tmp_path / "gauss").glob("compare_*.csv"))
+    assert tables
+    for table in tables:
+        want, got = (np.loadtxt(tmp_path / name / table, delimiter=",",
+                                skiprows=1) for name in ("gauss", "user"))
+        assert np.all(np.max(np.abs(got - want), axis=0)
+                      <= 1e-12 * np.max(np.abs(want), axis=0))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("dt = 0.2", "dt = -0.2"),
+    ("dt = 0.2", "dt = nan"),
+    # a user-file pulse leaves no carrier to derive the default dt from
+    ("dt = 0.2\n", ""),
+])
+def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
+    text = BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                        "shape = user-file\nfile = pulse.txt\n")
+    f = tmp_path / "cfg.ini"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 0
+    f.write_text(text.replace(old, new))
+    assert main(["validate", str(f)]) == 1
+    assert "invalid: grid.dt:" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_error_path(tmp_path):
     text = BASE.replace("name = split", "name = propagate-nonlinear")

@@ -14,7 +14,7 @@ from metapulse import (
     run_boundary_source,
     step,
 )
-from metapulse.reference import _material
+from metapulse.reference import _advance, _material
 from conftest import gaussian_pulse
 
 
@@ -107,10 +107,72 @@ def test_superposition(unit_params, rng):
 
 
 def test_underresolved_warning():
+    # both drivers warn, and the warning points at their caller
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     g = YeeGrid1D(128, 2.0, courant=0.5, c=1.0)  # dt = 1.0, wp*dt = 1
-    with pytest.warns(UserWarning):
+    source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
+    with pytest.warns(UserWarning, match="underresolved") as rec:
         step(MaxwellState.zeros(g), g, params)
+    assert rec[0].filename == __file__
+    with pytest.warns(UserWarning, match="underresolved") as rec:
+        run_boundary_source(source, g, params, 5.0, [2.0])
+    assert rec[0].filename == __file__
+
+
+def _full_grid_source_run(source, grid1d, params, duration, probes,
+                          source_index):
+    """Reference oracle loop: B on every half node, one spline call and one
+    Python loop over the probes per step."""
+    wpe, wpm, eps0, mu0 = _material(params)
+    dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
+    n_steps = int(round(duration / dt))
+    idx = [source_index + int(round(xp / dx)) for xp in probes]
+    src = CubicSpline(source.grid.times, source.samples, extrapolate=False)
+    src_peak = max(source.peak, 1e-300)
+    e, h, j_e, j_m = np.zeros(nx), np.zeros(nx - 1), np.zeros(nx), np.zeros(nx - 1)
+    b = np.zeros(nx - 1)
+    rec_e = np.zeros((len(idx), n_steps + 1))
+    rec_b = np.zeros((len(idx), n_steps + 1))
+    wall_peak = 0.0
+    for n in range(1, n_steps + 1):
+        _advance(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0)
+        sval = src(n * dt)
+        if np.isfinite(sval):
+            e[source_index] += float(sval) * dt / dx
+        b_prev = b.copy()
+        b += -dt * (e[1:] - e[:-1]) / dx
+        assert np.max(np.abs(e)) <= 1e6 * src_peak
+        for m, i in enumerate(idx):
+            rec_e[m, n] = e[i]
+            rec_b[m, n] = 0.25 * (b_prev[i - 1] + b_prev[i] + b[i - 1] + b[i])
+        wall_peak = max(wall_peak,
+                        abs(e[1]), abs(e[-2]), abs(e[2]), abs(e[-3]))
+    contaminated = wall_peak > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0))
+    return rec_e, rec_b, bool(contaminated)
+
+
+@pytest.mark.filterwarnings("ignore:field activity near the walls")
+@pytest.mark.parametrize("nx, i_src, duration, probes, walls_hit", [
+    # adjacent probes, the first next to the source, one behind it
+    (200, 100, 16.0, [0.1, 0.2, 0.3, -0.1], False),
+    # probes on the nodes beside both walls and on the source; the pulse
+    # reaches the walls and the run outlasts the source window (NaN tail)
+    (80, 40, 60.0, [-3.9, 0.0, 3.8], True),
+])
+def test_source_run_records_match_full_grid_loop(nx, i_src, duration, probes,
+                                                 walls_hit):
+    params = DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0)
+    source = gaussian_pulse(TimeGrid(128, 0.2), carrier=0.5, width=2.5)
+    g = YeeGrid1D(nx, 0.1, courant=0.5, c=1.0)
+    out = run_boundary_source(source, g, params, duration, probes,
+                              source_index=i_src)
+    rec_e, rec_b, contaminated = _full_grid_source_run(
+        source, g, params, duration, probes, i_src)
+    assert contaminated is walls_hit
+    assert out["contaminated"] is contaminated
+    assert np.stack(out["e"]).tobytes() == rec_e.tobytes()
+    assert np.stack(out["b"]).tobytes() == rec_b.tobytes()
+    assert np.all(np.max(np.abs(rec_b), axis=1) > 0.0)
 
 
 def _probe_run(dx, probes, duration=400.0, pad=85.0):
