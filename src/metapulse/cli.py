@@ -243,13 +243,40 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
             violations.append(f"run.{key}: must be positive")
     if "n_stations" in run and run["n_stations"] < 2:
         violations.append("run.n_stations: must be at least 2 (entry and exit)")
+    if scenario == "reference-compare":
+        _validate_oracle(grid, pulse, run, violations)
+
+
+def _validate_oracle(grid, pulse, run, violations):
+    """The FDTD oracle's own limits, so that ``run`` does not find them."""
+    if not 0 < run["courant"] <= reference.MAX_COURANT:
+        violations.append(
+            f"run.courant: must lie in (0, {reference.MAX_COURANT}]")
+    dx = run["dx"]
+    if dx > 0:
+        off = [f"{xp:g}" for xp in run["x_probes"]
+               if reference.off_node(run["x_ref"] + xp, dx)]
+        if reference.off_node(run["x_ref"], dx):
+            violations.append(f"run.x_ref: {run['x_ref']:g} is not on the "
+                              f"run.dx grid")
+        elif off:
+            violations.append(f"run.x_probes: x_ref + {', '.join(off)} is "
+                              f"not on the run.dx grid")
+    if grid["dt"] > 0 or grid["dt"] == 0 < pulse["carrier"]:
+        window = grid["n"] * _grid_dt(grid, pulse)
+        if run["duration"] > window:
+            violations.append(f"run.duration: longer than the spectral window "
+                              f"grid.n * grid.dt = {window:g}")
+
+
+def _grid_dt(grid, pulse):
+    # an omitted grid.dt defaults to >= 32 samples per carrier period;
+    # parse_config rejects pulse scenarios that have neither
+    return grid["dt"] or 2.0 * np.pi / (32.0 * pulse["carrier"])
 
 
 def _resolve_grid(config):
-    # an omitted grid.dt defaults to >= 32 samples per carrier period;
-    # parse_config rejects pulse scenarios that have neither
-    dt = config.grid["dt"] or 2.0 * np.pi / (32.0 * config.pulse["carrier"])
-    return TimeGrid(config.grid["n"], dt)
+    return TimeGrid(config.grid["n"], _grid_dt(config.grid, config.pulse))
 
 
 def _resample(t, v, grid):

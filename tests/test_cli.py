@@ -261,6 +261,36 @@ def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
     assert "invalid: grid.dt:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits, key", [
+    ({"dx = 0.08\n": "dx = 0.08\ncourant = 1.5\n"}, "courant"),
+    ({"dx = 0.08\n": "dx = 0.08\ncourant = 0.0\n"}, "courant"),
+    ({"x_ref = 0.48": "x_ref = 0.5"}, "x_ref"),
+    ({"x_probes = 0.96": "x_probes = 0.96, 0.1"}, "x_probes"),
+    # 2048 * 0.07 = 143.36 < 150
+    ({"dt = 0.1": "dt = 0.07"}, "duration"),
+    # the carrier's default dt, 2 pi / (32 * 0.3), makes a window of 1340
+    ({"dt = 0.1\n": ""}, None),
+    ({"dt = 0.1\n": "", "duration = 150.0": "duration = 1400.0"}, "duration"),
+])
+def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
+    # keys that YeeGrid1D, run_boundary_source or reference_compare would
+    # reject at run time are rejected before any work is done
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
+            + SCENARIO_CONFIGS["reference-compare"])
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    f = tmp_path / "cfg.ini"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == (0 if key is None else 1)
+    violations = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("invalid:")]
+    assert len(violations) == (key is not None)
+    assert all(v.startswith(f"invalid: run.{key}:") for v in violations)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_error_path(tmp_path):
     text = BASE.replace("name = split", "name = propagate-nonlinear")

@@ -14,7 +14,7 @@ from metapulse import (
     run_boundary_source,
     step,
 )
-from metapulse.reference import _advance, _material
+from metapulse.reference import BLOCK_STEPS, _material
 from conftest import gaussian_pulse
 
 
@@ -119,10 +119,19 @@ def test_underresolved_warning():
     assert rec[0].filename == __file__
 
 
+def _advance(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0):
+    """The plain allocating leapfrog update, kept here as the reference."""
+    j_m += dt * mu0 * wpm**2 * h
+    h += (dt / mu0) * (-(e[1:] - e[:-1]) / dx - j_m)
+    j_e += dt * eps0 * wpe**2 * e
+    e[1:-1] += (dt / eps0) * (-(h[1:] - h[:-1]) / dx - j_e[1:-1])
+
+
 def _full_grid_source_run(source, grid1d, params, duration, probes,
                           source_index):
-    """Reference oracle loop: B on every half node, one spline call and one
-    Python loop over the probes per step."""
+    """Reference oracle loop: B on every half node, one spline call, the
+    blow-up guard and one Python loop over the probes per step. Raises
+    FloatingPointError carrying the first step past the guard."""
     wpe, wpm, eps0, mu0 = _material(params)
     dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
     n_steps = int(round(duration / dt))
@@ -141,7 +150,8 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
             e[source_index] += float(sval) * dt / dx
         b_prev = b.copy()
         b += -dt * (e[1:] - e[:-1]) / dx
-        assert np.max(np.abs(e)) <= 1e6 * src_peak
+        if not np.max(np.abs(e)) <= 1e6 * src_peak:
+            raise FloatingPointError(n)
         for m, i in enumerate(idx):
             rec_e[m, n] = e[i]
             rec_b[m, n] = 0.25 * (b_prev[i - 1] + b_prev[i] + b[i - 1] + b[i])
@@ -158,6 +168,10 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     # probes on the nodes beside both walls and on the source; the pulse
     # reaches the walls and the run outlasts the source window (NaN tail)
     (80, 40, 60.0, [-3.9, 0.0, 3.8], True),
+    # shorter than one block of steps (dt = 0.05)
+    (200, 100, 5.0, [0.1, 0.2, 0.3, -0.1], False),
+    # exactly two blocks of steps; the pulse reaches the walls
+    (200, 100, 2 * BLOCK_STEPS * 0.05, [0.1, 0.2, 0.3, -0.1], True),
 ])
 def test_source_run_records_match_full_grid_loop(nx, i_src, duration, probes,
                                                  walls_hit):
@@ -173,6 +187,38 @@ def test_source_run_records_match_full_grid_loop(nx, i_src, duration, probes,
     assert np.stack(out["e"]).tobytes() == rec_e.tobytes()
     assert np.stack(out["b"]).tobytes() == rec_b.tobytes()
     assert np.all(np.max(np.abs(rec_b), axis=1) > 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_source_run_aborts_on_blow_up_within_one_block():
+    # dt * wp = 10: the leapfrog is unstable, overflows to inf and then to
+    # NaN well inside the first block; a NaN-blind guard returned NaN records
+    params = DrudeParams(10.0, 10.0, c=1.0, eps0=1.0, mu0=1.0)
+    g = YeeGrid1D(128, 2.0, courant=0.5, c=1.0)
+    source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
+    duration = 250 * g.dt_fdtd
+    with pytest.warns(UserWarning, match="underresolved"):
+        with pytest.raises(FloatingPointError) as old:
+            _full_grid_source_run(source, g, params, duration, [2.0], 32)
+        with pytest.raises(FloatingPointError, match="by step") as new:
+            run_boundary_source(source, g, params, duration, [2.0],
+                                source_index=32)
+    first = old.value.args[0]
+    aborted = int(str(new.value).rsplit(" ", 1)[1])
+    assert first <= aborted < first + BLOCK_STEPS
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_guard_catches_nan():
+    # j_m overflows to inf, so h = (inf - inf) and then e turn NaN in one
+    # step, which a NaN-blind comparison lets through
+    params = DrudeParams(10.0, 10.0, c=1.0, eps0=1.0, mu0=1.0)
+    g = YeeGrid1D(64, 2.0, courant=0.5, c=1.0)
+    s = MaxwellState(np.resize([1e308, -1e308], 64), np.full(63, 1e308),
+                     np.zeros(64), np.zeros(63))
+    with pytest.warns(UserWarning, match="underresolved"):
+        with pytest.raises(FloatingPointError):
+            step(s, g, params, source_peak=1.0)
 
 
 def _probe_run(dx, probes, duration=400.0, pad=85.0):
@@ -222,6 +268,9 @@ def test_probe_errors():
         run_boundary_source(source, g, params, 10.0, [100.0])
     with pytest.raises(ValueError):
         run_boundary_source(source, g, params, 10.0, [0.0301])
+    # 1e-4 cells off a node is off the grid
+    with pytest.raises(ValueError, match="not on a grid node"):
+        run_boundary_source(source, g, params, 10.0, [0.02 * (1 + 1e-4)])
 
 
 def test_convergence_second_order():
