@@ -47,7 +47,6 @@ from .waves import BoundaryRegime, DirectedPair, reconstruct, split
 from .evolution import (
     KerrCoupling,
     PropagationRecord,
-    build_nonlinearity,
     from_dimensionless,
     kerr_coupling,
     propagate_dimensionless,

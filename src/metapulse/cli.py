@@ -130,12 +130,15 @@ def _coerce(raw, typ, path, violations):
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        if typ is list:
-            return [float(v) for v in raw.split(",") if v.strip()]
-        return typ(raw)
+        value = ([float(v) for v in raw.split(",") if v.strip()]
+                 if typ is list else typ(raw))
     except (TypeError, ValueError):
         violations.append(f"{path}: cannot parse {raw!r} as {typ.__name__}")
         return None
+    if typ in (float, list) and not np.all(np.isfinite(value)):
+        violations.append(f"{path}: must be finite, got {raw!r}")
+        return None
+    return value
 
 
 def _read_section(cp, name, schema, violations):
@@ -219,6 +222,8 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
             violations.append("pulse.carrier: must be positive")
         if pulse["width"] <= 0:
             violations.append("pulse.width: must be positive")
+        if pulse["amplitude"] == 0:
+            violations.append("pulse.amplitude: must be nonzero")
         if carrier > 0 and pulse["width"] > 0:
             lo = carrier - 4.0 / pulse["width"]
             hi = carrier + 4.0 / pulse["width"]
@@ -252,6 +257,8 @@ def _validate_oracle(grid, pulse, run, violations):
     if not 0 < run["courant"] <= reference.MAX_COURANT:
         violations.append(
             f"run.courant: must lie in (0, {reference.MAX_COURANT}]")
+    if not run["x_probes"] or min(run["x_probes"]) < 0:
+        violations.append("run.x_probes: must list distances >= 0")
     dx = run["dx"]
     if dx > 0:
         off = [f"{xp:g}" for xp in run["x_probes"]
@@ -428,8 +435,7 @@ def _linear_runner(config, propagator, tag):
     regime = _boundary(config, grid, config.run["boundary"])
     dp0 = waves.split(regime, config.params, grid)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
-    states = [dp0 if x == 0.0 else propagator(dp0, x, config.params, grid)
-              for x in xs]
+    states = propagator(dp0, xs, config.params, grid)
     record = evolution.PropagationRecord(xs, states, {"model": tag})
 
     def fields(state):
@@ -618,16 +624,15 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
         source, grid1d, params, duration, probes_abs, source_index=i_src,
     )
 
-    e_ref = Signal(grid, _resample(run["t"], run["e"][0], grid))
-    b_ref = Signal(grid, _resample(run["t"], run["b"][0], grid))
-    e_ref = Signal(grid, e_ref.samples - np.mean(e_ref.samples))
-    b_ref = Signal(grid, b_ref.samples - np.mean(b_ref.samples))
-    dp0 = waves.split(BoundaryRegime(j=e_ref, k=b_ref), params, grid)
+    e_ref, b_ref = (_resample(run["t"], run[k][0], grid) for k in ("e", "b"))
+    regime = BoundaryRegime(j=Signal(grid, e_ref - np.mean(e_ref)),
+                            k=Signal(grid, b_ref - np.mean(b_ref)))
+    dp0 = waves.split(regime, params, grid)
 
     probes = []
     ok = True
-    for i, xp in enumerate(x_probes):
-        dp = evolution.propagate_linear_exact(dp0, xp, params, grid)
+    states = evolution.propagate_linear_exact(dp0, x_probes, params, grid)
+    for i, (xp, dp) in enumerate(zip(x_probes, states)):
         fp = waves.reconstruct(dp, params, grid)
         e_fd = _resample(run["t"], run["e"][i + 1], grid)
         b_fd = _resample(run["t"], run["b"][i + 1], grid)

@@ -20,6 +20,10 @@ Three propagation models, from exact to reduced:
   marchers keep only ``n_stations`` evenly spread steps (default 2: entry
   and exit), so memory grows with the stations kept, not with ``n_steps``.
 
+The two linear models are diagonal in frequency: given a 1-D sequence of
+distances, each returns one DirectedPair per distance from one rfft of the
+entry pair, one (stations x bins) phase table and one stacked irfft.
+
 The dimensionless form pi = Pi_tt/alpha, lam = Lambda_tt/alpha, zeta = x/beta
 with alpha = sqrt(2 p^4 q^2 / (mu0 chi3 c^3)), beta = c/(pq) has unit
 coefficients. Its solver keeps its own right-hand side on purpose: it is the
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, InadmissibleGridError
+from .errors import BlowUpError
 from .spectral import Multiplier, Signal, apply, make_multiplier
 from .waves import DirectedPair
 
@@ -47,7 +51,6 @@ __all__ = [
     "propagate_dimensionless",
     "to_dimensionless",
     "from_dimensionless",
-    "build_nonlinearity",
 ]
 
 
@@ -100,54 +103,59 @@ def kerr_coupling(params):
     return KerrCoupling(big_k=big_k, alpha=alpha, beta=beta)
 
 
-def _advance(dp, theta):
-    """Multiply Pi-hat by exp(-i theta) and Lambda-hat by exp(+i theta).
-
-    ``theta`` holds one phase per rfft bin; DC and Nyquist keep factor 1.
-    """
-    grid = dp.grid
-    factors = np.exp(1j * np.array([[-1.0], [1.0]]) * theta)
-    factors[:, [0, -1]] = 1.0
-    spec = np.fft.rfft([dp.pi.samples, dp.lam.samples])
-    pi, lam = np.fft.irfft(factors * spec, grid.n)
-    return DirectedPair(Signal(grid, pi), Signal(grid, lam))
+def _distances(xs):
+    """``xs`` as a 1-D float array of finite distances >= 0."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or not np.all(np.isfinite(xs) & (xs >= 0)):
+        raise ValueError(f"x must be a 1-D sequence of finite distances "
+                         f">= 0, got {xs!r}")
+    return xs
 
 
-def propagate_linear_exact(dp0, x, params, grid):
-    """Exact linear propagation by x >= 0: per-bin phase -/+ w a(w) x."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+def _entry_spectrum(dp):
+    """Stacked rfft half-spectra (Pi-hat, Lambda-hat) of a directed pair."""
+    return np.fft.rfft([dp.pi.samples, dp.lam.samples])
+
+
+def _advance(spec, grid, theta):
+    """One pair per row of the (stations, bins) phase table ``theta``: the
+    entry half-spectra ``spec`` (Pi-hat, Lambda-hat) times exp(-/+ i theta),
+    with DC and Nyquist kept, through one stacked irfft."""
+    factors = 1j * np.array([[-1.0], [1.0]]) * theta[:, None, :]
+    np.exp(factors, out=factors)
+    factors[..., [0, -1]] = 1.0
+    factors *= spec
+    return [DirectedPair(Signal(grid, pi), Signal(grid, lam))
+            for pi, lam in np.fft.irfft(factors, grid.n)]
+
+
+def propagate_linear_exact(dp0, xs, params, grid):
+    """Exact linear propagation to each distance x >= 0 in ``xs``: per-bin
+    phase -/+ w a(w) x. Returns one DirectedPair per distance."""
+    xs = _distances(xs)
     a_vals = make_multiplier("a", params, grid).values.real
-    return _advance(dp0, grid.half_omegas * a_vals * x)
+    theta = np.multiply.outer(xs, grid.half_omegas * a_vals)
+    return _advance(_entry_spectrum(dp0), grid, theta)
 
 
-def propagate_kg(dp0, x, params, grid):
-    """Klein-Gordon-Fock propagation by x: per-bin phase +/- pq x/(c w).
+def propagate_kg(dp0, xs, params, grid):
+    """Klein-Gordon-Fock propagation to each distance x >= 0 in ``xs``:
+    per-bin phase +/- pq x/(c w). Returns one DirectedPair per distance.
 
     Valid for spectra concentrated well below the plasma frequencies;
     warns when significant energy sits above min(p, q) / 2.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    _warn_band(dp0, grid, 0.5 * params.band_low)
+    xs = _distances(xs)
+    spec = _entry_spectrum(dp0)
+    w, w_max = grid.half_omegas, 0.5 * params.band_low
+    mag = np.abs(spec).sum(axis=0)
+    if np.max(mag[w > w_max], initial=0.0) > 1e-6 * np.max(mag):
+        warnings.warn(f"spectral content above {w_max:g} rad/s; the long-wave "
+                      "reduction may be inaccurate", stacklevel=2)
     pq_c = params.omega_pe * params.omega_pm / params.c
-    w = grid.half_omegas
-    theta = np.zeros(w.size)
-    theta[1:] = -pq_c * x / w[1:]
-    return _advance(dp0, theta)
-
-
-def _warn_band(dp, grid, w_max):
-    spec = np.abs(np.fft.rfft([dp.pi.samples, dp.lam.samples])).sum(axis=0)
-    peak = np.max(spec)
-    if peak == 0.0:
-        return
-    outside = grid.half_omegas > w_max
-    if np.max(spec[outside], initial=0.0) > 1e-6 * peak:
-        warnings.warn(
-            f"spectral content above {w_max:g} rad/s; the long-wave "
-            "reduction may be inaccurate", stacklevel=3,
-        )
+    theta = np.zeros((xs.size, w.size))
+    theta[:, 1:] = np.divide.outer(-pq_c * xs, w[1:])
+    return _advance(spec, grid, theta)
 
 
 def _half_spectrum(grid, dealias):
@@ -190,8 +198,6 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
     ``linear_sign`` multiplies the +-(pq/c) pair. Every intermediate
     lives in a buffer made here, so a call allocates no array.
     """
-    if params.chi3 < 0:
-        raise ValueError("chi3 must be nonnegative")
     inv_iw, w2, mask = _half_spectrum(grid, dealias)
     pq_c = linear_sign * params.omega_pe * params.omega_pm / params.c
     k_c = (
@@ -302,7 +308,7 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     test suite uses as a solver diagnostic.
     """
     rhs = _kerr_rhs(params, grid, dealias, _linear_sign)
-    state0 = np.fft.rfft(np.stack([dp0.pi.samples, dp0.lam.samples]))
+    state0 = _entry_spectrum(dp0)
     meta = _run_meta("nonlinear-coupled", params, grid, n_steps, dealias)
     return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta)
 
@@ -335,7 +341,7 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
         np.multiply(inv_iw, lam_hat + w_hat, out=out[1])
         return out
 
-    state0 = np.fft.rfft(np.stack([dp0.pi.samples, dp0.lam.samples]))
+    state0 = _entry_spectrum(dp0)
     meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
             "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
     return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta)
@@ -381,14 +387,3 @@ def from_dimensionless(record, coupling):
     return _rescale(record, symbol, record.stations * coupling.beta,
                     "physical")
 
-
-def build_nonlinearity(e, params, grid):
-    """Kerr source driven by the electric field.
-
-    Dominant form (chi3/2) * mu0 * q^2 * dt^{-1}(e^3), keeping only the
-    q^2 dt^{-2} part of mu-hat.
-    """
-    cube = Signal(grid, e.samples * e.samples * e.samples)
-    d_dt_inv = make_multiplier("d_dt_inv", params, grid)
-    q2 = params.omega_pm**2
-    return (0.5 * params.chi3 * params.mu0 * q2) * apply(d_dt_inv, cube)

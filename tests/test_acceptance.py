@@ -108,21 +108,21 @@ def test_acceptance_03_exact_linear(capsys):
     a = a_symbol(UNIT, wk)
     x = 2.5
     dp0 = DirectedPair(Signal(GRID, np.cos(wk * GRID.times)), Signal.zeros(GRID))
-    out = propagate_linear_exact(dp0, x, UNIT, GRID)
+    out = propagate_linear_exact(dp0, [x], UNIT, GRID)[0]
     factor = np.fft.fft(out.pi.samples)[k] / np.fft.fft(dp0.pi.samples)[k]
     phase_err = abs(factor - np.exp(-1j * wk * a * x))
 
     rng = np.random.default_rng(3)
     dp0 = DirectedPair(random_zero_mean(GRID, rng), random_zero_mean(GRID, rng))
-    out = propagate_linear_exact(dp0, 7.0, UNIT, GRID)
+    out = propagate_linear_exact(dp0, [7.0], UNIT, GRID)[0]
     mag0 = np.abs(np.fft.fft(dp0.pi.samples))
     mag1 = np.abs(np.fft.fft(out.pi.samples))
     mag_err = np.max(np.abs(mag1 - mag0)) / np.max(mag0)
 
     two = propagate_linear_exact(
-        propagate_linear_exact(dp0, 1.3, UNIT, GRID), 2.2, UNIT, GRID
-    )
-    one = propagate_linear_exact(dp0, 3.5, UNIT, GRID)
+        propagate_linear_exact(dp0, [1.3], UNIT, GRID)[0], [2.2], UNIT, GRID
+    )[0]
+    one = propagate_linear_exact(dp0, [3.5], UNIT, GRID)[0]
     add_err = max(
         np.max(np.abs(two.pi.samples - one.pi.samples)),
         np.max(np.abs(two.lam.samples - one.lam.samples)),
@@ -138,8 +138,8 @@ def test_acceptance_04_kg_reduction(capsys, tmp_path):
         gaussian_pulse(grid, carrier=0.05, width=130.0), Signal.zeros(grid)
     )
     x = 1.0
-    kg = propagate_kg(dp0, x, UNIT, grid)
-    exact = propagate_linear_exact(dp0, x, UNIT, grid)
+    kg = propagate_kg(dp0, [x], UNIT, grid)[0]
+    exact = propagate_linear_exact(dp0, [x], UNIT, grid)[0]
     disc = rel_l2(kg.pi.samples, exact.pi.samples)
 
     spec = np.abs(np.fft.fft(dp0.pi.samples))
@@ -166,10 +166,11 @@ def test_acceptance_04_kg_reduction(capsys, tmp_path):
     d_dt = make_multiplier("d_dt", UNIT, grid)
     h = 0.01
     dxt = (
-        apply(d_dt, propagate_kg(dp0, x + h, UNIT, grid).pi).samples
-        - apply(d_dt, propagate_kg(dp0, x - h, UNIT, grid).pi).samples
+        apply(d_dt, propagate_kg(dp0, [x + h], UNIT, grid)[0].pi).samples
+        - apply(d_dt, propagate_kg(dp0, [x - h], UNIT, grid)[0].pi).samples
     ) / (2.0 * h)
-    resid = np.max(np.abs(dxt + propagate_kg(dp0, x, UNIT, grid).pi.samples))
+    resid = np.max(np.abs(
+        dxt + propagate_kg(dp0, [x], UNIT, grid)[0].pi.samples))
     # centered-difference error of exp(i pq h /(c w)) is (pq/(c w))^2 h^2/6
     fd_budget = dp0.pi.peak * (1.0 / np.min(w_occ)) ** 2 * h**2 / 6.0
 
@@ -215,7 +216,7 @@ def test_acceptance_06_nonlinear_solver(capsys):
     x = 2.0
 
     with pytest.warns(UserWarning, match="spectral content"):
-        kg = propagate_kg(dp0, x, UNIT, GRID)
+        kg = propagate_kg(dp0, [x], UNIT, GRID)[0]
     lin500 = propagate_nonlinear(dp0, x, 500, UNIT, GRID).final
     chi0_err = rel_l2(lin500.pi.samples, kg.pi.samples)
 

@@ -8,6 +8,7 @@ import pytest
 from metapulse import ConfigError, TimeGrid, reference
 from metapulse.cli import (
     CSV_CHUNK_ROWS,
+    _apply_overrides,
     _format_table,
     main,
     parse_config,
@@ -290,6 +291,43 @@ def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     assert len(violations) == (key is not None)
     assert all(v.startswith(f"invalid: run.{key}:") for v in violations)
 
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("propagate-linear", "run.x_end", "nan"),
+    ("propagate-kg", "run.x_end", "inf"),
+    ("stationary-nonlinear", "run.xi_end", "nan"),
+    ("split", "medium.chi3", "nan"),
+    ("split", "pulse.carrier", "nan"),
+    ("split", "pulse.carrier", "inf"),
+    ("split", "pulse.width", "nan"),
+    ("split", "pulse.width", "inf"),
+    ("split", "pulse.amplitude", "nan"),
+    ("split", "pulse.amplitude", "inf"),
+    ("split", "pulse.amplitude", "-inf"),
+    ("propagate-linear", "pulse.amplitude", "0"),
+    # the oracle ran before the propagator rejected the negative distance,
+    # and the empty list failed in max()
+    ("reference-compare", "run.x_probes", "0.96, -0.96"),
+    ("reference-compare", "run.x_probes", ","),
+])
+def test_validate_rejects_non_finite_and_unusable_numbers(
+        tmp_path, capsys, scenario, key, value):
+    # each passed validate and failed only in run, with a message that did
+    # not name the key
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    text = (f"[scenario]\nname = {scenario}\n" + BASE_MEDIUM
+            + SCENARIO_CONFIGS[scenario])
+    f = tmp_path / "cfg.ini"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 0
+    f.write_text(_apply_overrides(text, [f"{key}={value}"]))
+    assert main(["validate", str(f)]) == 1
+    violations = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("invalid:")]
+    assert len(violations) == 1
+    assert violations[0].startswith(f"invalid: {key}:")
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_error_path(tmp_path):

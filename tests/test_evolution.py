@@ -11,7 +11,6 @@ from metapulse import (
     TimeGrid,
     a_symbol,
     apply,
-    build_nonlinearity,
     from_dimensionless,
     kerr_coupling,
     make_multiplier,
@@ -57,10 +56,10 @@ def test_kerr_coupling_scales(kerr_params):
 
 def test_linear_exact_identity_at_zero(unit_params, grid, rng):
     dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
-    out = propagate_linear_exact(dp0, 0.0, unit_params, grid)
+    out = propagate_linear_exact(dp0, [0.0], unit_params, grid)[0]
     np.testing.assert_allclose(out.pi.samples, dp0.pi.samples, atol=1e-13)
     with pytest.raises(ValueError):
-        propagate_linear_exact(dp0, -1.0, unit_params, grid)
+        propagate_linear_exact(dp0, [-1.0], unit_params, grid)[0]
 
 
 def test_linear_exact_plane_wave_phase(unit_params, grid):
@@ -69,19 +68,19 @@ def test_linear_exact_plane_wave_phase(unit_params, grid):
     a = a_symbol(unit_params, wk)
     x = 2.5
     dp0 = DirectedPair(Signal(grid, np.cos(wk * grid.times)), Signal.zeros(grid))
-    out = propagate_linear_exact(dp0, x, unit_params, grid)
+    out = propagate_linear_exact(dp0, [x], unit_params, grid)[0]
     factor = np.fft.fft(out.pi.samples)[k] / np.fft.fft(dp0.pi.samples)[k]
     assert abs(factor - np.exp(-1j * wk * a * x)) <= 1e-12
     # Lambda branch carries the opposite phase
     dp0 = DirectedPair(Signal.zeros(grid), Signal(grid, np.cos(wk * grid.times)))
-    out = propagate_linear_exact(dp0, x, unit_params, grid)
+    out = propagate_linear_exact(dp0, [x], unit_params, grid)[0]
     factor = np.fft.fft(out.lam.samples)[k] / np.fft.fft(dp0.lam.samples)[k]
     assert abs(factor - np.exp(+1j * wk * a * x)) <= 1e-12
 
 
 def test_linear_exact_magnitude_and_energy(unit_params, grid, rng):
     dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
-    out = propagate_linear_exact(dp0, 7.0, unit_params, grid)
+    out = propagate_linear_exact(dp0, [7.0], unit_params, grid)[0]
     mag0 = np.abs(np.fft.fft(dp0.pi.samples))
     mag1 = np.abs(np.fft.fft(out.pi.samples))
     assert np.max(np.abs(mag1 - mag0)) <= 1e-10 * np.max(mag0)
@@ -98,12 +97,83 @@ def test_group_additivity(unit_params, grid, rng):
             dp0 = DirectedPair(
                 band_pulse(grid, 0.3, 20.0), band_pulse(grid, 0.25, 25.0)
             )
-        two_leg = prop(prop(dp0, 1.3, unit_params, grid), 2.2, unit_params, grid)
-        one_leg = prop(dp0, 3.5, unit_params, grid)
+        two_leg = prop(prop(dp0, [1.3], unit_params, grid)[0], [2.2],
+                       unit_params, grid)[0]
+        one_leg = prop(dp0, [3.5], unit_params, grid)[0]
         assert (
             np.max(np.abs(two_leg.pi.samples - one_leg.pi.samples))
             <= 1e-10 * dp0.peak
         )
+
+
+
+# The per-x linear propagators that the batched ones replaced, kept as their
+# reference: verbatim but for their names and the KG band warning. Each call
+# takes its own rfft, builds one phase row and takes one irfft.
+def _advance_per_x(dp, theta):
+    grid = dp.grid
+    factors = np.exp(1j * np.array([[-1.0], [1.0]]) * theta)
+    factors[:, [0, -1]] = 1.0
+    spec = np.fft.rfft([dp.pi.samples, dp.lam.samples])
+    pi, lam = np.fft.irfft(factors * spec, grid.n)
+    return DirectedPair(Signal(grid, pi), Signal(grid, lam))
+
+
+def _linear_exact_per_x(dp0, x, params, grid):
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    a_vals = make_multiplier("a", params, grid).values.real
+    return _advance_per_x(dp0, grid.half_omegas * a_vals * x)
+
+
+def _kg_per_x(dp0, x, params, grid):
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    pq_c = params.omega_pe * params.omega_pm / params.c
+    w = grid.half_omegas
+    theta = np.zeros(w.size)
+    theta[1:] = -pq_c * x / w[1:]
+    return _advance_per_x(dp0, theta)
+
+
+@pytest.mark.filterwarnings("ignore:spectral content")
+@pytest.mark.parametrize("medium", ["unit", "p_ne_q"])
+@pytest.mark.parametrize("batched, per_x", [
+    (propagate_linear_exact, _linear_exact_per_x),
+    (propagate_kg, _kg_per_x),
+], ids=["exact", "kg"])
+def test_batched_linear_stations_match_per_x_bit_for_bit(
+        unit_params, grid, rng, medium, batched, per_x):
+    # one transform for all stations reproduces one transform per station,
+    # for unsorted and repeated distances and x = 0
+    params = unit_params
+    if medium == "p_ne_q":
+        # gap (1, 2); every bin lies below it, up to Nyquist at pi/4
+        params = DrudeParams(1.0, 2.0, c=2.0, eps0=0.5, mu0=0.5)
+        grid = TimeGrid(1024, 4.0)
+    dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
+    xs = [2.5, 0.0, 7.0, 2.5, 1.3, 0.0]
+    out = batched(dp0, xs, params, grid)
+    assert len(out) == len(xs)
+    for x, got in zip(xs, out):
+        want = per_x(dp0, x, params, grid)
+        assert got.pi.samples.tobytes() == want.pi.samples.tobytes()
+        assert got.lam.samples.tobytes() == want.lam.samples.tobytes()
+
+
+@pytest.mark.parametrize("prop", [propagate_linear_exact, propagate_kg])
+@pytest.mark.parametrize("xs", [[-1.0], [1.0, np.nan], [np.inf], [0.5, -np.inf],
+                                2.0, [[1.0]]])
+def test_linear_propagators_reject_bad_distances_before_any_transform(
+        unit_params, grid, monkeypatch, prop, xs):
+    dp0 = DirectedPair(Signal.zeros(grid), Signal.zeros(grid))
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform taken before x was checked")
+
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    with pytest.raises(ValueError, match="^x must"):
+        prop(dp0, xs, unit_params, grid)
 
 
 def test_kg_plane_wave_phase(unit_params, grid):
@@ -111,7 +181,7 @@ def test_kg_plane_wave_phase(unit_params, grid):
     wk = grid.omegas[k]
     x = 1.7
     dp0 = DirectedPair(Signal(grid, np.sin(wk * grid.times)), Signal.zeros(grid))
-    out = propagate_kg(dp0, x, unit_params, grid)
+    out = propagate_kg(dp0, [x], unit_params, grid)[0]
     factor = np.fft.fft(out.pi.samples)[k] / np.fft.fft(dp0.pi.samples)[k]
     expected = np.exp(1j * x / wk)  # +pq x/(c w)
     assert abs(factor - expected) <= 1e-12
@@ -120,7 +190,7 @@ def test_kg_plane_wave_phase(unit_params, grid):
 def test_kg_band_warning(unit_params, grid):
     hot = DirectedPair(band_pulse(grid, 0.9, 10.0), Signal.zeros(grid))
     with pytest.warns(UserWarning):
-        propagate_kg(hot, 1.0, unit_params, grid)
+        propagate_kg(hot, [1.0], unit_params, grid)[0]
 
 
 def test_kg_matches_exact_in_band(unit_params):
@@ -130,8 +200,8 @@ def test_kg_matches_exact_in_band(unit_params):
         gaussian_pulse(grid, carrier=0.05, width=130.0), Signal.zeros(grid)
     )
     x = 1.0
-    kg = propagate_kg(dp0, x, unit_params, grid)
-    exact = propagate_linear_exact(dp0, x, unit_params, grid)
+    kg = propagate_kg(dp0, [x], unit_params, grid)[0]
+    exact = propagate_linear_exact(dp0, [x], unit_params, grid)[0]
     disc = rel_l2(kg.pi.samples, exact.pi.samples)
 
     spec = np.abs(np.fft.fft(dp0.pi.samples))
@@ -157,9 +227,9 @@ def test_kg_second_order_residual(unit_params, grid):
     scale = dp0.pi.peak
 
     def residual(h):
-        plus = propagate_kg(dp0, x + h, unit_params, grid)
-        minus = propagate_kg(dp0, x - h, unit_params, grid)
-        mid = propagate_kg(dp0, x, unit_params, grid)
+        plus = propagate_kg(dp0, [x + h], unit_params, grid)[0]
+        minus = propagate_kg(dp0, [x - h], unit_params, grid)[0]
+        mid = propagate_kg(dp0, [x], unit_params, grid)[0]
         dxt = (
             apply(d_dt, plus.pi).samples - apply(d_dt, minus.pi).samples
         ) / (2.0 * h)
@@ -175,7 +245,7 @@ def test_nonlinear_chi3_zero_matches_kg(unit_params, grid):
     dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0), band_pulse(grid, 0.3, 20.0))
     x = 2.0
     rec = propagate_nonlinear(dp0, x, 200, unit_params, grid)
-    kg = propagate_kg(dp0, x, unit_params, grid)
+    kg = propagate_kg(dp0, [x], unit_params, grid)[0]
     assert rel_l2(rec.final.pi.samples, kg.pi.samples) <= 1e-6
     assert rel_l2(rec.final.lam.samples, kg.lam.samples) <= 1e-6
 
@@ -440,7 +510,8 @@ def test_unidirectional_agrees_while_lambda_small(unit_params, grid):
     assert lam_rel <= 1e-6
     assert rel_l2(uni.pi.samples, coupled.pi.samples) <= 10.0 * lam_rel + 1e-12
     # the nonlinear correction itself is resolved, not buried in noise
-    kg = propagate_kg(DirectedPair(pi0, Signal.zeros(grid)), x, unit_params, grid)
+    kg = propagate_kg(DirectedPair(pi0, Signal.zeros(grid)), [x], unit_params,
+                      grid)[0]
     assert rel_l2(uni.pi.samples, kg.pi.samples) > lam_rel
 
 
@@ -449,8 +520,8 @@ def test_unidirectional_chi3_zero_is_kg(unit_params, grid):
     pi0 = band_pulse(grid, 0.4, 15.0)
     rec = propagate_unidirectional(pi0, 2.0, 200, unit_params, grid)
     kg = propagate_kg(
-        DirectedPair(pi0, Signal.zeros(grid)), 2.0, unit_params, grid
-    )
+        DirectedPair(pi0, Signal.zeros(grid)), [2.0], unit_params, grid
+    )[0]
     assert rel_l2(rec.final.pi.samples, kg.pi.samples) <= 1e-6
     assert rec.final.lam.peak == 0.0
 
@@ -503,28 +574,3 @@ def test_dimensionless_dual_path(kerr_params, grid):
     assert rel_l2(path_a.pi.samples, path_b.pi.samples) <= 1e-6
     assert rel_l2(path_a.lam.samples, path_b.lam.samples) <= 1e-6
 
-
-def test_build_nonlinearity(kerr_params, grid, rng):
-    zero = build_nonlinearity(Signal.zeros(grid), kerr_params, grid)
-    assert zero.peak == 0.0
-    e = band_pulse(grid, 0.4, 15.0)
-    out = build_nonlinearity(e, kerr_params, grid)
-    out_neg = build_nonlinearity(-e, kerr_params, grid)
-    np.testing.assert_allclose(out_neg.samples, -out.samples, atol=1e-14)
-
-
-def test_build_nonlinearity_pipeline_consistency(kerr_params, grid):
-    # with e = (c/pq) (Pi - Lambda)_tt the source equals K dt^{-1}((...)_tt)^3
-    pi = band_pulse(grid, 0.4, 15.0)
-    lam = band_pulse(grid, 0.3, 20.0, amplitude=0.6)
-    d_dt = make_multiplier("d_dt", kerr_params, grid)
-    d_dt_inv = make_multiplier("d_dt_inv", kerr_params, grid)
-    diff_tt = apply(d_dt, apply(d_dt, pi - lam))
-    c_pq = kerr_params.c / (kerr_params.omega_pe * kerr_params.omega_pm)
-    e = c_pq * diff_tt
-    lhs = build_nonlinearity(e, kerr_params, grid)
-    big_k = kerr_coupling(kerr_params).big_k
-    rhs = big_k * apply(d_dt_inv, Signal(grid, diff_tt.samples**3))
-    assert np.max(np.abs(lhs.samples - rhs.samples)) <= 1e-10 * max(
-        lhs.peak, rhs.peak
-    )

@@ -137,8 +137,9 @@ def test_exact_propagation_is_additive_in_x(case, max_phase, fraction):
     w = grid.half_omegas[1:]
     x = max_phase / np.max(np.abs(w * a_symbol(params, w)))
     x1 = fraction * x
-    once = propagate_linear_exact(dp0, x, params, grid)
+    once = propagate_linear_exact(dp0, [x], params, grid)[0]
     twice = propagate_linear_exact(
-        propagate_linear_exact(dp0, x1, params, grid), x - x1, params, grid)
+        propagate_linear_exact(dp0, [x1], params, grid)[0], [x - x1], params,
+        grid)[0]
     for a, b in ((once.pi, twice.pi), (once.lam, twice.lam)):
         assert np.max(np.abs(a.samples - b.samples)) <= 1e-10 * dp0.peak

@@ -172,6 +172,10 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     (200, 100, 5.0, [0.1, 0.2, 0.3, -0.1], False),
     # exactly two blocks of steps; the pulse reaches the walls
     (200, 100, 2 * BLOCK_STEPS * 0.05, [0.1, 0.2, 0.3, -0.1], True),
+    # source midway between the walls: the fronts have passed the 1e-4
+    # threshold at nodes 3 and nx-4 (1.3x) but not at nodes 2 and nx-3
+    # (0.87x), so reading any tap one node inwards flips the flag
+    (201, 100, 18.0, [0.1, 0.2, 0.3, -0.1], False),
 ])
 def test_source_run_records_match_full_grid_loop(nx, i_src, duration, probes,
                                                  walls_hit):
