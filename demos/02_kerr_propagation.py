@@ -23,7 +23,7 @@ pulse = env * np.sin(0.3 * (t - t0))
 pulse -= np.mean(pulse)
 
 x, n_steps = 2.0, 200
-print(f"marching to x = {x} in {n_steps} RK4 steps\n")
+print(f"marching to x = {x} in {n_steps} Lawson RK4 steps\n")
 print(f"{'amplitude':>10} {'chi3':>6} {'rel. nonlinear correction':>26}")
 for amp in (0.01, 0.02, 0.04):
     dp0 = DirectedPair(Signal(grid, amp * pulse), Signal.zeros(grid))

@@ -49,6 +49,7 @@ from .evolution import (
     PropagationRecord,
     from_dimensionless,
     kerr_coupling,
+    kerr_default_steps,
     propagate_dimensionless,
     propagate_kg,
     propagate_linear_exact,

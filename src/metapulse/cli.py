@@ -50,7 +50,7 @@ SCENARIOS = {
          "boundary": (str, "e-only")},
     ),
     "propagate-nonlinear": (
-        "coupled Kerr system marched with RK4",
+        "coupled Kerr system marched with Lawson RK4",
         {"x_end": (float, REQUIRED), "n_steps": (int, 0),
          "dealias": (bool, True), "boundary": (str, "pure-right"),
          "n_stations": (int, 5)},
@@ -215,6 +215,8 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
     if scenario in _BAND_CHECKED and grid["dt"] == 0 and not carrier > 0:
         violations.append("grid.dt: required when no positive pulse.carrier "
                           "sets its default")
+    if scenario in _BAND_CHECKED and pulse["amplitude"] == 0:
+        violations.append("pulse.amplitude: must be nonzero")
     if scenario not in _BAND_CHECKED:
         pass  # scenario takes no pulse; skip pulse validation
     elif pulse["shape"] == "gaussian-modulated":
@@ -222,8 +224,6 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
             violations.append("pulse.carrier: must be positive")
         if pulse["width"] <= 0:
             violations.append("pulse.width: must be positive")
-        if pulse["amplitude"] == 0:
-            violations.append("pulse.amplitude: must be nonzero")
         if carrier > 0 and pulse["width"] > 0:
             lo = carrier - 4.0 / pulse["width"]
             hi = carrier + 4.0 / pulse["width"]
@@ -299,7 +299,8 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
 
     Gaussian-modulated: amplitude * exp(-(t-t0)^2/(2 width^2)) *
     sin(carrier*(t-t0)) centered in the window, mean-subtracted. User files
-    are two numeric columns (t, value) resampled by cubic spline.
+    are two numeric columns (t, value) resampled by cubic spline and scaled
+    by amplitude.
 
     Raises ValueError when the result keeps DC content or window-edge
     energy above 1e-8 of peak.
@@ -314,7 +315,7 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
         data = np.loadtxt(file)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError("pulse file must have two numeric columns")
-        samples = _resample(data[:, 0], data[:, 1], grid)
+        samples = amplitude * _resample(data[:, 0], data[:, 1], grid)
     else:
         raise ValueError(f"unknown pulse shape {shape!r}")
 
@@ -430,83 +431,79 @@ def _run_split(config):
     return {"split.csv": (text, {})}, summary
 
 
-def _linear_runner(config, propagator, tag):
+def _linear_runner(config, tag, propagate):
+    """Station tables of a linear model; ``propagate(dp0, xs, grid)``
+    returns the states at ``xs`` and the model's own summary entries."""
     grid = _resolve_grid(config)
     regime = _boundary(config, grid, config.run["boundary"])
     dp0 = waves.split(regime, config.params, grid)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
-    states = propagator(dp0, xs, config.params, grid)
+    states, summary = propagate(dp0, xs, grid)
     record = evolution.PropagationRecord(xs, states, {"model": tag})
 
     def fields(state):
         return waves.reconstruct(state, config.params, grid)
 
     tables = _station_tables(record, grid, tag, with_fields=fields)
-    summary = {"stations (m)": [float(x) for x in xs]}
-    return tables, summary, dp0
-
-
-def _run_linear(config):
-    return _linear_runner(config, evolution.propagate_linear_exact, "linear")[:2]
-
-
-def _run_kg(config):
-    tables, summary, dp0 = _linear_runner(config, evolution.propagate_kg, "kg")
-    # document the reduction-error budget: truncation error at the occupied
-    # band edge times the accumulated exact phase over the full distance
-    grid = dp0.grid
-    spec = np.abs(np.fft.rfft([dp0.pi.samples, dp0.lam.samples])).sum(axis=0)
-    occupied = spec > 1e-8 * np.max(spec)
-    w_occ = grid.half_omegas[occupied]
-    w_edge = float(np.max(w_occ))
-    summary["band_edge (rad/s)"] = w_edge
-    if w_edge < config.params.band_low:
-        phase = float(
-            np.max(np.abs(w_occ * medium.a_symbol(config.params, w_occ)))
-        )
-        summary["kg_error_budget (1)"] = float(
-            medium.taylor_truncation_error(config.params, w_edge)
-            * phase * config.run["x_end"]
-        )
-    else:
-        summary["kg_error_budget (1)"] = None
+    summary["stations (m)"] = [float(x) for x in xs]
     return tables, summary
 
 
-def _default_steps(config, x_end):
-    n_steps = config.run.get("n_steps", 0)
-    if n_steps:
-        return n_steps
-    p = config.params
-    beta = p.c / (p.omega_pe * p.omega_pm)  # natural length scale
-    return max(4, int(np.ceil(50.0 * x_end / beta)))
+def _run_linear(config):
+    def propagate(dp0, xs, grid):
+        return evolution.propagate_linear_exact(dp0, xs, config.params,
+                                                grid), {}
+
+    return _linear_runner(config, "linear", propagate)
 
 
-def _rk4_stiffness(params, grid, x_end, n_steps):
-    """Largest |h lambda| of the linear Kerr term: h pq / (c w_min).
+def _run_kg(config):
+    params = config.params
 
-    The stiffest bin is the lowest nonzero one, w_min = 2 pi / T; explicit
-    RK4 is stable on the imaginary axis up to 2 sqrt(2).
-    """
-    w_min = 2.0 * np.pi / grid.window
-    return (x_end / n_steps) * params.omega_pe * params.omega_pm / (
-        params.c * w_min)
+    def propagate(dp0, xs, grid):
+        spec = np.fft.rfft([dp0.pi.samples, dp0.lam.samples])
+        states = evolution.propagate_kg(dp0, xs, params, grid, spectrum=spec)
+        return states, _kg_budget(np.abs(spec).sum(axis=0), params, grid,
+                                  config.run["x_end"])
+
+    return _linear_runner(config, "kg", propagate)
+
+
+def _kg_budget(mag, params, grid, x_end):
+    """The reduction-error budget: truncation error at the occupied band
+    edge of the entry magnitude ``mag`` times the accumulated exact phase
+    over the full distance."""
+    occupied = mag > 1e-8 * np.max(mag)
+    w_occ = grid.half_omegas[occupied]
+    w_edge = float(np.max(w_occ))
+    budget = None
+    if w_edge < params.band_low:
+        phase = float(np.max(np.abs(w_occ * medium.a_symbol(params, w_occ))))
+        budget = float(medium.taylor_truncation_error(params, w_edge)
+                       * phase * x_end)
+    return {"band_edge (rad/s)": w_edge, "kg_error_budget (1)": budget}
+
+
+def _kerr_steps(config, entry, grid):
+    """``run.n_steps``, or when it is 0 the count derived from the entry."""
+    run = config.run
+    return run["n_steps"] or evolution.kerr_default_steps(
+        entry, run["x_end"], config.params, grid, dealias=run["dealias"],
+        n_stations=run["n_stations"])
 
 
 def _run_nonlinear(config):
     grid = _resolve_grid(config)
     regime = _boundary(config, grid, config.run["boundary"])
     dp0 = waves.split(regime, config.params, grid)
-    x_end = config.run["x_end"]
-    n_steps = _default_steps(config, x_end)
+    n_steps = _kerr_steps(config, dp0, grid)
     record = evolution.propagate_nonlinear(
-        dp0, x_end, n_steps, config.params, grid,
+        dp0, config.run["x_end"], n_steps, config.params, grid,
         dealias=config.run["dealias"], n_stations=config.run["n_stations"],
     )
     tables = _station_tables(record, grid, "nonlinear")
     summary = {"n_steps": n_steps, "dealias": config.run["dealias"],
-               "rk4_stiffness (1)": _rk4_stiffness(config.params, grid, x_end,
-                                                   n_steps),
+               "kerr_stiffness (1)": record.meta["kerr_stiffness"],
                "final_pi_peak (T)": record.final.pi.peak,
                "final_lambda_peak (T)": record.final.lam.peak}
     return tables, summary
@@ -515,16 +512,14 @@ def _run_nonlinear(config):
 def _run_unidirectional(config):
     grid = _resolve_grid(config)
     pi0 = _boundary(config, grid, "pure-right").k
-    x_end = config.run["x_end"]
-    n_steps = _default_steps(config, x_end)
+    n_steps = _kerr_steps(config, pi0, grid)
     record = evolution.propagate_unidirectional(
-        pi0, x_end, n_steps, config.params, grid,
+        pi0, config.run["x_end"], n_steps, config.params, grid,
         dealias=config.run["dealias"], n_stations=config.run["n_stations"],
     )
     tables = _station_tables(record, grid, "unidirectional")
     summary = {"n_steps": n_steps,
-               "rk4_stiffness (1)": _rk4_stiffness(config.params, grid, x_end,
-                                                   n_steps),
+               "kerr_stiffness (1)": record.meta["kerr_stiffness"],
                "final_pi_peak (T)": record.final.pi.peak}
     return tables, summary
 

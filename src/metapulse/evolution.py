@@ -12,13 +12,16 @@ Three propagation models, from exact to reduced:
       c Lambda_xt - pq Lambda = +K [(Pi - Lambda)_tt]^3,
 
   with K = mu0 chi3 c^3 / (2 p^3 q), marched as a first-order-in-x system
-  after applying dt^{-1} (classical RK4, cubic term evaluated pointwise in
-  time with optional 2/3-rule dealiasing). The march state is one stacked
-  complex array of real half-spectra (rfft bins 0..n/2), one row per
-  field: two rows for (Pi, Lambda), one row for the unidirectional model,
-  which is the same right-hand side with Lambda frozen at zero. Both Kerr
-  marchers keep only ``n_stations`` evenly spread steps (default 2: entry
-  and exit), so memory grows with the stations kept, not with ``n_steps``.
+  after applying dt^{-1} (Lawson RK4: the linear Klein-Gordon phase is
+  applied exactly as an integrating factor, and the cubic term, evaluated
+  pointwise in time with optional 2/3-rule dealiasing, alone limits the
+  step; ``kerr_default_steps`` derives a count from the entry state).
+  The march state is one stacked complex array of real half-spectra (rfft
+  bins 0..n/2), one row per field: two rows for (Pi, Lambda), one row for
+  the unidirectional model, which is the same right-hand side with Lambda
+  frozen at zero. Both Kerr marchers keep only ``n_stations`` evenly
+  spread steps (default 2: entry and exit), so memory grows with the
+  stations kept, not with ``n_steps``.
 
 The two linear models are diagonal in frequency: given a 1-D sequence of
 distances, each returns one DirectedPair per distance from one rfft of the
@@ -49,9 +52,15 @@ __all__ = [
     "propagate_nonlinear",
     "propagate_unidirectional",
     "propagate_dimensionless",
+    "kerr_default_steps",
+    "KERR_STIFFNESS",
     "to_dimensionless",
     "from_dimensionless",
 ]
+
+#: h sigma_0 that default Kerr step counts stay at or below: about 0.71 of
+#: the 2 sqrt(2) limit of RK4 on the imaginary axis
+KERR_STIFFNESS = 2.0
 
 
 @dataclass
@@ -138,15 +147,17 @@ def propagate_linear_exact(dp0, xs, params, grid):
     return _advance(_entry_spectrum(dp0), grid, theta)
 
 
-def propagate_kg(dp0, xs, params, grid):
+def propagate_kg(dp0, xs, params, grid, spectrum=None):
     """Klein-Gordon-Fock propagation to each distance x >= 0 in ``xs``:
     per-bin phase +/- pq x/(c w). Returns one DirectedPair per distance.
 
-    Valid for spectra concentrated well below the plasma frequencies;
-    warns when significant energy sits above min(p, q) / 2.
+    ``spectrum`` is dp0's stacked rfft half-spectra (Pi-hat, Lambda-hat)
+    when the caller has taken them already. Valid for spectra concentrated
+    well below the plasma frequencies; warns when significant energy sits
+    above min(p, q) / 2.
     """
     xs = _distances(xs)
-    spec = _entry_spectrum(dp0)
+    spec = _entry_spectrum(dp0) if spectrum is None else spectrum
     w, w_max = grid.half_omegas, 0.5 * params.band_low
     mag = np.abs(spec).sum(axis=0)
     if np.max(mag[w > w_max], initial=0.0) > 1e-6 * np.max(mag):
@@ -188,56 +199,89 @@ def _cube(grid):
 
 
 def _kerr_rhs(params, grid, dealias, linear_sign):
-    """Right-hand side of the physical Kerr system on stacked half-spectra.
+    """The physical Kerr system on stacked half-spectra, split for
+    :func:`_march_rk4` into a diagonal linear part and a cubic term.
 
-    A state of two rows (Pi-hat, Lambda-hat) follows the coupled system of
-    :func:`propagate_nonlinear`; a state of one row follows its first row
-    with Lambda frozen at zero, the unidirectional equation. Each row is
-    ``lin * row -+ nl * cube(-w^2 mask u)`` with u = Pi - Lambda, where
-    ``lin = -+(pq/c) dt^{-1}`` and ``nl = (K/c) dt^{-1} mask``;
-    ``linear_sign`` multiplies the +-(pq/c) pair. Every intermediate
-    lives in a buffer made here, so a call allocates no array.
+    Returns ``rhs(state, out)``, the cubic term: a state of two rows
+    (Pi-hat, Lambda-hat) follows the coupled system of
+    :func:`propagate_nonlinear`, a state of one row its first row with
+    Lambda frozen at zero, the unidirectional equation. Row by row it is
+    ``-+ nl * cube(-w^2 mask u)`` with u = Pi - Lambda and
+    ``nl = (K/c) dt^{-1} mask``; every intermediate lives in a buffer made
+    here, so a call allocates no array. ``rhs.lin`` holds the linear part
+    ``-+(pq/c) dt^{-1}`` per row, whose +-(pq/c) pair ``linear_sign``
+    multiplies, and ``rhs.stiffness(state)`` is the state's sigma_0 (see
+    :func:`_stiffness`).
     """
     inv_iw, w2, mask = _half_spectrum(grid, dealias)
     pq_c = linear_sign * params.omega_pe * params.omega_pm / params.c
-    k_c = (
-        params.mu0 * params.chi3 * params.c**2
-        / (2.0 * params.omega_pe**3 * params.omega_pm)
-    )
-    lin = np.array([[-1.0], [1.0]]) * (pq_c * inv_iw)
-    nl = k_c * (inv_iw * mask)
+    k_c = _kerr_k_c(params)
+    nl = -k_c * (inv_iw * mask)
     # complex, so that multiplying a complex row needs no casting buffer
     to_cube = (-w2 * mask).astype(complex)
     cube = _cube(grid)
     u_hat = np.empty_like(to_cube)
-    nl_term = np.empty_like(nl)
 
     def rhs(state, out):
-        rows = len(state)
-        u = np.subtract(*state, out=u_hat) if rows == 2 else state[0]
+        u = np.subtract(*state, out=u_hat) if len(state) == 2 else state[0]
         np.multiply(to_cube, u, out=u_hat)
-        np.multiply(nl, cube(u_hat), out=nl_term)
-        np.multiply(lin[:rows], state, out=out)
-        out[0] -= nl_term
-        if rows == 2:
-            out[1] += nl_term
+        np.multiply(nl, cube(u_hat), out=out[0])
+        if len(state) == 2:
+            np.negative(out[0], out=out[1])
         return out
 
+    rhs.lin = np.array([[-1.0], [1.0]]) * (pq_c * inv_iw)
+    rhs.stiffness = lambda state: _stiffness(state, k_c, to_cube, grid,
+                                             dealias)
     return rhs
 
 
-def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
-    """Classical RK4 over [0, x_end], keeping only the requested stations.
+def _kerr_k_c(params):
+    """K/c = mu0 chi3 c^2 / (2 p^3 q), the cubic term's coefficient."""
+    return (params.mu0 * params.chi3 * params.c**2
+            / (2.0 * params.omega_pe**3 * params.omega_pm))
 
-    ``state`` is a stacked complex array of half-spectra, one row per field,
-    which the march overwrites; ``rhs(state, out)`` writes the derivative
-    into ``out`` and returns it. A step allocates no array: the stages reuse
-    three buffers, and the new state goes to a fourth that swaps with the
-    old. The stage weights of 2 are applied in place; (2k)(h/4) equals
-    k(h/2) exactly, so every step matches the textbook update bit for bit.
-    The kept steps are ``linspace(0, n_steps, n_stations)`` truncated to
-    integers, duplicates dropped, so entry and exit are always kept. Aborts
-    via BlowUpError when the state turns non-finite; its record holds the
+
+def _stiffness(state, coefficient, to_cube, grid, dealias):
+    """sigma_0 = 3 rows coefficient max_t(v^2) w_top, the largest rate of
+    the cubic term linearized about ``state``.
+
+    v is the time image of ``to_cube * u_hat``, the cube's input, so the
+    term's Jacobian is 3 coefficient v^2 times dt^{-1} w^2 per bin, largest
+    at w_top, the highest bin the Kerr symbol reaches: n//3 under the 2/3
+    rule, else n/2 - 1 (dt^{-1} annihilates Nyquist). A coupled state feeds
+    u = Pi - Lambda to two rows.
+    """
+    u = state[0] - state[1] if len(state) == 2 else state[0]
+    v = np.fft.irfft(to_cube * u, grid.n)
+    w_top = grid.half_omegas[grid.n // 3 if dealias else grid.n // 2 - 1]
+    return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
+
+
+def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin=0.0,
+               sigma=0.0):
+    """Lawson RK4 over [0, x_end], keeping only the requested stations.
+
+    The system is d(state)/dx = lin * state + rhs(state): ``lin`` is
+    diagonal, one row per field (or a scalar; 0 gives classical RK4), and
+    its integrating factor E = exp(h lin / 2) is built once and applied
+    exactly, so only ``rhs`` limits the step. A step is Lawson's RK4
+    (Lawson 1967) in the form of Hult's RK4IP (2007), with v = E u:
+
+        k1 = E N(u),  k2 = N(v + h/2 k1),  k3 = N(v + h/2 k2),
+        k4 = N(E (v + h k3)),  u' = E (v + h/6 (k1 + 2 k2 + 2 k3)) + h/6 k4.
+
+    ``state`` is a stacked complex array of half-spectra, one row per
+    field, which the march overwrites; ``rhs(state, out)`` writes N into
+    ``out`` and returns it. A step allocates no array: the stages reuse
+    three buffers, and v and then the new state go to a fourth that swaps
+    with the old. The stage weights of 2 are applied in place; (2k)(h/4)
+    equals k(h/2) exactly. The kept steps are
+    ``linspace(0, n_steps, n_stations)`` truncated to integers, duplicates
+    dropped, so entry and exit are always kept. ``meta`` gains
+    ``kerr_stiffness``, h sigma with ``sigma`` the cubic term's rate at
+    entry; the method is stable up to about 2 sqrt(2). Aborts via
+    BlowUpError when the state turns non-finite; its record holds the
     stations kept so far plus the last finite state.
     """
     if not x_end > 0:
@@ -247,38 +291,48 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta):
     if n_stations < 2:
         raise ValueError(f"n_stations must be at least 2, got {n_stations!r}")
     h = x_end / n_steps
+    meta = {**meta, "kerr_stiffness": h * sigma}
+    half = np.exp(0.5 * h * np.asarray(lin))
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
     steps = [0]
     states = [_to_pair(grid, state)]
     acc, k, arg, new = (np.empty_like(state) for _ in range(4))
-    for step in range(1, n_steps + 1):
-        rhs(state, acc)
-        np.multiply(acc, 0.5 * h, out=arg)
-        arg += state
-        for weight in (0.25, 0.5):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            rhs(state, k)
+            np.multiply(half, state, out=new)
+            np.multiply(half, k, out=acc)
+            np.multiply(acc, 0.5 * h, out=arg)
+            arg += new
+            for weight in (0.25, 0.5):
+                rhs(arg, k)
+                k *= 2.0
+                acc += k
+                np.multiply(k, weight * h, out=arg)
+                arg += new
+            arg *= half
             rhs(arg, k)
-            k *= 2.0
-            acc += k
-            np.multiply(k, weight * h, out=arg)
-            arg += state
-        acc += rhs(arg, k)
-        acc *= h / 6.0
-        np.add(state, acc, out=new)
-        if not np.all(np.isfinite(new)):
-            if steps[-1] != step - 1:
-                steps.append(step - 1)
+            acc *= h / 6.0
+            acc += new
+            acc *= half
+            k *= h / 6.0
+            np.add(acc, k, out=new)
+            if not np.all(np.isfinite(new)):
+                if steps[-1] != step - 1:
+                    steps.append(step - 1)
+                    states.append(_to_pair(grid, state))
+                partial = PropagationRecord(
+                    np.array(steps) * h, states,
+                    {**meta, "aborted_at": step * h})
+                raise BlowUpError(
+                    f"non-finite state at step {step} (x = {step * h:g}) "
+                    f"with kerr_stiffness {meta['kerr_stiffness']:.3g}; "
+                    f"raise run.n_steps until kerr_stiffness is at most "
+                    f"{KERR_STIFFNESS:g}", record=partial)
+            state, new = new, state
+            if step in keep:
+                steps.append(step)
                 states.append(_to_pair(grid, state))
-            partial = PropagationRecord(
-                np.array(steps) * h, states, {**meta, "aborted_at": step * h}
-            )
-            raise BlowUpError(
-                f"non-finite state at step {step} (x = {step * h:g})",
-                record=partial,
-            )
-        state, new = new, state
-        if step in keep:
-            steps.append(step)
-            states.append(_to_pair(grid, state))
     return PropagationRecord(np.array(steps) * h, states, meta)
 
 
@@ -287,6 +341,33 @@ def _to_pair(grid, state):
     rows = np.fft.irfft(state, grid.n)
     lam = Signal(grid, rows[1]) if len(rows) == 2 else Signal.zeros(grid)
     return DirectedPair(Signal(grid, rows[0]), lam)
+
+
+def _kerr_entry(entry):
+    """Half-spectrum state of a Kerr entry: a DirectedPair for the coupled
+    system, a Signal (Pi) for the unidirectional equation."""
+    if isinstance(entry, DirectedPair):
+        return _entry_spectrum(entry)
+    return np.fft.rfft(entry.samples[None])
+
+
+def kerr_default_steps(entry, x_end, params, grid, dealias=True,
+                       n_stations=2):
+    """Default Kerr step count for a march from ``entry`` to ``x_end``:
+    ``max(4, n_stations - 1, ceil(x_end sigma_0 / KERR_STIFFNESS))``.
+
+    sigma_0 is the entry's cubic-term rate, 6 (K/c) max_t(u_tt^2) w_top for
+    the coupled system (``entry`` a DirectedPair) and 3 (K/c) max_t(Pi_tt^2)
+    w_top for the unidirectional equation (``entry`` the Signal Pi), with
+    u_tt the dealiased cube input and w_top the highest bin the Kerr symbol
+    reaches. The count keeps h sigma_0 at or below KERR_STIFFNESS.
+    """
+    # the symbols alone, not a whole right-hand side: its buffers, freed
+    # again before the march allocates its own, raised the peak RSS
+    _, w2, mask = _half_spectrum(grid, dealias)
+    sigma = _stiffness(_kerr_entry(entry), _kerr_k_c(params), -w2 * mask,
+                       grid, dealias)
+    return max(4, n_stations - 1, int(np.ceil(x_end * sigma / KERR_STIFFNESS)))
 
 
 def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
@@ -300,8 +381,10 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
         dLambda/dx = dt^{-1} [ +(pq/c) Lambda + (K/c) ((Pi-Lambda)_tt)^3 ],
 
     which poses the boundary-regime data as an x-initial-value problem.
-    The record keeps ``n_stations`` evenly spread steps, entry and exit
-    included.
+    Lawson RK4 carries the linear (Klein-Gordon) phase exactly, so the step
+    count is set by the cubic term; the record's ``kerr_stiffness`` meta is
+    h sigma_0 (see :func:`kerr_default_steps`). The record keeps
+    ``n_stations`` evenly spread steps, entry and exit included.
 
     ``_linear_sign`` flips the +-(pq/c) pair; the system maps onto itself
     under (Pi, Lambda) -> (-Lambda, -Pi) together with that flip, which the
@@ -310,16 +393,18 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     rhs = _kerr_rhs(params, grid, dealias, _linear_sign)
     state0 = _entry_spectrum(dp0)
     meta = _run_meta("nonlinear-coupled", params, grid, n_steps, dealias)
-    return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta)
+    return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta,
+                      lin=rhs.lin, sigma=rhs.stiffness(state0))
 
 
 def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
                              n_stations=2):
     """Kerr marching with the left wave frozen at zero (and not marched)."""
     rhs = _kerr_rhs(params, grid, dealias, 1.0)
+    state0 = _kerr_entry(pi0)
     meta = _run_meta("nonlinear-unidirectional", params, grid, n_steps, dealias)
-    return _march_rk4(rhs, np.fft.rfft(pi0.samples[None]), x_end, n_steps,
-                      n_stations, grid, meta)
+    return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta,
+                      lin=rhs.lin[:1], sigma=rhs.stiffness(state0))
 
 
 def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
@@ -328,8 +413,8 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
         pi_zeta  = dt^{-1} [ -pi  - ((pi - lam)^3)_tt ],
         lam_zeta = dt^{-1} [ +lam + ((pi - lam)^3)_tt ].
 
-    Kept apart from the physical right-hand side as an independent
-    reference for it; records only entry and exit.
+    Kept apart from the physical cubic term as an independent reference
+    for it, with the same Lawson marcher; records only entry and exit.
     """
     inv_iw, w2, mask = _half_spectrum(grid, dealias)
     cube = _cube(grid)
@@ -337,14 +422,17 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
     def rhs(state, out):
         pi_hat, lam_hat = state
         w_hat = -w2 * mask * cube(mask * (pi_hat - lam_hat))
-        np.multiply(inv_iw, -pi_hat - w_hat, out=out[0])
-        np.multiply(inv_iw, lam_hat + w_hat, out=out[1])
+        np.multiply(inv_iw, -w_hat, out=out[0])
+        np.multiply(inv_iw, w_hat, out=out[1])
         return out
 
     state0 = _entry_spectrum(dp0)
     meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
             "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
-    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta)
+    lin = np.array([[-1.0], [1.0]]) * inv_iw
+    sigma = _stiffness(state0, 1.0, mask, grid, dealias)
+    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta, lin=lin,
+                      sigma=sigma)
 
 
 def _run_meta(model, params, grid, n_steps, dealias):

@@ -1,6 +1,7 @@
 """Config parsing, pulse synthesis and scenario running."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +118,11 @@ def test_synthesize_file_round_trip(tmp_path):
     np.savetxt(f, np.column_stack([grid.times, sig.samples]))
     back = synthesize_pulse(grid, shape="user-file", file=str(f))
     assert np.max(np.abs(back.samples - sig.samples)) <= 1e-9 * sig.peak
+    # pulse.amplitude scales a user file's samples too
+    louder = synthesize_pulse(grid, shape="user-file", amplitude=5.0,
+                              file=str(f))
+    assert np.max(np.abs(louder.samples - 5.0 * back.samples)) <= (
+        1e-14 * louder.peak)
 
 
 def test_run_split_scenario(tmp_path):
@@ -169,25 +175,67 @@ def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
     assert text.count("\n") == n_rows + 1
 
 
-@pytest.mark.parametrize("scenario", [
-    "propagate-nonlinear", "propagate-unidirectional",
+@pytest.mark.parametrize("n_steps", [80, None])
+@pytest.mark.parametrize("scenario, rows", [
+    ("propagate-nonlinear", 2), ("propagate-unidirectional", 1),
 ])
-def test_kerr_manifest_records_rk4_stiffness(tmp_path, scenario):
-    # |h lambda|max = h pq / (c w_min), w_min = 2 pi / T the lowest bin
+def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
+                                              n_steps):
+    # kerr_stiffness = h sigma_0 with sigma_0 = 3 rows (K/c) max_t(u_tt^2)
+    # w_top: u_tt the 2/3-dealiased second derivative of Pi - Lambda at
+    # entry, w_top the highest bin the 2/3 rule keeps; without run.n_steps
+    # the count is the least that keeps h sigma_0 <= 2.
     # p != q with the evanescent band (20, 30) above every grid bin
     text = BASE.replace("name = split", f"name = {scenario}")
     text = text.replace("omega_pe = 1.0\nomega_pm = 1.0",
                         "omega_pe = 20.0\nomega_pm = 30.0")
     text = text.replace("c = 1.0\neps0 = 1.0\nmu0 = 1.0",
-                        "c = 2.0\neps0 = 0.5\nmu0 = 0.5\nchi3 = 0.01")
-    text += "\n[run]\nx_end = 0.005\nn_steps = 40\n"
+                        "c = 2.0\neps0 = 0.5\nmu0 = 0.5\nchi3 = 10.0")
+    text += "\n[run]\nx_end = 0.5\n"
+    if n_steps is not None:
+        text += f"n_steps = {n_steps}\n"
     status, _ = run_scenario(parse_config(text), out_dir=tmp_path)
     assert status == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    window = 1024 * 0.2
-    expected = (0.005 / 40) * 20.0 * 30.0 / (2.0 * 2.0 * np.pi / window)
-    assert manifest["summary"]["rk4_stiffness (1)"] == pytest.approx(
-        expected, rel=1e-14)
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    entry = np.loadtxt(sorted(tmp_path.glob("*_station_000.csv"))[0],
+                       delimiter=",", skiprows=1)
+    grid = TimeGrid(1024, 0.2)
+    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
+    u_tt = np.fft.ifft(-grid.omegas**2 * keep
+                       * np.fft.fft(entry[:, 1] - entry[:, 2])).real
+    k_c = 0.5 * 10.0 * 2.0**2 / (2.0 * 20.0**3 * 30.0)
+    w_top = 2.0 * np.pi * (grid.n // 3) / grid.window
+    sigma = 3.0 * rows * k_c * np.max(u_tt**2) * w_top
+    expected_steps = n_steps or int(np.ceil(0.5 * sigma / 2.0))
+    assert summary["n_steps"] == expected_steps
+    assert summary["kerr_stiffness (1)"] == pytest.approx(
+        0.5 / expected_steps * sigma, rel=1e-12)
+    if n_steps is None:
+        assert summary["kerr_stiffness (1)"] <= 2.0
+
+
+def _readme_config():
+    """The INI example of README.md, as the README gives it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("dt", ["0.05", "0.2", None])
+def test_readme_kerr_config_runs_with_defaults(tmp_path, dt):
+    # the README's propagate-nonlinear example at its own grid.dt, at a
+    # coarser one and with grid.dt derived from the carrier
+    text = _readme_config()
+    assert "name = propagate-nonlinear" in text and "dt = 0.05\n" in text
+    text = text.replace("dt = 0.05\n", "" if dt is None else f"dt = {dt}\n")
+    status, written = run_scenario(parse_config(text), out_dir=tmp_path)
+    assert status == 0
+    stations = [p for p in written if "_station_" in p]
+    assert len(stations) == 5
+    for path in stations:
+        assert np.all(np.isfinite(np.loadtxt(path, delimiter=",",
+                                             skiprows=1)))
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["kerr_stiffness (1)"] <= 2.0
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

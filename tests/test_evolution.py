@@ -250,6 +250,37 @@ def test_nonlinear_chi3_zero_matches_kg(unit_params, grid):
     assert rel_l2(rec.final.lam.samples, kg.lam.samples) <= 1e-6
 
 
+@pytest.mark.filterwarnings("ignore:spectral content")
+@pytest.mark.parametrize("n_steps", [4, 37])
+@pytest.mark.parametrize("medium", ["unit", "p_ne_q"])
+def test_chi3_zero_march_is_kg_to_rounding(unit_params, grid, medium,
+                                           n_steps):
+    # the integrating factor carries the whole linear part, so without the
+    # cubic term every kept station is the KG propagation at any step count
+    params = unit_params
+    if medium == "p_ne_q":
+        # gap (1, 2); every bin lies below it, up to Nyquist at pi/4
+        params = DrudeParams(1.0, 2.0, c=2.0, eps0=0.5, mu0=0.5)
+        grid = TimeGrid(1024, 4.0)
+    dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0), band_pulse(grid, 0.3, 20.0))
+    if medium == "p_ne_q":
+        dp0 = DirectedPair(band_pulse(grid, 0.2, 60.0),
+                           band_pulse(grid, 0.15, 80.0))
+    x = 2.0
+    for rec, entry in (
+        (propagate_nonlinear(dp0, x, n_steps, params, grid, n_stations=5),
+         dp0),
+        (propagate_unidirectional(dp0.pi, x, n_steps, params, grid,
+                                  n_stations=5),
+         DirectedPair(dp0.pi, Signal.zeros(grid))),
+    ):
+        kg = propagate_kg(entry, rec.stations, params, grid)
+        for got, want in zip(rec.states, kg):
+            for a, b in ((got.pi, want.pi), (got.lam, want.lam)):
+                assert np.max(np.abs(a.samples - b.samples)) <= (
+                    1e-12 * entry.peak)
+
+
 def test_nonlinear_zero_fixed_point(kerr_params, grid):
     dp0 = DirectedPair(Signal.zeros(grid), Signal.zeros(grid))
     rec = propagate_nonlinear(dp0, 1.0, 8, kerr_params, grid)
@@ -294,12 +325,14 @@ def test_nonlinear_dealiasing_keeps_top_third_clean(kerr_params, grid):
     assert np.max(spec[top]) <= 1e-12 * np.max(spec)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_nonlinear_blowup_aborts_with_record(kerr_params, grid):
-    # the record holds the stations kept so far plus the last finite state
-    for amplitude, n_stations, kept in (
-        (50.0, 2, [0.0, 0.5]),  # non-finite at step 2
-        (2.0, 11, [0.0, 1.0, 1.5]),  # station at step 2, non-finite at step 4
+    # the record holds the stations kept so far plus the last finite state;
+    # no overflow warning comes before the error, and the error names the
+    # step, x, the stiffness h sigma_0 and the setting to change
+    for amplitude, n_stations, kept, step in (
+        (50.0, 2, [0.0, 0.5], 2),
+        (3.0, 11, [0.0, 1.0, 2.0, 2.5], 6),  # stations at steps 2 and 4
     ):
         dp0 = DirectedPair(
             band_pulse(grid, 0.5, 12.0, amplitude=amplitude), Signal.zeros(grid)
@@ -308,6 +341,12 @@ def test_nonlinear_blowup_aborts_with_record(kerr_params, grid):
             propagate_nonlinear(dp0, 10.0, 20, kerr_params, grid,
                                 n_stations=n_stations)
         rec = err.value.record
+        stiffness = rec.meta["kerr_stiffness"]
+        assert stiffness > 2.0 * np.sqrt(2.0)
+        assert str(err.value) == (
+            f"non-finite state at step {step} (x = {0.5 * step:g}) with "
+            f"kerr_stiffness {stiffness:.3g}; raise run.n_steps until "
+            f"kerr_stiffness is at most 2")
         assert np.array_equal(rec.stations, kept)
         assert rec.meta["aborted_at"] == rec.stations[-1] + 0.5
         assert np.all(np.diff(rec.stations) > 0)
@@ -365,13 +404,16 @@ def test_kerr_marchers_reject_bad_inputs_before_marching(
             propagate_dimensionless(dp0, x_end, n_steps, grid)
 
 
-def _full_spectrum_rk4(dp0, x_end, n_steps, grid, dealias, lin, nl,
-                       coupled=True, dimensionless=False):
+def _full_spectrum_lawson(dp0, x_end, n_steps, grid, dealias, lin, nl,
+                          coupled=True, dimensionless=False):
     """Reference march on complex full spectra (fft/ifft), every step kept.
 
     Rows follow dt^{-1} [-+lin row -+nl W] with W = (u_tt)^3 (physical
     form) or (u^3)_tt (``dimensionless``), u = Pi - Lambda, or u = Pi with
-    Lambda held at zero when not ``coupled``.
+    Lambda held at zero when not ``coupled``. The linear part L is carried
+    by the integrating factor E = exp(h L / 2) in Lawson's form of RK4:
+    k2 = N(E (u + h/2 k1)), k3 = N(E u + h/2 k2), k4 = N(E^2 u + h E k3),
+    u' = E^2 u + h/6 (E^2 k1 + 2 E (k2 + k3) + k4).
     """
     w2 = grid.omegas**2
     inv_iw = np.zeros(grid.n, dtype=complex)
@@ -387,19 +429,20 @@ def _full_spectrum_rk4(dp0, x_end, n_steps, grid, dealias, lin, nl,
         pi_hat, lam_hat = state
         u_hat = pi_hat - lam_hat if coupled else pi_hat
         w_hat = -w2 * cube(u_hat) if dimensionless else cube(-w2 * u_hat)
-        d_lam = inv_iw * (lin * lam_hat + nl * w_hat)
-        return np.array([inv_iw * (-lin * pi_hat - nl * w_hat),
-                         d_lam if coupled else 0.0 * d_lam])
+        d_lam = inv_iw * nl * w_hat
+        return np.array([-d_lam, d_lam if coupled else 0.0 * d_lam])
 
     h = x_end / n_steps
+    e = np.exp(0.5 * h * np.array([-lin * inv_iw, lin * inv_iw]))
     state = np.fft.fft([dp0.pi.samples, dp0.lam.samples])
     out = [np.fft.ifft(state).real]
     for _ in range(n_steps):
         k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(e * (state + 0.5 * h * k1))
+        k3 = rhs(e * state + 0.5 * h * k2)
+        k4 = rhs(e * e * state + h * e * k3)
+        state = e * e * state + (h / 6.0) * (
+            e * e * k1 + 2.0 * e * (k2 + k3) + k4)
         out.append(np.fft.ifft(state).real)
     return out
 
@@ -423,7 +466,7 @@ def _max_rel_dev(record, reference, steps):
 @pytest.mark.parametrize("dealias", [True, False])
 def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
                                                          linear_sign, dealias):
-    # the half-spectrum marchers reproduce a plain complex-fft classical RK4
+    # the half-spectrum marchers reproduce a plain complex-fft Lawson RK4
     # to rounding at every kept station, for all three Kerr marchers
     params = kerr_params if medium == "kerr" else DrudeParams(
         1.0, 1.5, c=2.0, eps0=0.5, mu0=0.5, chi3=0.7)
@@ -441,29 +484,29 @@ def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
     rec = propagate_nonlinear(dp0, x_end, n_steps, params, grid,
                               dealias=dealias, n_stations=n_steps + 1,
                               _linear_sign=linear_sign)
-    ref = _full_spectrum_rk4(dp0, x_end, n_steps, grid, dealias,
-                             linear_sign * pq_c, k_c)
+    ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, dealias,
+                                linear_sign * pq_c, k_c)
     assert _max_rel_dev(rec, ref, every) <= 1e-12
     # the Kerr term and the mask are resolved: toggling dealias departs by
     # far more than the bound
-    other = _full_spectrum_rk4(dp0, x_end, n_steps, grid, not dealias,
-                               linear_sign * pq_c, k_c)
+    other = _full_spectrum_lawson(dp0, x_end, n_steps, grid, not dealias,
+                                  linear_sign * pq_c, k_c)
     assert _max_rel_dev(rec, other, every) > 1e-3
 
     if linear_sign == 1.0:
         uni0 = DirectedPair(dp0.pi, Signal.zeros(grid))
         rec = propagate_unidirectional(dp0.pi, x_end, n_steps, params, grid,
                                        dealias=dealias, n_stations=5)
-        ref = _full_spectrum_rk4(uni0, x_end, n_steps, grid, dealias,
-                                 pq_c, k_c, coupled=False)
+        ref = _full_spectrum_lawson(uni0, x_end, n_steps, grid, dealias,
+                                    pq_c, k_c, coupled=False)
         steps = np.linspace(0, n_steps, 5).astype(int)
         assert _max_rel_dev(rec, ref, steps) <= 1e-12
 
     if linear_sign == 1.0 and medium == "kerr":  # takes no medium
         rec = propagate_dimensionless(dp0, x_end, n_steps, grid,
                                       dealias=dealias)
-        ref = _full_spectrum_rk4(dp0, x_end, n_steps, grid, dealias, 1.0, 1.0,
-                                 dimensionless=True)
+        ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, dealias,
+                                    1.0, 1.0, dimensionless=True)
         assert _max_rel_dev(rec, ref, [0, n_steps]) <= 1e-12
 
 

@@ -7,20 +7,26 @@ all nonzero bins sit below min(p, q), or the lowest nonzero bin sits above
 max(p, q).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metapulse import (
     BoundaryRegime,
+    DirectedPair,
     DrudeParams,
     Signal,
     TimeGrid,
     a_symbol,
     apply,
     drude_response,
+    kerr_default_steps,
     make_multiplier,
     propagate_linear_exact,
+    propagate_nonlinear,
+    propagate_unidirectional,
     reconstruct,
     split,
 )
@@ -143,3 +149,54 @@ def test_exact_propagation_is_additive_in_x(case, max_phase, fraction):
         grid)[0]
     for a, b in ((once.pi, twice.pi), (once.lam, twice.lam)):
         assert np.max(np.abs(a.samples - b.samples)) <= 1e-10 * dp0.peak
+
+
+def cube_rate(pi, lam, params):
+    """sigma_0 = 3 rows (K/c) max_t(u_tt^2) w_top of a Kerr entry, on full
+    spectra: u = Pi - Lambda (u = Pi for ``lam`` None), u_tt dealiased by
+    the 2/3 rule, w_top the highest bin that rule keeps."""
+    grid = pi.grid
+    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
+    u = pi.samples - (0.0 if lam is None else lam.samples)
+    u_tt = np.fft.ifft(-grid.omegas**2 * keep * np.fft.fft(u)).real
+    k_c = params.mu0 * params.chi3 * params.c**2 / (
+        2.0 * params.omega_pe**3 * params.omega_pm)
+    w_top = 2.0 * np.pi * (grid.n // 3) / grid.window
+    return 3.0 * (1 if lam is None else 2) * k_c * np.max(u_tt**2) * w_top
+
+
+@PROPERTY_SETTINGS
+@given(media(), st.sampled_from([256, 1024]), st.floats(0.2, 0.9),
+       st.integers(0, 2**32 - 1), st.booleans(), st.floats(-1.0, 1.0),
+       st.floats(0.0, 3.0))
+def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
+                                      log_x, log_phase):
+    # every bin below the band; random pulses on the lower half of the
+    # bins, scaled so that x_end sigma_0 (twice the least default count)
+    # spans 1 to 1000, over 0.1 to 10 natural lengths beta = c/(pq)
+    params = dataclasses.replace(medium, chi3=1.0)
+    grid = TimeGrid(n, np.pi / (fraction * params.band_low))
+    rng = np.random.default_rng(seed)
+    pi, lam = random_signal(grid, rng), random_signal(grid, rng)
+    half = np.fft.rfft([pi.samples, lam.samples])
+    half[:, n // 4:] = 0.0
+    pi, lam = (Signal(grid, row) for row in np.fft.irfft(half, n))
+    lam = lam if coupled else None
+    x_end = 10.0**log_x * params.c / (params.omega_pe * params.omega_pm)
+    scale = np.sqrt(10.0**log_phase / (x_end * cube_rate(pi, lam, params)))
+    pi = Signal(grid, scale * pi.samples)
+    if coupled:
+        lam = Signal(grid, scale * lam.samples)
+        entry = DirectedPair(pi, lam)
+    else:
+        entry = pi
+    sigma = cube_rate(pi, lam, params)
+    n_steps = kerr_default_steps(entry, x_end, params, grid)
+    assert n_steps == max(4, int(np.ceil(x_end * sigma / 2.0)))
+    march = propagate_nonlinear if coupled else propagate_unidirectional
+    rec = march(entry, x_end, n_steps, params, grid, n_stations=3)
+    assert rec.meta["kerr_stiffness"] <= 2.0
+    assert rec.meta["kerr_stiffness"] == pytest.approx(
+        x_end / n_steps * sigma, rel=1e-9)
+    assert all(np.all(np.isfinite(s.pi.samples))
+               and np.all(np.isfinite(s.lam.samples)) for s in rec.states)
