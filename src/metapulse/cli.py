@@ -28,6 +28,11 @@ __all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse",
 
 PULSE_CLEAN_TOL = 1e-8
 
+#: most Kerr steps a run derives by itself; the derived count grows with
+#: run.x_end and with pulse.amplitude squared, and more must be asked for
+#: by run.n_steps
+MAX_DEFAULT_KERR_STEPS = 100_000
+
 #: rows rendered per string-format call; bounds the transient Python floats
 CSV_CHUNK_ROWS = 4096
 
@@ -431,65 +436,72 @@ def _run_split(config):
     return {"split.csv": (text, {})}, summary
 
 
-def _linear_runner(config, tag, propagate):
-    """Station tables of a linear model; ``propagate(dp0, xs, grid)``
-    returns the states at ``xs`` and the model's own summary entries."""
+def _linear_runner(config, propagator, tag):
     grid = _resolve_grid(config)
     regime = _boundary(config, grid, config.run["boundary"])
     dp0 = waves.split(regime, config.params, grid)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
-    states, summary = propagate(dp0, xs, grid)
+    states = propagator(dp0, xs, config.params, grid)
     record = evolution.PropagationRecord(xs, states, {"model": tag})
 
     def fields(state):
         return waves.reconstruct(state, config.params, grid)
 
     tables = _station_tables(record, grid, tag, with_fields=fields)
-    summary["stations (m)"] = [float(x) for x in xs]
-    return tables, summary
+    summary = {"stations (m)": [float(x) for x in xs]}
+    return tables, summary, dp0
 
 
 def _run_linear(config):
-    def propagate(dp0, xs, grid):
-        return evolution.propagate_linear_exact(dp0, xs, config.params,
-                                                grid), {}
-
-    return _linear_runner(config, "linear", propagate)
+    return _linear_runner(config, evolution.propagate_linear_exact, "linear")[:2]
 
 
 def _run_kg(config):
-    params = config.params
+    # the error budget reads the entry half-spectra that the propagation
+    # advances, so the entry pair is transformed once
+    entry = []
 
-    def propagate(dp0, xs, grid):
-        spec = np.fft.rfft([dp0.pi.samples, dp0.lam.samples])
-        states = evolution.propagate_kg(dp0, xs, params, grid, spectrum=spec)
-        return states, _kg_budget(np.abs(spec).sum(axis=0), params, grid,
-                                  config.run["x_end"])
+    def propagator(dp0, xs, params, grid):
+        entry.append(evolution._entry_spectrum(dp0))
+        return evolution._kg_advance(entry[0], xs, params, grid)
 
-    return _linear_runner(config, "kg", propagate)
-
-
-def _kg_budget(mag, params, grid, x_end):
-    """The reduction-error budget: truncation error at the occupied band
-    edge of the entry magnitude ``mag`` times the accumulated exact phase
-    over the full distance."""
-    occupied = mag > 1e-8 * np.max(mag)
+    tables, summary, dp0 = _linear_runner(config, propagator, "kg")
+    # document the reduction-error budget: truncation error at the occupied
+    # band edge times the accumulated exact phase over the full distance
+    grid = dp0.grid
+    spec = np.abs(entry[0]).sum(axis=0)
+    occupied = spec > 1e-8 * np.max(spec)
     w_occ = grid.half_omegas[occupied]
     w_edge = float(np.max(w_occ))
-    budget = None
-    if w_edge < params.band_low:
-        phase = float(np.max(np.abs(w_occ * medium.a_symbol(params, w_occ))))
-        budget = float(medium.taylor_truncation_error(params, w_edge)
-                       * phase * x_end)
-    return {"band_edge (rad/s)": w_edge, "kg_error_budget (1)": budget}
+    summary["band_edge (rad/s)"] = w_edge
+    if w_edge < config.params.band_low:
+        phase = float(
+            np.max(np.abs(w_occ * medium.a_symbol(config.params, w_occ)))
+        )
+        summary["kg_error_budget (1)"] = float(
+            medium.taylor_truncation_error(config.params, w_edge)
+            * phase * config.run["x_end"]
+        )
+    else:
+        summary["kg_error_budget (1)"] = None
+    return tables, summary
 
 
 def _kerr_steps(config, entry, grid):
-    """``run.n_steps``, or when it is 0 the count derived from the entry."""
+    """``run.n_steps``, or when it is 0 the count derived from the entry,
+    which may not exceed MAX_DEFAULT_KERR_STEPS."""
     run = config.run
-    return run["n_steps"] or evolution.kerr_default_steps(
+    if run["n_steps"]:
+        return run["n_steps"]
+    n_steps = evolution.kerr_default_steps(
         entry, run["x_end"], config.params, grid, dealias=run["dealias"],
         n_stations=run["n_stations"])
+    if n_steps > MAX_DEFAULT_KERR_STEPS:
+        raise ValueError(
+            f"derived Kerr step count {n_steps} exceeds "
+            f"{MAX_DEFAULT_KERR_STEPS}; set run.n_steps to march that many, "
+            f"or lower pulse.amplitude or run.x_end")
+    return n_steps
 
 
 def _run_nonlinear(config):

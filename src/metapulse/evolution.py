@@ -13,9 +13,10 @@ Three propagation models, from exact to reduced:
 
   with K = mu0 chi3 c^3 / (2 p^3 q), marched as a first-order-in-x system
   after applying dt^{-1} (Lawson RK4: the linear Klein-Gordon phase is
-  applied exactly as an integrating factor, and the cubic term, evaluated
-  pointwise in time with optional 2/3-rule dealiasing, alone limits the
-  step; ``kerr_default_steps`` derives a count from the entry state).
+  applied exactly as an integrating factor; the cubic term, evaluated
+  pointwise in time with optional 2/3-rule dealiasing, and the phase that
+  the factor turns it through set the step, and ``kerr_default_steps``
+  derives a count from the entry state).
   The march state is one stacked complex array of real half-spectra (rfft
   bins 0..n/2), one row per field: two rows for (Pi, Lambda), one row for
   the unidirectional model, which is the same right-hand side with Lambda
@@ -54,6 +55,7 @@ __all__ = [
     "propagate_dimensionless",
     "kerr_default_steps",
     "KERR_STIFFNESS",
+    "KERR_PHASE_STEP",
     "to_dimensionless",
     "from_dimensionless",
 ]
@@ -61,6 +63,10 @@ __all__ = [
 #: h sigma_0 that default Kerr step counts stay at or below: about 0.71 of
 #: the 2 sqrt(2) limit of RK4 on the imaginary axis
 KERR_STIFFNESS = 2.0
+
+#: h Omega_0 that default Kerr step counts stay at or below: the rms
+#: Klein-Gordon phase a step advances the entry spectrum by, in radians
+KERR_PHASE_STEP = 0.25
 
 
 @dataclass
@@ -147,22 +153,25 @@ def propagate_linear_exact(dp0, xs, params, grid):
     return _advance(_entry_spectrum(dp0), grid, theta)
 
 
-def propagate_kg(dp0, xs, params, grid, spectrum=None):
+def propagate_kg(dp0, xs, params, grid):
     """Klein-Gordon-Fock propagation to each distance x >= 0 in ``xs``:
     per-bin phase +/- pq x/(c w). Returns one DirectedPair per distance.
 
-    ``spectrum`` is dp0's stacked rfft half-spectra (Pi-hat, Lambda-hat)
-    when the caller has taken them already. Valid for spectra concentrated
-    well below the plasma frequencies; warns when significant energy sits
-    above min(p, q) / 2.
+    Valid for spectra concentrated well below the plasma frequencies; warns
+    when significant energy sits above min(p, q) / 2.
     """
     xs = _distances(xs)
-    spec = _entry_spectrum(dp0) if spectrum is None else spectrum
+    return _kg_advance(_entry_spectrum(dp0), xs, params, grid)
+
+
+def _kg_advance(spec, xs, params, grid):
+    """:func:`propagate_kg` from the entry half-spectra ``spec`` (see
+    :func:`_entry_spectrum`) to the distances ``xs``."""
     w, w_max = grid.half_omegas, 0.5 * params.band_low
     mag = np.abs(spec).sum(axis=0)
     if np.max(mag[w > w_max], initial=0.0) > 1e-6 * np.max(mag):
         warnings.warn(f"spectral content above {w_max:g} rad/s; the long-wave "
-                      "reduction may be inaccurate", stacklevel=2)
+                      "reduction may be inaccurate", stacklevel=3)
     pq_c = params.omega_pe * params.omega_pm / params.c
     theta = np.zeros((xs.size, w.size))
     theta[:, 1:] = np.divide.outer(-pq_c * xs, w[1:])
@@ -258,14 +267,14 @@ def _stiffness(state, coefficient, to_cube, grid, dealias):
     return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
 
 
-def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin=0.0,
-               sigma=0.0):
+def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin,
+               sigma):
     """Lawson RK4 over [0, x_end], keeping only the requested stations.
 
     The system is d(state)/dx = lin * state + rhs(state): ``lin`` is
-    diagonal, one row per field (or a scalar; 0 gives classical RK4), and
-    its integrating factor E = exp(h lin / 2) is built once and applied
-    exactly, so only ``rhs`` limits the step. A step is Lawson's RK4
+    diagonal, one row of bins per field, and its integrating factor
+    E = exp(h lin / 2) is built once and applied exactly, so only ``rhs``
+    limits the step's stability. A step is Lawson's RK4
     (Lawson 1967) in the form of Hult's RK4IP (2007), with v = E u:
 
         k1 = E N(u),  k2 = N(v + h/2 k1),  k3 = N(v + h/2 k2),
@@ -292,7 +301,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin=0.0,
         raise ValueError(f"n_stations must be at least 2, got {n_stations!r}")
     h = x_end / n_steps
     meta = {**meta, "kerr_stiffness": h * sigma}
-    half = np.exp(0.5 * h * np.asarray(lin))
+    half = np.exp(0.5 * h * lin)
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
     steps = [0]
     states = [_to_pair(grid, state)]
@@ -327,13 +336,24 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin=0.0,
                 raise BlowUpError(
                     f"non-finite state at step {step} (x = {step * h:g}) "
                     f"with kerr_stiffness {meta['kerr_stiffness']:.3g}; "
-                    f"raise run.n_steps until kerr_stiffness is at most "
-                    f"{KERR_STIFFNESS:g}", record=partial)
+                    + _more_steps(meta["kerr_stiffness"], n_steps),
+                    record=partial)
             state, new = new, state
             if step in keep:
                 steps.append(step)
                 states.append(_to_pair(grid, state))
     return PropagationRecord(np.array(steps) * h, states, meta)
+
+
+def _more_steps(stiffness, n_steps):
+    """What a march with entry h sigma_0 ``stiffness`` that turned
+    non-finite should change."""
+    if stiffness > KERR_STIFFNESS:
+        return (f"raise run.n_steps until kerr_stiffness is at most "
+                f"{KERR_STIFFNESS:g}")
+    # the entry met the bound; the pulse steepened past it
+    return (f"the cubic term's rate grew during the march; raise "
+            f"run.n_steps above {n_steps} (for example to {2 * n_steps})")
 
 
 def _to_pair(grid, state):
@@ -351,23 +371,42 @@ def _kerr_entry(entry):
     return np.fft.rfft(entry.samples[None])
 
 
+def _phase_rate(state, params, grid):
+    """Omega_0, the rms of the Klein-Gordon rate pq/(c w) over the power
+    spectrum of ``state``, its rows pooled; DC and Nyquist, which dt^{-1}
+    annihilates, count with rate 0."""
+    w = grid.half_omegas
+    rate2 = np.zeros(w.size)
+    rate2[1:-1] = (params.omega_pe * params.omega_pm / params.c / w[1:-1])**2
+    power = np.sum(np.abs(state)**2, axis=0)
+    return float(np.sqrt(rate2 @ power / (np.sum(power) or 1.0)))
+
+
 def kerr_default_steps(entry, x_end, params, grid, dealias=True,
                        n_stations=2):
     """Default Kerr step count for a march from ``entry`` to ``x_end``:
-    ``max(4, n_stations - 1, ceil(x_end sigma_0 / KERR_STIFFNESS))``.
+    ``max(4, n_stations - 1, ceil(x_end sigma_0 / KERR_STIFFNESS),
+    ceil(x_end Omega_0 / KERR_PHASE_STEP))``.
 
     sigma_0 is the entry's cubic-term rate, 6 (K/c) max_t(u_tt^2) w_top for
     the coupled system (``entry`` a DirectedPair) and 3 (K/c) max_t(Pi_tt^2)
     w_top for the unidirectional equation (``entry`` the Signal Pi), with
     u_tt the dealiased cube input and w_top the highest bin the Kerr symbol
-    reaches. The count keeps h sigma_0 at or below KERR_STIFFNESS.
+    reaches; h sigma_0 <= KERR_STIFFNESS keeps the cubic term stable.
+    Omega_0 is the entry's rms Klein-Gordon rate (see :func:`_phase_rate`):
+    the integrating factor carries that phase exactly, but the cubic term
+    seen through it turns at such rates, and RK4 resolves it only while a
+    step advances the phase by a fraction of a radian.
     """
     # the symbols alone, not a whole right-hand side: its buffers, freed
     # again before the march allocates its own, raised the peak RSS
     _, w2, mask = _half_spectrum(grid, dealias)
-    sigma = _stiffness(_kerr_entry(entry), _kerr_k_c(params), -w2 * mask,
-                       grid, dealias)
-    return max(4, n_stations - 1, int(np.ceil(x_end * sigma / KERR_STIFFNESS)))
+    state = _kerr_entry(entry)
+    sigma = _stiffness(state, _kerr_k_c(params), -w2 * mask, grid, dealias)
+    omega = _phase_rate(state, params, grid)
+    return max(4, n_stations - 1,
+               int(np.ceil(x_end * sigma / KERR_STIFFNESS)),
+               int(np.ceil(x_end * omega / KERR_PHASE_STEP)))
 
 
 def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
@@ -381,10 +420,11 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
         dLambda/dx = dt^{-1} [ +(pq/c) Lambda + (K/c) ((Pi-Lambda)_tt)^3 ],
 
     which poses the boundary-regime data as an x-initial-value problem.
-    Lawson RK4 carries the linear (Klein-Gordon) phase exactly, so the step
-    count is set by the cubic term; the record's ``kerr_stiffness`` meta is
-    h sigma_0 (see :func:`kerr_default_steps`). The record keeps
-    ``n_stations`` evenly spread steps, entry and exit included.
+    Lawson RK4 carries the linear (Klein-Gordon) phase exactly, so only the
+    cubic term limits the step's stability; the record's
+    ``kerr_stiffness`` meta is h sigma_0 (see :func:`kerr_default_steps`).
+    The record keeps ``n_stations`` evenly spread steps, entry and exit
+    included.
 
     ``_linear_sign`` flips the +-(pq/c) pair; the system maps onto itself
     under (Pi, Lambda) -> (-Lambda, -Pi) together with that flip, which the

@@ -9,6 +9,7 @@ import pytest
 from metapulse import ConfigError, TimeGrid, reference
 from metapulse.cli import (
     CSV_CHUNK_ROWS,
+    MAX_DEFAULT_KERR_STEPS,
     _apply_overrides,
     _format_table,
     main,
@@ -175,23 +176,26 @@ def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
     assert text.count("\n") == n_rows + 1
 
 
+@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("n_steps", [80, None])
 @pytest.mark.parametrize("scenario, rows", [
     ("propagate-nonlinear", 2), ("propagate-unidirectional", 1),
 ])
 def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
-                                              n_steps):
+                                              n_steps, dealias):
     # kerr_stiffness = h sigma_0 with sigma_0 = 3 rows (K/c) max_t(u_tt^2)
-    # w_top: u_tt the 2/3-dealiased second derivative of Pi - Lambda at
-    # entry, w_top the highest bin the 2/3 rule keeps; without run.n_steps
-    # the count is the least that keeps h sigma_0 <= 2.
+    # w_top: u_tt the masked second derivative of Pi - Lambda at entry,
+    # w_top the highest bin the mask keeps that dt^{-1} does not annihilate
+    # (the 2/3 rule keeps n/3, no mask n/2 - 1). Without run.n_steps the
+    # count is the least that keeps h sigma_0 <= 2 and h Omega_0 <= 1/4,
+    # Omega_0 the rms of pq/(c w) over the entry's power spectrum.
     # p != q with the evanescent band (20, 30) above every grid bin
     text = BASE.replace("name = split", f"name = {scenario}")
     text = text.replace("omega_pe = 1.0\nomega_pm = 1.0",
                         "omega_pe = 20.0\nomega_pm = 30.0")
     text = text.replace("c = 1.0\neps0 = 1.0\nmu0 = 1.0",
                         "c = 2.0\neps0 = 0.5\nmu0 = 0.5\nchi3 = 10.0")
-    text += "\n[run]\nx_end = 0.5\n"
+    text += f"\n[run]\nx_end = 0.5\ndealias = {str(dealias).lower()}\n"
     if n_steps is not None:
         text += f"n_steps = {n_steps}\n"
     status, _ = run_scenario(parse_config(text), out_dir=tmp_path)
@@ -200,18 +204,37 @@ def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
     entry = np.loadtxt(sorted(tmp_path.glob("*_station_000.csv"))[0],
                        delimiter=",", skiprows=1)
     grid = TimeGrid(1024, 0.2)
-    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
-    u_tt = np.fft.ifft(-grid.omegas**2 * keep
+    k = np.abs(np.fft.fftfreq(grid.n) * grid.n)
+    top = grid.n // 3 if dealias else grid.n // 2 - 1
+    u_tt = np.fft.ifft(-grid.omegas**2 * (k <= top)
                        * np.fft.fft(entry[:, 1] - entry[:, 2])).real
     k_c = 0.5 * 10.0 * 2.0**2 / (2.0 * 20.0**3 * 30.0)
-    w_top = 2.0 * np.pi * (grid.n // 3) / grid.window
+    w_top = 2.0 * np.pi * top / grid.window
     sigma = 3.0 * rows * k_c * np.max(u_tt**2) * w_top
-    expected_steps = n_steps or int(np.ceil(0.5 * sigma / 2.0))
+    fields = entry[:, 1:1 + rows].T
+    power = np.sum(np.abs(np.fft.rfft(fields))**2, axis=0)
+    rate = 20.0 * 30.0 / 2.0 / grid.half_omegas[1:-1]
+    omega = np.sqrt(np.sum(rate**2 * power[1:-1]) / np.sum(power))
+    expected_steps = n_steps or max(int(np.ceil(0.5 * sigma / 2.0)),
+                                    int(np.ceil(0.5 * omega / 0.25)))
     assert summary["n_steps"] == expected_steps
     assert summary["kerr_stiffness (1)"] == pytest.approx(
         0.5 / expected_steps * sigma, rel=1e-12)
     if n_steps is None:
         assert summary["kerr_stiffness (1)"] <= 2.0
+
+
+def test_derived_kerr_count_has_a_ceiling(tmp_path):
+    # the derived count grows with pulse.amplitude squared; past
+    # MAX_DEFAULT_KERR_STEPS the run stops before marching and names the
+    # count and the settings to change
+    text = _readme_config().replace("amplitude = 0.1", "amplitude = 1000.0")
+    status, _ = run_scenario(parse_config(text), out_dir=tmp_path)
+    assert status == 1
+    message = (tmp_path / "error.txt").read_text()
+    n_steps = int(message.split("step count ")[1].split()[0])
+    assert n_steps > MAX_DEFAULT_KERR_STEPS
+    assert "run.n_steps" in message and "pulse.amplitude" in message
 
 
 def _readme_config():

@@ -13,6 +13,7 @@ from metapulse import (
     apply,
     from_dimensionless,
     kerr_coupling,
+    kerr_default_steps,
     make_multiplier,
     propagate_dimensionless,
     propagate_kg,
@@ -354,6 +355,44 @@ def test_nonlinear_blowup_aborts_with_record(kerr_params, grid):
                    and np.all(np.isfinite(s.lam.samples)) for s in rec.states)
 
 
+@pytest.mark.filterwarnings("error")
+def test_blowup_after_the_entry_rate_grew_asks_for_more_steps(kerr_params,
+                                                              grid):
+    # Pi = Lambda cancels in u = Pi - Lambda, so the entry rate sigma_0 is
+    # 0; the two waves part along x, u grows and the march turns non-finite
+    # although h sigma_0 <= 2, so the error asks for more steps instead of
+    # naming the bound that is met
+    f = band_pulse(grid, 0.5, 12.0, amplitude=3.0)
+    with pytest.raises(BlowUpError) as err:
+        propagate_nonlinear(DirectedPair(f, f), 5.0, 4, kerr_params, grid)
+    assert err.value.record.meta["kerr_stiffness"] == 0.0
+    assert str(err.value) == (
+        "non-finite state at step 3 (x = 3.75) with kerr_stiffness 0; the "
+        "cubic term's rate grew during the march; raise run.n_steps above 4 "
+        "(for example to 8)")
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 3.0])
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("coupled", [True, False])
+def test_kerr_default_count_matches_a_finer_march(coupled, dealias,
+                                                  amplitude):
+    # p != q, a right-going modulated pulse: at the default count the exit
+    # is within 1e-5 of a march with 4 times the steps, both where the
+    # Klein-Gordon phase (amplitude 1) and where the cubic term (amplitude
+    # 3) sets the count
+    params = DrudeParams(0.8, 1.2, c=1.0, eps0=1.0, mu0=1.0, chi3=1.0)
+    grid = TimeGrid(4096, 0.05)
+    pi0 = band_pulse(grid, 0.5, 12.0, amplitude=amplitude)
+    entry = DirectedPair(pi0, Signal.zeros(grid)) if coupled else pi0
+    march = propagate_nonlinear if coupled else propagate_unidirectional
+    n_steps = kerr_default_steps(entry, 2.0, params, grid, dealias=dealias)
+    coarse, fine = (march(entry, 2.0, n, params, grid, dealias=dealias).final
+                    for n in (n_steps, 4 * n_steps))
+    assert rel_l2(np.concatenate([coarse.pi.samples, coarse.lam.samples]),
+                  np.concatenate([fine.pi.samples, fine.lam.samples])) <= 1e-5
+
+
 @pytest.mark.parametrize("n_steps, n_stations", [(37, 5), (6, 20)])
 @pytest.mark.parametrize("coupled", [True, False])
 def test_kerr_marchers_keep_requested_stations(kerr_params, coupled, n_steps,
@@ -533,7 +572,8 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
 
     tracemalloc.start()
     try:
-        _march_rk4(watched, state, 0.1, 6, 2, grid, {})
+        _march_rk4(watched, state, 0.1, 6, 2, grid, {}, lin=rhs.lin[:rows],
+                   sigma=0.0)
     finally:
         tracemalloc.stop()
     assert len(gaps) == 24

@@ -165,6 +165,17 @@ def cube_rate(pi, lam, params):
     return 3.0 * (1 if lam is None else 2) * k_c * np.max(u_tt**2) * w_top
 
 
+def phase_rate(pi, lam, params):
+    """Omega_0, the rms of the Klein-Gordon rate pq/(c w) over the power
+    of Pi and Lambda (``lam`` None: Pi alone) on the rfft bins; DC and
+    Nyquist count with rate 0."""
+    w = pi.grid.half_omegas
+    rows = [pi.samples] if lam is None else [pi.samples, lam.samples]
+    power = np.sum(np.abs(np.fft.rfft(rows)) ** 2, axis=0)
+    rate = params.omega_pe * params.omega_pm / (params.c * w[1:-1])
+    return np.sqrt(np.sum(rate**2 * power[1:-1]) / np.sum(power))
+
+
 @PROPERTY_SETTINGS
 @given(media(), st.sampled_from([256, 1024]), st.floats(0.2, 0.9),
        st.integers(0, 2**32 - 1), st.booleans(), st.floats(-1.0, 1.0),
@@ -172,8 +183,10 @@ def cube_rate(pi, lam, params):
 def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
                                       log_x, log_phase):
     # every bin below the band; random pulses on the lower half of the
-    # bins, scaled so that x_end sigma_0 (twice the least default count)
-    # spans 1 to 1000, over 0.1 to 10 natural lengths beta = c/(pq)
+    # bins, scaled so that x_end sigma_0 (twice the count the cubic term
+    # asks for) spans 1 to 1000, over 0.1 to 10 natural lengths
+    # beta = c/(pq); the count is the closed form, it keeps h sigma_0 <= 2
+    # and h Omega_0 <= 1/4, and the march stays finite
     params = dataclasses.replace(medium, chi3=1.0)
     grid = TimeGrid(n, np.pi / (fraction * params.band_low))
     rng = np.random.default_rng(seed)
@@ -191,8 +204,11 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
     else:
         entry = pi
     sigma = cube_rate(pi, lam, params)
+    omega = phase_rate(pi, lam, params)
     n_steps = kerr_default_steps(entry, x_end, params, grid)
-    assert n_steps == max(4, int(np.ceil(x_end * sigma / 2.0)))
+    assert n_steps == max(4, int(np.ceil(x_end * sigma / 2.0)),
+                          int(np.ceil(x_end * omega / 0.25)))
+    assert x_end / n_steps * omega <= 0.25
     march = propagate_nonlinear if coupled else propagate_unidirectional
     rec = march(entry, x_end, n_steps, params, grid, n_stations=3)
     assert rec.meta["kerr_stiffness"] <= 2.0
