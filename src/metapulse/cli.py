@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__, evolution, medium, reference, stationary, waves
 from .errors import ConfigError
@@ -253,6 +252,16 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
             violations.append(f"run.{key}: must be positive")
     if "n_stations" in run and run["n_stations"] < 2:
         violations.append("run.n_stations: must be at least 2 (entry and exit)")
+    # the Kerr scenarios read n_steps = 0 as "derive the count"
+    if "n_steps" in run and run["n_steps"] < 4:
+        if scenario == "stationary-nonlinear":
+            violations.append("run.n_steps: must be at least 4")
+        elif run["n_steps"] != 0:
+            violations.append("run.n_steps: must be at least 4, or 0 for "
+                              "the derived count")
+    for key in ("n_xi", "n_points"):
+        if key in run and run[key] < 1:
+            violations.append(f"run.{key}: must be at least 1")
     if scenario == "reference-compare":
         _validate_oracle(grid, pulse, run, violations)
 
@@ -291,13 +300,6 @@ def _resolve_grid(config):
     return TimeGrid(config.grid["n"], _grid_dt(config.grid, config.pulse))
 
 
-def _resample(t, v, grid):
-    """Cubic spline through (t, v) sampled at ``grid.times``; zero outside t."""
-    out = CubicSpline(t, v, extrapolate=False)(grid.times)
-    out[~np.isfinite(out)] = 0.0
-    return out
-
-
 def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
                      width=0.0, amplitude=1.0, file=""):
     """Build a clean boundary pulse on the grid.
@@ -319,8 +321,13 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
     elif shape == "user-file":
         data = np.loadtxt(file)
         if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError("pulse file must have two numeric columns")
-        samples = amplitude * _resample(data[:, 0], data[:, 1], grid)
+            raise ValueError(f"pulse.file {file}: must have two numeric "
+                             "columns")
+        try:
+            samples = amplitude * reference.cubic_spline(
+                data[:, 0], data[:, 1], grid.times)
+        except ValueError as exc:
+            raise ValueError(f"pulse.file {file}: {exc}") from exc
     else:
         raise ValueError(f"unknown pulse shape {shape!r}")
 
@@ -631,7 +638,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
         source, grid1d, params, duration, probes_abs, source_index=i_src,
     )
 
-    e_ref, b_ref = (_resample(run["t"], run[k][0], grid) for k in ("e", "b"))
+    e_ref, b_ref = (reference.cubic_spline(run["t"], run[k][0], grid.times)
+                    for k in ("e", "b"))
     regime = BoundaryRegime(j=Signal(grid, e_ref - np.mean(e_ref)),
                             k=Signal(grid, b_ref - np.mean(b_ref)))
     dp0 = waves.split(regime, params, grid)
@@ -641,8 +649,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     states = evolution.propagate_linear_exact(dp0, x_probes, params, grid)
     for i, (xp, dp) in enumerate(zip(x_probes, states)):
         fp = waves.reconstruct(dp, params, grid)
-        e_fd = _resample(run["t"], run["e"][i + 1], grid)
-        b_fd = _resample(run["t"], run["b"][i + 1], grid)
+        e_fd = reference.cubic_spline(run["t"], run["e"][i + 1], grid.times)
+        b_fd = reference.cubic_spline(run["t"], run["b"][i + 1], grid.times)
         l2_e = _rel_l2(fp.e.samples, e_fd)
         l2_b = _rel_l2(fp.b.samples, b_fd)
         ok = ok and l2_e <= 0.02 and l2_b <= 0.02

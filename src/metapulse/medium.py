@@ -8,14 +8,24 @@ of the leading term, and the dispersive energy density.
 Everything here is a pure function of scalar or array frequencies; grid
 level concerns (DC bin, Nyquist, band checks per bin) live in
 ``metapulse.spectral``.
+
+The SI defaults C, EPS0 and MU0 are the CODATA 2022 values, fixed here as
+literals so that no installed package can change them (CODATA 2018, still
+shipped by some constants tables, has eps0 = 8.8541878128e-12).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
 from .errors import EvanescentBandError, SingularFrequencyError
+
+#: vacuum light speed (m/s), exact in the SI
+C = 299792458.0
+#: vacuum permittivity (F/m), CODATA 2022
+EPS0 = 8.8541878188e-12
+#: vacuum permeability (N/A^2), CODATA 2022
+MU0 = 1.25663706127e-06
 
 __all__ = [
     "DrudeParams",
@@ -40,9 +50,10 @@ class DrudeParams:
     omega_pm : float
         Magnetic plasma frequency (rad/s).
     c : float
-        Vacuum light speed (m/s). Defaults to the SI value.
+        Vacuum light speed (m/s). Defaults to the SI value C.
     eps0, mu0 : float
-        Vacuum permittivity / permeability. Must satisfy c^2*eps0*mu0 = 1.
+        Vacuum permittivity / permeability. Must satisfy c^2*eps0*mu0 = 1;
+        the defaults are EPS0 and 1/(C^2 EPS0).
     chi3 : float
         Kerr coefficient (m^2/V^2); zero switches nonlinearity off.
         Negative values are rejected.
@@ -50,11 +61,11 @@ class DrudeParams:
 
     omega_pe: float
     omega_pm: float
-    c: float = constants.c
-    eps0: float = constants.epsilon_0
+    c: float = C
+    eps0: float = EPS0
     # CODATA mu_0 is measured and misses c^2*eps0*mu0 = 1 by ~1.2e-12, so
     # the default is derived instead to keep the triple exactly consistent
-    mu0: float = 1.0 / (constants.c**2 * constants.epsilon_0)
+    mu0: float = 1.0 / (C**2 * EPS0)
     chi3: float = 0.0
 
     def __post_init__(self):

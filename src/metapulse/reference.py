@@ -14,16 +14,20 @@ machinery it validates.
 ``params=None`` selects vacuum (both plasma frequencies zero), used by the
 free-space sanity checks; DrudeParams itself requires positive plasma
 frequencies.
+
+``cubic_spline`` resamples a record between clocks: the boundary source onto
+the FDTD clock here, and the FDTD probe records back onto the spectral grid.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
-from scipy.interpolate import CubicSpline
 
-__all__ = ["YeeGrid1D", "MaxwellState", "step", "run_boundary_source"]
+from .medium import C, EPS0, MU0
+
+__all__ = ["YeeGrid1D", "MaxwellState", "step", "run_boundary_source",
+           "cubic_spline"]
 
 #: largest Courant ratio c*dt/dx that YeeGrid1D accepts (1D limit: 1)
 MAX_COURANT = 0.99
@@ -40,7 +44,7 @@ class YeeGrid1D:
     nx: int
     dx: float
     courant: float = 0.5
-    c: float = constants.c
+    c: float = C
 
     def __post_init__(self):
         if self.nx < 64:
@@ -89,8 +93,89 @@ class MaxwellState:
 
 def _material(params):
     if params is None:
-        return 0.0, 0.0, constants.epsilon_0, constants.mu_0
+        return 0.0, 0.0, EPS0, MU0
     return params.omega_pe, params.omega_pm, params.eps0, params.mu0
+
+
+def _cyclic_reduction(lo, diag, up, rhs):
+    """Solve lo[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] (lo[0] and
+    up[-1] unused) for a diagonally dominant system, without pivoting.
+
+    Each level folds the odd rows into their even neighbours, halving the
+    system; the odd unknowns follow from the even ones on the way back.
+    """
+    n = len(diag)
+    if n == 1:
+        return rhs / diag
+    n_even, n_odd = (n + 1) // 2, n // 2
+    lo_o, diag_o, up_o, rhs_o = lo[1::2], diag[1::2], up[1::2], rhs[1::2]
+    # even row 2k reaches odd row k - 1 on its left and odd row k on its right
+    left = -lo[2::2] / diag_o[:n_even - 1]
+    right = -up[:2 * n_odd:2] / diag_o
+    lo_e, up_e = np.zeros(n_even), np.zeros(n_even)
+    diag_e, rhs_e = diag[::2].copy(), rhs[::2].copy()
+    lo_e[1:] = left * lo_o[:n_even - 1]
+    diag_e[1:] += left * up_o[:n_even - 1]
+    rhs_e[1:] += left * rhs_o[:n_even - 1]
+    up_e[:n_odd] = right * up_o
+    diag_e[:n_odd] += right * lo_o
+    rhs_e[:n_odd] += right * rhs_o
+    x_e = np.append(_cyclic_reduction(lo_e, diag_e, up_e, rhs_e), 0.0)
+    x = np.empty(n)
+    x[::2] = x_e[:-1]
+    x[1::2] = (rhs_o - lo_o * x_e[:n_odd] - up_o * x_e[1:n_odd + 1]) / diag_o
+    return x
+
+
+def cubic_spline(t, values, at):
+    """Not-a-knot cubic spline through (t, values), evaluated at ``at``;
+    zero outside [t[0], t[-1]].
+
+    t must be finite and strictly increasing, with at least 4 knots. The
+    knot slopes solve the tridiagonal not-a-knot system by cyclic
+    reduction, so nothing loops over knots in Python.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise ValueError("spline knots and values must be 1-D of one length")
+    if t.size < 4:
+        raise ValueError(f"spline needs at least 4 knots, got {t.size}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("spline knots must be finite")
+    h = np.diff(t)
+    if not np.all(h > 0):
+        raise ValueError("spline knots must be strictly increasing")
+    slope = np.diff(y) / h
+    # interior rows: h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1]
+    # = 3 (h[i] slope[i-1] + h[i-1] slope[i]); each not-a-knot end row
+    # (h[1] s[0] + (h[0] + h[1]) s[1] = r0, and its mirror) is subtracted
+    # from its neighbour, which leaves a diagonally dominant system in
+    # s[1:-1]
+    rhs = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+    w0, w1 = h[0] + h[1], h[-2] + h[-1]
+    r0 = ((h[0] + 2.0 * w0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w0
+    r1 = (h[-1] ** 2 * slope[-2] + (2.0 * w1 + h[-1]) * h[-2] * slope[-1]) / w1
+    diag = 2.0 * (h[:-1] + h[1:])
+    diag[0], diag[-1] = w0, w1
+    rhs[0] -= r0
+    rhs[-1] -= r1
+    s = np.empty_like(t)
+    s[1:-1] = _cyclic_reduction(h[1:], diag, h[:-1], rhs)
+    s[0] = (r0 - w0 * s[1]) / h[1]
+    s[-1] = (r1 - w1 * s[-2]) / h[-2]
+
+    at = np.asarray(at, dtype=float)
+    inside = (at >= t[0]) & (at <= t[-1])
+    q = at[inside]
+    i = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.size - 2)
+    hi, si, sj, mi = h[i], s[i], s[i + 1], slope[i]
+    curv = (si + sj - 2.0 * mi) / hi
+    dq = q - t[i]
+    out = np.zeros(at.shape)
+    out[inside] = (((curv / hi) * dq + ((mi - si) / hi - curv)) * dq
+                   + si) * dq + y[i]
+    return out
 
 
 def off_node(x, dx):
@@ -200,9 +285,7 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     t = np.arange(n_steps + 1) * dt
     # soft current-sheet source: dE/dt term with 1/dx density so the
     # radiated amplitude is resolution-independent; zero outside its window
-    kick = CubicSpline(source.grid.times, source.samples,
-                       extrapolate=False)(t) * dt / dx
-    kick[~np.isfinite(kick)] = 0.0
+    kick = cubic_spline(source.grid.times, source.samples, t) * dt / dx
     src_peak = max(source.peak, 1e-300)
 
     nx = grid1d.nx

@@ -1,6 +1,9 @@
 """Config parsing, pulse synthesis and scenario running."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +127,28 @@ def test_synthesize_file_round_trip(tmp_path):
                               file=str(f))
     assert np.max(np.abs(louder.samples - 5.0 * back.samples)) <= (
         1e-14 * louder.peak)
+
+
+def test_run_names_pulse_file_with_too_few_rows(tmp_path):
+    # the resampling spline needs 4 knots
+    f = tmp_path / "pulse.txt"
+    np.savetxt(f, [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    text = BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                        f"shape = user-file\nfile = {f}\n")
+    status, written = run_scenario(parse_config(text), out_dir=tmp_path)
+    assert status == 1
+    message = Path(written[0]).read_text()
+    assert "pulse.file" in message and "at least 4 knots" in message
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, metapulse.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_split_scenario(tmp_path):
@@ -381,6 +406,14 @@ def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     # and the empty list failed in max()
     ("reference-compare", "run.x_probes", "0.96, -0.96"),
     ("reference-compare", "run.x_probes", ","),
+    # run stopped at "n_steps must be at least 4", or wrote a header-only
+    # table; a Kerr n_steps of 0 asks for the derived count
+    ("propagate-nonlinear", "run.n_steps", "2"),
+    ("propagate-nonlinear", "run.n_steps", "-5"),
+    ("propagate-unidirectional", "run.n_steps", "3"),
+    ("stationary-nonlinear", "run.n_steps", "0"),
+    ("stationary-linear", "run.n_xi", "0"),
+    ("taylor-error", "run.n_points", "0"),
 ])
 def test_validate_rejects_non_finite_and_unusable_numbers(
         tmp_path, capsys, scenario, key, value):

@@ -31,6 +31,9 @@ def test_params_si_defaults_consistent():
     p = DrudeParams(1e15, 2e15)
     assert abs(p.c**2 * p.eps0 * p.mu0 - 1.0) <= 1e-12
     assert p.band_low == 1e15 and p.band_high == 2e15
+    # CODATA 2022, whatever constants table is installed
+    assert (p.c, p.eps0) == (299792458.0, 8.8541878188e-12)
+    assert p.mu0 == 1.0 / (299792458.0**2 * 8.8541878188e-12)
 
 
 def test_drude_response_values(unit_params):

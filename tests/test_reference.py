@@ -14,7 +14,7 @@ from metapulse import (
     run_boundary_source,
     step,
 )
-from metapulse.reference import BLOCK_STEPS, _material
+from metapulse.reference import BLOCK_STEPS, _material, cubic_spline
 from conftest import gaussian_pulse
 
 
@@ -129,14 +129,16 @@ def _advance(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0):
 
 def _full_grid_source_run(source, grid1d, params, duration, probes,
                           source_index):
-    """Reference oracle loop: B on every half node, one spline call, the
-    blow-up guard and one Python loop over the probes per step. Raises
-    FloatingPointError carrying the first step past the guard."""
+    """Reference oracle loop: B on every half node, the blow-up guard and
+    one Python loop over the probes per step, with the source kick read
+    from one spline resampling. Raises FloatingPointError carrying the
+    first step past the guard."""
     wpe, wpm, eps0, mu0 = _material(params)
     dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
     n_steps = int(round(duration / dt))
     idx = [source_index + int(round(xp / dx)) for xp in probes]
-    src = CubicSpline(source.grid.times, source.samples, extrapolate=False)
+    kick = cubic_spline(source.grid.times, source.samples,
+                        np.arange(n_steps + 1) * dt)
     src_peak = max(source.peak, 1e-300)
     e, h, j_e, j_m = np.zeros(nx), np.zeros(nx - 1), np.zeros(nx), np.zeros(nx - 1)
     b = np.zeros(nx - 1)
@@ -145,9 +147,7 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     wall_peak = 0.0
     for n in range(1, n_steps + 1):
         _advance(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0)
-        sval = src(n * dt)
-        if np.isfinite(sval):
-            e[source_index] += float(sval) * dt / dx
+        e[source_index] += kick[n] * dt / dx
         b_prev = b.copy()
         b += -dt * (e[1:] - e[:-1]) / dx
         if not np.max(np.abs(e)) <= 1e6 * src_peak:
@@ -166,7 +166,7 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     # adjacent probes, the first next to the source, one behind it
     (200, 100, 16.0, [0.1, 0.2, 0.3, -0.1], False),
     # probes on the nodes beside both walls and on the source; the pulse
-    # reaches the walls and the run outlasts the source window (NaN tail)
+    # reaches the walls and the run outlasts the source window (zero kick)
     (80, 40, 60.0, [-3.9, 0.0, 3.8], True),
     # shorter than one block of steps (dt = 0.05)
     (200, 100, 5.0, [0.1, 0.2, 0.3, -0.1], False),
@@ -299,3 +299,42 @@ def test_convergence_second_order():
     assert errs[0] < 0.05
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all(ratios >= 3.0) and np.all(ratios <= 5.5)
+
+
+def _knots(n, uniform, rng):
+    if uniform:
+        return -3.0 + 0.25 * np.arange(n)
+    return np.cumsum(rng.uniform(0.01, 1.0, n))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("n", [4, 5, 7, 16, 17, 1024, 1025, 40001])
+def test_cubic_spline_matches_scipy_not_a_knot(n, uniform):
+    rng = np.random.default_rng(n)
+    t = _knots(n, uniform, rng)
+    y = rng.standard_normal(n)
+    span = t[-1] - t[0]
+    # the knots (both ends among them), points between, and points outside
+    at = np.concatenate([t, rng.uniform(t[0], t[-1], 3 * n),
+                         [t[0] - 0.1 * span, t[0] - 1e-9, t[-1] + 1e-9,
+                          t[-1] + 0.1 * span]])
+    want = CubicSpline(t, y, extrapolate=False)(at)
+    got = cubic_spline(t, y, at)
+    outside = ~np.isfinite(want)
+    assert outside.sum() == 4
+    assert np.all(got[outside] == 0.0)
+    assert np.max(np.abs(got - np.where(outside, 0.0, want))) <= (
+        1e-13 * np.max(np.abs(want[~outside])))
+
+
+@pytest.mark.parametrize("t, why", [
+    ([0.0, 1.0, np.nan, 3.0, 4.0], "finite"),
+    ([0.0, 1.0, np.inf, 3.0, 4.0], "finite"),
+    ([0.0, 1.0, 1.0, 3.0, 4.0], "increasing"),
+    ([0.0, 2.0, 1.0, 3.0, 4.0], "increasing"),
+    ([4.0, 3.0, 2.0, 1.0, 0.0], "increasing"),
+    ([0.0, 1.0, 2.0], "at least 4"),
+])
+def test_cubic_spline_rejects_unusable_knots(t, why):
+    with pytest.raises(ValueError, match=why):
+        cubic_spline(t, np.ones(len(t)), [0.5])
