@@ -267,8 +267,7 @@ def _stiffness(state, coefficient, to_cube, grid, dealias):
     return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
 
 
-def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin,
-               sigma):
+def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin):
     """Lawson RK4 over [0, x_end], keeping only the requested stations.
 
     The system is d(state)/dx = lin * state + rhs(state): ``lin`` is
@@ -288,10 +287,12 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin,
     equals k(h/2) exactly. The kept steps are
     ``linspace(0, n_steps, n_stations)`` truncated to integers, duplicates
     dropped, so entry and exit are always kept. ``meta`` gains
-    ``kerr_stiffness``, h sigma with ``sigma`` the cubic term's rate at
-    entry; the method is stable up to about 2 sqrt(2). Aborts via
-    BlowUpError when the state turns non-finite; its record holds the
-    stations kept so far plus the last finite state.
+    ``kerr_stiffness`` and ``kerr_stiffness_exit``, h sigma with sigma the
+    cubic term's rate ``rhs.stiffness(state)`` at entry and at exit; the
+    method is stable up to about 2 sqrt(2), so an exit value above that
+    flags a march that steepened past its step. Aborts via BlowUpError
+    when the state turns non-finite; its record holds the stations kept
+    so far plus the last finite state.
     """
     if not x_end > 0:
         raise ValueError(f"x_end (zeta_end) must be positive, got {x_end!r}")
@@ -300,7 +301,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin,
     if n_stations < 2:
         raise ValueError(f"n_stations must be at least 2, got {n_stations!r}")
     h = x_end / n_steps
-    meta = {**meta, "kerr_stiffness": h * sigma}
+    meta = {**meta, "kerr_stiffness": h * rhs.stiffness(state)}
     half = np.exp(0.5 * h * lin)
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
     steps = [0]
@@ -342,6 +343,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin,
             if step in keep:
                 steps.append(step)
                 states.append(_to_pair(grid, state))
+    meta["kerr_stiffness_exit"] = h * rhs.stiffness(state)
     return PropagationRecord(np.array(steps) * h, states, meta)
 
 
@@ -422,8 +424,8 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     which poses the boundary-regime data as an x-initial-value problem.
     Lawson RK4 carries the linear (Klein-Gordon) phase exactly, so only the
     cubic term limits the step's stability; the record's
-    ``kerr_stiffness`` meta is h sigma_0 (see :func:`kerr_default_steps`).
-    The record keeps ``n_stations`` evenly spread steps, entry and exit
+    ``kerr_stiffness`` meta is h sigma_0 (see :func:`kerr_default_steps`)
+    and ``kerr_stiffness_exit`` the same number at x_end. The record keeps ``n_stations`` evenly spread steps, entry and exit
     included.
 
     ``_linear_sign`` flips the +-(pq/c) pair; the system maps onto itself
@@ -434,7 +436,7 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     state0 = _entry_spectrum(dp0)
     meta = _run_meta("nonlinear-coupled", params, grid, n_steps, dealias)
     return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta,
-                      lin=rhs.lin, sigma=rhs.stiffness(state0))
+                      lin=rhs.lin)
 
 
 def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
@@ -444,7 +446,7 @@ def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
     state0 = _kerr_entry(pi0)
     meta = _run_meta("nonlinear-unidirectional", params, grid, n_steps, dealias)
     return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta,
-                      lin=rhs.lin[:1], sigma=rhs.stiffness(state0))
+                      lin=rhs.lin[:1])
 
 
 def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
@@ -466,13 +468,12 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
         np.multiply(inv_iw, w_hat, out=out[1])
         return out
 
+    rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid, dealias)
     state0 = _entry_spectrum(dp0)
     meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
             "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
     lin = np.array([[-1.0], [1.0]]) * inv_iw
-    sigma = _stiffness(state0, 1.0, mask, grid, dealias)
-    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta, lin=lin,
-                      sigma=sigma)
+    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta, lin=lin)
 
 
 def _run_meta(model, params, grid, n_steps, dealias):

@@ -1,9 +1,11 @@
 """Config parsing, pulse synthesis and scenario running."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,24 +183,119 @@ def _format_per_value(header, columns):
     )
 
 
+def _near_ties():
+    """Doubles whose 18-digit rounding lies within 2^-40 of a tie without
+    being one, which the renderer leaves to Python: v = q 2^(ex-53), where
+    p/q is a continued-fraction convergent of 2^(ex-52) 10^(17-E) (twice
+    the renderer's scale for the decade E of v) with p odd and q in
+    [2^52, 2^53)."""
+    found = []
+    for ex in range(-1021, 1025):
+        low = math.floor((ex - 1) * math.log10(2.0))
+        for e in (low, low + 1):
+            x = Fraction(2) ** (ex - 52) * Fraction(10) ** (17 - e)
+            num, den = x.numerator, x.denominator
+            p0, q0, p1, q1 = 0, 1, 1, 0
+            while den and q1 < 2**53:
+                a, (num, den) = num // den, (den, num % den)
+                p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+                if not (2**52 <= q1 < 2**53 and p1 % 2
+                        and 0 < abs(q1 * x - p1) < Fraction(1, 2**39)):
+                    continue
+                v = math.ldexp(q1, ex - 53)
+                if Fraction(10) ** e <= v < Fraction(10) ** (e + 1):
+                    found.append(v)
+    return np.array(found)
+
+
+def _with_neighbours(values):
+    return np.concatenate([values, np.nextafter(values, -np.inf),
+                           np.nextafter(values, np.inf)])
+
+
+def _edge_values(name):
+    rng = np.random.default_rng(7)
+    if name == "powers-of-two":
+        return _with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+    if name == "powers-of-ten":
+        return _with_neighbours(
+            np.array([float(f"1e{k}") for k in range(-323, 309)]))
+    if name == "subnormals":
+        tiny = rng.integers(1, 2**52, 10_000).view(float)
+        return np.concatenate([[0.0, -0.0, 5e-324, -5e-324], tiny, -tiny])
+    if name == "integers":
+        return np.concatenate([np.arange(10_000.0),
+                               2.0**53 - np.arange(10_000.0),
+                               rng.integers(0, 2**53, 10_000) * 1.0])
+    if name == "exact-ties":
+        # 153 of them end in an exact tie at the 18th digit (2^-27 =
+        # 7.450580596923828125e-09 among them), which rounds half-even
+        odd = np.arange(1.0, 200.0, 2.0)
+        return np.ldexp(odd[:, None], np.arange(-60, 1)).ravel()
+    if name == "near-ties":
+        return _near_ties()
+    if name == "next-decade":
+        # the one double whose 18 digits round up into the next decade:
+        # it is just below 10^153
+        return np.array([1e153, -1e153])
+    if name == "non-finite":
+        return np.array([np.inf, -np.inf, np.nan, -np.nan])
+    if name == "random-bits":
+        return rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                            1_000_000, endpoint=True).view(float)
+    raise KeyError(name)
+
+
 @pytest.mark.parametrize("n_cols", [2, 5])
 @pytest.mark.parametrize("n_rows", [
     1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
     3 * CSV_CHUNK_ROWS + 7,
+    "powers-of-two", "powers-of-ten", "subnormals", "integers", "exact-ties",
+    "near-ties", "next-decade", "non-finite", "random-bits",
 ])
 def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
-    rng = np.random.default_rng(n_rows * 10 + n_cols)
-    special = [0.0, -0.0, 5e-324, -1e308, 1.0 / 3.0]
-    columns = [np.arange(n_rows, dtype=float)]  # integer-valued times
-    for c in range(1, n_cols):
-        exponents = rng.integers(-300, 300, n_rows)
-        col = rng.standard_normal(n_rows) * 10.0**exponents
-        col[: len(special)] = np.roll(special, c)[: n_rows]
-        columns.append(col)
+    # random rows of every magnitude, or a named set of edge values laid
+    # out row by row in n_cols columns (zero-padded)
+    if isinstance(n_rows, str):
+        values = _edge_values(n_rows)
+        values = np.append(values, np.zeros(-len(values) % n_cols))
+        columns = list(values.reshape(-1, n_cols).T)
+        n_rows = len(values) // n_cols
+    else:
+        rng = np.random.default_rng(n_rows * 10 + n_cols)
+        special = [0.0, -0.0, 5e-324, -1e308, 1.0 / 3.0]
+        columns = [np.arange(n_rows, dtype=float)]  # integer-valued times
+        for c in range(1, n_cols):
+            exponents = rng.integers(-300, 300, n_rows)
+            col = rng.standard_normal(n_rows) * 10.0**exponents
+            col[: len(special)] = np.roll(special, c)[: n_rows]
+            columns.append(col)
     header = ",".join(f"c{i}" for i in range(n_cols))
     text = _format_table(header, columns)
     assert text == _format_per_value(header, columns)
     assert text.count("\n") == n_rows + 1
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_cli_tables_match_per_value_rendering(tmp_path):
+    # every CSV that `metapulse run` writes for the 9 acceptance-10 configs,
+    # parsed back with float() and rendered one value at a time, is the
+    # file's text
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    tables = 0
+    for name, extra in SCENARIO_CONFIGS.items():
+        config = tmp_path / f"{name}.ini"
+        config.write_text(f"[scenario]\nname = {name}\n{BASE_MEDIUM}{extra}")
+        assert main(["run", str(config), "--out", str(tmp_path / name)]) == 0
+        for path in sorted((tmp_path / name).glob("*.csv")):
+            text = path.read_text()
+            header, *lines = text.splitlines()
+            rows = np.array([[float(v) for v in line.split(",")]
+                             for line in lines])
+            assert text == _format_per_value(header, list(rows.T))
+            tables += 1
+    assert tables == 25
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -226,16 +323,21 @@ def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
     status, _ = run_scenario(parse_config(text), out_dir=tmp_path)
     assert status == 0
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
-    entry = np.loadtxt(sorted(tmp_path.glob("*_station_000.csv"))[0],
-                       delimiter=",", skiprows=1)
+    stations = [np.loadtxt(path, delimiter=",", skiprows=1)
+                for path in sorted(tmp_path.glob("*_station_*.csv"))]
     grid = TimeGrid(1024, 0.2)
     k = np.abs(np.fft.fftfreq(grid.n) * grid.n)
     top = grid.n // 3 if dealias else grid.n // 2 - 1
-    u_tt = np.fft.ifft(-grid.omegas**2 * (k <= top)
-                       * np.fft.fft(entry[:, 1] - entry[:, 2])).real
     k_c = 0.5 * 10.0 * 2.0**2 / (2.0 * 20.0**3 * 30.0)
     w_top = 2.0 * np.pi * top / grid.window
-    sigma = 3.0 * rows * k_c * np.max(u_tt**2) * w_top
+
+    def sigma_at(station):
+        u_tt = np.fft.ifft(-grid.omegas**2 * (k <= top)
+                           * np.fft.fft(station[:, 1] - station[:, 2])).real
+        return 3.0 * rows * k_c * np.max(u_tt**2) * w_top
+
+    entry = stations[0]
+    sigma = sigma_at(entry)
     fields = entry[:, 1:1 + rows].T
     power = np.sum(np.abs(np.fft.rfft(fields))**2, axis=0)
     rate = 20.0 * 30.0 / 2.0 / grid.half_omegas[1:-1]
@@ -245,6 +347,9 @@ def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
     assert summary["n_steps"] == expected_steps
     assert summary["kerr_stiffness (1)"] == pytest.approx(
         0.5 / expected_steps * sigma, rel=1e-12)
+    # the same rate read from the exit station
+    assert summary["kerr_stiffness_exit (1)"] == pytest.approx(
+        0.5 / expected_steps * sigma_at(stations[-1]), rel=1e-9)
     if n_steps is None:
         assert summary["kerr_stiffness (1)"] <= 2.0
 

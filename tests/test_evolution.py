@@ -372,6 +372,24 @@ def test_blowup_after_the_entry_rate_grew_asks_for_more_steps(kerr_params,
         "(for example to 8)")
 
 
+def test_exit_stiffness_flags_a_finite_march_past_its_step():
+    # sigma_0 at entry sets 21 steps, but the pulse steepens along x: that
+    # march ends finite with peaks near 1e8, while 42 steps and more end
+    # at 3.9 and 1.8. The exit h sigma reads past RK4's limit of 2 sqrt(2)
+    # at 21 steps and within it at 42
+    params = DrudeParams(0.8, 1.2, c=1.0, eps0=1.0, mu0=1.0, chi3=1.0)
+    grid = TimeGrid(2048, 0.1)
+    dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0, amplitude=4.0),
+                       band_pulse(grid, 0.35, 15.0, amplitude=2.0))
+    assert kerr_default_steps(dp0, 2.0, params, grid) == 21
+    coarse, fine = (propagate_nonlinear(dp0, 2.0, n, params, grid)
+                    for n in (21, 42))
+    assert coarse.final.pi.peak > 1e7
+    assert coarse.meta["kerr_stiffness_exit"] > 2.0 * np.sqrt(2.0)
+    assert fine.final.pi.peak < 4.0
+    assert fine.meta["kerr_stiffness_exit"] <= 2.0 * np.sqrt(2.0)
+
+
 @pytest.mark.parametrize("amplitude", [1.0, 3.0])
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("coupled", [True, False])
@@ -570,10 +588,10 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
         tracemalloc.reset_peak()
         return rhs(s, out)
 
+    watched.stiffness = rhs.stiffness
     tracemalloc.start()
     try:
-        _march_rk4(watched, state, 0.1, 6, 2, grid, {}, lin=rhs.lin[:rows],
-                   sigma=0.0)
+        _march_rk4(watched, state, 0.1, 6, 2, grid, {}, lin=rhs.lin[:rows])
     finally:
         tracemalloc.stop()
     assert len(gaps) == 24

@@ -30,6 +30,7 @@ from metapulse import (
     reconstruct,
     split,
 )
+from metapulse.cli import _format_table
 from metapulse.spectral import MULTIPLIER_KINDS
 
 # derandomized, so every run draws the same examples; no example database
@@ -216,3 +217,12 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
         x_end / n_steps * sigma, rel=1e-9)
     assert all(np.all(np.isfinite(s.pi.samples))
                and np.all(np.isfinite(s.lam.samples)) for s in rec.states)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=12))
+def test_format_table_renders_every_float_as_percent_17e(values):
+    # any double st.floats() draws (nan, +-inf, -0.0, subnormals included)
+    # is written exactly as '%.17e' % v writes it
+    text = _format_table("v (1)", [np.array(values)])
+    assert text == "v (1)\n" + "".join("%.17e\n" % v for v in values)
