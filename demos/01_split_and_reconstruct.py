@@ -3,14 +3,15 @@
 A Drude metamaterial with both plasma frequencies equal to 1 rad/s supports
 propagating waves below 1 rad/s with a negative refraction index. The
 directed amplitudes Pi (right) and Lambda (left) are linear combinations of
-the boundary fields B and E through the slowness operator a-hat.
+the boundary fields B and E through the slowness operator a-hat: split and
+reconstruct are the paper's projector pair.
 """
 
 import numpy as np
 
 from metapulse import (
-    BoundaryRegime,
     DrudeParams,
+    FieldPair,
     Signal,
     TimeGrid,
     reconstruct,
@@ -27,7 +28,7 @@ env = np.exp(-((t - t0) ** 2) / (2.0 * 15.0**2))
 j = Signal(grid, env * np.sin(0.4 * (t - t0)))
 j = Signal(grid, j.samples - np.mean(j.samples))
 
-dp = split(BoundaryRegime(j=j, k=Signal.zeros(grid)), params, grid)
+dp = split(FieldPair(b=Signal.zeros(grid), e=j), params, grid)
 print(f"input E peak          : {j.peak:.6f}")
 print(f"right amplitude peak  : {dp.pi.peak:.6f}")
 print(f"left amplitude peak   : {dp.lam.peak:.6f}")

@@ -24,7 +24,6 @@ from .medium import (
     a_squared,
     a_symbol,
     drude_response,
-    energy_density,
     taylor_coefficients,
     taylor_truncation_error,
 )
@@ -35,27 +34,14 @@ from .spectral import (
     apply,
     make_multiplier,
 )
-from .projectors import (
-    FieldPair,
-    ProjectorPair,
-    apply_projector,
-    build_projectors,
-    commutation_check,
-    l_operator,
-)
-from .waves import BoundaryRegime, DirectedPair, reconstruct, split
+from .waves import DirectedPair, FieldPair, reconstruct, split
 from .evolution import (
-    KerrCoupling,
     PropagationRecord,
-    from_dimensionless,
-    kerr_coupling,
     kerr_default_steps,
-    propagate_dimensionless,
     propagate_kg,
     propagate_linear_exact,
     propagate_nonlinear,
     propagate_unidirectional,
-    to_dimensionless,
 )
 from .stationary import (
     StationaryParams,

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, evolution, medium, reference, stationary, waves
 from .errors import ConfigError
 from .spectral import Signal, TimeGrid, apply, make_multiplier
-from .waves import BoundaryRegime
+from .waves import FieldPair
 
 __all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse",
            "run_scenario", "main", "SCENARIOS"]
@@ -354,7 +354,8 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
 
 
 def _boundary(config, grid, mode):
-    """Boundary regime from the pulse spec: j = pulse; k per ``mode``.
+    """Entry-plane fields (B, E) = (k, j) from the pulse spec: j = pulse,
+    k per ``mode``.
 
     ``pure-right`` sets k = a-hat j, so the entry pair is Pi = k, Lambda = 0.
     """
@@ -365,20 +366,21 @@ def _boundary(config, grid, mode):
         k = apply(make_multiplier("a", config.params, grid), j)
     else:
         raise ConfigError([f"run.boundary: unknown mode {mode!r}"])
-    return BoundaryRegime(j=j, k=k)
+    return FieldPair(b=k, e=j)
 
 
 def _format_table(header, columns):
-    """Render a table deterministically: comma-separated, %.17e.
+    """Render a table deterministically as ASCII bytes: comma-separated,
+    %.17e.
 
     Every value is written exactly as ``'%.17e' % v`` writes it, by
     :func:`_render_rows` in numpy, ``CSV_CHUNK_ROWS`` rows at a time.
     """
     data = np.column_stack(columns).astype(float, copy=False)
-    parts = [header + "\n"]
+    parts = [header.encode() + b"\n"]
     for start in range(0, len(data), CSV_CHUNK_ROWS):
         parts.append(_render_rows(data[start:start + CSV_CHUNK_ROWS]))
-    return "".join(parts)
+    return b"".join(parts)
 
 
 def _ascii_table(strings, dtype):
@@ -437,7 +439,8 @@ def _decimal_table():
 
 
 def _render_rows(block):
-    """The CSV rows of a 2-D float block, each value as ``'%.17e' % v``.
+    """The CSV rows of a 2-D float block as ASCII bytes, each value as
+    ``'%.17e' % v``.
 
     The digits come from a table of scaled powers of ten, as in Ryu-printf
     (Adams 2019), in double-double arithmetic. v = M 2^(ex-53) in the
@@ -500,7 +503,7 @@ def _render_rows(block):
         text = b"%.17e" % block.flat[j]
         raw[j, :-1] = 0
         raw[j, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.tobytes().translate(None, b"\0")
 
 
 def _station_tables(record, grid, prefix, with_fields=None):
@@ -533,9 +536,9 @@ def run_scenario(config, out_dir=None):
         return 1, [str(diag)]
 
     written = []
-    for name, (text, meta) in tables.items():
+    for name, (table, meta) in tables.items():
         path = out / name
-        path.write_text(text)
+        path.write_bytes(table)
         written.append(str(path))
     manifest = {
         "tool": "metapulse",
@@ -559,20 +562,20 @@ def run_scenario(config, out_dir=None):
 
 def _run_split(config):
     grid = _resolve_grid(config)
-    regime = _boundary(config, grid, config.run["boundary"])
-    dp = waves.split(regime, config.params, grid)
+    fields = _boundary(config, grid, config.run["boundary"])
+    dp = waves.split(fields, config.params, grid)
     header = "t (s),j=E(0,t) (V/m),k=B(0,t) (T),Pi (T),Lambda (T)"
-    text = _format_table(header, [grid.times, regime.j.samples,
-                                  regime.k.samples, dp.pi.samples,
-                                  dp.lam.samples])
+    table = _format_table(header, [grid.times, fields.e.samples,
+                                   fields.b.samples, dp.pi.samples,
+                                   dp.lam.samples])
     summary = {"pi_peak (T)": dp.pi.peak, "lambda_peak (T)": dp.lam.peak}
-    return {"split.csv": (text, {})}, summary
+    return {"split.csv": (table, {})}, summary
 
 
 def _linear_runner(config, propagator, tag):
     grid = _resolve_grid(config)
-    regime = _boundary(config, grid, config.run["boundary"])
-    dp0 = waves.split(regime, config.params, grid)
+    fields = _boundary(config, grid, config.run["boundary"])
+    dp0 = waves.split(fields, config.params, grid)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
     states = propagator(dp0, xs, config.params, grid)
     record = evolution.PropagationRecord(xs, states, {"model": tag})
@@ -590,19 +593,11 @@ def _run_linear(config):
 
 
 def _run_kg(config):
-    # the error budget reads the entry half-spectra that the propagation
-    # advances, so the entry pair is transformed once
-    entry = []
-
-    def propagator(dp0, xs, params, grid):
-        entry.append(evolution._entry_spectrum(dp0))
-        return evolution._kg_advance(entry[0], xs, params, grid)
-
-    tables, summary, dp0 = _linear_runner(config, propagator, "kg")
+    tables, summary, dp0 = _linear_runner(config, evolution.propagate_kg, "kg")
     # document the reduction-error budget: truncation error at the occupied
     # band edge times the accumulated exact phase over the full distance
     grid = dp0.grid
-    spec = np.abs(entry[0]).sum(axis=0)
+    spec = np.abs(evolution._entry_spectrum(dp0)).sum(axis=0)
     occupied = spec > 1e-8 * np.max(spec)
     w_occ = grid.half_omegas[occupied]
     w_edge = float(np.max(w_occ))
@@ -639,8 +634,8 @@ def _kerr_steps(config, entry, grid):
 
 def _run_nonlinear(config):
     grid = _resolve_grid(config)
-    regime = _boundary(config, grid, config.run["boundary"])
-    dp0 = waves.split(regime, config.params, grid)
+    fields = _boundary(config, grid, config.run["boundary"])
+    dp0 = waves.split(fields, config.params, grid)
     n_steps = _kerr_steps(config, dp0, grid)
     record = evolution.propagate_nonlinear(
         dp0, config.run["x_end"], n_steps, config.params, grid,
@@ -657,7 +652,9 @@ def _run_nonlinear(config):
 
 def _run_unidirectional(config):
     grid = _resolve_grid(config)
-    pi0 = _boundary(config, grid, "pure-right").k
+    # the pure-right entry splits into Pi = k and Lambda = 0 exactly
+    pi0 = waves.split(_boundary(config, grid, "pure-right"), config.params,
+                      grid).pi
     n_steps = _kerr_steps(config, pi0, grid)
     record = evolution.propagate_unidirectional(
         pi0, config.run["x_end"], n_steps, config.params, grid,
@@ -677,9 +674,9 @@ def _run_stationary_linear(config):
                      config.run["n_xi"])
     r = stationary.linear_r_profile(config.run["amplitude_r"], sp, xi)
     lw = stationary.linear_l_profile(config.run["amplitude_l"], sp, xi)
-    text = _format_table("xi (m),R (T),L (T)", [xi, r, lw])
+    table = _format_table("xi (m),R (T),L (T)", [xi, r, lw])
     summary = {"k (1/m)": sp.k, "omega (rad/s)": sp.omega, "v (m/s)": sp.v}
-    return {"stationary_linear.csv": (text, {})}, summary
+    return {"stationary_linear.csv": (table, {})}, summary
 
 
 def _run_stationary_nonlinear(config):
@@ -688,9 +685,9 @@ def _run_stationary_nonlinear(config):
         config.run["pi0"], config.run["dpi0"], config.run["xi_end"],
         config.run["n_steps"], sp, config.params,
     )
-    text = _format_table("xi (m),Pi (T),dPi/dxi (T/m)", [xi, pi, slope])
+    table = _format_table("xi (m),Pi (T),dPi/dxi (T/m)", [xi, pi, slope])
     summary = {"k (1/m)": sp.k, "K_v": sp.big_k_v}
-    return {"stationary_nonlinear.csv": (text, {})}, summary
+    return {"stationary_nonlinear.csv": (table, {})}, summary
 
 
 def _run_taylor_error(config):
@@ -702,8 +699,8 @@ def _run_taylor_error(config):
              "stays in the lower band"]
         )
     err = medium.taylor_truncation_error(p, omegas)
-    text = _format_table("omega/omega_pe (1),relative error (1)",
-                         [omegas / p.omega_pe, err])
+    table = _format_table("omega/omega_pe (1),relative error (1)",
+                          [omegas / p.omega_pe, err])
     at = lambda frac: float(
         medium.taylor_truncation_error(p, frac * p.omega_pe)
     )
@@ -716,7 +713,7 @@ def _run_taylor_error(config):
         "claim_met_at_0.9": at(0.9) <= 0.10,
         "note": "claims reported, not gated",
     }
-    return {"taylor_error.csv": (text, {})}, summary
+    return {"taylor_error.csv": (table, {})}, summary
 
 
 def _run_reference_compare(config):
@@ -768,9 +765,9 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
 
     e_ref, b_ref = (reference.cubic_spline(run["t"], run[k][0], grid.times)
                     for k in ("e", "b"))
-    regime = BoundaryRegime(j=Signal(grid, e_ref - np.mean(e_ref)),
-                            k=Signal(grid, b_ref - np.mean(b_ref)))
-    dp0 = waves.split(regime, params, grid)
+    fields = FieldPair(b=Signal(grid, b_ref - np.mean(b_ref)),
+                       e=Signal(grid, e_ref - np.mean(e_ref)))
+    dp0 = waves.split(fields, params, grid)
 
     probes = []
     ok = True

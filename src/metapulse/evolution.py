@@ -30,9 +30,9 @@ entry pair, one (stations x bins) phase table and one stacked irfft.
 
 The dimensionless form pi = Pi_tt/alpha, lam = Lambda_tt/alpha, zeta = x/beta
 with alpha = sqrt(2 p^4 q^2 / (mu0 chi3 c^3)), beta = c/(pq) has unit
-coefficients. Its solver keeps its own right-hand side on purpose: it is the
-independent reference that the physical path is checked against, and it
-records only entry and exit.
+coefficients. Its solver lives in the test suite, beside the acceptance
+test it serves: it keeps its own right-hand side as the independent
+reference that the physical path is checked against.
 """
 
 import warnings
@@ -41,23 +41,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError
-from .spectral import Multiplier, Signal, apply, make_multiplier
+from .spectral import Signal, make_multiplier
 from .waves import DirectedPair
 
 __all__ = [
     "PropagationRecord",
-    "KerrCoupling",
-    "kerr_coupling",
     "propagate_linear_exact",
     "propagate_kg",
     "propagate_nonlinear",
     "propagate_unidirectional",
-    "propagate_dimensionless",
     "kerr_default_steps",
     "KERR_STIFFNESS",
     "KERR_PHASE_STEP",
-    "to_dimensionless",
-    "from_dimensionless",
 ]
 
 #: h sigma_0 that default Kerr step counts stay at or below: about 0.71 of
@@ -92,30 +87,6 @@ class PropagationRecord:
     @property
     def final(self):
         return self.states[-1]
-
-
-@dataclass(frozen=True)
-class KerrCoupling:
-    """Kerr coefficient and the natural amplitude/length scales."""
-
-    big_k: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("scales must be positive")
-
-
-def kerr_coupling(params):
-    """Derive (K, alpha, beta) from medium parameters; needs chi3 > 0."""
-    if not params.chi3 > 0:
-        raise ValueError("Kerr scales are undefined for chi3 = 0")
-    p, q, c, mu0 = params.omega_pe, params.omega_pm, params.c, params.mu0
-    big_k = mu0 * params.chi3 * c**3 / (2.0 * p**3 * q)
-    alpha = np.sqrt(2.0 * p**4 * q**2 / (mu0 * params.chi3 * c**3))
-    beta = c / (p * q)
-    return KerrCoupling(big_k=big_k, alpha=alpha, beta=beta)
 
 
 def _distances(xs):
@@ -161,17 +132,12 @@ def propagate_kg(dp0, xs, params, grid):
     when significant energy sits above min(p, q) / 2.
     """
     xs = _distances(xs)
-    return _kg_advance(_entry_spectrum(dp0), xs, params, grid)
-
-
-def _kg_advance(spec, xs, params, grid):
-    """:func:`propagate_kg` from the entry half-spectra ``spec`` (see
-    :func:`_entry_spectrum`) to the distances ``xs``."""
+    spec = _entry_spectrum(dp0)
     w, w_max = grid.half_omegas, 0.5 * params.band_low
     mag = np.abs(spec).sum(axis=0)
     if np.max(mag[w > w_max], initial=0.0) > 1e-6 * np.max(mag):
         warnings.warn(f"spectral content above {w_max:g} rad/s; the long-wave "
-                      "reduction may be inaccurate", stacklevel=3)
+                      "reduction may be inaccurate", stacklevel=2)
     pq_c = params.omega_pe * params.omega_pm / params.c
     theta = np.zeros((xs.size, w.size))
     theta[:, 1:] = np.divide.outer(-pq_c * xs, w[1:])
@@ -449,33 +415,6 @@ def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
                       lin=rhs.lin[:1])
 
 
-def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
-    """March the unit-coefficient system in (pi, lam, zeta) variables:
-
-        pi_zeta  = dt^{-1} [ -pi  - ((pi - lam)^3)_tt ],
-        lam_zeta = dt^{-1} [ +lam + ((pi - lam)^3)_tt ].
-
-    Kept apart from the physical cubic term as an independent reference
-    for it, with the same Lawson marcher; records only entry and exit.
-    """
-    inv_iw, w2, mask = _half_spectrum(grid, dealias)
-    cube = _cube(grid)
-
-    def rhs(state, out):
-        pi_hat, lam_hat = state
-        w_hat = -w2 * mask * cube(mask * (pi_hat - lam_hat))
-        np.multiply(inv_iw, -w_hat, out=out[0])
-        np.multiply(inv_iw, w_hat, out=out[1])
-        return out
-
-    rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid, dealias)
-    state0 = _entry_spectrum(dp0)
-    meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
-            "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
-    lin = np.array([[-1.0], [1.0]]) * inv_iw
-    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta, lin=lin)
-
-
 def _run_meta(model, params, grid, n_steps, dealias):
     return {
         "model": model,
@@ -489,30 +428,4 @@ def _run_meta(model, params, grid, n_steps, dealias):
         "n_steps": n_steps,
         "dealias": dealias,
     }
-
-
-def _rescale(record, symbol, stations, variables):
-    """Apply one half-spectrum multiplier to every field of a record."""
-    m = Multiplier(record.states[0].grid, symbol)
-    states = [DirectedPair(apply(m, s.pi), apply(m, s.lam))
-              for s in record.states]
-    meta = {**record.meta, "variables": variables}
-    return PropagationRecord(stations, states, meta)
-
-
-def to_dimensionless(record, coupling):
-    """Rescale a physical record to (pi, lam, zeta) = (Pi_tt, Lambda_tt,
-    x) / (alpha, alpha, beta)."""
-    w2 = record.states[0].grid.half_omegas ** 2
-    return _rescale(record, -w2 / coupling.alpha,
-                    record.stations / coupling.beta, "dimensionless")
-
-
-def from_dimensionless(record, coupling):
-    """Invert :func:`to_dimensionless`; dt^{-2} annihilates the DC bin."""
-    w2 = record.states[0].grid.half_omegas ** 2
-    symbol = np.zeros(w2.size)
-    symbol[1:] = -coupling.alpha / w2[1:]
-    return _rescale(record, symbol, record.stations * coupling.beta,
-                    "physical")
 

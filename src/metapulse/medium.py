@@ -2,8 +2,8 @@
 
 Frequency responses eps(w) = 1 - wpe^2/w^2 and mu(w) = 1 - wpm^2/w^2, the
 slowness symbol a(w) = sqrt(eps*mu)/c with its physical branch, the
-three-term small-frequency Taylor expansion of a(w), the truncation error
-of the leading term, and the dispersive energy density.
+three-term small-frequency Taylor expansion of a(w) and the truncation
+error of the leading term.
 
 Everything here is a pure function of scalar or array frequencies; grid
 level concerns (DC bin, Nyquist, band checks per bin) live in
@@ -35,7 +35,6 @@ __all__ = [
     "a_symbol",
     "taylor_coefficients",
     "taylor_truncation_error",
-    "energy_density",
 ]
 
 
@@ -93,8 +92,9 @@ class DrudeParams:
 class TaylorA:
     """Coefficients of the three-term expansion of the a-hat operator.
 
-    The expansion reads  a-hat ~ k_m2 * dt^{-2} + k_0 + k_p2 * dt^2,
-    so in frequency the symbol is  -k_m2/w^2 + k_0 - k_p2*w^2.
+    In the lower band |a(w)| ~ k_m2/w^2 + k_0 + k_p2*w^2, so the expansion
+    reads  a-hat ~ k_m2 * dt^{-2} - k_0 + k_p2 * dt^2  and in frequency
+    the symbol is  -(k_m2/w^2 + k_0 + k_p2*w^2).
     """
 
     k_m2: float
@@ -108,7 +108,7 @@ class TaylorA:
     def symbol(self, omega):
         """Evaluate the truncated frequency symbol at ``omega``."""
         w2 = np.asarray(omega, dtype=float) ** 2
-        return -self.k_m2 / w2 + self.k_0 - self.k_p2 * w2
+        return -(self.k_m2 / w2 + self.k_0 + self.k_p2 * w2)
 
 
 def _check_nonzero(omega):
@@ -169,11 +169,17 @@ def a_symbol(params, omega):
 
 
 def taylor_coefficients(params):
-    """Three-term Taylor coefficients of a(w) around w = 0."""
+    """Three-term Taylor coefficients of a(w) around w = 0.
+
+    |a(w)| = (pq/(c w^2)) sqrt((1 - w^2/p^2)(1 - w^2/q^2)) expands to
+    k_m2 = pq/c, k_0 = -(p^2 + q^2)/(2cpq) and
+    k_p2 = (1/(2pq) - (p^2 + q^2)^2/(8 p^3 q^3))/c, which is 0 at p = q,
+    where the two-term series is exact.
+    """
     p, q, c = params.omega_pe, params.omega_pm, params.c
     k_m2 = p * q / c
     k_0 = -(p**2 + q**2) / (2.0 * c * p * q)
-    k_p2 = (1.0 / (2.0 * p * q) + (p**2 + q**2) ** 2 / (8.0 * p**3 * q**3)) / c
+    k_p2 = (1.0 / (2.0 * p * q) - (p**2 + q**2) ** 2 / (8.0 * p**3 * q**3)) / c
     return TaylorA(k_m2=k_m2, k_0=k_0, k_p2=k_p2)
 
 
@@ -193,19 +199,3 @@ def taylor_truncation_error(params, omega):
     out = np.abs(lead - a) / np.abs(a)
     return float(out) if out.ndim == 0 else out
 
-
-def energy_density(params, omega, e_field, h_field):
-    """Dispersive field energy density.
-
-    W = d(w*eps)/dw * E^2 + d(w*mu)/dw * H^2
-      = (1 + wpe^2/w^2) E^2 + (1 + wpm^2/w^2) H^2,
-
-    positive for any nonzero fields, including in the double-negative band.
-    """
-    omega = _check_nonzero(omega)
-    we = 1.0 + params.omega_pe**2 / omega**2
-    wm = 1.0 + params.omega_pm**2 / omega**2
-    out = we * np.asarray(e_field, dtype=float) ** 2 + wm * np.asarray(
-        h_field, dtype=float
-    ) ** 2
-    return float(out) if out.ndim == 0 else out

@@ -1,9 +1,18 @@
-"""Shared fixtures: natural-unit media and band-limited random pulses."""
+"""Shared fixtures: natural-unit media, band-limited random pulses and the
+projector pair on field columns."""
 
 import numpy as np
 import pytest
 
-from metapulse import DrudeParams, Signal, TimeGrid
+from metapulse import (
+    DirectedPair,
+    DrudeParams,
+    FieldPair,
+    Signal,
+    TimeGrid,
+    reconstruct,
+    split,
+)
 
 
 @pytest.fixture
@@ -48,3 +57,19 @@ def gaussian_pulse(grid, carrier, width, amplitude=1.0):
     samples = amplitude * env * np.sin(carrier * (t - t0))
     samples = samples - np.mean(samples)
     return Signal(grid, samples)
+
+
+def projections(psi, params, grid):
+    """(P1 psi, P2 psi) of the field pair psi through the production
+    split: P1 psi = reconstruct(0, Lambda), P2 psi = reconstruct(Pi, 0)."""
+    dp = split(psi, params, grid)
+    zero = Signal.zeros(grid)
+    return (reconstruct(DirectedPair(zero, dp.lam), params, grid),
+            reconstruct(DirectedPair(dp.pi, zero), params, grid))
+
+
+def field_peak(f, g=None):
+    """Largest |sample| of the field pair f, or of f - g."""
+    if g is not None:
+        f = FieldPair(f.b - g.b, f.e - g.e)
+    return max(f.b.peak, f.e.peak)

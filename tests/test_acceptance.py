@@ -6,37 +6,32 @@ printed unbuffered so they show up even under capture.
 
 import json
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from metapulse import (
-    BoundaryRegime,
     DirectedPair,
     DrudeParams,
     FieldPair,
+    Multiplier,
     Signal,
     TimeGrid,
     a_symbol,
     apply,
-    apply_projector,
-    build_projectors,
     cardano_f,
     integrate_oscillator,
-    kerr_coupling,
     linear_l_profile,
     linear_r_profile,
     make_multiplier,
-    propagate_dimensionless,
     propagate_kg,
     propagate_linear_exact,
     propagate_nonlinear,
     propagate_unidirectional,
     series_f,
-    split,
     stationary_params,
     taylor_truncation_error,
-    to_dimensionless,
 )
 from metapulse.cli import (
     SCENARIOS,
@@ -45,8 +40,15 @@ from metapulse.cli import (
     run_scenario,
     synthesize_pulse,
 )
-from metapulse.evolution import PropagationRecord
-from conftest import gaussian_pulse, random_zero_mean
+from metapulse.evolution import (
+    PropagationRecord,
+    _cube,
+    _entry_spectrum,
+    _half_spectrum,
+    _march_rk4,
+    _stiffness,
+)
+from conftest import field_peak, gaussian_pulse, projections, random_zero_mean
 
 UNIT = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
 KERR = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0, chi3=1.0)
@@ -63,18 +65,21 @@ def rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+@pytest.mark.filterwarnings("ignore:boundary signal")
 def test_acceptance_01_projector_algebra(capsys):
+    # P1 and P2 through the production split and reconstruction
     t0 = time.perf_counter()
-    pair = build_projectors(UNIT, GRID)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):
         psi = FieldPair(random_zero_mean(GRID, rng), random_zero_mean(GRID, rng))
-        p1, p2 = apply_projector(pair, 1, psi), apply_projector(pair, 2, psi)
-        worst = max(worst, (p1 + p2 - psi).peak / psi.peak)
-        worst = max(worst, (apply_projector(pair, 1, p1) - p1).peak / psi.peak)
-        worst = max(worst, (apply_projector(pair, 2, p2) - p2).peak / psi.peak)
-        worst = max(worst, apply_projector(pair, 1, p2).peak / psi.peak)
+        p1, p2 = projections(psi, UNIT, GRID)
+        scale = field_peak(psi)
+        worst = max(worst, field_peak(FieldPair(p1.b + p2.b, p1.e + p2.e),
+                                      psi) / scale)
+        worst = max(worst, field_peak(projections(p1, UNIT, GRID)[0], p1) / scale)
+        worst = max(worst, field_peak(projections(p2, UNIT, GRID)[1], p2) / scale)
+        worst = max(worst, field_peak(projections(p2, UNIT, GRID)[0]) / scale)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0
     verdict(1, ok, f"100 pairs, max residual {worst:.2e}, {elapsed:.2f}s",
@@ -253,6 +258,87 @@ def test_acceptance_06_nonlinear_solver(capsys):
     verdict(6, ok, f"chi3=0 vs kg {chi0_err:.2e}, order {order:.2f}, cubic "
                    f"slope {slope:.3f}, zero fixed point, {elapsed:.1f}s",
             capsys)
+
+
+# ------------------------------------- dimensionless reference (criterion 7)
+
+
+@dataclass(frozen=True)
+class KerrCoupling:
+    """Kerr coefficient and the natural amplitude/length scales."""
+
+    big_k: float
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and self.beta > 0):
+            raise ValueError("scales must be positive")
+
+
+def kerr_coupling(params):
+    """Derive (K, alpha, beta) from medium parameters; needs chi3 > 0."""
+    if not params.chi3 > 0:
+        raise ValueError("Kerr scales are undefined for chi3 = 0")
+    p, q, c, mu0 = params.omega_pe, params.omega_pm, params.c, params.mu0
+    big_k = mu0 * params.chi3 * c**3 / (2.0 * p**3 * q)
+    alpha = np.sqrt(2.0 * p**4 * q**2 / (mu0 * params.chi3 * c**3))
+    beta = c / (p * q)
+    return KerrCoupling(big_k=big_k, alpha=alpha, beta=beta)
+
+
+def _rescale(record, symbol, stations, variables):
+    """Apply one half-spectrum multiplier to every field of a record."""
+    m = Multiplier(record.states[0].grid, symbol)
+    states = [DirectedPair(apply(m, s.pi), apply(m, s.lam))
+              for s in record.states]
+    meta = {**record.meta, "variables": variables}
+    return PropagationRecord(stations, states, meta)
+
+
+def to_dimensionless(record, coupling):
+    """Rescale a physical record to (pi, lam, zeta) = (Pi_tt, Lambda_tt,
+    x) / (alpha, alpha, beta)."""
+    w2 = record.states[0].grid.half_omegas ** 2
+    return _rescale(record, -w2 / coupling.alpha,
+                    record.stations / coupling.beta, "dimensionless")
+
+
+def from_dimensionless(record, coupling):
+    """Invert :func:`to_dimensionless`; dt^{-2} annihilates the DC bin."""
+    w2 = record.states[0].grid.half_omegas ** 2
+    symbol = np.zeros(w2.size)
+    symbol[1:] = -coupling.alpha / w2[1:]
+    return _rescale(record, symbol, record.stations * coupling.beta,
+                    "physical")
+
+
+def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
+    """March the unit-coefficient system in (pi, lam, zeta) variables:
+
+        pi_zeta  = dt^{-1} [ -pi  - ((pi - lam)^3)_tt ],
+        lam_zeta = dt^{-1} [ +lam + ((pi - lam)^3)_tt ].
+
+    Kept apart from the physical cubic term of ``metapulse.evolution`` as
+    an independent reference for it, with the same Lawson marcher; records
+    only entry and exit.
+    """
+    inv_iw, w2, mask = _half_spectrum(grid, dealias)
+    cube = _cube(grid)
+
+    def rhs(state, out):
+        pi_hat, lam_hat = state
+        w_hat = -w2 * mask * cube(mask * (pi_hat - lam_hat))
+        np.multiply(inv_iw, -w_hat, out=out[0])
+        np.multiply(inv_iw, w_hat, out=out[1])
+        return out
+
+    rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid, dealias)
+    state0 = _entry_spectrum(dp0)
+    meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
+            "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
+    lin = np.array([[-1.0], [1.0]]) * inv_iw
+    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta, lin=lin)
 
 
 def test_acceptance_07_dimensionless_equivalence(capsys):

