@@ -52,4 +52,4 @@ from .stationary import (
     series_f,
     stationary_params,
 )
-from .reference import MaxwellState, YeeGrid1D, run_boundary_source, step
+from .reference import YeeGrid1D, run_boundary_source

@@ -10,7 +10,6 @@ fixed config.
 import argparse
 import configparser
 import functools
-import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -21,12 +20,10 @@ import numpy as np
 from . import __version__, evolution, medium, reference, stationary, waves
 from .errors import ConfigError
 from .spectral import Signal, TimeGrid, apply, make_multiplier
-from .waves import FieldPair
+from .waves import CLEAN_TOL, FieldPair
 
 __all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse",
            "run_scenario", "main", "SCENARIOS"]
-
-PULSE_CLEAN_TOL = 1e-8
 
 #: most Kerr steps a run derives by itself; the derived count grows with
 #: run.x_end and with pulse.amplitude squared, and more must be asked for
@@ -112,6 +109,8 @@ _PULSE_KEYS = {
     "file": (str, ""),
 }
 _OUTPUT_KEYS = {"directory": (str, "out")}
+_SECTIONS = ("scenario", "medium", "grid", "pulse", "run", "output")
+_BOUNDARY_MODES = ("e-only", "pure-right")
 
 #: scenarios whose pulse spectrum must avoid the evanescent band
 _BAND_CHECKED = {"split", "propagate-linear", "propagate-kg",
@@ -135,15 +134,10 @@ class ScenarioConfig:
 def _coerce(raw, typ, path, violations):
     try:
         if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         value = ([float(v) for v in raw.split(",") if v.strip()]
                  if typ is list else typ(raw))
-    except (TypeError, ValueError):
+    except (KeyError, TypeError, ValueError):
         violations.append(f"{path}: cannot parse {raw!r} as {typ.__name__}")
         return None
     if typ in (float, list) and not np.all(np.isfinite(value)):
@@ -168,30 +162,35 @@ def _read_section(cp, name, schema, violations):
     return out
 
 
-def parse_config(text):
-    """Parse and validate a config; raises ConfigError listing all problems."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+def parse_config(text, overrides=()):
+    """Parse and validate a config, each ``SECTION.KEY=VALUE`` of
+    ``overrides`` set over the text's value; values are taken literally
+    (``%`` included). Raises ConfigError listing all problems."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     violations = []
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from exc
+    for item in overrides:
+        key, _, value = item.partition("=")
+        section, _, option = key.strip().partition(".")
+        if not (section and option and value != ""):
+            raise ConfigError([f"override {item!r}: expected section.key=value"])
+        cp.read_dict({section: {option: value.strip()}})
 
     for section in cp.sections():
-        if section not in ("scenario", "medium", "grid", "pulse", "run", "output"):
+        if section not in _SECTIONS:
             violations.append(f"{section}: unknown section")
 
-    scenario = cp.get("scenario", "name", fallback=None)
-    if scenario is None:
-        violations.append("scenario.name: required key missing")
-    elif scenario not in SCENARIOS:
+    scenario = _read_section(cp, "scenario", {"name": (str, REQUIRED)},
+                             violations).get("name")
+    if scenario is not None and scenario not in SCENARIOS:
         violations.append(
             f"scenario.name: unknown scenario {scenario!r}; "
             f"choose from {sorted(SCENARIOS)}"
         )
-    for key in cp["scenario"] if cp.has_section("scenario") else {}:
-        if key != "name":
-            violations.append(f"scenario.{key}: unknown key")
 
     med = _read_section(cp, "medium", _MEDIUM_KEYS, violations)
     grid = _read_section(cp, "grid", _GRID_KEYS, violations)
@@ -251,12 +250,17 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
     elif pulse["shape"] == "user-file":
         if not pulse["file"]:
             violations.append("pulse.file: required for shape user-file")
+        elif not Path(pulse["file"]).is_file():
+            violations.append(f"pulse.file: no such file {pulse['file']!r}")
     else:
         violations.append(f"pulse.shape: unknown shape {pulse['shape']!r}")
     # only reached without earlier violations, so every run key holds a value
     for key in ("x_end", "xi_end", "duration", "dx", "v"):
         if key in run and run[key] <= 0:
             violations.append(f"run.{key}: must be positive")
+    if "boundary" in run and run["boundary"] not in _BOUNDARY_MODES:
+        violations.append(f"run.boundary: unknown mode {run['boundary']!r}; "
+                          f"choose from {list(_BOUNDARY_MODES)}")
     if "n_stations" in run and run["n_stations"] < 2:
         violations.append("run.n_stations: must be at least 2 (entry and exit)")
     # the Kerr scenarios read n_steps = 0 as "derive the count"
@@ -269,6 +273,10 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
     for key in ("n_xi", "n_points"):
         if key in run and run[key] < 1:
             violations.append(f"run.{key}: must be at least 1")
+    if scenario == "taylor-error" and params.omega_pe > params.omega_pm:
+        violations.append("medium.omega_pe: must not exceed medium.omega_pm "
+                          "for taylor-error, so the sweep stays in the lower "
+                          "band")
     if scenario == "reference-compare":
         _validate_oracle(grid, pulse, run, violations)
 
@@ -344,9 +352,9 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
     if peak == 0.0:
         raise ValueError("pulse is identically zero")
     problems = []
-    if abs(np.mean(samples)) > PULSE_CLEAN_TOL * peak:
+    if abs(np.mean(samples)) > CLEAN_TOL * peak:
         problems.append("DC content above 1e-8 of peak")
-    if max(abs(samples[0]), abs(samples[-1])) > PULSE_CLEAN_TOL * peak:
+    if max(abs(samples[0]), abs(samples[-1])) > CLEAN_TOL * peak:
         problems.append("window-edge energy above 1e-8 of peak")
     if problems:
         raise ValueError("; ".join(problems))
@@ -357,16 +365,14 @@ def _boundary(config, grid, mode):
     """Entry-plane fields (B, E) = (k, j) from the pulse spec: j = pulse,
     k per ``mode``.
 
-    ``pure-right`` sets k = a-hat j, so the entry pair is Pi = k, Lambda = 0.
+    ``pure-right`` sets k = a-hat j, so the entry pair is Pi = k, Lambda = 0;
+    ``e-only`` sets k = 0.
     """
     j = synthesize_pulse(grid, **config.pulse)
-    if mode == "e-only":
-        k = Signal.zeros(grid)
-    elif mode == "pure-right":
-        k = apply(make_multiplier("a", config.params, grid), j)
-    else:
-        raise ConfigError([f"run.boundary: unknown mode {mode!r}"])
-    return FieldPair(b=k, e=j)
+    if mode == "pure-right":
+        return FieldPair(b=apply(make_multiplier("a", config.params, grid), j),
+                         e=j)
+    return FieldPair(b=Signal.zeros(grid), e=j)
 
 
 def _format_table(header, columns):
@@ -506,13 +512,15 @@ def _render_rows(block):
     return out.tobytes().translate(None, b"\0")
 
 
-def _station_tables(record, grid, prefix, with_fields=None):
+def _station_tables(prefix, grid, xs, states, params=None):
+    """One table per station x of ``xs``: t, Pi and Lambda, and with
+    ``params`` the reconstructed B and E."""
     tables = {}
-    for i, (x, state) in enumerate(zip(record.stations, record.states)):
+    for i, (x, state) in enumerate(zip(xs, states)):
         cols = [grid.times, state.pi.samples, state.lam.samples]
         header = "t (s),Pi (T),Lambda (T)"
-        if with_fields is not None:
-            fp = with_fields(state)
+        if params is not None:
+            fp = waves.reconstruct(state, params, grid)
             cols += [fp.b.samples, fp.e.samples]
             header += ",B (T),E (V/m)"
         tables[f"{prefix}_station_{i:03d}.csv"] = (
@@ -578,12 +586,7 @@ def _linear_runner(config, propagator, tag):
     dp0 = waves.split(fields, config.params, grid)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
     states = propagator(dp0, xs, config.params, grid)
-    record = evolution.PropagationRecord(xs, states, {"model": tag})
-
-    def fields(state):
-        return waves.reconstruct(state, config.params, grid)
-
-    tables = _station_tables(record, grid, tag, with_fields=fields)
+    tables = _station_tables(tag, grid, xs, states, config.params)
     summary = {"stations (m)": [float(x) for x in xs]}
     return tables, summary, dp0
 
@@ -641,7 +644,8 @@ def _run_nonlinear(config):
         dp0, config.run["x_end"], n_steps, config.params, grid,
         dealias=config.run["dealias"], n_stations=config.run["n_stations"],
     )
-    tables = _station_tables(record, grid, "nonlinear")
+    tables = _station_tables("nonlinear", grid, record.stations,
+                             record.states)
     summary = {"n_steps": n_steps, "dealias": config.run["dealias"],
                "kerr_stiffness (1)": record.meta["kerr_stiffness"],
                "kerr_stiffness_exit (1)": record.meta["kerr_stiffness_exit"],
@@ -660,7 +664,8 @@ def _run_unidirectional(config):
         pi0, config.run["x_end"], n_steps, config.params, grid,
         dealias=config.run["dealias"], n_stations=config.run["n_stations"],
     )
-    tables = _station_tables(record, grid, "unidirectional")
+    tables = _station_tables("unidirectional", grid, record.stations,
+                             record.states)
     summary = {"n_steps": n_steps,
                "kerr_stiffness (1)": record.meta["kerr_stiffness"],
                "kerr_stiffness_exit (1)": record.meta["kerr_stiffness_exit"],
@@ -693,11 +698,6 @@ def _run_stationary_nonlinear(config):
 def _run_taylor_error(config):
     p = config.params
     omegas = np.linspace(0.0, 0.95, config.run["n_points"] + 1)[1:] * p.omega_pe
-    if p.omega_pe != p.band_low:
-        raise ConfigError(
-            ["taylor-error: omega_pe must not exceed omega_pm so the sweep "
-             "stays in the lower band"]
-        )
     err = medium.taylor_truncation_error(p, omegas)
     table = _format_table("omega/omega_pe (1),relative error (1)",
                           [omegas / p.omega_pe, err])
@@ -809,22 +809,6 @@ _RUNNERS = {
 # ------------------------------------------------------------------- CLI
 
 
-def _apply_overrides(text, overrides):
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read_string(text)
-    for item in overrides:
-        key, _, value = item.partition("=")
-        section, _, option = key.strip().partition(".")
-        if not (section and option and value != ""):
-            raise ConfigError([f"override {item!r}: expected section.key=value"])
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, option, value.strip())
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="metapulse",
@@ -840,6 +824,7 @@ def main(argv=None):
 
     p_val = sub.add_parser("validate", help="validate a config file")
     p_val.add_argument("config", type=Path)
+    p_val.set_defaults(override=())
 
     sub.add_parser("scenarios", help="list scenarios and their run keys")
 
@@ -856,32 +841,23 @@ def main(argv=None):
             print(f"    run keys (* = required): {keys or '(none)'}")
         return 0
 
-    text = args.config.read_text()
-    if args.command == "validate":
-        try:
-            parse_config(text)
-        except ConfigError as exc:
-            for v in exc.violations:
-                print(f"invalid: {v}", file=sys.stderr)
-            return 1
-        print("config ok")
-        return 0
-
-    if args.command == "run":
-        try:
-            if args.override:
-                text = _apply_overrides(text, args.override)
-            config = parse_config(text)
-        except ConfigError as exc:
-            for v in exc.violations:
-                print(f"invalid: {v}", file=sys.stderr)
-            return 1
+    try:
+        config = parse_config(args.config.read_text(), args.override)
+    except (OSError, UnicodeDecodeError) as exc:
+        violations = [f"config file: {exc}"]
+    except ConfigError as exc:
+        violations = exc.violations
+    else:
+        if args.command == "validate":
+            print("config ok")
+            return 0
         status, written = run_scenario(config, out_dir=args.out)
         for path in written:
             print(path)
         return status
-
-    return 2
+    for v in violations:
+        print(f"invalid: {v}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -233,7 +233,7 @@ def _stiffness(state, coefficient, to_cube, grid, dealias):
     return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
 
 
-def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin):
+def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, lin):
     """Lawson RK4 over [0, x_end], keeping only the requested stations.
 
     The system is d(state)/dx = lin * state + rhs(state): ``lin`` is
@@ -252,7 +252,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin):
     with the old. The stage weights of 2 are applied in place; (2k)(h/4)
     equals k(h/2) exactly. The kept steps are
     ``linspace(0, n_steps, n_stations)`` truncated to integers, duplicates
-    dropped, so entry and exit are always kept. ``meta`` gains
+    dropped, so entry and exit are always kept. The record's meta holds
     ``kerr_stiffness`` and ``kerr_stiffness_exit``, h sigma with sigma the
     cubic term's rate ``rhs.stiffness(state)`` at entry and at exit; the
     method is stable up to about 2 sqrt(2), so an exit value above that
@@ -267,7 +267,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, meta, lin):
     if n_stations < 2:
         raise ValueError(f"n_stations must be at least 2, got {n_stations!r}")
     h = x_end / n_steps
-    meta = {**meta, "kerr_stiffness": h * rhs.stiffness(state)}
+    meta = {"kerr_stiffness": h * rhs.stiffness(state)}
     half = np.exp(0.5 * h * lin)
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
     steps = [0]
@@ -391,41 +391,21 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     Lawson RK4 carries the linear (Klein-Gordon) phase exactly, so only the
     cubic term limits the step's stability; the record's
     ``kerr_stiffness`` meta is h sigma_0 (see :func:`kerr_default_steps`)
-    and ``kerr_stiffness_exit`` the same number at x_end. The record keeps ``n_stations`` evenly spread steps, entry and exit
-    included.
+    and ``kerr_stiffness_exit`` the same number at x_end. The record keeps
+    ``n_stations`` evenly spread steps, entry and exit included.
 
     ``_linear_sign`` flips the +-(pq/c) pair; the system maps onto itself
     under (Pi, Lambda) -> (-Lambda, -Pi) together with that flip, which the
     test suite uses as a solver diagnostic.
     """
     rhs = _kerr_rhs(params, grid, dealias, _linear_sign)
-    state0 = _entry_spectrum(dp0)
-    meta = _run_meta("nonlinear-coupled", params, grid, n_steps, dealias)
-    return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta,
-                      lin=rhs.lin)
+    return _march_rk4(rhs, _entry_spectrum(dp0), x_end, n_steps, n_stations,
+                      grid, lin=rhs.lin)
 
 
 def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
                              n_stations=2):
     """Kerr marching with the left wave frozen at zero (and not marched)."""
     rhs = _kerr_rhs(params, grid, dealias, 1.0)
-    state0 = _kerr_entry(pi0)
-    meta = _run_meta("nonlinear-unidirectional", params, grid, n_steps, dealias)
-    return _march_rk4(rhs, state0, x_end, n_steps, n_stations, grid, meta,
-                      lin=rhs.lin[:1])
-
-
-def _run_meta(model, params, grid, n_steps, dealias):
-    return {
-        "model": model,
-        "params": {
-            "omega_pe": params.omega_pe,
-            "omega_pm": params.omega_pm,
-            "c": params.c,
-            "chi3": params.chi3,
-        },
-        "grid": {"n": grid.n, "dt": grid.dt},
-        "n_steps": n_steps,
-        "dealias": dealias,
-    }
-
+    return _march_rk4(rhs, _kerr_entry(pi0), x_end, n_steps, n_stations,
+                      grid, lin=rhs.lin[:1])

@@ -11,10 +11,6 @@ half nodes; j_e lives at half time steps, j_m at integer ones, keeping the
 whole update second order. This solver shares nothing with the spectral
 machinery it validates.
 
-``params=None`` selects vacuum (both plasma frequencies zero), used by the
-free-space sanity checks; DrudeParams itself requires positive plasma
-frequencies.
-
 ``cubic_spline`` resamples a record between clocks: the boundary source onto
 the FDTD clock here, and the FDTD probe records back onto the spectral grid.
 """
@@ -24,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import C, EPS0, MU0
+from .medium import C
 
-__all__ = ["YeeGrid1D", "MaxwellState", "step", "run_boundary_source",
-           "cubic_spline"]
+__all__ = ["YeeGrid1D", "run_boundary_source", "cubic_spline"]
 
 #: largest Courant ratio c*dt/dx that YeeGrid1D accepts (1D limit: 1)
 MAX_COURANT = 0.99
@@ -61,40 +56,6 @@ class YeeGrid1D:
     @property
     def x_nodes(self):
         return np.arange(self.nx) * self.dx
-
-
-@dataclass
-class MaxwellState:
-    """Fields and auxiliary currents; h and j_m live on half nodes."""
-
-    e: np.ndarray
-    h: np.ndarray
-    j_e: np.ndarray
-    j_m: np.ndarray
-
-    def __post_init__(self):
-        self.e = np.asarray(self.e, dtype=float)
-        self.h = np.asarray(self.h, dtype=float)
-        self.j_e = np.asarray(self.j_e, dtype=float)
-        self.j_m = np.asarray(self.j_m, dtype=float)
-        if self.h.shape[0] != self.e.shape[0] - 1:
-            raise ValueError("h must have one fewer node than e")
-        if self.j_e.shape != self.e.shape or self.j_m.shape != self.h.shape:
-            raise ValueError("current arrays must match their field arrays")
-        for a in (self.e, self.h, self.j_e, self.j_m):
-            if not np.all(np.isfinite(a)):
-                raise ValueError("non-finite state")
-
-    @classmethod
-    def zeros(cls, grid1d):
-        nx = grid1d.nx
-        return cls(np.zeros(nx), np.zeros(nx - 1), np.zeros(nx), np.zeros(nx - 1))
-
-
-def _material(params):
-    if params is None:
-        return 0.0, 0.0, EPS0, MU0
-    return params.omega_pe, params.omega_pm, params.eps0, params.mu0
 
 
 def _cyclic_reduction(lo, diag, up, rhs):
@@ -183,13 +144,6 @@ def off_node(x, dx):
     return not abs(x / dx - np.rint(x / dx)) <= 1e-6
 
 
-def _warn_underresolved(wpe, wpm, dt):
-    """Warn (at the driver's caller) when dt does not resolve the currents."""
-    if max(wpe, wpm) * dt > 0.5:
-        warnings.warn("plasma frequency underresolved: dt * wp > 0.5",
-                      stacklevel=3)
-
-
 def _leapfrog(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0):
     """``advance()``: one in-place leapfrog update of the given arrays; the
     e endpoints stay fixed (PEC walls).
@@ -225,22 +179,6 @@ def _leapfrog(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0):
     return advance
 
 
-def step(state, grid1d, params, source_peak=None):
-    """Advance the state by one time step (pure: returns a new state).
-
-    ``source_peak`` enables the blow-up guard: any field exceeding 1e6
-    times the source peak, or not finite, aborts.
-    """
-    wpe, wpm, eps0, mu0 = _material(params)
-    _warn_underresolved(wpe, wpm, grid1d.dt_fdtd)
-    e, h = state.e.copy(), state.h.copy()
-    j_e, j_m = state.j_e.copy(), state.j_m.copy()
-    _leapfrog(e, h, j_e, j_m, grid1d.dt_fdtd, grid1d.dx, wpe, wpm, eps0, mu0)()
-    if source_peak is not None and not np.max(np.abs(e)) <= 1e6 * source_peak:
-        raise FloatingPointError("FDTD instability: field growth > 1e6x source")
-    return MaxwellState(e, h, j_e, j_m)
-
-
 def run_boundary_source(source, grid1d, params, duration, probes,
                         source_index=None):
     """Drive the grid with a soft E source and record probe time series.
@@ -267,7 +205,6 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     peak or is not finite. The guard runs once per ``BLOCK_STEPS`` steps,
     so the abort comes within one block of the blow-up.
     """
-    wpe, wpm, eps0, mu0 = _material(params)
     dt, dx = grid1d.dt_fdtd, grid1d.dx
     n_steps = int(round(duration / dt))
     i_src = grid1d.nx // 4 if source_index is None else int(source_index)
@@ -281,7 +218,9 @@ def run_boundary_source(source, grid1d, params, duration, probes,
             raise ValueError(f"probe at {xp:g} m is not on a grid node")
         idx.append(i)
 
-    _warn_underresolved(wpe, wpm, dt)
+    if params.band_high * dt > 0.5:
+        warnings.warn("plasma frequency underresolved: dt * wp > 0.5",
+                      stacklevel=2)
     t = np.arange(n_steps + 1) * dt
     # soft current-sheet source: dE/dt term with 1/dx density so the
     # radiated amplitude is resolution-independent; zero outside its window
@@ -291,7 +230,8 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     nx = grid1d.nx
     e, h = np.zeros(nx), np.zeros(nx - 1)
     j_e, j_m = np.zeros(nx), np.zeros(nx - 1)
-    advance = _leapfrog(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0)
+    advance = _leapfrog(e, h, j_e, j_m, dt, dx, params.omega_pe,
+                        params.omega_pm, params.eps0, params.mu0)
     # one gather per step fills a block row: each probe with its two
     # neighbours, then the four nodes beside the walls; the guard and the
     # records run once per block

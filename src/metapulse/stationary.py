@@ -10,6 +10,7 @@ reduces to a cubic in the second derivative,
 whose unique real root F(Pi) drives the nonlinear oscillator Pi'' = F(Pi).
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,7 @@ def integrate_oscillator(pi0, dpi0, xi_end, n_steps, sp, params):
     return xi, pi, slope
 
 
-def series_f(pi_value, sp, params, order=3, radius_warn=True):
+def series_f(pi_value, sp, params, order=3):
     """Perturbative expansion of the oscillator force F(Pi).
 
     order 1:  -(pq/c) Pi
@@ -142,12 +143,10 @@ def series_f(pi_value, sp, params, order=3, radius_warn=True):
         out = lin
     else:
         out = lin + sp.big_k_v * (p * q) ** 3 / c**4 * pi_value**3
-    if radius_warn and sp.big_k_v > 0:
+    if sp.big_k_v > 0:
         # series converges while the cubic term stays subdominant
         radius = c**1.5 / (np.sqrt(sp.big_k_v) * p * q)
         if np.any(np.abs(pi_value) > radius):
-            import warnings
-
             warnings.warn("series_f input outside its convergence estimate",
                           stacklevel=2)
     return float(out) if out.ndim == 0 else out

@@ -32,9 +32,9 @@ from .spectral import Signal, apply, make_multiplier
 
 __all__ = ["FieldPair", "DirectedPair", "split", "reconstruct"]
 
-#: relative thresholds for clean pulse data
-DC_TOL = 1e-8
-EDGE_TOL = 1e-8
+#: clean pulse data: mean and window-edge samples at most this fraction
+#: of the peak
+CLEAN_TOL = 1e-8
 
 
 @dataclass
@@ -86,10 +86,10 @@ def split(fields, params, grid):
         peak = s.peak
         if peak == 0.0:
             continue
-        if abs(np.mean(s.samples)) > DC_TOL * peak:
+        if abs(np.mean(s.samples)) > CLEAN_TOL * peak:
             warnings.warn(f"boundary signal {name} has DC content above "
-                          f"{DC_TOL:g} of peak", stacklevel=2)
-        if max(abs(s.samples[0]), abs(s.samples[-1])) > EDGE_TOL * peak:
+                          f"{CLEAN_TOL:g} of peak", stacklevel=2)
+        if max(abs(s.samples[0]), abs(s.samples[-1])) > CLEAN_TOL * peak:
             warnings.warn(f"boundary signal {name} does not decay at window "
                           "edges", stacklevel=2)
     a = make_multiplier("a", params, grid)

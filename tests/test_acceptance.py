@@ -334,11 +334,9 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
         return out
 
     rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid, dealias)
-    state0 = _entry_spectrum(dp0)
-    meta = {"model": "nonlinear-dimensionless", "n_steps": n_steps,
-            "dealias": dealias, "grid": {"n": grid.n, "dt": grid.dt}}
     lin = np.array([[-1.0], [1.0]]) * inv_iw
-    return _march_rk4(rhs, state0, zeta_end, n_steps, 2, grid, meta, lin=lin)
+    return _march_rk4(rhs, _entry_spectrum(dp0), zeta_end, n_steps, 2, grid,
+                      lin=lin)
 
 
 def test_acceptance_07_dimensionless_equivalence(capsys):

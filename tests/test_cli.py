@@ -15,7 +15,6 @@ from metapulse import ConfigError, TimeGrid, reference
 from metapulse.cli import (
     CSV_CHUNK_ROWS,
     MAX_DEFAULT_KERR_STEPS,
-    _apply_overrides,
     _format_table,
     main,
     parse_config,
@@ -474,8 +473,7 @@ def test_reference_compare_takes_user_file_pulse(tmp_path):
     ("dt = 0.2\n", ""),
 ])
 def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
-    text = BASE.replace("carrier = 0.5\nwidth = 12.0\n",
-                        "shape = user-file\nfile = pulse.txt\n")
+    text = _user_file_config(tmp_path / "pulse.txt")
     f = tmp_path / "cfg.ini"
     f.write_text(text)
     assert main(["validate", str(f)]) == 0
@@ -540,6 +538,9 @@ def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     ("stationary-nonlinear", "run.n_steps", "0"),
     ("stationary-linear", "run.n_xi", "0"),
     ("taylor-error", "run.n_points", "0"),
+    # run failed and wrote error.txt; the taylor-error message named no key
+    ("split", "run.boundary", "bogus"),
+    ("taylor-error", "medium.omega_pe", "2.0"),
 ])
 def test_validate_rejects_non_finite_and_unusable_numbers(
         tmp_path, capsys, scenario, key, value):
@@ -552,12 +553,71 @@ def test_validate_rejects_non_finite_and_unusable_numbers(
     f = tmp_path / "cfg.ini"
     f.write_text(text)
     assert main(["validate", str(f)]) == 0
-    f.write_text(_apply_overrides(text, [f"{key}={value}"]))
-    assert main(["validate", str(f)]) == 1
+    out = tmp_path / "out"
+    assert main(["run", str(f), "--out", str(out),
+                 "--override", f"{key}={value}"]) == 1
+    assert not out.exists()
     violations = [ln for ln in capsys.readouterr().err.splitlines()
                   if ln.startswith("invalid:")]
     assert len(violations) == 1
     assert violations[0].startswith(f"invalid: {key}:")
+
+
+def _user_file_config(path):
+    """BASE with its Gaussian written to ``path`` and read back as a
+    user-file pulse."""
+    grid = TimeGrid(1024, 0.2)
+    pulse = synthesize_pulse(grid, carrier=0.5, width=12.0)
+    np.savetxt(path, np.column_stack([grid.times, pulse.samples]))
+    return BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                        f"shape = user-file\nfile = {path}\n")
+
+
+@pytest.mark.parametrize("via_override", [False, True])
+def test_percent_in_a_value_is_taken_literally(tmp_path, capsys,
+                                               via_override):
+    # '%' in a value died in a traceback: InterpolationSyntaxError from the
+    # file in validate and run, ValueError from --override in run
+    pulse = tmp_path / "100%.txt"
+    text = _user_file_config(pulse)
+    f = tmp_path / "cfg.ini"
+    out = tmp_path / "out"
+    argv = ["run", str(f), "--out", str(out)]
+    if via_override:
+        text = text.replace(str(pulse), "elsewhere.txt")
+        argv += ["--override", f"pulse.file={pulse}"]
+    f.write_text(text)
+    if not via_override:
+        assert main(["validate", str(f)]) == 0
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["pulse"]["file"] == str(pulse)
+
+
+def test_run_with_overrides_reports_config_syntax(tmp_path, capsys):
+    # the override pass parsed the text first and died in a ParsingError
+    f = tmp_path / "bad.ini"
+    f.write_text(BASE.replace("[grid]", "[grid"))
+    assert main(["run", str(f), "--override", "grid.n=8"]) == 1
+    assert "invalid: config syntax:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["config file", "pulse.file"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_missing_file_is_invalid(tmp_path, capsys, command, missing):
+    # a missing config file ended in a FileNotFoundError traceback; a
+    # missing pulse.file passed validate, and run failed naming no key
+    lost = tmp_path / "missing"
+    f = tmp_path / "cfg.ini"
+    f.write_text(BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                              f"shape = user-file\nfile = {lost}\n"))
+    out = tmp_path / "out"
+    argv = [command, str(lost if missing == "config file" else f)]
+    assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {missing}:") and str(lost) in err
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_error_path(tmp_path):

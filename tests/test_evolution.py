@@ -593,7 +593,7 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
     watched.stiffness = rhs.stiffness
     tracemalloc.start()
     try:
-        _march_rk4(watched, state, 0.1, 6, 2, grid, {}, lin=rhs.lin[:rows])
+        _march_rk4(watched, state, 0.1, 6, 2, grid, lin=rhs.lin[:rows])
     finally:
         tracemalloc.stop()
     assert len(gaps) == 24

@@ -6,15 +6,13 @@ from scipy.interpolate import CubicSpline
 
 from metapulse import (
     DrudeParams,
-    MaxwellState,
-    Signal,
     TimeGrid,
     YeeGrid1D,
     a_symbol,
     run_boundary_source,
-    step,
 )
-from metapulse.reference import BLOCK_STEPS, _material, cubic_spline
+from metapulse.medium import EPS0, MU0
+from metapulse.reference import BLOCK_STEPS, _leapfrog, cubic_spline
 from conftest import gaussian_pulse
 
 
@@ -27,26 +25,35 @@ def test_grid_validation():
     assert g.dt_fdtd == pytest.approx(0.005)
 
 
-def test_state_validation():
-    with pytest.raises(ValueError):
-        MaxwellState(np.zeros(10), np.zeros(10), np.zeros(10), np.zeros(9))
-    with pytest.raises(ValueError):
-        MaxwellState(np.full(10, np.inf), np.zeros(9), np.zeros(10), np.zeros(9))
+def _fields(g, e=None, h=None, j_e=None, j_m=None):
+    """(e, h, j_e, j_m) on the grid's nodes and half nodes, zero where not
+    given, as fresh float arrays the leapfrog may overwrite."""
+    nx = g.nx
+    return [np.array(a if a is not None else np.zeros(n), dtype=float)
+            for a, n in ((e, nx), (h, nx - 1), (j_e, nx), (j_m, nx - 1))]
+
+
+def _stepper(fields, g, params=None):
+    """The in-place leapfrog of ``fields`` on g, in the medium ``params`` or
+    without one in SI vacuum (both plasma frequencies zero)."""
+    material = ((params.omega_pe, params.omega_pm, params.eps0, params.mu0)
+                if params else (0.0, 0.0, EPS0, MU0))
+    return _leapfrog(*fields, g.dt_fdtd, g.dx, *material)
 
 
 def test_zero_fields_stay_zero(unit_params):
     g = YeeGrid1D(128, 0.05, c=1.0)
-    s = MaxwellState.zeros(g)
+    fields = _fields(g)
+    advance = _stepper(fields, g, unit_params)
     for _ in range(20):
-        s = step(s, g, unit_params)
-    assert np.all(s.e == 0.0) and np.all(s.h == 0.0)
+        advance()
+    assert all(np.all(a == 0.0) for a in fields)
 
 
 def test_vacuum_pulse_speed():
     # SI vacuum: the grid speed must match the material constants
     g = YeeGrid1D(2048, 0.01, courant=0.5)
-    _, _, eps0, mu0 = _material(None)
-    c_med = 1.0 / np.sqrt(eps0 * mu0)
+    c_med = 1.0 / np.sqrt(EPS0 * MU0)
     x = g.x_nodes
     x0, sigma = 4.0, 0.25
 
@@ -54,66 +61,55 @@ def test_vacuum_pulse_speed():
         return np.exp(-((xx - x0) ** 2) / (2.0 * sigma**2))
 
     dt = g.dt_fdtd
-    e = f(x)
     # h staggered half a cell right and half a step ahead for a +x wave
-    h = f(x[:-1] + 0.5 * g.dx + 0.5 * c_med * dt) / (mu0 * c_med)
-    s = MaxwellState(e, h, np.zeros(g.nx), np.zeros(g.nx - 1))
+    fields = _fields(g, e=f(x),
+                     h=f(x[:-1] + 0.5 * g.dx + 0.5 * c_med * dt) / (MU0 * c_med))
+    advance = _stepper(fields, g)
     n_steps = 1000
     for _ in range(n_steps):
-        s = step(s, g, None)
-    peak = x[np.argmax(s.e)]
+        advance()
+    peak = x[np.argmax(fields[0])]
     assert abs(peak - (x0 + c_med * n_steps * dt)) <= g.dx
 
 
 def test_vacuum_energy_conserved():
     g = YeeGrid1D(512, 0.05, courant=0.5)
-    _, _, eps0, mu0 = _material(None)
     x = g.x_nodes
     e = np.exp(-((x - 12.8) ** 2) / (2.0 * 1.0**2))
     e[0] = e[-1] = 0.0
-    s = MaxwellState(e, np.zeros(g.nx - 1), np.zeros(g.nx), np.zeros(g.nx - 1))
+    fields = _fields(g, e=e)
+    e, h = fields[:2]
+    advance = _stepper(fields, g)
     # staggered-consistent energy e^n e^{n+1} + (h^{n+1/2})^2 is exact for Yee
     u0 = None
     for _ in range(600):
-        s2 = step(s, g, None)
-        u = 0.5 * eps0 * np.sum(s.e * s2.e) + 0.5 * mu0 * np.sum(s2.h**2)
+        e_old = e.copy()
+        advance()
+        u = 0.5 * EPS0 * np.sum(e_old * e) + 0.5 * MU0 * np.sum(h**2)
         if u0 is None:
             u0 = u
         assert u <= u0 * (1.0 + 1e-10)
         assert u == pytest.approx(u0, rel=1e-10)
-        s = s2
 
 
 def test_superposition(unit_params, rng):
     g = YeeGrid1D(128, 0.05, c=1.0)
-
-    def rand_state():
-        return MaxwellState(
-            rng.standard_normal(g.nx),
-            rng.standard_normal(g.nx - 1),
-            rng.standard_normal(g.nx),
-            rng.standard_normal(g.nx - 1),
-        )
-
-    s1, s2 = rand_state(), rand_state()
-    both = MaxwellState(
-        s1.e + s2.e, s1.h + s2.h, s1.j_e + s2.j_e, s1.j_m + s2.j_m
-    )
+    s1, s2 = ([rng.standard_normal(n) for n in (g.nx, g.nx - 1) * 2]
+              for _ in range(2))
+    both = [a + b for a, b in zip(s1, s2)]
+    runs = [_stepper(s, g, unit_params) for s in (s1, s2, both)]
     for _ in range(5):
-        s1 = step(s1, g, unit_params)
-        s2 = step(s2, g, unit_params)
-        both = step(both, g, unit_params)
-    assert np.max(np.abs(both.e - s1.e - s2.e)) <= 1e-12 * np.max(np.abs(both.e))
+        for advance in runs:
+            advance()
+    assert np.max(np.abs(both[0] - s1[0] - s2[0])) <= 1e-12 * np.max(
+        np.abs(both[0]))
 
 
 def test_underresolved_warning():
-    # both drivers warn, and the warning points at their caller
+    # the warning points at the driver's caller
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     g = YeeGrid1D(128, 2.0, courant=0.5, c=1.0)  # dt = 1.0, wp*dt = 1
     source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
-    with pytest.warns(UserWarning, match="underresolved") as rec:
-        step(MaxwellState.zeros(g), g, params)
-    assert rec[0].filename == __file__
     with pytest.warns(UserWarning, match="underresolved") as rec:
         run_boundary_source(source, g, params, 5.0, [2.0])
     assert rec[0].filename == __file__
@@ -133,7 +129,8 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     one Python loop over the probes per step, with the source kick read
     from one spline resampling. Raises FloatingPointError carrying the
     first step past the guard."""
-    wpe, wpm, eps0, mu0 = _material(params)
+    wpe, wpm = params.omega_pe, params.omega_pm
+    eps0, mu0 = params.eps0, params.mu0
     dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
     n_steps = int(round(duration / dt))
     idx = [source_index + int(round(xp / dx)) for xp in probes]
@@ -210,19 +207,6 @@ def test_source_run_aborts_on_blow_up_within_one_block():
     first = old.value.args[0]
     aborted = int(str(new.value).rsplit(" ", 1)[1])
     assert first <= aborted < first + BLOCK_STEPS
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_step_guard_catches_nan():
-    # j_m overflows to inf, so h = (inf - inf) and then e turn NaN in one
-    # step, which a NaN-blind comparison lets through
-    params = DrudeParams(10.0, 10.0, c=1.0, eps0=1.0, mu0=1.0)
-    g = YeeGrid1D(64, 2.0, courant=0.5, c=1.0)
-    s = MaxwellState(np.resize([1e308, -1e308], 64), np.full(63, 1e308),
-                     np.zeros(64), np.zeros(63))
-    with pytest.warns(UserWarning, match="underresolved"):
-        with pytest.raises(FloatingPointError):
-            step(s, g, params, source_peak=1.0)
 
 
 def _probe_run(dx, probes, duration=400.0, pad=85.0):
