@@ -252,6 +252,12 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
             violations.append("pulse.file: required for shape user-file")
         elif not Path(pulse["file"]).is_file():
             violations.append(f"pulse.file: no such file {pulse['file']!r}")
+        else:
+            try:
+                _load_pulse_file(pulse["file"])
+            except ValueError as exc:
+                violations.append(
+                    f"pulse.file: cannot read {pulse['file']!r}: {exc}")
     else:
         violations.append(f"pulse.shape: unknown shape {pulse['shape']!r}")
     # only reached without earlier violations, so every run key holds a value
@@ -315,6 +321,18 @@ def _resolve_grid(config):
     return TimeGrid(config.grid["n"], _grid_dt(config.grid, config.pulse))
 
 
+def _load_pulse_file(file):
+    """The (t, value) rows of a user pulse file; ValueError when it cannot
+    be read as two numeric columns."""
+    try:
+        data = np.loadtxt(file, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValueError(str(exc)) from exc
+    if data.shape[1] != 2:
+        raise ValueError("must have two numeric columns")
+    return data
+
+
 def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
                      width=0.0, amplitude=1.0, file=""):
     """Build a clean boundary pulse on the grid.
@@ -334,11 +352,8 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
             carrier * tt
         )
     elif shape == "user-file":
-        data = np.loadtxt(file)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError(f"pulse.file {file}: must have two numeric "
-                             "columns")
         try:
+            data = _load_pulse_file(file)
             samples = amplitude * reference.cubic_spline(
                 data[:, 0], data[:, 1], grid.times)
         except ValueError as exc:

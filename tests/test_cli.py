@@ -619,6 +619,23 @@ def test_missing_file_is_invalid(tmp_path, capsys, command, missing):
     assert err.startswith(f"invalid: {missing}:") and str(lost) in err
 
 
+def test_unreadable_pulse_file_names_the_key(tmp_path, capsys):
+    # a pulse.file of text passed validate, and run failed in np.loadtxt
+    # with a message that named no key
+    bad = tmp_path / "pulse.txt"
+    bad.write_text("a b\nc d\n")
+    f = tmp_path / "cfg.ini"
+    f.write_text(BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                              f"shape = user-file\nfile = {bad}\n"))
+    assert main(["validate", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: pulse.file:") and str(bad) in err
+    assert "could not convert" in err
+    with pytest.raises(ValueError) as exc:
+        synthesize_pulse(TimeGrid(1024, 0.2), shape="user-file", file=str(bad))
+    assert str(exc.value).startswith(f"pulse.file {bad}: could not convert")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_error_path(tmp_path):
     text = BASE.replace("name = split", "name = propagate-nonlinear")

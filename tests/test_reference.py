@@ -11,6 +11,7 @@ from metapulse import (
     a_symbol,
     run_boundary_source,
 )
+from metapulse import reference
 from metapulse.medium import EPS0, MU0
 from metapulse.reference import BLOCK_STEPS, _leapfrog, cubic_spline
 from conftest import gaussian_pulse
@@ -25,20 +26,31 @@ def test_grid_validation():
     assert g.dt_fdtd == pytest.approx(0.005)
 
 
-def _fields(g, e=None, h=None, j_e=None, j_m=None):
-    """(e, h, j_e, j_m) on the grid's nodes and half nodes, zero where not
-    given, as fresh float arrays the leapfrog may overwrite."""
+def _fields(g, e=None, h=None, m=None, q=None):
+    """The normalised (e, h, m, q) on the grid's nodes and half nodes, zero
+    where not given, as fresh float arrays the leapfrog may overwrite."""
     nx = g.nx
     return [np.array(a if a is not None else np.zeros(n), dtype=float)
-            for a, n in ((e, nx), (h, nx - 1), (j_e, nx), (j_m, nx - 1))]
+            for a, n in ((e, nx), (h, nx - 1), (m, nx - 1), (q, nx))]
+
+
+def _material(params=None):
+    """(wpe, wpm, eps0, mu0) of ``params``, or of SI vacuum without one
+    (both plasma frequencies zero)."""
+    return ((params.omega_pe, params.omega_pm, params.eps0, params.mu0)
+            if params else (0.0, 0.0, EPS0, MU0))
 
 
 def _stepper(fields, g, params=None):
-    """The in-place leapfrog of ``fields`` on g, in the medium ``params`` or
-    without one in SI vacuum (both plasma frequencies zero)."""
-    material = ((params.omega_pe, params.omega_pm, params.eps0, params.mu0)
-                if params else (0.0, 0.0, EPS0, MU0))
-    return _leapfrog(*fields, g.dt_fdtd, g.dx, *material)
+    """The in-place leapfrog of ``fields`` on g (see ``_material``)."""
+    return _leapfrog(*fields, g.dt_fdtd, g.dx, *_material(params))
+
+
+def _to_si(fields, dt, dx, eps0, mu0):
+    """(e, h, j_e, j_m) in SI from the normalised (e, h, m, q):
+    h = H dt/(mu0 dx), j_e = Q eps0/dt, j_m = M/dx."""
+    e, h, m, q = fields
+    return [e, h * (dt / (mu0 * dx)), q * (eps0 / dt), m / dx]
 
 
 def test_zero_fields_stay_zero(unit_params):
@@ -61,9 +73,10 @@ def test_vacuum_pulse_speed():
         return np.exp(-((xx - x0) ** 2) / (2.0 * sigma**2))
 
     dt = g.dt_fdtd
-    # h staggered half a cell right and half a step ahead for a +x wave
-    fields = _fields(g, e=f(x),
-                     h=f(x[:-1] + 0.5 * g.dx + 0.5 * c_med * dt) / (MU0 * c_med))
+    # h staggered half a cell right and half a step ahead for a +x wave,
+    # stored as H = (mu0 dx/dt) h
+    h_si = f(x[:-1] + 0.5 * g.dx + 0.5 * c_med * dt) / (MU0 * c_med)
+    fields = _fields(g, e=f(x), h=(MU0 * g.dx / dt) * h_si)
     advance = _stepper(fields, g)
     n_steps = 1000
     for _ in range(n_steps):
@@ -80,12 +93,15 @@ def test_vacuum_energy_conserved():
     fields = _fields(g, e=e)
     e, h = fields[:2]
     advance = _stepper(fields, g)
-    # staggered-consistent energy e^n e^{n+1} + (h^{n+1/2})^2 is exact for Yee
+    # staggered-consistent energy e^n e^{n+1} + (h^{n+1/2})^2 is exact for
+    # Yee; the SI h is the stored H over mu0 dx/dt
+    h_to_si = g.dt_fdtd / (MU0 * g.dx)
     u0 = None
     for _ in range(600):
         e_old = e.copy()
         advance()
-        u = 0.5 * EPS0 * np.sum(e_old * e) + 0.5 * MU0 * np.sum(h**2)
+        u = (0.5 * EPS0 * np.sum(e_old * e)
+             + 0.5 * MU0 * np.sum((h_to_si * h)**2))
         if u0 is None:
             u0 = u
         assert u <= u0 * (1.0 + 1e-10)
@@ -94,7 +110,8 @@ def test_vacuum_energy_conserved():
 
 def test_superposition(unit_params, rng):
     g = YeeGrid1D(128, 0.05, c=1.0)
-    s1, s2 = ([rng.standard_normal(n) for n in (g.nx, g.nx - 1) * 2]
+    s1, s2 = ([rng.standard_normal(n)
+               for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)]
               for _ in range(2))
     both = [a + b for a, b in zip(s1, s2)]
     runs = [_stepper(s, g, unit_params) for s in (s1, s2, both)]
@@ -103,6 +120,19 @@ def test_superposition(unit_params, rng):
             advance()
     assert np.max(np.abs(both[0] - s1[0] - s2[0])) <= 1e-12 * np.max(
         np.abs(both[0]))
+
+
+def test_source_run_rejects_grid_speed_unlike_the_medium():
+    # the normalised step's s = courant^2 holds only when the speeds agree;
+    # a mismatch ran until the blow-up guard fired
+    params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
+    source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
+    g = YeeGrid1D(128, 0.5, courant=0.5, c=1.0 + 1e-9)
+    with pytest.raises(ValueError, match=r"c = 1\.000000001.* c = 1\.0\b"):
+        run_boundary_source(source, g, params, 5.0, [2.0])
+    # a difference within 1e-12 relative runs
+    g = YeeGrid1D(128, 0.5, courant=0.5, c=1.0 + 1e-13)
+    run_boundary_source(source, g, params, 5.0, [2.0])
 
 
 def test_underresolved_warning():
@@ -116,11 +146,88 @@ def test_underresolved_warning():
 
 
 def _advance(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0):
-    """The plain allocating leapfrog update, kept here as the reference."""
+    """The plain allocating leapfrog update in SI, kept here as the physics
+    reference."""
     j_m += dt * mu0 * wpm**2 * h
     h += (dt / mu0) * (-(e[1:] - e[:-1]) / dx - j_m)
     j_e += dt * eps0 * wpe**2 * e
     e[1:-1] += (dt / eps0) * (-(h[1:] - h[:-1]) / dx - j_e[1:-1])
+
+
+def _advance_normalised(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0):
+    """The plain allocating update in the normalised variables, with the
+    gains written as the oracle writes them."""
+    a, b = (wpm * dt) ** 2, (wpe * dt) ** 2
+    s = dt * dt / (eps0 * mu0 * dx * dx)
+    m += a * h
+    h += (e[:-1] - e[1:]) - m
+    q[1:-1] += b * e[1:-1]
+    e[1:-1] += s * (h[:-1] - h[1:]) - q[1:-1]
+
+
+@pytest.mark.parametrize("params, g", [
+    # p = q: the evanescent band is one point
+    (DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0),
+     YeeGrid1D(256, 0.05, c=1.0)),
+    # p != q: a real gap
+    (DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0),
+     YeeGrid1D(256, 0.05, c=1.0)),
+    # SI scale: GHz plasma frequencies, wp dt = 0.05 and 0.08
+    (DrudeParams(2.0 * np.pi * 5e9, 2.0 * np.pi * 8e9),
+     YeeGrid1D(256, 1e-3, courant=0.5)),
+])
+def test_normalised_leapfrog_matches_si_update(params, g, rng):
+    dt, dx = g.dt_fdtd, g.dx
+    material = _material(params)
+    fields = _fields(g, *(rng.standard_normal(n)
+                          for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)))
+    si = [a.copy() for a in _to_si(fields, dt, dx, params.eps0, params.mu0)]
+    advance = _stepper(fields, g, params)
+    for _ in range(500):
+        advance()
+        _advance(*si, dt, dx, *material)
+    got = _to_si(fields, dt, dx, params.eps0, params.mu0)
+    # the walls' j_e never reaches e, and the normalised step leaves it be
+    for name, want, have in zip(("e", "h", "j_e", "j_m"), si, got):
+        if name == "j_e":
+            want, have = want[1:-1], have[1:-1]
+        assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_leapfrog_step_is_eleven_ufuncs_without_allocation(unit_params,
+                                                           monkeypatch):
+    import tracemalloc
+    from types import SimpleNamespace
+
+    g = YeeGrid1D(4096, 0.05, c=1.0)
+    fields = _fields(g, e=np.ones(g.nx))
+    advance = _stepper(fields, g, unit_params)
+    calls = []
+
+    def counted(ufunc):
+        def call(*args, **kwargs):
+            calls.append(ufunc.__name__)
+            return ufunc(*args, **kwargs)
+        return call
+
+    ufuncs = {name: counted(getattr(np, name))
+              for name in ("add", "subtract", "multiply", "divide")}
+    monkeypatch.setattr(reference, "np", SimpleNamespace(**ufuncs))
+    advance()
+    assert len(calls) == 11 and "divide" not in calls
+    monkeypatch.undo()
+
+    tracemalloc.start()
+    try:
+        advance()
+        tracemalloc.reset_peak()
+        current, _ = tracemalloc.get_traced_memory()
+        for _ in range(3):
+            advance()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < fields[0].nbytes / 4
 
 
 def _full_grid_source_run(source, grid1d, params, duration, probes,
@@ -129,29 +236,27 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     one Python loop over the probes per step, with the source kick read
     from one spline resampling. Raises FloatingPointError carrying the
     first step past the guard."""
-    wpe, wpm = params.omega_pe, params.omega_pm
-    eps0, mu0 = params.eps0, params.mu0
     dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
     n_steps = int(round(duration / dt))
     idx = [source_index + int(round(xp / dx)) for xp in probes]
     kick = cubic_spline(source.grid.times, source.samples,
                         np.arange(n_steps + 1) * dt)
     src_peak = max(source.peak, 1e-300)
-    e, h, j_e, j_m = np.zeros(nx), np.zeros(nx - 1), np.zeros(nx), np.zeros(nx - 1)
+    e, h, m, q = np.zeros(nx), np.zeros(nx - 1), np.zeros(nx - 1), np.zeros(nx)
     b = np.zeros(nx - 1)
     rec_e = np.zeros((len(idx), n_steps + 1))
     rec_b = np.zeros((len(idx), n_steps + 1))
     wall_peak = 0.0
     for n in range(1, n_steps + 1):
-        _advance(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0)
+        _advance_normalised(e, h, m, q, dt, dx, *_material(params))
         e[source_index] += kick[n] * dt / dx
         b_prev = b.copy()
         b += -dt * (e[1:] - e[:-1]) / dx
         if not np.max(np.abs(e)) <= 1e6 * src_peak:
             raise FloatingPointError(n)
-        for m, i in enumerate(idx):
-            rec_e[m, n] = e[i]
-            rec_b[m, n] = 0.25 * (b_prev[i - 1] + b_prev[i] + b[i - 1] + b[i])
+        for k, i in enumerate(idx):
+            rec_e[k, n] = e[i]
+            rec_b[k, n] = 0.25 * (b_prev[i - 1] + b_prev[i] + b[i - 1] + b[i])
         wall_peak = max(wall_peak,
                         abs(e[1]), abs(e[-2]), abs(e[2]), abs(e[-3]))
     contaminated = wall_peak > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0))
