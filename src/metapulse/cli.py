@@ -30,7 +30,7 @@ __all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse",
 #: by run.n_steps
 MAX_DEFAULT_KERR_STEPS = 100_000
 
-#: rows rendered per numpy pass of ``_format_table``; a pass's work arrays
+#: rows rendered per numpy pass of ``_table_chunks``; a pass's work arrays
 #: peak at about 320 bytes per value, 0.8 MB for 512 rows of 5 columns
 CSV_CHUNK_ROWS = 512
 
@@ -390,18 +390,19 @@ def _boundary(config, grid, mode):
     return FieldPair(b=Signal.zeros(grid), e=j)
 
 
-def _format_table(header, columns):
-    """Render a table deterministically as ASCII bytes: comma-separated,
-    %.17e.
+def _table_chunks(header, columns):
+    """A table's ASCII bytes, comma-separated %.17e, as a sequence of
+    chunks: the header line, then ``CSV_CHUNK_ROWS`` rows at a time.
 
     Every value is written exactly as ``'%.17e' % v`` writes it, by
-    :func:`_render_rows` in numpy, ``CSV_CHUNK_ROWS`` rows at a time.
+    :func:`_render_rows` in numpy. Only one chunk's rows are stacked and
+    rendered at a time, so writing a table holds no more than that.
     """
-    data = np.column_stack(columns).astype(float, copy=False)
-    parts = [header.encode() + b"\n"]
-    for start in range(0, len(data), CSV_CHUNK_ROWS):
-        parts.append(_render_rows(data[start:start + CSV_CHUNK_ROWS]))
-    return b"".join(parts)
+    yield header.encode() + b"\n"
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        rows = slice(start, start + CSV_CHUNK_ROWS)
+        yield _render_rows(np.column_stack([c[rows] for c in columns])
+                           .astype(float, copy=False))
 
 
 def _ascii_table(strings, dtype):
@@ -538,17 +539,38 @@ def _station_tables(prefix, grid, xs, states, params=None):
             fp = waves.reconstruct(state, params, grid)
             cols += [fp.b.samples, fp.e.samples]
             header += ",B (T),E (V/m)"
-        tables[f"{prefix}_station_{i:03d}.csv"] = (
-            _format_table(header, cols),
-            {"x (m)": float(x)},
-        )
+        tables[f"{prefix}_station_{i:03d}.csv"] = (header, cols,
+                                                    {"x (m)": float(x)})
     return tables
 
 
+def _remove_previous_run(out):
+    """Delete an earlier run's ``error.txt``, and a metapulse
+    ``manifest.json`` with the plain ``*.csv`` names it lists; nothing else."""
+    (out / "error.txt").unlink(missing_ok=True)
+    mpath = out / "manifest.json"
+    try:
+        manifest = json.loads(mpath.read_text())
+    except (OSError, ValueError):
+        return
+    if not (isinstance(manifest, dict) and manifest.get("tool") == "metapulse"
+            and isinstance(manifest.get("tables"), dict)):
+        return
+    for name in manifest["tables"]:
+        path = out / name
+        if name.endswith(".csv") and path.name == name and path.is_file():
+            path.unlink()
+    mpath.unlink()
+
+
 def run_scenario(config, out_dir=None):
-    """Execute a scenario; returns (exit_status, written file paths)."""
+    """Execute a scenario; returns (exit_status, written file paths).
+
+    An earlier run's files are deleted first, and each table is streamed
+    to its file chunk by chunk; output ``OSError``s propagate."""
     out = Path(out_dir if out_dir is not None else config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
+    _remove_previous_run(out)
     runner = _RUNNERS[config.scenario]
     try:
         tables, summary = runner(config)
@@ -559,9 +581,10 @@ def run_scenario(config, out_dir=None):
         return 1, [str(diag)]
 
     written = []
-    for name, (table, meta) in tables.items():
+    for name, (header, columns, _) in tables.items():
         path = out / name
-        path.write_bytes(table)
+        with path.open("wb") as fh:
+            fh.writelines(_table_chunks(header, columns))
         written.append(str(path))
     manifest = {
         "tool": "metapulse",
@@ -571,7 +594,7 @@ def run_scenario(config, out_dir=None):
         "grid": config.grid,
         "pulse": config.pulse,
         "run": config.run,
-        "tables": {name: meta for name, (_, meta) in sorted(tables.items())},
+        "tables": {name: meta for name, (*_, meta) in sorted(tables.items())},
         "summary": summary,
     }
     mpath = out / "manifest.json"
@@ -588,11 +611,10 @@ def _run_split(config):
     fields = _boundary(config, grid, config.run["boundary"])
     dp = waves.split(fields, config.params, grid)
     header = "t (s),j=E(0,t) (V/m),k=B(0,t) (T),Pi (T),Lambda (T)"
-    table = _format_table(header, [grid.times, fields.e.samples,
-                                   fields.b.samples, dp.pi.samples,
-                                   dp.lam.samples])
+    columns = [grid.times, fields.e.samples, fields.b.samples,
+               dp.pi.samples, dp.lam.samples]
     summary = {"pi_peak (T)": dp.pi.peak, "lambda_peak (T)": dp.lam.peak}
-    return {"split.csv": (table, {})}, summary
+    return {"split.csv": (header, columns, {})}, summary
 
 
 def _linear_runner(config, propagator, tag):
@@ -694,9 +716,9 @@ def _run_stationary_linear(config):
                      config.run["n_xi"])
     r = stationary.linear_r_profile(config.run["amplitude_r"], sp, xi)
     lw = stationary.linear_l_profile(config.run["amplitude_l"], sp, xi)
-    table = _format_table("xi (m),R (T),L (T)", [xi, r, lw])
     summary = {"k (1/m)": sp.k, "omega (rad/s)": sp.omega, "v (m/s)": sp.v}
-    return {"stationary_linear.csv": (table, {})}, summary
+    return {"stationary_linear.csv": ("xi (m),R (T),L (T)", [xi, r, lw],
+                                      {})}, summary
 
 
 def _run_stationary_nonlinear(config):
@@ -705,17 +727,15 @@ def _run_stationary_nonlinear(config):
         config.run["pi0"], config.run["dpi0"], config.run["xi_end"],
         config.run["n_steps"], sp, config.params,
     )
-    table = _format_table("xi (m),Pi (T),dPi/dxi (T/m)", [xi, pi, slope])
     summary = {"k (1/m)": sp.k, "K_v": sp.big_k_v}
-    return {"stationary_nonlinear.csv": (table, {})}, summary
+    return {"stationary_nonlinear.csv": ("xi (m),Pi (T),dPi/dxi (T/m)",
+                                         [xi, pi, slope], {})}, summary
 
 
 def _run_taylor_error(config):
     p = config.params
     omegas = np.linspace(0.0, 0.95, config.run["n_points"] + 1)[1:] * p.omega_pe
     err = medium.taylor_truncation_error(p, omegas)
-    table = _format_table("omega/omega_pe (1),relative error (1)",
-                          [omegas / p.omega_pe, err])
     at = lambda frac: float(
         medium.taylor_truncation_error(p, frac * p.omega_pe)
     )
@@ -728,7 +748,8 @@ def _run_taylor_error(config):
         "claim_met_at_0.9": at(0.9) <= 0.10,
         "note": "claims reported, not gated",
     }
-    return {"taylor_error.csv": (table, {})}, summary
+    return {"taylor_error.csv": ("omega/omega_pe (1),relative error (1)",
+                                 [omegas / p.omega_pe, err], {})}, summary
 
 
 def _run_reference_compare(config):
@@ -739,9 +760,9 @@ def _run_reference_compare(config):
         header = ("t (s),E fdtd (V/m),E spectral (V/m),"
                   "B fdtd (T),B spectral (T)")
         tables[f"compare_probe_{i:03d}.csv"] = (
-            _format_table(header, [probe["t"], probe["e_fdtd"],
-                                   probe["e_spectral"], probe["b_fdtd"],
-                                   probe["b_spectral"]]),
+            header,
+            [probe["t"], probe["e_fdtd"], probe["e_spectral"],
+             probe["b_fdtd"], probe["b_spectral"]],
             {"x (m)": probe["x"], "l2_error_e": probe["l2_e"],
              "l2_error_b": probe["l2_b"]},
         )
@@ -866,7 +887,14 @@ def main(argv=None):
         if args.command == "validate":
             print("config ok")
             return 0
-        status, written = run_scenario(config, out_dir=args.out)
+        out = args.out if args.out is not None else config.output["directory"]
+        try:
+            status, written = run_scenario(config, out_dir=out)
+        except OSError as exc:
+            setting = "--out" if args.out is not None else "output.directory"
+            print(f"error: output directory {out}: {exc} (set by {setting})",
+                  file=sys.stderr)
+            return 1
         for path in written:
             print(path)
         return status

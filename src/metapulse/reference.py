@@ -159,6 +159,14 @@ def off_node(x, dx):
     return not abs(x / dx - np.rint(x / dx)) <= 1e-6
 
 
+def _aligned_zeros(n):
+    """n float64 zeros starting on a 64-byte boundary: where malloc starts
+    the leapfrog's arrays moves its step time by up to 20%."""
+    buf = np.zeros(n + 8)
+    skip = -buf.ctypes.data % 64 // 8
+    return buf[skip:skip + n]
+
+
 def _leapfrog(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0):
     """``advance()``: one in-place leapfrog update of e and the normalised
     h, m and q (see the module docstring); the e endpoints stay fixed (PEC
@@ -171,8 +179,7 @@ def _leapfrog(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0):
     """
     a, b = (wpm * dt) ** 2, (wpe * dt) ** 2
     s = dt * dt / (eps0 * mu0 * dx * dx)
-    tmp_h = np.empty_like(h)
-    tmp_in = np.empty_like(e[1:-1])
+    tmp_h, tmp_in = _aligned_zeros(h.size), _aligned_zeros(e.size - 2)
     e_lo, e_hi, h_lo, h_hi = e[:-1], e[1:], h[:-1], h[1:]
     e_in, q_in = e[1:-1], q[1:-1]
 
@@ -246,7 +253,7 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     src_peak = max(source.peak, 1e-300)
 
     nx = grid1d.nx
-    e, h, m, q = np.zeros(nx), np.zeros(nx - 1), np.zeros(nx - 1), np.zeros(nx)
+    e, h, m, q = map(_aligned_zeros, (nx, nx - 1, nx - 1, nx))
     advance = _leapfrog(e, h, m, q, dt, dx, params.omega_pe,
                         params.omega_pm, params.eps0, params.mu0)
     # one gather per step fills a block row: each probe with its two

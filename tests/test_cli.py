@@ -15,7 +15,7 @@ from metapulse import ConfigError, TimeGrid, reference
 from metapulse.cli import (
     CSV_CHUNK_ROWS,
     MAX_DEFAULT_KERR_STEPS,
-    _format_table,
+    _table_chunks,
     main,
     parse_config,
     run_scenario,
@@ -271,7 +271,7 @@ def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
             col[: len(special)] = np.roll(special, c)[: n_rows]
             columns.append(col)
     header = ",".join(f"c{i}" for i in range(n_cols))
-    table = _format_table(header, columns)
+    table = b"".join(_table_chunks(header, columns))
     assert table == _format_per_value(header, columns)
     assert table.count(b"\n") == n_rows + 1
 
@@ -646,6 +646,122 @@ def test_run_error_path(tmp_path):
     status, written = run_scenario(cfg, out_dir=tmp_path)
     assert status == 1
     assert (tmp_path / "error.txt").exists()
+
+
+def test_rerun_with_fewer_stations_removes_the_old_tables(tmp_path):
+    # a rerun kept linear_station_002..004.csv beside a manifest that
+    # listed only 000 and 001
+    text = BASE.replace("name = split", "name = propagate-linear")
+    text += "\n[run]\nx_end = 3.0\n"
+    (tmp_path / "notes.txt").write_text("kept")
+    (tmp_path / "other.csv").write_text("kept")
+    status, first = run_scenario(parse_config(text), out_dir=tmp_path)
+    assert status == 0 and len(first) == 6
+    cfg = parse_config(text, ["run.n_stations=2"])
+    status, second = run_scenario(cfg, out_dir=tmp_path)
+    assert status == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "linear_station_000.csv", "linear_station_001.csv", "manifest.json",
+        "notes.txt", "other.csv"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["tables"]) == [Path(p).name for p in second[:-1]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_good_run_after_a_failed_run_removes_error_txt(tmp_path):
+    # the failed Kerr run's error.txt stayed beside a successful manifest
+    text = BASE.replace("name = split", "name = propagate-nonlinear")
+    text = text.replace("mu0 = 1.0", "mu0 = 1.0\nchi3 = 1.0")
+    text = text.replace("width = 12.0", "width = 12.0\namplitude = 0.1")
+    text += "\n[run]\nx_end = 5.0\nn_steps = 10\n"
+    assert run_scenario(parse_config(text), out_dir=tmp_path)[0] == 0
+    loud = parse_config(text, ["pulse.amplitude=1000.0"])
+    status, _ = run_scenario(loud, out_dir=tmp_path)
+    assert status == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.txt"]
+    status, written = run_scenario(parse_config(text), out_dir=tmp_path)
+    assert status == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        Path(p).name for p in written)
+
+
+@pytest.mark.parametrize("manifest", [
+    "not json", '{"tool": "other", "tables": {"split.csv": {}}}',
+    '{"tool": "metapulse", "tables": {"../split.csv": {}, "a.txt": {}}}',
+])
+def test_previous_run_removal_deletes_only_listed_csv_names(tmp_path,
+                                                            manifest):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(manifest)
+    for name in ("split.csv", "a.txt"):
+        (tmp_path / name).write_text("kept")
+        (out / name).write_text("kept")
+    assert run_scenario(parse_config(BASE, ["scenario.name=taylor-error"]),
+                        out_dir=out)[0] == 0
+    assert (out / "split.csv").read_text() == "kept"
+    assert (out / "a.txt").read_text() == "kept"
+    assert (tmp_path / "split.csv").read_text() == "kept"
+
+
+@pytest.mark.parametrize("via", ["--out", "output.directory", "table"])
+def test_output_directory_errors_name_the_setting(tmp_path, capsys, via):
+    # an --out that is a file died in a FileExistsError traceback
+    f = tmp_path / "cfg.ini"
+    f.write_text(BASE)
+    out = tmp_path / "out"
+    if via == "table":
+        (out / "split.csv").mkdir(parents=True)
+        argv = ["run", str(f), "--out", str(out)]
+    else:
+        out.write_text("a file")
+        argv = (["run", str(f), "--out", str(out)] if via == "--out" else
+                ["run", str(f), "--override", f"output.directory={out}"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {out}: ")
+    assert err.endswith(f"(set by {'--out' if via == 'table' else via})\n")
+    assert "Traceback" not in err
+
+
+def test_writing_a_table_holds_one_chunk(tmp_path):
+    # the whole rendered table (8 MB) and a stacked copy of its columns
+    # (2.6 MB) were held before the first byte was written
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    columns = list(rng.standard_normal((5, 65536)))
+    b"".join(_table_chunks("a", [columns[0][:8]]))  # build the digit tables
+    tracemalloc.start()
+    try:
+        with (tmp_path / "t.csv").open("wb") as fh:
+            fh.writelines(_table_chunks("a,b,c,d,e", columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.csv").stat().st_size > 8_000_000
+    assert peak < 2 * 2**20
+
+
+def test_run_scenario_memory_stays_below_the_bytes_it_writes(tmp_path):
+    # every rendered table of a run was held until the first file was
+    # written: a 58.8 MiB peak against 39.9 MB written
+    import tracemalloc
+
+    text = BASE.replace("name = split", "name = propagate-linear")
+    text = text.replace("n = 1024", "n = 65536") + "\n[run]\nx_end = 3.0\n"
+    cfg = parse_config(text)
+    b"".join(_table_chunks("a", [np.ones(8)]))  # build the digit tables
+    tracemalloc.start()
+    try:
+        status, written = run_scenario(cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and len(written) == 6
+    size = sum(os.path.getsize(p) for p in written)
+    assert size > 35_000_000
+    assert peak < size / 2
 
 
 def test_main_subcommands(tmp_path, capsys):

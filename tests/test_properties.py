@@ -30,7 +30,7 @@ from metapulse import (
     reconstruct,
     split,
 )
-from metapulse.cli import _format_table
+from metapulse.cli import _table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
 
 # derandomized, so every run draws the same examples; no example database
@@ -224,5 +224,5 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
 def test_format_table_renders_every_float_as_percent_17e(values):
     # any double st.floats() draws (nan, +-inf, -0.0, subnormals included)
     # is written exactly as '%.17e' % v writes it
-    table = _format_table("v (1)", [np.array(values)])
+    table = b"".join(_table_chunks("v (1)", [np.array(values)]))
     assert table == b"v (1)\n" + b"".join(b"%.17e\n" % v for v in values)

@@ -230,6 +230,30 @@ def test_leapfrog_step_is_eleven_ufuncs_without_allocation(unit_params,
     assert peak - current < fields[0].nbytes / 4
 
 
+def test_oracle_arrays_start_on_cache_lines(monkeypatch):
+    # the leapfrog's step time moved by up to 20% with where malloc put its
+    # arrays, so an unrelated allocation could slow the oracle
+    params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
+    source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
+    arrays = {}
+
+    def spy(*args):
+        advance = _leapfrog(*args)
+        arrays.update(zip("ehmq", args[:4]))
+        arrays.update((name, cell.cell_contents) for name, cell in
+                      zip(advance.__code__.co_freevars, advance.__closure__)
+                      if name.startswith("tmp_"))
+        return advance
+
+    monkeypatch.setattr(reference, "_leapfrog", spy)
+    for nx in (127, 128, 129, 130):
+        arrays.clear()
+        run_boundary_source(source, YeeGrid1D(nx, 0.5, c=1.0), params, 5.0,
+                            [2.0])
+        assert sorted(arrays) == ["e", "h", "m", "q", "tmp_h", "tmp_in"]
+        assert all(a.ctypes.data % 64 == 0 for a in arrays.values())
+
+
 def _full_grid_source_run(source, grid1d, params, duration, probes,
                           source_index):
     """Reference oracle loop: B on every half node, the blow-up guard and
