@@ -304,6 +304,27 @@ def _validate_oracle(grid, pulse, run, violations):
         elif off:
             violations.append(f"run.x_probes: x_ref + {', '.join(off)} is "
                               f"not on the run.dx grid")
+    if dx > 0 and run["x_probes"]:
+        nx, i_src = _oracle_nodes(dx, run["x_ref"], run["x_probes"],
+                                  run["pad"])
+        far = i_src + int(round((run["x_ref"] + max(run["x_probes"])) / dx))
+        if nx < 64:
+            violations.append(
+                f"run.dx: the oracle grid (x_ref + max(x_probes) + 2 pad) "
+                f"/ dx has {nx} nodes, fewer than 64; lower run.dx or raise "
+                f"run.pad")
+        elif not 0 < i_src < nx - 1:
+            violations.append(
+                f"run.pad: the source node round(pad / dx) = {i_src} is not "
+                f"inside the {nx}-node oracle grid; pad must exceed dx / 2")
+        elif not 0 < i_src + int(round(run["x_ref"] / dx)):
+            violations.append(f"run.x_ref: {run['x_ref']:g} puts the "
+                              f"reference probe on or behind the oracle's "
+                              f"wall")
+        elif not far < nx - 1:
+            violations.append(
+                f"run.pad: the farthest probe lands on node {far}, not below "
+                f"the wall at nx - 1 = {nx - 1}; raise run.pad")
     if grid["dt"] > 0 or grid["dt"] == 0 < pulse["carrier"]:
         window = grid["n"] * _grid_dt(grid, pulse)
         if run["duration"] > window:
@@ -414,27 +435,40 @@ def _ascii_table(strings, dtype):
 
 @functools.cache
 def _decimal_table():
-    """Constants of :func:`_render_rows`, built exactly from Python ints
-    on first use (about 40 ms), not at import.
+    """Constants of :func:`_render_rows`, allocated on first use, not at
+    import. The per-binade ones are filled in by :func:`_fill_binades` as
+    the rendered values reach their binades: all 2098 took about 40 ms,
+    and a run meets 42-95 of them.
 
     A finite v != 0 is M 2^(ex-53) with the integer M in [2^52, 2^53) and
-    the frexp exponent ex in -1073..1024. Per ex:
+    the frexp exponent ex in -1073..1024, row ex + 1073 of:
 
+    * ``built``: whether the binade's row is filled in;
     * ``decade``: E, the decade of the binade's low end 2^(ex-1);
     * ``threshold``: the least M whose value reaches 10^(E+1), or 2^53
       when none in the binade does, so v's decade is E + (M >= threshold);
-    * ``scale``, one column per (ex, d) for the decade E + d: the
+    * ``scale``, row 2 (ex + 1073) + d for the decade E + d: the
       double-double hi + lo of S = 2^(ex-53) 10^(17-E-d), hi the double
       nearest S, lo the one nearest S - hi, with hi split (Veltkamp) into
       its high 26 bits and the rest.
 
     Then the ASCII of "d.dd" and "ddd" for 0..999 and of "e-324".."e+308".
     """
-    exs = range(-1073, 1025)
-    decade = np.empty(len(exs), dtype=np.int64)
-    threshold = np.empty(len(exs))
-    scale = np.empty((len(exs), 2, 3))
-    for i, ex in enumerate(exs):
+    n = 2098  # binades
+    return (np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64),
+            np.empty(n), np.empty((2 * n, 3)),
+            _ascii_table([f"{k // 100}.{k % 100:02d}" for k in range(1000)],
+                         "<u4"),
+            _ascii_table([f"{k:03d}" for k in range(1000)], "<u4"),
+            _ascii_table([f"e{k:+03d}" for k in range(-324, 309)], "<u8"))
+
+
+def _fill_binades(rows):
+    """Fill in the ``_decimal_table`` rows ``rows`` (ex + 1073 each) from
+    exact Python-int arithmetic, about 12 us a binade."""
+    built, decade, threshold, scale = _decimal_table()[:4]
+    for i in rows.tolist():
+        ex = i - 1073
         # floor(log10(2^n)); for n < 0, 2^n = 5^-n / 10^-n
         n = ex - 1
         e = len(str(1 << n)) - 1 if n >= 0 else len(str(5**-n)) - 1 + n
@@ -452,12 +486,8 @@ def _decimal_table():
             lo = (num * hd - hn * den) / (den * hd)
             split = hi * 134217729.0  # Veltkamp: 2^27 + 1
             high = split - (split - hi)
-            scale[i, d] = high, hi - high, lo
-    return (decade, threshold, scale.reshape(-1, 3).T.copy(),
-            _ascii_table([f"{k // 100}.{k % 100:02d}" for k in range(1000)],
-                         "<u4"),
-            _ascii_table([f"{k:03d}" for k in range(1000)], "<u4"),
-            _ascii_table([f"e{k:+03d}" for k in range(-324, 309)], "<u8"))
+            scale[2 * i + d] = high, hi - high, lo
+        built[i] = True
 
 
 def _render_rows(block):
@@ -481,15 +511,19 @@ def _render_rows(block):
     zero bits of M, so R is a half-integer exactly when tz + ex - E = 35;
     M lo and t are then exact, and rint rounds the tie to even. Values
     within 2^-30 of a half-integer that are no tie, +-inf and nan are
-    rendered by Python's ``'%.17e'`` one at a time.
+    rendered by Python's ``'%.17e'`` one at a time. The table's rows for
+    the binades of ``block`` that no earlier call met are filled in first.
     """
-    decade, threshold, scale, lead, rest, exps = _decimal_table()
+    built, decade, threshold, scale, lead, rest, exps = _decimal_table()
     finite = np.isfinite(block)
     mantissa, ex = np.frexp(np.where(finite, np.abs(block), 0.0))
     m = np.ldexp(mantissa, 53)
     i = ex + 1073
+    missing = i[~built[i]]
+    if missing.size:
+        _fill_binades(np.unique(missing))
     upper = m >= threshold[i]
-    high, low, lo = scale[:, 2 * i + upper]
+    high, low, lo = np.moveaxis(scale.take(2 * i + upper, axis=0), -1, 0)
     e = decade[i] + upper
     m_high = np.ldexp(np.rint(np.ldexp(m, -27)), 27)
     m_low = m - m_high
@@ -790,10 +824,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     if grid.window < duration:
         raise ValueError("spectral window shorter than FDTD duration")
 
-    span = x_ref + max(x_probes) + 2.0 * pad
-    nx = int(np.ceil(span / dx))
+    nx, i_src = _oracle_nodes(dx, x_ref, x_probes, pad)
     grid1d = reference.YeeGrid1D(nx=nx, dx=dx, courant=courant, c=params.c)
-    i_src = int(round(pad / dx))
     probes_abs = [x_ref] + [x_ref + xp for xp in x_probes]
     run = reference.run_boundary_source(
         source, grid1d, params, duration, probes_abs, source_index=i_src,
@@ -823,6 +855,13 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
         })
     return {"probes": probes, "pass": bool(ok),
             "contaminated": run["contaminated"]}
+
+
+def _oracle_nodes(dx, x_ref, x_probes, pad):
+    """(nx, source node) of the oracle grid: pad, the source, x_ref and
+    the probes, then pad again."""
+    return (int(np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx)),
+            int(round(pad / dx)))
 
 
 def _rel_l2(a, b):

@@ -19,12 +19,14 @@ in SI, and
 so that, with a = (wpm dt)^2, b = (wpe dt)^2 and s = dt^2 / (eps0 mu0 dx^2)
 (the Courant ratio squared, since c^2 eps0 mu0 = 1),
 
-    M += a H,                  H += (E[:-1] - E[1:]) - M,
-    Q[1:-1] += b E[1:-1],      E[1:-1] += s (H[:-1] - H[1:]) - Q[1:-1].
+    M += a H,      Q += b E,      H += (E[:-1] - E[1:]) - M,
+    E[1:-1] += s (H[:-1] - H[1:]) - Q[1:-1].
 
 This is the SI scheme with its gains folded into the stored variables: no
 step divides, and far fewer values are left subnormal in the vanishing tail
-ahead of a front, where numpy's arithmetic is slow.
+ahead of a front, where numpy's arithmetic is slow. H and E share one
+buffer and M and Q another, so the two current updates are one multiply
+and one add, and a step is nine ufuncs that allocate nothing.
 
 ``cubic_spline`` resamples a record between clocks: the boundary source onto
 the FDTD clock here, and the FDTD probe records back onto the spectral grid.
@@ -167,36 +169,49 @@ def _aligned_zeros(n):
     return buf[skip:skip + n]
 
 
-def _leapfrog(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0):
-    """``advance()``: one in-place leapfrog update of e and the normalised
-    h, m and q (see the module docstring); the e endpoints stay fixed (PEC
-    walls), so only q[1:-1] is updated.
+def _leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0):
+    """The zero state (e, h, m, q) of an nx-node grid, normalised as in the
+    module docstring, and ``advance()``, its in-place leapfrog update; the
+    e endpoints stay fixed (PEC walls).
 
-    Every intermediate lives in a buffer or slice view made here, so a call
-    allocates no array. The 11 ufuncs run in the order of the plain update
-    ``m += a*h; h += (e[:-1] - e[1:]) - m`` (and its E twin), so the bits
-    match it.
+    h and e share one buffer x = [h | e] and m and q another, y = [m | q],
+    so that both Drude currents advance in one pass, y += coef x, with
+    coef a on h and b on e. The q endpoints take b times the fixed e
+    endpoints and are never read. Every intermediate lives in a buffer or
+    view made here, so a call allocates no array. The 9 ufuncs run in the
+    order of the plain update ``m += a*h; h += (e[:-1] - e[1:]) - m`` (and
+    its E twin), so the bits match it.
+
+    The buffers start on cache lines, and e and q are padded so that their
+    interiors do too: every array the step writes then starts on a cache
+    line, which took 0.3-1 us off a 6124-cell step against e and q
+    themselves on one.
     """
-    a, b = (wpm * dt) ** 2, (wpe * dt) ** 2
-    s = dt * dt / (eps0 * mu0 * dx * dx)
-    tmp_h, tmp_in = _aligned_zeros(h.size), _aligned_zeros(e.size - 2)
+    # e[1] is element off + 1 of x, a multiple of 8 at or past h's end
+    off = -(-nx // 8) * 8 - 1
+    x, y, coef, tmp = (_aligned_zeros(off + nx) for _ in range(4))
+    h, e, m, q = x[:nx - 1], x[off:], y[:nx - 1], y[off:]
+    coef[:nx - 1], coef[off:] = (wpm * dt) ** 2, (wpe * dt) ** 2
+    # a 0-d array, which numpy takes without the per-call conversion of a
+    # Python float
+    s = np.array(dt * dt / (eps0 * mu0 * dx * dx))
+    tmp_h, tmp_in = tmp[:nx - 1], tmp[off + 1:off + nx - 1]
     e_lo, e_hi, h_lo, h_hi = e[:-1], e[1:], h[:-1], h[1:]
     e_in, q_in = e[1:-1], q[1:-1]
+    add, subtract, multiply = np.add, np.subtract, np.multiply
 
     def advance():
-        np.multiply(h, a, out=tmp_h)
-        np.add(m, tmp_h, out=m)
-        np.subtract(e_lo, e_hi, out=tmp_h)
-        np.subtract(tmp_h, m, out=tmp_h)
-        np.add(h, tmp_h, out=h)
-        np.multiply(e_in, b, out=tmp_in)
-        np.add(q_in, tmp_in, out=q_in)
-        np.subtract(h_lo, h_hi, out=tmp_in)
-        np.multiply(tmp_in, s, out=tmp_in)
-        np.subtract(tmp_in, q_in, out=tmp_in)
-        np.add(e_in, tmp_in, out=e_in)
+        multiply(coef, x, tmp)
+        add(y, tmp, y)
+        subtract(e_lo, e_hi, tmp_h)
+        subtract(tmp_h, m, tmp_h)
+        add(h, tmp_h, h)
+        subtract(h_lo, h_hi, tmp_in)
+        multiply(tmp_in, s, tmp_in)
+        subtract(tmp_in, q_in, tmp_in)
+        add(e_in, tmp_in, e_in)
 
-    return advance
+    return advance, (e, h, m, q)
 
 
 def run_boundary_source(source, grid1d, params, duration, probes,
@@ -222,7 +237,8 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     from the wall-activity heuristic).
 
     Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
-    differ by more than 1e-12 relative. Raises FloatingPointError when E
+    differ by more than 1e-12 relative, or when the source or a probe is
+    not on a node inside the walls. Raises FloatingPointError when E
     exceeds 1e6 times the source peak or is not finite. The guard runs once
     per ``BLOCK_STEPS`` steps, so the abort comes within one block of the
     blow-up.
@@ -233,6 +249,8 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     dt, dx = grid1d.dt_fdtd, grid1d.dx
     n_steps = int(round(duration / dt))
     i_src = grid1d.nx // 4 if source_index is None else int(source_index)
+    if not 0 < i_src < grid1d.nx - 1:
+        raise ValueError(f"source node {i_src} falls outside the grid")
 
     idx = []
     for xp in probes:
@@ -253,9 +271,9 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     src_peak = max(source.peak, 1e-300)
 
     nx = grid1d.nx
-    e, h, m, q = map(_aligned_zeros, (nx, nx - 1, nx - 1, nx))
-    advance = _leapfrog(e, h, m, q, dt, dx, params.omega_pe,
-                        params.omega_pm, params.eps0, params.mu0)
+    advance, (e, *_) = _leapfrog(nx, dt, dx, params.omega_pe,
+                                 params.omega_pm, params.eps0, params.mu0)
+    take = e.take
     # one gather per step fills a block row: each probe with its two
     # neighbours, then the four nodes beside the walls; the guard and the
     # records run once per block
@@ -275,10 +293,10 @@ def run_boundary_source(source, grid1d, params, duration, probes,
 
     for n0 in range(1, n_steps + 1, BLOCK_STEPS):
         n1 = min(n0 + BLOCK_STEPS, n_steps + 1)
-        for n, row in zip(range(n0, n1), rows):
+        for k, row in zip(kick[n0:n1].tolist(), rows):
             advance()
-            e[i_src] += kick[n]
-            np.take(e, taps, out=row, mode="clip")
+            e[i_src] += k
+            take(taps, out=row, mode="clip")
         if not np.max(np.abs(e)) <= 1e6 * src_peak:
             raise FloatingPointError(
                 f"FDTD instability during source run by step {n1 - 1}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metapulse import ConfigError, TimeGrid, reference
+from metapulse import ConfigError, TimeGrid, cli, reference
 from metapulse.cli import (
     CSV_CHUNK_ROWS,
     MAX_DEFAULT_KERR_STEPS,
@@ -181,6 +181,57 @@ def _format_per_value(header, columns):
     return (header + "\n" + "".join(
         ",".join(f"{v:.17e}" for v in row) + "\n" for row in rows
     )).encode("ascii")
+
+
+def _eager_decimal_constants():
+    """Reference for the renderer's per-binade constants: (decade,
+    threshold, scale) for all 2098 binades at once, from exact Python ints,
+    with scale's row 2 (ex + 1073) + d for the decade E + d."""
+    exs = range(-1073, 1025)
+    decade = np.empty(len(exs), dtype=np.int64)
+    threshold = np.empty(len(exs))
+    scale = np.empty((len(exs), 2, 3))
+    for i, ex in enumerate(exs):
+        n = ex - 1
+        e = len(str(1 << n)) - 1 if n >= 0 else len(str(5**-n)) - 1 + n
+        e2 = ex - 53
+        decade[i] = e
+        num = 10 ** max(e + 1, 0) << max(-e2, 0)
+        den = 10 ** max(-e - 1, 0) << max(e2, 0)
+        threshold[i] = min(-(-num // den), 1 << 53)
+        for d in (0, 1):
+            k = 17 - e - d
+            num = 10 ** max(k, 0) << max(e2, 0)
+            den = 10 ** max(-k, 0) << max(-e2, 0)
+            hi = num / den
+            hn, hd = hi.as_integer_ratio()
+            lo = (num * hd - hn * den) / (den * hd)
+            split = hi * 134217729.0
+            high = split - (split - hi)
+            scale[i, d] = high, hi - high, lo
+    return decade, threshold, scale.reshape(-1, 3)
+
+
+def test_binades_built_on_demand_match_the_eager_constants():
+    cli._decimal_table.cache_clear()
+    # 2^(ex-1) is in the binade ex, for every ex in -1073..1024
+    b"".join(_table_chunks("a", [np.ldexp(0.5, np.arange(-1073, 1025))]))
+    built, *constants = cli._decimal_table()[:4]
+    assert built.all()
+    for have, want in zip(constants, _eager_decimal_constants()):
+        assert have.dtype == want.dtype
+        assert np.array_equal(have, want)
+
+
+def test_a_table_builds_only_the_binades_it_meets():
+    # all 2098 binades took about 40 ms to build, where a run meets 42-95
+    cli._decimal_table.cache_clear()
+    columns = list(np.random.default_rng(3).standard_normal((5, 65536)))
+    b"".join(_table_chunks("a,b,c,d,e", columns))
+    built = cli._decimal_table()[0]
+    met = np.unique(np.frexp(np.concatenate(columns))[1]) + 1073
+    assert np.array_equal(np.flatnonzero(built), met)
+    assert built.sum() < 150
 
 
 def _near_ties():
@@ -492,6 +543,21 @@ def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
     # the carrier's default dt, 2 pi / (32 * 0.3), makes a window of 1340
     ({"dt = 0.1\n": ""}, None),
     ({"dt = 0.1\n": "", "duration = 150.0": "duration = 1400.0"}, "duration"),
+    # the oracle grid: run failed in YeeGrid1D ("nx must be at least 64") or
+    # in run_boundary_source ("probe at ... falls outside the grid"), and a
+    # source node of 0 drove the wall, one below 0 the far end
+    ({"pad = 40.0": "pad = 0.0"}, "dx"),
+    ({"pad = 40.0": "pad = -0.1"}, "dx"),
+    ({"pad = 40.0": "pad = 0.5"}, "dx"),
+    ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.0"}, "pad"),
+    ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.01"}, "pad"),
+    ({"dx = 0.08": "dx = 0.02", "x_probes = 0.96": "x_probes = 2.0",
+      "pad = 40.0": "pad = -0.1"}, "pad"),
+    # the farthest probe lands on the wall node nx - 1 = 73
+    ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.02"}, "pad"),
+    ({"dx = 0.08": "dx = 0.02", "x_ref = 0.48": "x_ref = -0.48",
+      "x_probes = 0.96": "x_probes = 2.0", "pad = 40.0": "pad = 0.1"},
+     "x_ref"),
 ])
 def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     # keys that YeeGrid1D, run_boundary_source or reference_compare would
@@ -510,6 +576,36 @@ def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
                   if ln.startswith("invalid:")]
     assert len(violations) == (key is not None)
     assert all(v.startswith(f"invalid: run.{key}:") for v in violations)
+
+
+@pytest.mark.parametrize("pad, node, nx", [("0.0", 0, 124), ("0.01", 0, 125),
+                                           ("-0.1", -5, 114)])
+def test_validate_names_the_oracle_source_node(pad, node, nx):
+    # a source node on or behind the wall also puts the farthest probe on
+    # or past the other wall; the source is named as the cause
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
+            + SCENARIO_CONFIGS["reference-compare"])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, ["run.dx=0.02", "run.x_probes=2.0",
+                            f"run.pad={pad}"])
+    assert exc.value.violations == [
+        f"run.pad: the source node round(pad / dx) = {node} is not inside "
+        f"the {nx}-node oracle grid; pad must exceed dx / 2"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_tightest_oracle_pad_that_validates_runs(tmp_path):
+    # pad 0.035 on dx 0.02: 76 nodes, the source on node 2 and the
+    # farthest probe on node 74, the last one inside the walls
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
+            + SCENARIO_CONFIGS["reference-compare"])
+    cfg = parse_config(text, ["run.dx=0.02", "run.pad=0.035",
+                              "run.duration=20.0"])
+    assert run_scenario(cfg, out_dir=tmp_path)[0] == 0
 
 
 
@@ -731,7 +827,8 @@ def test_writing_a_table_holds_one_chunk(tmp_path):
 
     rng = np.random.default_rng(5)
     columns = list(rng.standard_normal((5, 65536)))
-    b"".join(_table_chunks("a", [columns[0][:8]]))  # build the digit tables
+    # allocate the digit constants and build the binades the table meets
+    b"".join(_table_chunks("a,b,c,d,e", columns))
     tracemalloc.start()
     try:
         with (tmp_path / "t.csv").open("wb") as fh:
@@ -751,7 +848,8 @@ def test_run_scenario_memory_stays_below_the_bytes_it_writes(tmp_path):
     text = BASE.replace("name = split", "name = propagate-linear")
     text = text.replace("n = 1024", "n = 65536") + "\n[run]\nx_end = 3.0\n"
     cfg = parse_config(text)
-    b"".join(_table_chunks("a", [np.ones(8)]))  # build the digit tables
+    # allocate the digit constants; the run builds the binades it meets
+    b"".join(_table_chunks("a", [np.ones(8)]))
     tracemalloc.start()
     try:
         status, written = run_scenario(cfg, out_dir=tmp_path)

@@ -26,14 +26,6 @@ def test_grid_validation():
     assert g.dt_fdtd == pytest.approx(0.005)
 
 
-def _fields(g, e=None, h=None, m=None, q=None):
-    """The normalised (e, h, m, q) on the grid's nodes and half nodes, zero
-    where not given, as fresh float arrays the leapfrog may overwrite."""
-    nx = g.nx
-    return [np.array(a if a is not None else np.zeros(n), dtype=float)
-            for a, n in ((e, nx), (h, nx - 1), (m, nx - 1), (q, nx))]
-
-
 def _material(params=None):
     """(wpe, wpm, eps0, mu0) of ``params``, or of SI vacuum without one
     (both plasma frequencies zero)."""
@@ -41,9 +33,15 @@ def _material(params=None):
             if params else (0.0, 0.0, EPS0, MU0))
 
 
-def _stepper(fields, g, params=None):
-    """The in-place leapfrog of ``fields`` on g (see ``_material``)."""
-    return _leapfrog(*fields, g.dt_fdtd, g.dx, *_material(params))
+def _stepper(g, params=None, e=None, h=None, m=None, q=None):
+    """The in-place leapfrog on g (see ``_material``) and its normalised
+    (e, h, m, q) on the grid's nodes and half nodes, set to the values
+    given and zero elsewhere."""
+    advance, fields = _leapfrog(g.nx, g.dt_fdtd, g.dx, *_material(params))
+    for a, values in zip(fields, (e, h, m, q)):
+        if values is not None:
+            a[:] = values
+    return advance, fields
 
 
 def _to_si(fields, dt, dx, eps0, mu0):
@@ -55,8 +53,7 @@ def _to_si(fields, dt, dx, eps0, mu0):
 
 def test_zero_fields_stay_zero(unit_params):
     g = YeeGrid1D(128, 0.05, c=1.0)
-    fields = _fields(g)
-    advance = _stepper(fields, g, unit_params)
+    advance, fields = _stepper(g, unit_params)
     for _ in range(20):
         advance()
     assert all(np.all(a == 0.0) for a in fields)
@@ -76,8 +73,7 @@ def test_vacuum_pulse_speed():
     # h staggered half a cell right and half a step ahead for a +x wave,
     # stored as H = (mu0 dx/dt) h
     h_si = f(x[:-1] + 0.5 * g.dx + 0.5 * c_med * dt) / (MU0 * c_med)
-    fields = _fields(g, e=f(x), h=(MU0 * g.dx / dt) * h_si)
-    advance = _stepper(fields, g)
+    advance, fields = _stepper(g, e=f(x), h=(MU0 * g.dx / dt) * h_si)
     n_steps = 1000
     for _ in range(n_steps):
         advance()
@@ -90,9 +86,7 @@ def test_vacuum_energy_conserved():
     x = g.x_nodes
     e = np.exp(-((x - 12.8) ** 2) / (2.0 * 1.0**2))
     e[0] = e[-1] = 0.0
-    fields = _fields(g, e=e)
-    e, h = fields[:2]
-    advance = _stepper(fields, g)
+    advance, (e, h, _, _) = _stepper(g, e=e)
     # staggered-consistent energy e^n e^{n+1} + (h^{n+1/2})^2 is exact for
     # Yee; the SI h is the stored H over mu0 dx/dt
     h_to_si = g.dt_fdtd / (MU0 * g.dx)
@@ -114,12 +108,12 @@ def test_superposition(unit_params, rng):
                for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)]
               for _ in range(2))
     both = [a + b for a, b in zip(s1, s2)]
-    runs = [_stepper(s, g, unit_params) for s in (s1, s2, both)]
+    runs = [_stepper(g, unit_params, *s) for s in (s1, s2, both)]
     for _ in range(5):
-        for advance in runs:
+        for advance, _ in runs:
             advance()
-    assert np.max(np.abs(both[0] - s1[0] - s2[0])) <= 1e-12 * np.max(
-        np.abs(both[0]))
+    e1, e2, e12 = (fields[0] for _, fields in runs)
+    assert np.max(np.abs(e12 - e1 - e2)) <= 1e-12 * np.max(np.abs(e12))
 
 
 def test_source_run_rejects_grid_speed_unlike_the_medium():
@@ -133,6 +127,17 @@ def test_source_run_rejects_grid_speed_unlike_the_medium():
     # a difference within 1e-12 relative runs
     g = YeeGrid1D(128, 0.5, courant=0.5, c=1.0 + 1e-13)
     run_boundary_source(source, g, params, 5.0, [2.0])
+
+
+@pytest.mark.parametrize("source_index", [0, -3, 127, 128])
+def test_source_run_rejects_a_source_off_the_interior(source_index):
+    # node 0 drove the wall, and a negative one wrapped to the far end
+    params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
+    source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
+    g = YeeGrid1D(128, 0.5, courant=0.5, c=1.0)
+    with pytest.raises(ValueError, match=f"source node {source_index} "):
+        run_boundary_source(source, g, params, 5.0, [2.0],
+                            source_index=source_index)
 
 
 def test_underresolved_warning():
@@ -179,10 +184,9 @@ def _advance_normalised(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0):
 def test_normalised_leapfrog_matches_si_update(params, g, rng):
     dt, dx = g.dt_fdtd, g.dx
     material = _material(params)
-    fields = _fields(g, *(rng.standard_normal(n)
-                          for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)))
+    advance, fields = _stepper(g, params, *(
+        rng.standard_normal(n) for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)))
     si = [a.copy() for a in _to_si(fields, dt, dx, params.eps0, params.mu0)]
-    advance = _stepper(fields, g, params)
     for _ in range(500):
         advance()
         _advance(*si, dt, dx, *material)
@@ -194,14 +198,11 @@ def test_normalised_leapfrog_matches_si_update(params, g, rng):
         assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-def test_leapfrog_step_is_eleven_ufuncs_without_allocation(unit_params,
-                                                           monkeypatch):
+def test_leapfrog_step_is_nine_ufuncs_without_allocation(unit_params,
+                                                         monkeypatch):
     import tracemalloc
-    from types import SimpleNamespace
 
     g = YeeGrid1D(4096, 0.05, c=1.0)
-    fields = _fields(g, e=np.ones(g.nx))
-    advance = _stepper(fields, g, unit_params)
     calls = []
 
     def counted(ufunc):
@@ -210,13 +211,16 @@ def test_leapfrog_step_is_eleven_ufuncs_without_allocation(unit_params,
             return ufunc(*args, **kwargs)
         return call
 
-    ufuncs = {name: counted(getattr(np, name))
-              for name in ("add", "subtract", "multiply", "divide")}
-    monkeypatch.setattr(reference, "np", SimpleNamespace(**ufuncs))
+    # the step binds its ufuncs when it is made
+    for name in ("add", "subtract", "multiply", "divide"):
+        monkeypatch.setattr(np, name, counted(getattr(np, name)))
+    advance, fields = _stepper(g, unit_params, e=np.ones(g.nx))
+    calls.clear()
     advance()
-    assert len(calls) == 11 and "divide" not in calls
+    assert len(calls) == 9 and "divide" not in calls
     monkeypatch.undo()
 
+    advance, fields = _stepper(g, unit_params, e=np.ones(g.nx))
     tracemalloc.start()
     try:
         advance()
@@ -232,26 +236,38 @@ def test_leapfrog_step_is_eleven_ufuncs_without_allocation(unit_params,
 
 def test_oracle_arrays_start_on_cache_lines(monkeypatch):
     # the leapfrog's step time moved by up to 20% with where malloc put its
-    # arrays, so an unrelated allocation could slow the oracle
+    # arrays, so an unrelated allocation could slow the oracle; every array
+    # the step writes starts on a cache line, e and q from their interiors
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
     arrays = {}
 
     def spy(*args):
-        advance = _leapfrog(*args)
-        arrays.update(zip("ehmq", args[:4]))
+        advance, fields = _leapfrog(*args)
+        arrays.update(zip("ehmq", fields))
         arrays.update((name, cell.cell_contents) for name, cell in
                       zip(advance.__code__.co_freevars, advance.__closure__)
-                      if name.startswith("tmp_"))
-        return advance
+                      if name in ("x", "y", "coef", "tmp", "tmp_h", "tmp_in"))
+        return advance, fields
 
     monkeypatch.setattr(reference, "_leapfrog", spy)
     for nx in (127, 128, 129, 130):
         arrays.clear()
         run_boundary_source(source, YeeGrid1D(nx, 0.5, c=1.0), params, 5.0,
                             [2.0])
-        assert sorted(arrays) == ["e", "h", "m", "q", "tmp_h", "tmp_in"]
-        assert all(a.ctypes.data % 64 == 0 for a in arrays.values())
+        assert sorted(arrays) == ["coef", "e", "h", "m", "q", "tmp", "tmp_h",
+                                  "tmp_in", "x", "y"]
+        starts = {name: a.ctypes.data for name, a in arrays.items()}
+        starts["e"] += 8
+        starts["q"] += 8
+        assert all(start % 64 == 0 for start in starts.values()), starts
+        # h and e fill x, m and q fill y, each pair in that order
+        for buf, lo, hi in (("x", "h", "e"), ("y", "m", "q")):
+            buf, lo, hi = arrays[buf], arrays[lo], arrays[hi]
+            assert lo.ctypes.data == buf.ctypes.data and lo.size == nx - 1
+            assert hi.ctypes.data + hi.nbytes == buf.ctypes.data + buf.nbytes
+            assert hi.size == nx
+            assert hi.ctypes.data >= lo.ctypes.data + lo.nbytes
 
 
 def _full_grid_source_run(source, grid1d, params, duration, probes,
