@@ -1,15 +1,16 @@
-"""Scenario runner and serialization layer.
+"""Config parsing, each scenario's plan and run, and the output files.
 
 Configs are flat INI-style files (sections of ``key = value``); see
-``metapulse scenarios`` for the scenario list and their run keys. Every run
-writes comma-separated tables (header row carries units) plus one JSON
+``metapulse scenarios`` for the scenario list and their run keys. A run is
+its :func:`plan`, which decides whether it can work, then its march; every
+run writes comma-separated tables (header row carries units) plus one JSON
 manifest that fully describes the run; outputs are byte-identical for a
 fixed config.
 """
 
 import argparse
 import configparser
-import functools
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -19,25 +20,17 @@ import numpy as np
 
 from . import __version__, evolution, medium, reference, stationary, waves
 from .errors import ConfigError
+from .render import table_chunks
 from .spectral import Signal, TimeGrid, apply, make_multiplier
 from .waves import CLEAN_TOL, FieldPair
 
-__all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse",
+__all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse", "plan",
            "run_scenario", "main", "SCENARIOS"]
 
 #: most Kerr steps a run derives by itself; the derived count grows with
 #: run.x_end and with pulse.amplitude squared, and more must be asked for
 #: by run.n_steps
 MAX_DEFAULT_KERR_STEPS = 100_000
-
-#: rows rendered per numpy pass of ``_table_chunks``; a pass's work arrays
-#: peak at about 320 bytes per value, 0.8 MB for 512 rows of 5 columns
-CSV_CHUNK_ROWS = 512
-
-#: one rendered value: sign, "d.dd", five "ddd" groups, "e+dd" or "e+ddd"
-#: and a separator, each field padded with NUL bytes that are dropped
-_VALUE = np.dtype([("sign", "u1"), ("lead", "<u4"), ("rest", "<u4", (5,)),
-                   ("exp", "<u8"), ("sep", "u1")])
 
 # scenario -> (description, {run key: (type, default or REQUIRED)})
 REQUIRED = object()
@@ -163,9 +156,10 @@ def _read_section(cp, name, schema, violations):
 
 
 def parse_config(text, overrides=()):
-    """Parse and validate a config, each ``SECTION.KEY=VALUE`` of
+    """Parse a config and check its schema, each ``SECTION.KEY=VALUE`` of
     ``overrides`` set over the text's value; values are taken literally
-    (``%`` included). Raises ConfigError listing all problems."""
+    (``%`` included). Raises ConfigError listing all problems; what only
+    the run's own objects can decide is left to :func:`plan`."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
     violations = []
@@ -216,15 +210,11 @@ def parse_config(text, overrides=()):
 
 
 def _validate_physics(scenario, params, grid, pulse, run, violations):
-    if grid["n"] < 8 or grid["n"] & (grid["n"] - 1):
-        violations.append("grid.n: must be a power of two >= 8")
-    if not grid["dt"] >= 0:
-        violations.append("grid.dt: must be positive, or omitted to derive "
-                          "it from pulse.carrier")
+    """Rules that need no object of the run: each key's own range, and
+    what no object that :func:`plan` builds decides: a Gaussian band that
+    reaches DC or meets [band_low, band_high] (also at w = p = q, where no
+    grid bin need fall), and taylor-error's medium, whose run builds none."""
     carrier = pulse["carrier"]
-    if scenario in _BAND_CHECKED and grid["dt"] == 0 and not carrier > 0:
-        violations.append("grid.dt: required when no positive pulse.carrier "
-                          "sets its default")
     if scenario in _BAND_CHECKED and pulse["amplitude"] == 0:
         violations.append("pulse.amplitude: must be nonzero")
     if scenario not in _BAND_CHECKED:
@@ -250,20 +240,15 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
     elif pulse["shape"] == "user-file":
         if not pulse["file"]:
             violations.append("pulse.file: required for shape user-file")
-        elif not Path(pulse["file"]).is_file():
-            violations.append(f"pulse.file: no such file {pulse['file']!r}")
-        else:
-            try:
-                _load_pulse_file(pulse["file"])
-            except ValueError as exc:
-                violations.append(
-                    f"pulse.file: cannot read {pulse['file']!r}: {exc}")
     else:
         violations.append(f"pulse.shape: unknown shape {pulse['shape']!r}")
     # only reached without earlier violations, so every run key holds a value
     for key in ("x_end", "xi_end", "duration", "dx", "v"):
         if key in run and run[key] <= 0:
             violations.append(f"run.{key}: must be positive")
+    if "x_probes" in run and not (run["x_probes"]
+                                  and min(run["x_probes"]) >= 0):
+        violations.append("run.x_probes: must list distances >= 0")
     if "boundary" in run and run["boundary"] not in _BOUNDARY_MODES:
         violations.append(f"run.boundary: unknown mode {run['boundary']!r}; "
                           f"choose from {list(_BOUNDARY_MODES)}")
@@ -283,75 +268,28 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
         violations.append("medium.omega_pe: must not exceed medium.omega_pm "
                           "for taylor-error, so the sweep stays in the lower "
                           "band")
-    if scenario == "reference-compare":
-        _validate_oracle(grid, pulse, run, violations)
 
 
-def _validate_oracle(grid, pulse, run, violations):
-    """The FDTD oracle's own limits, so that ``run`` does not find them."""
-    if not 0 < run["courant"] <= reference.MAX_COURANT:
-        violations.append(
-            f"run.courant: must lie in (0, {reference.MAX_COURANT}]")
-    if not run["x_probes"] or min(run["x_probes"]) < 0:
-        violations.append("run.x_probes: must list distances >= 0")
-    dx = run["dx"]
-    if dx > 0:
-        off = [f"{xp:g}" for xp in run["x_probes"]
-               if reference.off_node(run["x_ref"] + xp, dx)]
-        if reference.off_node(run["x_ref"], dx):
-            violations.append(f"run.x_ref: {run['x_ref']:g} is not on the "
-                              f"run.dx grid")
-        elif off:
-            violations.append(f"run.x_probes: x_ref + {', '.join(off)} is "
-                              f"not on the run.dx grid")
-    if dx > 0 and run["x_probes"]:
-        nx, i_src = _oracle_nodes(dx, run["x_ref"], run["x_probes"],
-                                  run["pad"])
-        far = i_src + int(round((run["x_ref"] + max(run["x_probes"])) / dx))
-        if nx < 64:
-            violations.append(
-                f"run.dx: the oracle grid (x_ref + max(x_probes) + 2 pad) "
-                f"/ dx has {nx} nodes, fewer than 64; lower run.dx or raise "
-                f"run.pad")
-        elif not 0 < i_src < nx - 1:
-            violations.append(
-                f"run.pad: the source node round(pad / dx) = {i_src} is not "
-                f"inside the {nx}-node oracle grid; pad must exceed dx / 2")
-        elif not 0 < i_src + int(round(run["x_ref"] / dx)):
-            violations.append(f"run.x_ref: {run['x_ref']:g} puts the "
-                              f"reference probe on or behind the oracle's "
-                              f"wall")
-        elif not far < nx - 1:
-            violations.append(
-                f"run.pad: the farthest probe lands on node {far}, not below "
-                f"the wall at nx - 1 = {nx - 1}; raise run.pad")
-    if grid["dt"] > 0 or grid["dt"] == 0 < pulse["carrier"]:
-        window = grid["n"] * _grid_dt(grid, pulse)
-        if run["duration"] > window:
-            violations.append(f"run.duration: longer than the spectral window "
-                              f"grid.n * grid.dt = {window:g}")
-
-
-def _grid_dt(grid, pulse):
-    # an omitted grid.dt defaults to >= 32 samples per carrier period;
-    # parse_config rejects pulse scenarios that have neither
-    return grid["dt"] or 2.0 * np.pi / (32.0 * pulse["carrier"])
-
-
-def _resolve_grid(config):
-    return TimeGrid(config.grid["n"], _grid_dt(config.grid, config.pulse))
-
-
-def _load_pulse_file(file):
-    """The (t, value) rows of a user pulse file; ValueError when it cannot
-    be read as two numeric columns."""
+@contextlib.contextmanager
+def _keys(*keys):
+    """Re-raise a ValueError of the block as a ConfigError that names
+    ``keys``, the config keys that set what it rejects."""
     try:
-        data = np.loadtxt(file, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ValueError(str(exc)) from exc
-    if data.shape[1] != 2:
-        raise ValueError("must have two numeric columns")
-    return data
+        yield
+    except ValueError as exc:
+        raise ConfigError([f"{'/'.join(keys)}: {exc}"]) from exc
+
+
+def _grid(config):
+    """The run's TimeGrid; an omitted grid.dt defaults to 32 samples per
+    pulse.carrier period."""
+    dt, carrier = config.grid["dt"], config.pulse["carrier"]
+    if dt == 0 and not carrier > 0:
+        raise ConfigError(["grid.dt: required when no positive "
+                           "pulse.carrier sets its default"])
+    with _keys("grid.dt", "grid.n"):
+        return TimeGrid(config.grid["n"],
+                        dt or 2.0 * np.pi / (32.0 * carrier))
 
 
 def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
@@ -363,8 +301,9 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
     are two numeric columns (t, value) resampled by cubic spline and scaled
     by amplitude.
 
-    Raises ValueError when the result keeps DC content or window-edge
-    energy above 1e-8 of peak.
+    Raises ConfigError, naming the keys to change, when a user file is not
+    two numeric columns of at least 4 rows, or when the result is zero or
+    keeps DC content or window-edge energy above 1e-8 of peak.
     """
     if shape == "gaussian-modulated":
         t0 = grid.window / 2.0
@@ -372,194 +311,52 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
         samples = amplitude * np.exp(-(tt**2) / (2.0 * width**2)) * np.sin(
             carrier * tt
         )
+        keys = "pulse.width/grid.n/grid.dt"
     elif shape == "user-file":
         try:
-            data = _load_pulse_file(file)
+            data = np.loadtxt(file, ndmin=2)
+            if data.shape[1] != 2:
+                raise ValueError("must have two numeric columns")
             samples = amplitude * reference.cubic_spline(
                 data[:, 0], data[:, 1], grid.times)
-        except ValueError as exc:
-            raise ValueError(f"pulse.file {file}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"pulse.file: {file}: {exc}"]) from exc
+        keys = "pulse.file/grid.n/grid.dt"
     else:
         raise ValueError(f"unknown pulse shape {shape!r}")
 
     samples = samples - np.mean(samples)
     sig = Signal(grid, samples)
     peak = sig.peak
-    if peak == 0.0:
-        raise ValueError("pulse is identically zero")
-    problems = []
+    problems = ["pulse is identically zero"] if peak == 0.0 else []
     if abs(np.mean(samples)) > CLEAN_TOL * peak:
         problems.append("DC content above 1e-8 of peak")
     if max(abs(samples[0]), abs(samples[-1])) > CLEAN_TOL * peak:
         problems.append("window-edge energy above 1e-8 of peak")
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ConfigError([f"{keys}: {'; '.join(problems)}"])
     return sig
 
 
-def _boundary(config, grid, mode):
-    """Entry-plane fields (B, E) = (k, j) from the pulse spec: j = pulse,
-    k per ``mode``.
+def _entry(config, grid, mode):
+    """The entry-plane fields (B, E) = (k, j), j the pulse and k per
+    ``mode``, and their directed pair.
 
-    ``pure-right`` sets k = a-hat j, so the entry pair is Pi = k, Lambda = 0;
+    ``pure-right`` sets k = a-hat j, so the pair is Pi = k, Lambda = 0;
     ``e-only`` sets k = 0.
     """
     j = synthesize_pulse(grid, **config.pulse)
-    if mode == "pure-right":
-        return FieldPair(b=apply(make_multiplier("a", config.params, grid), j),
-                         e=j)
-    return FieldPair(b=Signal.zeros(grid), e=j)
+    with _keys("grid.dt", "grid.n"):
+        k = (apply(make_multiplier("a", config.params, grid), j)
+             if mode == "pure-right" else Signal.zeros(grid))
+        fields = FieldPair(b=k, e=j)
+        return fields, waves.split(fields, config.params, grid)
 
 
-def _table_chunks(header, columns):
-    """A table's ASCII bytes, comma-separated %.17e, as a sequence of
-    chunks: the header line, then ``CSV_CHUNK_ROWS`` rows at a time.
-
-    Every value is written exactly as ``'%.17e' % v`` writes it, by
-    :func:`_render_rows` in numpy. Only one chunk's rows are stacked and
-    rendered at a time, so writing a table holds no more than that.
-    """
-    yield header.encode() + b"\n"
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        rows = slice(start, start + CSV_CHUNK_ROWS)
-        yield _render_rows(np.column_stack([c[rows] for c in columns])
-                           .astype(float, copy=False))
-
-
-def _ascii_table(strings, dtype):
-    """``strings`` as one NUL-padded ``dtype`` integer each."""
-    size = np.dtype(dtype).itemsize
-    return np.frombuffer(b"".join(s.encode().ljust(size, b"\0")
-                                  for s in strings), dtype)
-
-
-@functools.cache
-def _decimal_table():
-    """Constants of :func:`_render_rows`, allocated on first use, not at
-    import. The per-binade ones are filled in by :func:`_fill_binades` as
-    the rendered values reach their binades: all 2098 took about 40 ms,
-    and a run meets 42-95 of them.
-
-    A finite v != 0 is M 2^(ex-53) with the integer M in [2^52, 2^53) and
-    the frexp exponent ex in -1073..1024, row ex + 1073 of:
-
-    * ``built``: whether the binade's row is filled in;
-    * ``decade``: E, the decade of the binade's low end 2^(ex-1);
-    * ``threshold``: the least M whose value reaches 10^(E+1), or 2^53
-      when none in the binade does, so v's decade is E + (M >= threshold);
-    * ``scale``, row 2 (ex + 1073) + d for the decade E + d: the
-      double-double hi + lo of S = 2^(ex-53) 10^(17-E-d), hi the double
-      nearest S, lo the one nearest S - hi, with hi split (Veltkamp) into
-      its high 26 bits and the rest.
-
-    Then the ASCII of "d.dd" and "ddd" for 0..999 and of "e-324".."e+308".
-    """
-    n = 2098  # binades
-    return (np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64),
-            np.empty(n), np.empty((2 * n, 3)),
-            _ascii_table([f"{k // 100}.{k % 100:02d}" for k in range(1000)],
-                         "<u4"),
-            _ascii_table([f"{k:03d}" for k in range(1000)], "<u4"),
-            _ascii_table([f"e{k:+03d}" for k in range(-324, 309)], "<u8"))
-
-
-def _fill_binades(rows):
-    """Fill in the ``_decimal_table`` rows ``rows`` (ex + 1073 each) from
-    exact Python-int arithmetic, about 12 us a binade."""
-    built, decade, threshold, scale = _decimal_table()[:4]
-    for i in rows.tolist():
-        ex = i - 1073
-        # floor(log10(2^n)); for n < 0, 2^n = 5^-n / 10^-n
-        n = ex - 1
-        e = len(str(1 << n)) - 1 if n >= 0 else len(str(5**-n)) - 1 + n
-        e2 = ex - 53
-        decade[i] = e
-        num = 10 ** max(e + 1, 0) << max(-e2, 0)
-        den = 10 ** max(-e - 1, 0) << max(e2, 0)
-        threshold[i] = min(-(-num // den), 1 << 53)
-        for d in (0, 1):
-            k = 17 - e - d
-            num = 10 ** max(k, 0) << max(e2, 0)
-            den = 10 ** max(-k, 0) << max(-e2, 0)
-            hi = num / den  # int / int rounds to nearest
-            hn, hd = hi.as_integer_ratio()
-            lo = (num * hd - hn * den) / (den * hd)
-            split = hi * 134217729.0  # Veltkamp: 2^27 + 1
-            high = split - (split - hi)
-            scale[2 * i + d] = high, hi - high, lo
-        built[i] = True
-
-
-def _render_rows(block):
-    """The CSV rows of a 2-D float block as ASCII bytes, each value as
-    ``'%.17e' % v``.
-
-    The digits come from a table of scaled powers of ten, as in Ryu-printf
-    (Adams 2019), in double-double arithmetic. v = M 2^(ex-53) in the
-    decade E (see :func:`_decimal_table`) has the 18 digits D = round(R),
-    R = M S in [10^17, 10^18). Dekker's TwoProduct, exact without FMA for
-    M split at 2^27, gives M hi = p + e1 exactly, so R = p + t with
-    t = e1 + M lo, and p is an even integer (ulp(p) >= 16).
-
-    Error bound: t is within 2^-43 of R - p. S - hi - lo is at most
-    2^-105 S, which M carries to at most 2^-45; rounding M lo (|M lo| <
-    2^7) errs by at most 2^-47, and rounding e1 + M lo (|t| < 2^8) by at
-    most 2^-45. So rint(t) gives D, rounded half-even, wherever t lies
-    2^-30 or more from a half-integer.
-
-    Ties: R = (odd part of M) 5^(17-E) 2^(tz+ex-36-E), tz the trailing
-    zero bits of M, so R is a half-integer exactly when tz + ex - E = 35;
-    M lo and t are then exact, and rint rounds the tie to even. Values
-    within 2^-30 of a half-integer that are no tie, +-inf and nan are
-    rendered by Python's ``'%.17e'`` one at a time. The table's rows for
-    the binades of ``block`` that no earlier call met are filled in first.
-    """
-    built, decade, threshold, scale, lead, rest, exps = _decimal_table()
-    finite = np.isfinite(block)
-    mantissa, ex = np.frexp(np.where(finite, np.abs(block), 0.0))
-    m = np.ldexp(mantissa, 53)
-    i = ex + 1073
-    missing = i[~built[i]]
-    if missing.size:
-        _fill_binades(np.unique(missing))
-    upper = m >= threshold[i]
-    high, low, lo = np.moveaxis(scale.take(2 * i + upper, axis=0), -1, 0)
-    e = decade[i] + upper
-    m_high = np.ldexp(np.rint(np.ldexp(m, -27)), 27)
-    m_low = m - m_high
-    p = m * (high + low)
-    t = (((m_high * high - p) + m_high * low + m_low * high) + m_low * low
-         + m * lo)
-    m_int = m.astype(np.int64)
-    tz = np.frexp((m_int & -m_int).astype(float))[1] - 1
-    near_tie = np.abs(t - np.floor(t) - 0.5) < 2.0**-30
-    slow = ~finite | (near_tie & (tz + ex - e != 35))
-    digits = p.astype(np.int64) + np.rint(t).astype(np.int64)
-    # 9.99...95e(E) rounds up to 1.00...0e(E+1)
-    carry = digits == 10**18
-    digits[carry] = 10**17
-    e += carry
-    e[m == 0] = 0
-    upper_half = digits // 10**9
-    x = np.stack([upper_half, digits - upper_half * 10**9], -1).astype(float)
-    top = np.floor((x + 0.5) * 1e-6)
-    x -= top * 1e6
-    mid = np.floor((x + 0.5) * 1e-3)
-    groups = np.stack([top, mid, x - mid * 1e3], -1).astype(np.intp)
-    groups = groups.reshape(block.shape + (6,))
-    out = np.empty(block.shape, _VALUE)
-    out["sign"] = np.signbit(block) * np.uint8(ord("-"))
-    out["lead"] = lead[groups[..., 0]]
-    out["rest"] = rest[groups[..., 1:]]
-    out["exp"] = exps[e + 324]
-    out["sep"] = ord(",")
-    out["sep"][:, -1] = ord("\n")
-    raw = out.reshape(-1).view(np.uint8).reshape(-1, _VALUE.itemsize)
-    for j in np.flatnonzero(slow):
-        text = b"%.17e" % block.flat[j]
-        raw[j, :-1] = 0
-        raw[j, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0")
+def _check_a_inv(config, grid):
+    """Stop the plan, not the reconstruction, where a-hat^{-1} is unbounded."""
+    with _keys("grid.dt", "grid.n"):
+        make_multiplier("a_inv", config.params, grid)
 
 
 def _station_tables(prefix, grid, xs, states, params=None):
@@ -597,17 +394,34 @@ def _remove_previous_run(out):
     mpath.unlink()
 
 
+def plan(config):
+    """The run of ``config`` up to its march: the part that costs O(n) and
+    decides whether the run can work.
+
+    It builds the TimeGrid, the pulse, the entry pair and its split, the
+    a-hat^{-1} of the scenarios that reconstruct, the Kerr step count and
+    the FDTD oracle's grid, and raises ConfigError naming the config keys
+    that set whatever of these cannot be built. Returns the scenario's
+    runner paused after that: ``next`` on it marches, reconstructs and
+    gives the run's (tables, summary).
+    """
+    steps = _RUNNERS[config.scenario](config)
+    next(steps)
+    return steps
+
+
 def run_scenario(config, out_dir=None):
-    """Execute a scenario; returns (exit_status, written file paths).
+    """Plan and execute a scenario; returns (exit_status, written file
+    paths).
 
     An earlier run's files are deleted first, and each table is streamed
-    to its file chunk by chunk; output ``OSError``s propagate."""
+    to its file chunk by chunk; a plan's ConfigError and every error of the
+    run go to ``error.txt``, output ``OSError``s propagate."""
     out = Path(out_dir if out_dir is not None else config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     _remove_previous_run(out)
-    runner = _RUNNERS[config.scenario]
     try:
-        tables, summary = runner(config)
+        tables, summary = next(plan(config))
     except Exception as exc:  # propagate module errors to a diagnostic file
         diag = out / "error.txt"
         diag.write_text(f"{type(exc).__name__}: {exc}\n")
@@ -618,7 +432,7 @@ def run_scenario(config, out_dir=None):
     for name, (header, columns, _) in tables.items():
         path = out / name
         with path.open("wb") as fh:
-            fh.writelines(_table_chunks(header, columns))
+            fh.writelines(table_chunks(header, columns))
         written.append(str(path))
     manifest = {
         "tool": "metapulse",
@@ -638,135 +452,116 @@ def run_scenario(config, out_dir=None):
 
 
 # ---------------------------------------------------------------- runners
+# Each runner is a generator: the code before its first ``yield`` is the
+# run's plan, and the second ``yield`` gives (tables, summary).
 
 
 def _run_split(config):
-    grid = _resolve_grid(config)
-    fields = _boundary(config, grid, config.run["boundary"])
-    dp = waves.split(fields, config.params, grid)
+    grid = _grid(config)
+    fields, dp = _entry(config, grid, config.run["boundary"])
+    yield
     header = "t (s),j=E(0,t) (V/m),k=B(0,t) (T),Pi (T),Lambda (T)"
     columns = [grid.times, fields.e.samples, fields.b.samples,
                dp.pi.samples, dp.lam.samples]
     summary = {"pi_peak (T)": dp.pi.peak, "lambda_peak (T)": dp.lam.peak}
-    return {"split.csv": (header, columns, {})}, summary
+    yield {"split.csv": (header, columns, {})}, summary
 
 
-def _linear_runner(config, propagator, tag):
-    grid = _resolve_grid(config)
-    fields = _boundary(config, grid, config.run["boundary"])
-    dp0 = waves.split(fields, config.params, grid)
+def _run_linear(config, tag="linear"):
+    grid = _grid(config)
+    dp0 = _entry(config, grid, config.run["boundary"])[1]
+    _check_a_inv(config, grid)
+    yield
+    propagator = (evolution.propagate_kg if tag == "kg"
+                  else evolution.propagate_linear_exact)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
     states = propagator(dp0, xs, config.params, grid)
     tables = _station_tables(tag, grid, xs, states, config.params)
     summary = {"stations (m)": [float(x) for x in xs]}
-    return tables, summary, dp0
-
-
-def _run_linear(config):
-    return _linear_runner(config, evolution.propagate_linear_exact, "linear")[:2]
+    if tag == "kg":
+        summary.update(_kg_budget(config.params, dp0, config.run["x_end"]))
+    yield tables, summary
 
 
 def _run_kg(config):
-    tables, summary, dp0 = _linear_runner(config, evolution.propagate_kg, "kg")
-    # document the reduction-error budget: truncation error at the occupied
-    # band edge times the accumulated exact phase over the full distance
-    grid = dp0.grid
+    return _run_linear(config, "kg")
+
+
+def _kg_budget(params, dp0, x_end):
+    """The reduction-error budget: truncation error at the occupied band
+    edge times the accumulated exact phase over the full distance."""
     spec = np.abs(evolution._entry_spectrum(dp0)).sum(axis=0)
-    occupied = spec > 1e-8 * np.max(spec)
-    w_occ = grid.half_omegas[occupied]
+    w_occ = dp0.grid.half_omegas[spec > 1e-8 * np.max(spec)]
     w_edge = float(np.max(w_occ))
-    summary["band_edge (rad/s)"] = w_edge
-    if w_edge < config.params.band_low:
-        phase = float(
-            np.max(np.abs(w_occ * medium.a_symbol(config.params, w_occ)))
-        )
-        summary["kg_error_budget (1)"] = float(
-            medium.taylor_truncation_error(config.params, w_edge)
-            * phase * config.run["x_end"]
-        )
-    else:
-        summary["kg_error_budget (1)"] = None
-    return tables, summary
+    budget = None
+    if w_edge < params.band_low:
+        phase = float(np.max(np.abs(w_occ * medium.a_symbol(params, w_occ))))
+        budget = float(medium.taylor_truncation_error(params, w_edge)
+                       * phase * x_end)
+    return {"band_edge (rad/s)": w_edge, "kg_error_budget (1)": budget}
 
 
-def _kerr_steps(config, entry, grid):
-    """``run.n_steps``, or when it is 0 the count derived from the entry,
-    which may not exceed MAX_DEFAULT_KERR_STEPS."""
-    run = config.run
-    if run["n_steps"]:
-        return run["n_steps"]
-    n_steps = evolution.kerr_default_steps(
+def _run_kerr(config, tag="nonlinear"):
+    run, grid = config.run, _grid(config)
+    coupled = tag == "nonlinear"
+    # the pure-right entry splits into Pi = k and Lambda = 0 exactly
+    dp0 = _entry(config, grid, run["boundary"] if coupled else "pure-right")[1]
+    entry = dp0 if coupled else dp0.pi
+    # run.n_steps, or when it is 0 the count derived from the entry
+    n_steps = run["n_steps"] or evolution.kerr_default_steps(
         entry, run["x_end"], config.params, grid, dealias=run["dealias"],
         n_stations=run["n_stations"])
-    if n_steps > MAX_DEFAULT_KERR_STEPS:
-        raise ValueError(
-            f"derived Kerr step count {n_steps} exceeds "
+    if not run["n_steps"] and n_steps > MAX_DEFAULT_KERR_STEPS:
+        raise ConfigError([
+            f"run.n_steps: derived Kerr step count {n_steps} exceeds "
             f"{MAX_DEFAULT_KERR_STEPS}; set run.n_steps to march that many, "
-            f"or lower pulse.amplitude or run.x_end")
-    return n_steps
-
-
-def _run_nonlinear(config):
-    grid = _resolve_grid(config)
-    fields = _boundary(config, grid, config.run["boundary"])
-    dp0 = waves.split(fields, config.params, grid)
-    n_steps = _kerr_steps(config, dp0, grid)
-    record = evolution.propagate_nonlinear(
-        dp0, config.run["x_end"], n_steps, config.params, grid,
-        dealias=config.run["dealias"], n_stations=config.run["n_stations"],
-    )
-    tables = _station_tables("nonlinear", grid, record.stations,
-                             record.states)
-    summary = {"n_steps": n_steps, "dealias": config.run["dealias"],
-               "kerr_stiffness (1)": record.meta["kerr_stiffness"],
-               "kerr_stiffness_exit (1)": record.meta["kerr_stiffness_exit"],
-               "final_pi_peak (T)": record.final.pi.peak,
-               "final_lambda_peak (T)": record.final.lam.peak}
-    return tables, summary
-
-
-def _run_unidirectional(config):
-    grid = _resolve_grid(config)
-    # the pure-right entry splits into Pi = k and Lambda = 0 exactly
-    pi0 = waves.split(_boundary(config, grid, "pure-right"), config.params,
-                      grid).pi
-    n_steps = _kerr_steps(config, pi0, grid)
-    record = evolution.propagate_unidirectional(
-        pi0, config.run["x_end"], n_steps, config.params, grid,
-        dealias=config.run["dealias"], n_stations=config.run["n_stations"],
-    )
-    tables = _station_tables("unidirectional", grid, record.stations,
-                             record.states)
+            f"or lower pulse.amplitude or run.x_end"])
+    yield
+    march = (evolution.propagate_nonlinear if coupled
+             else evolution.propagate_unidirectional)
+    record = march(entry, run["x_end"], n_steps, config.params, grid,
+                   dealias=run["dealias"], n_stations=run["n_stations"])
     summary = {"n_steps": n_steps,
                "kerr_stiffness (1)": record.meta["kerr_stiffness"],
                "kerr_stiffness_exit (1)": record.meta["kerr_stiffness_exit"],
                "final_pi_peak (T)": record.final.pi.peak}
-    return tables, summary
+    if coupled:
+        summary.update({"dealias": run["dealias"],
+                        "final_lambda_peak (T)": record.final.lam.peak})
+    yield (_station_tables(tag, grid, record.stations, record.states),
+           summary)
+
+
+def _run_unidirectional(config):
+    return _run_kerr(config, "unidirectional")
 
 
 def _run_stationary_linear(config):
     sp = stationary.stationary_params(config.run["v"], config.params)
+    yield
     xi = np.linspace(config.run["xi_min"], config.run["xi_max"],
                      config.run["n_xi"])
     r = stationary.linear_r_profile(config.run["amplitude_r"], sp, xi)
     lw = stationary.linear_l_profile(config.run["amplitude_l"], sp, xi)
     summary = {"k (1/m)": sp.k, "omega (rad/s)": sp.omega, "v (m/s)": sp.v}
-    return {"stationary_linear.csv": ("xi (m),R (T),L (T)", [xi, r, lw],
-                                      {})}, summary
+    yield {"stationary_linear.csv": ("xi (m),R (T),L (T)", [xi, r, lw],
+                                     {})}, summary
 
 
 def _run_stationary_nonlinear(config):
     sp = stationary.stationary_params(config.run["v"], config.params)
+    yield
     xi, pi, slope = stationary.integrate_oscillator(
         config.run["pi0"], config.run["dpi0"], config.run["xi_end"],
         config.run["n_steps"], sp, config.params,
     )
     summary = {"k (1/m)": sp.k, "K_v": sp.big_k_v}
-    return {"stationary_nonlinear.csv": ("xi (m),Pi (T),dPi/dxi (T/m)",
-                                         [xi, pi, slope], {})}, summary
+    yield {"stationary_nonlinear.csv": ("xi (m),Pi (T),dPi/dxi (T/m)",
+                                        [xi, pi, slope], {})}, summary
 
 
 def _run_taylor_error(config):
+    yield
     p = config.params
     omegas = np.linspace(0.0, 0.95, config.run["n_points"] + 1)[1:] * p.omega_pe
     err = medium.taylor_truncation_error(p, omegas)
@@ -782,12 +577,16 @@ def _run_taylor_error(config):
         "claim_met_at_0.9": at(0.9) <= 0.10,
         "note": "claims reported, not gated",
     }
-    return {"taylor_error.csv": ("omega/omega_pe (1),relative error (1)",
-                                 [omegas / p.omega_pe, err], {})}, summary
+    yield {"taylor_error.csv": ("omega/omega_pe (1),relative error (1)",
+                                [omegas / p.omega_pe, err], {})}, summary
 
 
 def _run_reference_compare(config):
-    source = synthesize_pulse(_resolve_grid(config), **config.pulse)
+    grid = _grid(config)
+    source = synthesize_pulse(grid, **config.pulse)
+    _check_a_inv(config, grid)
+    _oracle(config.params, grid, **config.run)
+    yield
     res = reference_compare(config.params, source, **config.run)
     tables = {}
     for i, probe in enumerate(res["probes"]):
@@ -807,7 +606,7 @@ def _run_reference_compare(config):
         "pass": res["pass"],
         "fdtd_contaminated": res["contaminated"],
     }
-    return tables, summary
+    yield tables, summary
 
 
 def reference_compare(params, source, dx, courant, x_ref, x_probes,
@@ -821,12 +620,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     ``contaminated`` passes on the FDTD run's wall-reflection flag.
     """
     grid = source.grid
-    if grid.window < duration:
-        raise ValueError("spectral window shorter than FDTD duration")
-
-    nx, i_src = _oracle_nodes(dx, x_ref, x_probes, pad)
-    grid1d = reference.YeeGrid1D(nx=nx, dx=dx, courant=courant, c=params.c)
-    probes_abs = [x_ref] + [x_ref + xp for xp in x_probes]
+    grid1d, i_src, probes_abs = _oracle(params, grid, dx, courant, x_ref,
+                                        x_probes, duration, pad)
     run = reference.run_boundary_source(
         source, grid1d, params, duration, probes_abs, source_index=i_src,
     )
@@ -857,11 +652,31 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
             "contaminated": run["contaminated"]}
 
 
-def _oracle_nodes(dx, x_ref, x_probes, pad):
-    """(nx, source node) of the oracle grid: pad, the source, x_ref and
-    the probes, then pad again."""
-    return (int(np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx)),
-            int(round(pad / dx)))
+def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
+    """The FDTD oracle of :func:`reference_compare`: its grid (pad, the
+    source, x_ref and the probes, then pad again), its source node and the
+    probe positions from the source.
+
+    Raises ConfigError naming the run keys when the spectral window, the
+    oracle grid or its records cannot take them: the records need 4
+    samples for the resampling spline.
+    """
+    if grid.window < duration:
+        raise ConfigError([f"run.duration: longer than the spectral window "
+                           f"grid.n * grid.dt = {grid.window:g}"])
+    nx = int(np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx))
+    i_src = int(round(pad / dx))
+    probes = [x_ref] + [x_ref + xp for xp in x_probes]
+    with _keys("run.dx", "run.pad", "run.courant"):
+        grid1d = reference.YeeGrid1D(nx=nx, dx=dx, courant=courant,
+                                     c=params.c)
+    with _keys("run.x_ref", "run.x_probes", "run.pad"):
+        n_steps = reference.source_layout(grid1d, duration, probes, i_src)[0]
+    if n_steps < 3:
+        raise ConfigError([f"run.duration: {n_steps} oracle steps of "
+                           f"{grid1d.dt_fdtd:g} s leave the records under 4 "
+                           f"samples"])
+    return grid1d, i_src, probes
 
 
 def _rel_l2(a, b):
@@ -872,7 +687,7 @@ _RUNNERS = {
     "split": _run_split,
     "propagate-linear": _run_linear,
     "propagate-kg": _run_kg,
-    "propagate-nonlinear": _run_nonlinear,
+    "propagate-nonlinear": _run_kerr,
     "propagate-unidirectional": _run_unidirectional,
     "stationary-linear": _run_stationary_linear,
     "stationary-nonlinear": _run_stationary_nonlinear,
@@ -918,14 +733,15 @@ def main(argv=None):
 
     try:
         config = parse_config(args.config.read_text(), args.override)
+        if args.command == "validate":
+            plan(config)
+            print("config ok")
+            return 0
     except (OSError, UnicodeDecodeError) as exc:
         violations = [f"config file: {exc}"]
     except ConfigError as exc:
         violations = exc.violations
     else:
-        if args.command == "validate":
-            print("config ok")
-            return 0
         out = args.out if args.out is not None else config.output["directory"]
         try:
             status, written = run_scenario(config, out_dir=out)

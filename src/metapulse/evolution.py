@@ -14,9 +14,10 @@ Three propagation models, from exact to reduced:
   with K = mu0 chi3 c^3 / (2 p^3 q), marched as a first-order-in-x system
   after applying dt^{-1} (Lawson RK4: the linear Klein-Gordon phase is
   applied exactly as an integrating factor; the cubic term, evaluated
-  pointwise in time with optional 2/3-rule dealiasing, and the phase that
-  the factor turns it through set the step, and ``kerr_default_steps``
-  derives a count from the entry state).
+  pointwise in time with an optional 2/3-rule mask, which dealiases
+  quadratic terms but not this cubic one (see ``_half_spectrum``), and the
+  phase that the factor turns it through set the step, and
+  ``kerr_default_steps`` derives a count from the entry state).
   The march state is one stacked complex array of real half-spectra (rfft
   bins 0..n/2), one row per field: two rows for (Pi, Lambda), one row for
   the unidirectional model, which is the same right-hand side with Lambda
@@ -147,6 +148,8 @@ def propagate_kg(dp0, xs, params, grid):
 def _half_spectrum(grid, dealias):
     """dt^{-1}, w^2 and the 2/3-rule mask on the rfft bins 0..n/2.
 
+    The mask keeps bins k <= n/3, which dealiases quadratic terms only: a
+    tone at n/4 < k <= n/3 cubes into bin 3k, an alias of kept bin n - 3k.
     dt^{-1} annihilates DC and the unpaired Nyquist bin; without
     ``dealias`` the mask keeps every bin.
     """

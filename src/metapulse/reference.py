@@ -39,7 +39,8 @@ import numpy as np
 
 from .medium import C
 
-__all__ = ["YeeGrid1D", "run_boundary_source", "cubic_spline"]
+__all__ = ["YeeGrid1D", "source_layout", "run_boundary_source",
+           "cubic_spline"]
 
 #: largest Courant ratio c*dt/dx that YeeGrid1D accepts (1D limit: 1)
 MAX_COURANT = 0.99
@@ -60,7 +61,7 @@ class YeeGrid1D:
 
     def __post_init__(self):
         if self.nx < 64:
-            raise ValueError("nx must be at least 64")
+            raise ValueError(f"nx must be at least 64, got {self.nx}")
         if not 0 < self.courant <= MAX_COURANT:
             raise ValueError(f"courant ratio must lie in (0, {MAX_COURANT}]")
         if not (self.dx > 0 and self.c > 0):
@@ -156,11 +157,6 @@ def cubic_spline(t, values, at):
     return out
 
 
-def off_node(x, dx):
-    """True when x lies more than 1e-6 cells from a node of the dx grid."""
-    return not abs(x / dx - np.rint(x / dx)) <= 1e-6
-
-
 def _aligned_zeros(n):
     """n float64 zeros starting on a 64-byte boundary: where malloc starts
     the leapfrog's arrays moves its step time by up to 20%."""
@@ -214,6 +210,27 @@ def _leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0):
     return advance, (e, h, m, q)
 
 
+def source_layout(grid1d, duration, probes, source_index=None):
+    """(steps, source node, probe nodes) of a :func:`run_boundary_source`
+    run; ValueError when the source or a probe is off the nodes inside the
+    walls."""
+    dx, nx = grid1d.dx, grid1d.nx
+    i_src = nx // 4 if source_index is None else int(source_index)
+    if not 0 < i_src < nx - 1:
+        raise ValueError(f"source node {i_src} falls outside the {nx}-node "
+                         f"grid")
+    idx = []
+    for xp in probes:
+        i = i_src + int(round(xp / dx))
+        if not 0 < i < nx - 1:
+            raise ValueError(f"probe at {xp:g} m falls outside the {nx}-node "
+                             f"grid")
+        if not abs(xp / dx - np.rint(xp / dx)) <= 1e-6:
+            raise ValueError(f"probe at {xp:g} m is not on a grid node")
+        idx.append(i)
+    return int(round(duration / grid1d.dt_fdtd)), i_src, idx
+
+
 def run_boundary_source(source, grid1d, params, duration, probes,
                         source_index=None):
     """Drive the grid with a soft E source and record probe time series.
@@ -237,30 +254,18 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     from the wall-activity heuristic).
 
     Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
-    differ by more than 1e-12 relative, or when the source or a probe is
-    not on a node inside the walls. Raises FloatingPointError when E
-    exceeds 1e6 times the source peak or is not finite. The guard runs once
-    per ``BLOCK_STEPS`` steps, so the abort comes within one block of the
-    blow-up.
+    differ by more than 1e-12 relative, or when :func:`source_layout`
+    finds the source or a probe off the nodes inside the walls. Raises
+    FloatingPointError when E exceeds 1e6 times the source peak or is not
+    finite. The guard runs once per ``BLOCK_STEPS`` steps, so the abort
+    comes within one block of the blow-up.
     """
     if not abs(grid1d.c - params.c) <= 1e-12 * params.c:
         raise ValueError(f"grid speed c = {grid1d.c!r} differs from the "
                          f"medium's c = {params.c!r}")
+    n_steps, i_src, idx = source_layout(grid1d, duration, probes,
+                                        source_index)
     dt, dx = grid1d.dt_fdtd, grid1d.dx
-    n_steps = int(round(duration / dt))
-    i_src = grid1d.nx // 4 if source_index is None else int(source_index)
-    if not 0 < i_src < grid1d.nx - 1:
-        raise ValueError(f"source node {i_src} falls outside the grid")
-
-    idx = []
-    for xp in probes:
-        i = i_src + int(round(xp / dx))
-        if not 0 < i < grid1d.nx - 1:
-            raise ValueError(f"probe at {xp:g} m falls outside the grid")
-        if off_node(xp, dx):
-            raise ValueError(f"probe at {xp:g} m is not on a grid node")
-        idx.append(i)
-
     if params.band_high * dt > 0.5:
         warnings.warn("plasma frequency underresolved: dt * wp > 0.5",
                       stacklevel=2)

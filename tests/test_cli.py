@@ -1,5 +1,6 @@
 """Config parsing, pulse synthesis and scenario running."""
 
+import collections
 import json
 import math
 import os
@@ -11,16 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metapulse import ConfigError, TimeGrid, cli, reference
+from metapulse import (ConfigError, TimeGrid, cli, evolution, reference,
+                       render, spectral, waves)
 from metapulse.cli import (
-    CSV_CHUNK_ROWS,
     MAX_DEFAULT_KERR_STEPS,
-    _table_chunks,
     main,
     parse_config,
+    plan,
     run_scenario,
     synthesize_pulse,
 )
+from metapulse.render import CSV_CHUNK_ROWS, table_chunks
 
 BASE = """
 [scenario]
@@ -213,10 +215,10 @@ def _eager_decimal_constants():
 
 
 def test_binades_built_on_demand_match_the_eager_constants():
-    cli._decimal_table.cache_clear()
+    render._decimal_table.cache_clear()
     # 2^(ex-1) is in the binade ex, for every ex in -1073..1024
-    b"".join(_table_chunks("a", [np.ldexp(0.5, np.arange(-1073, 1025))]))
-    built, *constants = cli._decimal_table()[:4]
+    b"".join(table_chunks("a", [np.ldexp(0.5, np.arange(-1073, 1025))]))
+    built, *constants = render._decimal_table()[:4]
     assert built.all()
     for have, want in zip(constants, _eager_decimal_constants()):
         assert have.dtype == want.dtype
@@ -225,10 +227,10 @@ def test_binades_built_on_demand_match_the_eager_constants():
 
 def test_a_table_builds_only_the_binades_it_meets():
     # all 2098 binades took about 40 ms to build, where a run meets 42-95
-    cli._decimal_table.cache_clear()
+    render._decimal_table.cache_clear()
     columns = list(np.random.default_rng(3).standard_normal((5, 65536)))
-    b"".join(_table_chunks("a,b,c,d,e", columns))
-    built = cli._decimal_table()[0]
+    b"".join(table_chunks("a,b,c,d,e", columns))
+    built = render._decimal_table()[0]
     met = np.unique(np.frexp(np.concatenate(columns))[1]) + 1073
     assert np.array_equal(np.flatnonzero(built), met)
     assert built.sum() < 150
@@ -322,7 +324,7 @@ def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
             col[: len(special)] = np.roll(special, c)[: n_rows]
             columns.append(col)
     header = ",".join(f"c{i}" for i in range(n_cols))
-    table = b"".join(_table_chunks(header, columns))
+    table = b"".join(table_chunks(header, columns))
     assert table == _format_per_value(header, columns)
     assert table.count(b"\n") == n_rows + 1
 
@@ -517,6 +519,59 @@ def test_reference_compare_takes_user_file_pulse(tmp_path):
                       <= 1e-12 * np.max(np.abs(want), axis=0))
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("scenario, derived, calls", [
+    ("split", False, {"synthesize_pulse": 1, "split": 1,
+                      "make_multiplier": 1}),
+    ("propagate-linear", False, {"synthesize_pulse": 1, "split": 1,
+                                 "make_multiplier": 8}),
+    ("propagate-kg", False, {"synthesize_pulse": 1, "split": 1,
+                             "make_multiplier": 7}),
+    ("propagate-nonlinear", False, {"synthesize_pulse": 1, "split": 1,
+                                    "make_multiplier": 3}),
+    ("propagate-nonlinear", True, {"synthesize_pulse": 1, "split": 1,
+                                   "make_multiplier": 4,
+                                   "kerr_default_steps": 1}),
+    ("propagate-unidirectional", False, {"synthesize_pulse": 1, "split": 1,
+                                         "make_multiplier": 3}),
+    ("propagate-unidirectional", True, {"synthesize_pulse": 1, "split": 1,
+                                        "make_multiplier": 4,
+                                        "kerr_default_steps": 1}),
+    ("stationary-linear", False, {}),
+    ("stationary-nonlinear", False, {}),
+    ("taylor-error", False, {}),
+    ("reference-compare", False, {"synthesize_pulse": 1, "split": 1,
+                                  "make_multiplier": 4}),
+])
+def test_plan_and_execute_do_no_extra_work(tmp_path, monkeypatch, scenario,
+                                           derived, calls):
+    # the counts of one run before the split into plan and execute, with
+    # one a_inv build more in the plan of each scenario that reconstructs
+    # (linear 7, KG 6, reference-compare 3 before); every binding of each
+    # function in the package is wrapped, as the benchmark's tracer does
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    text = (f"[scenario]\nname = {scenario}\n" + BASE_MEDIUM
+            + SCENARIO_CONFIGS[scenario])
+    if derived:
+        text = text.replace("n_steps = 50\n", "")
+    counts = collections.Counter()
+    for fn in (cli.synthesize_pulse, waves.split, spectral.make_multiplier,
+               evolution.kerr_default_steps):
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "metapulse":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    assert run_scenario(parse_config(text), out_dir=tmp_path)[0] == 0
+    assert counts == calls
+
+
 @pytest.mark.parametrize("old, new", [
     ("dt = 0.2", "dt = -0.2"),
     ("dt = 0.2", "dt = nan"),
@@ -530,7 +585,8 @@ def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
     assert main(["validate", str(f)]) == 0
     f.write_text(text.replace(old, new))
     assert main(["validate", str(f)]) == 1
-    assert "invalid: grid.dt:" in capsys.readouterr().err
+    # a negative grid.dt is the grid's to reject, naming grid.dt/grid.n
+    assert "invalid: grid.dt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edits, key", [
@@ -538,8 +594,8 @@ def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
     ({"dx = 0.08\n": "dx = 0.08\ncourant = 0.0\n"}, "courant"),
     ({"x_ref = 0.48": "x_ref = 0.5"}, "x_ref"),
     ({"x_probes = 0.96": "x_probes = 0.96, 0.1"}, "x_probes"),
-    # 2048 * 0.07 = 143.36 < 150
-    ({"dt = 0.1": "dt = 0.07"}, "duration"),
+    # 2048 * 0.1 = 204.8 < 250
+    ({"duration = 150.0": "duration = 250.0"}, "duration"),
     # the carrier's default dt, 2 pi / (32 * 0.3), makes a window of 1340
     ({"dt = 0.1\n": ""}, None),
     ({"dt = 0.1\n": "", "duration = 150.0": "duration = 1400.0"}, "duration"),
@@ -558,10 +614,13 @@ def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
     ({"dx = 0.08": "dx = 0.02", "x_ref = 0.48": "x_ref = -0.48",
       "x_probes = 0.96": "x_probes = 2.0", "pad = 40.0": "pad = 0.1"},
      "x_ref"),
+    # 0 oracle steps of 0.04: records of 1 sample cannot be resampled
+    ({"duration = 150.0": "duration = 0.01"}, "duration"),
 ])
 def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     # keys that YeeGrid1D, run_boundary_source or reference_compare would
-    # reject at run time are rejected before any work is done
+    # reject at run time are rejected by the plan, before the oracle runs;
+    # the violation names the keys that set the rejected value
     from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
 
     text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
@@ -575,7 +634,8 @@ def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     violations = [ln for ln in capsys.readouterr().err.splitlines()
                   if ln.startswith("invalid:")]
     assert len(violations) == (key is not None)
-    assert all(v.startswith(f"invalid: run.{key}:") for v in violations)
+    assert all(f"run.{key}" in v.split(": ")[1].split("/")
+               for v in violations)
 
 
 @pytest.mark.parametrize("pad, node, nx", [("0.0", 0, 124), ("0.01", 0, 125),
@@ -588,11 +648,11 @@ def test_validate_names_the_oracle_source_node(pad, node, nx):
     text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
             + SCENARIO_CONFIGS["reference-compare"])
     with pytest.raises(ConfigError) as exc:
-        parse_config(text, ["run.dx=0.02", "run.x_probes=2.0",
-                            f"run.pad={pad}"])
+        plan(parse_config(text, ["run.dx=0.02", "run.x_probes=2.0",
+                                 f"run.pad={pad}"]))
     assert exc.value.violations == [
-        f"run.pad: the source node round(pad / dx) = {node} is not inside "
-        f"the {nx}-node oracle grid; pad must exceed dx / 2"]
+        f"run.x_ref/run.x_probes/run.pad: source node {node} falls outside "
+        f"the {nx}-node grid"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -702,7 +762,8 @@ def test_run_with_overrides_reports_config_syntax(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_missing_file_is_invalid(tmp_path, capsys, command, missing):
     # a missing config file ended in a FileNotFoundError traceback; a
-    # missing pulse.file passed validate, and run failed naming no key
+    # missing pulse.file passed validate, and run failed naming no key.
+    # The run's plan reads the pulse file, so run reports it in error.txt
     lost = tmp_path / "missing"
     f = tmp_path / "cfg.ini"
     f.write_text(BASE.replace("carrier = 0.5\nwidth = 12.0\n",
@@ -710,9 +771,13 @@ def test_missing_file_is_invalid(tmp_path, capsys, command, missing):
     out = tmp_path / "out"
     argv = [command, str(lost if missing == "config file" else f)]
     assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
-    assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith(f"invalid: {missing}:") and str(lost) in err
+    if command == "run" and missing == "pulse.file":
+        err = (out / "error.txt").read_text()
+        assert err.startswith("ConfigError: pulse.file:") and str(lost) in err
+    else:
+        assert not out.exists()
+        assert err.startswith(f"invalid: {missing}:") and str(lost) in err
 
 
 def test_unreadable_pulse_file_names_the_key(tmp_path, capsys):
@@ -729,7 +794,7 @@ def test_unreadable_pulse_file_names_the_key(tmp_path, capsys):
     assert "could not convert" in err
     with pytest.raises(ValueError) as exc:
         synthesize_pulse(TimeGrid(1024, 0.2), shape="user-file", file=str(bad))
-    assert str(exc.value).startswith(f"pulse.file {bad}: could not convert")
+    assert str(exc.value).startswith(f"pulse.file: {bad}: could not convert")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -828,11 +893,11 @@ def test_writing_a_table_holds_one_chunk(tmp_path):
     rng = np.random.default_rng(5)
     columns = list(rng.standard_normal((5, 65536)))
     # allocate the digit constants and build the binades the table meets
-    b"".join(_table_chunks("a,b,c,d,e", columns))
+    b"".join(table_chunks("a,b,c,d,e", columns))
     tracemalloc.start()
     try:
         with (tmp_path / "t.csv").open("wb") as fh:
-            fh.writelines(_table_chunks("a,b,c,d,e", columns))
+            fh.writelines(table_chunks("a,b,c,d,e", columns))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -849,7 +914,7 @@ def test_run_scenario_memory_stays_below_the_bytes_it_writes(tmp_path):
     text = text.replace("n = 1024", "n = 65536") + "\n[run]\nx_end = 3.0\n"
     cfg = parse_config(text)
     # allocate the digit constants; the run builds the binades it meets
-    b"".join(_table_chunks("a", [np.ones(8)]))
+    b"".join(table_chunks("a", [np.ones(8)]))
     tracemalloc.start()
     try:
         status, written = run_scenario(cfg, out_dir=tmp_path)

@@ -4,14 +4,21 @@ Media range over natural units (p, q, c of order 1) and SI magnitudes
 (plasma frequencies 1e14-1e16 rad/s, the SI light speed), with p != q in
 general. Every grid keeps its rfft bins out of the evanescent band: either
 all nonzero bins sit below min(p, q), or the lowest nonzero bin sits above
-max(p, q).
+max(p, q). The configs of the validate-and-run property are the exception:
+their grids may cross the band, which the run's plan refuses where p != q.
 """
 
+import contextlib
 import dataclasses
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metapulse import (
     DirectedPair,
@@ -30,7 +37,9 @@ from metapulse import (
     reconstruct,
     split,
 )
-from metapulse.cli import _table_chunks
+from metapulse.cli import SCENARIOS, main
+from metapulse.medium import C
+from metapulse.render import table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
 
 # derandomized, so every run draws the same examples; no example database
@@ -224,5 +233,154 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
 def test_format_table_renders_every_float_as_percent_17e(values):
     # any double st.floats() draws (nan, +-inf, -0.0, subnormals included)
     # is written exactly as '%.17e' % v writes it
-    table = b"".join(_table_chunks("v (1)", [np.array(values)]))
+    table = b"".join(table_chunks("v (1)", [np.array(values)]))
     assert table == b"v (1)\n" + b"".join(b"%.17e\n" % v for v in values)
+
+
+def _config_text(scenario, medium, grid, pulse, run):
+    sections = {"scenario": {"name": scenario}, "medium": medium,
+                "grid": grid, "pulse": pulse, "run": run}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                          for k, v in keys.items())
+                   for name, keys in sections.items() if keys)
+
+
+_UNIT = {"c": 1.0, "eps0": 1.0, "mu0": 1.0}
+
+#: configs that passed ``validate`` and failed in ``run`` with a message
+#: that named no key, and the keys the plan now names
+PLAN_CASES = {
+    "grid bins in the gap": (_config_text(
+        "split", {"omega_pe": 1.0, "omega_pm": 2.0, **_UNIT},
+        {"n": 1024, "dt": 0.2}, {"carrier": 0.5, "width": 12.0}, {}),
+        "grid.dt/grid.n"),
+    "undecayed pulse": (_config_text(
+        "split", {"omega_pe": 1.0, "omega_pm": 1.0, **_UNIT},
+        {"n": 256, "dt": 0.1}, {"carrier": 0.3, "width": 15.0}, {}),
+        "pulse.width/grid.n/grid.dt"),
+    # dt = 2 pi 64 / 4096 puts bin 64 on w = p = q, where a(w) = 0
+    "bin on w = p": (_config_text(
+        "propagate-linear", {"omega_pe": 1.0, "omega_pm": 1.0, **_UNIT},
+        {"n": 4096, "dt": 2.0 * np.pi * 64 / 4096},
+        {"carrier": 0.5, "width": 12.0}, {"x_end": 1.0}),
+        "grid.dt/grid.n"),
+}
+
+
+@st.composite
+def cli_configs(draw):
+    """Config text for any scenario: unit or SI media, p = q or p != q,
+    grids below the band, across it or derived from the carrier, and
+    Gaussians whose tails reach the window edge or not; now and then a
+    run key the oracle cannot take."""
+    rare = lambda: draw(st.integers(0, 3)) == 3  # noqa: E731
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    si = draw(st.booleans())
+    low = draw(st.floats(1e14, 1e16) if si else st.floats(0.5, 2.0))
+    high = low * (1.0 if draw(st.booleans()) else draw(st.floats(1.2, 3.0)))
+    p, q = (high, low) if draw(st.booleans()) else (low, high)
+    medium = {"omega_pe": p, "omega_pm": q}
+    c = C
+    if not si:
+        c = draw(st.floats(0.5, 2.0))
+        medium.update(c=c, eps0=1.0 / c, mu0=1.0 / c,
+                      chi3=draw(st.sampled_from([0.0, 0.01])))
+    t_unit, x_unit = 1.0 / low, c / low
+    xi_unit = float(np.sqrt(c / (p * q)))  # the stationary profiles' length
+
+    n = draw(st.sampled_from([256, 512, 1024]))
+    carrier = draw(st.floats(0.2, 0.5)) * low
+    where = draw(st.sampled_from(["below", "across", "derived"]))
+    if where == "below":  # Nyquist below min(p, q)
+        dt = np.pi / (draw(st.floats(0.75, 0.95)) * low)
+    elif where == "across":  # Nyquist above max(p, q)
+        dt = np.pi / (draw(st.floats(1.1, 3.0)) * high)
+    else:
+        dt = 2.0 * np.pi / (32.0 * carrier)
+    window = n * dt
+    # the edge sample falls below 1e-8 of the peak from about window / 13
+    edge = st.floats(11.0, 12.5) if rare() else st.floats(13.5, 18.0)
+    pulse = {"carrier": carrier, "width": window / draw(edge)}
+    grid = {"n": n} if where == "derived" else {"n": n, "dt": dt}
+
+    run = {}
+    if scenario in ("split", "propagate-linear", "propagate-kg",
+                    "propagate-nonlinear"):
+        run["boundary"] = draw(st.sampled_from(["e-only", "pure-right"]))
+    if scenario in ("propagate-linear", "propagate-kg"):
+        run.update(x_end=draw(st.floats(0.2, 3.0)) * x_unit, n_stations=3)
+    if scenario in ("propagate-nonlinear", "propagate-unidirectional"):
+        run.update(x_end=0.5 * x_unit, n_stations=2,
+                   n_steps=draw(st.sampled_from([0, 8])))
+    if scenario.startswith("stationary"):
+        run["v"] = draw(st.floats(0.3, 2.0)) * c
+    if scenario == "stationary-linear":
+        run.update(xi_min=-2.0 * xi_unit, xi_max=2.0 * xi_unit, n_xi=21)
+    if scenario == "stationary-nonlinear":
+        run.update(pi0=draw(st.floats(0.1, 1.0)), xi_end=2.0 * xi_unit,
+                   n_steps=40)
+    if scenario == "taylor-error":
+        run["n_points"] = 10
+    if scenario == "reference-compare":
+        dx = draw(st.sampled_from([0.1, 0.2])) * x_unit
+        # a pad of 0.4 dx puts the source on the wall, one of 10 dx leaves
+        # fewer than 64 nodes; 0.01 t_unit is under 3 oracle steps
+        run.update(dx=dx, courant=1.2 if rare() else 0.5, x_ref=2.0 * dx,
+                   x_probes=(5.5 if rare() else 4.0) * dx,
+                   duration=(0.01 if rare() else 30.0) * t_unit,
+                   pad=(draw(st.sampled_from([0.4, 10.0])) if rare()
+                        else 30.0) * dx)
+        if rare():
+            run["duration"] = 1.05 * window
+    return _config_text(scenario, medium, grid, pulse, run)
+
+
+def _cli(*argv):
+    """(exit status, stderr) of ``metapulse`` called with ``argv``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        status = main(list(argv))
+    return status, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_configs())
+@example(PLAN_CASES["grid bins in the gap"][0])
+@example(PLAN_CASES["undecayed pulse"][0])
+@example(PLAN_CASES["bin on w = p"][0])
+def test_validate_exits_0_exactly_when_run_does(text):
+    # validate is parse_config then the run's plan, so it fails exactly
+    # when run does, naming a key; aborts that depend on the march are left
+    # aside: BlowUpError, the oracle's instability and the oscillator's
+    # non-finite state (both FloatingPointError)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config, out = Path(tmp) / "cfg.ini", Path(tmp) / "out"
+        config.write_text(text)
+        validated, checked = _cli("validate", str(config))
+        ran, _ = _cli("run", str(config), "--out", str(out))
+        diag = out / "error.txt"
+        error = diag.read_text() if diag.exists() else ""
+    if validated == 0 and error.startswith(("BlowUpError",
+                                            "FloatingPointError")):
+        return
+    assert validated == ran, (text, checked, error)
+    invalid = [ln for ln in checked.splitlines() if ln.startswith("invalid:")]
+    assert len(invalid) == validated * len(checked.splitlines())
+    assert all(re.match(r"invalid: [a-z0-9]+\.[a-z_0-9]+", ln)
+               for ln in invalid)
+    if error:  # a plan failure: run names what validate named
+        assert error == f"ConfigError: {invalid[0][len('invalid: '):]}\n"
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plan_names_the_keys_validate_missed(tmp_path, case):
+    text, keys = PLAN_CASES[case]
+    config = tmp_path / "cfg.ini"
+    config.write_text(text)
+    status, err = _cli("validate", str(config))
+    assert status == 1 and err.startswith(f"invalid: {keys}: ")
+    assert _cli("run", str(config), "--out", str(tmp_path / "out"))[0] == 1
+    error = (tmp_path / "out" / "error.txt").read_text()
+    assert error.startswith(f"ConfigError: {keys}: ")
