@@ -32,83 +32,46 @@ __all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse", "plan",
 #: by run.n_steps
 MAX_DEFAULT_KERR_STEPS = 100_000
 
-# scenario -> (description, {run key: (type, default or REQUIRED)})
 REQUIRED = object()
 
-SCENARIOS = {
-    "split": (
-        "split a boundary pulse into right/left wave amplitudes",
-        {"boundary": (str, "e-only")},
-    ),
-    "propagate-linear": (
-        "exact linear spectral propagation, snapshots along x",
-        {"x_end": (float, REQUIRED), "n_stations": (int, 5),
-         "boundary": (str, "e-only")},
-    ),
-    "propagate-kg": (
-        "Klein-Gordon-Fock reduced propagation, snapshots along x",
-        {"x_end": (float, REQUIRED), "n_stations": (int, 5),
-         "boundary": (str, "e-only")},
-    ),
-    "propagate-nonlinear": (
-        "coupled Kerr system marched with Lawson RK4",
-        {"x_end": (float, REQUIRED), "n_steps": (int, 0),
-         "dealias": (bool, True), "boundary": (str, "pure-right"),
-         "n_stations": (int, 5)},
-    ),
-    "propagate-unidirectional": (
-        "unidirectional Kerr equation (left wave frozen at zero)",
-        {"x_end": (float, REQUIRED), "n_steps": (int, 0),
-         "dealias": (bool, True), "n_stations": (int, 5)},
-    ),
-    "stationary-linear": (
-        "analytic traveling R/L profiles",
-        {"v": (float, REQUIRED), "amplitude_r": (float, 1.0),
-         "amplitude_l": (float, 1.0), "xi_min": (float, REQUIRED),
-         "xi_max": (float, REQUIRED), "n_xi": (int, 401)},
-    ),
-    "stationary-nonlinear": (
-        "Cardano-reduced nonlinear oscillator profile",
-        {"v": (float, REQUIRED), "pi0": (float, REQUIRED),
-         "dpi0": (float, 0.0), "xi_end": (float, REQUIRED),
-         "n_steps": (int, 400)},
-    ),
-    "taylor-error": (
-        "truncation-error curve of the leading dispersion term",
-        {"n_points": (int, 200)},
-    ),
-    "reference-compare": (
-        "FDTD oracle vs split/propagate/reconstruct pipeline",
-        {"dx": (float, REQUIRED), "courant": (float, 0.5),
-         "x_ref": (float, REQUIRED), "x_probes": (list, REQUIRED),
-         "duration": (float, REQUIRED), "pad": (float, 60.0)},
-    ),
-}
 
+def _rule(ok, problem):
+    """A range rule: a function of one parsed value that returns None
+    where ``ok(value)``, else ``problem`` formatted with the value."""
+    return lambda value: None if ok(value) else problem.format(value)
+
+
+_POSITIVE = _rule(lambda v: v > 0, "must be positive")
+_COUNT = _rule(lambda n: n >= 1, "must be at least 1")
+_STATIONS = _rule(lambda n: n >= 2, "must be at least 2 (entry and exit)")
+# the Kerr scenarios read n_steps = 0 as "derive the count"
+_KERR_STEPS = _rule(lambda n: n >= 4 or n == 0,
+                    "must be at least 4, or 0 for the derived count")
+_BOUNDARY = _rule(lambda mode: mode in ("e-only", "pure-right"),
+                  "unknown mode {!r}; choose from ['e-only', 'pure-right']")
+
+# section key -> (type, default or REQUIRED, range rule or None)
 _MEDIUM_KEYS = {
-    "omega_pe": (float, REQUIRED),
-    "omega_pm": (float, REQUIRED),
-    "c": (float, None),
-    "eps0": (float, None),
-    "mu0": (float, None),
-    "chi3": (float, 0.0),
+    "omega_pe": (float, REQUIRED, None),
+    "omega_pm": (float, REQUIRED, None),
+    "c": (float, None, None),
+    "eps0": (float, None, None),
+    "mu0": (float, None, None),
+    "chi3": (float, 0.0, None),
 }
-_GRID_KEYS = {"n": (int, 4096), "dt": (float, 0.0)}
+_GRID_KEYS = {"n": (int, 4096, None), "dt": (float, 0.0, None)}
+#: its range rules bind only the scenarios that take a pulse
 _PULSE_KEYS = {
-    "shape": (str, "gaussian-modulated"),
-    "carrier": (float, 0.0),
-    "width": (float, 0.0),
-    "amplitude": (float, 1.0),
-    "file": (str, ""),
+    "shape": (str, "gaussian-modulated",
+              _rule(lambda shape: shape in ("gaussian-modulated", "user-file"),
+                    "unknown shape {!r}")),
+    "carrier": (float, 0.0, None),
+    "width": (float, 0.0, None),
+    "amplitude": (float, 1.0, _rule(lambda a: a != 0, "must be nonzero")),
+    "file": (str, "", None),
 }
-_OUTPUT_KEYS = {"directory": (str, "out")}
+_OUTPUT_KEYS = {"directory": (str, "out", None)}
 _SECTIONS = ("scenario", "medium", "grid", "pulse", "run", "output")
-_BOUNDARY_MODES = ("e-only", "pure-right")
-
-#: scenarios whose pulse spectrum must avoid the evanescent band
-_BAND_CHECKED = {"split", "propagate-linear", "propagate-kg",
-                 "propagate-nonlinear", "propagate-unidirectional",
-                 "reference-compare"}
 
 
 @dataclass
@@ -139,15 +102,22 @@ def _coerce(raw, typ, path, violations):
     return value
 
 
-def _read_section(cp, name, schema, violations):
+def _read_section(cp, name, schema, violations, checked=True):
+    """The section's values by ``schema``, defaults filled in; each value
+    the text gives is checked against its key's range rule if ``checked``.
+    Every problem is appended to ``violations``."""
     out = {}
     present = dict(cp[name]) if cp.has_section(name) else {}
-    for key, raw in present.items():
+    for key in present:
         if key not in schema:
             violations.append(f"{name}.{key}: unknown key")
-    for key, (typ, default) in schema.items():
+    for key, (typ, default, rule) in schema.items():
+        path = f"{name}.{key}"
         if key in present:
-            out[key] = _coerce(present[key], typ, f"{name}.{key}", violations)
+            value = out[key] = _coerce(present[key], typ, path, violations)
+            problem = checked and rule and value is not None and rule(value)
+            if problem:
+                violations.append(f"{path}: {problem}")
         elif default is REQUIRED:
             violations.append(f"{name}.{key}: required key missing")
         else:
@@ -156,10 +126,11 @@ def _read_section(cp, name, schema, violations):
 
 
 def parse_config(text, overrides=()):
-    """Parse a config and check its schema, each ``SECTION.KEY=VALUE`` of
-    ``overrides`` set over the text's value; values are taken literally
-    (``%`` included). Raises ConfigError listing all problems; what only
-    the run's own objects can decide is left to :func:`plan`."""
+    """Parse a config and check its schema and each key's range rule, each
+    ``SECTION.KEY=VALUE`` of ``overrides`` set over the text's value; values
+    are taken literally (``%`` included). Raises ConfigError listing all
+    problems; the rules that span keys run on a config clean of those, and
+    what only the run's own objects can decide is left to :func:`plan`."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
     violations = []
@@ -178,7 +149,7 @@ def parse_config(text, overrides=()):
         if section not in _SECTIONS:
             violations.append(f"{section}: unknown section")
 
-    scenario = _read_section(cp, "scenario", {"name": (str, REQUIRED)},
+    scenario = _read_section(cp, "scenario", {"name": (str, REQUIRED, None)},
                              violations).get("name")
     if scenario is not None and scenario not in SCENARIOS:
         violations.append(
@@ -186,11 +157,12 @@ def parse_config(text, overrides=()):
             f"choose from {sorted(SCENARIOS)}"
         )
 
+    _, _, takes_pulse, run_schema = SCENARIOS.get(scenario,
+                                                  (None, None, False, {}))
     med = _read_section(cp, "medium", _MEDIUM_KEYS, violations)
     grid = _read_section(cp, "grid", _GRID_KEYS, violations)
-    pulse = _read_section(cp, "pulse", _PULSE_KEYS, violations)
+    pulse = _read_section(cp, "pulse", _PULSE_KEYS, violations, takes_pulse)
     output = _read_section(cp, "output", _OUTPUT_KEYS, violations)
-    run_schema = SCENARIOS.get(scenario, (None, {}))[1]
     run = _read_section(cp, "run", run_schema, violations)
 
     params = None
@@ -202,31 +174,29 @@ def parse_config(text, overrides=()):
             violations.append(f"medium: {exc}")
 
     if params is not None:
-        _validate_physics(scenario, params, grid, pulse, run, violations)
+        _validate_physics(scenario, params, grid, pulse, violations)
 
     if violations:
         raise ConfigError(violations)
     return ScenarioConfig(scenario, med, grid, pulse, run, output, params)
 
 
-def _validate_physics(scenario, params, grid, pulse, run, violations):
-    """Rules that need no object of the run: each key's own range, and
-    what no object that :func:`plan` builds decides: a Gaussian band that
-    reaches DC or meets [band_low, band_high] (also at w = p = q, where no
-    grid bin need fall), and taylor-error's medium, whose run builds none."""
-    carrier = pulse["carrier"]
-    if scenario in _BAND_CHECKED and pulse["amplitude"] == 0:
-        violations.append("pulse.amplitude: must be nonzero")
-    if scenario not in _BAND_CHECKED:
+def _validate_physics(scenario, params, grid, pulse, violations):
+    """Rules that span keys, which no object that :func:`plan` builds
+    decides: a Gaussian band that reaches DC, meets [band_low, band_high]
+    (also at w = p = q, where no grid bin need fall) or reaches the Nyquist
+    frequency of an explicit grid.dt; a user file's name; and taylor-error's
+    medium, whose run builds none."""
+    carrier, width, dt = pulse["carrier"], pulse["width"], grid["dt"]
+    if not SCENARIOS[scenario][2]:
         pass  # scenario takes no pulse; skip pulse validation
     elif pulse["shape"] == "gaussian-modulated":
         if carrier <= 0:
             violations.append("pulse.carrier: must be positive")
-        if pulse["width"] <= 0:
+        if width <= 0:
             violations.append("pulse.width: must be positive")
-        if carrier > 0 and pulse["width"] > 0:
-            lo = carrier - 4.0 / pulse["width"]
-            hi = carrier + 4.0 / pulse["width"]
+        if carrier > 0 and width > 0:
+            lo, hi = carrier - 4.0 / width, carrier + 4.0 / width
             if lo <= 0:
                 violations.append(
                     "pulse.carrier/width: band extends to DC; narrow the "
@@ -237,33 +207,15 @@ def _validate_physics(scenario, params, grid, pulse, run, violations):
                     "pulse.carrier: band intersects the evanescent band "
                     f"({params.band_low:g}, {params.band_high:g}) rad/s"
                 )
-    elif pulse["shape"] == "user-file":
-        if not pulse["file"]:
-            violations.append("pulse.file: required for shape user-file")
-    else:
-        violations.append(f"pulse.shape: unknown shape {pulse['shape']!r}")
-    # only reached without earlier violations, so every run key holds a value
-    for key in ("x_end", "xi_end", "duration", "dx", "v"):
-        if key in run and run[key] <= 0:
-            violations.append(f"run.{key}: must be positive")
-    if "x_probes" in run and not (run["x_probes"]
-                                  and min(run["x_probes"]) >= 0):
-        violations.append("run.x_probes: must list distances >= 0")
-    if "boundary" in run and run["boundary"] not in _BOUNDARY_MODES:
-        violations.append(f"run.boundary: unknown mode {run['boundary']!r}; "
-                          f"choose from {list(_BOUNDARY_MODES)}")
-    if "n_stations" in run and run["n_stations"] < 2:
-        violations.append("run.n_stations: must be at least 2 (entry and exit)")
-    # the Kerr scenarios read n_steps = 0 as "derive the count"
-    if "n_steps" in run and run["n_steps"] < 4:
-        if scenario == "stationary-nonlinear":
-            violations.append("run.n_steps: must be at least 4")
-        elif run["n_steps"] != 0:
-            violations.append("run.n_steps: must be at least 4, or 0 for "
-                              "the derived count")
-    for key in ("n_xi", "n_points"):
-        if key in run and run[key] < 1:
-            violations.append(f"run.{key}: must be at least 1")
+            # a derived dt puts Nyquist at 16 carrier, past the DC rule
+            if dt > 0 and hi >= np.pi / dt:
+                violations.append(
+                    "pulse.carrier/width/grid.dt: band reaches the Nyquist "
+                    f"frequency pi/grid.dt = {np.pi / dt:g} rad/s; lower "
+                    "grid.dt or narrow the bandwidth"
+                )
+    elif not pulse["file"]:
+        violations.append("pulse.file: required for shape user-file")
     if scenario == "taylor-error" and params.omega_pe > params.omega_pm:
         violations.append("medium.omega_pe: must not exceed medium.omega_pm "
                           "for taylor-error, so the sweep stays in the lower "
@@ -405,7 +357,7 @@ def plan(config):
     runner paused after that: ``next`` on it marches, reconstructs and
     gives the run's (tables, summary).
     """
-    steps = _RUNNERS[config.scenario](config)
+    steps = SCENARIOS[config.scenario][1](config)
     next(steps)
     return steps
 
@@ -453,7 +405,8 @@ def run_scenario(config, out_dir=None):
 
 # ---------------------------------------------------------------- runners
 # Each runner is a generator: the code before its first ``yield`` is the
-# run's plan, and the second ``yield`` gives (tables, summary).
+# run's plan, and the second ``yield`` gives (tables, summary). A runner
+# that serves two scenarios reads which from ``config.scenario``.
 
 
 def _run_split(config):
@@ -467,11 +420,12 @@ def _run_split(config):
     yield {"split.csv": (header, columns, {})}, summary
 
 
-def _run_linear(config, tag="linear"):
+def _run_linear(config):
     grid = _grid(config)
     dp0 = _entry(config, grid, config.run["boundary"])[1]
     _check_a_inv(config, grid)
     yield
+    tag = config.scenario.removeprefix("propagate-")
     propagator = (evolution.propagate_kg if tag == "kg"
                   else evolution.propagate_linear_exact)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
@@ -483,14 +437,10 @@ def _run_linear(config, tag="linear"):
     yield tables, summary
 
 
-def _run_kg(config):
-    return _run_linear(config, "kg")
-
-
 def _kg_budget(params, dp0, x_end):
     """The reduction-error budget: truncation error at the occupied band
     edge times the accumulated exact phase over the full distance."""
-    spec = np.abs(evolution._entry_spectrum(dp0)).sum(axis=0)
+    spec = np.abs(evolution._entry_spectrum(dp0, dp0.grid)).sum(axis=0)
     w_occ = dp0.grid.half_omegas[spec > 1e-8 * np.max(spec)]
     w_edge = float(np.max(w_occ))
     budget = None
@@ -501,8 +451,9 @@ def _kg_budget(params, dp0, x_end):
     return {"band_edge (rad/s)": w_edge, "kg_error_budget (1)": budget}
 
 
-def _run_kerr(config, tag="nonlinear"):
+def _run_kerr(config):
     run, grid = config.run, _grid(config)
+    tag = config.scenario.removeprefix("propagate-")
     coupled = tag == "nonlinear"
     # the pure-right entry splits into Pi = k and Lambda = 0 exactly
     dp0 = _entry(config, grid, run["boundary"] if coupled else "pure-right")[1]
@@ -530,10 +481,6 @@ def _run_kerr(config, tag="nonlinear"):
                         "final_lambda_peak (T)": record.final.lam.peak})
     yield (_station_tables(tag, grid, record.stations, record.states),
            summary)
-
-
-def _run_unidirectional(config):
-    return _run_kerr(config, "unidirectional")
 
 
 def _run_stationary_linear(config):
@@ -683,16 +630,56 @@ def _rel_l2(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-_RUNNERS = {
-    "split": _run_split,
-    "propagate-linear": _run_linear,
-    "propagate-kg": _run_kg,
-    "propagate-nonlinear": _run_kerr,
-    "propagate-unidirectional": _run_unidirectional,
-    "stationary-linear": _run_stationary_linear,
-    "stationary-nonlinear": _run_stationary_nonlinear,
-    "taylor-error": _run_taylor_error,
-    "reference-compare": _run_reference_compare,
+_LINEAR_KEYS = {"x_end": (float, REQUIRED, _POSITIVE),
+                "n_stations": (int, 5, _STATIONS),
+                "boundary": (str, "e-only", _BOUNDARY)}
+_KERR_KEYS = {"x_end": (float, REQUIRED, _POSITIVE),
+              "n_steps": (int, 0, _KERR_STEPS), "dealias": (bool, True, None),
+              "n_stations": (int, 5, _STATIONS)}
+
+# scenario -> (description, runner, whether it takes a pulse,
+#              {run key: (type, default or REQUIRED, range rule or None)})
+SCENARIOS = {
+    "split": ("split a boundary pulse into right/left wave amplitudes",
+              _run_split, True, {"boundary": (str, "e-only", _BOUNDARY)}),
+    "propagate-linear": (
+        "exact linear spectral propagation, snapshots along x",
+        _run_linear, True, _LINEAR_KEYS),
+    "propagate-kg": (
+        "Klein-Gordon-Fock reduced propagation, snapshots along x",
+        _run_linear, True, _LINEAR_KEYS),
+    "propagate-nonlinear": (
+        "coupled Kerr system marched with Lawson RK4", _run_kerr, True,
+        {**_KERR_KEYS, "boundary": (str, "pure-right", _BOUNDARY)}),
+    "propagate-unidirectional": (
+        "unidirectional Kerr equation (left wave frozen at zero)",
+        _run_kerr, True, _KERR_KEYS),
+    "stationary-linear": (
+        "analytic traveling R/L profiles", _run_stationary_linear, False,
+        {"v": (float, REQUIRED, _POSITIVE), "amplitude_r": (float, 1.0, None),
+         "amplitude_l": (float, 1.0, None), "xi_min": (float, REQUIRED, None),
+         "xi_max": (float, REQUIRED, None),
+         "n_xi": (int, 401, _COUNT)}),
+    "stationary-nonlinear": (
+        "Cardano-reduced nonlinear oscillator profile",
+        _run_stationary_nonlinear, False,
+        {"v": (float, REQUIRED, _POSITIVE), "pi0": (float, REQUIRED, None),
+         "dpi0": (float, 0.0, None), "xi_end": (float, REQUIRED, _POSITIVE),
+         "n_steps": (int, 400, _rule(lambda n: n >= 4,
+                                     "must be at least 4"))}),
+    "taylor-error": (
+        "truncation-error curve of the leading dispersion term",
+        _run_taylor_error, False,
+        {"n_points": (int, 200, _COUNT)}),
+    "reference-compare": (
+        "FDTD oracle vs split/propagate/reconstruct pipeline",
+        _run_reference_compare, True,
+        {"dx": (float, REQUIRED, _POSITIVE), "courant": (float, 0.5, None),
+         "x_ref": (float, REQUIRED, None),
+         "x_probes": (list, REQUIRED, _rule(lambda xs: xs and min(xs) >= 0,
+                                            "must list distances >= 0")),
+         "duration": (float, REQUIRED, _POSITIVE),
+         "pad": (float, 60.0, None)}),
 }
 
 
@@ -722,10 +709,10 @@ def main(argv=None):
 
     if args.command == "scenarios":
         for name in sorted(SCENARIOS):
-            desc, schema = SCENARIOS[name]
+            desc, _, _, schema = SCENARIOS[name]
             keys = ", ".join(
                 f"{k}{'*' if d is REQUIRED else ''}"
-                for k, (_, d) in sorted(schema.items())
+                for k, (_, d, _) in sorted(schema.items())
             )
             print(f"{name}: {desc}")
             print(f"    run keys (* = required): {keys or '(none)'}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import BlowUpError, GridMismatchError
 from .spectral import Signal, make_multiplier
 from .waves import DirectedPair
 
@@ -99,9 +99,14 @@ def _distances(xs):
     return xs
 
 
-def _entry_spectrum(dp):
-    """Stacked rfft half-spectra (Pi-hat, Lambda-hat) of a directed pair."""
-    return np.fft.rfft([dp.pi.samples, dp.lam.samples])
+def _entry_spectrum(entry, grid):
+    """Stacked rfft half-spectra of an entry on ``grid``: (Pi-hat,
+    Lambda-hat) of a DirectedPair, (Pi-hat,) of a Signal (Pi)."""
+    if entry.grid != grid:
+        raise GridMismatchError("entry grid differs from requested grid")
+    if isinstance(entry, DirectedPair):
+        return np.fft.rfft([entry.pi.samples, entry.lam.samples])
+    return np.fft.rfft(entry.samples[None])
 
 
 def _advance(spec, grid, theta):
@@ -122,7 +127,7 @@ def propagate_linear_exact(dp0, xs, params, grid):
     xs = _distances(xs)
     a_vals = make_multiplier("a", params, grid).values.real
     theta = np.multiply.outer(xs, grid.half_omegas * a_vals)
-    return _advance(_entry_spectrum(dp0), grid, theta)
+    return _advance(_entry_spectrum(dp0, grid), grid, theta)
 
 
 def propagate_kg(dp0, xs, params, grid):
@@ -133,7 +138,7 @@ def propagate_kg(dp0, xs, params, grid):
     when significant energy sits above min(p, q) / 2.
     """
     xs = _distances(xs)
-    spec = _entry_spectrum(dp0)
+    spec = _entry_spectrum(dp0, grid)
     w, w_max = grid.half_omegas, 0.5 * params.band_low
     mag = np.abs(spec).sum(axis=0)
     if np.max(mag[w > w_max], initial=0.0) > 1e-6 * np.max(mag):
@@ -188,8 +193,9 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
     ``nl = (K/c) dt^{-1} mask``; every intermediate lives in a buffer made
     here, so a call allocates no array. ``rhs.lin`` holds the linear part
     ``-+(pq/c) dt^{-1}`` per row, whose +-(pq/c) pair ``linear_sign``
-    multiplies, and ``rhs.stiffness(state)`` is the state's sigma_0 (see
-    :func:`_stiffness`).
+    multiplies (the system maps onto itself under (Pi, Lambda) ->
+    (-Lambda, -Pi) together with a flip of that sign), and
+    ``rhs.stiffness(state)`` is the state's sigma_0 (see :func:`_stiffness`).
     """
     inv_iw, w2, mask = _half_spectrum(grid, dealias)
     pq_c = linear_sign * params.omega_pe * params.omega_pm / params.c
@@ -334,14 +340,6 @@ def _to_pair(grid, state):
     return DirectedPair(Signal(grid, rows[0]), lam)
 
 
-def _kerr_entry(entry):
-    """Half-spectrum state of a Kerr entry: a DirectedPair for the coupled
-    system, a Signal (Pi) for the unidirectional equation."""
-    if isinstance(entry, DirectedPair):
-        return _entry_spectrum(entry)
-    return np.fft.rfft(entry.samples[None])
-
-
 def _phase_rate(state, params, grid):
     """Omega_0, the rms of the Klein-Gordon rate pq/(c w) over the power
     spectrum of ``state``, its rows pooled; DC and Nyquist, which dt^{-1}
@@ -372,7 +370,7 @@ def kerr_default_steps(entry, x_end, params, grid, dealias=True,
     # the symbols alone, not a whole right-hand side: its buffers, freed
     # again before the march allocates its own, raised the peak RSS
     _, w2, mask = _half_spectrum(grid, dealias)
-    state = _kerr_entry(entry)
+    state = _entry_spectrum(entry, grid)
     sigma = _stiffness(state, _kerr_k_c(params), -w2 * mask, grid, dealias)
     omega = _phase_rate(state, params, grid)
     return max(4, n_stations - 1,
@@ -381,7 +379,7 @@ def kerr_default_steps(entry, x_end, params, grid, dealias=True,
 
 
 def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
-                        n_stations=2, _linear_sign=1.0):
+                        n_stations=2):
     """March the coupled Kerr system from the entry plane to x_end.
 
     The second-order-in-(x,t) system is integrated in its dt^{-1}-applied
@@ -396,19 +394,15 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     ``kerr_stiffness`` meta is h sigma_0 (see :func:`kerr_default_steps`)
     and ``kerr_stiffness_exit`` the same number at x_end. The record keeps
     ``n_stations`` evenly spread steps, entry and exit included.
-
-    ``_linear_sign`` flips the +-(pq/c) pair; the system maps onto itself
-    under (Pi, Lambda) -> (-Lambda, -Pi) together with that flip, which the
-    test suite uses as a solver diagnostic.
     """
-    rhs = _kerr_rhs(params, grid, dealias, _linear_sign)
-    return _march_rk4(rhs, _entry_spectrum(dp0), x_end, n_steps, n_stations,
-                      grid, lin=rhs.lin)
+    rhs = _kerr_rhs(params, grid, dealias, 1.0)
+    return _march_rk4(rhs, _entry_spectrum(dp0, grid), x_end, n_steps,
+                      n_stations, grid, lin=rhs.lin)
 
 
 def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
                              n_stations=2):
     """Kerr marching with the left wave frozen at zero (and not marched)."""
     rhs = _kerr_rhs(params, grid, dealias, 1.0)
-    return _march_rk4(rhs, _kerr_entry(pi0), x_end, n_steps, n_stations,
-                      grid, lin=rhs.lin[:1])
+    return _march_rk4(rhs, _entry_spectrum(pi0, grid), x_end, n_steps,
+                      n_stations, grid, lin=rhs.lin[:1])

@@ -335,8 +335,8 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
 
     rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid, dealias)
     lin = np.array([[-1.0], [1.0]]) * inv_iw
-    return _march_rk4(rhs, _entry_spectrum(dp0), zeta_end, n_steps, 2, grid,
-                      lin=lin)
+    return _march_rk4(rhs, _entry_spectrum(dp0, grid), zeta_end, n_steps, 2,
+                      grid, lin=lin)
 
 
 def test_acceptance_07_dimensionless_equivalence(capsys):

@@ -63,6 +63,44 @@ def test_parse_collects_all_violations():
     assert "extra: unknown section" in msgs
 
 
+@pytest.mark.parametrize("scenario, pulse, run, expected", [
+    ("propagate-linear", "", "bogus = 1\nx_end = -1\nn_stations = 1\n",
+     ["run.bogus: unknown key", "run.x_end: must be positive",
+      "run.n_stations: must be at least 2 (entry and exit)"]),
+    ("split", "bogus = 1\namplitude = 0\n", "",
+     ["pulse.bogus: unknown key", "pulse.amplitude: must be nonzero"]),
+    # pulse rules bind only the scenarios that take a pulse
+    ("stationary-linear", "amplitude = 0\n",
+     "v = 0.8\nxi_min = -5.0\nxi_max = 5.0\n", []),
+], ids=["run-keys", "pulse-keys", "pulse-unused"])
+def test_validate_reports_every_key_violation_in_one_pass(
+        tmp_path, capsys, scenario, pulse, run, expected):
+    # a typo hid every range violation: only the unknown key was listed
+    text = BASE.replace("name = split", f"name = {scenario}").replace(
+        "width = 12.0\n", f"width = 12.0\n{pulse}") + f"\n[run]\n{run}"
+    f = tmp_path / "cfg.ini"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == (1 if expected else 0)
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid: {v}" for v in expected]
+
+
+def test_parse_rejects_a_band_at_nyquist():
+    # every sample of sin(carrier t) was ~0 at Nyquist, and the pulse was
+    # rejected for its window edge although the window holds 13.5 widths
+    text = (BASE.replace("omega_pe = 1.0", "omega_pe = 0.5")
+            .replace("omega_pm = 1.0", "omega_pm = 0.6")
+            .replace("n = 1024", "n = 256")
+            .replace("dt = 0.2", f"dt = {np.pi / 0.15!r}")
+            .replace("carrier = 0.5\nwidth = 12.0",
+                     "carrier = 0.15\nwidth = 397.0"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [
+        "pulse.carrier/width/grid.dt: band reaches the Nyquist frequency "
+        "pi/grid.dt = 0.15 rad/s; lower grid.dt or narrow the bandwidth"]
+
+
 def test_parse_band_violation():
     bad = BASE.replace("omega_pm = 1.0", "omega_pm = 2.0").replace(
         "carrier = 0.5", "carrier = 1.5"

@@ -7,6 +7,7 @@ from metapulse import (
     BlowUpError,
     DirectedPair,
     DrudeParams,
+    GridMismatchError,
     Signal,
     TimeGrid,
     a_symbol,
@@ -18,7 +19,8 @@ from metapulse import (
     propagate_nonlinear,
     propagate_unidirectional,
 )
-from metapulse.evolution import PropagationRecord
+from metapulse.evolution import (PropagationRecord, _entry_spectrum,
+                                 _kerr_rhs, _march_rk4)
 from conftest import random_zero_mean, gaussian_pulse
 from test_acceptance import (
     from_dimensionless,
@@ -305,6 +307,14 @@ def test_nonlinear_convergence_order(kerr_params, grid):
     assert order >= 3.7
 
 
+def _flipped_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
+                       n_stations=2):
+    """propagate_nonlinear with the sign of the +-(pq/c) pair flipped."""
+    rhs = _kerr_rhs(params, grid, dealias, -1.0)
+    return _march_rk4(rhs, _entry_spectrum(dp0, grid), x_end, n_steps,
+                      n_stations, grid, lin=rhs.lin)
+
+
 def test_nonlinear_swap_negate_symmetry(kerr_params, grid):
     # (Pi, Lambda) -> (-Lambda, -Pi) solves the system with the sign of
     # the +-(pq/c) pair flipped; the cubic coupling term is untouched
@@ -312,11 +322,35 @@ def test_nonlinear_swap_negate_symmetry(kerr_params, grid):
     x, n = 1.0, 100
     fwd = propagate_nonlinear(dp0, x, n, kerr_params, grid).final
     swapped0 = DirectedPair(-dp0.lam, -dp0.pi)
-    swapped = propagate_nonlinear(
-        swapped0, x, n, kerr_params, grid, _linear_sign=-1.0
-    ).final
+    swapped = _flipped_nonlinear(swapped0, x, n, kerr_params, grid).final
     assert np.max(np.abs(swapped.pi.samples + fwd.lam.samples)) <= 1e-10 * dp0.peak
     assert np.max(np.abs(swapped.lam.samples + fwd.pi.samples)) <= 1e-10 * dp0.peak
+
+
+_ON_GRID = {
+    "propagate_linear_exact":
+        lambda dp, p, g: propagate_linear_exact(dp, [0.0, 1.0], p, g),
+    "propagate_kg": lambda dp, p, g: propagate_kg(dp, [0.0, 1.0], p, g),
+    "propagate_nonlinear": lambda dp, p, g: propagate_nonlinear(dp, 1.0, 8,
+                                                                p, g),
+    "propagate_unidirectional":
+        lambda dp, p, g: propagate_unidirectional(dp.pi, 1.0, 8, p, g),
+    "kerr_default_steps": lambda dp, p, g: kerr_default_steps(dp, 1.0, p, g),
+}
+
+
+@pytest.mark.filterwarnings("ignore:spectral content")
+@pytest.mark.parametrize("name", sorted(_ON_GRID))
+def test_propagators_reject_an_entry_on_another_grid(kerr_params, name):
+    # an entry on dt 0.2 handed a dt 0.1 grid was marched and labelled
+    # with that grid: the exact propagator's Pi at x = 1 ended 1.4 from
+    # the right-grid result, on a pulse of peak 0.97
+    entry_grid = TimeGrid(1024, 0.2)
+    dp0 = DirectedPair(band_pulse(entry_grid, 0.5, 12.0),
+                       Signal.zeros(entry_grid))
+    _ON_GRID[name](dp0, kerr_params, entry_grid)
+    with pytest.raises(GridMismatchError):
+        _ON_GRID[name](dp0, kerr_params, TimeGrid(1024, 0.1))
 
 
 def test_nonlinear_dealiasing_keeps_top_third_clean(kerr_params, grid):
@@ -540,9 +574,9 @@ def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
     k_c = kerr_coupling(params).big_k / params.c
     every = np.arange(n_steps + 1)
 
-    rec = propagate_nonlinear(dp0, x_end, n_steps, params, grid,
-                              dealias=dealias, n_stations=n_steps + 1,
-                              _linear_sign=linear_sign)
+    march = propagate_nonlinear if linear_sign == 1.0 else _flipped_nonlinear
+    rec = march(dp0, x_end, n_steps, params, grid, dealias=dealias,
+                n_stations=n_steps + 1)
     ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, dealias,
                                 linear_sign * pq_c, k_c)
     assert _max_rel_dev(rec, ref, every) <= 1e-12
@@ -575,8 +609,6 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
     # arithmetic after it) no numpy array as large as a quarter of the
     # state is allocated; tracemalloc sees numpy's array allocations
     import tracemalloc
-
-    from metapulse.evolution import _kerr_rhs, _march_rk4
 
     pair = [band_pulse(grid, 0.5, 12.0).samples,
             band_pulse(grid, 0.4, 15.0, amplitude=0.5).samples]
