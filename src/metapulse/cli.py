@@ -89,11 +89,9 @@ class ScenarioConfig:
 
 def _coerce(raw, typ, path, violations):
     try:
-        if typ is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         value = ([float(v) for v in raw.split(",") if v.strip()]
                  if typ is list else typ(raw))
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError):
         violations.append(f"{path}: cannot parse {raw!r} as {typ.__name__}")
         return None
     if typ in (float, list) and not np.all(np.isfinite(value)):
@@ -129,8 +127,10 @@ def parse_config(text, overrides=()):
     """Parse a config and check its schema and each key's range rule, each
     ``SECTION.KEY=VALUE`` of ``overrides`` set over the text's value; values
     are taken literally (``%`` included). Raises ConfigError listing all
-    problems; the rules that span keys run on a config clean of those, and
-    what only the run's own objects can decide is left to :func:`plan`."""
+    problems in one pass: the medium is built wherever its section is clean,
+    the rules that span keys run wherever the scenario, medium, grid and
+    pulse sections are, and what only the run's own objects can decide is
+    left to :func:`plan`."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
     violations = []
@@ -149,6 +149,7 @@ def parse_config(text, overrides=()):
         if section not in _SECTIONS:
             violations.append(f"{section}: unknown section")
 
+    first = len(violations)
     scenario = _read_section(cp, "scenario", {"name": (str, REQUIRED, None)},
                              violations).get("name")
     if scenario is not None and scenario not in SCENARIOS:
@@ -159,21 +160,24 @@ def parse_config(text, overrides=()):
 
     _, _, takes_pulse, run_schema = SCENARIOS.get(scenario,
                                                   (None, None, False, {}))
+    before = len(violations)
     med = _read_section(cp, "medium", _MEDIUM_KEYS, violations)
+    medium_clean = len(violations) == before
     grid = _read_section(cp, "grid", _GRID_KEYS, violations)
     pulse = _read_section(cp, "pulse", _PULSE_KEYS, violations, takes_pulse)
+    spanned_clean = len(violations) == first
     output = _read_section(cp, "output", _OUTPUT_KEYS, violations)
     run = _read_section(cp, "run", run_schema, violations)
 
     params = None
-    if not violations:
+    if medium_clean:
         kwargs = {k: v for k, v in med.items() if v is not None}
         try:
             params = medium.DrudeParams(**kwargs)
         except (TypeError, ValueError) as exc:
             violations.append(f"medium: {exc}")
 
-    if params is not None:
+    if spanned_clean:
         _validate_physics(scenario, params, grid, pulse, violations)
 
     if violations:
@@ -186,7 +190,8 @@ def _validate_physics(scenario, params, grid, pulse, violations):
     decides: a Gaussian band that reaches DC, meets [band_low, band_high]
     (also at w = p = q, where no grid bin need fall) or reaches the Nyquist
     frequency of an explicit grid.dt; a user file's name; and taylor-error's
-    medium, whose run builds none."""
+    medium, whose run builds none. The two medium rules are skipped where
+    ``params`` is None, a medium refused."""
     carrier, width, dt = pulse["carrier"], pulse["width"], grid["dt"]
     if not SCENARIOS[scenario][2]:
         pass  # scenario takes no pulse; skip pulse validation
@@ -202,7 +207,7 @@ def _validate_physics(scenario, params, grid, pulse, violations):
                     "pulse.carrier/width: band extends to DC; narrow the "
                     "bandwidth or raise the carrier"
                 )
-            if hi > params.band_low and lo < params.band_high:
+            if params and hi > params.band_low and lo < params.band_high:
                 violations.append(
                     "pulse.carrier: band intersects the evanescent band "
                     f"({params.band_low:g}, {params.band_high:g}) rad/s"
@@ -216,7 +221,8 @@ def _validate_physics(scenario, params, grid, pulse, violations):
                 )
     elif not pulse["file"]:
         violations.append("pulse.file: required for shape user-file")
-    if scenario == "taylor-error" and params.omega_pe > params.omega_pm:
+    if (scenario == "taylor-error" and params
+            and params.omega_pe > params.omega_pm):
         violations.append("medium.omega_pe: must not exceed medium.omega_pm "
                           "for taylor-error, so the sweep stays in the lower "
                           "band")
@@ -460,25 +466,30 @@ def _run_kerr(config):
     entry = dp0 if coupled else dp0.pi
     # run.n_steps, or when it is 0 the count derived from the entry
     n_steps = run["n_steps"] or evolution.kerr_default_steps(
-        entry, run["x_end"], config.params, grid, dealias=run["dealias"],
+        entry, run["x_end"], config.params, grid,
         n_stations=run["n_stations"])
     if not run["n_steps"] and n_steps > MAX_DEFAULT_KERR_STEPS:
         raise ConfigError([
             f"run.n_steps: derived Kerr step count {n_steps} exceeds "
             f"{MAX_DEFAULT_KERR_STEPS}; set run.n_steps to march that many, "
             f"or lower pulse.amplitude or run.x_end"])
+    # stations fall on steps, so fewer steps would drop some
+    if n_steps < run["n_stations"] - 1:
+        raise ConfigError([
+            f"run.n_steps/run.n_stations: {n_steps} steps hold at most "
+            f"{n_steps + 1} stations; raise run.n_steps or lower "
+            f"run.n_stations"])
     yield
     march = (evolution.propagate_nonlinear if coupled
              else evolution.propagate_unidirectional)
     record = march(entry, run["x_end"], n_steps, config.params, grid,
-                   dealias=run["dealias"], n_stations=run["n_stations"])
+                   n_stations=run["n_stations"])
     summary = {"n_steps": n_steps,
                "kerr_stiffness (1)": record.meta["kerr_stiffness"],
                "kerr_stiffness_exit (1)": record.meta["kerr_stiffness_exit"],
                "final_pi_peak (T)": record.final.pi.peak}
     if coupled:
-        summary.update({"dealias": run["dealias"],
-                        "final_lambda_peak (T)": record.final.lam.peak})
+        summary["final_lambda_peak (T)"] = record.final.lam.peak
     yield (_station_tables(tag, grid, record.stations, record.states),
            summary)
 
@@ -634,7 +645,7 @@ _LINEAR_KEYS = {"x_end": (float, REQUIRED, _POSITIVE),
                 "n_stations": (int, 5, _STATIONS),
                 "boundary": (str, "e-only", _BOUNDARY)}
 _KERR_KEYS = {"x_end": (float, REQUIRED, _POSITIVE),
-              "n_steps": (int, 0, _KERR_STEPS), "dealias": (bool, True, None),
+              "n_steps": (int, 0, _KERR_STEPS),
               "n_stations": (int, 5, _STATIONS)}
 
 # scenario -> (description, runner, whether it takes a pulse,

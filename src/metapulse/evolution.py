@@ -14,7 +14,7 @@ Three propagation models, from exact to reduced:
   with K = mu0 chi3 c^3 / (2 p^3 q), marched as a first-order-in-x system
   after applying dt^{-1} (Lawson RK4: the linear Klein-Gordon phase is
   applied exactly as an integrating factor; the cubic term, evaluated
-  pointwise in time with an optional 2/3-rule mask, which dealiases
+  pointwise in time under a fixed 2/3-rule mask, which dealiases
   quadratic terms but not this cubic one (see ``_half_spectrum``), and the
   phase that the factor turns it through set the step, and
   ``kerr_default_steps`` derives a count from the entry state).
@@ -150,18 +150,16 @@ def propagate_kg(dp0, xs, params, grid):
     return _advance(spec, grid, theta)
 
 
-def _half_spectrum(grid, dealias):
+def _half_spectrum(grid):
     """dt^{-1}, w^2 and the 2/3-rule mask on the rfft bins 0..n/2.
 
     The mask keeps bins k <= n/3, which dealiases quadratic terms only: a
     tone at n/4 < k <= n/3 cubes into bin 3k, an alias of kept bin n - 3k.
-    dt^{-1} annihilates DC and the unpaired Nyquist bin; without
-    ``dealias`` the mask keeps every bin.
+    dt^{-1} annihilates DC and the unpaired Nyquist bin.
     """
     inv_iw = make_multiplier("d_dt_inv", None, grid).values
     w = grid.half_omegas
-    k = np.arange(w.size)
-    mask = (k <= grid.n // 3).astype(float) if dealias else np.ones(w.size)
+    mask = (np.arange(w.size) <= grid.n // 3).astype(float)
     return inv_iw, w * w, mask
 
 
@@ -181,7 +179,7 @@ def _cube(grid):
     return cube
 
 
-def _kerr_rhs(params, grid, dealias, linear_sign):
+def _kerr_rhs(params, grid):
     """The physical Kerr system on stacked half-spectra, split for
     :func:`_march_rk4` into a diagonal linear part and a cubic term.
 
@@ -192,13 +190,11 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
     ``-+ nl * cube(-w^2 mask u)`` with u = Pi - Lambda and
     ``nl = (K/c) dt^{-1} mask``; every intermediate lives in a buffer made
     here, so a call allocates no array. ``rhs.lin`` holds the linear part
-    ``-+(pq/c) dt^{-1}`` per row, whose +-(pq/c) pair ``linear_sign``
-    multiplies (the system maps onto itself under (Pi, Lambda) ->
-    (-Lambda, -Pi) together with a flip of that sign), and
+    ``-+(pq/c) dt^{-1}`` per row, which :func:`_march_rk4` reads, and
     ``rhs.stiffness(state)`` is the state's sigma_0 (see :func:`_stiffness`).
     """
-    inv_iw, w2, mask = _half_spectrum(grid, dealias)
-    pq_c = linear_sign * params.omega_pe * params.omega_pm / params.c
+    inv_iw, w2, mask = _half_spectrum(grid)
+    pq_c = params.omega_pe * params.omega_pm / params.c
     k_c = _kerr_k_c(params)
     nl = -k_c * (inv_iw * mask)
     # complex, so that multiplying a complex row needs no casting buffer
@@ -215,8 +211,7 @@ def _kerr_rhs(params, grid, dealias, linear_sign):
         return out
 
     rhs.lin = np.array([[-1.0], [1.0]]) * (pq_c * inv_iw)
-    rhs.stiffness = lambda state: _stiffness(state, k_c, to_cube, grid,
-                                             dealias)
+    rhs.stiffness = lambda state: _stiffness(state, k_c, to_cube, grid)
     return rhs
 
 
@@ -226,30 +221,29 @@ def _kerr_k_c(params):
             / (2.0 * params.omega_pe**3 * params.omega_pm))
 
 
-def _stiffness(state, coefficient, to_cube, grid, dealias):
+def _stiffness(state, coefficient, to_cube, grid):
     """sigma_0 = 3 rows coefficient max_t(v^2) w_top, the largest rate of
     the cubic term linearized about ``state``.
 
     v is the time image of ``to_cube * u_hat``, the cube's input, so the
     term's Jacobian is 3 coefficient v^2 times dt^{-1} w^2 per bin, largest
-    at w_top, the highest bin the Kerr symbol reaches: n//3 under the 2/3
-    rule, else n/2 - 1 (dt^{-1} annihilates Nyquist). A coupled state feeds
-    u = Pi - Lambda to two rows.
+    at w_top, the highest bin the Kerr symbol reaches, n//3 under the 2/3
+    rule. A coupled state feeds u = Pi - Lambda to two rows.
     """
     u = state[0] - state[1] if len(state) == 2 else state[0]
     v = np.fft.irfft(to_cube * u, grid.n)
-    w_top = grid.half_omegas[grid.n // 3 if dealias else grid.n // 2 - 1]
+    w_top = grid.half_omegas[grid.n // 3]
     return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
 
 
-def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, lin):
+def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):
     """Lawson RK4 over [0, x_end], keeping only the requested stations.
 
-    The system is d(state)/dx = lin * state + rhs(state): ``lin`` is
-    diagonal, one row of bins per field, and its integrating factor
-    E = exp(h lin / 2) is built once and applied exactly, so only ``rhs``
-    limits the step's stability. A step is Lawson's RK4
-    (Lawson 1967) in the form of Hult's RK4IP (2007), with v = E u:
+    The system is d(state)/dx = lin * state + rhs(state), lin the rows of
+    ``rhs.lin`` that ``state`` has: diagonal, one row of bins per field,
+    and its integrating factor E = exp(h lin / 2) is built once and applied
+    exactly, so only ``rhs`` limits the step's stability. A step is Lawson's
+    RK4 (Lawson 1967) in the form of Hult's RK4IP (2007), with v = E u:
 
         k1 = E N(u),  k2 = N(v + h/2 k1),  k3 = N(v + h/2 k2),
         k4 = N(E (v + h k3)),  u' = E (v + h/6 (k1 + 2 k2 + 2 k3)) + h/6 k4.
@@ -277,7 +271,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid, lin):
         raise ValueError(f"n_stations must be at least 2, got {n_stations!r}")
     h = x_end / n_steps
     meta = {"kerr_stiffness": h * rhs.stiffness(state)}
-    half = np.exp(0.5 * h * lin)
+    half = np.exp(0.5 * h * rhs.lin[:len(state)])
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
     steps = [0]
     states = [_to_pair(grid, state)]
@@ -351,8 +345,7 @@ def _phase_rate(state, params, grid):
     return float(np.sqrt(rate2 @ power / (np.sum(power) or 1.0)))
 
 
-def kerr_default_steps(entry, x_end, params, grid, dealias=True,
-                       n_stations=2):
+def kerr_default_steps(entry, x_end, params, grid, n_stations=2):
     """Default Kerr step count for a march from ``entry`` to ``x_end``:
     ``max(4, n_stations - 1, ceil(x_end sigma_0 / KERR_STIFFNESS),
     ceil(x_end Omega_0 / KERR_PHASE_STEP))``.
@@ -360,7 +353,7 @@ def kerr_default_steps(entry, x_end, params, grid, dealias=True,
     sigma_0 is the entry's cubic-term rate, 6 (K/c) max_t(u_tt^2) w_top for
     the coupled system (``entry`` a DirectedPair) and 3 (K/c) max_t(Pi_tt^2)
     w_top for the unidirectional equation (``entry`` the Signal Pi), with
-    u_tt the dealiased cube input and w_top the highest bin the Kerr symbol
+    u_tt the masked cube input and w_top the highest bin the Kerr symbol
     reaches; h sigma_0 <= KERR_STIFFNESS keeps the cubic term stable.
     Omega_0 is the entry's rms Klein-Gordon rate (see :func:`_phase_rate`):
     the integrating factor carries that phase exactly, but the cubic term
@@ -369,17 +362,16 @@ def kerr_default_steps(entry, x_end, params, grid, dealias=True,
     """
     # the symbols alone, not a whole right-hand side: its buffers, freed
     # again before the march allocates its own, raised the peak RSS
-    _, w2, mask = _half_spectrum(grid, dealias)
+    _, w2, mask = _half_spectrum(grid)
     state = _entry_spectrum(entry, grid)
-    sigma = _stiffness(state, _kerr_k_c(params), -w2 * mask, grid, dealias)
+    sigma = _stiffness(state, _kerr_k_c(params), -w2 * mask, grid)
     omega = _phase_rate(state, params, grid)
     return max(4, n_stations - 1,
                int(np.ceil(x_end * sigma / KERR_STIFFNESS)),
                int(np.ceil(x_end * omega / KERR_PHASE_STEP)))
 
 
-def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
-                        n_stations=2):
+def propagate_nonlinear(dp0, x_end, n_steps, params, grid, n_stations=2):
     """March the coupled Kerr system from the entry plane to x_end.
 
     The second-order-in-(x,t) system is integrated in its dt^{-1}-applied
@@ -395,14 +387,11 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
     and ``kerr_stiffness_exit`` the same number at x_end. The record keeps
     ``n_stations`` evenly spread steps, entry and exit included.
     """
-    rhs = _kerr_rhs(params, grid, dealias, 1.0)
-    return _march_rk4(rhs, _entry_spectrum(dp0, grid), x_end, n_steps,
-                      n_stations, grid, lin=rhs.lin)
+    return _march_rk4(_kerr_rhs(params, grid), _entry_spectrum(dp0, grid),
+                      x_end, n_steps, n_stations, grid)
 
 
-def propagate_unidirectional(pi0, x_end, n_steps, params, grid, dealias=True,
-                             n_stations=2):
+def propagate_unidirectional(pi0, x_end, n_steps, params, grid, n_stations=2):
     """Kerr marching with the left wave frozen at zero (and not marched)."""
-    rhs = _kerr_rhs(params, grid, dealias, 1.0)
-    return _march_rk4(rhs, _entry_spectrum(pi0, grid), x_end, n_steps,
-                      n_stations, grid, lin=rhs.lin[:1])
+    return _march_rk4(_kerr_rhs(params, grid), _entry_spectrum(pi0, grid),
+                      x_end, n_steps, n_stations, grid)

@@ -313,7 +313,7 @@ def from_dimensionless(record, coupling):
                     "physical")
 
 
-def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
+def propagate_dimensionless(dp0, zeta_end, n_steps, grid):
     """March the unit-coefficient system in (pi, lam, zeta) variables:
 
         pi_zeta  = dt^{-1} [ -pi  - ((pi - lam)^3)_tt ],
@@ -323,7 +323,7 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
     an independent reference for it, with the same Lawson marcher; records
     only entry and exit.
     """
-    inv_iw, w2, mask = _half_spectrum(grid, dealias)
+    inv_iw, w2, mask = _half_spectrum(grid)
     cube = _cube(grid)
 
     def rhs(state, out):
@@ -333,10 +333,10 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid, dealias=True):
         np.multiply(inv_iw, w_hat, out=out[1])
         return out
 
-    rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid, dealias)
-    lin = np.array([[-1.0], [1.0]]) * inv_iw
+    rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid)
+    rhs.lin = np.array([[-1.0], [1.0]]) * inv_iw
     return _march_rk4(rhs, _entry_spectrum(dp0, grid), zeta_end, n_steps, 2,
-                      grid, lin=lin)
+                      grid)
 
 
 def test_acceptance_07_dimensionless_equivalence(capsys):

@@ -63,20 +63,46 @@ def test_parse_collects_all_violations():
     assert "extra: unknown section" in msgs
 
 
-@pytest.mark.parametrize("scenario, pulse, run, expected", [
-    ("propagate-linear", "", "bogus = 1\nx_end = -1\nn_stations = 1\n",
+@pytest.mark.parametrize("scenario, medium, pulse, run, expected", [
+    ("propagate-linear", "", "", "bogus = 1\nx_end = -1\nn_stations = 1\n",
      ["run.bogus: unknown key", "run.x_end: must be positive",
       "run.n_stations: must be at least 2 (entry and exit)"]),
-    ("split", "bogus = 1\namplitude = 0\n", "",
+    ("split", "", "bogus = 1\namplitude = 0\n", "",
      ["pulse.bogus: unknown key", "pulse.amplitude: must be nonzero"]),
     # pulse rules bind only the scenarios that take a pulse
-    ("stationary-linear", "amplitude = 0\n",
+    ("stationary-linear", "", "amplitude = 0\n",
      "v = 0.8\nxi_min = -5.0\nxi_max = 5.0\n", []),
-], ids=["run-keys", "pulse-keys", "pulse-unused"])
+    # the medium and the rules that span keys were checked only on a config
+    # with no other violation, so these three took three rounds
+    ("propagate-linear", "chi3 = -1\n", "shape = user-file\n",
+     "x_end = -1\n",
+     ["run.x_end: must be positive", "medium: chi3 < 0 is not supported",
+      "pulse.file: required for shape user-file"]),
+    # a refused medium skips the rules that read it: the band's gap and
+    # taylor-error's p <= q
+    ("propagate-kg", "chi3 = -1\n", "", "x_end = 1\n",
+     ["medium: chi3 < 0 is not supported"]),
+    ("taylor-error", "chi3 = -1\n", "", "",
+     ["medium: chi3 < 0 is not supported"]),
+    # an output violation hid the cross-key pulse rules
+    ("propagate-linear", "", "shape = user-file\n",
+     "x_end = 1\n\n[output]\nbogus = 1\n",
+     ["output.bogus: unknown key",
+      "pulse.file: required for shape user-file"]),
+    # a Kerr run's range rules, its medium and its pulse in one pass
+    ("propagate-nonlinear", "chi3 = -1\n", "shape = user-file\n",
+     "x_end = 1\nn_stations = 1\n",
+     ["run.n_stations: must be at least 2 (entry and exit)",
+      "medium: chi3 < 0 is not supported",
+      "pulse.file: required for shape user-file"]),
+], ids=["run-keys", "pulse-keys", "pulse-unused", "medium-pulse-run",
+        "medium-refused", "medium-refused-taylor", "output-pulse",
+        "kerr-run-medium-pulse"])
 def test_validate_reports_every_key_violation_in_one_pass(
-        tmp_path, capsys, scenario, pulse, run, expected):
+        tmp_path, capsys, scenario, medium, pulse, run, expected):
     # a typo hid every range violation: only the unknown key was listed
     text = BASE.replace("name = split", f"name = {scenario}").replace(
+        "mu0 = 1.0\n", f"mu0 = 1.0\n{medium}").replace(
         "width = 12.0\n", f"width = 12.0\n{pulse}") + f"\n[run]\n{run}"
     f = tmp_path / "cfg.ini"
     f.write_text(text)
@@ -389,26 +415,25 @@ def test_cli_tables_match_per_value_rendering(tmp_path):
     assert tables == 25
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("n_steps", [80, None])
 @pytest.mark.parametrize("scenario, rows", [
     ("propagate-nonlinear", 2), ("propagate-unidirectional", 1),
 ])
 def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
-                                              n_steps, dealias):
+                                              n_steps):
     # kerr_stiffness = h sigma_0 with sigma_0 = 3 rows (K/c) max_t(u_tt^2)
     # w_top: u_tt the masked second derivative of Pi - Lambda at entry,
-    # w_top the highest bin the mask keeps that dt^{-1} does not annihilate
-    # (the 2/3 rule keeps n/3, no mask n/2 - 1). Without run.n_steps the
-    # count is the least that keeps h sigma_0 <= 2 and h Omega_0 <= 1/4,
-    # Omega_0 the rms of pq/(c w) over the entry's power spectrum.
+    # w_top the highest bin the 2/3-rule mask keeps, n/3. Without
+    # run.n_steps the count is the least that keeps h sigma_0 <= 2 and
+    # h Omega_0 <= 1/4, Omega_0 the rms of pq/(c w) over the entry's power
+    # spectrum.
     # p != q with the evanescent band (20, 30) above every grid bin
     text = BASE.replace("name = split", f"name = {scenario}")
     text = text.replace("omega_pe = 1.0\nomega_pm = 1.0",
                         "omega_pe = 20.0\nomega_pm = 30.0")
     text = text.replace("c = 1.0\neps0 = 1.0\nmu0 = 1.0",
                         "c = 2.0\neps0 = 0.5\nmu0 = 0.5\nchi3 = 10.0")
-    text += f"\n[run]\nx_end = 0.5\ndealias = {str(dealias).lower()}\n"
+    text += "\n[run]\nx_end = 0.5\n"
     if n_steps is not None:
         text += f"n_steps = {n_steps}\n"
     status, _ = run_scenario(parse_config(text), out_dir=tmp_path)
@@ -418,7 +443,7 @@ def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
                 for path in sorted(tmp_path.glob("*_station_*.csv"))]
     grid = TimeGrid(1024, 0.2)
     k = np.abs(np.fft.fftfreq(grid.n) * grid.n)
-    top = grid.n // 3 if dealias else grid.n // 2 - 1
+    top = grid.n // 3
     k_c = 0.5 * 10.0 * 2.0**2 / (2.0 * 20.0**3 * 30.0)
     w_top = 2.0 * np.pi * top / grid.window
 
@@ -456,6 +481,53 @@ def test_derived_kerr_count_has_a_ceiling(tmp_path):
     n_steps = int(message.split("step count ")[1].split()[0])
     assert n_steps > MAX_DEFAULT_KERR_STEPS
     assert "run.n_steps" in message and "pulse.amplitude" in message
+
+
+@pytest.mark.parametrize("scenario", ["propagate-nonlinear",
+                                      "propagate-unidirectional"])
+def test_kerr_scenarios_have_no_dealias_switch(tmp_path, capsys, scenario):
+    # the 2/3-rule mask is fixed: run.dealias is an unknown key, and neither
+    # the scenario listing nor the manifest names it
+    text = (BASE.replace("name = split", f"name = {scenario}")
+            .replace("mu0 = 1.0", "mu0 = 1.0\nchi3 = 0.01")
+            + "\n[run]\nx_end = 0.5\nn_steps = 8\n")
+    f = tmp_path / "cfg.ini"
+    f.write_text(text + "dealias = false\n")
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid: run.dealias: unknown key"]
+
+    assert main(["scenarios"]) == 0
+    listing = capsys.readouterr().out
+    assert scenario in listing and "dealias" not in listing
+
+    f.write_text(text)
+    assert main(["run", str(f), "--out", str(tmp_path / "out")]) == 0
+    assert "dealias" not in (tmp_path / "out" / "manifest.json").read_text()
+
+
+@pytest.mark.parametrize("n_steps, refused", [(9, False), (8, True)])
+@pytest.mark.parametrize("scenario", ["propagate-nonlinear",
+                                      "propagate-unidirectional"])
+def test_kerr_plan_refuses_fewer_steps_than_stations(tmp_path, scenario,
+                                                     n_steps, refused):
+    # stations fall on steps: n_steps steps hold n_steps + 1 stations, and
+    # 10 stations at 8 steps validated, then wrote 9 tables
+    text = (BASE.replace("name = split", f"name = {scenario}")
+            .replace("mu0 = 1.0", "mu0 = 1.0\nchi3 = 0.01")
+            + f"\n[run]\nx_end = 0.5\nn_steps = {n_steps}\n"
+            "n_stations = 10\n")
+    config = parse_config(text)
+    if refused:
+        with pytest.raises(ConfigError) as err:
+            plan(config)
+        assert err.value.violations == [
+            "run.n_steps/run.n_stations: 8 steps hold at most 9 stations; "
+            "raise run.n_steps or lower run.n_stations"]
+        return
+    status, written = run_scenario(config, out_dir=tmp_path)
+    assert status == 0
+    assert len([p for p in written if "_station_" in p]) == 10
 
 
 def _readme_config():

@@ -307,12 +307,12 @@ def test_nonlinear_convergence_order(kerr_params, grid):
     assert order >= 3.7
 
 
-def _flipped_nonlinear(dp0, x_end, n_steps, params, grid, dealias=True,
-                       n_stations=2):
+def _flipped_nonlinear(dp0, x_end, n_steps, params, grid, n_stations=2):
     """propagate_nonlinear with the sign of the +-(pq/c) pair flipped."""
-    rhs = _kerr_rhs(params, grid, dealias, -1.0)
+    rhs = _kerr_rhs(params, grid)
+    rhs.lin = -rhs.lin
     return _march_rk4(rhs, _entry_spectrum(dp0, grid), x_end, n_steps,
-                      n_stations, grid, lin=rhs.lin)
+                      n_stations, grid)
 
 
 def test_nonlinear_swap_negate_symmetry(kerr_params, grid):
@@ -355,7 +355,7 @@ def test_propagators_reject_an_entry_on_another_grid(kerr_params, name):
 
 def test_nonlinear_dealiasing_keeps_top_third_clean(kerr_params, grid):
     dp0 = DirectedPair(band_pulse(grid, 0.5, 12.0), Signal.zeros(grid))
-    rec = propagate_nonlinear(dp0, 1.0, 50, kerr_params, grid, dealias=True)
+    rec = propagate_nonlinear(dp0, 1.0, 50, kerr_params, grid)
     spec = np.abs(np.fft.fft(rec.final.pi.samples))
     k = np.abs(np.fft.fftfreq(grid.n) * grid.n)
     top = k > grid.n // 3
@@ -427,10 +427,8 @@ def test_exit_stiffness_flags_a_finite_march_past_its_step():
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 3.0])
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("coupled", [True, False])
-def test_kerr_default_count_matches_a_finer_march(coupled, dealias,
-                                                  amplitude):
+def test_kerr_default_count_matches_a_finer_march(coupled, amplitude):
     # p != q, a right-going modulated pulse: at the default count the exit
     # is within 1e-5 of a march with 4 times the steps, both where the
     # Klein-Gordon phase (amplitude 1) and where the cubic term (amplitude
@@ -440,8 +438,8 @@ def test_kerr_default_count_matches_a_finer_march(coupled, dealias,
     pi0 = band_pulse(grid, 0.5, 12.0, amplitude=amplitude)
     entry = DirectedPair(pi0, Signal.zeros(grid)) if coupled else pi0
     march = propagate_nonlinear if coupled else propagate_unidirectional
-    n_steps = kerr_default_steps(entry, 2.0, params, grid, dealias=dealias)
-    coarse, fine = (march(entry, 2.0, n, params, grid, dealias=dealias).final
+    n_steps = kerr_default_steps(entry, 2.0, params, grid)
+    coarse, fine = (march(entry, 2.0, n, params, grid).final
                     for n in (n_steps, 4 * n_steps))
     assert rel_l2(np.concatenate([coarse.pi.samples, coarse.lam.samples]),
                   np.concatenate([fine.pi.samples, fine.lam.samples])) <= 1e-5
@@ -556,9 +554,8 @@ def _max_rel_dev(record, reference, steps):
 
 @pytest.mark.parametrize("medium", ["kerr", "p_ne_q"])
 @pytest.mark.parametrize("linear_sign", [1.0, -1.0])
-@pytest.mark.parametrize("dealias", [True, False])
 def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
-                                                         linear_sign, dealias):
+                                                         linear_sign):
     # the half-spectrum marchers reproduce a plain complex-fft Lawson RK4
     # to rounding at every kept station, for all three Kerr marchers
     params = kerr_params if medium == "kerr" else DrudeParams(
@@ -575,30 +572,28 @@ def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
     every = np.arange(n_steps + 1)
 
     march = propagate_nonlinear if linear_sign == 1.0 else _flipped_nonlinear
-    rec = march(dp0, x_end, n_steps, params, grid, dealias=dealias,
-                n_stations=n_steps + 1)
-    ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, dealias,
+    rec = march(dp0, x_end, n_steps, params, grid, n_stations=n_steps + 1)
+    ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, True,
                                 linear_sign * pq_c, k_c)
     assert _max_rel_dev(rec, ref, every) <= 1e-12
-    # the Kerr term and the mask are resolved: toggling dealias departs by
-    # far more than the bound
-    other = _full_spectrum_lawson(dp0, x_end, n_steps, grid, not dealias,
+    # the Kerr term and the mask are resolved: the unmasked reference
+    # departs by far more than the bound
+    other = _full_spectrum_lawson(dp0, x_end, n_steps, grid, False,
                                   linear_sign * pq_c, k_c)
     assert _max_rel_dev(rec, other, every) > 1e-3
 
     if linear_sign == 1.0:
         uni0 = DirectedPair(dp0.pi, Signal.zeros(grid))
         rec = propagate_unidirectional(dp0.pi, x_end, n_steps, params, grid,
-                                       dealias=dealias, n_stations=5)
-        ref = _full_spectrum_lawson(uni0, x_end, n_steps, grid, dealias,
+                                       n_stations=5)
+        ref = _full_spectrum_lawson(uni0, x_end, n_steps, grid, True,
                                     pq_c, k_c, coupled=False)
         steps = np.linspace(0, n_steps, 5).astype(int)
         assert _max_rel_dev(rec, ref, steps) <= 1e-12
 
     if linear_sign == 1.0 and medium == "kerr":  # takes no medium
-        rec = propagate_dimensionless(dp0, x_end, n_steps, grid,
-                                      dealias=dealias)
-        ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, dealias,
+        rec = propagate_dimensionless(dp0, x_end, n_steps, grid)
+        ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, True,
                                     1.0, 1.0, dimensionless=True)
         assert _max_rel_dev(rec, ref, [0, n_steps]) <= 1e-12
 
@@ -613,7 +608,7 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
     pair = [band_pulse(grid, 0.5, 12.0).samples,
             band_pulse(grid, 0.4, 15.0, amplitude=0.5).samples]
     state = np.fft.rfft(np.stack(pair[:rows]))
-    rhs = _kerr_rhs(kerr_params, grid, True, 1.0)
+    rhs = _kerr_rhs(kerr_params, grid)
     gaps = []
 
     def watched(s, out):
@@ -622,10 +617,10 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
         tracemalloc.reset_peak()
         return rhs(s, out)
 
-    watched.stiffness = rhs.stiffness
+    watched.stiffness, watched.lin = rhs.stiffness, rhs.lin
     tracemalloc.start()
     try:
-        _march_rk4(watched, state, 0.1, 6, 2, grid, lin=rhs.lin[:rows])
+        _march_rk4(watched, state, 0.1, 6, 2, grid)
     finally:
         tracemalloc.stop()
     assert len(gaps) == 24

@@ -11,6 +11,7 @@ their grids may cross the band, which the run's plan refuses where p != q.
 import contextlib
 import dataclasses
 import io
+import json
 import re
 import tempfile
 import warnings
@@ -163,7 +164,7 @@ def test_exact_propagation_is_additive_in_x(case, max_phase, fraction):
 
 def cube_rate(pi, lam, params):
     """sigma_0 = 3 rows (K/c) max_t(u_tt^2) w_top of a Kerr entry, on full
-    spectra: u = Pi - Lambda (u = Pi for ``lam`` None), u_tt dealiased by
+    spectra: u = Pi - Lambda (u = Pi for ``lam`` None), u_tt masked by
     the 2/3 rule, w_top the highest bin that rule keeps."""
     grid = pi.grid
     keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
@@ -248,7 +249,8 @@ def _config_text(scenario, medium, grid, pulse, run):
 _UNIT = {"c": 1.0, "eps0": 1.0, "mu0": 1.0}
 
 #: configs that passed ``validate`` and failed in ``run`` with a message
-#: that named no key, and the keys the plan now names
+#: that named no key, or wrote fewer station tables than asked, and the
+#: keys the plan now names
 PLAN_CASES = {
     "grid bins in the gap": (_config_text(
         "split", {"omega_pe": 1.0, "omega_pm": 2.0, **_UNIT},
@@ -264,6 +266,13 @@ PLAN_CASES = {
         {"n": 4096, "dt": 2.0 * np.pi * 64 / 4096},
         {"carrier": 0.5, "width": 12.0}, {"x_end": 1.0}),
         "grid.dt/grid.n"),
+    # stations fall on steps: 4 steps held 5 of the 10 stations
+    "steps below stations": (_config_text(
+        "propagate-nonlinear",
+        {"omega_pe": 1.0, "omega_pm": 1.0, **_UNIT, "chi3": 0.01},
+        {"n": 1024, "dt": 0.2}, {"carrier": 0.5, "width": 12.0},
+        {"x_end": 1.0, "n_steps": 4, "n_stations": 10}),
+        "run.n_steps/run.n_stations"),
 }
 
 
@@ -310,7 +319,7 @@ def cli_configs(draw):
     if scenario in ("propagate-linear", "propagate-kg"):
         run.update(x_end=draw(st.floats(0.2, 3.0)) * x_unit, n_stations=3)
     if scenario in ("propagate-nonlinear", "propagate-unidirectional"):
-        run.update(x_end=0.5 * x_unit, n_stations=2,
+        run.update(x_end=0.5 * x_unit, n_stations=draw(st.integers(2, 12)),
                    n_steps=draw(st.sampled_from([0, 8])))
     if scenario.startswith("stationary"):
         run["v"] = draw(st.floats(0.3, 2.0)) * c
@@ -349,11 +358,13 @@ def _cli(*argv):
 @example(PLAN_CASES["grid bins in the gap"][0])
 @example(PLAN_CASES["undecayed pulse"][0])
 @example(PLAN_CASES["bin on w = p"][0])
+@example(PLAN_CASES["steps below stations"][0])
 def test_validate_exits_0_exactly_when_run_does(text):
     # validate is parse_config then the run's plan, so it fails exactly
     # when run does, naming a key; aborts that depend on the march are left
     # aside: BlowUpError, the oracle's instability and the oscillator's
-    # non-finite state (both FloatingPointError)
+    # non-finite state (both FloatingPointError). A run that exits 0 writes
+    # one station table per run.n_stations.
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config, out = Path(tmp) / "cfg.ini", Path(tmp) / "out"
@@ -362,6 +373,10 @@ def test_validate_exits_0_exactly_when_run_does(text):
         ran, _ = _cli("run", str(config), "--out", str(out))
         diag = out / "error.txt"
         error = diag.read_text() if diag.exists() else ""
+        if ran == 0:
+            run = json.loads((out / "manifest.json").read_text())["run"]
+            stations = len(list(out.glob("*_station_*.csv")))
+            assert stations == run.get("n_stations", 0), (text, stations)
     if validated == 0 and error.startswith(("BlowUpError",
                                             "FloatingPointError")):
         return
