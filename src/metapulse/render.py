@@ -1,5 +1,7 @@
 """CSV rendering of output tables, every value exactly as ``'%.17e' % v``,
-a chunk of rows at a time (``table_chunks``)."""
+a chunk of rows at a time (``table_chunks``): the digits in double-double
+arithmetic, written into a fixed-size slot per value, and the slots' NUL
+padding stripped in one pass."""
 
 import functools
 
@@ -8,13 +10,13 @@ import numpy as np
 __all__ = ["CSV_CHUNK_ROWS", "table_chunks"]
 
 #: rows rendered per numpy pass of ``table_chunks``; a pass's work arrays
-#: peak at about 320 bytes per value, 0.8 MB for 512 rows of 5 columns
+#: peak at about 186 bytes per value (traced), 0.47 MB for 512 rows of 5
+#: columns
 CSV_CHUNK_ROWS = 512
 
-#: one rendered value: sign, "d.dd", five "ddd" groups, "e+dd" or "e+ddd"
-#: and a separator, each field padded with NUL bytes that are dropped
-_VALUE = np.dtype([("sign", "u1"), ("lead", "<u4"), ("rest", "<u4", (5,)),
-                   ("exp", "<u8"), ("sep", "u1")])
+#: bytes of one value's slot in :func:`_fill_slots`: sign, "d.dd", five
+#: "ddd" groups, "e+dd" or "e+ddd" and the separator
+_SLOT = 26
 
 
 def table_chunks(header, columns):
@@ -58,7 +60,9 @@ def _decimal_table():
       nearest S, lo the one nearest S - hi, with hi split (Veltkamp) into
       its high 26 bits and the rest.
 
-    Then the ASCII of "d.dd" and "ddd" for 0..999 and of "e-324".."e+308".
+    Then the words :func:`_fill_slots` stores: the ASCII of "d.dd" and of
+    "ddd" for 0..999 as u4 ("ddd" NUL-padded), and of "e-324".."e+308" as
+    u8, NUL-padded.
     """
     n = 2098  # binades
     return (np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64),
@@ -115,54 +119,88 @@ def _render_rows(block):
 
     Ties: R = (odd part of M) 5^(17-E) 2^(tz+ex-36-E), tz the trailing
     zero bits of M, so R is a half-integer exactly when tz + ex - E = 35;
-    M lo and t are then exact, and rint rounds the tie to even. Values
-    within 2^-30 of a half-integer that are no tie, +-inf and nan are
-    rendered by Python's ``'%.17e'`` one at a time. The table's rows for
-    the binades of ``block`` that no earlier call met are filled in first.
+    M lo and t are then exact, and rint rounds the tie to even. Only the
+    values within 2^-30 of a half-integer have tz counted. Those that are
+    no tie, +-inf and nan are rendered by Python's ``'%.17e'`` one at a
+    time. The table's rows for the binades of ``block`` that no earlier
+    call met are filled in first.
+
+    Each value gets a fixed ``_SLOT``-byte slot of one uint8 buffer (see
+    :func:`_fill_slots`), and the NUL bytes of the short fields are
+    stripped from the whole buffer in one ``bytes.replace``.
     """
-    built, decade, threshold, scale, lead, rest, exps = _decimal_table()
-    finite = np.isfinite(block)
-    mantissa, ex = np.frexp(np.where(finite, np.abs(block), 0.0))
+    built, decade, threshold, scale = _decimal_table()[:4]
+    values = block.ravel()
+    finite = np.isfinite(values)
+    mantissa, ex = np.frexp(np.where(finite, np.abs(values), 0.0))
     m = np.ldexp(mantissa, 53)
     i = ex + 1073
-    missing = i[~built[i]]
-    if missing.size:
-        _fill_binades(np.unique(missing))
-    upper = m >= threshold[i]
-    high, low, lo = np.moveaxis(scale.take(2 * i + upper, axis=0), -1, 0)
-    e = decade[i] + upper
+    if not built.take(i).all():
+        _fill_binades(np.unique(i[~built[i]]))
+    upper = m >= threshold.take(i)
+    high, low, lo = scale.take(2 * i + upper, axis=0).T
+    e = decade.take(i) + upper
     m_high = np.ldexp(np.rint(np.ldexp(m, -27)), 27)
     m_low = m - m_high
     p = m * (high + low)
     t = (((m_high * high - p) + m_high * low + m_low * high) + m_low * low
          + m * lo)
-    m_int = m.astype(np.int64)
-    tz = np.frexp((m_int & -m_int).astype(float))[1] - 1
-    near_tie = np.abs(t - np.floor(t) - 0.5) < 2.0**-30
-    slow = ~finite | (near_tie & (tz + ex - e != 35))
-    digits = p.astype(np.int64) + np.rint(t).astype(np.int64)
+    t_int = np.rint(t)
+    slow = ~finite
+    # t - rint(t) is exact, and within 2^-30 of +-0.5 on a near tie
+    near = np.flatnonzero(np.abs(t - t_int) > 0.5 - 2.0**-30)
+    if near.size:
+        m_int = m[near].astype(np.int64)
+        tz = np.frexp((m_int & -m_int).astype(float))[1] - 1
+        slow[near[tz + ex[near] - e[near] != 35]] = True
+    digits = p.astype(np.int64) + t_int.astype(np.int64)
     # 9.99...95e(E) rounds up to 1.00...0e(E+1)
     carry = digits == 10**18
     digits[carry] = 10**17
     e += carry
     e[m == 0] = 0
-    upper_half = digits // 10**9
-    x = np.stack([upper_half, digits - upper_half * 10**9], -1).astype(float)
-    top = np.floor((x + 0.5) * 1e-6)
-    x -= top * 1e6
-    mid = np.floor((x + 0.5) * 1e-3)
-    groups = np.stack([top, mid, x - mid * 1e3], -1).astype(np.intp)
-    groups = groups.reshape(block.shape + (6,))
-    out = np.empty(block.shape, _VALUE)
-    out["sign"] = np.signbit(block) * np.uint8(ord("-"))
-    out["lead"] = lead[groups[..., 0]]
-    out["rest"] = rest[groups[..., 1:]]
-    out["exp"] = exps[e + 324]
-    out["sep"] = ord(",")
-    out["sep"][:, -1] = ord("\n")
-    raw = out.reshape(-1).view(np.uint8).reshape(-1, _VALUE.itemsize)
+    slots = _fill_slots(values, digits, e, block.shape[1])
     for j in np.flatnonzero(slow):
-        text = b"%.17e" % block.flat[j]
-        raw[j, :-1] = 0
-        raw[j, :len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0")
+        text = b"%.17e" % values[j]
+        slots[j, :-1] = 0
+        slots[j, :len(text)] = np.frombuffer(text, np.uint8)
+    return slots.tobytes().replace(b"\0", b"")
+
+
+def _fill_slots(values, digits, e, n_cols):
+    """The ``_SLOT``-byte slots of ``values``, one row each, from their 18
+    digits and decimal exponents, as a uint8 array over one buffer.
+
+    A slot holds, by byte offset: 0 the sign, "-" or NUL; 1 "d.dd"; 5, 8,
+    11, 14 and 17 the five "ddd" groups; 20 "e+dd" or "e+ddd", NUL-padded
+    to 5 bytes; 25 the separator, "," or a row's closing newline. Every
+    field is stored as one little-endian word through a strided view at
+    its offset, whatever its alignment: a "ddd" group as a u4 whose NUL
+    fourth byte the next field overwrites, the exponent as a u8 whose last
+    three bytes spill over the separator and the next slot's sign and
+    "d.dd" (the last slot's into 2 bytes of tail padding). So the order of
+    the stores is the layout's: the groups from offset 5 up, then the
+    exponent, then sign, "d.dd" and separator. The positive sign and the
+    5th byte of a 2-digit exponent stay NUL. ``digits`` is overwritten.
+    """
+    lead, ddd, exps = _decimal_table()[4:]
+    n = len(values)
+    buf = np.empty(n * _SLOT + 2, np.uint8)
+
+    def words(offset, dtype):
+        return np.ndarray(n, dtype, buf, offset, (_SLOT,))
+
+    first = digits // 10**15
+    digits -= first * 10**15
+    for offset, unit in zip((5, 8, 11, 14), (10**12, 10**9, 10**6, 10**3)):
+        group = digits // unit
+        words(offset, "<u4")[...] = ddd.take(group)
+        digits -= group * unit
+    words(17, "<u4")[...] = ddd.take(digits)
+    words(20, "<u8")[...] = exps.take(e + 324)
+    slots = buf[:-2].reshape(n, _SLOT)
+    slots[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    words(1, "<u4")[...] = lead.take(first)
+    slots[:, -1] = ord(",")
+    slots[n_cols - 1::n_cols, -1] = ord("\n")
+    return slots

@@ -363,21 +363,42 @@ def _edge_values(name):
     raise KeyError(name)
 
 
-@pytest.mark.parametrize("n_cols", [2, 5])
+def _wide_exponents(n_rows, n_cols):
+    """An n_rows x n_cols table of random values of both signs, about half
+    with 3-digit exponents (|E| >= 100) and half with 2-digit ones. The
+    last value of each chunk, and so of the table, has a 3-digit exponent,
+    positive in even chunks and negative in odd ones."""
+    rng = np.random.default_rng(n_rows * 10 + n_cols)
+    shape = (n_rows, n_cols)
+    wide = np.concatenate([np.arange(-323, -99), np.arange(100, 308)])
+    exponents = np.where(rng.random(shape) < 0.5, rng.choice(wide, shape),
+                         rng.integers(-99, 100, shape))
+    signs = rng.choice([-1.0, 1.0], shape)
+    table = signs * rng.uniform(2.0, 8.0, shape) * 10.0**exponents
+    ends = np.unique(np.append(
+        np.arange(CSV_CHUNK_ROWS - 1, n_rows, CSV_CHUNK_ROWS), n_rows - 1))
+    table[ends, -1] = np.where(ends // CSV_CHUNK_ROWS % 2, -3.5e-250, 6.5e300)
+    return table
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 5])
 @pytest.mark.parametrize("n_rows", [
     1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
     3 * CSV_CHUNK_ROWS + 7,
     "powers-of-two", "powers-of-ten", "subnormals", "integers", "exact-ties",
-    "near-ties", "next-decade", "non-finite", "random-bits",
+    "near-ties", "next-decade", "non-finite", "random-bits", "wide-exponents",
 ])
 def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
-    # random rows of every magnitude, or a named set of edge values laid
-    # out row by row in n_cols columns (zero-padded)
-    if isinstance(n_rows, str):
+    # random rows of every magnitude, a named set of edge values laid out
+    # row by row in n_cols columns (zero-padded), or wide exponents in a
+    # table one row short of a chunk and in one a row past it
+    if n_rows == "wide-exponents":
+        tables = [_wide_exponents(rows, n_cols)
+                  for rows in (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1)]
+    elif isinstance(n_rows, str):
         values = _edge_values(n_rows)
         values = np.append(values, np.zeros(-len(values) % n_cols))
-        columns = list(values.reshape(-1, n_cols).T)
-        n_rows = len(values) // n_cols
+        tables = [values.reshape(-1, n_cols)]
     else:
         rng = np.random.default_rng(n_rows * 10 + n_cols)
         special = [0.0, -0.0, 5e-324, -1e308, 1.0 / 3.0]
@@ -387,10 +408,13 @@ def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
             col = rng.standard_normal(n_rows) * 10.0**exponents
             col[: len(special)] = np.roll(special, c)[: n_rows]
             columns.append(col)
+        tables = [np.column_stack(columns)]
     header = ",".join(f"c{i}" for i in range(n_cols))
-    table = b"".join(table_chunks(header, columns))
-    assert table == _format_per_value(header, columns)
-    assert table.count(b"\n") == n_rows + 1
+    for rows in tables:
+        columns = list(rows.T)
+        table = b"".join(table_chunks(header, columns))
+        assert table == _format_per_value(header, columns)
+        assert table.count(b"\n") == len(rows) + 1
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -1012,7 +1036,7 @@ def test_writing_a_table_holds_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "t.csv").stat().st_size > 8_000_000
-    assert peak < 2 * 2**20
+    assert peak < 2**20
 
 
 def test_run_scenario_memory_stays_below_the_bytes_it_writes(tmp_path):
