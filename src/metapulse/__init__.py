@@ -20,11 +20,9 @@ from .errors import (
 )
 from .medium import (
     DrudeParams,
-    TaylorA,
     a_squared,
     a_symbol,
     drude_response,
-    taylor_coefficients,
     taylor_truncation_error,
 )
 from .spectral import (

@@ -128,9 +128,8 @@ def parse_config(text, overrides=()):
     ``SECTION.KEY=VALUE`` of ``overrides`` set over the text's value; values
     are taken literally (``%`` included). Raises ConfigError listing all
     problems in one pass: the medium is built wherever its section is clean,
-    the rules that span keys run wherever the scenario, medium, grid and
-    pulse sections are, and what only the run's own objects can decide is
-    left to :func:`plan`."""
+    each rule that spans keys runs wherever the keys it reads are clean, and
+    what only the run's own objects can decide is left to :func:`plan`."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
     violations = []
@@ -168,6 +167,15 @@ def parse_config(text, overrides=()):
     spanned_clean = len(violations) == first
     output = _read_section(cp, "output", _OUTPUT_KEYS, violations)
     run = _read_section(cp, "run", run_schema, violations)
+    # stations fall on steps, so fewer would drop some; the count derived
+    # for n_steps = 0 holds them all
+    steps, stations = run.get("n_steps"), run.get("n_stations")
+    if (steps and stations and _KERR_STEPS(steps) is None
+            and steps < stations - 1):
+        violations.append(
+            f"run.n_steps/run.n_stations: {steps} steps hold at most "
+            f"{steps + 1} stations; raise run.n_steps or lower "
+            f"run.n_stations")
 
     params = None
     if medium_clean:
@@ -473,12 +481,6 @@ def _run_kerr(config):
             f"run.n_steps: derived Kerr step count {n_steps} exceeds "
             f"{MAX_DEFAULT_KERR_STEPS}; set run.n_steps to march that many, "
             f"or lower pulse.amplitude or run.x_end"])
-    # stations fall on steps, so fewer steps would drop some
-    if n_steps < run["n_stations"] - 1:
-        raise ConfigError([
-            f"run.n_steps/run.n_stations: {n_steps} steps hold at most "
-            f"{n_steps + 1} stations; raise run.n_steps or lower "
-            f"run.n_stations"])
     yield
     march = (evolution.propagate_nonlinear if coupled
              else evolution.propagate_unidirectional)
@@ -704,15 +706,16 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario from a config file")
-    p_run.add_argument("config", type=Path)
+    # run and validate read one config the same way
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("config", type=Path)
+    config_args.add_argument("--override", action="append", default=[],
+                             metavar="SECTION.KEY=VALUE")
+    p_run = sub.add_parser("run", parents=[config_args],
+                           help="run a scenario from a config file")
     p_run.add_argument("--out", type=Path, default=None)
-    p_run.add_argument("--override", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE")
-
-    p_val = sub.add_parser("validate", help="validate a config file")
-    p_val.add_argument("config", type=Path)
-    p_val.set_defaults(override=())
+    sub.add_parser("validate", parents=[config_args],
+                   help="validate a config file")
 
     sub.add_parser("scenarios", help="list scenarios and their run keys")
 

@@ -151,16 +151,14 @@ def propagate_kg(dp0, xs, params, grid):
 
 
 def _half_spectrum(grid):
-    """dt^{-1}, w^2 and the 2/3-rule mask on the rfft bins 0..n/2.
+    """w^2 and the 2/3-rule mask on the rfft bins 0..n/2.
 
     The mask keeps bins k <= n/3, which dealiases quadratic terms only: a
     tone at n/4 < k <= n/3 cubes into bin 3k, an alias of kept bin n - 3k.
-    dt^{-1} annihilates DC and the unpaired Nyquist bin.
     """
-    inv_iw = make_multiplier("d_dt_inv", None, grid).values
     w = grid.half_omegas
     mask = (np.arange(w.size) <= grid.n // 3).astype(float)
-    return inv_iw, w * w, mask
+    return w * w, mask
 
 
 def _cube(grid):
@@ -193,7 +191,9 @@ def _kerr_rhs(params, grid):
     ``-+(pq/c) dt^{-1}`` per row, which :func:`_march_rk4` reads, and
     ``rhs.stiffness(state)`` is the state's sigma_0 (see :func:`_stiffness`).
     """
-    inv_iw, w2, mask = _half_spectrum(grid)
+    # dt^{-1} annihilates DC and the unpaired Nyquist bin
+    inv_iw = make_multiplier("d_dt_inv", None, grid).values
+    w2, mask = _half_spectrum(grid)
     pq_c = params.omega_pe * params.omega_pm / params.c
     k_c = _kerr_k_c(params)
     nl = -k_c * (inv_iw * mask)
@@ -362,7 +362,7 @@ def kerr_default_steps(entry, x_end, params, grid, n_stations=2):
     """
     # the symbols alone, not a whole right-hand side: its buffers, freed
     # again before the march allocates its own, raised the peak RSS
-    _, w2, mask = _half_spectrum(grid)
+    w2, mask = _half_spectrum(grid)
     state = _entry_spectrum(entry, grid)
     sigma = _stiffness(state, _kerr_k_c(params), -w2 * mask, grid)
     omega = _phase_rate(state, params, grid)

@@ -1,13 +1,12 @@
 """Lossless Drude medium in closed form.
 
 Frequency responses eps(w) = 1 - wpe^2/w^2 and mu(w) = 1 - wpm^2/w^2, the
-slowness symbol a(w) = sqrt(eps*mu)/c with its physical branch, the
-three-term small-frequency Taylor expansion of a(w) and the truncation
-error of the leading term.
+slowness symbol a(w) = sqrt(eps*mu)/c with its physical branch and the
+truncation error of its leading small-frequency term.
 
 Everything here is a pure function of scalar or array frequencies; grid
-level concerns (DC bin, Nyquist, band checks per bin) live in
-``metapulse.spectral``.
+level concerns (DC bin, Nyquist) live in ``metapulse.spectral``, whose
+a-hat multipliers take their evanescent-band check from :func:`a_symbol`.
 
 The SI defaults C, EPS0 and MU0 are the CODATA 2022 values, fixed here as
 literals so that no installed package can change them (CODATA 2018, still
@@ -29,11 +28,9 @@ MU0 = 1.25663706127e-06
 
 __all__ = [
     "DrudeParams",
-    "TaylorA",
     "drude_response",
     "a_squared",
     "a_symbol",
-    "taylor_coefficients",
     "taylor_truncation_error",
 ]
 
@@ -88,29 +85,6 @@ class DrudeParams:
         return max(self.omega_pe, self.omega_pm)
 
 
-@dataclass(frozen=True)
-class TaylorA:
-    """Coefficients of the three-term expansion of the a-hat operator.
-
-    In the lower band |a(w)| ~ k_m2/w^2 + k_0 + k_p2*w^2, so the expansion
-    reads  a-hat ~ k_m2 * dt^{-2} - k_0 + k_p2 * dt^2  and in frequency
-    the symbol is  -(k_m2/w^2 + k_0 + k_p2*w^2).
-    """
-
-    k_m2: float
-    k_0: float
-    k_p2: float
-
-    def __post_init__(self):
-        if not self.k_m2 > 0:
-            raise ValueError("k_m2 must be positive")
-
-    def symbol(self, omega):
-        """Evaluate the truncated frequency symbol at ``omega``."""
-        w2 = np.asarray(omega, dtype=float) ** 2
-        return -(self.k_m2 / w2 + self.k_0 + self.k_p2 * w2)
-
-
 def _check_nonzero(omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega == 0.0):
@@ -152,35 +126,22 @@ def a_symbol(params, omega):
 
     Negative real for |w| below both plasma frequencies (double-negative
     band, backward waves), positive real above both. Frequencies strictly
-    inside the evanescent band raise ``EvanescentBandError`` rather than
-    returning complex values.
+    inside the evanescent band raise ``EvanescentBandError``, which counts
+    them, rather than returning complex values.
     """
     omega = _check_nonzero(omega)
     aw = np.abs(omega)
     lo, hi = params.band_low, params.band_high
-    if np.any((aw > lo) & (aw < hi)):
+    inside = int(np.count_nonzero((aw > lo) & (aw < hi)))
+    if inside:
         raise EvanescentBandError(
-            f"frequency inside evanescent band ({lo:g}, {hi:g}) rad/s"
+            f"{inside} frequenc{'y lies' if inside == 1 else 'ies lie'} in "
+            f"the evanescent band ({lo:g}, {hi:g}) rad/s"
         )
     a2 = np.asarray(a_squared(params, omega))
     sign = np.where(aw <= lo, -1.0, 1.0)
     out = sign * np.sqrt(a2)
     return float(out) if out.ndim == 0 else out
-
-
-def taylor_coefficients(params):
-    """Three-term Taylor coefficients of a(w) around w = 0.
-
-    |a(w)| = (pq/(c w^2)) sqrt((1 - w^2/p^2)(1 - w^2/q^2)) expands to
-    k_m2 = pq/c, k_0 = -(p^2 + q^2)/(2cpq) and
-    k_p2 = (1/(2pq) - (p^2 + q^2)^2/(8 p^3 q^3))/c, which is 0 at p = q,
-    where the two-term series is exact.
-    """
-    p, q, c = params.omega_pe, params.omega_pm, params.c
-    k_m2 = p * q / c
-    k_0 = -(p**2 + q**2) / (2.0 * c * p * q)
-    k_p2 = (1.0 / (2.0 * p * q) - (p**2 + q**2) ** 2 / (8.0 * p**3 * q**3)) / c
-    return TaylorA(k_m2=k_m2, k_0=k_0, k_p2=k_p2)
 
 
 def taylor_truncation_error(params, omega):

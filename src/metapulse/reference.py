@@ -71,10 +71,6 @@ class YeeGrid1D:
     def dt_fdtd(self):
         return self.courant * self.dx / self.c
 
-    @property
-    def x_nodes(self):
-        return np.arange(self.nx) * self.dx
-
 
 def _cyclic_reduction(lo, diag, up, rhs):
     """Solve lo[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] (lo[0] and

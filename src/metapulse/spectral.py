@@ -45,8 +45,6 @@ class TimeGrid:
     ----------
     times : ndarray
         Sample instants 0, dt, ..., (n-1)*dt.
-    omegas : ndarray
-        Signed angular frequencies 2*pi*k/T in full fft bin order.
     half_omegas : ndarray
         Angular frequencies 2*pi*k/T of the rfft bins k = 0..n/2, on which
         every multiplier is built.
@@ -65,10 +63,6 @@ class TimeGrid:
         self.window = n * self.dt
         self.times = np.arange(n) * self.dt
         self.half_omegas = 2.0 * np.pi * np.fft.rfftfreq(n, self.dt)
-        # fft bin order: 0..n/2-1, then -n/2..-1
-        self.omegas = np.concatenate(
-            (self.half_omegas[:-1], -self.half_omegas[:0:-1])
-        )
 
     def __eq__(self, other):
         return (
@@ -159,17 +153,6 @@ def apply(m, s):
     return Signal(s.grid, out)
 
 
-def _check_band_free(params, grid, kind):
-    w = grid.half_omegas
-    lo, hi = params.band_low, params.band_high
-    bad = (w > lo) & (w < hi)
-    if np.any(bad):
-        raise InadmissibleGridError(
-            f"{int(np.sum(bad))} grid bins lie in the evanescent band "
-            f"({lo:g}, {hi:g}) rad/s; cannot build {kind!r}"
-        )
-
-
 def make_multiplier(kind, params, grid):
     """Build the discrete realization of one of the model's operators.
 
@@ -178,7 +161,9 @@ def make_multiplier(kind, params, grid):
     bin is annihilated for every kind. The Nyquist bin of odd-symbol
     operators (d_dt, d_dt_inv) is zeroed as well: it is unpaired, and irfft
     would drop its imaginary product anyway. ``params`` is unused by the
-    time derivatives and may be None for them.
+    time derivatives and may be None for them. ``a`` and ``a_inv`` raise
+    :func:`medium.a_symbol`'s EvanescentBandError on a grid with bins in
+    the evanescent band.
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
@@ -197,7 +182,6 @@ def make_multiplier(kind, params, grid):
             raise InadmissibleGridError("mu(w) vanishes on a grid bin")
         vals[nz] = 1.0 / mu
     elif kind in ("a", "a_inv"):
-        _check_band_free(params, grid, kind)
         a = medium.a_symbol(params, wn)
         if kind == "a":
             vals[nz] = a

@@ -36,6 +36,12 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def fft_omegas(grid):
+    """Signed angular frequencies 2 pi k / T of ``grid`` in full fft bin
+    order: 0..n/2-1, then -n/2..-1."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dt)
+
+
 def random_zero_mean(grid, rng, k_max=None, scale=1.0):
     """Real random signal supported on bins 1..k_max (zero DC, no Nyquist)."""
     n = grid.n

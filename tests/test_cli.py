@@ -23,6 +23,7 @@ from metapulse.cli import (
     synthesize_pulse,
 )
 from metapulse.render import CSV_CHUNK_ROWS, table_chunks
+from conftest import fft_omegas
 
 BASE = """
 [scenario]
@@ -95,9 +96,15 @@ def test_parse_collects_all_violations():
      ["run.n_stations: must be at least 2 (entry and exit)",
       "medium: chi3 < 0 is not supported",
       "pulse.file: required for shape user-file"]),
+    # the Kerr stations rule ran in the plan, so it came one round late
+    ("propagate-nonlinear", "", "",
+     "x_end = -1\nn_steps = 4\nn_stations = 10\n",
+     ["run.x_end: must be positive",
+      "run.n_steps/run.n_stations: 4 steps hold at most 5 stations; "
+      "raise run.n_steps or lower run.n_stations"]),
 ], ids=["run-keys", "pulse-keys", "pulse-unused", "medium-pulse-run",
         "medium-refused", "medium-refused-taylor", "output-pulse",
-        "kerr-run-medium-pulse"])
+        "kerr-run-medium-pulse", "kerr-stations-run"])
 def test_validate_reports_every_key_violation_in_one_pass(
         tmp_path, capsys, scenario, medium, pulse, run, expected):
     # a typo hid every range violation: only the unknown key was listed
@@ -171,7 +178,8 @@ def test_synthesize_gaussian():
     assert abs(np.mean(sig.samples)) <= 1e-8 * sig.peak
     spec = np.abs(np.fft.fft(sig.samples))
     k_peak = int(np.argmax(spec[: grid.n // 2]))
-    assert grid.omegas[k_peak] == pytest.approx(0.5, abs=2.0 * np.pi / grid.window)
+    assert fft_omegas(grid)[k_peak] == pytest.approx(
+        0.5, abs=2.0 * np.pi / grid.window)
 
 
 def test_synthesize_rejects_dirty():
@@ -472,7 +480,7 @@ def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
     w_top = 2.0 * np.pi * top / grid.window
 
     def sigma_at(station):
-        u_tt = np.fft.ifft(-grid.omegas**2 * (k <= top)
+        u_tt = np.fft.ifft(-fft_omegas(grid)**2 * (k <= top)
                            * np.fft.fft(station[:, 1] - station[:, 2])).real
         return 3.0 * rows * k_c * np.max(u_tt**2) * w_top
 
@@ -536,20 +544,20 @@ def test_kerr_scenarios_have_no_dealias_switch(tmp_path, capsys, scenario):
 def test_kerr_plan_refuses_fewer_steps_than_stations(tmp_path, scenario,
                                                      n_steps, refused):
     # stations fall on steps: n_steps steps hold n_steps + 1 stations, and
-    # 10 stations at 8 steps validated, then wrote 9 tables
+    # 10 stations at 8 steps validated, then wrote 9 tables; parse_config
+    # refuses the pair, so no plan is built
     text = (BASE.replace("name = split", f"name = {scenario}")
             .replace("mu0 = 1.0", "mu0 = 1.0\nchi3 = 0.01")
             + f"\n[run]\nx_end = 0.5\nn_steps = {n_steps}\n"
             "n_stations = 10\n")
-    config = parse_config(text)
     if refused:
         with pytest.raises(ConfigError) as err:
-            plan(config)
+            parse_config(text)
         assert err.value.violations == [
             "run.n_steps/run.n_stations: 8 steps hold at most 9 stations; "
             "raise run.n_steps or lower run.n_stations"]
         return
-    status, written = run_scenario(config, out_dir=tmp_path)
+    status, written = run_scenario(parse_config(text), out_dir=tmp_path)
     assert status == 0
     assert len([p for p in written if "_station_" in p]) == 10
 
@@ -664,12 +672,12 @@ def test_reference_compare_takes_user_file_pulse(tmp_path):
     ("propagate-nonlinear", False, {"synthesize_pulse": 1, "split": 1,
                                     "make_multiplier": 3}),
     ("propagate-nonlinear", True, {"synthesize_pulse": 1, "split": 1,
-                                   "make_multiplier": 4,
+                                   "make_multiplier": 3,
                                    "kerr_default_steps": 1}),
     ("propagate-unidirectional", False, {"synthesize_pulse": 1, "split": 1,
                                          "make_multiplier": 3}),
     ("propagate-unidirectional", True, {"synthesize_pulse": 1, "split": 1,
-                                        "make_multiplier": 4,
+                                        "make_multiplier": 3,
                                         "kerr_default_steps": 1}),
     ("stationary-linear", False, {}),
     ("stationary-nonlinear", False, {}),
@@ -681,8 +689,9 @@ def test_plan_and_execute_do_no_extra_work(tmp_path, monkeypatch, scenario,
                                            derived, calls):
     # the counts of one run before the split into plan and execute, with
     # one a_inv build more in the plan of each scenario that reconstructs
-    # (linear 7, KG 6, reference-compare 3 before); every binding of each
-    # function in the package is wrapped, as the benchmark's tracer does
+    # (linear 7, KG 6, reference-compare 3 before); a derived Kerr count
+    # builds no d_dt_inv of its own. Every binding of each function in the
+    # package is wrapped, as the benchmark's tracer does
     from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
 
     text = (f"[scenario]\nname = {scenario}\n" + BASE_MEDIUM
@@ -721,6 +730,37 @@ def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
     assert main(["validate", str(f)]) == 1
     # a negative grid.dt is the grid's to reject, naming grid.dt/grid.n
     assert "invalid: grid.dt" in capsys.readouterr().err
+
+
+def test_validate_names_grid_bins_in_the_gap_once(tmp_path, capsys):
+    # medium.a_symbol is the one gap test of the entry split, counted
+    text = BASE.replace("omega_pm = 1.0", "omega_pm = 2.0")
+    f = tmp_path / "cfg.ini"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid: grid.dt/grid.n: 33 frequencies lie in the evanescent band "
+        "(1, 2) rad/s"]
+
+
+@pytest.mark.parametrize("text, override, expected", [
+    (BASE, "pulse.width=0", ["invalid: pulse.width: must be positive"]),
+    (BASE.replace("width = 12.0", "width = 0"), "pulse.width=12.0", []),
+], ids=["breaks", "fixes"])
+def test_validate_and_run_agree_under_an_override(tmp_path, capsys, text,
+                                                  override, expected):
+    # validate refused --override ("unrecognized arguments", exit 2), so
+    # a run's own command line could not be validated
+    f = tmp_path / "cfg.ini"
+    f.write_text(text)
+    status = 1 if expected else 0
+    assert main(["validate", str(f), "--override", override]) == status
+    assert capsys.readouterr().err.splitlines() == expected
+    out = tmp_path / "out"
+    assert main(["run", str(f), "--out", str(out),
+                 "--override", override]) == status
+    assert capsys.readouterr().err.splitlines() == expected
+    assert (out / "manifest.json").exists() is not bool(expected)
 
 
 @pytest.mark.parametrize("edits, key", [

@@ -1,5 +1,7 @@
 """Closed-form Drude responses, slowness branch, Taylor expansion."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,47 @@ from metapulse import (
     a_squared,
     a_symbol,
     drude_response,
-    taylor_coefficients,
     taylor_truncation_error,
 )
 from metapulse.medium import _check_nonzero
+
+
+@dataclass(frozen=True)
+class TaylorA:
+    """Coefficients of the three-term expansion of the a-hat operator.
+
+    In the lower band |a(w)| ~ k_m2/w^2 + k_0 + k_p2*w^2, so the expansion
+    reads  a-hat ~ k_m2 * dt^{-2} - k_0 + k_p2 * dt^2  and in frequency
+    the symbol is  -(k_m2/w^2 + k_0 + k_p2*w^2).
+    """
+
+    k_m2: float
+    k_0: float
+    k_p2: float
+
+    def __post_init__(self):
+        if not self.k_m2 > 0:
+            raise ValueError("k_m2 must be positive")
+
+    def symbol(self, omega):
+        """Evaluate the truncated frequency symbol at ``omega``."""
+        w2 = np.asarray(omega, dtype=float) ** 2
+        return -(self.k_m2 / w2 + self.k_0 + self.k_p2 * w2)
+
+
+def taylor_coefficients(params):
+    """Three-term Taylor coefficients of a(w) around w = 0.
+
+    |a(w)| = (pq/(c w^2)) sqrt((1 - w^2/p^2)(1 - w^2/q^2)) expands to
+    k_m2 = pq/c, k_0 = -(p^2 + q^2)/(2cpq) and
+    k_p2 = (1/(2pq) - (p^2 + q^2)^2/(8 p^3 q^3))/c, which is 0 at p = q,
+    where the two-term series is exact.
+    """
+    p, q, c = params.omega_pe, params.omega_pm, params.c
+    k_m2 = p * q / c
+    k_0 = -(p**2 + q**2) / (2.0 * c * p * q)
+    k_p2 = (1.0 / (2.0 * p * q) - (p**2 + q**2) ** 2 / (8.0 * p**3 * q**3)) / c
+    return TaylorA(k_m2=k_m2, k_0=k_0, k_p2=k_p2)
 
 
 def energy_density(params, omega, e_field, h_field):
@@ -97,7 +136,8 @@ def test_a_symbol_branch_and_band():
     np.testing.assert_allclose(a**2, a2, rtol=1e-12)
     assert np.all(a[w < 1.0] < 0.0)
     assert np.all(a[w > 2.0] > 0.0)
-    with pytest.raises(EvanescentBandError):
+    with pytest.raises(EvanescentBandError,
+                       match=r"^1 frequency lies in the evanescent band"):
         a_symbol(params, 1.5)
     with pytest.raises(SingularFrequencyError):
         a_symbol(params, 0.0)

@@ -20,7 +20,7 @@ from metapulse import (
     reconstruct,
     split,
 )
-from conftest import field_peak, projections, random_zero_mean
+from conftest import field_peak, fft_omegas, projections, random_zero_mean
 
 pytestmark = pytest.mark.filterwarnings("ignore:boundary signal")
 
@@ -141,7 +141,7 @@ def test_per_bin_eigen_relation(unit_params, grid, rng):
     # the plus-sign matrix (which=2) spans (+a, 1), eigenvalue -i w a
     ks = rng.integers(1, grid.n // 4, size=40)
     for k in np.unique(ks):
-        w = grid.omegas[k]
+        w = fft_omegas(grid)[k]
         a = a_symbol(unit_params, w)
         if abs(a) < 1e-9:
             continue

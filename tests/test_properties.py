@@ -42,6 +42,7 @@ from metapulse.cli import SCENARIOS, main
 from metapulse.medium import C
 from metapulse.render import table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
+from conftest import fft_omegas
 
 # derandomized, so every run draws the same examples; no example database
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -90,7 +91,7 @@ def random_signal(grid, rng):
 def full_spectrum_symbol(kind, params, grid):
     """The multiplier's symbol on every fft bin, DC (and the Nyquist bin of
     the odd symbols) zeroed."""
-    w = grid.omegas
+    w = fft_omegas(grid)
     nz = w != 0.0
     wn = w[nz]
     eps = params.eps0 * drude_response("electric", params, wn)
@@ -169,7 +170,7 @@ def cube_rate(pi, lam, params):
     grid = pi.grid
     keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 3
     u = pi.samples - (0.0 if lam is None else lam.samples)
-    u_tt = np.fft.ifft(-grid.omegas**2 * keep * np.fft.fft(u)).real
+    u_tt = np.fft.ifft(-fft_omegas(grid)**2 * keep * np.fft.fft(u)).real
     k_c = params.mu0 * params.chi3 * params.c**2 / (
         2.0 * params.omega_pe**3 * params.omega_pm)
     w_top = 2.0 * np.pi * (grid.n // 3) / grid.window
@@ -250,7 +251,7 @@ _UNIT = {"c": 1.0, "eps0": 1.0, "mu0": 1.0}
 
 #: configs that passed ``validate`` and failed in ``run`` with a message
 #: that named no key, or wrote fewer station tables than asked, and the
-#: keys the plan now names
+#: keys that the plan, or for the stations rule parse_config, now names
 PLAN_CASES = {
     "grid bins in the gap": (_config_text(
         "split", {"omega_pe": 1.0, "omega_pm": 2.0, **_UNIT},
@@ -396,6 +397,12 @@ def test_plan_names_the_keys_validate_missed(tmp_path, case):
     config.write_text(text)
     status, err = _cli("validate", str(config))
     assert status == 1 and err.startswith(f"invalid: {keys}: ")
-    assert _cli("run", str(config), "--out", str(tmp_path / "out"))[0] == 1
-    error = (tmp_path / "out" / "error.txt").read_text()
-    assert error.startswith(f"ConfigError: {keys}: ")
+    status, err = _cli("run", str(config), "--out", str(tmp_path / "out"))
+    assert status == 1
+    # a plan error goes to error.txt; parse_config's, before any output
+    # directory is made, to stderr as validate prints it
+    diag = tmp_path / "out" / "error.txt"
+    if diag.exists():
+        assert diag.read_text().startswith(f"ConfigError: {keys}: ")
+    else:
+        assert err.startswith(f"invalid: {keys}: ")

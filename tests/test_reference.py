@@ -63,7 +63,7 @@ def test_vacuum_pulse_speed():
     # SI vacuum: the grid speed must match the material constants
     g = YeeGrid1D(2048, 0.01, courant=0.5)
     c_med = 1.0 / np.sqrt(EPS0 * MU0)
-    x = g.x_nodes
+    x = np.arange(g.nx) * g.dx
     x0, sigma = 4.0, 0.25
 
     def f(xx):
@@ -83,7 +83,7 @@ def test_vacuum_pulse_speed():
 
 def test_vacuum_energy_conserved():
     g = YeeGrid1D(512, 0.05, courant=0.5)
-    x = g.x_nodes
+    x = np.arange(g.nx) * g.dx
     e = np.exp(-((x - 12.8) ** 2) / (2.0 * 1.0**2))
     e[0] = e[-1] = 0.0
     advance, (e, h, _, _) = _stepper(g, e=e)

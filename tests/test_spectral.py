@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from metapulse import (
+    DirectedPair,
     DrudeParams,
+    EvanescentBandError,
+    FieldPair,
     GridMismatchError,
     InadmissibleGridError,
     Multiplier,
@@ -12,8 +15,10 @@ from metapulse import (
     TimeGrid,
     apply,
     make_multiplier,
+    propagate_linear_exact,
+    split,
 )
-from conftest import random_zero_mean
+from conftest import fft_omegas, gaussian_pulse, random_zero_mean
 
 
 def test_grid_validation():
@@ -26,7 +31,7 @@ def test_grid_validation():
     g = TimeGrid(64, 0.25)
     assert g.window == pytest.approx(16.0)
     # signed bins symmetric about zero except the unpaired Nyquist
-    w = np.sort(g.omegas)
+    w = np.sort(fft_omegas(g))
     assert np.allclose(w[1:32] + w[:32:-1], 0.0)
 
 
@@ -39,7 +44,7 @@ def test_signal_validation(grid):
 
 def test_d_dt_on_sine(unit_params, grid):
     k = 25
-    wk = grid.omegas[k]
+    wk = fft_omegas(grid)[k]
     d_dt = make_multiplier("d_dt", unit_params, grid)
     out = apply(d_dt, Signal(grid, np.sin(wk * grid.times)))
     np.testing.assert_allclose(
@@ -61,8 +66,9 @@ def test_a_multiplier_value():
     grid = TimeGrid(256, 2.0 * np.pi / (256 * 0.03125))
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     vals = make_multiplier("a", params, grid).values
-    k = int(np.argmin(np.abs(grid.omegas - 0.5)))
-    assert grid.omegas[k] == pytest.approx(0.5, rel=1e-12)
+    w = fft_omegas(grid)
+    k = int(np.argmin(np.abs(w - 0.5)))
+    assert w[k] == pytest.approx(0.5, rel=1e-12)
     assert vals[k].real == pytest.approx(-3.0)
     assert vals[0] == 0.0
 
@@ -128,8 +134,29 @@ def test_evanescent_grid_rejected():
     params = DrudeParams(1.0, 2.0, c=1.0, eps0=1.0, mu0=1.0)
     grid = TimeGrid(1024, 0.05)  # bins cover (1, 2) densely
     for kind in ("a", "a_inv"):
-        with pytest.raises(InadmissibleGridError):
+        with pytest.raises(EvanescentBandError):
             make_multiplier(kind, params, grid)
+
+
+@pytest.mark.parametrize("build", [
+    lambda j, params, grid: make_multiplier("a", params, grid),
+    lambda j, params, grid: make_multiplier("a_inv", params, grid),
+    lambda j, params, grid: split(FieldPair(Signal.zeros(grid), j),
+                                  params, grid),
+    lambda j, params, grid: propagate_linear_exact(
+        DirectedPair(j, Signal.zeros(grid)), [0.0, 1.0], params, grid),
+], ids=["a", "a_inv", "split", "propagate_linear_exact"])
+def test_every_a_hat_build_meets_one_gap_rule(build):
+    # medium.a_symbol is the one gap test: the grid check that ran before
+    # it raised InadmissibleGridError naming "33 grid bins" on this grid,
+    # bins 33..65 of 2 pi k / 204.8 rad/s
+    params = DrudeParams(1.0, 2.0, c=1.0, eps0=1.0, mu0=1.0)
+    grid = TimeGrid(1024, 0.2)
+    j = gaussian_pulse(grid, carrier=0.5, width=12.0)
+    with pytest.raises(EvanescentBandError) as err:
+        build(j, params, grid)
+    assert str(err.value) == ("33 frequencies lie in the evanescent band "
+                              "(1, 2) rad/s")
 
 
 def test_a_inv_tol_rejected():
