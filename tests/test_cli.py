@@ -733,7 +733,8 @@ def test_validate_rejects_unusable_grid_dt(tmp_path, capsys, old, new):
 
 
 def test_validate_names_grid_bins_in_the_gap_once(tmp_path, capsys):
-    # medium.a_symbol is the one gap test of the entry split, counted
+    # the split's a-hat meets the gap in medium.a_symbol alone, which counts
+    # the frequencies inside it
     text = BASE.replace("omega_pm = 1.0", "omega_pm = 2.0")
     f = tmp_path / "cfg.ini"
     f.write_text(text)

@@ -30,9 +30,9 @@ def test_grid_validation():
         TimeGrid(64, 0.0)
     g = TimeGrid(64, 0.25)
     assert g.window == pytest.approx(16.0)
-    # signed bins symmetric about zero except the unpaired Nyquist
-    w = np.sort(fft_omegas(g))
-    assert np.allclose(w[1:32] + w[:32:-1], 0.0)
+    # the rfft bins 2 pi k / 16 run from DC to the Nyquist pi / 0.25
+    np.testing.assert_allclose(g.half_omegas,
+                               2.0 * np.pi * np.arange(33) / 16.0, rtol=1e-15)
 
 
 def test_signal_validation(grid):
