@@ -17,14 +17,14 @@ print("running FDTD oracle at two resolutions (a few seconds)...\n")
 print(f"{'dx':>6} {'probe x':>8} {'L2(E)':>10} {'L2(B)':>10}")
 errors = {}
 for dx in (0.04, 0.02):
-    res = reference_compare(
+    tables, summary = reference_compare(
         params, source, dx=dx, courant=0.5, x_ref=0.48,
         x_probes=[1.0, 2.0], duration=400.0, pad=60.0,
     )
-    errors[dx] = [p["l2_e"] for p in res["probes"]]
-    for p in res["probes"]:
-        print(f"{dx:>6.2f} {p['x']:>8.2f} {p['l2_e']:>10.2e} "
-              f"{p['l2_b']:>10.2e}")
+    errors[dx] = summary["l2_errors_e"]
+    for *_, probe in tables.values():
+        print(f"{dx:>6.2f} {probe['x (m)']:>8.2f} "
+              f"{probe['l2_error_e']:>10.2e} {probe['l2_error_b']:>10.2e}")
 
 ratios = [c / f for c, f in zip(errors[0.04], errors[0.02])]
 print(f"\nrefinement ratios {['%.2f' % r for r in ratios]} "

@@ -245,9 +245,9 @@ def run_boundary_source(source, grid1d, params, duration, probes,
 
     Returns
     -------
-    dict with keys ``t`` (ndarray), ``e`` and ``b`` (lists of ndarray, one
-    per probe), ``x`` (probe positions) and ``contaminated`` (bool flag
-    from the wall-activity heuristic).
+    dict with keys ``t`` (ndarray of the steps + 1 instants), ``e`` and
+    ``b`` (ndarrays of shape (probes, steps + 1), one row per probe) and
+    ``contaminated`` (bool flag from the wall-activity heuristic).
 
     Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
     differ by more than 1e-12 relative, or when :func:`source_layout`
@@ -318,10 +318,4 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     if contaminated:
         warnings.warn("field activity near the walls; probe data may be "
                       "contaminated by reflections", stacklevel=2)
-    return {
-        "t": t,
-        "e": [rec_e[m] for m in range(len(idx))],
-        "b": [rec_b[m] for m in range(len(idx))],
-        "x": list(probes),
-        "contaminated": bool(contaminated),
-    }
+    return {"t": t, "e": rec_e, "b": rec_b, "contaminated": bool(contaminated)}

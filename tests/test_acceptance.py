@@ -411,11 +411,11 @@ def test_acceptance_09_oracle_cross_check(capsys):
                               amplitude=1.0)
     errs = {}
     for dx in (0.04, 0.02):
-        res = reference_compare(
+        _, summary = reference_compare(
             UNIT, source, dx=dx, courant=0.5, x_ref=0.48,
             x_probes=[1.0, 2.0], duration=400.0, pad=60.0,
         )
-        errs[dx] = [p["l2_e"] for p in res["probes"]]
+        errs[dx] = summary["l2_errors_e"]
     elapsed = time.perf_counter() - t0
     worst = max(errs[0.04])
     ratios = [c / f for c, f in zip(errs[0.04], errs[0.02])]

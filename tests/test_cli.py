@@ -6,14 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metapulse import (ConfigError, TimeGrid, cli, evolution, reference,
-                       render, spectral, waves)
+from metapulse import (ConfigError, DirectedPair, DrudeParams, Signal,
+                       TimeGrid, cli, evolution, reference, render, spectral,
+                       waves)
 from metapulse.cli import (
     MAX_DEFAULT_KERR_STEPS,
     main,
@@ -661,6 +663,72 @@ def test_reference_compare_takes_user_file_pulse(tmp_path):
                       <= 1e-12 * np.max(np.abs(want), axis=0))
 
 
+def _scenario_config(scenario, overrides=()):
+    """The acceptance-10 config of ``scenario``, parsed."""
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    return parse_config(f"[scenario]\nname = {scenario}\n" + BASE_MEDIUM
+                        + SCENARIO_CONFIGS[scenario], overrides)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("l2_e, l2_b, passed", [
+    (0.01, 0.03, False), (0.03, 0.01, False), (math.nan, 0.01, False),
+    (0.01, math.nan, False), (0.01, 0.02, True)])
+def test_reference_compare_passes_only_when_e_and_b_pass(monkeypatch, l2_e,
+                                                         l2_b, passed):
+    # each probe's L2 is taken for E, then for B; pass needs both within
+    # the 0.02 budget, and a NaN fails
+    calls = []
+
+    def rel_l2(a, b):
+        calls.append(None)
+        return (l2_b, l2_e)[len(calls) % 2]
+
+    monkeypatch.setattr(cli, "_rel_l2", rel_l2)
+    tables, summary = next(plan(_scenario_config("reference-compare")))
+    assert len(calls) == 2 * len(tables) == 2
+    np.testing.assert_equal(summary["l2_errors_e"], [l2_e])
+    np.testing.assert_equal(summary["l2_errors_b"], [l2_b])
+    (*_, meta), = tables.values()
+    np.testing.assert_equal([meta["l2_error_e"], meta["l2_error_b"]],
+                            [l2_e, l2_b])
+    assert summary["pass"] is passed
+
+
+def test_reference_compare_splits_records_without_dc():
+    # the FDTD run's raw B record at the reference plane keeps a mean of
+    # about 6.5e-5 of its peak, which split would report; the oracle's
+    # E and B are split less their means
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message=".*DC content")
+        warnings.filterwarnings("ignore", message=".*(decay|walls)")
+        tables, summary = next(plan(_scenario_config("reference-compare")))
+    assert len(tables) == 1 and summary["budget"] == 0.02
+
+
+@pytest.mark.filterwarnings("ignore:spectral content above")
+def test_kg_budget_grows_with_x_end():
+    budgets = [next(plan(_scenario_config(
+        "propagate-kg", [f"run.x_end={x}"])))[1]["kg_error_budget (1)"]
+               for x in (3.0, 6.0)]
+    assert budgets[0] > 0.0
+    assert budgets[1] == 2.0 * budgets[0]
+
+
+def test_kg_budget_is_none_for_a_band_edge_on_p():
+    # the truncation error is defined only below min(p, q), and a top
+    # occupied bin exactly on w = p has none
+    grid = TimeGrid(256, 0.5)
+    k = 12
+    p = float(grid.half_omegas[k])
+    params = DrudeParams(p, 1.5 * p, c=1.0, eps0=1.0, mu0=1.0)
+    wave = np.cos(grid.half_omegas[[k - 4, k]][:, None] * grid.times).sum(0)
+    dp0 = DirectedPair(Signal(grid, wave), Signal.zeros(grid))
+    assert cli._kg_budget(params, dp0, 3.0) == {"band_edge (rad/s)": p,
+                                                "kg_error_budget (1)": None}
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("scenario, derived, calls", [
     ("split", False, {"synthesize_pulse": 1, "split": 1,
@@ -892,6 +960,48 @@ def test_validate_rejects_non_finite_and_unusable_numbers(
                   if ln.startswith("invalid:")]
     assert len(violations) == 1
     assert violations[0].startswith(f"invalid: {key}:")
+
+
+@pytest.mark.parametrize("key", ["pulse.amplitude", "pulse.file"])
+def test_validate_names_the_key_of_a_non_finite_pulse(tmp_path, capsys,
+                                                      key):
+    # the Gaussian's mean overflowed at amplitude 1e308, and a NaN in a
+    # user file passed the spline: both left Signal's ValueError, naming no
+    # key, in a traceback
+    f = tmp_path / "cfg.ini"
+    argv = ["validate", str(f)]
+    if key == "pulse.amplitude":
+        f.write_text(BASE)
+        argv += ["--override", "pulse.amplitude=1e308"]
+    else:
+        pulse = tmp_path / "pulse.txt"
+        f.write_text(_user_file_config(pulse))
+        data = np.loadtxt(pulse)
+        data[300, 1] = np.nan
+        np.savetxt(pulse, data)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {key}:") and "Traceback" not in err
+
+
+def test_validate_names_grid_n_that_cannot_be_allocated(tmp_path):
+    # numpy's MemoryError on the 8 GiB times of TimeGrid escaped the key
+    # context; the child's address space is capped at 4 GiB, so the
+    # allocation fails at once on any machine
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "cfg.ini"
+    f.write_text(BASE)
+    cap = 4 << 30
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "metapulse.cli", "validate", str(f),
+         "--override", "grid.n=1073741824"],
+        text=True, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("invalid: grid.n:")
+    assert "Traceback" not in out.stderr
 
 
 def _user_file_config(path):

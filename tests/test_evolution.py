@@ -1,5 +1,7 @@
 """Linear, Klein-Gordon and Kerr propagation along x."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,21 @@ def test_linear_propagators_reject_bad_distances_before_any_transform(
     monkeypatch.setattr(np.fft, "rfft", no_transform)
     with pytest.raises(ValueError, match="^x must"):
         prop(dp0, xs, unit_params, grid)
+
+
+@pytest.mark.parametrize("tail, warns", [(2e-6, True), (0.5e-6, False)])
+def test_kg_band_warning_threshold(unit_params, grid, tail, warns):
+    # content above min(p, q) / 2 = 0.5 rad/s warns once it exceeds 1e-6
+    # of the spectral peak
+    w = grid.half_omegas
+    low, high = np.searchsorted(w, [0.3, 0.6])
+    wave = np.cos(w[low] * grid.times) + tail * np.cos(w[high] * grid.times)
+    dp0 = DirectedPair(Signal(grid, wave), Signal.zeros(grid))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        propagate_kg(dp0, [1.0], unit_params, grid)
+    assert [str(m.message).startswith("spectral content above 0.5 rad/s")
+            for m in caught] == ([True] if warns else [])
 
 
 def test_kg_plane_wave_phase(unit_params, grid):

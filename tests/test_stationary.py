@@ -1,5 +1,7 @@
 """Traveling-profile solutions and the Cardano-reduced oscillator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,17 @@ def test_series_f(sp, kerr_params, unit_params):
 def test_series_radius_warning(sp, kerr_params):
     with pytest.warns(UserWarning):
         series_f(1e6, sp, kerr_params, order=3)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_series_radius_is_where_the_cubic_term_takes_over(sp, kerr_params,
+                                                          order):
+    # the estimate c^1.5 / (sqrt(K_v) p q): silent just inside, warns just
+    # outside
+    p, q, c = kerr_params.omega_pe, kerr_params.omega_pm, kerr_params.c
+    radius = c**1.5 / (np.sqrt(sp.big_k_v) * p * q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series_f([0.0, -(1.0 - 1e-9) * radius], sp, kerr_params, order=order)
+    with pytest.warns(UserWarning, match="convergence estimate"):
+        series_f([0.0, (1.0 + 1e-9) * radius], sp, kerr_params, order=order)
