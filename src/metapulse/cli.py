@@ -32,6 +32,13 @@ __all__ = ["ScenarioConfig", "parse_config", "synthesize_pulse", "plan",
 #: by run.n_steps
 MAX_DEFAULT_KERR_STEPS = 100_000
 
+#: largest phase (rad) a run may turn a bin through: a phase theta is
+#: known to theta 2^-53, within CLEAN_TOL up to here
+MAX_PHASE = CLEAN_TOL * 2.0**53
+#: most station samples (run.n_stations x grid.n) a run may keep: the
+#: linear runner holds about 36 bytes of each at once, 300 MB here
+MAX_STATION_SAMPLES = 2**23
+
 REQUIRED = object()
 
 
@@ -261,6 +268,26 @@ def _grid(config):
         raise ConfigError([f"grid.n: {exc}"]) from exc
 
 
+def _check_ceilings(config, grid):
+    """Refuse station samples over MAX_STATION_SAMPLES, or a phase w |a(w)|
+    x or pq x/(c w) on a nonzero bin, x = run.x_end, over MAX_PHASE."""
+    problems, samples = [], config.run["n_stations"] * grid.n
+    if samples > MAX_STATION_SAMPLES:
+        problems.append(f"run.n_stations/grid.n: {samples} station samples "
+                        f"exceed {MAX_STATION_SAMPLES}; lower run.n_stations "
+                        f"or grid.n")
+    p, w = config.params, grid.half_omegas[1:]
+    theta = config.run["x_end"] * max(
+        float(np.max(w * np.sqrt(np.abs(medium.a_squared(p, w))))),
+        p.omega_pe * p.omega_pm / (p.c * float(w[0])))
+    if theta > MAX_PHASE:
+        problems.append(f"run.x_end: largest phase {theta:.3g} rad exceeds "
+                        f"{MAX_PHASE:.3g} rad, past which its rounding "
+                        f"exceeds {CLEAN_TOL:g}; lower run.x_end")
+    if problems:
+        raise ConfigError(problems)
+
+
 def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
                      width=0.0, amplitude=1.0, file=""):
     """Build a clean boundary pulse on the grid.
@@ -444,6 +471,7 @@ def _run_split(config):
 
 def _run_linear(config):
     grid = _grid(config)
+    _check_ceilings(config, grid)
     dp0 = _entry(config, grid, config.run["boundary"])[1]
     _check_a_inv(config, grid)
     yield
@@ -475,6 +503,7 @@ def _kg_budget(params, dp0, x_end):
 
 def _run_kerr(config):
     run, grid = config.run, _grid(config)
+    _check_ceilings(config, grid)
     tag = config.scenario.removeprefix("propagate-")
     coupled = tag == "nonlinear"
     # the pure-right entry splits into Pi = k and Lambda = 0 exactly
@@ -494,10 +523,8 @@ def _run_kerr(config):
              else evolution.propagate_unidirectional)
     record = march(entry, run["x_end"], n_steps, config.params, grid,
                    n_stations=run["n_stations"])
-    summary = {"n_steps": n_steps,
-               "kerr_stiffness (1)": record.meta["kerr_stiffness"],
-               "kerr_stiffness_exit (1)": record.meta["kerr_stiffness_exit"],
-               "final_pi_peak (T)": record.final.pi.peak}
+    summary = {"n_steps": n_steps, "final_pi_peak (T)": record.final.pi.peak,
+               **{f"{key} (1)": value for key, value in record.meta.items()}}
     if coupled:
         summary["final_lambda_peak (T)"] = record.final.lam.peak
     yield (_station_tables(tag, grid, record.stations, record.states),

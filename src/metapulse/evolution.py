@@ -11,29 +11,24 @@ Three propagation models, from exact to reduced:
       c Pi_xt     + pq Pi     = -K [(Pi - Lambda)_tt]^3,
       c Lambda_xt - pq Lambda = +K [(Pi - Lambda)_tt]^3,
 
-  with K = mu0 chi3 c^3 / (2 p^3 q), marched as a first-order-in-x system
-  after applying dt^{-1} (Lawson RK4: the linear Klein-Gordon phase is
-  applied exactly as an integrating factor; the cubic term, evaluated
-  pointwise in time under a fixed 2/3-rule mask, which dealiases
-  quadratic terms but not this cubic one (see ``_half_spectrum``), and the
-  phase that the factor turns it through set the step, and
-  ``kerr_default_steps`` derives a count from the entry state).
-  The march state is one stacked complex array of real half-spectra (rfft
-  bins 0..n/2), one row per field: two rows for (Pi, Lambda), one row for
-  the unidirectional model, which is the same right-hand side with Lambda
-  frozen at zero. Both Kerr marchers keep only ``n_stations`` evenly
-  spread steps (default 2: entry and exit), so memory grows with the
-  stations kept, not with ``n_steps``.
+  with K = mu0 chi3 c^3 / (2 p^3 q), marched in x after applying dt^{-1}
+  by Lawson RK4: the Klein-Gordon phase is an exact integrating factor,
+  and the cubic term, pointwise in time under a 2/3-rule mask, sets the
+  step (``kerr_default_steps``). The state stacks real half-spectra (rfft
+  bins 0..n/2), one row per field: (Pi, Lambda), or Pi alone for the
+  unidirectional model, Lambda frozen at zero. The cubic term runs on the
+  band the field occupies, the leading bins of a grid of m <= n points on
+  the same window: content at or below m/4 cubes onto aliases at
+  m - 3k >= m/4, inside the band (m/4, m/3] whose filling past
+  ``KERR_TAIL`` doubles m (see ``_half_spectrum``). Only ``n_stations``
+  evenly spread steps are kept (default 2: entry and exit).
 
 The two linear models are diagonal in frequency: given a 1-D sequence of
 distances, each returns one DirectedPair per distance from one rfft of the
 entry pair, one (stations x bins) phase table and one stacked irfft.
 
-The dimensionless form pi = Pi_tt/alpha, lam = Lambda_tt/alpha, zeta = x/beta
-with alpha = sqrt(2 p^4 q^2 / (mu0 chi3 c^3)), beta = c/(pq) has unit
-coefficients. Its solver lives in the test suite, beside the acceptance
-test it serves: it keeps its own right-hand side as the independent
-reference that the physical path is checked against.
+The unit-coefficient form pi = Pi_tt/alpha, lam = Lambda_tt/alpha,
+zeta = x/beta is solved in the test suite, as an independent reference.
 """
 
 import warnings
@@ -45,16 +40,10 @@ from .errors import BlowUpError, GridMismatchError
 from .spectral import Signal, make_multiplier
 from .waves import DirectedPair
 
-__all__ = [
-    "PropagationRecord",
-    "propagate_linear_exact",
-    "propagate_kg",
-    "propagate_nonlinear",
-    "propagate_unidirectional",
-    "kerr_default_steps",
-    "KERR_STIFFNESS",
-    "KERR_PHASE_STEP",
-]
+__all__ = ["PropagationRecord", "propagate_linear_exact", "propagate_kg",
+           "propagate_nonlinear", "propagate_unidirectional",
+           "kerr_default_steps", "KERR_STIFFNESS", "KERR_PHASE_STEP",
+           "KERR_TAIL"]
 
 #: h sigma_0 that default Kerr step counts stay at or below: about 0.71 of
 #: the 2 sqrt(2) limit of RK4 on the imaginary axis
@@ -63,6 +52,10 @@ KERR_STIFFNESS = 2.0
 #: h Omega_0 that default Kerr step counts stay at or below: the rms
 #: Klein-Gordon phase a step advances the entry spectrum by, in radians
 KERR_PHASE_STEP = 0.25
+
+#: relative L2 a Kerr march on m points lets its entry hold above bin m/12
+#: and a step's state in (m/4, m/3]; more there redoes the step on 2m
+KERR_TAIL = 1e-8
 
 
 @dataclass
@@ -155,6 +148,8 @@ def _half_spectrum(grid):
 
     The mask keeps bins k <= n/3, which dealiases quadratic terms only: a
     tone at n/4 < k <= n/3 cubes into bin 3k, an alias of kept bin n - 3k.
+    On a Kerr march's grid of m points, content kept at or below m/4 cubes
+    onto aliases at m - 3k >= m/4, inside the band it watches (m/4, m/3].
     """
     w = grid.half_omegas
     mask = (np.arange(w.size) <= grid.n // 3).astype(float)
@@ -162,17 +157,21 @@ def _half_spectrum(grid):
 
 
 def _cube(grid):
-    """``cube(u_hat)``: half-spectrum of the pointwise cube of u_hat's time
-    image, written into one buffer that every call reuses and returns."""
+    """``cube(u_hat)``: half-spectrum of the cube of u_hat's time image on
+    m = 2 (len(u_hat) - 1) points, scaled to the full grid's, in a buffer
+    that every call reuses."""
     u = np.empty(grid.n)
     u3 = np.empty(grid.n)
     out = np.empty(grid.n // 2 + 1, dtype=complex)
 
     def cube(u_hat):
-        np.fft.irfft(u_hat, grid.n, out=u)
-        np.multiply(u, u, out=u3)
-        np.multiply(u3, u, out=u3)
-        return np.fft.rfft(u3, out=out)
+        m = 2 * (len(u_hat) - 1)
+        np.fft.irfft(u_hat, m, out=u[:m])
+        np.multiply(u[:m], u[:m], out=u3[:m])
+        np.multiply(u3[:m], u[:m], out=u3[:m])
+        if m < grid.n:  # each coarse sample is n/m times the full grid's
+            u3[:m] *= (m / grid.n)**2
+        return np.fft.rfft(u3[:m], out=out[:len(u_hat)])
 
     return cube
 
@@ -181,37 +180,37 @@ def _kerr_rhs(params, grid):
     """The physical Kerr system on stacked half-spectra, split for
     :func:`_march_rk4` into a diagonal linear part and a cubic term.
 
-    Returns ``rhs(state, out)``, the cubic term: a state of two rows
-    (Pi-hat, Lambda-hat) follows the coupled system of
-    :func:`propagate_nonlinear`, a state of one row its first row with
-    Lambda frozen at zero, the unidirectional equation. Row by row it is
-    ``-+ nl * cube(-w^2 mask u)`` with u = Pi - Lambda and
-    ``nl = (K/c) dt^{-1} mask``; every intermediate lives in a buffer made
-    here, so a call allocates no array. ``rhs.lin`` holds the linear part
-    ``-+(pq/c) dt^{-1}`` per row, which :func:`_march_rk4` reads, and
-    ``rhs.stiffness(state)`` is the state's sigma_0 (see :func:`_stiffness`).
+    ``rhs(state, out)``, allocating no array, is the cubic term
+    ``-+ nl * cube(-w^2 u)`` per row, ``nl = (K/c) dt^{-1}``, u = Pi -
+    Lambda for two rows, u = Pi for one (Lambda frozen at zero), on the
+    bins 0..m/2 that ``state`` holds, cut at m/3: the full grid's symbols,
+    sliced. ``rhs.lin`` is the linear part ``-+(pq/c) dt^{-1}`` per row,
+    ``rhs.stiffness(state)`` a full state's sigma_0 (:func:`_stiffness`).
     """
     # dt^{-1} annihilates DC and the unpaired Nyquist bin
     inv_iw = make_multiplier("d_dt_inv", None, grid).values
     w2, mask = _half_spectrum(grid)
     pq_c = params.omega_pe * params.omega_pm / params.c
     k_c = _kerr_k_c(params)
-    nl = -k_c * (inv_iw * mask)
+    nl = -k_c * inv_iw
     # complex, so that multiplying a complex row needs no casting buffer
-    to_cube = (-w2 * mask).astype(complex)
-    cube = _cube(grid)
-    u_hat = np.empty_like(to_cube)
+    to_cube = (-w2).astype(complex)
+    cube, u_hat = _cube(grid), np.empty_like(to_cube)
 
     def rhs(state, out):
-        u = np.subtract(*state, out=u_hat) if len(state) == 2 else state[0]
-        np.multiply(to_cube, u, out=u_hat)
-        np.multiply(nl, cube(u_hat), out=out[0])
+        v = u_hat[:state.shape[-1]]  # bins 0..m/2 of the march's m points
+        cut = 2 * (len(v) - 1) // 3 + 1
+        u = np.subtract(*state, out=v) if len(state) == 2 else state[0]
+        np.multiply(to_cube[:cut], u[:cut], out=v[:cut])
+        v[cut:] = 0.0
+        np.multiply(nl[:cut], cube(v)[:cut], out=out[0, :cut])
+        out[0, cut:] = 0.0
         if len(state) == 2:
             np.negative(out[0], out=out[1])
         return out
 
     rhs.lin = np.array([[-1.0], [1.0]]) * (pq_c * inv_iw)
-    rhs.stiffness = lambda state: _stiffness(state, k_c, to_cube, grid)
+    rhs.stiffness = lambda state: _stiffness(state, k_c, -w2 * mask, grid)
     return rhs
 
 
@@ -222,14 +221,9 @@ def _kerr_k_c(params):
 
 
 def _stiffness(state, coefficient, to_cube, grid):
-    """sigma_0 = 3 rows coefficient max_t(v^2) w_top, the largest rate of
-    the cubic term linearized about ``state``.
-
-    v is the time image of ``to_cube * u_hat``, the cube's input, so the
-    term's Jacobian is 3 coefficient v^2 times dt^{-1} w^2 per bin, largest
-    at w_top, the highest bin the Kerr symbol reaches, n//3 under the 2/3
-    rule. A coupled state feeds u = Pi - Lambda to two rows.
-    """
+    """sigma_0 = 3 rows coefficient max_t(v^2) w_top, the cubic term's
+    largest rate about a full ``state``: v is the time image of the cube's
+    input ``to_cube * u`` and w_top the full grid's 2/3 cut."""
     u = state[0] - state[1] if len(state) == 2 else state[0]
     v = np.fft.irfft(to_cube * u, grid.n)
     w_top = grid.half_omegas[grid.n // 3]
@@ -250,18 +244,20 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):
 
     ``state`` is a stacked complex array of half-spectra, one row per
     field, which the march overwrites; ``rhs(state, out)`` writes N into
-    ``out`` and returns it. A step allocates no array: the stages reuse
-    three buffers, and v and then the new state go to a fourth that swaps
-    with the old. The stage weights of 2 are applied in place; (2k)(h/4)
-    equals k(h/2) exactly. The kept steps are
-    ``linspace(0, n_steps, n_stations)`` truncated to integers, duplicates
-    dropped, so entry and exit are always kept. The record's meta holds
-    ``kerr_stiffness`` and ``kerr_stiffness_exit``, h sigma with sigma the
-    cubic term's rate ``rhs.stiffness(state)`` at entry and at exit; the
-    method is stable up to about 2 sqrt(2), so an exit value above that
-    flags a march that steepened past its step. Aborts via BlowUpError
-    when the state turns non-finite; its record holds the stations kept
-    so far plus the last finite state.
+    ``out`` and returns it, on the leading m/2+1 bins: a grid of m = n/2^j
+    points on the same window, grown as ``KERR_TAIL`` sets. The bins above
+    m/2 carry the entry's exact linear phase exp(lin x), filled in as m
+    grows or a station is kept. Neither a step nor a growth allocates an
+    array: the stages reuse three full-width buffers through views, v and
+    then the new state go to a fourth that swaps with the old, and the
+    stage weights of 2 are applied in place ((2k)(h/4) is k(h/2) exactly).
+    It keeps steps ``linspace(0, n_steps, n_stations)`` as integers. Its
+    meta: ``kerr_stiffness(_exit)``, h ``rhs.stiffness`` of the full state
+    at entry (exit; past RK4's limit of about 2 sqrt(2) the march steepened
+    past its step), ``kerr_march_n``, the last m, and ``kerr_tail``, the
+    largest top-band fraction of the entry and of every step kept. A
+    non-finite state raises BlowUpError, its record holding the stations
+    kept so far and the last finite state.
     """
     if not x_end > 0:
         raise ValueError(f"x_end (zeta_end) must be positive, got {x_end!r}")
@@ -271,35 +267,60 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):
         raise ValueError(f"n_stations must be at least 2, got {n_stations!r}")
     h = x_end / n_steps
     meta = {"kerr_stiffness": h * rhs.stiffness(state)}
-    half = np.exp(0.5 * h * rhs.lin[:len(state)])
+    lin = rhs.lin[:len(state)]
+    half = np.exp(0.5 * h * lin)
     keep = set(np.linspace(0, n_steps, n_stations).astype(int).tolist())
-    steps = [0]
-    states = [_to_pair(grid, state)]
-    acc, k, arg, new = (np.empty_like(state) for _ in range(4))
+    steps, states = [0], [_to_pair(grid, state)]
+    m = grid.n  # the smallest m = n/2^j >= 16 whose entry's cube fits m/4
+    while m > 16 and _fraction(state, np.s_[m // 24 + 1:]) <= KERR_TAIL:
+        m //= 2
+    width = m // 2 + 1
+    tail = _fraction(state, np.s_[m // 4 + 1:m // 3 + 1], width)
+    # the columns past the crop hold the entry in both swapping buffers
+    new = state.copy()
+    acc, k, arg = (np.empty_like(state) for _ in range(3))
+
+    def full(x):  # the state at x, the entry's bins above it in phase
+        spectrum = state.copy()
+        spectrum[:, width:] *= np.exp(lin[:, width:] * x)
+        return spectrum
+
+    step = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            rhs(state, k)
-            np.multiply(half, state, out=new)
-            np.multiply(half, k, out=acc)
-            np.multiply(acc, 0.5 * h, out=arg)
-            arg += new
+        while step <= n_steps:
+            u, e, a, kk, ac, out = (buf[:, :width] for buf in
+                                    (state, half, arg, k, acc, new))
+            rhs(u, kk)
+            np.multiply(e, u, out=out)
+            np.multiply(e, kk, out=ac)
+            np.multiply(ac, 0.5 * h, out=a)
+            a += out
             for weight in (0.25, 0.5):
-                rhs(arg, k)
-                k *= 2.0
-                acc += k
-                np.multiply(k, weight * h, out=arg)
-                arg += new
-            arg *= half
-            rhs(arg, k)
-            acc *= h / 6.0
-            acc += new
-            acc *= half
-            k *= h / 6.0
-            np.add(acc, k, out=new)
-            if not np.all(np.isfinite(new)):
+                rhs(a, kk)
+                kk *= 2.0
+                ac += kk
+                np.multiply(kk, weight * h, out=a)
+                a += out
+            a *= e
+            rhs(a, kk)
+            ac *= h / 6.0
+            ac += out
+            ac *= e
+            kk *= h / 6.0
+            np.add(ac, kk, out=out)
+            fraction = _fraction(new, np.s_[m // 4 + 1:m // 3 + 1], width)
+            if fraction > KERR_TAIL and m < grid.n:  # redo it on 2m points
+                band = np.s_[:, width:m + 1]
+                np.multiply(lin[band], (step - 1) * h, out=arg[band])
+                np.exp(arg[band], out=arg[band])
+                state[band] *= arg[band]
+                m, width = 2 * m, m + 1
+                continue
+            # row by row: isfinite copies a strided complex view first
+            if not all(np.isfinite(row[:width]).all() for row in new):
                 if steps[-1] != step - 1:
                     steps.append(step - 1)
-                    states.append(_to_pair(grid, state))
+                    states.append(_to_pair(grid, full((step - 1) * h)))
                 partial = PropagationRecord(
                     np.array(steps) * h, states,
                     {**meta, "aborted_at": step * h})
@@ -308,12 +329,26 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):
                     f"with kerr_stiffness {meta['kerr_stiffness']:.3g}; "
                     + _more_steps(meta["kerr_stiffness"], n_steps),
                     record=partial)
+            tail = max(tail, fraction)
             state, new = new, state
             if step in keep:
+                spectrum = full(step * h)
                 steps.append(step)
-                states.append(_to_pair(grid, state))
-    meta["kerr_stiffness_exit"] = h * rhs.stiffness(state)
+                states.append(_to_pair(grid, spectrum))
+            step += 1
+    meta.update(kerr_stiffness_exit=h * rhs.stiffness(spectrum),
+                kerr_march_n=m, kerr_tail=tail)
     return PropagationRecord(np.array(steps) * h, states, meta)
+
+
+def _fraction(state, band, width=None):
+    """Relative L2 of the bins ``band`` among the first ``width`` (all by
+    default), rows pooled, through ``vdot``: no array is allocated."""
+    part = total = 0.0
+    for row in state:
+        part += np.vdot(row[band], row[band]).real
+        total += np.vdot(row[:width], row[:width]).real
+    return float(np.sqrt(part / total)) if total else 0.0
 
 
 def _more_steps(stiffness, n_steps):
@@ -350,15 +385,10 @@ def kerr_default_steps(entry, x_end, params, grid, n_stations=2):
     ``max(4, n_stations - 1, ceil(x_end sigma_0 / KERR_STIFFNESS),
     ceil(x_end Omega_0 / KERR_PHASE_STEP))``.
 
-    sigma_0 is the entry's cubic-term rate, 6 (K/c) max_t(u_tt^2) w_top for
-    the coupled system (``entry`` a DirectedPair) and 3 (K/c) max_t(Pi_tt^2)
-    w_top for the unidirectional equation (``entry`` the Signal Pi), with
-    u_tt the masked cube input and w_top the highest bin the Kerr symbol
-    reaches; h sigma_0 <= KERR_STIFFNESS keeps the cubic term stable.
-    Omega_0 is the entry's rms Klein-Gordon rate (see :func:`_phase_rate`):
-    the integrating factor carries that phase exactly, but the cubic term
-    seen through it turns at such rates, and RK4 resolves it only while a
-    step advances the phase by a fraction of a radian.
+    sigma_0 is the full grid's cubic-term rate at ``entry`` (a DirectedPair,
+    or the Signal Pi of the unidirectional model; :func:`_stiffness`),
+    Omega_0 its rms Klein-Gordon rate (:func:`_phase_rate`), at which the
+    cubic term turns as seen through the integrating factor.
     """
     # the symbols alone, not a whole right-hand side: its buffers, freed
     # again before the march allocates its own, raised the peak RSS
@@ -372,20 +402,15 @@ def kerr_default_steps(entry, x_end, params, grid, n_stations=2):
 
 
 def propagate_nonlinear(dp0, x_end, n_steps, params, grid, n_stations=2):
-    """March the coupled Kerr system from the entry plane to x_end.
-
-    The second-order-in-(x,t) system is integrated in its dt^{-1}-applied
-    first-order form
+    """March the coupled Kerr system from the entry plane to x_end, in its
+    dt^{-1}-applied first-order form
 
         dPi/dx     = dt^{-1} [ -(pq/c) Pi     - (K/c) ((Pi-Lambda)_tt)^3 ],
         dLambda/dx = dt^{-1} [ +(pq/c) Lambda + (K/c) ((Pi-Lambda)_tt)^3 ],
 
     which poses the boundary-regime data as an x-initial-value problem.
-    Lawson RK4 carries the linear (Klein-Gordon) phase exactly, so only the
-    cubic term limits the step's stability; the record's
-    ``kerr_stiffness`` meta is h sigma_0 (see :func:`kerr_default_steps`)
-    and ``kerr_stiffness_exit`` the same number at x_end. The record keeps
-    ``n_stations`` evenly spread steps, entry and exit included.
+    The record keeps ``n_stations`` evenly spread steps, entry and exit
+    included; its meta is :func:`_march_rk4`'s.
     """
     return _march_rk4(_kerr_rhs(params, grid), _entry_spectrum(dp0, grid),
                       x_end, n_steps, n_stations, grid)

@@ -322,7 +322,8 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid):
 
     Kept apart from the physical cubic term of ``metapulse.evolution`` as
     an independent reference for it, with the same Lawson marcher; records
-    only entry and exit.
+    only entry and exit. The marcher hands it the bins 0..m/2 of its
+    cropped grid of m points, so the cube is masked at m/3.
     """
     inv_iw = make_multiplier("d_dt_inv", None, grid).values
     w2, mask = _half_spectrum(grid)
@@ -330,9 +331,12 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid):
 
     def rhs(state, out):
         pi_hat, lam_hat = state
-        w_hat = -w2 * mask * cube(mask * (pi_hat - lam_hat))
-        np.multiply(inv_iw, -w_hat, out=out[0])
-        np.multiply(inv_iw, w_hat, out=out[1])
+        width = pi_hat.size
+        m = 2 * (width - 1)
+        keep = np.arange(width) <= m // 3
+        w_hat = -w2[:width] * keep * cube(keep * (pi_hat - lam_hat))
+        np.multiply(inv_iw[:width], -w_hat, out=out[0])
+        np.multiply(inv_iw[:width], w_hat, out=out[1])
         return out
 
     rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid)

@@ -984,6 +984,52 @@ def test_validate_names_the_key_of_a_non_finite_pulse(tmp_path, capsys,
     assert err.startswith(f"invalid: {key}:") and "Traceback" not in err
 
 
+_X_END_SCENARIOS = ["propagate-linear", "propagate-kg", "propagate-nonlinear",
+                    "propagate-unidirectional"]
+
+
+def _x_end_config(scenario, run, n_steps=4):
+    """BASE as ``scenario`` with the run keys ``run``; a Kerr scenario
+    marches ``n_steps``."""
+    if scenario in ("propagate-nonlinear", "propagate-unidirectional"):
+        run += f"n_steps = {n_steps}\n"
+    return (BASE.replace("name = split", f"name = {scenario}")
+            + "\n[run]\n" + run)
+
+
+@pytest.mark.parametrize("scenario", _X_END_SCENARIOS)
+def test_validate_refuses_a_phase_below_rounding(tmp_path, capsys, scenario):
+    # run.x_end = 1e308 printed "config ok", and run wrote stations whose
+    # phases were rounding alone. BASE's largest phase is pq x/(c w_1),
+    # 32.6 rad per unit x, so x_end may reach 9.01e7 / 32.6 = 2.76e6
+    f = tmp_path / "cfg.ini"
+    for x_end, status in ((2.7e6, 0), (2.8e6, 1), (1e308, 1)):
+        f.write_text(_x_end_config(scenario, f"x_end = {x_end!r}\n"))
+        assert main(["validate", str(f)]) == status
+        err = capsys.readouterr().err
+        if status:
+            assert err.startswith("invalid: run.x_end: largest phase ")
+            assert "exceeds 9.01e+07 rad" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario", _X_END_SCENARIOS)
+def test_validate_refuses_stations_over_the_ceiling(tmp_path, capsys,
+                                                    scenario):
+    # run.n_stations = 100000000 printed "config ok" for a run that would
+    # build a 1e8 x 513 phase table and write 1e8 tables; at grid.n 1024
+    # the ceiling of 2^23 samples allows 8192 stations
+    f = tmp_path / "cfg.ini"
+    for stations, status in ((8192, 0), (8193, 1), (100_000_000, 1)):
+        f.write_text(_x_end_config(
+            scenario, f"x_end = 1.0\nn_stations = {stations}\n", stations))
+        assert main(["validate", str(f)]) == status
+        err = capsys.readouterr().err
+        if status:
+            assert err == (f"invalid: run.n_stations/grid.n: {stations * 1024} "
+                           f"station samples exceed 8388608; lower "
+                           f"run.n_stations or grid.n\n")
+
+
 def test_validate_names_grid_n_that_cannot_be_allocated(tmp_path):
     # numpy's MemoryError on the 8 GiB times of TimeGrid escaped the key
     # context; the child's address space is capped at 4 GiB, so the

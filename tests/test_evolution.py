@@ -21,8 +21,8 @@ from metapulse import (
     propagate_nonlinear,
     propagate_unidirectional,
 )
-from metapulse.evolution import (PropagationRecord, _entry_spectrum,
-                                 _kerr_rhs, _march_rk4)
+from metapulse.evolution import (KERR_TAIL, PropagationRecord,
+                                 _entry_spectrum, _kerr_rhs, _march_rk4)
 from conftest import fft_omegas, random_zero_mean, gaussian_pulse
 from test_acceptance import (
     from_dimensionless,
@@ -425,22 +425,40 @@ def test_blowup_after_the_entry_rate_grew_asks_for_more_steps(kerr_params,
         "(for example to 8)")
 
 
-def test_exit_stiffness_flags_a_finite_march_past_its_step():
-    # sigma_0 at entry sets 21 steps, but the pulse steepens along x: that
-    # march ends finite with peaks near 1e8, while 42 steps and more end
-    # at 3.9 and 1.8. The exit h sigma reads past RK4's limit of 2 sqrt(2)
-    # at 21 steps and within it at 42
+def _steepening_entry():
+    """p != q and a pulse that steepens along x: 21 derived steps to 2."""
     params = DrudeParams(0.8, 1.2, c=1.0, eps0=1.0, mu0=1.0, chi3=1.0)
     grid = TimeGrid(2048, 0.1)
     dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0, amplitude=4.0),
                        band_pulse(grid, 0.35, 15.0, amplitude=2.0))
+    return params, grid, dp0
+
+
+def test_exit_stiffness_flags_a_finite_march_past_its_step():
+    # sigma_0 at entry sets 21 steps. At 13 steps h sigma_0 is 2.5, inside
+    # RK4's limit of 2 sqrt(2), but the pulse steepens along x: that march
+    # ends finite with peaks near 1e42, while 42 steps and more end at 3.9.
+    # The exit h sigma reads past the limit at 13 steps and within it at 42
+    params, grid, dp0 = _steepening_entry()
     assert kerr_default_steps(dp0, 2.0, params, grid) == 21
     coarse, fine = (propagate_nonlinear(dp0, 2.0, n, params, grid)
-                    for n in (21, 42))
+                    for n in (13, 42))
     assert coarse.final.pi.peak > 1e7
     assert coarse.meta["kerr_stiffness_exit"] > 2.0 * np.sqrt(2.0)
     assert fine.final.pi.peak < 4.0
     assert fine.meta["kerr_stiffness_exit"] <= 2.0 * np.sqrt(2.0)
+
+
+def test_derived_count_of_a_steepening_pulse_ends_near_a_finer_march():
+    # at exit the 21 derived steps are past RK4's limit at the full grid's
+    # w_top (h sigma 4.4), but the march crops its grid to the band the
+    # pulse fills, reaches the full grid only as the pulse steepens, and
+    # ends within 1e-5 of 32x the steps
+    params, grid, dp0 = _steepening_entry()
+    coarse, fine = (propagate_nonlinear(dp0, 2.0, n, params, grid).final
+                    for n in (21, 32 * 21))
+    assert rel_l2(np.concatenate([coarse.pi.samples, coarse.lam.samples]),
+                  np.concatenate([fine.pi.samples, fine.lam.samples])) <= 1e-5
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 3.0])
@@ -462,15 +480,22 @@ def test_kerr_default_count_matches_a_finer_march(coupled, amplitude):
                   np.concatenate([fine.pi.samples, fine.lam.samples])) <= 1e-5
 
 
+def _start_n(march, entry, params, grid):
+    """The grid of m points a Kerr march starts on: that of a march too
+    short to grow it."""
+    return march(entry, 1e-6, 4, params, grid).meta["kerr_march_n"]
+
+
 @pytest.mark.parametrize("n_steps, n_stations", [(37, 5), (6, 20)])
 @pytest.mark.parametrize("coupled", [True, False])
 def test_kerr_marchers_keep_requested_stations(kerr_params, coupled, n_steps,
                                                n_stations):
     # kept steps are linspace(0, n_steps, n_stations) as integers, duplicates
-    # dropped; each equals, bit for bit, that step of a run keeping every step
+    # dropped; each equals, bit for bit, that step of a run keeping every
+    # step. The march starts on 512 points and grows to 1024 on its way
     grid = TimeGrid(1024, 0.2)
-    pi0 = band_pulse(grid, 0.5, 12.0, amplitude=0.3)
-    dp0 = DirectedPair(pi0, band_pulse(grid, 0.4, 16.0, amplitude=0.1))
+    pi0 = band_pulse(grid, 0.5, 12.0, amplitude=2.0)
+    dp0 = DirectedPair(pi0, band_pulse(grid, 0.4, 16.0, amplitude=0.7))
 
     def march(stations):
         if coupled:
@@ -480,6 +505,10 @@ def test_kerr_marchers_keep_requested_stations(kerr_params, coupled, n_steps,
                                         n_stations=stations)
 
     rec, every = march(n_stations), march(n_steps + 1)
+    entry, kerr = (dp0, propagate_nonlinear) if coupled else (
+        pi0, propagate_unidirectional)
+    assert _start_n(kerr, entry, kerr_params, grid) == 512
+    assert every.meta["kerr_march_n"] == 1024
     steps = np.unique(np.linspace(0, n_steps, n_stations).astype(int))
     assert len(rec.states) == len(steps) == min(n_stations, n_steps + 1)
     assert np.array_equal(rec.stations, every.stations[steps])
@@ -591,6 +620,7 @@ def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
 
     march = propagate_nonlinear if linear_sign == 1.0 else _flipped_nonlinear
     rec = march(dp0, x_end, n_steps, params, grid, n_stations=n_steps + 1)
+    assert rec.meta["kerr_march_n"] == grid.n
     ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, True,
                                 linear_sign * pq_c, k_c)
     assert _max_rel_dev(rec, ref, every) <= 1e-12
@@ -614,6 +644,59 @@ def test_half_spectrum_marchers_match_full_spectrum_rk4(kerr_params, medium,
         ref = _full_spectrum_lawson(dp0, x_end, n_steps, grid, True,
                                     1.0, 1.0, dimensionless=True)
         assert _max_rel_dev(rec, ref, [0, n_steps]) <= 1e-12
+
+
+def test_cropped_march_is_within_a_thousandth_of_the_full_march_error(
+        kerr_params):
+    # kerr-16k's medium, pulse and x_end at n = 4096 (its window halved):
+    # at equal steps the cropped march ends within 1e-3 of the full-grid
+    # march's own error against 8x the steps, each row alone (measured 3e-5)
+    grid = TimeGrid(4096, 0.1)
+    j = band_pulse(grid, 0.5, 12.0)
+    dp0 = DirectedPair(apply(make_multiplier("a", kerr_params, grid), j),
+                       Signal.zeros(grid))
+    n_steps = kerr_default_steps(dp0, 6.0, kerr_params, grid)
+    k_c = kerr_coupling(kerr_params).big_k / kerr_params.c
+    full, fine = (_full_spectrum_lawson(dp0, 6.0, n, grid, True, 1.0, k_c)[-1]
+                  for n in (n_steps, 8 * n_steps))
+    final = propagate_nonlinear(dp0, 6.0, n_steps, kerr_params, grid).final
+    for got, want, finer in zip((final.pi, final.lam), full, fine):
+        assert rel_l2(got.samples, want) <= 1e-3 * rel_l2(want, finer)
+
+
+def test_kerr_tail_is_the_largest_top_band_fraction(kerr_params, rng):
+    # a broadband entry holds the full grid, with content on both sides of
+    # each edge of its top band (n/4, n/3]; the meta is the largest
+    # relative L2 there over the entry and every step, rows pooled
+    grid = TimeGrid(1024, 0.2)
+    dp0 = DirectedPair(*(random_zero_mean(grid, rng, grid.n // 2 - 1, 0.01)
+                         for _ in range(2)))
+    rec = propagate_nonlinear(dp0, 1.0, 20, kerr_params, grid, n_stations=21)
+    assert rec.meta["kerr_march_n"] == grid.n
+    fractions = []
+    for state in rec.states:
+        spec = np.fft.rfft([state.pi.samples, state.lam.samples])
+        band = spec[:, grid.n // 4 + 1:grid.n // 3 + 1]
+        fractions.append(np.linalg.norm(band) / np.linalg.norm(spec))
+    assert max(fractions) > KERR_TAIL
+    assert rec.meta["kerr_tail"] == pytest.approx(max(fractions), rel=1e-9)
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+def test_cropped_march_keeps_its_top_band_within_kerr_tail(kerr_params,
+                                                           coupled):
+    # the march grows from 512 points, redoing each step whose top band
+    # passed KERR_TAIL, and ends below the full grid, so every step it kept
+    # holds its top band within the bound
+    grid = TimeGrid(4096, 0.05)
+    pi0 = band_pulse(grid, 0.5, 12.0, amplitude=2.0)
+    entry = DirectedPair(pi0, Signal.zeros(grid)) if coupled else pi0
+    march = propagate_nonlinear if coupled else propagate_unidirectional
+    rec = march(entry, 2.0, kerr_default_steps(entry, 2.0, kerr_params, grid),
+                kerr_params, grid)
+    assert _start_n(march, entry, kerr_params, grid) == 512
+    assert 512 < rec.meta["kerr_march_n"] < grid.n
+    assert rec.meta["kerr_tail"] <= KERR_TAIL
 
 
 @pytest.mark.parametrize("rows", [2, 1])
@@ -643,6 +726,35 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
         tracemalloc.stop()
     assert len(gaps) == 24
     assert max(gaps[1:]) < state.nbytes / 4
+
+
+def test_kerr_march_that_grows_allocates_no_sixteenth_of_the_state(
+        kerr_params, grid):
+    # the march grows from 512 to 1024 points; between two right-hand-side
+    # calls, growth included, no array a sixteenth of the state is made
+    # (a finiteness check on a strided view copied the crop: 18362 bytes)
+    import tracemalloc
+
+    pi0 = band_pulse(grid, 0.5, 12.0, amplitude=2.0).samples
+    state = np.fft.rfft(np.stack([pi0, np.zeros(grid.n)]))
+    rhs = _kerr_rhs(kerr_params, grid)
+    gaps, widths = [], set()
+
+    def watched(s, out):
+        current, peak = tracemalloc.get_traced_memory()
+        gaps.append(peak - current)
+        widths.add(s.shape[-1])
+        tracemalloc.reset_peak()
+        return rhs(s, out)
+
+    watched.stiffness, watched.lin = rhs.stiffness, rhs.lin
+    tracemalloc.start()
+    try:
+        _march_rk4(watched, state, 2.0, 32, 2, grid)
+    finally:
+        tracemalloc.stop()
+    assert widths == {257, 513}
+    assert max(gaps[1:]) < state.nbytes / 16
 
 
 @pytest.mark.filterwarnings("ignore:spectral content")

@@ -223,6 +223,8 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
     assert x_end / n_steps * omega <= 0.25
     march = propagate_nonlinear if coupled else propagate_unidirectional
     rec = march(entry, x_end, n_steps, params, grid, n_stations=3)
+    # the spectra fill the lower quarter of the bins, so no crop holds them
+    assert rec.meta["kerr_march_n"] == n
     assert rec.meta["kerr_stiffness"] <= 2.0
     assert rec.meta["kerr_stiffness"] == pytest.approx(
         x_end / n_steps * sigma, rel=1e-9)
