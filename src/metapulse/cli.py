@@ -56,6 +56,8 @@ _KERR_STEPS = _rule(lambda n: n >= 4 or n == 0,
                     "must be at least 4, or 0 for the derived count")
 _BOUNDARY = _rule(lambda mode: mode in ("e-only", "pure-right"),
                   "unknown mode {!r}; choose from ['e-only', 'pure-right']")
+_COURANT = _rule(lambda v: 0 < v <= reference.MAX_COURANT,
+                 f"must lie in (0, {reference.MAX_COURANT}]")
 
 # section key -> (type, default or REQUIRED, range rule or None)
 _MEDIUM_KEYS = {
@@ -299,8 +301,8 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
 
     Raises ConfigError, naming the keys to change, when a user file is not
     two finite numeric columns of at least 4 rows, when the samples overflow
-    (pulse.amplitude), or when the result is zero or keeps DC content or
-    window-edge energy above 1e-8 of peak.
+    (pulse.amplitude), or when the result is zero or keeps window-edge
+    energy above 1e-8 of peak.
     """
     if shape == "gaussian-modulated":
         t0 = grid.window / 2.0
@@ -328,14 +330,10 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
     with np.errstate(all="ignore"), _keys("pulse.amplitude"):
         samples = samples - np.mean(samples)
         sig = Signal(grid, samples)
-    peak = sig.peak
-    problems = ["pulse is identically zero"] if peak == 0.0 else []
-    if abs(np.mean(samples)) > CLEAN_TOL * peak:
-        problems.append("DC content above 1e-8 of peak")
-    if max(abs(samples[0]), abs(samples[-1])) > CLEAN_TOL * peak:
-        problems.append("window-edge energy above 1e-8 of peak")
-    if problems:
-        raise ConfigError([f"{keys}: {'; '.join(problems)}"])
+    if sig.peak == 0.0:
+        raise ConfigError([f"{keys}: pulse is identically zero"])
+    if max(abs(samples[0]), abs(samples[-1])) > CLEAN_TOL * sig.peak:
+        raise ConfigError([f"{keys}: window-edge energy above 1e-8 of peak"])
     return sig
 
 
@@ -585,24 +583,23 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     """FDTD oracle vs split -> propagate -> reconstruct, at given probes.
 
     The FDTD run, driven by the boundary ``source`` Signal, records (E, B)
-    at the reference plane and at each probe; every record is resampled
-    onto ``source.grid``, the reference-plane pair less its mean is split
-    into directed waves, propagated the exact linear way, reconstructed,
-    and compared in relative L2 with each probe's record.
+    on ``source.grid`` at the reference plane and at each probe; the
+    reference-plane pair less its mean is split into directed waves,
+    propagated the exact linear way, reconstructed, and compared in
+    relative L2 with each probe's record.
 
     Returns the reference-compare scenario's (tables, summary): one table
     per probe (t, E and B of both sides; its x and L2s as meta) and the
-    L2s, the 0.02 budget, ``pass`` (every L2 within it) and the FDTD run's
-    wall-reflection flag as ``fdtd_contaminated``.
+    L2s, the 0.02 budget, ``pass`` (every L2 within it), the FDTD run's
+    wall-reflection flag as ``fdtd_contaminated``, and its Courant number
+    and steps per sample as ``fdtd_courant`` and ``fdtd_steps_per_sample``.
     """
     grid = source.grid
-    grid1d, i_src, probes_abs = _oracle(params, grid, dx, courant, x_ref,
-                                        x_probes, duration, pad)
+    grid1d, m, i_src, probes_abs = _oracle(params, grid, dx, courant, x_ref,
+                                           x_probes, duration, pad)
     run = reference.run_boundary_source(source, grid1d, params, duration,
                                         probes_abs, source_index=i_src)
-    (e_ref, *e_fdtd), (b_ref, *b_fdtd) = (
-        [reference.cubic_spline(run["t"], rec, grid.times) for rec in run[k]]
-        for k in ("e", "b"))
+    (e_ref, *e_fdtd), (b_ref, *b_fdtd) = run["e"], run["b"]
     fields = FieldPair(b=Signal(grid, b_ref - np.mean(b_ref)),
                        e=Signal(grid, e_ref - np.mean(e_ref)))
     states = evolution.propagate_linear_exact(
@@ -622,17 +619,17 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     # a NaN error fails, as it would not under max(...) <= 0.02
     ok = all(e <= 0.02 and b <= 0.02 for e, b in zip(l2_e, l2_b))
     return tables, {"l2_errors_e": l2_e, "l2_errors_b": l2_b, "budget": 0.02,
-                    "pass": ok, "fdtd_contaminated": run["contaminated"]}
+                    "pass": ok, "fdtd_contaminated": run["contaminated"],
+                    "fdtd_courant": grid1d.courant, "fdtd_steps_per_sample": m}
 
 
 def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
     """The FDTD oracle of :func:`reference_compare`: its grid (pad, the
-    source, x_ref and the probes, then pad again), its source node and the
-    probe positions from the source.
-
-    Raises ConfigError naming the run keys when the spectral window, the
-    oracle grid or its records cannot take them: the records need 4
-    samples for the resampling spline.
+    source, x_ref and the probes, then pad again), which steps grid.dt / m
+    for the fewest m at a Courant number within ``courant`` (a ratio within
+    1e-9 relative of an integer counts as that integer), m, its source node
+    and the probe positions from the source. Raises ConfigError naming the
+    run keys when the spectral window or the oracle grid cannot take them.
     """
     if grid.window < duration:
         raise ConfigError([f"run.duration: longer than the spectral window "
@@ -640,16 +637,13 @@ def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
     nx = int(np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx))
     i_src = int(round(pad / dx))
     probes = [x_ref] + [x_ref + xp for xp in x_probes]
-    with _keys("run.dx", "run.pad", "run.courant"):
-        grid1d = reference.YeeGrid1D(nx=nx, dx=dx, courant=courant,
-                                     c=params.c)
+    m = int(np.ceil(params.c * grid.dt / (courant * dx) * (1 - 1e-9)))
+    courant = min(params.c * grid.dt / (m * dx), courant)
+    with _keys("run.dx", "run.pad"):
+        grid1d = reference.YeeGrid1D(nx=nx, dx=dx, courant=courant, c=params.c)
     with _keys("run.x_ref", "run.x_probes", "run.pad"):
-        n_steps = reference.source_layout(grid1d, duration, probes, i_src)[0]
-    if n_steps < 3:
-        raise ConfigError([f"run.duration: {n_steps} oracle steps of "
-                           f"{grid1d.dt_fdtd:g} s leave the records under 4 "
-                           f"samples"])
-    return grid1d, i_src, probes
+        reference.source_layout(grid1d, duration, probes, i_src)
+    return grid1d, m, i_src, probes
 
 
 def _rel_l2(a, b):
@@ -700,7 +694,7 @@ SCENARIOS = {
     "reference-compare": (
         "FDTD oracle vs split/propagate/reconstruct pipeline",
         _run_reference_compare, True,
-        {"dx": (float, REQUIRED, _POSITIVE), "courant": (float, 0.5, None),
+        {"dx": (float, REQUIRED, _POSITIVE), "courant": (float, 0.5, _COURANT),
          "x_ref": (float, REQUIRED, None),
          "x_probes": (list, REQUIRED, _rule(lambda xs: xs and min(xs) >= 0,
                                             "must list distances >= 0")),

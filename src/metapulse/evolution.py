@@ -227,7 +227,8 @@ def _stiffness(state, coefficient, to_cube, grid):
     u = state[0] - state[1] if len(state) == 2 else state[0]
     v = np.fft.irfft(to_cube * u, grid.n)
     w_top = grid.half_omegas[grid.n // 3]
-    return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
+    with np.errstate(over="ignore"):  # inf for a state too big to square
+        return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
 
 
 def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):

@@ -24,12 +24,11 @@ so that, with a = (wpm dt)^2, b = (wpe dt)^2 and s = dt^2 / (eps0 mu0 dx^2)
 
 This is the SI scheme with its gains folded into the stored variables: no
 step divides, and far fewer values are left subnormal in the vanishing tail
-ahead of a front, where numpy's arithmetic is slow. H and E share one
-buffer and M and Q another, so the two current updates are one multiply
-and one add, and a step is nine ufuncs that allocate nothing.
+ahead of a front, where numpy's arithmetic is slow.
 
-``cubic_spline`` resamples a record between clocks: the boundary source onto
-the FDTD clock here, and the FDTD probe records back onto the spectral grid.
+The oracle steps m times per sample of its source: it is driven by the
+source's band-limited interpolant and records every m-th step on the
+source's grid. ``cubic_spline`` resamples user-file pulses.
 """
 
 import warnings
@@ -39,7 +38,7 @@ import numpy as np
 
 from .medium import C
 
-__all__ = ["YeeGrid1D", "source_layout", "run_boundary_source",
+__all__ = ["YeeGrid1D", "source_layout", "upsample", "run_boundary_source",
            "cubic_spline"]
 
 #: largest Courant ratio c*dt/dx that YeeGrid1D accepts (1D limit: 1)
@@ -227,6 +226,13 @@ def source_layout(grid1d, duration, probes, source_index=None):
     return int(round(duration / grid1d.dt_fdtd)), i_src, idx
 
 
+def upsample(signal, m):
+    """The band-limited interpolant of ``signal``, m points per sample."""
+    half = np.fft.rfft(signal.samples)
+    half[-1] *= 0.5 if m > 1 else 1.0  # on m n points, bin n/2 is +-n/2
+    return m * np.fft.irfft(half, m * signal.grid.n)
+
+
 def run_boundary_source(source, grid1d, params, duration, probes,
                         source_index=None):
     """Drive the grid with a soft E source and record probe time series.
@@ -234,8 +240,8 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     Parameters
     ----------
     source : Signal
-        Boundary waveform j(t); resampled onto the FDTD clock by cubic
-        spline (zero outside its window).
+        Boundary waveform j(t), sampled every m FDTD steps; the grid takes
+        its band-limited interpolant (:func:`upsample`), zero past its window.
     probes : sequence of float
         Probe positions in meters, measured from the source plane.
     source_index : int, optional
@@ -245,12 +251,13 @@ def run_boundary_source(source, grid1d, params, duration, probes,
 
     Returns
     -------
-    dict with keys ``t`` (ndarray of the steps + 1 instants), ``e`` and
-    ``b`` (ndarrays of shape (probes, steps + 1), one row per probe) and
-    ``contaminated`` (bool flag from the wall-activity heuristic).
+    dict with keys ``e`` and ``b`` (ndarrays of shape (probes, n), one row
+    per probe of every m-th step, on ``source.grid.times``, zero past
+    ``duration``) and ``contaminated`` (bool wall-activity flag).
 
     Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
-    differ by more than 1e-12 relative, or when :func:`source_layout`
+    differ by more than 1e-12 relative, when no m steps make
+    ``source.grid.dt`` within 1e-9 relative, or when :func:`source_layout`
     finds the source or a probe off the nodes inside the walls. Raises
     FloatingPointError when E exceeds 1e6 times the source peak or is not
     finite. The guard runs once per ``BLOCK_STEPS`` steps, so the abort
@@ -259,19 +266,22 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     if not abs(grid1d.c - params.c) <= 1e-12 * params.c:
         raise ValueError(f"grid speed c = {grid1d.c!r} differs from the "
                          f"medium's c = {params.c!r}")
+    dt, dx, nx, n = grid1d.dt_fdtd, grid1d.dx, grid1d.nx, source.grid.n
+    m = round(source.grid.dt / dt)
+    if not abs(m * dt - source.grid.dt) <= 1e-9 * source.grid.dt:
+        raise ValueError(f"FDTD step {dt!r} s does not divide the source's "
+                         f"step {source.grid.dt!r} s")
     n_steps, i_src, idx = source_layout(grid1d, duration, probes,
                                         source_index)
-    dt, dx = grid1d.dt_fdtd, grid1d.dx
     if params.band_high * dt > 0.5:
         warnings.warn("plasma frequency underresolved: dt * wp > 0.5",
                       stacklevel=2)
-    t = np.arange(n_steps + 1) * dt
     # soft current-sheet source: dE/dt term with 1/dx density so the
-    # radiated amplitude is resolution-independent; zero outside its window
-    kick = cubic_spline(source.grid.times, source.samples, t) * dt / dx
+    # radiated amplitude is resolution-independent; zero past its window
+    kick = np.zeros(n_steps + 1)
+    kick[:m * n] = upsample(source, m)[:n_steps + 1] * (dt / dx)
     src_peak = max(source.peak, 1e-300)
 
-    nx = grid1d.nx
     advance, (e, *_) = _leapfrog(nx, dt, dx, params.omega_pe,
                                  params.omega_pm, params.eps0, params.mu0)
     take = e.take
@@ -288,8 +298,8 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     # half nodes beside each probe, so it is integrated from the gathers
     b = np.zeros((1, n_probes, 2))
 
-    rec_e = np.zeros((n_probes, n_steps + 1))
-    rec_b = np.zeros((n_probes, n_steps + 1))
+    # step j m is record j; records past the window are dropped at the end
+    rec_e, rec_b = np.zeros((2, n_probes, max(n, n_steps // m + 1)))
     wall_peak = 0.0
 
     for n0 in range(1, n_steps + 1, BLOCK_STEPS):
@@ -303,14 +313,16 @@ def run_boundary_source(source, grid1d, params, duration, probes,
                 f"FDTD instability during source run by step {n1 - 1}")
         blk = block[:n1 - n0]
         tap = blk[:, :3 * n_probes].reshape(len(blk), n_probes, 3)
-        rec_e[:, n0:n1] = tap[:, :, 1].T
+        # steps j m, ceil(n0/m) <= j < ceil(n1/m), fall on the source's grid
+        on, j = slice(-n0 % m, None, m), np.s_[:, -(-n0 // m):-(-n1 // m)]
+        rec_e[j] = tap[on, :, 1].T
         # b on half nodes, half times: stepping it with the final e of each
         # instant keeps the probe average centered on t[n]; accumulate adds
         # in sequence from the last b, as a per-step update would
         b = np.add.accumulate(np.concatenate(
             [b[-1:], -dt * (tap[:, :, 1:] - tap[:, :, :-1]) / dx]), axis=0)
-        rec_b[:, n0:n1] = (0.25 * (b[:-1, :, 0] + b[:-1, :, 1]
-                                   + b[1:, :, 0] + b[1:, :, 1])).T
+        rec_b[j] = (0.25 * (b[:-1, :, 0] + b[:-1, :, 1]
+                            + b[1:, :, 0] + b[1:, :, 1]))[on].T
         wall_peak = max(wall_peak,
                         float(np.max(np.abs(blk[:, 3 * n_probes:]))))
 
@@ -318,4 +330,5 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     if contaminated:
         warnings.warn("field activity near the walls; probe data may be "
                       "contaminated by reflections", stacklevel=2)
-    return {"t": t, "e": rec_e, "b": rec_b, "contaminated": bool(contaminated)}
+    return {"e": rec_e[:, :n], "b": rec_b[:, :n],
+            "contaminated": bool(contaminated)}

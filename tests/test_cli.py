@@ -696,6 +696,15 @@ def test_reference_compare_passes_only_when_e_and_b_pass(monkeypatch, l2_e,
     assert summary["pass"] is passed
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_reference_compare_records_the_oracle_clock():
+    # at the Courant bound of 0.5, dx 0.08 steps 0.04, 2.5 steps a sample
+    # of 0.1; the oracle steps 3 times a sample, at Courant 5/12
+    _, summary = next(plan(_scenario_config("reference-compare")))
+    assert summary["fdtd_steps_per_sample"] == 3
+    assert summary["fdtd_courant"] == pytest.approx(5.0 / 12.0, rel=1e-15)
+
+
 def test_reference_compare_splits_records_without_dc():
     # the FDTD run's raw B record at the reference plane keeps a mean of
     # about 6.5e-5 of its peak, which split would report; the oracle's
@@ -857,8 +866,6 @@ def test_validate_and_run_agree_under_an_override(tmp_path, capsys, text,
     ({"dx = 0.08": "dx = 0.02", "x_ref = 0.48": "x_ref = -0.48",
       "x_probes = 0.96": "x_probes = 2.0", "pad = 40.0": "pad = 0.1"},
      "x_ref"),
-    # 0 oracle steps of 0.04: records of 1 sample cannot be resampled
-    ({"duration = 150.0": "duration = 0.01"}, "duration"),
 ])
 def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     # keys that YeeGrid1D, run_boundary_source or reference_compare would

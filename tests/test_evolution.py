@@ -449,6 +449,17 @@ def test_exit_stiffness_flags_a_finite_march_past_its_step():
     assert fine.meta["kerr_stiffness_exit"] <= 2.0 * np.sqrt(2.0)
 
 
+def test_exit_stiffness_of_a_huge_finite_march_is_inf_without_a_warning():
+    # 10 steps to x = 2 end finite with Pi's peak near 1.6e190, whose square
+    # overflows: the exit h sigma printed "overflow encountered in multiply"
+    params, grid, dp0 = _steepening_entry()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = propagate_nonlinear(dp0, 2.0, 10, params, grid)
+    assert np.isfinite(record.final.pi.peak) and record.final.pi.peak > 1e150
+    assert record.meta["kerr_stiffness_exit"] == np.inf
+
+
 def test_derived_count_of_a_steepening_pulse_ends_near_a_finer_march():
     # at exit the 21 derived steps are past RK4's limit at the full grid's
     # w_top (h sigma 4.4), but the march crops its grid to the band the

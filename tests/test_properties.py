@@ -38,7 +38,7 @@ from metapulse import (
     reconstruct,
     split,
 )
-from metapulse.cli import SCENARIOS, main
+from metapulse.cli import SCENARIOS, _oracle, main
 from metapulse.medium import C
 from metapulse.render import table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
@@ -336,7 +336,7 @@ def cli_configs(draw):
     if scenario == "reference-compare":
         dx = draw(st.sampled_from([0.1, 0.2])) * x_unit
         # a pad of 0.4 dx puts the source on the wall, one of 10 dx leaves
-        # fewer than 64 nodes; 0.01 t_unit is under 3 oracle steps
+        # fewer than 64 nodes; 0.01 t_unit may end before the first step
         run.update(dx=dx, courant=1.2 if rare() else 0.5, x_ref=2.0 * dx,
                    x_probes=(5.5 if rare() else 4.0) * dx,
                    duration=(0.01 if rare() else 30.0) * t_unit,
@@ -390,6 +390,26 @@ def test_validate_exits_0_exactly_when_run_does(text):
                for ln in invalid)
     if error:  # a plan failure: run names what validate named
         assert error == f"ConfigError: {invalid[0][len('invalid: '):]}\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dx=st.floats(1e-3, 10.0), courant=st.floats(1e-3, 0.99),
+       dt=st.floats(1e-3, 10.0), c=st.floats(0.1, 10.0))
+# c dt / (courant dx) rounds to 7.000000000000001, which counts as 7
+@example(dx=0.02, courant=0.5, dt=0.07, c=1.0)
+@example(dx=0.08, courant=0.5, dt=0.1, c=1.0)
+def test_oracle_steps_divide_the_grid_step_within_the_courant_bound(
+        dx, courant, dt, c):
+    # m steps make grid.dt within 1e-9 at a Courant number within the
+    # bound, and no fewer steps can: m - 1 steps of at most courant dx / c
+    # fall short of grid.dt by more than 1e-9
+    params = DrudeParams(1.0, 1.0, c=c, eps0=1.0 / c, mu0=1.0 / c)
+    grid = TimeGrid(8, dt)
+    grid1d, m, *_ = _oracle(params, grid, dx, courant, x_ref=dx,
+                            x_probes=[dx], duration=dt, pad=40.0 * dx)
+    assert abs(m * grid1d.dt_fdtd - dt) <= 1e-9 * dt
+    assert grid1d.courant <= courant
+    assert m == 1 or (m - 1) * courant * dx / c < dt * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("case", sorted(PLAN_CASES))

@@ -6,6 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from metapulse import (
     DrudeParams,
+    Signal,
     TimeGrid,
     YeeGrid1D,
     a_symbol,
@@ -13,7 +14,7 @@ from metapulse import (
 )
 from metapulse import reference
 from metapulse.medium import EPS0, MU0
-from metapulse.reference import BLOCK_STEPS, _leapfrog, cubic_spline
+from metapulse.reference import BLOCK_STEPS, _leapfrog, cubic_spline, upsample
 from conftest import gaussian_pulse
 
 
@@ -127,6 +128,38 @@ def test_source_run_rejects_grid_speed_unlike_the_medium():
     # a difference within 1e-12 relative runs
     g = YeeGrid1D(128, 0.5, courant=0.5, c=1.0 + 1e-13)
     run_boundary_source(source, g, params, 5.0, [2.0])
+
+
+@pytest.mark.parametrize("dx, steps", [(0.6, r"0\.3"), (4.0, r"2\.0"),
+                                       (0.7, r"0\.35")])
+def test_source_run_rejects_a_step_that_does_not_divide_the_source(dx,
+                                                                   steps):
+    # the records are every m-th step on the source's grid, so m steps
+    # must make its dt: 3.33, 0.5 and 2.86 steps per sample are refused
+    params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
+    source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
+    g = YeeGrid1D(128, dx, courant=0.5, c=1.0)
+    with pytest.raises(ValueError, match=f"step {steps}.* step 1\\.0 s"):
+        run_boundary_source(source, g, params, 5.0, [2.0])
+
+
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_upsample_is_the_sources_trigonometric_interpolant(m, rng):
+    # every bin filled, the Nyquist one too; the direct sum over samples of
+    # (1/n) [1 + 2 sum_{0<k<n/2} cos(w_k s) + cos(w_{n/2} s)], s = t - t_j,
+    # is the real interpolant of period n dt that passes through them
+    grid = TimeGrid(64, 0.3)
+    source = Signal(grid, rng.standard_normal(grid.n))
+    t = np.arange(m * grid.n) * (grid.dt / m)
+    s = t[:, None] - grid.times[None, :]
+    w = 2.0 * np.pi * np.arange(1, grid.n // 2 + 1) / grid.window
+    terms = np.cos(w[None, None, :] * s[:, :, None])
+    kernel = (1.0 + 2.0 * terms[:, :, :-1].sum(axis=2) + terms[:, :, -1])
+    want = kernel @ source.samples / grid.n
+    got = upsample(source, m)
+    assert got.shape == t.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * source.peak
+    assert np.max(np.abs(got[::m] - source.samples)) <= 1e-12 * source.peak
 
 
 @pytest.mark.parametrize("source_index", [0, -3, 127, 128])
@@ -274,13 +307,14 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
                           source_index):
     """Reference oracle loop: B on every half node, the blow-up guard and
     one Python loop over the probes per step, with the source kick read
-    from one spline resampling. Raises FloatingPointError carrying the
-    first step past the guard."""
+    from the upsampled source, zero past its window, and the records of
+    every step decimated to the source's grid. Raises FloatingPointError
+    carrying the first step past the guard."""
     dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
     n_steps = int(round(duration / dt))
     idx = [source_index + int(round(xp / dx)) for xp in probes]
-    kick = cubic_spline(source.grid.times, source.samples,
-                        np.arange(n_steps + 1) * dt)
+    steps_per_sample = int(round(source.grid.dt / dt))
+    kick = upsample(source, steps_per_sample)
     src_peak = max(source.peak, 1e-300)
     e, h, m, q = np.zeros(nx), np.zeros(nx - 1), np.zeros(nx - 1), np.zeros(nx)
     b = np.zeros(nx - 1)
@@ -289,7 +323,8 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     wall_peak = 0.0
     for n in range(1, n_steps + 1):
         _advance_normalised(e, h, m, q, dt, dx, *_material(params))
-        e[source_index] += kick[n] * dt / dx
+        if n < kick.size:
+            e[source_index] += kick[n] * (dt / dx)
         b_prev = b.copy()
         b += -dt * (e[1:] - e[:-1]) / dx
         if not np.max(np.abs(e)) <= 1e6 * src_peak:
@@ -299,6 +334,11 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
             rec_b[k, n] = 0.25 * (b_prev[i - 1] + b_prev[i] + b[i - 1] + b[i])
         wall_peak = max(wall_peak,
                         abs(e[1]), abs(e[-2]), abs(e[2]), abs(e[-3]))
+    on_grid = np.zeros((2, len(idx), source.grid.n))
+    for rec, out in zip((rec_e, rec_b), on_grid):
+        kept = rec[:, ::steps_per_sample][:, :source.grid.n]
+        out[:, :kept.shape[1]] = kept
+    rec_e, rec_b = on_grid
     contaminated = wall_peak > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0))
     return rec_e, rec_b, bool(contaminated)
 
@@ -370,7 +410,7 @@ def test_causality_and_probe_phase():
     assert not out["contaminated"]
 
     # causality: the probe is quiet before the front can arrive
-    t = out["t"]
+    t = source.grid.times
     t_start = 0.5 * source.grid.window - 6.0 * 30.0  # envelope onset
     quiet = t < t_start
     assert np.max(np.abs(out["e"][0][quiet])) <= 1e-6 * source.peak
@@ -414,11 +454,11 @@ def test_convergence_second_order():
 
     def probe_series(dx):
         nx = int(round((probe + 2.0 * pad) / dx))
-        g = YeeGrid1D(nx, dx, courant=0.5, c=1.0)
+        # the plan's Courant number: at most 0.5, its step dividing 0.1
+        courant = {0.08: 5.0 / 12.0}.get(dx, 0.5)
+        g = YeeGrid1D(nx, dx, courant=courant, c=1.0)
         out = run_boundary_source(source, g, params, duration, [probe])
-        spline = CubicSpline(out["t"], out["e"][0])
-        tt = src_grid.times[src_grid.times <= duration - 1.0]
-        return spline(tt)
+        return out["e"][0][src_grid.times <= duration - 1.0]
 
     ref = probe_series(0.01)
     scale = np.linalg.norm(ref)
