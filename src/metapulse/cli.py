@@ -38,6 +38,9 @@ MAX_PHASE = CLEAN_TOL * 2.0**53
 #: most station samples (run.n_stations x grid.n) a run may keep: the
 #: linear runner holds about 36 bytes of each at once, 300 MB here
 MAX_STATION_SAMPLES = 2**23
+#: most points (m x grid.n) of the FDTD oracle's source interpolant, m its
+#: steps per sample: about 24 bytes of each at once, 200 MB here
+MAX_ORACLE_SAMPLES = 2**23
 
 REQUIRED = object()
 
@@ -595,8 +598,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     and steps per sample as ``fdtd_courant`` and ``fdtd_steps_per_sample``.
     """
     grid = source.grid
-    grid1d, m, i_src, probes_abs = _oracle(params, grid, dx, courant, x_ref,
-                                           x_probes, duration, pad)
+    grid1d, i_src, probes_abs = _oracle(params, grid, dx, courant, x_ref,
+                                        x_probes, duration, pad)
     run = reference.run_boundary_source(source, grid1d, params, duration,
                                         probes_abs, source_index=i_src)
     (e_ref, *e_fdtd), (b_ref, *b_fdtd) = run["e"], run["b"]
@@ -620,30 +623,35 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     ok = all(e <= 0.02 and b <= 0.02 for e, b in zip(l2_e, l2_b))
     return tables, {"l2_errors_e": l2_e, "l2_errors_b": l2_b, "budget": 0.02,
                     "pass": ok, "fdtd_contaminated": run["contaminated"],
-                    "fdtd_courant": grid1d.courant, "fdtd_steps_per_sample": m}
+                    "fdtd_courant": grid1d.courant,
+                    "fdtd_steps_per_sample": run["steps_per_sample"]}
 
 
 def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
     """The FDTD oracle of :func:`reference_compare`: its grid (pad, the
-    source, x_ref and the probes, then pad again), which steps grid.dt / m
-    for the fewest m at a Courant number within ``courant`` (a ratio within
-    1e-9 relative of an integer counts as that integer), m, its source node
-    and the probe positions from the source. Raises ConfigError naming the
-    run keys when the spectral window or the oracle grid cannot take them.
-    """
+    source, x_ref and the probes, then pad again) stepping grid.dt / m for
+    the m of :func:`reference.steps_per_sample` within ``courant``, its
+    source node and the probe positions from the source. Raises ConfigError
+    naming the keys when the spectral window, the oracle grid or
+    MAX_ORACLE_SAMPLES cannot take them."""
     if grid.window < duration:
         raise ConfigError([f"run.duration: longer than the spectral window "
                            f"grid.n * grid.dt = {grid.window:g}"])
     nx = int(np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx))
     i_src = int(round(pad / dx))
     probes = [x_ref] + [x_ref + xp for xp in x_probes]
-    m = int(np.ceil(params.c * grid.dt / (courant * dx) * (1 - 1e-9)))
-    courant = min(params.c * grid.dt / (m * dx), courant)
-    with _keys("run.dx", "run.pad"):
-        grid1d = reference.YeeGrid1D(nx=nx, dx=dx, courant=courant, c=params.c)
+    m = reference.steps_per_sample(grid.dt, courant * dx / params.c)
+    if m * grid.n > MAX_ORACLE_SAMPLES:
+        raise ConfigError([f"run.dx/run.courant/grid.dt/grid.n: {m} oracle "
+                           f"steps a sample x {grid.n} samples exceed "
+                           f"{MAX_ORACLE_SAMPLES}; raise run.dx or "
+                           f"run.courant, or lower grid.n"])
+    with _keys("run.dx", "run.pad", "run.courant"):
+        grid1d = reference.YeeGrid1D(nx=nx, dx=dx, c=params.c,
+                                     courant=params.c * grid.dt / (m * dx))
     with _keys("run.x_ref", "run.x_probes", "run.pad"):
         reference.source_layout(grid1d, duration, probes, i_src)
-    return grid1d, m, i_src, probes
+    return grid1d, i_src, probes
 
 
 def _rel_l2(a, b):

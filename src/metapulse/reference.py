@@ -38,8 +38,8 @@ import numpy as np
 
 from .medium import C
 
-__all__ = ["YeeGrid1D", "source_layout", "upsample", "run_boundary_source",
-           "cubic_spline"]
+__all__ = ["YeeGrid1D", "source_layout", "steps_per_sample", "upsample",
+           "run_boundary_source", "cubic_spline"]
 
 #: largest Courant ratio c*dt/dx that YeeGrid1D accepts (1D limit: 1)
 MAX_COURANT = 0.99
@@ -71,34 +71,18 @@ class YeeGrid1D:
         return self.courant * self.dx / self.c
 
 
-def _cyclic_reduction(lo, diag, up, rhs):
+def _tridiagonal(lo, diag, up, rhs):
     """Solve lo[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] (lo[0] and
-    up[-1] unused) for a diagonally dominant system, without pivoting.
-
-    Each level folds the odd rows into their even neighbours, halving the
-    system; the odd unknowns follow from the even ones on the way back.
-    """
-    n = len(diag)
-    if n == 1:
-        return rhs / diag
-    n_even, n_odd = (n + 1) // 2, n // 2
-    lo_o, diag_o, up_o, rhs_o = lo[1::2], diag[1::2], up[1::2], rhs[1::2]
-    # even row 2k reaches odd row k - 1 on its left and odd row k on its right
-    left = -lo[2::2] / diag_o[:n_even - 1]
-    right = -up[:2 * n_odd:2] / diag_o
-    lo_e, up_e = np.zeros(n_even), np.zeros(n_even)
-    diag_e, rhs_e = diag[::2].copy(), rhs[::2].copy()
-    lo_e[1:] = left * lo_o[:n_even - 1]
-    diag_e[1:] += left * up_o[:n_even - 1]
-    rhs_e[1:] += left * rhs_o[:n_even - 1]
-    up_e[:n_odd] = right * up_o
-    diag_e[:n_odd] += right * lo_o
-    rhs_e[:n_odd] += right * rhs_o
-    x_e = np.append(_cyclic_reduction(lo_e, diag_e, up_e, rhs_e), 0.0)
-    x = np.empty(n)
-    x[::2] = x_e[:-1]
-    x[1::2] = (rhs_o - lo_o * x_e[:n_odd] - up_o * x_e[1:n_odd + 1]) / diag_o
-    return x
+    up[-1] unused) for a diagonally dominant system, without pivoting."""
+    lo, diag, up, x = (np.asarray(v).tolist() for v in (lo, diag, up, rhs))
+    for i in range(1, len(x)):  # eliminate lo[i] with row i - 1
+        f = lo[i] / diag[i - 1]
+        diag[i] -= f * up[i - 1]
+        x[i] -= f * x[i - 1]
+    x[-1] /= diag[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - up[i] * x[i + 1]) / diag[i]
+    return np.array(x)
 
 
 def cubic_spline(t, values, at):
@@ -106,8 +90,7 @@ def cubic_spline(t, values, at):
     zero outside [t[0], t[-1]].
 
     t must be finite and strictly increasing, with at least 4 knots. The
-    knot slopes solve the tridiagonal not-a-knot system by cyclic
-    reduction, so nothing loops over knots in Python.
+    knot slopes solve the tridiagonal not-a-knot system row by row.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -135,7 +118,7 @@ def cubic_spline(t, values, at):
     rhs[0] -= r0
     rhs[-1] -= r1
     s = np.empty_like(t)
-    s[1:-1] = _cyclic_reduction(h[1:], diag, h[:-1], rhs)
+    s[1:-1] = _tridiagonal(h[1:], diag, h[:-1], rhs)
     s[0] = (r0 - w0 * s[1]) / h[1]
     s[-1] = (r1 - w1 * s[-2]) / h[-2]
 
@@ -226,6 +209,12 @@ def source_layout(grid1d, duration, probes, source_index=None):
     return int(round(duration / grid1d.dt_fdtd)), i_src, idx
 
 
+def steps_per_sample(sample_dt, dt):
+    """The fewest steps of at most ``dt`` that make ``sample_dt``; a ratio
+    within 1e-9 relative of an integer counts as that integer."""
+    return int(np.ceil(sample_dt / dt * (1 - 1e-9)))
+
+
 def upsample(signal, m):
     """The band-limited interpolant of ``signal``, m points per sample."""
     half = np.fft.rfft(signal.samples)
@@ -237,27 +226,19 @@ def run_boundary_source(source, grid1d, params, duration, probes,
                         source_index=None):
     """Drive the grid with a soft E source and record probe time series.
 
-    Parameters
-    ----------
-    source : Signal
-        Boundary waveform j(t), sampled every m FDTD steps; the grid takes
-        its band-limited interpolant (:func:`upsample`), zero past its window.
-    probes : sequence of float
-        Probe positions in meters, measured from the source plane.
-    source_index : int, optional
-        Grid node carrying the source. Defaults to nx//4 so that leftward
-        radiation disappears into padding instead of reflecting off the
-        wall back into the probes.
-
-    Returns
-    -------
-    dict with keys ``e`` and ``b`` (ndarrays of shape (probes, n), one row
-    per probe of every m-th step, on ``source.grid.times``, zero past
-    ``duration``) and ``contaminated`` (bool wall-activity flag).
+    The node ``source_index`` (default nx // 4, so that leftward radiation
+    fades into the padding, not off the wall into the probes) takes the
+    band-limited interpolant (:func:`upsample`) of the Signal ``source``,
+    sampled every m steps and zero past its window; ``probes`` are meters
+    from it. Returns a dict: ``e`` and ``b``, of shape (probes, n), every
+    m-th step of each probe on ``source.grid.times``, zero past
+    ``duration``; ``steps_per_sample``, m; and ``contaminated``, the
+    wall-activity flag.
 
     Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
-    differ by more than 1e-12 relative, when no m steps make
-    ``source.grid.dt`` within 1e-9 relative, or when :func:`source_layout`
+    differ by more than 1e-12 relative, when the m steps of
+    :func:`steps_per_sample` miss ``source.grid.dt`` by more than 1e-9
+    relative, or when :func:`source_layout`
     finds the source or a probe off the nodes inside the walls. Raises
     FloatingPointError when E exceeds 1e6 times the source peak or is not
     finite. The guard runs once per ``BLOCK_STEPS`` steps, so the abort
@@ -267,7 +248,7 @@ def run_boundary_source(source, grid1d, params, duration, probes,
         raise ValueError(f"grid speed c = {grid1d.c!r} differs from the "
                          f"medium's c = {params.c!r}")
     dt, dx, nx, n = grid1d.dt_fdtd, grid1d.dx, grid1d.nx, source.grid.n
-    m = round(source.grid.dt / dt)
+    m = steps_per_sample(source.grid.dt, dt)
     if not abs(m * dt - source.grid.dt) <= 1e-9 * source.grid.dt:
         raise ValueError(f"FDTD step {dt!r} s does not divide the source's "
                          f"step {source.grid.dt!r} s")
@@ -330,5 +311,5 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     if contaminated:
         warnings.warn("field activity near the walls; probe data may be "
                       "contaminated by reflections", stacklevel=2)
-    return {"e": rec_e[:, :n], "b": rec_b[:, :n],
+    return {"e": rec_e[:, :n], "b": rec_b[:, :n], "steps_per_sample": m,
             "contaminated": bool(contaminated)}

@@ -705,6 +705,41 @@ def test_reference_compare_records_the_oracle_clock():
     assert summary["fdtd_courant"] == pytest.approx(5.0 / 12.0, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("dt", [0.5000000005, 1.000000001, 2.000000002])
+def test_oracle_run_takes_the_step_its_plan_makes(dt):
+    # c dt / (courant dx) lies 1e-9 above an integer k, which counts as k;
+    # the plan's Courant number c dt / (k dx) is then 1e-9 past the bound.
+    # Clamped to the bound, k steps missed dt by over 1e-9, so the plan
+    # passed and the run refused the step
+    params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
+    grid = TimeGrid(64, dt)
+    source = Signal(grid, np.sin(2.0 * np.pi * grid.times / grid.window))
+    grid1d, i_src, probes = cli._oracle(params, grid, 1.0, 0.5, x_ref=1.0,
+                                        x_probes=[1.0], duration=4.0 * dt,
+                                        pad=40.0)
+    run = reference.run_boundary_source(source, grid1d, params, 4.0 * dt,
+                                        probes, source_index=i_src)
+    assert run["steps_per_sample"] == round(2.0 * dt)
+    assert grid1d.courant > 0.5
+
+
+@pytest.mark.parametrize("ceiling, refused", [(6144, False), (6143, True)])
+def test_plan_bounds_the_oracle_source_interpolant(monkeypatch, ceiling,
+                                                   refused):
+    # 3 oracle steps a sample of a 2048-sample window: 6144 points
+    monkeypatch.setattr(cli, "MAX_ORACLE_SAMPLES", ceiling)
+    config = _scenario_config("reference-compare")
+    if not refused:
+        plan(config)
+        return
+    with pytest.raises(ConfigError) as exc:
+        plan(config)
+    assert exc.value.violations == [
+        "run.dx/run.courant/grid.dt/grid.n: 3 oracle steps a sample x 2048 "
+        "samples exceed 6143; raise run.dx or run.courant, or lower grid.n"]
+
+
 def test_reference_compare_splits_records_without_dc():
     # the FDTD run's raw B record at the reference plane keeps a mean of
     # about 6.5e-5 of its peak, which split would report; the oracle's

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from metapulse import (
     DirectedPair,
@@ -38,7 +38,7 @@ from metapulse import (
     reconstruct,
     split,
 )
-from metapulse.cli import SCENARIOS, _oracle, main
+from metapulse.cli import MAX_ORACLE_SAMPLES, SCENARIOS, _oracle, main
 from metapulse.medium import C
 from metapulse.render import table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
@@ -398,17 +398,23 @@ def test_validate_exits_0_exactly_when_run_does(text):
 # c dt / (courant dx) rounds to 7.000000000000001, which counts as 7
 @example(dx=0.02, courant=0.5, dt=0.07, c=1.0)
 @example(dx=0.08, courant=0.5, dt=0.1, c=1.0)
+# 1e-9 above 2, which counts as 2
+@example(dx=1.0, courant=0.5, dt=1.000000001, c=1.0)
 def test_oracle_steps_divide_the_grid_step_within_the_courant_bound(
         dx, courant, dt, c):
     # m steps make grid.dt within 1e-9 at a Courant number within the
-    # bound, and no fewer steps can: m - 1 steps of at most courant dx / c
-    # fall short of grid.dt by more than 1e-9
+    # bound (past it by at most the 1e-9 that counts a ratio as integer),
+    # and no fewer steps can: m - 1 steps of at most courant dx / c fall
+    # short of grid.dt by more than 1e-9
     params = DrudeParams(1.0, 1.0, c=c, eps0=1.0 / c, mu0=1.0 / c)
     grid = TimeGrid(8, dt)
-    grid1d, m, *_ = _oracle(params, grid, dx, courant, x_ref=dx,
-                            x_probes=[dx], duration=dt, pad=40.0 * dx)
+    # more steps than that are refused by the plan before any is taken
+    assume(c * dt / (courant * dx) < MAX_ORACLE_SAMPLES / grid.n)
+    grid1d, *_ = _oracle(params, grid, dx, courant, x_ref=dx, x_probes=[dx],
+                         duration=dt, pad=40.0 * dx)
+    m = round(dt / grid1d.dt_fdtd)
     assert abs(m * grid1d.dt_fdtd - dt) <= 1e-9 * dt
-    assert grid1d.courant <= courant
+    assert grid1d.courant <= courant * (1.0 + 1.01e-9)
     assert m == 1 or (m - 1) * courant * dx / c < dt * (1.0 - 1e-9)
 
 

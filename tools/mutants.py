@@ -10,12 +10,9 @@ source, a mutant does not compile, a named test fails unmutated or a
 mutated run ends in any other way. Mutants marked ``equivalent`` cannot be
 killed; they are checked against the source only.
 
-    python tools/mutants.py                 # every mutant
-    python tools/mutants.py --only KERR_TAIL-x100
-    python tools/mutants.py --list
+    python tools/mutants.py
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -85,20 +82,30 @@ MUTANTS = [
      "tests": ["tests/test_evolution.py::"
                "test_cropped_march_keeps_its_top_band_within_kerr_tail"]},
     # the oracle's clock
-    {"name": "steps-per-sample-rounded", "file": CLI,
-     "old": "m = int(np.ceil(params.c",
-     "new": "m = int(np.round(params.c",
+    {"name": "steps-per-sample-rounded", "file": REFERENCE,
+     "old": "return int(np.ceil(sample_dt / dt",
+     "new": "return int(np.round(sample_dt / dt",
      "tests": ["tests/test_properties.py::"
                "test_oracle_steps_divide_the_grid_step_within_the_courant_"
                "bound",
                "tests/test_cli.py::test_reference_compare_records_the_oracle_"
                "clock"]},
-    {"name": "steps-per-sample-without-tolerance", "file": CLI,
-     "old": "/ (courant * dx) * (1 - 1e-9)))",
-     "new": "/ (courant * dx)))",
+    {"name": "steps-per-sample-without-tolerance", "file": REFERENCE,
+     "old": "sample_dt / dt * (1 - 1e-9)",
+     "new": "sample_dt / dt",
      "tests": ["tests/test_properties.py::"
                "test_oracle_steps_divide_the_grid_step_within_the_courant_"
                "bound"]},
+    {"name": "plan-clamps-the-courant-number", "file": CLI,
+     "old": "courant=params.c * grid.dt / (m * dx))",
+     "new": "courant=min(params.c * grid.dt / (m * dx), courant))",
+     "tests": ["tests/test_cli.py::test_oracle_run_takes_the_step_its_plan_"
+               "makes"]},
+    {"name": "oracle-ceiling-inclusive", "file": CLI,
+     "old": "if m * grid.n > MAX_ORACLE_SAMPLES:",
+     "new": "if m * grid.n >= MAX_ORACLE_SAMPLES:",
+     "tests": ["tests/test_cli.py::test_plan_bounds_the_oracle_source_"
+               "interpolant"]},
     {"name": "records-from-step-1", "file": REFERENCE,
      "old": "on, j = slice(-n0 % m, None, m)",
      "new": "on, j = slice((1 - n0) % m, None, m)",
@@ -132,20 +139,7 @@ def _pytest(root, tests):
         return "timeout"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", action="append", default=[],
-                        metavar="NAME", help="run only this mutant")
-    parser.add_argument("--list", action="store_true",
-                        help="print the mutants and their tests")
-    args = parser.parse_args(argv)
-    mutants = [mu for mu in MUTANTS
-               if not args.only or mu["name"] in args.only]
-    if args.list:
-        for mu in mutants:
-            print(mu["name"], mu["file"], *mu.get("tests", ["(equivalent)"]))
-        return 0
-
+def main():
     repo = Path(__file__).resolve().parent.parent
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -154,18 +148,18 @@ def main(argv=None):
             shutil.copytree(repo / name, root / name, ignore=skip)
         shutil.copy(repo / "pyproject.toml", root)
 
-        stale = [mu["name"] for mu in mutants
+        stale = [mu["name"] for mu in MUTANTS
                  if (root / mu["file"]).read_text().count(mu["old"]) != 1]
         if stale:
             print(f"old text not found exactly once: {stale}")
             return 2
-        tests = sorted({t for mu in mutants for t in mu.get("tests", [])})
+        tests = sorted({t for mu in MUTANTS for t in mu.get("tests", [])})
         if _pytest(root, tests) != 0:
             print("the named tests do not pass on the unmutated source")
             return 2
 
         survivors, broken = [], []
-        for mu in mutants:
+        for mu in MUTANTS:
             if "equivalent" in mu:
                 print(f"{mu['name']}: equivalent ({mu['equivalent']})")
                 continue
