@@ -35,12 +35,9 @@ MAX_DEFAULT_KERR_STEPS = 100_000
 #: largest phase (rad) a run may turn a bin through: a phase theta is
 #: known to theta 2^-53, within CLEAN_TOL up to here
 MAX_PHASE = CLEAN_TOL * 2.0**53
-#: most station samples (run.n_stations x grid.n) a run may keep: the
-#: linear runner holds about 36 bytes of each at once, 300 MB here
-MAX_STATION_SAMPLES = 2**23
-#: most points (m x grid.n) of the FDTD oracle's source interpolant, m its
-#: steps per sample: about 24 bytes of each at once, 200 MB here
-MAX_ORACLE_SAMPLES = 2**23
+#: most values in a run's largest array: grid.n, station or profile points,
+#: oracle nodes or source points; at most 36 bytes of each at once, 300 MB
+MAX_SAMPLES = 2**23
 
 REQUIRED = object()
 
@@ -52,7 +49,8 @@ def _rule(ok, problem):
 
 
 _POSITIVE = _rule(lambda v: v > 0, "must be positive")
-_COUNT = _rule(lambda n: n >= 1, "must be at least 1")
+_COUNT = _rule(lambda n: 1 <= n <= MAX_SAMPLES,
+               f"must lie in [1, {MAX_SAMPLES}]")
 _STATIONS = _rule(lambda n: n >= 2, "must be at least 2 (entry and exit)")
 # the Kerr scenarios read n_steps = 0 as "derive the count"
 _KERR_STEPS = _rule(lambda n: n >= 4 or n == 0,
@@ -71,8 +69,9 @@ _MEDIUM_KEYS = {
     "mu0": (float, None, None),
     "chi3": (float, 0.0, None),
 }
-_GRID_KEYS = {"n": (int, 4096, None), "dt": (float, 0.0, None)}
-#: its range rules bind only the scenarios that take a pulse
+# the range rules of the grid and pulse keys bind only the scenarios that
+# take a pulse, which alone build a grid
+_GRID_KEYS = {"n": (int, 4096, _COUNT), "dt": (float, 0.0, None)}
 _PULSE_KEYS = {
     "shape": (str, "gaussian-modulated",
               _rule(lambda shape: shape in ("gaussian-modulated", "user-file"),
@@ -174,7 +173,7 @@ def parse_config(text, overrides=()):
     before = len(violations)
     med = _read_section(cp, "medium", _MEDIUM_KEYS, violations)
     medium_clean = len(violations) == before
-    grid = _read_section(cp, "grid", _GRID_KEYS, violations)
+    grid = _read_section(cp, "grid", _GRID_KEYS, violations, takes_pulse)
     pulse = _read_section(cp, "pulse", _PULSE_KEYS, violations, takes_pulse)
     spanned_clean = len(violations) == first
     output = _read_section(cp, "output", _OUTPUT_KEYS, violations)
@@ -194,7 +193,7 @@ def parse_config(text, overrides=()):
         kwargs = {k: v for k, v in med.items() if v is not None}
         try:
             params = medium.DrudeParams(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             violations.append(f"medium: {exc}")
 
     if spanned_clean:
@@ -250,47 +249,47 @@ def _validate_physics(scenario, params, grid, pulse, violations):
 
 @contextlib.contextmanager
 def _keys(*keys):
-    """Re-raise a ValueError of the block as a ConfigError that names
-    ``keys``, the config keys that set what it rejects."""
+    """Re-raise a ValueError or an overflow (ArithmeticError) of the block
+    as a ConfigError naming ``keys``, the config keys that set its values."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError([f"{'/'.join(keys)}: {exc}"]) from exc
 
 
 def _grid(config):
     """The run's TimeGrid; an omitted grid.dt defaults to 32 samples per
-    pulse.carrier period, and a grid.n too large to allocate is refused."""
+    pulse.carrier period."""
     dt, carrier = config.grid["dt"], config.pulse["carrier"]
     if dt == 0 and not carrier > 0:
         raise ConfigError(["grid.dt: required when no positive "
                            "pulse.carrier sets its default"])
-    try:
-        with _keys("grid.dt", "grid.n"):
-            return TimeGrid(config.grid["n"],
-                            dt or 2.0 * np.pi / (32.0 * carrier))
-    except MemoryError as exc:
-        raise ConfigError([f"grid.n: {exc}"]) from exc
+    with _keys("grid.dt", "grid.n"):
+        return TimeGrid(config.grid["n"], dt or 2.0 * np.pi / (32.0 * carrier))
+
+
+def _check_size(samples, keys, what, remedy):
+    """Refuse, naming ``keys``, a run whose largest array would hold
+    ``samples`` values (``what``, a NaN count included) over MAX_SAMPLES."""
+    if not samples <= MAX_SAMPLES:
+        raise ConfigError([f"{keys}: {what} exceed {MAX_SAMPLES}; {remedy}"])
 
 
 def _check_ceilings(config, grid):
-    """Refuse station samples over MAX_STATION_SAMPLES, or a phase w |a(w)|
-    x or pq x/(c w) on a nonzero bin, x = run.x_end, over MAX_PHASE."""
-    problems, samples = [], config.run["n_stations"] * grid.n
-    if samples > MAX_STATION_SAMPLES:
-        problems.append(f"run.n_stations/grid.n: {samples} station samples "
-                        f"exceed {MAX_STATION_SAMPLES}; lower run.n_stations "
-                        f"or grid.n")
+    """Refuse station samples (:func:`_check_size`), or a phase w |a(w)| x
+    or pq x/(c w) on a nonzero bin, x = run.x_end, over MAX_PHASE."""
+    samples = config.run["n_stations"] * grid.n
+    _check_size(samples, "run.n_stations/grid.n", f"{samples} station samples",
+                "lower run.n_stations or grid.n")
     p, w = config.params, grid.half_omegas[1:]
-    theta = config.run["x_end"] * max(
-        float(np.max(w * np.sqrt(np.abs(medium.a_squared(p, w))))),
-        p.omega_pe * p.omega_pm / (p.c * float(w[0])))
+    with _keys("medium.omega_pe", "medium.omega_pm"):  # p^2 or q^2 overflows
+        theta = config.run["x_end"] * max(
+            float(np.max(w * np.sqrt(np.abs(medium.a_squared(p, w))))),
+            p.omega_pe * p.omega_pm / (p.c * float(w[0])))
     if theta > MAX_PHASE:
-        problems.append(f"run.x_end: largest phase {theta:.3g} rad exceeds "
-                        f"{MAX_PHASE:.3g} rad, past which its rounding "
-                        f"exceeds {CLEAN_TOL:g}; lower run.x_end")
-    if problems:
-        raise ConfigError(problems)
+        raise ConfigError([f"run.x_end: largest phase {theta:.3g} rad exceeds "
+                           f"{MAX_PHASE:.3g} rad, past which its rounding "
+                           f"exceeds {CLEAN_TOL:g}; lower run.x_end"])
 
 
 def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
@@ -310,9 +309,9 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
     if shape == "gaussian-modulated":
         t0 = grid.window / 2.0
         tt = grid.times - t0
-        samples = amplitude * np.exp(-(tt**2) / (2.0 * width**2)) * np.sin(
-            carrier * tt
-        )
+        with _keys("pulse.width"):  # width^2 overflows
+            samples = (amplitude * np.exp(-(tt**2) / (2.0 * width**2))
+                       * np.sin(carrier * tt))
         keys = "pulse.width/grid.n/grid.dt"
     elif shape == "user-file":
         try:
@@ -510,13 +509,17 @@ def _run_kerr(config):
     # the pure-right entry splits into Pi = k and Lambda = 0 exactly
     dp0 = _entry(config, grid, run["boundary"] if coupled else "pure-right")[1]
     entry = dp0 if coupled else dp0.pi
-    # run.n_steps, or when it is 0 the count derived from the entry
-    n_steps = run["n_steps"] or evolution.kerr_default_steps(
-        entry, run["x_end"], config.params, grid,
-        n_stations=run["n_stations"])
+    # run.n_steps, or when it is 0 the count derived from the entry; one
+    # that no int holds (inf or NaN) reads as inf, over the ceiling
+    try:
+        n_steps = run["n_steps"] or evolution.kerr_default_steps(
+            entry, run["x_end"], config.params, grid,
+            n_stations=run["n_stations"])
+    except (OverflowError, ValueError):
+        n_steps = np.inf
     if not run["n_steps"] and n_steps > MAX_DEFAULT_KERR_STEPS:
         raise ConfigError([
-            f"run.n_steps: derived Kerr step count {n_steps} exceeds "
+            f"run.n_steps: derived Kerr step count {n_steps:.3g} exceeds "
             f"{MAX_DEFAULT_KERR_STEPS}; set run.n_steps to march that many, "
             f"or lower pulse.amplitude or run.x_end"])
     yield
@@ -533,7 +536,8 @@ def _run_kerr(config):
 
 
 def _run_stationary_linear(config):
-    sp = stationary.stationary_params(config.run["v"], config.params)
+    with _keys("medium.omega_pe", "medium.c", "run.v"):  # p^3, c^3, v^6
+        sp = stationary.stationary_params(config.run["v"], config.params)
     yield
     xi = np.linspace(config.run["xi_min"], config.run["xi_max"],
                      config.run["n_xi"])
@@ -545,7 +549,8 @@ def _run_stationary_linear(config):
 
 
 def _run_stationary_nonlinear(config):
-    sp = stationary.stationary_params(config.run["v"], config.params)
+    with _keys("medium.omega_pe", "medium.c", "run.v"):  # p^3, c^3, v^6
+        sp = stationary.stationary_params(config.run["v"], config.params)
     yield
     xi, pi, slope = stationary.integrate_oscillator(
         config.run["pi0"], config.run["dpi0"], config.run["xi_end"],
@@ -633,29 +638,31 @@ def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
     the m of :func:`reference.steps_per_sample` within ``courant``, its
     source node and the probe positions from the source. Raises ConfigError
     naming the keys when the spectral window, the oracle grid or
-    MAX_ORACLE_SAMPLES cannot take them."""
+    MAX_SAMPLES (its nodes, its source's points) cannot take them."""
     if grid.window < duration:
         raise ConfigError([f"run.duration: longer than the spectral window "
                            f"grid.n * grid.dt = {grid.window:g}"])
-    nx = int(np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx))
-    i_src = int(round(pad / dx))
+    nodes = np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx)
+    _check_size(nodes, "run.dx/run.x_ref/run.x_probes/run.pad",
+                f"{nodes:.3g} oracle nodes",
+                "raise run.dx, or lower run.pad, run.x_ref or run.x_probes")
     probes = [x_ref] + [x_ref + xp for xp in x_probes]
-    m = reference.steps_per_sample(grid.dt, courant * dx / params.c)
-    if m * grid.n > MAX_ORACLE_SAMPLES:
-        raise ConfigError([f"run.dx/run.courant/grid.dt/grid.n: {m} oracle "
-                           f"steps a sample x {grid.n} samples exceed "
-                           f"{MAX_ORACLE_SAMPLES}; raise run.dx or "
-                           f"run.courant, or lower grid.n"])
     with _keys("run.dx", "run.pad", "run.courant"):
-        grid1d = reference.YeeGrid1D(nx=nx, dx=dx, c=params.c,
+        m = reference.steps_per_sample(grid.dt, courant * dx / params.c)
+        grid1d = reference.YeeGrid1D(nx=int(nodes), dx=dx, c=params.c,
                                      courant=params.c * grid.dt / (m * dx))
+    _check_size(m * grid.n, "run.dx/run.courant/grid.dt/grid.n",
+                f"{m} oracle steps a sample x {grid.n} samples",
+                "raise run.dx or run.courant, or lower grid.n")
     with _keys("run.x_ref", "run.x_probes", "run.pad"):
+        i_src = int(round(pad / dx))
         reference.source_layout(grid1d, duration, probes, i_src)
     return grid1d, i_src, probes
 
 
 def _rel_l2(a, b):
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+    with np.errstate(divide="ignore", invalid="ignore"):  # b = 0 fails
+        return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
 _LINEAR_KEYS = {"x_end": (float, REQUIRED, _POSITIVE),
@@ -693,8 +700,9 @@ SCENARIOS = {
         _run_stationary_nonlinear, False,
         {"v": (float, REQUIRED, _POSITIVE), "pi0": (float, REQUIRED, None),
          "dpi0": (float, 0.0, None), "xi_end": (float, REQUIRED, _POSITIVE),
-         "n_steps": (int, 400, _rule(lambda n: n >= 4,
-                                     "must be at least 4"))}),
+         # its profile holds n_steps + 1 points
+         "n_steps": (int, 400, _rule(lambda n: 4 <= n < MAX_SAMPLES,
+                                     f"must lie in [4, {MAX_SAMPLES - 1}]"))}),
     "taylor-error": (
         "truncation-error curve of the leading dispersion term",
         _run_taylor_error, False,

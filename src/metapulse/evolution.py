@@ -20,7 +20,7 @@ Three propagation models, from exact to reduced:
   band the field occupies, the leading bins of a grid of m <= n points on
   the same window: content at or below m/4 cubes onto aliases at
   m - 3k >= m/4, inside the band (m/4, m/3] whose filling past
-  ``KERR_TAIL`` doubles m (see ``_half_spectrum``). Only ``n_stations``
+  ``KERR_TAIL`` doubles m (see ``_kerr_rhs``). Only ``n_stations``
   evenly spread steps are kept (default 2: entry and exit).
 
 The two linear models are diagonal in frequency: given a 1-D sequence of
@@ -143,19 +143,6 @@ def propagate_kg(dp0, xs, params, grid):
     return _advance(spec, grid, theta)
 
 
-def _half_spectrum(grid):
-    """w^2 and the 2/3-rule mask on the rfft bins 0..n/2.
-
-    The mask keeps bins k <= n/3, which dealiases quadratic terms only: a
-    tone at n/4 < k <= n/3 cubes into bin 3k, an alias of kept bin n - 3k.
-    On a Kerr march's grid of m points, content kept at or below m/4 cubes
-    onto aliases at m - 3k >= m/4, inside the band it watches (m/4, m/3].
-    """
-    w = grid.half_omegas
-    mask = (np.arange(w.size) <= grid.n // 3).astype(float)
-    return w * w, mask
-
-
 def _cube(grid):
     """``cube(u_hat)``: half-spectrum of the cube of u_hat's time image on
     m = 2 (len(u_hat) - 1) points, scaled to the full grid's, in a buffer
@@ -184,12 +171,16 @@ def _kerr_rhs(params, grid):
     ``-+ nl * cube(-w^2 u)`` per row, ``nl = (K/c) dt^{-1}``, u = Pi -
     Lambda for two rows, u = Pi for one (Lambda frozen at zero), on the
     bins 0..m/2 that ``state`` holds, cut at m/3: the full grid's symbols,
-    sliced. ``rhs.lin`` is the linear part ``-+(pq/c) dt^{-1}`` per row,
-    ``rhs.stiffness(state)`` a full state's sigma_0 (:func:`_stiffness`).
+    sliced. The cut dealiases quadratic terms only: a tone at m/4 < k <= m/3
+    cubes into bin 3k, an alias of kept bin m - 3k, so content kept at or
+    below m/4 cubes onto aliases at m - 3k >= m/4, inside the band the
+    march watches (m/4, m/3]. ``rhs.lin`` is the linear part ``-+(pq/c)
+    dt^{-1}`` per row, ``rhs.stiffness(state)`` a full state's sigma_0
+    (:func:`_stiffness`).
     """
     # dt^{-1} annihilates DC and the unpaired Nyquist bin
     inv_iw = make_multiplier("d_dt_inv", None, grid).values
-    w2, mask = _half_spectrum(grid)
+    w2 = grid.half_omegas * grid.half_omegas
     pq_c = params.omega_pe * params.omega_pm / params.c
     k_c = _kerr_k_c(params)
     nl = -k_c * inv_iw
@@ -210,7 +201,7 @@ def _kerr_rhs(params, grid):
         return out
 
     rhs.lin = np.array([[-1.0], [1.0]]) * (pq_c * inv_iw)
-    rhs.stiffness = lambda state: _stiffness(state, k_c, -w2 * mask, grid)
+    rhs.stiffness = lambda state: _stiffness(state, k_c, -w2, grid)
     return rhs
 
 
@@ -223,10 +214,11 @@ def _kerr_k_c(params):
 def _stiffness(state, coefficient, to_cube, grid):
     """sigma_0 = 3 rows coefficient max_t(v^2) w_top, the cubic term's
     largest rate about a full ``state``: v is the time image of the cube's
-    input ``to_cube * u`` and w_top the full grid's 2/3 cut."""
-    u = state[0] - state[1] if len(state) == 2 else state[0]
-    v = np.fft.irfft(to_cube * u, grid.n)
-    w_top = grid.half_omegas[grid.n // 3]
+    input ``to_cube * u`` cut at w_top, the full grid's 2/3 cut (bin n/3)."""
+    cut = grid.n // 3 + 1
+    u = state[0, :cut] - state[1, :cut] if len(state) == 2 else state[0, :cut]
+    v = np.fft.irfft(to_cube[:cut] * u, grid.n)
+    w_top = grid.half_omegas[cut - 1]
     with np.errstate(over="ignore"):  # inf for a state too big to square
         return 3.0 * len(state) * coefficient * float(np.max(v * v)) * w_top
 
@@ -393,9 +385,9 @@ def kerr_default_steps(entry, x_end, params, grid, n_stations=2):
     """
     # the symbols alone, not a whole right-hand side: its buffers, freed
     # again before the march allocates its own, raised the peak RSS
-    w2, mask = _half_spectrum(grid)
+    w = grid.half_omegas
     state = _entry_spectrum(entry, grid)
-    sigma = _stiffness(state, _kerr_k_c(params), -w2 * mask, grid)
+    sigma = _stiffness(state, _kerr_k_c(params), -(w * w), grid)
     omega = _phase_rate(state, params, grid)
     return max(4, n_stations - 1,
                int(np.ceil(x_end * sigma / KERR_STIFFNESS)),

@@ -44,7 +44,6 @@ from metapulse.evolution import (
     PropagationRecord,
     _cube,
     _entry_spectrum,
-    _half_spectrum,
     _march_rk4,
     _stiffness,
 )
@@ -326,7 +325,7 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid):
     cropped grid of m points, so the cube is masked at m/3.
     """
     inv_iw = make_multiplier("d_dt_inv", None, grid).values
-    w2, mask = _half_spectrum(grid)
+    w2 = grid.half_omegas ** 2
     cube = _cube(grid)
 
     def rhs(state, out):
@@ -339,7 +338,9 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid):
         np.multiply(inv_iw[:width], w_hat, out=out[1])
         return out
 
-    rhs.stiffness = lambda state: _stiffness(state, 1.0, mask, grid)
+    # the cube's input is pi - lam itself
+    rhs.stiffness = lambda state: _stiffness(state, 1.0, np.ones(w2.size),
+                                             grid)
     rhs.lin = np.array([[-1.0], [1.0]]) * inv_iw
     return _march_rk4(rhs, _entry_spectrum(dp0, grid), zeta_end, n_steps, 2,
                       grid)

@@ -512,7 +512,7 @@ def test_derived_kerr_count_has_a_ceiling(tmp_path):
     status, _ = run_scenario(parse_config(text), out_dir=tmp_path)
     assert status == 1
     message = (tmp_path / "error.txt").read_text()
-    n_steps = int(message.split("step count ")[1].split()[0])
+    n_steps = float(message.split("step count ")[1].split()[0])
     assert n_steps > MAX_DEFAULT_KERR_STEPS
     assert "run.n_steps" in message and "pulse.amplitude" in message
 
@@ -697,6 +697,19 @@ def test_reference_compare_passes_only_when_e_and_b_pass(monkeypatch, l2_e,
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_reference_compare_of_empty_records_fails_without_a_warning():
+    # a duration shorter than one oracle step leaves every record zero, and
+    # the relative L2 of a zero record, 0/0, warned "invalid value
+    # encountered in scalar divide"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, summary = next(plan(_scenario_config("reference-compare",
+                                                ["run.duration=0.01"])))
+    assert np.isnan(summary["l2_errors_e"] + summary["l2_errors_b"]).all()
+    assert summary["pass"] is False
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_reference_compare_records_the_oracle_clock():
     # at the Courant bound of 0.5, dx 0.08 steps 0.04, 2.5 steps a sample
     # of 0.1; the oracle steps 3 times a sample, at Courant 5/12
@@ -728,7 +741,7 @@ def test_oracle_run_takes_the_step_its_plan_makes(dt):
 def test_plan_bounds_the_oracle_source_interpolant(monkeypatch, ceiling,
                                                    refused):
     # 3 oracle steps a sample of a 2048-sample window: 6144 points
-    monkeypatch.setattr(cli, "MAX_ORACLE_SAMPLES", ceiling)
+    monkeypatch.setattr(cli, "MAX_SAMPLES", ceiling)
     config = _scenario_config("reference-compare")
     if not refused:
         plan(config)
@@ -901,6 +914,9 @@ def test_validate_and_run_agree_under_an_override(tmp_path, capsys, text,
     ({"dx = 0.08": "dx = 0.02", "x_ref = 0.48": "x_ref = -0.48",
       "x_probes = 0.96": "x_probes = 2.0", "pad = 40.0": "pad = 0.1"},
      "x_ref"),
+    # 2.5e13 and 2.5e7 oracle nodes printed "config ok"
+    ({"pad = 40.0": "pad = 1e12"}, "pad"),
+    ({"pad = 40.0": "pad = 1e6"}, "pad"),
 ])
 def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     # keys that YeeGrid1D, run_boundary_source or reference_compare would
@@ -1072,10 +1088,108 @@ def test_validate_refuses_stations_over_the_ceiling(tmp_path, capsys,
                            f"run.n_stations or grid.n\n")
 
 
+def _validate(tmp_path, capsys, scenario, *overrides):
+    """(exit status, stderr) of ``validate`` on the acceptance-10 config of
+    ``scenario`` under ``overrides``."""
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    f = tmp_path / "cfg.ini"
+    f.write_text(f"[scenario]\nname = {scenario}\n" + BASE_MEDIUM
+                 + SCENARIO_CONFIGS[scenario])
+    status = main(["validate", str(f),
+                   *(arg for item in overrides for arg in ("--override", item))])
+    return status, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, override, violation", [
+    ("stationary-linear", "run.n_xi=100000000000",
+     "run.n_xi: must lie in [1, 8388608]"),
+    ("taylor-error", "run.n_points=100000000000",
+     "run.n_points: must lie in [1, 8388608]"),
+    ("stationary-nonlinear", "run.n_steps=1000000000",
+     "run.n_steps: must lie in [4, 8388607]"),
+    ("split", "grid.n=16777216", "grid.n: must lie in [1, 8388608]"),
+])
+def test_validate_refuses_each_size_over_the_ceiling(tmp_path, capsys,
+                                                     scenario, override,
+                                                     violation):
+    # each printed "config ok" (the split after building its 2^24 samples),
+    # and run of the first died in a MemoryError for 745 GiB; validate
+    # alone, since a run that a lost rule let through would allocate that
+    # much (test_validate_rejects_non_finite_and_unusable_numbers runs)
+    assert _validate(tmp_path, capsys, scenario, override) == (
+        1, f"invalid: {violation}\n")
+
+
+@pytest.mark.parametrize("scenario, key, ceiling", [
+    ("stationary-linear", "run.n_xi", 2**23),
+    ("taylor-error", "run.n_points", 2**23),
+    # the profile holds n_steps + 1 points
+    ("stationary-nonlinear", "run.n_steps", 2**23 - 1),
+])
+def test_a_size_key_passes_at_the_ceiling_and_not_past_it(tmp_path, capsys,
+                                                          scenario, key,
+                                                          ceiling):
+    assert _validate(tmp_path, capsys, scenario, f"{key}={ceiling}") == (
+        0, "")
+    status, err = _validate(tmp_path, capsys, scenario,
+                            f"{key}={ceiling + 1}")
+    assert status == 1 and err.startswith(f"invalid: {key}: must lie in [")
+
+
+@pytest.mark.parametrize("pad, refused", [(524287.25, False),
+                                          (524287.3125, True)])
+def test_plan_bounds_the_oracle_nodes(pad, refused):
+    # at dx 1/8, x_ref 0.5, a probe 1.0 past it and two pads take
+    # 12 + 16 pad nodes, exactly: 2^23 at the first pad, one more at the
+    # second; the plan allocates nothing of the nodes' size
+    config = _scenario_config("reference-compare", [
+        "run.dx=0.125", "run.x_ref=0.5", "run.x_probes=1.0", f"run.pad={pad}"])
+    if not refused:
+        plan(config)
+        return
+    with pytest.raises(ConfigError) as exc:
+        plan(config)
+    assert exc.value.violations == [
+        "run.dx/run.x_ref/run.x_probes/run.pad: 8.39e+06 oracle nodes exceed "
+        "8388608; raise run.dx, or lower run.pad, run.x_ref or run.x_probes"]
+
+
+@pytest.mark.parametrize("override, keys", [
+    ("medium.c=1e300", "medium"),
+    ("medium.omega_pe=1e300", "medium.omega_pe/medium.omega_pm"),
+    ("pulse.width=1e300", "pulse.width"),
+])
+def test_validate_names_the_keys_of_an_overflow(tmp_path, capsys, override,
+                                                keys):
+    # each printed a traceback: OverflowError from c^2 in DrudeParams, p^2
+    # in a_squared and width^2 in synthesize_pulse
+    status, err = _validate(tmp_path, capsys, "propagate-nonlinear",
+                            "run.n_steps=0", override)
+    assert status == 1 and err.count("\n") == 1
+    assert err.startswith(f"invalid: {keys}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("chi3, count", [("1e300", "8.09e+300"),
+                                         ("1e308", "inf")])
+def test_validate_prints_a_huge_derived_count_in_three_digits(tmp_path,
+                                                              capsys, chi3,
+                                                              count):
+    # at chi3 1e300 the count was printed in all its 301 digits; at 1e308
+    # int() of the infinite count kerr_default_steps derived printed a
+    # traceback
+    assert _validate(tmp_path, capsys, "propagate-nonlinear", "run.n_steps=0",
+                     f"medium.chi3={chi3}") == (
+        1, f"invalid: run.n_steps: derived Kerr step count {count} exceeds "
+           f"100000; set run.n_steps to march that many, or lower "
+           f"pulse.amplitude or run.x_end\n")
+
+
 def test_validate_names_grid_n_that_cannot_be_allocated(tmp_path):
     # numpy's MemoryError on the 8 GiB times of TimeGrid escaped the key
-    # context; the child's address space is capped at 4 GiB, so the
-    # allocation fails at once on any machine
+    # context; grid.n's range rule now refuses it before any allocation,
+    # and the child's address space is capped at 4 GiB, so a run that
+    # tried would fail at once on any machine
     resource = pytest.importorskip("resource")
     f = tmp_path / "cfg.ini"
     f.write_text(BASE)

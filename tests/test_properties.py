@@ -12,7 +12,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -38,7 +41,8 @@ from metapulse import (
     reconstruct,
     split,
 )
-from metapulse.cli import MAX_ORACLE_SAMPLES, SCENARIOS, _oracle, main
+from metapulse import cli
+from metapulse.cli import MAX_SAMPLES, SCENARIOS, _oracle, main
 from metapulse.medium import C
 from metapulse.render import table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
@@ -409,7 +413,7 @@ def test_oracle_steps_divide_the_grid_step_within_the_courant_bound(
     params = DrudeParams(1.0, 1.0, c=c, eps0=1.0 / c, mu0=1.0 / c)
     grid = TimeGrid(8, dt)
     # more steps than that are refused by the plan before any is taken
-    assume(c * dt / (courant * dx) < MAX_ORACLE_SAMPLES / grid.n)
+    assume(c * dt / (courant * dx) < MAX_SAMPLES / grid.n)
     grid1d, *_ = _oracle(params, grid, dx, courant, x_ref=dx, x_probes=[dx],
                          duration=dt, pad=40.0 * dx)
     m = round(dt / grid1d.dt_fdtd)
@@ -434,3 +438,77 @@ def test_plan_names_the_keys_validate_missed(tmp_path, case):
         assert diag.read_text().startswith(f"ConfigError: {keys}: ")
     else:
         assert err.startswith(f"invalid: {keys}: ")
+
+
+#: every finite double, subnormals included, drawn as often at or above 0,
+#: where the rules that are not signs bind, as anywhere
+_DOUBLES = st.floats(0.0, 1e308) | st.floats(-1e308, 1e308)
+#: every finite value of each schema type
+_FULL_RANGE = {float: _DOUBLES, int: st.integers(-2**62, 2**62),
+               list: st.lists(_DOUBLES, min_size=1, max_size=3)}
+
+
+@st.composite
+def full_range_overrides(draw):
+    """(scenario, overrides): one to three of the numeric keys the scenario
+    reads, each set to any finite value of its type."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    _, _, takes_pulse, run_keys = SCENARIOS[scenario]
+    sections = {"medium": cli._MEDIUM_KEYS, "run": run_keys}
+    if takes_pulse:
+        sections.update(grid=cli._GRID_KEYS, pulse=cli._PULSE_KEYS)
+    types = {f"{name}.{key}": typ for name, schema in sections.items()
+             for key, (typ, _, _) in schema.items() if typ is not str}
+    keys = draw(st.lists(st.sampled_from(sorted(types)), min_size=1,
+                         max_size=3, unique=True))
+    text = {float: repr, int: str, list: lambda xs: ", ".join(map(repr, xs))}
+    return scenario, [f"{key}={text[types[key]](draw(_FULL_RANGE[types[key]]))}"
+                      for key in keys]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(full_range_overrides())
+# each printed a traceback: an OverflowError from c^2 in DrudeParams, p^2
+# in a_squared, width^2 in synthesize_pulse, and int() of the infinite
+# count kerr_default_steps derived
+@example(("propagate-nonlinear", ["medium.c=1e300"]))
+@example(("propagate-nonlinear", ["medium.omega_pe=1e300"]))
+@example(("propagate-nonlinear", ["pulse.width=1e300"]))
+@example(("propagate-nonlinear", ["medium.chi3=1e308", "run.n_steps=0"]))
+def validate_over_full_ranges(case):
+    """``validate`` of an acceptance-10 config under ``case``'s overrides
+    exits 0, or 1 with only ``invalid:`` lines; a traceback, a MemoryError
+    among them, fails. Run by the test below in a child process."""
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    scenario, overrides = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = Path(tmp) / "cfg.ini"
+        config.write_text(f"[scenario]\nname = {scenario}\n" + BASE_MEDIUM
+                          + SCENARIO_CONFIGS[scenario])
+        status, err = _cli("validate", str(config),
+                           *(a for o in overrides for a in ("--override", o)))
+    assert status in (0, 1), (case, status)
+    assert status == bool(err), (case, err)
+    assert all(line.startswith("invalid: ") for line in err.splitlines()), (
+        case, err)
+
+
+def test_validate_prints_no_traceback_for_any_finite_value():
+    # the child's address space is capped at 1 GiB, which the plans of the
+    # largest runs the ceilings admit fit in, so a run that a missing rule
+    # lets allocate more fails at once in a MemoryError, on any machine;
+    # one BLAS thread, as each reserves about 40 MB of address space
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+    tests = Path(__file__).resolve().parent
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import test_properties; test_properties.validate_over_full_ranges()"],
+        cwd=tests, text=True, capture_output=True, timeout=600,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"),
+                                            str(tests)])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert out.returncode == 0, out.stderr[-4000:]

@@ -101,11 +101,6 @@ MUTANTS = [
      "new": "courant=min(params.c * grid.dt / (m * dx), courant))",
      "tests": ["tests/test_cli.py::test_oracle_run_takes_the_step_its_plan_"
                "makes"]},
-    {"name": "oracle-ceiling-inclusive", "file": CLI,
-     "old": "if m * grid.n > MAX_ORACLE_SAMPLES:",
-     "new": "if m * grid.n >= MAX_ORACLE_SAMPLES:",
-     "tests": ["tests/test_cli.py::test_plan_bounds_the_oracle_source_"
-               "interpolant"]},
     {"name": "records-from-step-1", "file": REFERENCE,
      "old": "on, j = slice(-n0 % m, None, m)",
      "new": "on, j = slice((1 - n0) % m, None, m)",
@@ -121,6 +116,49 @@ MUTANTS = [
      "new": "half[-1] *= 1.0 if m > 1 else 1.0",
      "tests": ["tests/test_reference.py::"
                "test_upsample_is_the_sources_trigonometric_interpolant"]},
+    # the size ceiling and the plan's overflows
+    {"name": "size-ceiling-inclusive", "file": CLI,
+     "old": "if not samples <= MAX_SAMPLES:",
+     "new": "if not samples < MAX_SAMPLES:",
+     "tests": ["tests/test_cli.py::test_plan_bounds_the_oracle_source_"
+               "interpolant",
+               "tests/test_cli.py::test_validate_refuses_stations_over_the_"
+               "ceiling",
+               "tests/test_cli.py::test_plan_bounds_the_oracle_nodes"]},
+    {"name": "oracle-nodes-unbounded", "file": CLI,
+     "old": "    _check_size(nodes, \"run.dx/run.x_ref/run.x_probes/run.pad\",\n"
+            "                f\"{nodes:.3g} oracle nodes\",\n"
+            "                \"raise run.dx, or lower run.pad, run.x_ref or "
+            "run.x_probes\")\n",
+     "new": "",
+     "tests": ["tests/test_cli.py::test_plan_bounds_the_oracle_nodes"]},
+    {"name": "count-without-ceiling", "file": CLI,
+     "old": "_COUNT = _rule(lambda n: 1 <= n <= MAX_SAMPLES,",
+     "new": "_COUNT = _rule(lambda n: 1 <= n,",
+     "tests": ["tests/test_cli.py::test_a_size_key_passes_at_the_ceiling_and_"
+               "not_past_it"]},
+    *({"name": f"oscillator-steps-{name}", "file": CLI,
+       "old": "_rule(lambda n: 4 <= n < MAX_SAMPLES,",
+       "new": f"_rule(lambda n: {rule},",
+       "tests": ["tests/test_cli.py::test_a_size_key_passes_at_the_ceiling_"
+                 "and_not_past_it"]}
+      for name, rule in (("without-ceiling", "4 <= n"),
+                         ("ceiling-inclusive", "4 <= n <= MAX_SAMPLES"))),
+    {"name": "keys-without-overflow", "file": CLI,
+     "old": "except (ValueError, ArithmeticError) as exc:",
+     "new": "except ValueError as exc:",
+     "tests": ["tests/test_cli.py::test_validate_names_the_keys_of_an_"
+               "overflow"]},
+    {"name": "derived-count-in-all-its-digits", "file": CLI,
+     "old": "derived Kerr step count {n_steps:.3g} exceeds",
+     "new": "derived Kerr step count {n_steps} exceeds",
+     "tests": ["tests/test_cli.py::test_validate_prints_a_huge_derived_count_"
+               "in_three_digits"]},
+    {"name": "zero-record-l2-warns", "file": CLI,
+     "old": "with np.errstate(divide=\"ignore\", invalid=\"ignore\"):",
+     "new": "with np.errstate():",
+     "tests": ["tests/test_cli.py::test_reference_compare_of_empty_records_"
+               "fails_without_a_warning"]},
 ]
 
 
