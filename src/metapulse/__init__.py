@@ -16,6 +16,7 @@ from .errors import (
     GridMismatchError,
     InadmissibleGridError,
     MetapulseError,
+    ParameterError,
     SingularFrequencyError,
 )
 from .medium import (

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evolution, medium, reference, stationary, waves
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .render import table_chunks
 from .spectral import Signal, TimeGrid, apply, make_multiplier
 from .waves import CLEAN_TOL, FieldPair
@@ -193,8 +193,9 @@ def parse_config(text, overrides=()):
         kwargs = {k: v for k, v in med.items() if v is not None}
         try:
             params = medium.DrudeParams(**kwargs)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            violations.append(f"medium: {exc}")
+        except ParameterError as exc:
+            violations.append("/".join(f"medium.{name}" for name in exc.names)
+                              + f": {exc.reason}")
 
     if spanned_clean:
         _validate_physics(scenario, params, grid, pulse, violations)
@@ -638,7 +639,7 @@ def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
     the m of :func:`reference.steps_per_sample` within ``courant``, its
     source node and the probe positions from the source. Raises ConfigError
     naming the keys when the spectral window, the oracle grid or
-    MAX_SAMPLES (its nodes, its source's points) cannot take them."""
+    MAX_SAMPLES (its nodes, source points and records) cannot take them."""
     if grid.window < duration:
         raise ConfigError([f"run.duration: longer than the spectral window "
                            f"grid.n * grid.dt = {grid.window:g}"])
@@ -647,6 +648,9 @@ def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
                 f"{nodes:.3g} oracle nodes",
                 "raise run.dx, or lower run.pad, run.x_ref or run.x_probes")
     probes = [x_ref] + [x_ref + xp for xp in x_probes]
+    _check_size(len(probes) * grid.n, "run.x_probes/grid.n",
+                f"{len(probes)} oracle records x {grid.n} samples",
+                "list fewer run.x_probes or lower grid.n")
     with _keys("run.dx", "run.pad", "run.courant"):
         m = reference.steps_per_sample(grid.dt, courant * dx / params.c)
         grid1d = reference.YeeGrid1D(nx=int(nodes), dx=dx, c=params.c,

@@ -21,6 +21,14 @@ class GridMismatchError(MetapulseError, ValueError):
     """Two objects that must share a time grid do not."""
 
 
+class ParameterError(MetapulseError, ValueError):
+    """A constructor refused its arguments ``names`` for ``reason``."""
+
+    def __init__(self, names, reason):
+        self.names, self.reason = names, reason
+        super().__init__(f"{'/'.join(names)}: {reason}")
+
+
 class BlowUpError(MetapulseError, RuntimeError):
     """A marching solver produced non-finite values.
 

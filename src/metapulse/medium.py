@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvanescentBandError, SingularFrequencyError
+from .errors import EvanescentBandError, ParameterError, SingularFrequencyError
 
 #: vacuum light speed (m/s), exact in the SI
 C = 299792458.0
@@ -66,13 +66,17 @@ class DrudeParams:
 
     def __post_init__(self):
         if not (self.omega_pe > 0 and self.omega_pm > 0):
-            raise ValueError("plasma frequencies must be positive")
+            raise ParameterError(("omega_pe", "omega_pm"),
+                                 "plasma frequencies must be positive")
         if not self.c > 0:
-            raise ValueError("c must be positive")
-        if abs(self.c**2 * self.eps0 * self.mu0 - 1.0) > 1e-12:
-            raise ValueError("c^2 * eps0 * mu0 must equal 1")
+            raise ParameterError(("c",), "must be positive")
+        product = self.c * self.c * self.eps0 * self.mu0
+        if abs(product - 1.0) > 1e-12:
+            value = "overflows" if product == np.inf else f"is {product:.6g}"
+            raise ParameterError(("c", "eps0", "mu0"),
+                                 f"c^2 * eps0 * mu0 {value}; it must equal 1")
         if self.chi3 < 0:
-            raise ValueError("chi3 < 0 is not supported")
+            raise ParameterError(("chi3",), "must not be negative")
 
     @property
     def band_low(self):

@@ -1,35 +1,33 @@
 """CSV rendering of output tables, every value exactly as ``'%.17e' % v``,
-a chunk of rows at a time (``table_chunks``): the digits in double-double
-arithmetic, written into a fixed-size slot per value, and the slots' NUL
-padding stripped in one pass."""
+a chunk of values at a time (``table_chunks``): the digits in double-double
+arithmetic, written into a fixed-size slot per value, 25 or 26 bytes, and
+the slots' NUL padding stripped in one pass."""
 
 import functools
 
 import numpy as np
 
-__all__ = ["CSV_CHUNK_ROWS", "table_chunks"]
+__all__ = ["CSV_CHUNK_VALUES", "table_chunks"]
 
-#: rows rendered per numpy pass of ``table_chunks``; a pass's work arrays
-#: peak at about 186 bytes per value (traced), 0.47 MB for 512 rows of 5
-#: columns
-CSV_CHUNK_ROWS = 512
-
-#: bytes of one value's slot in :func:`_fill_slots`: sign, "d.dd", five
-#: "ddd" groups, "e+dd" or "e+ddd" and the separator
-_SLOT = 26
+#: values per numpy pass of ``table_chunks``, as ``max(1, CSV_CHUNK_VALUES
+#: // k)`` rows of a k-column table; a pass's work arrays peak at about 87
+#: bytes a value (traced), 0.51 MiB for 1228 rows of 5 columns
+CSV_CHUNK_VALUES = 6144
 
 
 def table_chunks(header, columns):
     """A table's ASCII bytes, comma-separated %.17e, as a sequence of
-    chunks: the header line, then ``CSV_CHUNK_ROWS`` rows at a time.
+    chunks: the header line, then ``max(1, CSV_CHUNK_VALUES // k)`` rows
+    of the k ``columns`` at a time.
 
     Every value is written exactly as ``'%.17e' % v`` writes it, by
     :func:`_render_rows` in numpy. Only one chunk's rows are stacked and
     rendered at a time, so writing a table holds no more than that.
     """
     yield header.encode() + b"\n"
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        rows = slice(start, start + CSV_CHUNK_ROWS)
+    step = max(1, CSV_CHUNK_VALUES // len(columns))
+    for start in range(0, len(columns[0]), step):
+        rows = slice(start, start + step)
         yield _render_rows(np.column_stack([c[rows] for c in columns])
                            .astype(float, copy=False))
 
@@ -55,18 +53,18 @@ def _decimal_table():
     * ``decade``: E, the decade of the binade's low end 2^(ex-1);
     * ``threshold``: the least M whose value reaches 10^(E+1), or 2^53
       when none in the binade does, so v's decade is E + (M >= threshold);
-    * ``scale``, row 2 (ex + 1073) + d for the decade E + d: the
+    * ``scale``, column 2 (ex + 1073) + d for the decade E + d: the
       double-double hi + lo of S = 2^(ex-53) 10^(17-E-d), hi the double
       nearest S, lo the one nearest S - hi, with hi split (Veltkamp) into
-      its high 26 bits and the rest.
+      its high 26 bits and the rest, stored as three contiguous rows.
 
     Then the words :func:`_fill_slots` stores: the ASCII of "d.dd" and of
     "ddd" for 0..999 as u4 ("ddd" NUL-padded), and of "e-324".."e+308" as
     u8, NUL-padded.
     """
     n = 2098  # binades
-    return (np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64),
-            np.empty(n), np.empty((2 * n, 3)),
+    return (np.zeros(n, dtype=bool), np.empty(n, dtype=np.int32),
+            np.empty(n), np.empty((3, 2 * n)),
             _ascii_table([f"{k // 100}.{k % 100:02d}" for k in range(1000)],
                          "<u4"),
             _ascii_table([f"{k:03d}" for k in range(1000)], "<u4"),
@@ -96,7 +94,7 @@ def _fill_binades(rows):
             lo = (num * hd - hn * den) / (den * hd)
             split = hi * 134217729.0  # Veltkamp: 2^27 + 1
             high = split - (split - hi)
-            scale[2 * i + d] = high, hi - high, lo
+            scale[:, 2 * i + d] = high, hi - high, lo
         built[i] = True
 
 
@@ -125,82 +123,90 @@ def _render_rows(block):
     time. The table's rows for the binades of ``block`` that no earlier
     call met are filled in first.
 
-    Each value gets a fixed ``_SLOT``-byte slot of one uint8 buffer (see
-    :func:`_fill_slots`), and the NUL bytes of the short fields are
-    stripped from the whole buffer in one ``bytes.replace``.
+    The work arrays are written in place and dropped once read. Each value
+    gets a 25-byte slot (:func:`_fill_slots`), 26 if a decade has 3 digits.
     """
-    built, decade, threshold, scale = _decimal_table()[:4]
+    built, decade, threshold, (high, low, lo) = _decimal_table()[:4]
     values = block.ravel()
-    finite = np.isfinite(values)
-    mantissa, ex = np.frexp(np.where(finite, np.abs(values), 0.0))
-    m = np.ldexp(mantissa, 53)
-    i = ex + 1073
+    slow = ~np.isfinite(values)
+    m, i = np.frexp(np.where(slow, 0.0, np.abs(values)))
+    np.ldexp(m, 53, out=m)
+    i += 1073
     if not built.take(i).all():
         _fill_binades(np.unique(i[~built[i]]))
     upper = m >= threshold.take(i)
-    high, low, lo = scale.take(2 * i + upper, axis=0).T
     e = decade.take(i) + upper
+    row = 2 * i + upper
+    h, l = high.take(row), low.take(row)
+    p = np.multiply(m, h + l)
     m_high = np.ldexp(np.rint(np.ldexp(m, -27)), 27)
     m_low = m - m_high
-    p = m * (high + low)
-    t = (((m_high * high - p) + m_high * low + m_low * high) + m_low * low
-         + m * lo)
+    # t = (((m_high h - p) + m_high l + m_low h) + m_low l) + m lo
+    t = m_high * h
+    t -= p
+    t += np.multiply(m_high, l, out=m_high)
+    t += np.multiply(m_low, h, out=h)
+    t += np.multiply(m_low, l, out=l)
+    # a take into out= is buffered unless its mode is clip or wrap
+    t += np.multiply(m, lo.take(row, out=h, mode="clip"), out=h)
+    del h, l, m_high, m_low
     t_int = np.rint(t)
-    slow = ~finite
     # t - rint(t) is exact, and within 2^-30 of +-0.5 on a near tie
     near = np.flatnonzero(np.abs(t - t_int) > 0.5 - 2.0**-30)
     if near.size:
         m_int = m[near].astype(np.int64)
         tz = np.frexp((m_int & -m_int).astype(float))[1] - 1
-        slow[near[tz + ex[near] - e[near] != 35]] = True
+        slow[near[tz + (i[near] - 1073) - e[near] != 35]] = True
     digits = p.astype(np.int64) + t_int.astype(np.int64)
     # 9.99...95e(E) rounds up to 1.00...0e(E+1)
     carry = digits == 10**18
     digits[carry] = 10**17
     e += carry
     e[m == 0] = 0
-    slots = _fill_slots(values, digits, e, block.shape[1])
+    width = 26 if max(e.max(), -e.min()) >= 100 else 25
+    del m, i, row, upper, p, t, t_int, carry
+    return _fill_slots(values, digits, e, slow, block.shape[1], width)
+
+
+def _fill_slots(values, digits, e, slow, n_cols, width):
+    """The CSV bytes of ``values`` in rows of ``n_cols``: a ``width``-byte
+    slot each, filled from its 18 digits (overwritten) and its decimal
+    exponent, or for the ``slow`` ones from Python's ``'%.17e'``, and the
+    slots' NUL padding stripped by one ``bytearray.replace``.
+
+    A slot holds, by byte offset: 0 the sign, "-" or NUL; 1 "d.dd"; 5, 8,
+    11, 14 and 17 the five "ddd" groups; 20 the exponent, "e+dd", or in a
+    26-byte slot "e+dd" or "e+ddd" NUL-padded to 5 bytes; ``width - 1``
+    the separator, "," or a row's newline. Every field is stored as one
+    little-endian word through a strided view at its offset: a "ddd" group
+    as a u4 whose NUL fourth byte the next field overwrites, the exponent
+    as a u8 whose NUL tail spills over the separator and the next slot's
+    sign and "d.dd" (the last slot's into 3 bytes of tail). So the stores
+    go in the layout's order: the groups from offset 5 up, the exponent,
+    then sign, "d.dd" and separator.
+    """
+    lead, ddd, exps = _decimal_table()[4:]
+    n = len(values)
+    buf = bytearray(n * width + 3)
+
+    def words(offset, dtype):
+        return np.ndarray(n, dtype, buf, offset, (width,))
+
+    group = digits // 10**15
+    first = lead.take(group)
+    for offset in range(5, 20, 3):  # digits 10^(19-offset)..10^(17-offset)
+        digits -= np.multiply(group, 10 ** (20 - offset), out=group)
+        words(offset, "<u4")[...] = ddd.take(
+            np.floor_divide(digits, 10 ** (17 - offset), out=group))
+    words(20, "<u8")[...] = exps.take(e + 324)
+    words(0, "u1")[...] = np.signbit(values) * np.uint8(ord("-"))
+    words(1, "<u4")[...] = first
+    separator = words(width - 1, "u1")
+    separator[...] = ord(",")
+    separator[n_cols - 1::n_cols] = ord("\n")
+    slots = np.ndarray((n, width), np.uint8, buf)
     for j in np.flatnonzero(slow):
         text = b"%.17e" % values[j]
         slots[j, :-1] = 0
         slots[j, :len(text)] = np.frombuffer(text, np.uint8)
-    return slots.tobytes().replace(b"\0", b"")
-
-
-def _fill_slots(values, digits, e, n_cols):
-    """The ``_SLOT``-byte slots of ``values``, one row each, from their 18
-    digits and decimal exponents, as a uint8 array over one buffer.
-
-    A slot holds, by byte offset: 0 the sign, "-" or NUL; 1 "d.dd"; 5, 8,
-    11, 14 and 17 the five "ddd" groups; 20 "e+dd" or "e+ddd", NUL-padded
-    to 5 bytes; 25 the separator, "," or a row's closing newline. Every
-    field is stored as one little-endian word through a strided view at
-    its offset, whatever its alignment: a "ddd" group as a u4 whose NUL
-    fourth byte the next field overwrites, the exponent as a u8 whose last
-    three bytes spill over the separator and the next slot's sign and
-    "d.dd" (the last slot's into 2 bytes of tail padding). So the order of
-    the stores is the layout's: the groups from offset 5 up, then the
-    exponent, then sign, "d.dd" and separator. The positive sign and the
-    5th byte of a 2-digit exponent stay NUL. ``digits`` is overwritten.
-    """
-    lead, ddd, exps = _decimal_table()[4:]
-    n = len(values)
-    buf = np.empty(n * _SLOT + 2, np.uint8)
-
-    def words(offset, dtype):
-        return np.ndarray(n, dtype, buf, offset, (_SLOT,))
-
-    first = digits // 10**15
-    digits -= first * 10**15
-    for offset, unit in zip((5, 8, 11, 14), (10**12, 10**9, 10**6, 10**3)):
-        group = digits // unit
-        words(offset, "<u4")[...] = ddd.take(group)
-        digits -= group * unit
-    words(17, "<u4")[...] = ddd.take(digits)
-    words(20, "<u8")[...] = exps.take(e + 324)
-    slots = buf[:-2].reshape(n, _SLOT)
-    slots[:, 0] = np.signbit(values) * np.uint8(ord("-"))
-    words(1, "<u4")[...] = lead.take(first)
-    slots[:, -1] = ord(",")
-    slots[n_cols - 1::n_cols, -1] = ord("\n")
-    return slots
+    return buf.replace(b"\0", b"")

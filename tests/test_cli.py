@@ -24,7 +24,7 @@ from metapulse.cli import (
     run_scenario,
     synthesize_pulse,
 )
-from metapulse.render import CSV_CHUNK_ROWS, table_chunks
+from metapulse.render import CSV_CHUNK_VALUES, table_chunks
 from conftest import fft_omegas
 
 BASE = """
@@ -79,14 +79,14 @@ def test_parse_collects_all_violations():
     # with no other violation, so these three took three rounds
     ("propagate-linear", "chi3 = -1\n", "shape = user-file\n",
      "x_end = -1\n",
-     ["run.x_end: must be positive", "medium: chi3 < 0 is not supported",
+     ["run.x_end: must be positive", "medium.chi3: must not be negative",
       "pulse.file: required for shape user-file"]),
     # a refused medium skips the rules that read it: the band's gap and
     # taylor-error's p <= q
     ("propagate-kg", "chi3 = -1\n", "", "x_end = 1\n",
-     ["medium: chi3 < 0 is not supported"]),
+     ["medium.chi3: must not be negative"]),
     ("taylor-error", "chi3 = -1\n", "", "",
-     ["medium: chi3 < 0 is not supported"]),
+     ["medium.chi3: must not be negative"]),
     # an output violation hid the cross-key pulse rules
     ("propagate-linear", "", "shape = user-file\n",
      "x_end = 1\n\n[output]\nbogus = 1\n",
@@ -96,7 +96,7 @@ def test_parse_collects_all_violations():
     ("propagate-nonlinear", "chi3 = -1\n", "shape = user-file\n",
      "x_end = 1\nn_stations = 1\n",
      ["run.n_stations: must be at least 2 (entry and exit)",
-      "medium: chi3 < 0 is not supported",
+      "medium.chi3: must not be negative",
       "pulse.file: required for shape user-file"]),
     # the Kerr stations rule ran in the plan, so it came one round late
     ("propagate-nonlinear", "", "",
@@ -262,9 +262,9 @@ def _format_per_value(header, columns):
 def _eager_decimal_constants():
     """Reference for the renderer's per-binade constants: (decade,
     threshold, scale) for all 2098 binades at once, from exact Python ints,
-    with scale's row 2 (ex + 1073) + d for the decade E + d."""
+    with scale's column 2 (ex + 1073) + d for the decade E + d."""
     exs = range(-1073, 1025)
-    decade = np.empty(len(exs), dtype=np.int64)
+    decade = np.empty(len(exs), dtype=np.int32)
     threshold = np.empty(len(exs))
     scale = np.empty((len(exs), 2, 3))
     for i, ex in enumerate(exs):
@@ -285,7 +285,7 @@ def _eager_decimal_constants():
             split = hi * 134217729.0
             high = split - (split - hi)
             scale[i, d] = high, hi - high, lo
-    return decade, threshold, scale.reshape(-1, 3)
+    return decade, threshold, scale.reshape(-1, 3).T
 
 
 def test_binades_built_on_demand_match_the_eager_constants():
@@ -373,38 +373,72 @@ def _edge_values(name):
     raise KeyError(name)
 
 
+def _chunk_rows(n_cols):
+    """Rows of an n_cols-column table that ``table_chunks`` renders at a
+    time."""
+    return max(1, CSV_CHUNK_VALUES // n_cols)
+
+
 def _wide_exponents(n_rows, n_cols):
     """An n_rows x n_cols table of random values of both signs, about half
     with 3-digit exponents (|E| >= 100) and half with 2-digit ones. The
     last value of each chunk, and so of the table, has a 3-digit exponent,
     positive in even chunks and negative in odd ones."""
     rng = np.random.default_rng(n_rows * 10 + n_cols)
+    chunk = _chunk_rows(n_cols)
     shape = (n_rows, n_cols)
     wide = np.concatenate([np.arange(-323, -99), np.arange(100, 308)])
     exponents = np.where(rng.random(shape) < 0.5, rng.choice(wide, shape),
                          rng.integers(-99, 100, shape))
     signs = rng.choice([-1.0, 1.0], shape)
     table = signs * rng.uniform(2.0, 8.0, shape) * 10.0**exponents
-    ends = np.unique(np.append(
-        np.arange(CSV_CHUNK_ROWS - 1, n_rows, CSV_CHUNK_ROWS), n_rows - 1))
-    table[ends, -1] = np.where(ends // CSV_CHUNK_ROWS % 2, -3.5e-250, 6.5e300)
+    ends = np.unique(np.append(np.arange(chunk - 1, n_rows, chunk),
+                               n_rows - 1))
+    table[ends, -1] = np.where(ends // chunk % 2, -3.5e-250, 6.5e300)
     return table
+
+
+def _slot_widths(n_cols):
+    """Four chunks of zeros of both signs whose first and last values take
+    turns at the edge of 2-digit exponents, so the chunks' slots go 25,
+    26, 25, 26 bytes: 1e-99 against the double below it (9.99...e-100),
+    and the double below 1e100 against 1e100."""
+    below_100 = np.nextafter(1e100, 0.0)
+    below_m99 = np.nextafter(1e-99, 0.0)
+    chunk = _chunk_rows(n_cols) * n_cols
+    values = np.resize([0.0, -0.0], 4 * chunk)
+    firsts = [1e-99, -below_m99, below_100, -0.0]
+    lasts = [-below_100, 0.0, -1e-99, 1e100]
+    values[::chunk] = firsts
+    values[chunk - 1::chunk] = lasts
+    return values.reshape(-1, n_cols)
+
+
+# the chunk edges of an n_cols-column table: (chunks, rows past them)
+_CHUNK_EDGES = {"chunk-1": (1, -1), "chunk": (1, 0), "chunk+1": (1, 1),
+                "3chunk+7": (3, 7)}
 
 
 @pytest.mark.parametrize("n_cols", [1, 2, 5])
 @pytest.mark.parametrize("n_rows", [
-    1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
-    3 * CSV_CHUNK_ROWS + 7,
+    1, 511, 512, 513, 1543, *_CHUNK_EDGES,
     "powers-of-two", "powers-of-ten", "subnormals", "integers", "exact-ties",
     "near-ties", "next-decade", "non-finite", "random-bits", "wide-exponents",
+    "slot-widths",
 ])
 def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
-    # random rows of every magnitude, a named set of edge values laid out
-    # row by row in n_cols columns (zero-padded), or wide exponents in a
-    # table one row short of a chunk and in one a row past it
+    # random rows of every magnitude, in a table of a fixed size or of one
+    # at a chunk edge; a named set of edge values laid out row by row in
+    # n_cols columns (zero-padded); wide exponents in a table one row short
+    # of a chunk and in one a row past it; or chunks that switch slot width
+    if n_rows in _CHUNK_EDGES:
+        chunks, extra = _CHUNK_EDGES[n_rows]
+        n_rows = chunks * _chunk_rows(n_cols) + extra
     if n_rows == "wide-exponents":
-        tables = [_wide_exponents(rows, n_cols)
-                  for rows in (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1)]
+        tables = [_wide_exponents(_chunk_rows(n_cols) + extra, n_cols)
+                  for extra in (-1, 1)]
+    elif n_rows == "slot-widths":
+        tables = [_slot_widths(n_cols)]
     elif isinstance(n_rows, str):
         values = _edge_values(n_rows)
         values = np.append(values, np.zeros(-len(values) % n_cols))
@@ -1155,8 +1189,22 @@ def test_plan_bounds_the_oracle_nodes(pad, refused):
         "8388608; raise run.dx, or lower run.pad, run.x_ref or run.x_probes"]
 
 
+@pytest.mark.parametrize("n_probes, status", [(4095, 0), (4096, 1),
+                                               (5000, 1)])
+def test_validate_bounds_the_oracle_records(tmp_path, capsys, n_probes,
+                                            status):
+    # 5000 probes printed "config ok" for oracle records of 10.2e6 values a
+    # field; at grid.n 2048, x_ref and 4095 probes hold 2^23 values each
+    probes = ",".join(f"{0.08 * k:.2f}" for k in range(1, n_probes + 1))
+    assert _validate(tmp_path, capsys, "reference-compare",
+                     f"run.x_probes={probes}") == (status, (
+        f"invalid: run.x_probes/grid.n: {n_probes + 1} oracle records x "
+        f"2048 samples exceed 8388608; list fewer run.x_probes or lower "
+        f"grid.n\n" if status else ""))
+
+
 @pytest.mark.parametrize("override, keys", [
-    ("medium.c=1e300", "medium"),
+    ("medium.c=1e300", "medium.c/medium.eps0/medium.mu0"),
     ("medium.omega_pe=1e300", "medium.omega_pe/medium.omega_pm"),
     ("pulse.width=1e300", "pulse.width"),
 ])
@@ -1168,6 +1216,23 @@ def test_validate_names_the_keys_of_an_overflow(tmp_path, capsys, override,
                             "run.n_steps=0", override)
     assert status == 1 and err.count("\n") == 1
     assert err.startswith(f"invalid: {keys}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, violation", [
+    ("medium.omega_pm=0", "medium.omega_pe/medium.omega_pm: plasma "
+     "frequencies must be positive"),
+    ("medium.c=-1", "medium.c: must be positive"),
+    ("medium.eps0=2", "medium.c/medium.eps0/medium.mu0: c^2 * eps0 * mu0 is "
+     "2; it must equal 1"),
+    ("medium.c=1e300", "medium.c/medium.eps0/medium.mu0: c^2 * eps0 * mu0 "
+     "overflows; it must equal 1"),
+    ("medium.chi3=-1", "medium.chi3: must not be negative"),
+])
+def test_validate_names_the_keys_of_a_refused_medium(tmp_path, capsys,
+                                                     override, violation):
+    # each read "medium: <reason>", the overflow Python's errno text
+    assert _validate(tmp_path, capsys, "propagate-linear", override) == (
+        1, f"invalid: {violation}\n")
 
 
 @pytest.mark.parametrize("chi3, count", [("1e300", "8.09e+300"),

@@ -20,9 +20,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-CLI, EVOLUTION, REFERENCE, STATIONARY = (
+CLI, EVOLUTION, REFERENCE, RENDER, STATIONARY = (
     f"src/metapulse/{name}.py"
-    for name in ("cli", "evolution", "reference", "stationary"))
+    for name in ("cli", "evolution", "reference", "render", "stationary"))
 
 MUTANTS = [
     # summaries and warnings
@@ -132,6 +132,10 @@ MUTANTS = [
             "run.x_probes\")\n",
      "new": "",
      "tests": ["tests/test_cli.py::test_plan_bounds_the_oracle_nodes"]},
+    {"name": "oracle-records-unbounded", "file": CLI,
+     "old": "_check_size(len(probes) * grid.n,",
+     "new": "_check_size(grid.n,",
+     "tests": ["tests/test_cli.py::test_validate_bounds_the_oracle_records"]},
     {"name": "count-without-ceiling", "file": CLI,
      "old": "_COUNT = _rule(lambda n: 1 <= n <= MAX_SAMPLES,",
      "new": "_COUNT = _rule(lambda n: 1 <= n,",
@@ -159,6 +163,20 @@ MUTANTS = [
      "new": "with np.errstate():",
      "tests": ["tests/test_cli.py::test_reference_compare_of_empty_records_"
                "fails_without_a_warning"]},
+    # the CSV renderer's chunks and slots
+    *({"name": name, "file": RENDER,
+       "old": "width = 26 if max(e.max(), -e.min()) >= 100 else 25",
+       "new": new,
+       "tests": ["tests/test_cli.py::test_format_table_bytes_match_per_"
+                 "value_rendering[slot-widths-1]"]}
+      for name, new in (
+          ("slot-width-past-E-100",
+           "width = 26 if max(e.max(), -e.min()) > 100 else 25"),
+          ("slot-fixed-at-25-bytes", "width = 25"))),
+    {"name": "chunk-rows-not-divided-by-columns", "file": RENDER,
+     "old": "step = max(1, CSV_CHUNK_VALUES // len(columns))",
+     "new": "step = CSV_CHUNK_VALUES",
+     "tests": ["tests/test_cli.py::test_writing_a_table_holds_one_chunk"]},
 ]
 
 
