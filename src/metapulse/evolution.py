@@ -20,8 +20,9 @@ Three propagation models, from exact to reduced:
   band the field occupies, the leading bins of a grid of m <= n points on
   the same window: content at or below m/4 cubes onto aliases at
   m - 3k >= m/4, inside the band (m/4, m/3] whose filling past
-  ``KERR_TAIL`` doubles m (see ``_kerr_rhs``). Only ``n_stations``
-  evenly spread steps are kept (default 2: entry and exit).
+  ``KERR_TAIL`` grows m by 5/4, 6/5 and 4/3 in turn (see ``_kerr_rhs``).
+  Only ``n_stations`` evenly spread steps are kept (default 2: entry and
+  exit).
 
 The two linear models are diagonal in frequency: given a 1-D sequence of
 distances, each returns one DirectedPair per distance from one rfft of the
@@ -54,7 +55,7 @@ KERR_STIFFNESS = 2.0
 KERR_PHASE_STEP = 0.25
 
 #: relative L2 a Kerr march on m points lets its entry hold above bin m/12
-#: and a step's state in (m/4, m/3]; more there redoes the step on 2m
+#: and a step's state in (m/4, m/3]; more there redoes the step on more
 KERR_TAIL = 1e-8
 
 
@@ -175,8 +176,8 @@ def _kerr_rhs(params, grid):
     cubes into bin 3k, an alias of kept bin m - 3k, so content kept at or
     below m/4 cubes onto aliases at m - 3k >= m/4, inside the band the
     march watches (m/4, m/3]. ``rhs.lin`` is the linear part ``-+(pq/c)
-    dt^{-1}`` per row, ``rhs.stiffness(state)`` a full state's sigma_0
-    (:func:`_stiffness`).
+    dt^{-1}`` per row, ``rhs.stiffness(state)`` sigma_0 about a state's
+    bins 0..m/2 (:func:`_stiffness`).
     """
     # dt^{-1} annihilates DC and the unpaired Nyquist bin
     inv_iw = make_multiplier("d_dt_inv", None, grid).values
@@ -213,9 +214,10 @@ def _kerr_k_c(params):
 
 def _stiffness(state, coefficient, to_cube, grid):
     """sigma_0 = 3 rows coefficient max_t(v^2) w_top, the cubic term's
-    largest rate about a full ``state``: v is the time image of the cube's
-    input ``to_cube * u`` cut at w_top, the full grid's 2/3 cut (bin n/3)."""
-    cut = grid.n // 3 + 1
+    largest rate about ``state``, the bins 0..m/2 of m points on the same
+    window: v is the full grid's time image of the cube's input ``to_cube
+    * u`` cut at w_top, m's 2/3 cut (bin m/3)."""
+    cut = 2 * (state.shape[-1] - 1) // 3 + 1
     u = state[0, :cut] - state[1, :cut] if len(state) == 2 else state[0, :cut]
     v = np.fft.irfft(to_cube[:cut] * u, grid.n)
     w_top = grid.half_omegas[cut - 1]
@@ -237,20 +239,22 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):
 
     ``state`` is a stacked complex array of half-spectra, one row per
     field, which the march overwrites; ``rhs(state, out)`` writes N into
-    ``out`` and returns it, on the leading m/2+1 bins: a grid of m = n/2^j
-    points on the same window, grown as ``KERR_TAIL`` sets. The bins above
-    m/2 carry the entry's exact linear phase exp(lin x), filled in as m
-    grows or a station is kept. Neither a step nor a growth allocates an
-    array: the stages reuse three full-width buffers through views, v and
-    then the new state go to a fourth that swaps with the old, and the
-    stage weights of 2 are applied in place ((2k)(h/4) is k(h/2) exactly).
-    It keeps steps ``linspace(0, n_steps, n_stations)`` as integers. Its
-    meta: ``kerr_stiffness(_exit)``, h ``rhs.stiffness`` of the full state
-    at entry (exit; past RK4's limit of about 2 sqrt(2) the march steepened
-    past its step), ``kerr_march_n``, the last m, and ``kerr_tail``, the
-    largest top-band fraction of the entry and of every step kept. A
-    non-finite state raises BlowUpError, its record holding the stations
-    kept so far and the last finite state.
+    ``out`` and returns it, on the leading m/2+1 bins: a grid of m points
+    on the same window, from m0 = n/2^j grown by 5/4, 6/5 and 4/3 in turn
+    to the 5-smooth m0 {5/4, 3/2, 2, 5/2, ...} as ``KERR_TAIL`` sets, each
+    growth redoing its step. The bins above m/2 carry the entry's exact
+    linear phase exp(lin x), filled in as m grows or a station is kept.
+    Neither a step nor a growth allocates an array: the stages reuse three
+    full-width buffers through views, v and then the new state go to a
+    fourth that swaps with the old, and the stage weights of 2 are applied
+    in place ((2k)(h/4) is k(h/2) exactly). It keeps steps
+    ``linspace(0, n_steps, n_stations)`` as integers. Its meta:
+    ``kerr_stiffness(_exit)``, h ``rhs.stiffness`` at entry on the full
+    grid (at exit on the last m; past RK4's limit of about 2 sqrt(2) the
+    march steepened past its step), ``kerr_march_n``, the last m, and
+    ``kerr_tail``, the largest top-band fraction of the entry and of every
+    step kept. A non-finite state raises BlowUpError, its record holding
+    the stations kept so far and the last finite state.
     """
     if not x_end > 0:
         raise ValueError(f"x_end (zeta_end) must be positive, got {x_end!r}")
@@ -302,12 +306,14 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):
             kk *= h / 6.0
             np.add(ac, kk, out=out)
             fraction = _fraction(new, np.s_[m // 4 + 1:m // 3 + 1], width)
-            if fraction > KERR_TAIL and m < grid.n:  # redo it on 2m points
-                band = np.s_[:, width:m + 1]
+            if fraction > KERR_TAIL and m < grid.n:  # redo it on more points
+                up = 4 if m % 3 == 0 else 6 if m % 5 == 0 else 5
+                m = m * up // (up - 1)  # 2^j m0: x 5/4, 6/5, 4/3
+                band = np.s_[:, width:m // 2 + 1]
                 np.multiply(lin[band], (step - 1) * h, out=arg[band])
                 np.exp(arg[band], out=arg[band])
                 state[band] *= arg[band]
-                m, width = 2 * m, m + 1
+                width = m // 2 + 1
                 continue
             # row by row: isfinite copies a strided complex view first
             if not all(np.isfinite(row[:width]).all() for row in new):
@@ -329,7 +335,7 @@ def _march_rk4(rhs, state, x_end, n_steps, n_stations, grid):
                 steps.append(step)
                 states.append(_to_pair(grid, spectrum))
             step += 1
-    meta.update(kerr_stiffness_exit=h * rhs.stiffness(spectrum),
+    meta.update(kerr_stiffness_exit=h * rhs.stiffness(spectrum[:, :width]),
                 kerr_march_n=m, kerr_tail=tail)
     return PropagationRecord(np.array(steps) * h, states, meta)
 

@@ -511,13 +511,13 @@ def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
                 for path in sorted(tmp_path.glob("*_station_*.csv"))]
     grid = TimeGrid(1024, 0.2)
     k = np.abs(np.fft.fftfreq(grid.n) * grid.n)
-    top = grid.n // 3
     k_c = 0.5 * 10.0 * 2.0**2 / (2.0 * 20.0**3 * 30.0)
-    w_top = 2.0 * np.pi * top / grid.window
 
-    def sigma_at(station):
+    def sigma_at(station, m=grid.n):  # cut at bin m/3 of m points
+        top = m // 3
         u_tt = np.fft.ifft(-fft_omegas(grid)**2 * (k <= top)
                            * np.fft.fft(station[:, 1] - station[:, 2])).real
+        w_top = 2.0 * np.pi * top / grid.window
         return 3.0 * rows * k_c * np.max(u_tt**2) * w_top
 
     entry = stations[0]
@@ -531,9 +531,11 @@ def test_kerr_manifest_records_kerr_stiffness(tmp_path, scenario, rows,
     assert summary["n_steps"] == expected_steps
     assert summary["kerr_stiffness (1)"] == pytest.approx(
         0.5 / expected_steps * sigma, rel=1e-12)
-    # the same rate read from the exit station
+    # the same rate read from the exit station, at the cut of the last
+    # grid the march ran on
     assert summary["kerr_stiffness_exit (1)"] == pytest.approx(
-        0.5 / expected_steps * sigma_at(stations[-1]), rel=1e-9)
+        0.5 / expected_steps
+        * sigma_at(stations[-1], summary["kerr_march_n (1)"]), rel=1e-9)
     if n_steps is None:
         assert summary["kerr_stiffness (1)"] <= 2.0
 

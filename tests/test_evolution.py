@@ -425,21 +425,23 @@ def test_blowup_after_the_entry_rate_grew_asks_for_more_steps(kerr_params,
         "(for example to 8)")
 
 
-def _steepening_entry():
-    """p != q and a pulse that steepens along x: 21 derived steps to 2."""
+def _steepening_entry(amplitude=4.0):
+    """p != q and a pulse that steepens along x: 21 derived steps to 2 at
+    each Pi ``amplitude`` from 4 to 4.2."""
     params = DrudeParams(0.8, 1.2, c=1.0, eps0=1.0, mu0=1.0, chi3=1.0)
     grid = TimeGrid(2048, 0.1)
-    dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0, amplitude=4.0),
+    dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0, amplitude=amplitude),
                        band_pulse(grid, 0.35, 15.0, amplitude=2.0))
     return params, grid, dp0
 
 
 def test_exit_stiffness_flags_a_finite_march_past_its_step():
-    # sigma_0 at entry sets 21 steps. At 13 steps h sigma_0 is 2.5, inside
+    # sigma_0 at entry sets 21 steps. At 13 steps h sigma_0 is 2.6, inside
     # RK4's limit of 2 sqrt(2), but the pulse steepens along x: that march
-    # ends finite with peaks near 1e42, while 42 steps and more end at 3.9.
-    # The exit h sigma reads past the limit at 13 steps and within it at 42
-    params, grid, dp0 = _steepening_entry()
+    # ends finite with peaks near 6e21, while 42 steps end at 3.97. The
+    # exit h sigma reads past the limit at 13 steps and within it at 42.
+    # Pi's amplitude is 4.05: at 4 the 13 steps peak at 4e6 only
+    params, grid, dp0 = _steepening_entry(4.05)
     assert kerr_default_steps(dp0, 2.0, params, grid) == 21
     coarse, fine = (propagate_nonlinear(dp0, 2.0, n, params, grid)
                     for n in (13, 42))
@@ -450,14 +452,54 @@ def test_exit_stiffness_flags_a_finite_march_past_its_step():
 
 
 def test_exit_stiffness_of_a_huge_finite_march_is_inf_without_a_warning():
-    # 10 steps to x = 2 end finite with Pi's peak near 1.6e190, whose square
-    # overflows: the exit h sigma printed "overflow encountered in multiply"
-    params, grid, dp0 = _steepening_entry()
+    # 11 steps to x = 2 at Pi's amplitude 4.2 end finite with Pi's peak
+    # near 2.7e211, whose square overflows: the exit h sigma printed
+    # "overflow encountered in multiply" (at amplitude 4 no step count
+    # from 5 to 21 peaks above 1.5e8)
+    params, grid, dp0 = _steepening_entry(4.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        record = propagate_nonlinear(dp0, 2.0, 10, params, grid)
+        record = propagate_nonlinear(dp0, 2.0, 11, params, grid)
     assert np.isfinite(record.final.pi.peak) and record.final.pi.peak > 1e150
     assert record.meta["kerr_stiffness_exit"] == np.inf
+
+
+@pytest.mark.parametrize("cropped", [True, False])
+def test_exit_stiffness_is_read_at_the_cut_of_the_last_march_grid(
+        kerr_params, rng, cropped):
+    # h sigma = h 3 rows (K/c) max_t(v^2) w_top, v the full grid's time
+    # image of -w^2 (Pi - Lambda) cut at bin m/3 and w_top that bin's
+    # frequency: m is the last march grid's at exit, the full grid's at
+    # entry. One march ends cropped, one reaches the full grid
+    if cropped:
+        grid = TimeGrid(4096, 0.05)
+        dp0 = DirectedPair(band_pulse(grid, 0.5, 12.0, amplitude=2.0),
+                           Signal.zeros(grid))
+        n_steps = kerr_default_steps(dp0, 2.0, kerr_params, grid)
+    else:
+        grid = TimeGrid(1024, 0.2)
+        dp0 = DirectedPair(*(random_zero_mean(grid, rng, grid.n // 2 - 1,
+                                              0.01) for _ in range(2)))
+        n_steps = 20
+    rec = propagate_nonlinear(dp0, 2.0, n_steps, kerr_params, grid)
+    m = rec.meta["kerr_march_n"]
+    assert (m < grid.n) == cropped
+    k_c = kerr_coupling(kerr_params).big_k / kerr_params.c
+    w = grid.half_omegas
+
+    def h_sigma(state, m):
+        cut = m // 3 + 1
+        u = np.fft.rfft(state.pi.samples - state.lam.samples)[:cut]
+        v = np.fft.irfft(-w[:cut]**2 * u, grid.n)
+        return 2.0 / n_steps * 6.0 * k_c * np.max(v * v) * w[cut - 1]
+
+    assert rec.meta["kerr_stiffness"] == pytest.approx(
+        h_sigma(rec.states[0], grid.n), rel=1e-9)
+    assert rec.meta["kerr_stiffness_exit"] == pytest.approx(
+        h_sigma(rec.final, m), rel=1e-9)
+    if cropped:  # the full grid's cut reads higher
+        assert h_sigma(rec.final, grid.n) > 1.1 * (
+            rec.meta["kerr_stiffness_exit"])
 
 
 def test_derived_count_of_a_steepening_pulse_ends_near_a_finer_march():
@@ -503,7 +545,8 @@ def test_kerr_marchers_keep_requested_stations(kerr_params, coupled, n_steps,
                                                n_stations):
     # kept steps are linspace(0, n_steps, n_stations) as integers, duplicates
     # dropped; each equals, bit for bit, that step of a run keeping every
-    # step. The march starts on 512 points and grows to 1024 on its way
+    # step. The march starts on 512 points and grows on its way, to 1024
+    # coupled and to 768 (512 x 3/2) unidirectional
     grid = TimeGrid(1024, 0.2)
     pi0 = band_pulse(grid, 0.5, 12.0, amplitude=2.0)
     dp0 = DirectedPair(pi0, band_pulse(grid, 0.4, 16.0, amplitude=0.7))
@@ -519,7 +562,7 @@ def test_kerr_marchers_keep_requested_stations(kerr_params, coupled, n_steps,
     entry, kerr = (dp0, propagate_nonlinear) if coupled else (
         pi0, propagate_unidirectional)
     assert _start_n(kerr, entry, kerr_params, grid) == 512
-    assert every.meta["kerr_march_n"] == 1024
+    assert every.meta["kerr_march_n"] == (1024 if coupled else 768)
     steps = np.unique(np.linspace(0, n_steps, n_stations).astype(int))
     assert len(rec.states) == len(steps) == min(n_stations, n_steps + 1)
     assert np.array_equal(rec.stations, every.stations[steps])
@@ -710,6 +753,40 @@ def test_cropped_march_keeps_its_top_band_within_kerr_tail(kerr_params,
     assert rec.meta["kerr_tail"] <= KERR_TAIL
 
 
+@pytest.mark.filterwarnings("ignore:spectral content")
+@pytest.mark.parametrize("coupled", [True, False])
+def test_bins_above_the_last_cut_keep_the_entrys_linear_phase(kerr_params,
+                                                              rng, coupled):
+    # the march grows from 512 points to 1024 (coupled) or 768 on its way;
+    # the cubic term never reaches the bins above its last grid's 2/3 cut,
+    # so at every kept station they hold the entry's Klein-Gordon phase,
+    # whether the march carried them from a growth's fill or filled them
+    # in for the station. The entry holds 3e-9 of its L2 in random bins
+    # there: the stations' transforms round them by at most 1.1e-4 of each
+    # bin, while a fill one bin short leaves 2e-2 in a grown grid's top bin
+    grid = TimeGrid(1024, 0.2)
+    spec = np.fft.rfft([band_pulse(grid, 0.5, 12.0, amplitude=2.0).samples,
+                        band_pulse(grid, 0.4, 16.0, amplitude=0.7).samples])
+    top = np.arange(spec.shape[1]) > grid.n // 4
+    noise = rng.standard_normal(spec.shape) * top
+    spec += 3e-9 * np.linalg.norm(spec) / np.linalg.norm(noise) * noise
+    pi, lam = (Signal(grid, row) for row in np.fft.irfft(spec, grid.n))
+    if not coupled:
+        lam = Signal.zeros(grid)
+    entry = DirectedPair(pi, lam) if coupled else pi
+    march = propagate_nonlinear if coupled else propagate_unidirectional
+    rec = march(entry, 1.0, 37, kerr_params, grid, n_stations=38)
+    m = rec.meta["kerr_march_n"]
+    assert _start_n(march, entry, kerr_params, grid) == 512
+    assert m == (1024 if coupled else 768)
+    kg = propagate_kg(DirectedPair(pi, lam), rec.stations, kerr_params, grid)
+    above = np.s_[m // 3 + 1:]
+    for got, want in zip(rec.states, kg):
+        for a, b in ((got.pi, want.pi), (got.lam, want.lam)):
+            a, b = (np.fft.rfft(row.samples)[above] for row in (a, b))
+            assert np.all(np.abs(a - b) <= 1e-3 * np.abs(b))
+
+
 @pytest.mark.parametrize("rows", [2, 1])
 def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
     # between two right-hand-side calls of a march (one call plus the RK4
@@ -741,8 +818,9 @@ def test_kerr_step_allocates_no_state_sized_array(kerr_params, grid, rows):
 
 def test_kerr_march_that_grows_allocates_no_sixteenth_of_the_state(
         kerr_params, grid):
-    # the march grows from 512 to 1024 points; between two right-hand-side
-    # calls, growth included, no array a sixteenth of the state is made
+    # the march grows from 512 to 640, 768 and 1024 points; between two
+    # right-hand-side calls, growth included, no array a sixteenth of the
+    # state is made
     # (a finiteness check on a strided view copied the crop: 18362 bytes)
     import tracemalloc
 
@@ -764,7 +842,7 @@ def test_kerr_march_that_grows_allocates_no_sixteenth_of_the_state(
         _march_rk4(watched, state, 2.0, 32, 2, grid)
     finally:
         tracemalloc.stop()
-    assert widths == {257, 513}
+    assert widths == {257, 321, 385, 513}
     assert max(gaps[1:]) < state.nbytes / 16
 
 

@@ -46,7 +46,9 @@ from metapulse.cli import MAX_SAMPLES, SCENARIOS, _oracle, main
 from metapulse.medium import C
 from metapulse.render import table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
-from conftest import fft_omegas
+from metapulse.evolution import KERR_TAIL
+from conftest import fft_omegas, gaussian_pulse
+from test_evolution import _full_spectrum_lawson
 
 # derandomized, so every run draws the same examples; no example database
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -234,6 +236,49 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
         x_end / n_steps * sigma, rel=1e-9)
     assert all(np.all(np.isfinite(s.pi.samples))
                and np.all(np.isfinite(s.lam.samples)) for s in rec.states)
+
+
+@PROPERTY_SETTINGS
+@given(media(), st.floats(1.05, 3.0), st.floats(12.0, 24.0),
+       st.floats(3.0, 5.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.0),
+       st.booleans())
+def test_cropped_march_stays_within_ten_kerr_tails_of_the_full_march(
+        medium, fraction, carrier_bin, ratio, log_x, log_rate, coupled):
+    # the lowest nonzero bin above the band; a Gaussian pulse on bin 12 to
+    # 24 of 2048, its spectral width a third to a fifth of its carrier,
+    # starts the march on 512 or 1024 points, and x_end sigma_0 from 1 to
+    # 10 grows it up the ladder, short of the full grid. At the default
+    # count every kept station is within 10 KERR_TAIL of a full-grid
+    # march's, rows pooled as the watch pools them, and the march ends on
+    # a power of two times 1, 5/4 or 3/2
+    params = dataclasses.replace(medium, chi3=1.0)
+    n = 2048
+    grid = TimeGrid(n, 2.0 * np.pi / (n * fraction * params.band_high))
+    carrier = 2.0 * np.pi * carrier_bin / grid.window
+    pi = gaussian_pulse(grid, carrier, ratio / carrier)
+    lam = gaussian_pulse(grid, 1.1 * carrier, 1.2 * ratio / carrier, 0.3)
+    if not coupled:
+        lam = Signal.zeros(grid)
+    pq_c = params.omega_pe * params.omega_pm / params.c
+    x_end = 10.0**log_x / pq_c
+    rate = cube_rate(pi, lam if coupled else None, params)
+    scale = np.sqrt(10.0**log_rate / (x_end * rate))
+    pi, lam = (Signal(grid, scale * s.samples) for s in (pi, lam))
+    entry = DirectedPair(pi, lam) if coupled else pi
+    n_steps = kerr_default_steps(entry, x_end, params, grid, n_stations=5)
+    march = propagate_nonlinear if coupled else propagate_unidirectional
+    rec = march(entry, x_end, n_steps, params, grid, n_stations=5)
+    k_c = params.mu0 * params.chi3 * params.c**2 / (
+        2.0 * params.omega_pe**3 * params.omega_pm)
+    full = _full_spectrum_lawson(DirectedPair(pi, lam), x_end, n_steps, grid,
+                                 True, pq_c, k_c, coupled=coupled)
+    steps = np.linspace(0, n_steps, 5).astype(int)
+    for state, step in zip(rec.states, steps):
+        got = np.stack([state.pi.samples, state.lam.samples])
+        assert np.linalg.norm(got - full[step]) <= (
+            10 * KERR_TAIL * np.linalg.norm(full[step]))
+    assert rec.meta["kerr_march_n"] in {
+        k * 2**j for k in (4, 5, 6) for j in range(n.bit_length())}
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

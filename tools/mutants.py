@@ -73,14 +73,42 @@ MUTANTS = [
      "old": "np.multiply(lin[band], (step - 1) * h, out=arg[band])\n"
             "                np.exp(arg[band], out=arg[band])\n"
             "                state[band] *= arg[band]\n"
-            "                m, width = 2 * m, m + 1\n"
+            "                width = m // 2 + 1\n"
             "                continue\n",
      "new": "np.multiply(lin[band], step * h, out=arg[band])\n"
             "                np.exp(arg[band], out=arg[band])\n"
             "                new[band] *= arg[band]\n"
-            "                m, width = 2 * m, m + 1\n",
+            "                width = m // 2 + 1\n",
      "tests": ["tests/test_evolution.py::"
                "test_cropped_march_keeps_its_top_band_within_kerr_tail"]},
+    {"name": "growth-by-doubling", "file": EVOLUTION,
+     "old": "m = m * up // (up - 1)", "new": "m = 2 * m",
+     "tests": ["tests/test_evolution.py::"
+               "test_kerr_march_that_grows_allocates_no_sixteenth_of_the_"
+               "state"]},
+    {"name": "ratios-out-of-turn", "file": EVOLUTION,
+     "old": "up = 4 if m % 3 == 0 else 6 if m % 5 == 0 else 5",
+     "new": "up = 6 if m % 3 == 0 else 4 if m % 5 == 0 else 5",
+     "tests": ["tests/test_properties.py::"
+               "test_cropped_march_stays_within_ten_kerr_tails_of_the_full_"
+               "march"]},
+    {"name": "redo-band-one-bin-short", "file": EVOLUTION,
+     "old": "band = np.s_[:, width:m // 2 + 1]",
+     "new": "band = np.s_[:, width:m // 2]",
+     "tests": ["tests/test_evolution.py::"
+               "test_bins_above_the_last_cut_keep_the_entrys_linear_phase"]},
+    {"name": "start-descends-the-ladder", "file": EVOLUTION,
+     "old": "    while m > 16 and _fraction(state, np.s_[m // 24 + 1:]) <= "
+            "KERR_TAIL:\n"
+            "        m //= 2\n",
+     # from n, m x 3/4, 5/6 and 4/5 in turn: the inverse of the growth
+     "new": "    def down(m):\n"
+            "        up = 4 if m & (m - 1) == 0 else 5 if m % 5 == 0 else 6\n"
+            "        return m * (up - 1) // up\n"
+            "    while m > 16 and _fraction(state, np.s_[down(m) // 12 + 1:]) "
+            "<= KERR_TAIL:\n"
+            "        m = down(m)\n",
+     "tests": ["tests/test_evolution.py::test_nonlinear_convergence_order"]},
     # the oracle's clock
     {"name": "steps-per-sample-rounded", "file": REFERENCE,
      "old": "return int(np.ceil(sample_dt / dt",
