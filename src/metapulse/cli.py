@@ -299,13 +299,16 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
 
     Gaussian-modulated: amplitude * exp(-(t-t0)^2/(2 width^2)) *
     sin(carrier*(t-t0)) centered in the window, mean-subtracted. User files
-    are two numeric columns (t, value) resampled by cubic spline and scaled
-    by amplitude.
+    are two numeric columns (t, value): each t is k*grid.dt, within 1e-9 of
+    grid.dt, for a k that increases from row to row within 0 <= k < grid.n.
+    The values, scaled by amplitude, are the samples at those times, and
+    every time the file does not list is zero; nothing is resampled. The
+    result is mean-subtracted too.
 
     Raises ConfigError, naming the keys to change, when a user file is not
-    two finite numeric columns of at least 4 rows, when the samples overflow
-    (pulse.amplitude), or when the result is zero or keeps window-edge
-    energy above 1e-8 of peak.
+    two finite numeric columns or lists a time off that grid, when the
+    samples overflow (pulse.amplitude), or when the result is zero or keeps
+    window-edge energy above 1e-8 of peak.
     """
     if shape == "gaussian-modulated":
         t0 = grid.window / 2.0
@@ -321,10 +324,21 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
                 raise ValueError("must have two numeric columns")
             if not np.all(np.isfinite(data)):
                 raise ValueError("holds a non-finite value")
-            samples = amplitude * reference.cubic_spline(
-                data[:, 0], data[:, 1], grid.times)
         except (OSError, ValueError) as exc:
             raise ConfigError([f"pulse.file: {file}: {exc}"]) from exc
+        t, values = data.T
+        with np.errstate(all="ignore"):  # t / dt may overflow
+            k = np.rint(t / grid.dt)
+            on = (np.abs(t - k * grid.dt) <= 1e-9 * grid.dt) & (0 <= k) & (
+                k < grid.n)
+        on[1:] &= k[1:] > k[:-1]
+        if not on.all():
+            raise ConfigError([
+                f"pulse.file/grid.dt: {file}: time {float(t[~on][0])!r} s "
+                "is off the grid; each time must be k*grid.dt, k an integer "
+                f"that increases row by row from 0 to below grid.n = {grid.n}"])
+        samples = np.zeros(grid.n)
+        samples[k.astype(int)] = amplitude * values
         keys = "pulse.file/grid.n/grid.dt"
     else:
         raise ValueError(f"unknown pulse shape {shape!r}")

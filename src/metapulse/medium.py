@@ -118,11 +118,8 @@ def a_squared(params, omega):
 
     Real for every nonzero frequency; negative inside the evanescent band.
     """
-    omega = _check_nonzero(omega)
-    eps = 1.0 - params.omega_pe**2 / omega**2
-    mu = 1.0 - params.omega_pm**2 / omega**2
-    out = eps * mu / params.c**2
-    return float(out) if out.ndim == 0 else out
+    return (drude_response("electric", params, omega)
+            * drude_response("magnetic", params, omega) / params.c**2)
 
 
 def a_symbol(params, omega):

@@ -28,7 +28,7 @@ ahead of a front, where numpy's arithmetic is slow.
 
 The oracle steps m times per sample of its source: it is driven by the
 source's band-limited interpolant and records every m-th step on the
-source's grid. ``cubic_spline`` resamples user-file pulses.
+source's grid.
 """
 
 import warnings
@@ -39,7 +39,7 @@ import numpy as np
 from .medium import C
 
 __all__ = ["YeeGrid1D", "source_layout", "steps_per_sample", "upsample",
-           "run_boundary_source", "cubic_spline"]
+           "run_boundary_source"]
 
 #: largest Courant ratio c*dt/dx that YeeGrid1D accepts (1D limit: 1)
 MAX_COURANT = 0.99
@@ -69,70 +69,6 @@ class YeeGrid1D:
     @property
     def dt_fdtd(self):
         return self.courant * self.dx / self.c
-
-
-def _tridiagonal(lo, diag, up, rhs):
-    """Solve lo[i] x[i-1] + diag[i] x[i] + up[i] x[i+1] = rhs[i] (lo[0] and
-    up[-1] unused) for a diagonally dominant system, without pivoting."""
-    lo, diag, up, x = (np.asarray(v).tolist() for v in (lo, diag, up, rhs))
-    for i in range(1, len(x)):  # eliminate lo[i] with row i - 1
-        f = lo[i] / diag[i - 1]
-        diag[i] -= f * up[i - 1]
-        x[i] -= f * x[i - 1]
-    x[-1] /= diag[-1]
-    for i in range(len(x) - 2, -1, -1):
-        x[i] = (x[i] - up[i] * x[i + 1]) / diag[i]
-    return np.array(x)
-
-
-def cubic_spline(t, values, at):
-    """Not-a-knot cubic spline through (t, values), evaluated at ``at``;
-    zero outside [t[0], t[-1]].
-
-    t must be finite and strictly increasing, with at least 4 knots. The
-    knot slopes solve the tridiagonal not-a-knot system row by row.
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.ndim != 1 or y.shape != t.shape:
-        raise ValueError("spline knots and values must be 1-D of one length")
-    if t.size < 4:
-        raise ValueError(f"spline needs at least 4 knots, got {t.size}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("spline knots must be finite")
-    h = np.diff(t)
-    if not np.all(h > 0):
-        raise ValueError("spline knots must be strictly increasing")
-    slope = np.diff(y) / h
-    # interior rows: h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1]
-    # = 3 (h[i] slope[i-1] + h[i-1] slope[i]); each not-a-knot end row
-    # (h[1] s[0] + (h[0] + h[1]) s[1] = r0, and its mirror) is subtracted
-    # from its neighbour, which leaves a diagonally dominant system in
-    # s[1:-1]
-    rhs = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
-    w0, w1 = h[0] + h[1], h[-2] + h[-1]
-    r0 = ((h[0] + 2.0 * w0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / w0
-    r1 = (h[-1] ** 2 * slope[-2] + (2.0 * w1 + h[-1]) * h[-2] * slope[-1]) / w1
-    diag = 2.0 * (h[:-1] + h[1:])
-    diag[0], diag[-1] = w0, w1
-    rhs[0] -= r0
-    rhs[-1] -= r1
-    s = np.empty_like(t)
-    s[1:-1] = _tridiagonal(h[1:], diag, h[:-1], rhs)
-    s[0] = (r0 - w0 * s[1]) / h[1]
-    s[-1] = (r1 - w1 * s[-2]) / h[-2]
-
-    at = np.asarray(at, dtype=float)
-    inside = (at >= t[0]) & (at <= t[-1])
-    q = at[inside]
-    i = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.size - 2)
-    hi, si, sj, mi = h[i], s[i], s[i + 1], slope[i]
-    curv = (si + sj - 2.0 * mi) / hi
-    dq = q - t[i]
-    out = np.zeros(at.shape)
-    out[inside] = (((curv / hi) * dq + ((mi - si) / hi - curv)) * dq
-                   + si) * dq + y[i]
-    return out
 
 
 def _aligned_zeros(n):

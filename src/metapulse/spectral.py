@@ -1,19 +1,19 @@
 """Periodic time grid and diagonal-in-frequency convolution operators.
 
-All material operators of the model (eps-hat, mu-hat, a-hat, their inverses
-and powers, and time derivatives) are convolution operators, so on a uniform
-periodic grid they act as diagonal multipliers in the discrete Fourier
-domain. Every signal is real and every symbol is Hermitian,
-m(-w) = conj(m(w)), so the real half-spectrum (rfft bins 0..n/2, at
-frequencies ``TimeGrid.half_omegas``) carries all of it: an operator is
-``irfft(values * rfft(s), n)``, real by construction. The transform pair
-uses the exp(+i w t) synthesis convention that irfft realizes; hence d/dt
-maps to multiplication by i*w. irfft reads only the real part of the DC and
-Nyquist bins.
+All material operators of the model and the time derivatives are
+convolution operators, so on a uniform periodic grid they act as diagonal
+multipliers in the discrete Fourier domain; :func:`make_multiplier` builds
+a-hat, its inverse and the time derivatives. Every signal is real and every
+symbol is Hermitian, m(-w) = conj(m(w)), so the real half-spectrum (rfft
+bins 0..n/2, at frequencies ``TimeGrid.half_omegas``) carries all of it:
+an operator is ``irfft(values * rfft(s), n)``, real by construction. The
+transform pair uses the exp(+i w t) synthesis convention that irfft
+realizes; hence d/dt maps to multiplication by i*w. irfft reads only the
+real part of the DC and Nyquist bins.
 
-Every Drude-derived multiplier and the inverse time derivative annihilate
-the zero-frequency bin: the underlying symbols are singular at w = 0 and all
-admissible physical signals are zero-mean pulses.
+Every multiplier annihilates the zero-frequency bin: the underlying symbols
+are singular at w = 0 and all admissible physical signals are zero-mean
+pulses.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ __all__ = [
     "MULTIPLIER_KINDS",
 ]
 
-MULTIPLIER_KINDS = ("eps", "mu", "mu_inv", "a", "a_inv", "a_sq", "d_dt", "d_dt_inv")
+MULTIPLIER_KINDS = ("a", "a_inv", "d_dt", "d_dt_inv")
 
 #: lower bound on |a(w)|*c below which a_inv is considered unbounded
 TOL_A = 1e-6
@@ -156,14 +156,16 @@ def apply(m, s):
 def make_multiplier(kind, params, grid):
     """Build the discrete realization of one of the model's operators.
 
-    kind: one of ``eps, mu, mu_inv, a, a_inv, a_sq, d_dt, d_dt_inv``.
-    The symbols are evaluated on ``grid.half_omegas``. The zero-frequency
-    bin is annihilated for every kind. The Nyquist bin of odd-symbol
-    operators (d_dt, d_dt_inv) is zeroed as well: it is unpaired, and irfft
-    would drop its imaginary product anyway. ``params`` is unused by the
-    time derivatives and may be None for them. ``a`` and ``a_inv`` raise
-    :func:`medium.a_symbol`'s EvanescentBandError on a grid with bins in
-    the evanescent band.
+    kind: one of ``a, a_inv, d_dt, d_dt_inv``. Runs apply a-hat, its
+    inverse and the inverse time derivative; ``d_dt`` reaches no run, and
+    is kept for the benchmark's tracer self-test. The symbols are evaluated
+    on ``grid.half_omegas``. The zero-frequency bin is annihilated for every
+    kind. The Nyquist bin of odd-symbol operators (d_dt, d_dt_inv) is zeroed
+    as well: it is unpaired, and irfft would drop its imaginary product
+    anyway. ``params`` is unused by the time derivatives and may be None for
+    them. ``a`` and ``a_inv`` raise :func:`medium.a_symbol`'s
+    EvanescentBandError on a grid with bins in the evanescent band, and
+    ``a_inv`` raises InadmissibleGridError where |a(w)|*c < TOL_A.
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
@@ -172,16 +174,7 @@ def make_multiplier(kind, params, grid):
     wn = w[nz]
     vals = np.zeros(w.size, dtype=complex)
 
-    if kind == "eps":
-        vals[nz] = params.eps0 * medium.drude_response("electric", params, wn)
-    elif kind == "mu":
-        vals[nz] = params.mu0 * medium.drude_response("magnetic", params, wn)
-    elif kind == "mu_inv":
-        mu = params.mu0 * medium.drude_response("magnetic", params, wn)
-        if np.any(np.abs(mu) < 1e-300):
-            raise InadmissibleGridError("mu(w) vanishes on a grid bin")
-        vals[nz] = 1.0 / mu
-    elif kind in ("a", "a_inv"):
+    if kind in ("a", "a_inv"):
         a = medium.a_symbol(params, wn)
         if kind == "a":
             vals[nz] = a
@@ -192,8 +185,6 @@ def make_multiplier(kind, params, grid):
                     "a_inv would be unbounded"
                 )
             vals[nz] = 1.0 / a
-    elif kind == "a_sq":
-        vals[nz] = medium.a_squared(params, wn)
     elif kind == "d_dt":
         vals = 1j * w.astype(complex)
         vals[-1] = 0.0

@@ -1,5 +1,5 @@
-"""Shared fixtures: natural-unit media, band-limited random pulses and the
-projector pair on field columns."""
+"""Shared fixtures: natural-unit media, band-limited random pulses, the
+projector pair on field columns and the Drude multipliers no run applies."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,18 @@ from metapulse import (
     DirectedPair,
     DrudeParams,
     FieldPair,
+    Multiplier,
     Signal,
     TimeGrid,
+    a_squared,
+    drude_response,
     reconstruct,
     split,
 )
+
+#: the multipliers of the model that no run applies; ``drude_multiplier``
+#: builds them beside the production kinds of ``make_multiplier``
+DRUDE_KINDS = ("eps", "mu", "mu_inv", "a_sq")
 
 
 @pytest.fixture
@@ -40,6 +47,20 @@ def fft_omegas(grid):
     """Signed angular frequencies 2 pi k / T of ``grid`` in full fft bin
     order: 0..n/2-1, then -n/2..-1."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dt)
+
+
+def drude_multiplier(kind, params, grid):
+    """eps-hat, mu-hat, mu-hat^{-1} or a-hat^2 = eps mu/(eps0 mu0 c^2) on
+    ``grid.half_omegas``, from :func:`drude_response` and :func:`a_squared`,
+    with the zero-frequency bin annihilated."""
+    w = grid.half_omegas
+    nz = w != 0.0
+    eps = params.eps0 * drude_response("electric", params, w[nz])
+    mu = params.mu0 * drude_response("magnetic", params, w[nz])
+    values = np.zeros(w.size, dtype=complex)
+    values[nz] = {"eps": eps, "mu": mu, "mu_inv": 1.0 / mu,
+                  "a_sq": a_squared(params, w[nz])}[kind]
+    return Multiplier(grid, values, kind=kind)
 
 
 def random_zero_mean(grid, rng, k_max=None, scale=1.0):

@@ -206,16 +206,63 @@ def test_synthesize_file_round_trip(tmp_path):
         1e-14 * louder.peak)
 
 
-def test_run_names_pulse_file_with_too_few_rows(tmp_path):
-    # the resampling spline needs 4 knots
+def test_user_file_lists_a_middle_run_of_grid_times(tmp_path, capsys):
+    # a file's rows are the samples at their grid times, and every time it
+    # does not list is zero: nothing is resampled
+    grid = TimeGrid(1024, 0.2)
+    sig = synthesize_pulse(grid, carrier=0.5, width=12.0)
+    mid = slice(64, 960)
     f = tmp_path / "pulse.txt"
-    np.savetxt(f, [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    text = BASE.replace("carrier = 0.5\nwidth = 12.0\n",
-                        f"shape = user-file\nfile = {f}\n")
-    status, written = run_scenario(parse_config(text), out_dir=tmp_path)
-    assert status == 1
-    message = Path(written[0]).read_text()
-    assert "pulse.file" in message and "at least 4 knots" in message
+    np.savetxt(f, np.column_stack([grid.times[mid], sig.samples[mid]]),
+               fmt="%.17e")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                                f"shape = user-file\nfile = {f}\n"))
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    want = np.zeros(grid.n)
+    want[mid] = sig.samples[mid]
+    back = synthesize_pulse(grid, shape="user-file", file=str(f))
+    assert np.array_equal(back.samples, want - np.mean(want))
+
+
+def _off_grid_times(times, dt, case):
+    """``times`` with one row, or all of them, moved off the contract."""
+    t = times.copy()
+    if case == "off-grid":
+        t[100] += 1e-6 * dt
+    elif case == "at-window":
+        t += dt
+    elif case == "past-window":
+        t[-1] = 2.0 * (times[-1] + dt)
+    elif case == "negative":
+        t -= dt
+    elif case == "repeated":
+        t[200] = t[199]
+    elif case == "decreasing":
+        t[200], t[201] = t[201], t[200]
+    return t
+
+
+@pytest.mark.parametrize("case", ["off-grid", "at-window", "past-window",
+                                  "negative", "repeated", "decreasing"])
+def test_pulse_file_off_the_grid_names_the_keys(tmp_path, capsys, case):
+    grid = TimeGrid(1024, 0.2)
+    sig = synthesize_pulse(grid, carrier=0.5, width=12.0)
+    f = tmp_path / "pulse.txt"
+    np.savetxt(f, np.column_stack([_off_grid_times(grid.times, grid.dt, case),
+                                   sig.samples]), fmt="%.17e")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                                f"shape = user-file\nfile = {f}\n"))
+    assert main(["validate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: pulse.file/grid.dt: ") and str(f) in err
+    assert "Traceback" not in err
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert (out / "error.txt").read_text().startswith(
+        "ConfigError: pulse.file/grid.dt: ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -20,7 +20,8 @@ from metapulse import (
     reconstruct,
     split,
 )
-from conftest import field_peak, fft_omegas, projections, random_zero_mean
+from conftest import (drude_multiplier, field_peak, fft_omegas, projections,
+                      random_zero_mean)
 
 pytestmark = pytest.mark.filterwarnings("ignore:boundary signal")
 
@@ -32,7 +33,7 @@ def random_pair(grid, rng):
 def l_operator(params, grid, psi):
     """Apply the x-evolution generator L = [[0, -dt a^2], [-dt, 0]]."""
     d_dt = make_multiplier("d_dt", params, grid)
-    a_sq = make_multiplier("a_sq", params, grid)
+    a_sq = drude_multiplier("a_sq", params, grid)
     b_out = -1.0 * apply(d_dt, apply(a_sq, psi.e))
     e_out = -1.0 * apply(d_dt, psi.b)
     return FieldPair(b_out, e_out)

@@ -47,7 +47,7 @@ from metapulse.medium import C
 from metapulse.render import table_chunks
 from metapulse.spectral import MULTIPLIER_KINDS
 from metapulse.evolution import KERR_TAIL
-from conftest import fft_omegas, gaussian_pulse
+from conftest import DRUDE_KINDS, drude_multiplier, fft_omegas, gaussian_pulse
 from test_evolution import _full_spectrum_lawson
 
 # derandomized, so every run draws the same examples; no example database
@@ -125,8 +125,9 @@ def full_spectrum_symbol(kind, params, grid):
 def test_half_spectrum_apply_matches_full_fft(case):
     params, grid, seed = case
     s = random_signal(grid, np.random.default_rng(seed))
-    for kind in MULTIPLIER_KINDS:
-        out = apply(make_multiplier(kind, params, grid), s).samples
+    for kind in MULTIPLIER_KINDS + DRUDE_KINDS:
+        build = drude_multiplier if kind in DRUDE_KINDS else make_multiplier
+        out = apply(build(kind, params, grid), s).samples
         symbol = full_spectrum_symbol(kind, params, grid)
         ref = np.fft.ifft(symbol * np.fft.fft(s.samples)).real
         err = np.max(np.abs(out - ref))

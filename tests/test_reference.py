@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from metapulse import (
     DrudeParams,
@@ -14,7 +13,7 @@ from metapulse import (
 )
 from metapulse import reference
 from metapulse.medium import EPS0, MU0
-from metapulse.reference import BLOCK_STEPS, _leapfrog, cubic_spline, upsample
+from metapulse.reference import BLOCK_STEPS, _leapfrog, upsample
 from conftest import gaussian_pulse
 
 
@@ -468,42 +467,3 @@ def test_convergence_second_order():
     assert errs[0] < 0.05
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all(ratios >= 3.0) and np.all(ratios <= 5.5)
-
-
-def _knots(n, uniform, rng):
-    if uniform:
-        return -3.0 + 0.25 * np.arange(n)
-    return np.cumsum(rng.uniform(0.01, 1.0, n))
-
-
-@pytest.mark.parametrize("uniform", [True, False])
-@pytest.mark.parametrize("n", [4, 5, 7, 16, 17, 1024, 1025, 40001])
-def test_cubic_spline_matches_scipy_not_a_knot(n, uniform):
-    rng = np.random.default_rng(n)
-    t = _knots(n, uniform, rng)
-    y = rng.standard_normal(n)
-    span = t[-1] - t[0]
-    # the knots (both ends among them), points between, and points outside
-    at = np.concatenate([t, rng.uniform(t[0], t[-1], 3 * n),
-                         [t[0] - 0.1 * span, t[0] - 1e-9, t[-1] + 1e-9,
-                          t[-1] + 0.1 * span]])
-    want = CubicSpline(t, y, extrapolate=False)(at)
-    got = cubic_spline(t, y, at)
-    outside = ~np.isfinite(want)
-    assert outside.sum() == 4
-    assert np.all(got[outside] == 0.0)
-    assert np.max(np.abs(got - np.where(outside, 0.0, want))) <= (
-        1e-13 * np.max(np.abs(want[~outside])))
-
-
-@pytest.mark.parametrize("t, why", [
-    ([0.0, 1.0, np.nan, 3.0, 4.0], "finite"),
-    ([0.0, 1.0, np.inf, 3.0, 4.0], "finite"),
-    ([0.0, 1.0, 1.0, 3.0, 4.0], "increasing"),
-    ([0.0, 2.0, 1.0, 3.0, 4.0], "increasing"),
-    ([4.0, 3.0, 2.0, 1.0, 0.0], "increasing"),
-    ([0.0, 1.0, 2.0], "at least 4"),
-])
-def test_cubic_spline_rejects_unusable_knots(t, why):
-    with pytest.raises(ValueError, match=why):
-        cubic_spline(t, np.ones(len(t)), [0.5])

@@ -18,7 +18,9 @@ from metapulse import (
     propagate_linear_exact,
     split,
 )
-from conftest import fft_omegas, gaussian_pulse, random_zero_mean
+from metapulse.spectral import MULTIPLIER_KINDS
+from conftest import (DRUDE_KINDS, drude_multiplier, fft_omegas,
+                      gaussian_pulse, random_zero_mean)
 
 
 def test_grid_validation():
@@ -74,7 +76,7 @@ def test_a_multiplier_value():
 
 
 def test_all_kinds_annihilate_dc(unit_params, grid):
-    for kind in ("eps", "mu", "mu_inv", "a", "a_inv", "a_sq", "d_dt", "d_dt_inv"):
+    for kind in MULTIPLIER_KINDS:
         m = make_multiplier(kind, unit_params, grid)
         assert m.values[0] == 0.0
 
@@ -100,7 +102,7 @@ def test_multiplier_rejects_full_length_values(grid):
 
 def test_a_squared_is_a_twice(unit_params, grid, rng):
     a = make_multiplier("a", unit_params, grid)
-    a_sq = make_multiplier("a_sq", unit_params, grid)
+    a_sq = drude_multiplier("a_sq", unit_params, grid)
     s = random_zero_mean(grid, rng)
     twice = apply(a, apply(a, s))
     once = apply(a_sq, s)
@@ -108,9 +110,9 @@ def test_a_squared_is_a_twice(unit_params, grid, rng):
 
 
 def test_operator_identity_a2_eq_eps_mu(unit_params, grid, rng):
-    a_sq = make_multiplier("a_sq", unit_params, grid)
-    eps = make_multiplier("eps", unit_params, grid)
-    mu = make_multiplier("mu", unit_params, grid)
+    a_sq = drude_multiplier("a_sq", unit_params, grid)
+    eps = drude_multiplier("eps", unit_params, grid)
+    mu = drude_multiplier("mu", unit_params, grid)
     c2 = unit_params.c**2
     for _ in range(20):
         s = random_zero_mean(grid, rng)
@@ -120,8 +122,8 @@ def test_operator_identity_a2_eq_eps_mu(unit_params, grid, rng):
 
 
 def test_eps_mu_commute(unit_params, grid, rng):
-    eps = make_multiplier("eps", unit_params, grid)
-    mu = make_multiplier("mu", unit_params, grid)
+    eps = drude_multiplier("eps", unit_params, grid)
+    mu = drude_multiplier("mu", unit_params, grid)
     # bin-wise the diagonal product commutes exactly
     np.testing.assert_array_equal(eps.values * mu.values, mu.values * eps.values)
     s = random_zero_mean(grid, rng)
@@ -170,11 +172,16 @@ def test_a_inv_tol_rejected():
 
 def test_real_to_real_closure(unit_params, grid, rng):
     s = random_zero_mean(grid, rng)
-    for kind in ("eps", "mu", "mu_inv", "a", "a_inv", "a_sq", "d_dt", "d_dt_inv"):
-        out = apply(make_multiplier(kind, unit_params, grid), s)
+    for kind in MULTIPLIER_KINDS + DRUDE_KINDS:
+        build = drude_multiplier if kind in DRUDE_KINDS else make_multiplier
+        out = apply(build(kind, unit_params, grid), s)
         assert np.all(np.isfinite(out.samples))
 
 
 def test_unknown_kind(unit_params, grid):
-    with pytest.raises(ValueError):
-        make_multiplier("b", unit_params, grid)
+    # runs apply a, a_inv and d_dt_inv; d_dt serves the benchmark's tracer
+    # self-test, and the Drude kinds no run applies are the tests' own
+    assert MULTIPLIER_KINDS == ("a", "a_inv", "d_dt", "d_dt_inv")
+    for kind in ("b",) + DRUDE_KINDS:
+        with pytest.raises(ValueError, match="unknown multiplier kind"):
+            make_multiplier(kind, unit_params, grid)

@@ -191,6 +191,21 @@ MUTANTS = [
      "new": "with np.errstate():",
      "tests": ["tests/test_cli.py::test_reference_compare_of_empty_records_"
                "fails_without_a_warning"]},
+    # user-file samples placed on the grid's own times
+    *({"name": name, "file": CLI, "old": old, "new": new,
+       "tests": [f"tests/test_cli.py::test_pulse_file_off_the_grid_names_the_"
+                 f"keys[{case}]"]}
+      for name, old, new, case in (
+          ("placement-tolerance-1e-3", "<= 1e-9 * grid.dt)",
+           "<= 1e-3 * grid.dt)", "off-grid"),
+          ("placement-k-up-to-n", "k < grid.n)", "k <= grid.n)", "at-window"),
+          ("placement-k-from--1", "(0 <= k)", "(-1 <= k)", "negative"),
+          ("placement-k-may-repeat", "k[1:] > k[:-1]", "k[1:] >= k[:-1]",
+           "repeated"))),
+    {"name": "placement-without-amplitude", "file": CLI,
+     "old": "samples[k.astype(int)] = amplitude * values",
+     "new": "samples[k.astype(int)] = values",
+     "tests": ["tests/test_cli.py::test_synthesize_file_round_trip"]},
     # the CSV renderer's chunks and slots
     *({"name": name, "file": RENDER,
        "old": "width = 26 if max(e.max(), -e.min()) >= 100 else 25",
