@@ -13,6 +13,7 @@ import configparser
 import contextlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -319,7 +320,9 @@ def synthesize_pulse(grid, shape="gaussian-modulated", carrier=0.0,
         keys = "pulse.width/grid.n/grid.dt"
     elif shape == "user-file":
         try:
-            data = np.loadtxt(file, ndmin=2)
+            with warnings.catch_warnings():  # an empty file warns, then fails
+                warnings.simplefilter("ignore")
+                data = np.loadtxt(file, ndmin=2)
             if data.shape[1] != 2:
                 raise ValueError("must have two numeric columns")
             if not np.all(np.isfinite(data)):
@@ -366,7 +369,7 @@ def _entry(config, grid, mode):
         k = (apply(make_multiplier("a", config.params, grid), j)
              if mode == "pure-right" else Signal.zeros(grid))
         fields = FieldPair(b=k, e=j)
-        return fields, waves.split(fields, config.params, grid)
+        return fields, waves.split(fields, config.params)
 
 
 def _check_a_inv(config, grid):
@@ -383,7 +386,7 @@ def _station_tables(prefix, grid, xs, states, params=None):
         cols = [grid.times, state.pi.samples, state.lam.samples]
         header = "t (s),Pi (T),Lambda (T)"
         if params is not None:
-            fp = waves.reconstruct(state, params, grid)
+            fp = waves.reconstruct(state, params)
             cols += [fp.b.samples, fp.e.samples]
             header += ",B (T),E (V/m)"
         tables[f"{prefix}_station_{i:03d}.csv"] = (header, cols,
@@ -494,7 +497,7 @@ def _run_linear(config):
     propagator = (evolution.propagate_kg if tag == "kg"
                   else evolution.propagate_linear_exact)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
-    states = propagator(dp0, xs, config.params, grid)
+    states = propagator(dp0, xs, config.params)
     tables = _station_tables(tag, grid, xs, states, config.params)
     summary = {"stations (m)": [float(x) for x in xs]}
     if tag == "kg":
@@ -505,7 +508,7 @@ def _run_linear(config):
 def _kg_budget(params, dp0, x_end):
     """The reduction-error budget: truncation error at the occupied band
     edge times the accumulated exact phase over the full distance."""
-    spec = np.abs(evolution._entry_spectrum(dp0, dp0.grid)).sum(axis=0)
+    spec = np.abs(evolution._entry_spectrum(dp0)).sum(axis=0)
     w_occ = dp0.grid.half_omegas[spec > 1e-8 * np.max(spec)]
     w_edge = float(np.max(w_occ))
     budget = None
@@ -528,8 +531,7 @@ def _run_kerr(config):
     # that no int holds (inf or NaN) reads as inf, over the ceiling
     try:
         n_steps = run["n_steps"] or evolution.kerr_default_steps(
-            entry, run["x_end"], config.params, grid,
-            n_stations=run["n_stations"])
+            entry, run["x_end"], config.params, n_stations=run["n_stations"])
     except (OverflowError, ValueError):
         n_steps = np.inf
     if not run["n_steps"] and n_steps > MAX_DEFAULT_KERR_STEPS:
@@ -569,8 +571,7 @@ def _run_stationary_nonlinear(config):
     yield
     xi, pi, slope = stationary.integrate_oscillator(
         config.run["pi0"], config.run["dpi0"], config.run["xi_end"],
-        config.run["n_steps"], sp, config.params,
-    )
+        config.run["n_steps"], sp)
     summary = {"k (1/m)": sp.k, "K_v": sp.big_k_v}
     yield {"stationary_nonlinear.csv": ("xi (m),Pi (T),dPi/dxi (T/m)",
                                         [xi, pi, slope], {})}, summary
@@ -626,12 +627,12 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     fields = FieldPair(b=Signal(grid, b_ref - np.mean(b_ref)),
                        e=Signal(grid, e_ref - np.mean(e_ref)))
     states = evolution.propagate_linear_exact(
-        waves.split(fields, params, grid), x_probes, params, grid)
+        waves.split(fields, params), x_probes, params)
 
     tables, l2_e, l2_b = {}, [], []
     for i, (xp, dp, e_fd, b_fd) in enumerate(zip(x_probes, states, e_fdtd,
                                                  b_fdtd)):
-        fp = waves.reconstruct(dp, params, grid)
+        fp = waves.reconstruct(dp, params)
         l2_e.append(_rel_l2(fp.e.samples, e_fd))
         l2_b.append(_rel_l2(fp.b.samples, b_fd))
         tables[f"compare_probe_{i:03d}.csv"] = (

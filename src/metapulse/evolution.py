@@ -26,7 +26,8 @@ Three propagation models, from exact to reduced:
 
 The two linear models are diagonal in frequency: given a 1-D sequence of
 distances, each returns one DirectedPair per distance from one rfft of the
-entry pair, one (stations x bins) phase table and one stacked irfft.
+entry pair, one (stations x bins) phase table and one stacked irfft on the
+entry's own grid. The Kerr marchers refuse an entry off their ``grid``.
 
 The unit-coefficient form pi = Pi_tt/alpha, lam = Lambda_tt/alpha,
 zeta = x/beta is solved in the test suite, as an independent reference.
@@ -93,11 +94,9 @@ def _distances(xs):
     return xs
 
 
-def _entry_spectrum(entry, grid):
-    """Stacked rfft half-spectra of an entry on ``grid``: (Pi-hat,
-    Lambda-hat) of a DirectedPair, (Pi-hat,) of a Signal (Pi)."""
-    if entry.grid != grid:
-        raise GridMismatchError("entry grid differs from requested grid")
+def _entry_spectrum(entry):
+    """Stacked rfft half-spectra of an entry: (Pi-hat, Lambda-hat) of a
+    DirectedPair, (Pi-hat,) of a Signal (Pi)."""
     if isinstance(entry, DirectedPair):
         return np.fft.rfft([entry.pi.samples, entry.lam.samples])
     return np.fft.rfft(entry.samples[None])
@@ -115,24 +114,24 @@ def _advance(spec, grid, theta):
             for pi, lam in np.fft.irfft(factors, grid.n)]
 
 
-def propagate_linear_exact(dp0, xs, params, grid):
+def propagate_linear_exact(dp0, xs, params):
     """Exact linear propagation to each distance x >= 0 in ``xs``: per-bin
     phase -/+ w a(w) x. Returns one DirectedPair per distance."""
-    xs = _distances(xs)
+    xs, grid = _distances(xs), dp0.grid
     a_vals = make_multiplier("a", params, grid).values.real
     theta = np.multiply.outer(xs, grid.half_omegas * a_vals)
-    return _advance(_entry_spectrum(dp0, grid), grid, theta)
+    return _advance(_entry_spectrum(dp0), grid, theta)
 
 
-def propagate_kg(dp0, xs, params, grid):
+def propagate_kg(dp0, xs, params):
     """Klein-Gordon-Fock propagation to each distance x >= 0 in ``xs``:
     per-bin phase +/- pq x/(c w). Returns one DirectedPair per distance.
 
     Valid for spectra concentrated well below the plasma frequencies; warns
     when significant energy sits above min(p, q) / 2.
     """
-    xs = _distances(xs)
-    spec = _entry_spectrum(dp0, grid)
+    xs, grid = _distances(xs), dp0.grid
+    spec = _entry_spectrum(dp0)
     w, w_max = grid.half_omegas, 0.5 * params.band_low
     mag = np.abs(spec).sum(axis=0)
     if np.max(mag[w > w_max], initial=0.0) > 1e-6 * np.max(mag):
@@ -379,7 +378,7 @@ def _phase_rate(state, params, grid):
     return float(np.sqrt(rate2 @ power / (np.sum(power) or 1.0)))
 
 
-def kerr_default_steps(entry, x_end, params, grid, n_stations=2):
+def kerr_default_steps(entry, x_end, params, n_stations=2):
     """Default Kerr step count for a march from ``entry`` to ``x_end``:
     ``max(4, n_stations - 1, ceil(x_end sigma_0 / KERR_STIFFNESS),
     ceil(x_end Omega_0 / KERR_PHASE_STEP))``.
@@ -391,8 +390,8 @@ def kerr_default_steps(entry, x_end, params, grid, n_stations=2):
     """
     # the symbols alone, not a whole right-hand side: its buffers, freed
     # again before the march allocates its own, raised the peak RSS
+    grid, state = entry.grid, _entry_spectrum(entry)
     w = grid.half_omegas
-    state = _entry_spectrum(entry, grid)
     sigma = _stiffness(state, _kerr_k_c(params), -(w * w), grid)
     omega = _phase_rate(state, params, grid)
     return max(4, n_stations - 1,
@@ -411,11 +410,15 @@ def propagate_nonlinear(dp0, x_end, n_steps, params, grid, n_stations=2):
     The record keeps ``n_stations`` evenly spread steps, entry and exit
     included; its meta is :func:`_march_rk4`'s.
     """
-    return _march_rk4(_kerr_rhs(params, grid), _entry_spectrum(dp0, grid),
+    if dp0.grid != grid:
+        raise GridMismatchError("entry grid differs from requested grid")
+    return _march_rk4(_kerr_rhs(params, grid), _entry_spectrum(dp0),
                       x_end, n_steps, n_stations, grid)
 
 
 def propagate_unidirectional(pi0, x_end, n_steps, params, grid, n_stations=2):
     """Kerr marching with the left wave frozen at zero (and not marched)."""
-    return _march_rk4(_kerr_rhs(params, grid), _entry_spectrum(pi0, grid),
+    if pi0.grid != grid:
+        raise GridMismatchError("entry grid differs from requested grid")
+    return _march_rk4(_kerr_rhs(params, grid), _entry_spectrum(pi0),
                       x_end, n_steps, n_stations, grid)

@@ -16,7 +16,7 @@ are singular at w = 0 and all admissible physical signals are zero-mean
 pulses.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,10 @@ MULTIPLIER_KINDS = ("a", "a_inv", "d_dt", "d_dt_inv")
 TOL_A = 1e-6
 
 
+@dataclass(frozen=True)
 class TimeGrid:
     """Uniform periodic time sampling: n power-of-two samples, spacing dt.
+    Equality, hash and repr read (n, dt) alone.
 
     Attributes
     ----------
@@ -52,30 +54,24 @@ class TimeGrid:
         Period T = n*dt.
     """
 
-    def __init__(self, n, dt):
-        n = int(n)
+    n: int
+    dt: float
+    window: float = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    half_omegas: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = int(self.n)
         if n < 8 or n & (n - 1) != 0:
             raise ValueError("n must be a power of two >= 8")
-        if not dt > 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        self.n = n
-        self.dt = float(dt)
-        self.window = n * self.dt
-        self.times = np.arange(n) * self.dt
-        self.half_omegas = 2.0 * np.pi * np.fft.rfftfreq(n, self.dt)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TimeGrid)
-            and self.n == other.n
-            and self.dt == other.dt
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.dt))
-
-    def __repr__(self):
-        return f"TimeGrid(n={self.n}, dt={self.dt!r})"
+        dt = float(self.dt)
+        for name, value in (("n", n), ("dt", dt), ("window", n * dt),
+                            ("times", np.arange(n) * dt),
+                            ("half_omegas",
+                             2.0 * np.pi * np.fft.rfftfreq(n, dt))):
+            object.__setattr__(self, name, value)
 
 
 def _require_same_grid(a, b):

@@ -8,6 +8,7 @@ reduces to a cubic in the second derivative,
     K_v y^3 + c y + pq Pi = 0,   y = Pi_xixi,  K_v = mu0 chi3 c^3 v^6 / (2 p^3 q),
 
 whose unique real root F(Pi) drives the nonlinear oscillator Pi'' = F(Pi).
+The solvers read v, K_v and the medium from the profile they are given.
 """
 
 import warnings
@@ -28,12 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StationaryParams:
-    """Speed, wavenumber and frequency of one traveling profile."""
+    """Speed, wavenumber, frequency and medium of one traveling profile."""
 
     v: float
     k: float
     omega: float
     big_k_v: float
+    params: object
 
     def __post_init__(self):
         if not self.v > 0:
@@ -41,14 +43,14 @@ class StationaryParams:
 
 
 def stationary_params(v, params):
-    """Wavenumber and frequency for profile speed v: k = sqrt(pq/(cv))."""
+    """The profile of speed v in medium params: k = sqrt(pq/(cv))."""
     if not v > 0:
         raise ValueError("profile speed must be positive")
     p, q, c = params.omega_pe, params.omega_pm, params.c
     k = np.sqrt(p * q / (c * v))
     omega = v * k
     big_k_v = params.mu0 * params.chi3 * c**3 * v**6 / (2.0 * p**3 * q)
-    return StationaryParams(v=v, k=k, omega=omega, big_k_v=big_k_v)
+    return StationaryParams(v, k, omega, big_k_v, params)
 
 
 def linear_r_profile(amplitude, sp, xi_samples):
@@ -66,14 +68,14 @@ def linear_l_profile(amplitude, sp, xi_samples):
     return amplitude * np.sin(sp.k * xi)
 
 
-def cardano_f(pi_value, sp, params):
+def cardano_f(pi_value, sp):
     """Real root y of K_v y^3 + c y + pq Pi = 0 (the oscillator force).
 
     For K_v >= 0 the cubic is strictly monotone in y, so the real root is
     unique; the closed-form Cardano root is polished by two Newton steps to
     push the back-substitution residual to rounding level.
     """
-    p, q, c = params.omega_pe, params.omega_pm, params.c
+    p, q, c = sp.params.omega_pe, sp.params.omega_pm, sp.params.c
     pi_value = np.asarray(pi_value, dtype=float)
     kv = sp.big_k_v
     if kv == 0.0:
@@ -92,7 +94,7 @@ def cardano_f(pi_value, sp, params):
     return float(y) if y.ndim == 0 else y
 
 
-def integrate_oscillator(pi0, dpi0, xi_end, n_steps, sp, params):
+def integrate_oscillator(pi0, dpi0, xi_end, n_steps, sp):
     """RK4 integration of Pi'' = F(Pi) from (pi0, dpi0) over [0, xi_end].
 
     Returns (xi, Pi, Pi') arrays sampled at every step.
@@ -107,7 +109,7 @@ def integrate_oscillator(pi0, dpi0, xi_end, n_steps, sp, params):
     pi[0], slope[0] = y, s
 
     def f(val):
-        return cardano_f(val, sp, params)
+        return cardano_f(val, sp)
 
     for i in range(n_steps):
         k1y, k1s = s, f(y)
@@ -124,7 +126,7 @@ def integrate_oscillator(pi0, dpi0, xi_end, n_steps, sp, params):
     return xi, pi, slope
 
 
-def series_f(pi_value, sp, params, order=3):
+def series_f(pi_value, sp, order=3):
     """Perturbative expansion of the oscillator force F(Pi).
 
     order 1:  -(pq/c) Pi
@@ -136,7 +138,7 @@ def series_f(pi_value, sp, params, order=3):
     """
     if order not in (1, 3):
         raise ValueError("order must be 1 or 3")
-    p, q, c = params.omega_pe, params.omega_pm, params.c
+    p, q, c = sp.params.omega_pe, sp.params.omega_pm, sp.params.c
     pi_value = np.asarray(pi_value, dtype=float)
     lin = -(p * q / c) * pi_value
     if order == 1:

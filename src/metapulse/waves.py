@@ -6,8 +6,9 @@ E(0,t) = j(t). The paper's projecting operators act on it as
     P1 = 1/2 [[1, -a-hat], [-a-hat^{-1}, 1]],
     P2 = 1/2 [[1, +a-hat], [+a-hat^{-1}, 1]],
 
-each off-diagonal entry a convolution operator realized spectrally. Their
-B rows are the directed-wave amplitudes that ``split`` returns,
+each off-diagonal entry a convolution operator of the medium, realized
+spectrally on the grid the column carries. Their B rows are the
+directed-wave amplitudes that ``split`` returns,
 
     Pi     = (k + a-hat j) / 2,
     Lambda = (k - a-hat j) / 2,
@@ -73,15 +74,13 @@ class DirectedPair:
         return max(self.pi.peak, self.lam.peak)
 
 
-def split(fields, params, grid):
+def split(fields, params):
     """Split the entry-plane fields (B, E) into directed-wave amplitudes.
 
     Pulses should be zero-mean and decayed at the window edges; split
     treats the record as periodic and silently wraps anything else around,
     so violations in j = E or k = B are reported as warnings.
     """
-    if fields.grid != grid:
-        raise GridMismatchError("field pair grid differs from requested grid")
     for name, s in (("j", fields.e), ("k", fields.b)):
         peak = s.peak
         if peak == 0.0:
@@ -92,22 +91,20 @@ def split(fields, params, grid):
         if max(abs(s.samples[0]), abs(s.samples[-1])) > CLEAN_TOL * peak:
             warnings.warn(f"boundary signal {name} does not decay at window "
                           "edges", stacklevel=2)
-    a = make_multiplier("a", params, grid)
+    a = make_multiplier("a", params, fields.grid)
     aj = apply(a, fields.e)
     lam = 0.5 * (fields.b - aj)
     pi = 0.5 * (fields.b + aj)
     return DirectedPair(pi=pi, lam=lam)
 
 
-def reconstruct(dp, params, grid):
+def reconstruct(dp, params):
     """Recover the physical (B, E) pair from directed amplitudes.
 
     Requires a-hat^{-1} on the grid, which is a stricter admissibility
     condition than split needs.
     """
-    if dp.grid != grid:
-        raise GridMismatchError("directed pair grid differs from requested grid")
-    a_inv = make_multiplier("a_inv", params, grid)
+    a_inv = make_multiplier("a_inv", params, dp.grid)
     b = dp.pi + dp.lam
     e = apply(a_inv, dp.pi - dp.lam)
     return FieldPair(b=b, e=e)

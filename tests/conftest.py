@@ -89,10 +89,10 @@ def gaussian_pulse(grid, carrier, width, amplitude=1.0):
 def projections(psi, params, grid):
     """(P1 psi, P2 psi) of the field pair psi through the production
     split: P1 psi = reconstruct(0, Lambda), P2 psi = reconstruct(Pi, 0)."""
-    dp = split(psi, params, grid)
+    dp = split(psi, params)
     zero = Signal.zeros(grid)
-    return (reconstruct(DirectedPair(zero, dp.lam), params, grid),
-            reconstruct(DirectedPair(dp.pi, zero), params, grid))
+    return (reconstruct(DirectedPair(zero, dp.lam), params),
+            reconstruct(DirectedPair(dp.pi, zero), params))
 
 
 def field_peak(f, g=None):

@@ -115,21 +115,21 @@ def test_acceptance_03_exact_linear(capsys):
     a = a_symbol(UNIT, wk)
     x = 2.5
     dp0 = DirectedPair(Signal(GRID, np.cos(wk * GRID.times)), Signal.zeros(GRID))
-    out = propagate_linear_exact(dp0, [x], UNIT, GRID)[0]
+    out = propagate_linear_exact(dp0, [x], UNIT)[0]
     factor = np.fft.fft(out.pi.samples)[k] / np.fft.fft(dp0.pi.samples)[k]
     phase_err = abs(factor - np.exp(-1j * wk * a * x))
 
     rng = np.random.default_rng(3)
     dp0 = DirectedPair(random_zero_mean(GRID, rng), random_zero_mean(GRID, rng))
-    out = propagate_linear_exact(dp0, [7.0], UNIT, GRID)[0]
+    out = propagate_linear_exact(dp0, [7.0], UNIT)[0]
     mag0 = np.abs(np.fft.fft(dp0.pi.samples))
     mag1 = np.abs(np.fft.fft(out.pi.samples))
     mag_err = np.max(np.abs(mag1 - mag0)) / np.max(mag0)
 
     two = propagate_linear_exact(
-        propagate_linear_exact(dp0, [1.3], UNIT, GRID)[0], [2.2], UNIT, GRID
+        propagate_linear_exact(dp0, [1.3], UNIT)[0], [2.2], UNIT
     )[0]
-    one = propagate_linear_exact(dp0, [3.5], UNIT, GRID)[0]
+    one = propagate_linear_exact(dp0, [3.5], UNIT)[0]
     add_err = max(
         np.max(np.abs(two.pi.samples - one.pi.samples)),
         np.max(np.abs(two.lam.samples - one.lam.samples)),
@@ -145,8 +145,8 @@ def test_acceptance_04_kg_reduction(capsys, tmp_path):
         gaussian_pulse(grid, carrier=0.05, width=130.0), Signal.zeros(grid)
     )
     x = 1.0
-    kg = propagate_kg(dp0, [x], UNIT, grid)[0]
-    exact = propagate_linear_exact(dp0, [x], UNIT, grid)[0]
+    kg = propagate_kg(dp0, [x], UNIT)[0]
+    exact = propagate_linear_exact(dp0, [x], UNIT)[0]
     disc = rel_l2(kg.pi.samples, exact.pi.samples)
 
     spec = np.abs(np.fft.fft(dp0.pi.samples))
@@ -173,11 +173,11 @@ def test_acceptance_04_kg_reduction(capsys, tmp_path):
     d_dt = make_multiplier("d_dt", UNIT, grid)
     h = 0.01
     dxt = (
-        apply(d_dt, propagate_kg(dp0, [x + h], UNIT, grid)[0].pi).samples
-        - apply(d_dt, propagate_kg(dp0, [x - h], UNIT, grid)[0].pi).samples
+        apply(d_dt, propagate_kg(dp0, [x + h], UNIT)[0].pi).samples
+        - apply(d_dt, propagate_kg(dp0, [x - h], UNIT)[0].pi).samples
     ) / (2.0 * h)
     resid = np.max(np.abs(
-        dxt + propagate_kg(dp0, [x], UNIT, grid)[0].pi.samples))
+        dxt + propagate_kg(dp0, [x], UNIT)[0].pi.samples))
     # centered-difference error of exp(i pq h /(c w)) is (pq/(c w))^2 h^2/6
     fd_budget = dp0.pi.peak * (1.0 / np.min(w_occ)) ** 2 * h**2 / 6.0
 
@@ -223,7 +223,7 @@ def test_acceptance_06_nonlinear_solver(capsys):
     x = 2.0
 
     with pytest.warns(UserWarning, match="spectral content"):
-        kg = propagate_kg(dp0, [x], UNIT, GRID)[0]
+        kg = propagate_kg(dp0, [x], UNIT)[0]
     lin500 = propagate_nonlinear(dp0, x, 500, UNIT, GRID).final
     chi0_err = rel_l2(lin500.pi.samples, kg.pi.samples)
 
@@ -344,7 +344,7 @@ def propagate_dimensionless(dp0, zeta_end, n_steps, grid):
     rhs.stiffness = lambda state: _stiffness(state, 1.0, np.ones(w2.size),
                                              grid)
     rhs.lin = np.array([[-1.0], [1.0]]) * inv_iw
-    return _march_rk4(rhs, _entry_spectrum(dp0, grid), zeta_end, n_steps, 2,
+    return _march_rk4(rhs, _entry_spectrum(dp0), zeta_end, n_steps, 2,
                       grid)
 
 
@@ -386,19 +386,29 @@ def test_acceptance_08_stationary_suite(capsys):
     l_xx = (lw[2:] - 2.0 * lw[1:-1] + lw[:-2]) / h**2
     resid_l = np.max(np.abs(-sp.v * l_xx - lw[1:-1]))
 
-    pis = np.linspace(-5.0, 5.0, 401)
-    y = cardano_f(pis, sp, KERR)
-    back = np.abs(sp.big_k_v * y**3 + y + pis)
-    back_rel = np.max(back / np.maximum(np.abs(pis), 1e-30))
-
-    amps = np.logspace(-3, -1.5, 7)
-    series_err = np.abs(
-        series_f(amps, sp, KERR, order=3) - cardano_f(amps, sp, KERR)
-    )
-    exponent = np.polyfit(np.log(amps), np.log(series_err), 1)[0]
+    # the cubic K_v y^3 + c y + pq Pi = 0 and its series, on KERR and on
+    # a p != q medium and an SI one, at v = 0.8 c: Pi and the amplitudes
+    # scale with the series radius c^1.5 / (sqrt(K_v) p q), KERR's at 1
+    back_rel, exponent = 0.0, np.inf
+    for medium in (KERR, DrudeParams(1.0, 2.0, c=2.0, eps0=0.5, mu0=0.5,
+                                     chi3=0.3),
+                   DrudeParams(2e10, 3e10, chi3=1e-18)):
+        sp_m = stationary_params(0.8 * medium.c, medium)
+        pq, c = medium.omega_pe * medium.omega_pm, medium.c
+        scale = np.sqrt(sp.big_k_v / sp_m.big_k_v) * c**1.5 / pq
+        pis = scale * np.linspace(-5.0, 5.0, 401)
+        y = cardano_f(pis, sp_m)
+        back = np.abs(sp_m.big_k_v * y**3 + c * y + pq * pis)
+        back_rel = max(back_rel, np.max(
+            back / np.maximum(pq * np.abs(pis), 1e-30)))
+        amps = scale * np.logspace(-3, -1.5, 7)
+        series_err = np.abs(series_f(amps, sp_m, order=3)
+                            - cardano_f(amps, sp_m))
+        exponent = min(exponent,
+                       np.polyfit(np.log(amps), np.log(series_err), 1)[0])
 
     sp0 = stationary_params(1.0, UNIT)
-    _, pi, slope = integrate_oscillator(0.5, 0.0, 20.0, 4000, sp0, UNIT)
+    _, pi, slope = integrate_oscillator(0.5, 0.0, 20.0, 4000, sp0)
     energy = 0.5 * slope**2 + 0.5 * pi**2
     drift = np.max(np.abs(energy - energy[0])) / energy[0]
 

@@ -1398,6 +1398,29 @@ def test_unreadable_pulse_file_names_the_key(tmp_path, capsys):
     assert str(exc.value).startswith(f"pulse.file: {bad}: could not convert")
 
 
+@pytest.mark.parametrize("text", ["", "# t (s), value\n# no rows\n"],
+                         ids=["zero-byte", "comment-only"])
+def test_empty_pulse_file_names_the_key_without_a_warning(tmp_path, capsys,
+                                                          text):
+    # np.loadtxt warned "input contained no data" before the refusal, and
+    # under python -W error validate ended in that warning's traceback
+    empty = tmp_path / "pulse.txt"
+    empty.write_text(text)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(BASE.replace("carrier = 0.5\nwidth = 12.0\n",
+                                f"shape = user-file\nfile = {empty}\n"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["validate", str(cfg)]) == 1
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert [str(w.message) for w in seen] == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: pulse.file: {empty}: ")
+    assert (out / "error.txt").read_text().startswith(
+        f"ConfigError: pulse.file: {empty}: ")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_error_path(tmp_path):
     text = BASE.replace("name = split", "name = propagate-nonlinear")

@@ -63,10 +63,10 @@ def test_kerr_coupling_scales(kerr_params):
 
 def test_linear_exact_identity_at_zero(unit_params, grid, rng):
     dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
-    out = propagate_linear_exact(dp0, [0.0], unit_params, grid)[0]
+    out = propagate_linear_exact(dp0, [0.0], unit_params)[0]
     np.testing.assert_allclose(out.pi.samples, dp0.pi.samples, atol=1e-13)
     with pytest.raises(ValueError):
-        propagate_linear_exact(dp0, [-1.0], unit_params, grid)[0]
+        propagate_linear_exact(dp0, [-1.0], unit_params)[0]
 
 
 def test_linear_exact_plane_wave_phase(unit_params, grid):
@@ -75,19 +75,19 @@ def test_linear_exact_plane_wave_phase(unit_params, grid):
     a = a_symbol(unit_params, wk)
     x = 2.5
     dp0 = DirectedPair(Signal(grid, np.cos(wk * grid.times)), Signal.zeros(grid))
-    out = propagate_linear_exact(dp0, [x], unit_params, grid)[0]
+    out = propagate_linear_exact(dp0, [x], unit_params)[0]
     factor = np.fft.fft(out.pi.samples)[k] / np.fft.fft(dp0.pi.samples)[k]
     assert abs(factor - np.exp(-1j * wk * a * x)) <= 1e-12
     # Lambda branch carries the opposite phase
     dp0 = DirectedPair(Signal.zeros(grid), Signal(grid, np.cos(wk * grid.times)))
-    out = propagate_linear_exact(dp0, [x], unit_params, grid)[0]
+    out = propagate_linear_exact(dp0, [x], unit_params)[0]
     factor = np.fft.fft(out.lam.samples)[k] / np.fft.fft(dp0.lam.samples)[k]
     assert abs(factor - np.exp(+1j * wk * a * x)) <= 1e-12
 
 
 def test_linear_exact_magnitude_and_energy(unit_params, grid, rng):
     dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
-    out = propagate_linear_exact(dp0, [7.0], unit_params, grid)[0]
+    out = propagate_linear_exact(dp0, [7.0], unit_params)[0]
     mag0 = np.abs(np.fft.fft(dp0.pi.samples))
     mag1 = np.abs(np.fft.fft(out.pi.samples))
     assert np.max(np.abs(mag1 - mag0)) <= 1e-10 * np.max(mag0)
@@ -104,9 +104,9 @@ def test_group_additivity(unit_params, grid, rng):
             dp0 = DirectedPair(
                 band_pulse(grid, 0.3, 20.0), band_pulse(grid, 0.25, 25.0)
             )
-        two_leg = prop(prop(dp0, [1.3], unit_params, grid)[0], [2.2],
-                       unit_params, grid)[0]
-        one_leg = prop(dp0, [3.5], unit_params, grid)[0]
+        two_leg = prop(prop(dp0, [1.3], unit_params)[0], [2.2],
+                       unit_params)[0]
+        one_leg = prop(dp0, [3.5], unit_params)[0]
         assert (
             np.max(np.abs(two_leg.pi.samples - one_leg.pi.samples))
             <= 1e-10 * dp0.peak
@@ -160,7 +160,7 @@ def test_batched_linear_stations_match_per_x_bit_for_bit(
         grid = TimeGrid(1024, 4.0)
     dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
     xs = [2.5, 0.0, 7.0, 2.5, 1.3, 0.0]
-    out = batched(dp0, xs, params, grid)
+    out = batched(dp0, xs, params)
     assert len(out) == len(xs)
     for x, got in zip(xs, out):
         want = per_x(dp0, x, params, grid)
@@ -180,7 +180,7 @@ def test_linear_propagators_reject_bad_distances_before_any_transform(
 
     monkeypatch.setattr(np.fft, "rfft", no_transform)
     with pytest.raises(ValueError, match="^x must"):
-        prop(dp0, xs, unit_params, grid)
+        prop(dp0, xs, unit_params)
 
 
 @pytest.mark.parametrize("tail, warns", [(2e-6, True), (0.5e-6, False)])
@@ -193,7 +193,7 @@ def test_kg_band_warning_threshold(unit_params, grid, tail, warns):
     dp0 = DirectedPair(Signal(grid, wave), Signal.zeros(grid))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        propagate_kg(dp0, [1.0], unit_params, grid)
+        propagate_kg(dp0, [1.0], unit_params)
     assert [str(m.message).startswith("spectral content above 0.5 rad/s")
             for m in caught] == ([True] if warns else [])
 
@@ -203,7 +203,7 @@ def test_kg_plane_wave_phase(unit_params, grid):
     wk = fft_omegas(grid)[k]
     x = 1.7
     dp0 = DirectedPair(Signal(grid, np.sin(wk * grid.times)), Signal.zeros(grid))
-    out = propagate_kg(dp0, [x], unit_params, grid)[0]
+    out = propagate_kg(dp0, [x], unit_params)[0]
     factor = np.fft.fft(out.pi.samples)[k] / np.fft.fft(dp0.pi.samples)[k]
     expected = np.exp(1j * x / wk)  # +pq x/(c w)
     assert abs(factor - expected) <= 1e-12
@@ -212,7 +212,7 @@ def test_kg_plane_wave_phase(unit_params, grid):
 def test_kg_band_warning(unit_params, grid):
     hot = DirectedPair(band_pulse(grid, 0.9, 10.0), Signal.zeros(grid))
     with pytest.warns(UserWarning):
-        propagate_kg(hot, [1.0], unit_params, grid)[0]
+        propagate_kg(hot, [1.0], unit_params)[0]
 
 
 def test_kg_matches_exact_in_band(unit_params):
@@ -222,8 +222,8 @@ def test_kg_matches_exact_in_band(unit_params):
         gaussian_pulse(grid, carrier=0.05, width=130.0), Signal.zeros(grid)
     )
     x = 1.0
-    kg = propagate_kg(dp0, [x], unit_params, grid)[0]
-    exact = propagate_linear_exact(dp0, [x], unit_params, grid)[0]
+    kg = propagate_kg(dp0, [x], unit_params)[0]
+    exact = propagate_linear_exact(dp0, [x], unit_params)[0]
     disc = rel_l2(kg.pi.samples, exact.pi.samples)
 
     spec = np.abs(np.fft.fft(dp0.pi.samples))
@@ -249,9 +249,9 @@ def test_kg_second_order_residual(unit_params, grid):
     scale = dp0.pi.peak
 
     def residual(h):
-        plus = propagate_kg(dp0, [x + h], unit_params, grid)[0]
-        minus = propagate_kg(dp0, [x - h], unit_params, grid)[0]
-        mid = propagate_kg(dp0, [x], unit_params, grid)[0]
+        plus = propagate_kg(dp0, [x + h], unit_params)[0]
+        minus = propagate_kg(dp0, [x - h], unit_params)[0]
+        mid = propagate_kg(dp0, [x], unit_params)[0]
         dxt = (
             apply(d_dt, plus.pi).samples - apply(d_dt, minus.pi).samples
         ) / (2.0 * h)
@@ -267,7 +267,7 @@ def test_nonlinear_chi3_zero_matches_kg(unit_params, grid):
     dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0), band_pulse(grid, 0.3, 20.0))
     x = 2.0
     rec = propagate_nonlinear(dp0, x, 200, unit_params, grid)
-    kg = propagate_kg(dp0, [x], unit_params, grid)[0]
+    kg = propagate_kg(dp0, [x], unit_params)[0]
     assert rel_l2(rec.final.pi.samples, kg.pi.samples) <= 1e-6
     assert rel_l2(rec.final.lam.samples, kg.lam.samples) <= 1e-6
 
@@ -296,7 +296,7 @@ def test_chi3_zero_march_is_kg_to_rounding(unit_params, grid, medium,
                                   n_stations=5),
          DirectedPair(dp0.pi, Signal.zeros(grid))),
     ):
-        kg = propagate_kg(entry, rec.stations, params, grid)
+        kg = propagate_kg(entry, rec.stations, params)
         for got, want in zip(rec.states, kg):
             for a, b in ((got.pi, want.pi), (got.lam, want.lam)):
                 assert np.max(np.abs(a.samples - b.samples)) <= (
@@ -328,7 +328,7 @@ def _flipped_nonlinear(dp0, x_end, n_steps, params, grid, n_stations=2):
     """propagate_nonlinear with the sign of the +-(pq/c) pair flipped."""
     rhs = _kerr_rhs(params, grid)
     rhs.lin = -rhs.lin
-    return _march_rk4(rhs, _entry_spectrum(dp0, grid), x_end, n_steps,
+    return _march_rk4(rhs, _entry_spectrum(dp0), x_end, n_steps,
                       n_stations, grid)
 
 
@@ -345,29 +345,41 @@ def test_nonlinear_swap_negate_symmetry(kerr_params, grid):
 
 
 _ON_GRID = {
-    "propagate_linear_exact":
-        lambda dp, p, g: propagate_linear_exact(dp, [0.0, 1.0], p, g),
-    "propagate_kg": lambda dp, p, g: propagate_kg(dp, [0.0, 1.0], p, g),
     "propagate_nonlinear": lambda dp, p, g: propagate_nonlinear(dp, 1.0, 8,
                                                                 p, g),
     "propagate_unidirectional":
         lambda dp, p, g: propagate_unidirectional(dp.pi, 1.0, 8, p, g),
-    "kerr_default_steps": lambda dp, p, g: kerr_default_steps(dp, 1.0, p, g),
 }
 
 
-@pytest.mark.filterwarnings("ignore:spectral content")
 @pytest.mark.parametrize("name", sorted(_ON_GRID))
 def test_propagators_reject_an_entry_on_another_grid(kerr_params, name):
-    # an entry on dt 0.2 handed a dt 0.1 grid was marched and labelled
-    # with that grid: the exact propagator's Pi at x = 1 ended 1.4 from
-    # the right-grid result, on a pulse of peak 0.97
+    # the Kerr marchers take a grid beside the entry; an entry on dt 0.2
+    # handed a dt 0.1 grid was marched and labelled with that grid
     entry_grid = TimeGrid(1024, 0.2)
     dp0 = DirectedPair(band_pulse(entry_grid, 0.5, 12.0),
                        Signal.zeros(entry_grid))
     _ON_GRID[name](dp0, kerr_params, entry_grid)
     with pytest.raises(GridMismatchError):
         _ON_GRID[name](dp0, kerr_params, TimeGrid(1024, 0.1))
+
+
+@pytest.mark.filterwarnings("ignore:spectral content")
+@pytest.mark.parametrize("prop, per_x", [
+    (propagate_linear_exact, _linear_exact_per_x),
+    (propagate_kg, _kg_per_x),
+], ids=["exact", "kg"])
+def test_linear_propagators_march_on_the_entrys_grid(kerr_params, prop,
+                                                     per_x):
+    # the grid is the entry's: when a dt 0.1 grid could be passed beside an
+    # entry on dt 0.2, Pi at x = 1 ended 1.4 off on a pulse of peak 0.97
+    entry_grid = TimeGrid(1024, 0.2)
+    dp0 = DirectedPair(band_pulse(entry_grid, 0.5, 12.0),
+                       Signal.zeros(entry_grid))
+    out = prop(dp0, [0.0, 1.0], kerr_params)
+    assert all(s.grid == entry_grid for s in out)
+    want = per_x(dp0, 1.0, kerr_params, entry_grid)
+    assert np.max(np.abs(out[1].pi.samples - want.pi.samples)) <= 1e-12
 
 
 def test_nonlinear_dealiasing_keeps_top_third_clean(kerr_params, grid):
@@ -442,7 +454,7 @@ def test_exit_stiffness_flags_a_finite_march_past_its_step():
     # exit h sigma reads past the limit at 13 steps and within it at 42.
     # Pi's amplitude is 4.05: at 4 the 13 steps peak at 4e6 only
     params, grid, dp0 = _steepening_entry(4.05)
-    assert kerr_default_steps(dp0, 2.0, params, grid) == 21
+    assert kerr_default_steps(dp0, 2.0, params) == 21
     coarse, fine = (propagate_nonlinear(dp0, 2.0, n, params, grid)
                     for n in (13, 42))
     assert coarse.final.pi.peak > 1e7
@@ -475,7 +487,7 @@ def test_exit_stiffness_is_read_at_the_cut_of_the_last_march_grid(
         grid = TimeGrid(4096, 0.05)
         dp0 = DirectedPair(band_pulse(grid, 0.5, 12.0, amplitude=2.0),
                            Signal.zeros(grid))
-        n_steps = kerr_default_steps(dp0, 2.0, kerr_params, grid)
+        n_steps = kerr_default_steps(dp0, 2.0, kerr_params)
     else:
         grid = TimeGrid(1024, 0.2)
         dp0 = DirectedPair(*(random_zero_mean(grid, rng, grid.n // 2 - 1,
@@ -526,7 +538,7 @@ def test_kerr_default_count_matches_a_finer_march(coupled, amplitude):
     pi0 = band_pulse(grid, 0.5, 12.0, amplitude=amplitude)
     entry = DirectedPair(pi0, Signal.zeros(grid)) if coupled else pi0
     march = propagate_nonlinear if coupled else propagate_unidirectional
-    n_steps = kerr_default_steps(entry, 2.0, params, grid)
+    n_steps = kerr_default_steps(entry, 2.0, params)
     coarse, fine = (march(entry, 2.0, n, params, grid).final
                     for n in (n_steps, 4 * n_steps))
     assert rel_l2(np.concatenate([coarse.pi.samples, coarse.lam.samples]),
@@ -709,7 +721,7 @@ def test_cropped_march_is_within_a_thousandth_of_the_full_march_error(
     j = band_pulse(grid, 0.5, 12.0)
     dp0 = DirectedPair(apply(make_multiplier("a", kerr_params, grid), j),
                        Signal.zeros(grid))
-    n_steps = kerr_default_steps(dp0, 6.0, kerr_params, grid)
+    n_steps = kerr_default_steps(dp0, 6.0, kerr_params)
     k_c = kerr_coupling(kerr_params).big_k / kerr_params.c
     full, fine = (_full_spectrum_lawson(dp0, 6.0, n, grid, True, 1.0, k_c)[-1]
                   for n in (n_steps, 8 * n_steps))
@@ -746,7 +758,7 @@ def test_cropped_march_keeps_its_top_band_within_kerr_tail(kerr_params,
     pi0 = band_pulse(grid, 0.5, 12.0, amplitude=2.0)
     entry = DirectedPair(pi0, Signal.zeros(grid)) if coupled else pi0
     march = propagate_nonlinear if coupled else propagate_unidirectional
-    rec = march(entry, 2.0, kerr_default_steps(entry, 2.0, kerr_params, grid),
+    rec = march(entry, 2.0, kerr_default_steps(entry, 2.0, kerr_params),
                 kerr_params, grid)
     assert _start_n(march, entry, kerr_params, grid) == 512
     assert 512 < rec.meta["kerr_march_n"] < grid.n
@@ -779,7 +791,7 @@ def test_bins_above_the_last_cut_keep_the_entrys_linear_phase(kerr_params,
     m = rec.meta["kerr_march_n"]
     assert _start_n(march, entry, kerr_params, grid) == 512
     assert m == (1024 if coupled else 768)
-    kg = propagate_kg(DirectedPair(pi, lam), rec.stations, kerr_params, grid)
+    kg = propagate_kg(DirectedPair(pi, lam), rec.stations, kerr_params)
     above = np.s_[m // 3 + 1:]
     for got, want in zip(rec.states, kg):
         for a, b in ((got.pi, want.pi), (got.lam, want.lam)):
@@ -859,8 +871,8 @@ def test_unidirectional_agrees_while_lambda_small(unit_params, grid):
     assert lam_rel <= 1e-6
     assert rel_l2(uni.pi.samples, coupled.pi.samples) <= 10.0 * lam_rel + 1e-12
     # the nonlinear correction itself is resolved, not buried in noise
-    kg = propagate_kg(DirectedPair(pi0, Signal.zeros(grid)), [x], unit_params,
-                      grid)[0]
+    kg = propagate_kg(DirectedPair(pi0, Signal.zeros(grid)), [x],
+                      unit_params)[0]
     assert rel_l2(uni.pi.samples, kg.pi.samples) > lam_rel
 
 
@@ -869,7 +881,7 @@ def test_unidirectional_chi3_zero_is_kg(unit_params, grid):
     pi0 = band_pulse(grid, 0.4, 15.0)
     rec = propagate_unidirectional(pi0, 2.0, 200, unit_params, grid)
     kg = propagate_kg(
-        DirectedPair(pi0, Signal.zeros(grid)), [2.0], unit_params, grid
+        DirectedPair(pi0, Signal.zeros(grid)), [2.0], unit_params
     )[0]
     assert rel_l2(rec.final.pi.samples, kg.pi.samples) <= 1e-6
     assert rec.final.lam.peak == 0.0

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from metapulse import (
-    DirectedPair,
     FieldPair,
     GridMismatchError,
     Signal,
@@ -17,8 +16,6 @@ from metapulse import (
     a_symbol,
     apply,
     make_multiplier,
-    reconstruct,
-    split,
 )
 from conftest import (drude_multiplier, field_peak, fft_omegas, projections,
                       random_zero_mean)
@@ -122,12 +119,6 @@ def test_linearity(unit_params, grid, rng):
 
 def test_grid_mismatch(unit_params, grid, rng):
     other = TimeGrid(grid.n, 2.0 * grid.dt)
-    with pytest.raises(GridMismatchError):
-        split(random_pair(other, rng), unit_params, grid)
-    with pytest.raises(GridMismatchError):
-        reconstruct(DirectedPair(random_zero_mean(other, rng),
-                                 random_zero_mean(other, rng)),
-                    unit_params, grid)
     with pytest.raises(GridMismatchError):
         FieldPair(random_zero_mean(grid, rng), random_zero_mean(other, rng))
 

@@ -144,8 +144,7 @@ def test_split_then_reconstruct_is_identity(case):
     # scale whatever the units (SI E and B differ by about c)
     a_inv = make_multiplier("a_inv", params, grid)
     j, k = apply(a_inv, random_signal(grid, rng)), random_signal(grid, rng)
-    fields = reconstruct(split(FieldPair(b=k, e=j), params, grid),
-                         params, grid)
+    fields = reconstruct(split(FieldPair(b=k, e=j), params), params)
     assert np.max(np.abs(fields.e.samples - j.samples)) <= 1e-10 * j.peak
     assert np.max(np.abs(fields.b.samples - k.samples)) <= 1e-12 * k.peak
 
@@ -157,15 +156,14 @@ def test_exact_propagation_is_additive_in_x(case, max_phase, fraction):
     params, grid, seed = case
     rng = np.random.default_rng(seed)
     j, k = random_signal(grid, rng), random_signal(grid, rng)
-    dp0 = split(FieldPair(b=k, e=j), params, grid)
+    dp0 = split(FieldPair(b=k, e=j), params)
     # x sized so that the largest per-bin phase |w a(w)| x is max_phase
     w = grid.half_omegas[1:]
     x = max_phase / np.max(np.abs(w * a_symbol(params, w)))
     x1 = fraction * x
-    once = propagate_linear_exact(dp0, [x], params, grid)[0]
+    once = propagate_linear_exact(dp0, [x], params)[0]
     twice = propagate_linear_exact(
-        propagate_linear_exact(dp0, [x1], params, grid)[0], [x - x1], params,
-        grid)[0]
+        propagate_linear_exact(dp0, [x1], params)[0], [x - x1], params)[0]
     for a, b in ((once.pi, twice.pi), (once.lam, twice.lam)):
         assert np.max(np.abs(a.samples - b.samples)) <= 1e-10 * dp0.peak
 
@@ -224,7 +222,7 @@ def test_kerr_default_count_is_stable(medium, n, fraction, seed, coupled,
         entry = pi
     sigma = cube_rate(pi, lam, params)
     omega = phase_rate(pi, lam, params)
-    n_steps = kerr_default_steps(entry, x_end, params, grid)
+    n_steps = kerr_default_steps(entry, x_end, params)
     assert n_steps == max(4, int(np.ceil(x_end * sigma / 2.0)),
                           int(np.ceil(x_end * omega / 0.25)))
     assert x_end / n_steps * omega <= 0.25
@@ -266,7 +264,7 @@ def test_cropped_march_stays_within_ten_kerr_tails_of_the_full_march(
     scale = np.sqrt(10.0**log_rate / (x_end * rate))
     pi, lam = (Signal(grid, scale * s.samples) for s in (pi, lam))
     entry = DirectedPair(pi, lam) if coupled else pi
-    n_steps = kerr_default_steps(entry, x_end, params, grid, n_stations=5)
+    n_steps = kerr_default_steps(entry, x_end, params, n_stations=5)
     march = propagate_nonlinear if coupled else propagate_unidirectional
     rec = march(entry, x_end, n_steps, params, grid, n_stations=5)
     k_c = params.mu0 * params.chi3 * params.c**2 / (

@@ -143,10 +143,9 @@ def test_evanescent_grid_rejected():
 @pytest.mark.parametrize("build", [
     lambda j, params, grid: make_multiplier("a", params, grid),
     lambda j, params, grid: make_multiplier("a_inv", params, grid),
-    lambda j, params, grid: split(FieldPair(Signal.zeros(grid), j),
-                                  params, grid),
+    lambda j, params, grid: split(FieldPair(Signal.zeros(grid), j), params),
     lambda j, params, grid: propagate_linear_exact(
-        DirectedPair(j, Signal.zeros(grid)), [0.0, 1.0], params, grid),
+        DirectedPair(j, Signal.zeros(grid)), [0.0, 1.0], params),
 ], ids=["a", "a_inv", "split", "propagate_linear_exact"])
 def test_every_a_hat_build_meets_one_gap_rule(build):
     # medium.a_symbol is the one gap test: the grid check that ran before

@@ -71,15 +71,15 @@ def test_cardano_linear_limit(unit_params):
     assert sp0.big_k_v == 0.0
     pis = np.linspace(-3.0, 3.0, 11)
     np.testing.assert_allclose(
-        cardano_f(pis, sp0, unit_params), -pis, rtol=1e-14
+        cardano_f(pis, sp0), -pis, rtol=1e-14
     )
 
 
 def test_cardano_odd_and_residual(sp, kerr_params):
     p, q, c = 1.0, 1.0, 1.0
     pis = np.linspace(-5.0, 5.0, 401)
-    y = cardano_f(pis, sp, kerr_params)
-    y_neg = cardano_f(-pis, sp, kerr_params)
+    y = cardano_f(pis, sp)
+    y_neg = cardano_f(-pis, sp)
     np.testing.assert_allclose(y_neg, -y, atol=1e-13)
     resid = np.abs(sp.big_k_v * y**3 + c * y + p * q * pis)
     scale = np.maximum(np.abs(c * y), np.abs(p * q * pis))
@@ -88,7 +88,7 @@ def test_cardano_odd_and_residual(sp, kerr_params):
 
 def test_cardano_monotone_decreasing(sp, kerr_params):
     pis = np.linspace(-10.0, 10.0, 2001)
-    y = cardano_f(pis, sp, kerr_params)
+    y = cardano_f(pis, sp)
     assert np.all(np.diff(y) < 0.0)
 
 
@@ -96,7 +96,7 @@ def test_oscillator_linear_limit(unit_params):
     sp0 = stationary_params(1.0, unit_params)
     k_osc = 1.0  # sqrt(pq/c)
     a0 = 0.5
-    xi, pi, slope = integrate_oscillator(a0, 0.0, 20.0, 4000, sp0, unit_params)
+    xi, pi, slope = integrate_oscillator(a0, 0.0, 20.0, 4000, sp0)
     exact = a0 * np.cos(k_osc * xi)
     assert np.max(np.abs(pi - exact)) <= 1e-6 * a0
     # first integral of the harmonic oscillator
@@ -105,13 +105,13 @@ def test_oscillator_linear_limit(unit_params):
 
 
 def test_oscillator_zero_and_order(unit_params, sp, kerr_params):
-    xi, pi, slope = integrate_oscillator(0.0, 0.0, 5.0, 16, sp, kerr_params)
+    xi, pi, slope = integrate_oscillator(0.0, 0.0, 5.0, 16, sp)
     assert np.all(pi == 0.0) and np.all(slope == 0.0)
 
     # RK4 order on the nonlinear oscillator against a fine reference
-    ref = integrate_oscillator(1.0, 0.0, 4.0, 4096, sp, kerr_params)[1][-1]
+    ref = integrate_oscillator(1.0, 0.0, 4.0, 4096, sp)[1][-1]
     errs = [
-        abs(integrate_oscillator(1.0, 0.0, 4.0, n, sp, kerr_params)[1][-1] - ref)
+        abs(integrate_oscillator(1.0, 0.0, 4.0, n, sp)[1][-1] - ref)
         for n in (32, 64)
     ]
     order = np.log2(errs[0] / errs[1])
@@ -122,33 +122,33 @@ def test_series_f(sp, kerr_params, unit_params):
     pis = np.linspace(-0.05, 0.05, 21)
     sp0 = stationary_params(sp.v, unit_params)
     np.testing.assert_allclose(
-        series_f(pis, sp, kerr_params, order=1),
-        cardano_f(pis, sp0, unit_params),
+        series_f(pis, sp, order=1),
+        cardano_f(pis, sp0),
         rtol=1e-14,
     )
     with pytest.raises(ValueError):
-        series_f(0.1, sp, kerr_params, order=2)
+        series_f(0.1, sp, order=2)
 
     # order-3 error shrinks like Pi^5 against the Cardano oracle
     amps = np.logspace(-3, -1.5, 7)
     err = np.abs(
-        series_f(amps, sp, kerr_params, order=3)
-        - cardano_f(amps, sp, kerr_params)
+        series_f(amps, sp, order=3)
+        - cardano_f(amps, sp)
     )
     slope = np.polyfit(np.log(amps), np.log(err), 1)[0]
     assert slope >= 4.8
 
     # cubic correction opposes the linear restoring force for Pi > 0
     small = 0.01
-    s3 = series_f(small, sp, kerr_params, order=3)
-    s1 = series_f(small, sp, kerr_params, order=1)
+    s3 = series_f(small, sp, order=3)
+    s1 = series_f(small, sp, order=1)
     assert s3 > s1
-    assert cardano_f(small, sp, kerr_params) > s1
+    assert cardano_f(small, sp) > s1
 
 
 def test_series_radius_warning(sp, kerr_params):
     with pytest.warns(UserWarning):
-        series_f(1e6, sp, kerr_params, order=3)
+        series_f(1e6, sp, order=3)
 
 
 @pytest.mark.parametrize("order", [1, 3])
@@ -160,6 +160,6 @@ def test_series_radius_is_where_the_cubic_term_takes_over(sp, kerr_params,
     radius = c**1.5 / (np.sqrt(sp.big_k_v) * p * q)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        series_f([0.0, -(1.0 - 1e-9) * radius], sp, kerr_params, order=order)
+        series_f([0.0, -(1.0 - 1e-9) * radius], sp, order=order)
     with pytest.warns(UserWarning, match="convergence estimate"):
-        series_f([0.0, (1.0 + 1e-9) * radius], sp, kerr_params, order=order)
+        series_f([0.0, (1.0 + 1e-9) * radius], sp, order=order)

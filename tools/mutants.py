@@ -49,6 +49,30 @@ MUTANTS = [
      "new": "radius = 10.0 * c**1.5 / (np.sqrt(sp.big_k_v) * p * q)",
      "tests": ["tests/test_stationary.py::"
                "test_series_radius_is_where_the_cubic_term_takes_over"]},
+    {"name": "empty-pulse-file-warns", "file": CLI,
+     "old": 'warnings.simplefilter("ignore")',
+     "new": 'warnings.simplefilter("always")',
+     "tests": ["tests/test_cli.py::"
+               "test_empty_pulse_file_names_the_key_without_a_warning"]},
+    # the stationary solvers read the medium from their profile
+    {"name": "cardano-c-read-as-1", "file": STATIONARY,
+     "old": "p, q, c = sp.params.omega_pe, sp.params.omega_pm, sp.params.c\n"
+            "    pi_value = np.asarray(pi_value, dtype=float)\n"
+            "    kv = sp.big_k_v\n",
+     "new": "p, q, c = sp.params.omega_pe, sp.params.omega_pm, 1.0\n"
+            "    pi_value = np.asarray(pi_value, dtype=float)\n"
+            "    kv = sp.big_k_v\n",
+     "tests": ["tests/test_acceptance.py::"
+               "test_acceptance_08_stationary_suite"]},
+    {"name": "series-c-read-as-1", "file": STATIONARY,
+     "old": "p, q, c = sp.params.omega_pe, sp.params.omega_pm, sp.params.c\n"
+            "    pi_value = np.asarray(pi_value, dtype=float)\n"
+            "    lin = ",
+     "new": "p, q, c = sp.params.omega_pe, sp.params.omega_pm, 1.0\n"
+            "    pi_value = np.asarray(pi_value, dtype=float)\n"
+            "    lin = ",
+     "tests": ["tests/test_acceptance.py::"
+               "test_acceptance_08_stationary_suite"]},
     {"name": "taylor-claim-0.10-to-0.20", "file": CLI,
      "old": "{0.5: 5e-5, 0.9: 0.10}", "new": "{0.5: 5e-5, 0.9: 0.20}",
      "equivalent": "the error at 0.9 omega_pe is at least 1.29 for every "
