@@ -610,15 +610,20 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     on ``source.grid`` at the reference plane and at each probe; the
     reference-plane pair less its mean is split into directed waves,
     propagated the exact linear way, reconstructed, and compared in
-    relative L2 with each probe's record.
-
+    relative L2 with each probe's record. ``pad`` bounds each side's pad,
+    which the absorbing layer and its gap set, at 32 nodes at least and
+    past an x_ref behind the source.
     Returns the reference-compare scenario's (tables, summary): one table
     per probe (t, E and B of both sides; its x and L2s as meta) and the
     L2s, the 0.02 budget, ``pass`` (every L2 within it), the FDTD run's
-    wall-reflection flag as ``fdtd_contaminated``, and its Courant number
-    and steps per sample as ``fdtd_courant`` and ``fdtd_steps_per_sample``.
+    wall-reflection flag as ``fdtd_contaminated``, its Courant number,
+    steps per sample, nodes and pad, and its layer's length and one-way
+    attenuation at the edges of the source's occupied band.
     """
     grid = source.grid
+    layer = reference.absorbing_layer(params, source)[0]
+    pad = min(pad, max(layer + reference.LAYER_GAP * params.c
+                       / params.band_low, 32.0 * dx) - min(x_ref, 0.0))
     grid1d, i_src, probes_abs = _oracle(params, grid, dx, courant, x_ref,
                                         x_probes, duration, pad)
     run = reference.run_boundary_source(source, grid1d, params, duration,
@@ -645,7 +650,10 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     return tables, {"l2_errors_e": l2_e, "l2_errors_b": l2_b, "budget": 0.02,
                     "pass": ok, "fdtd_contaminated": run["contaminated"],
                     "fdtd_courant": grid1d.courant,
-                    "fdtd_steps_per_sample": run["steps_per_sample"]}
+                    "fdtd_steps_per_sample": run["steps_per_sample"],
+                    "fdtd_nodes (1)": grid1d.nx, "fdtd_pad (m)": pad,
+                    "fdtd_layer (m)": run["layer"],
+                    "fdtd_layer_attenuation (1)": run["attenuation"]}
 
 
 def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):

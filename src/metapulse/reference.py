@@ -11,8 +11,7 @@ half nodes; j_e lives at half time steps, j_m at integer ones, keeping the
 whole update second order. This solver shares nothing with the spectral
 machinery it validates.
 
-The step runs in normalised variables (Taflove & Hagness, ch. 9): E stays
-in SI, and
+The step runs in normalised variables (Taflove & Hagness, ch. 9), E in SI:
 
     H = (mu0 dx / dt) h,    M = dx j_m,    Q = (dt / eps0) j_e,
 
@@ -24,11 +23,12 @@ so that, with a = (wpm dt)^2, b = (wpe dt)^2 and s = dt^2 / (eps0 mu0 dx^2)
 
 This is the SI scheme with its gains folded into the stored variables: no
 step divides, and far fewer values are left subnormal in the vanishing tail
-ahead of a front, where numpy's arithmetic is slow.
-
-The oracle steps m times per sample of its source: it is driven by the
-source's band-limited interpolant and records every m-th step on the
-source's grid.
+ahead of a front, where numpy's arithmetic is slow. The oracle steps m
+times per sample of its source: it is driven by the source's band-limited
+interpolant and records every m-th step on the source's grid. PEC walls
+close it behind a layer where both currents decay at gamma_max (d/L)^2 at
+depth d: a passive collisional Drude medium, which unlike a PML cannot
+amplify backward waves (Becache, Joly & Vinoles 2018, Math. Comp. 87:2775).
 """
 
 import warnings
@@ -47,6 +47,11 @@ MAX_COURANT = 0.99
 #: source-run steps per block: the blow-up guard and the probe records run
 #: once per block, on one gathered row per step
 BLOCK_STEPS = 256
+
+#: the absorbing layer's band floor, impedance change and attenuation, and
+#: the undamped span beyond it in the oracle's pad, in c / min(wpe, wpm)
+BAND_FLOOR, LAYER_MISMATCH, LAYER_ATTENUATION = 1e-3, 0.05, 1e-3
+LAYER_GAP = 1.0
 
 
 @dataclass(frozen=True)
@@ -79,31 +84,29 @@ def _aligned_zeros(n):
     return buf[skip:skip + n]
 
 
-def _leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0):
+def _leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0, damping=(1.0, 1.0)):
     """The zero state (e, h, m, q) of an nx-node grid, normalised as in the
     module docstring, and ``advance()``, its in-place leapfrog update; the
-    e endpoints stay fixed (PEC walls).
+    e endpoints stay fixed (PEC walls behind the absorbing layer).
 
     h and e share one buffer x = [h | e] and m and q another, y = [m | q],
-    so that both Drude currents advance in one pass, y += coef x, with
-    coef a on h and b on e. The q endpoints take b times the fixed e
-    endpoints and are never read. Every intermediate lives in a buffer or
-    view made here, so a call allocates no array. The 9 ufuncs run in the
-    order of the plain update ``m += a*h; h += (e[:-1] - e[1:]) - m`` (and
-    its E twin), so the bits match it.
+    so that both Drude currents advance in one pass, y += coef x, coef a on
+    h and b on e, and decay in one more, y *= g, g the ``damping`` (g_h,
+    g_e). The q endpoints take b times the fixed e endpoints and are never
+    read. Every intermediate lives in a buffer or view made here, so a call
+    allocates no array. Its 10 ufuncs match the plain update bit for bit:
+    ``m += a*h; m *= g_h; h += (e[:-1] - e[1:]) - m`` and its E twin.
 
-    The buffers start on cache lines, and e and q are padded so that their
-    interiors do too: every array the step writes then starts on a cache
-    line, which took 0.3-1 us off a 6124-cell step against e and q
-    themselves on one.
+    Every array the step writes, e's and q's interiors too, starts on a
+    cache line: that took 0.3-1 us off a 6124-cell step.
     """
     # e[1] is element off + 1 of x, a multiple of 8 at or past h's end
     off = -(-nx // 8) * 8 - 1
-    x, y, coef, tmp = (_aligned_zeros(off + nx) for _ in range(4))
+    x, y, coef, g, tmp = (_aligned_zeros(off + nx) for _ in range(5))
     h, e, m, q = x[:nx - 1], x[off:], y[:nx - 1], y[off:]
     coef[:nx - 1], coef[off:] = (wpm * dt) ** 2, (wpe * dt) ** 2
-    # a 0-d array, which numpy takes without the per-call conversion of a
-    # Python float
+    g[:], (g[:nx - 1], g[off:]) = 1.0, damping
+    # 0-d: numpy takes it without converting a Python float at each call
     s = np.array(dt * dt / (eps0 * mu0 * dx * dx))
     tmp_h, tmp_in = tmp[:nx - 1], tmp[off + 1:off + nx - 1]
     e_lo, e_hi, h_lo, h_hi = e[:-1], e[1:], h[:-1], h[1:]
@@ -113,6 +116,7 @@ def _leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0):
     def advance():
         multiply(coef, x, tmp)
         add(y, tmp, y)
+        multiply(y, g, y)
         subtract(e_lo, e_hi, tmp_h)
         subtract(tmp_h, m, tmp_h)
         add(h, tmp_h, h)
@@ -158,18 +162,47 @@ def upsample(signal, m):
     return m * np.fft.irfft(half, m * signal.grid.n)
 
 
+def absorbing_layer(params, source):
+    """(length, rate, decay) of the layer for the band w that ``source``'s
+    bins within BAND_FLOOR of its peak span, p = wpe and q = wpm: rate
+    w_max, or less where the impedance change w rate |p^2 - q^2| / |(w^2 -
+    p^2)(w^2 - q^2)| passes LAYER_MISMATCH; decay at both edges, the mean
+    |Im k| over g = rate (d/length)^2, c k = sqrt((w - p^2/(w - i g)) (w -
+    q^2/(w - i g))); and exp(-decay length) at most LAYER_ATTENUATION."""
+    mag = np.abs(np.fft.rfft(source.samples))
+    w = source.grid.half_omegas[mag >= BAND_FLOOR * np.max(mag)][[0, -1]]
+    p2, q2 = params.omega_pe**2, params.omega_pm**2
+    with np.errstate(divide="ignore"):
+        slope = np.max(w * abs(p2 - q2) / np.abs((w * w - p2) * (w * w - q2)))
+        rate = min(w[1], LAYER_MISMATCH / slope)
+    w, g = w[:, None], rate * ((np.arange(64) + 0.5) / 64) ** 2  # midpoints
+    d = w * w + g * g
+    (ap, bp), (aq, bq) = ((w - s * w / d, s * g / d) for s in (p2, q2))
+    re, im = ap * aq - bp * bq, ap * bq + aq * bp  # (c k)^2, in real terms
+    decay = np.mean(np.sqrt(0.5 * (np.hypot(re, im) - re)), 1) / params.c
+    return float(np.log(LAYER_ATTENUATION) / -np.min(decay)), rate, decay
+
+
+def layer_damping(grid1d, length, rate):
+    """(g_h, g_e) on the half nodes and nodes: exp(-rate (d/length)^2 dt)."""
+    x = np.arange(2 * grid1d.nx - 1) * (0.5 * grid1d.dx)
+    depth = np.maximum(length - np.minimum(x, x[-1] - x), 0.0)
+    g = np.exp(-rate * grid1d.dt_fdtd * (depth / max(length, 1e-300))**2)
+    return g[1::2], g[::2]
+
+
 def run_boundary_source(source, grid1d, params, duration, probes,
                         source_index=None):
     """Drive the grid with a soft E source and record probe time series.
 
-    The node ``source_index`` (default nx // 4, so that leftward radiation
-    fades into the padding, not off the wall into the probes) takes the
-    band-limited interpolant (:func:`upsample`) of the Signal ``source``,
-    sampled every m steps and zero past its window; ``probes`` are meters
-    from it. Returns a dict: ``e`` and ``b``, of shape (probes, n), every
-    m-th step of each probe on ``source.grid.times``, zero past
-    ``duration``; ``steps_per_sample``, m; and ``contaminated``, the
-    wall-activity flag.
+    The node ``source_index`` (default nx // 4: leftward radiation runs
+    into the absorbing layer, which may fill the quarter behind it) takes
+    the band-limited interpolant (:func:`upsample`) of the Signal
+    ``source``, sampled every m steps and zero past its window; ``probes``
+    are meters from it. Returns a dict: ``e`` and ``b``, of shape (probes,
+    n), every m-th step of each probe on ``source.grid.times``, zero past
+    ``duration``; ``steps_per_sample``, m; ``contaminated``, the
+    wall-activity flag; the ``layer`` length, and its ``attenuation``.
 
     Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
     differ by more than 1e-12 relative, when the m steps of
@@ -198,13 +231,17 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     kick = np.zeros(n_steps + 1)
     kick[:m * n] = upsample(source, m)[:n_steps + 1] * (dt / dx)
     src_peak = max(source.peak, 1e-300)
+    length, rate, decay = absorbing_layer(params, source)
+    inner = [i_src, *idx]
+    length = min(length, dx * min(inner), dx * (nx - 1 - max(inner)))
+    attenuation = np.exp(-length * decay).tolist()
 
     advance, (e, *_) = _leapfrog(nx, dt, dx, params.omega_pe,
-                                 params.omega_pm, params.eps0, params.mu0)
+                                 params.omega_pm, params.eps0, params.mu0,
+                                 layer_damping(grid1d, length, rate))
     take = e.take
-    # one gather per step fills a block row: each probe with its two
-    # neighbours, then the four nodes beside the walls; the guard and the
-    # records run once per block
+    # one gather a step fills a block row: each probe with its neighbours,
+    # then four nodes by the walls; guard and records run once per block
     n_probes = len(idx)
     taps = np.concatenate([np.add.outer(np.asarray(idx, dtype=int),
                                         [-1, 0, 1]).ravel(),
@@ -243,9 +280,11 @@ def run_boundary_source(source, grid1d, params, duration, probes,
         wall_peak = max(wall_peak,
                         float(np.max(np.abs(blk[:, 3 * n_probes:]))))
 
-    contaminated = wall_peak > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0))
+    back = wall_peak * max(attenuation)  # a reflection crosses it again
+    contaminated = back > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0))
     if contaminated:
         warnings.warn("field activity near the walls; probe data may be "
                       "contaminated by reflections", stacklevel=2)
     return {"e": rec_e[:, :n], "b": rec_b[:, :n], "steps_per_sample": m,
-            "contaminated": bool(contaminated)}
+            "contaminated": bool(contaminated), "layer": length,
+            "attenuation": attenuation}

@@ -836,6 +836,55 @@ def test_plan_bounds_the_oracle_source_interpolant(monkeypatch, ceiling,
         "samples exceed 6143; raise run.dx or run.courant, or lower grid.n"]
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("pad", [40.0, 5.0])
+def test_reference_compare_pads_to_its_layer_at_most(pad):
+    # run.pad bounds the pad: 40 m pads to the derived layer and its gap
+    # (15.8 m), 5 m stays 5 m; the summary states the grid and the layer
+    config = _scenario_config("reference-compare", [f"run.pad={pad}"])
+    _, summary = next(plan(config))
+    params, dx = config.params, config.run["dx"]
+    source = synthesize_pulse(TimeGrid(2048, 0.1), **config.pulse)
+    length, _, decay = reference.absorbing_layer(params, source)
+    used = min(pad, length + reference.LAYER_GAP * params.c / params.band_low)
+    assert used < 40.0
+    assert summary["fdtd_pad (m)"] == used
+    assert summary["fdtd_nodes (1)"] == math.ceil((0.48 + 0.96 + 2.0 * used)
+                                                  / dx)
+    layer = min(length, round(used / dx) * dx)
+    assert summary["fdtd_layer (m)"] == pytest.approx(layer, rel=1e-12)
+    np.testing.assert_allclose(
+        summary["fdtd_layer_attenuation (1)"], np.exp(-layer * decay),
+        rtol=1e-12)
+    assert summary["fdtd_contaminated"] is (pad == 5.0)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("overrides, nodes", [
+    # the derived pad, 15.8 m, is 16 nodes of 0.96 m: the pad keeps 32
+    (["run.dx=0.96", "run.x_ref=0.96"], 66),
+    # a reference plane 20 m behind the source stays 15.8 m off the wall
+    (["run.x_ref=-20.0", "run.x_probes=20.96"], 907),
+])
+def test_oracle_pad_keeps_the_grid_the_plan_accepts(overrides, nodes):
+    _, summary = next(plan(_scenario_config("reference-compare", overrides)))
+    assert summary["fdtd_nodes (1)"] == nodes
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.02])
+def test_acceptance_9_oracle_sees_no_wall_reflection(dx):
+    # the derived pad, 12.7 m against the 60 m bound, keeps reflections
+    # off the probes at both of acceptance 9's dx
+    from test_acceptance import UNIT as unit
+
+    source = synthesize_pulse(TimeGrid(4096, 0.1), carrier=0.3, width=30.0)
+    _, summary = cli.reference_compare(unit, source, dx=dx, courant=0.5,
+                                       x_ref=0.48, x_probes=[1.0, 2.0],
+                                       duration=400.0, pad=60.0)
+    assert summary["fdtd_contaminated"] is False
+    assert summary["fdtd_nodes (1)"] < 6124 * 0.02 / dx
+
+
 def test_reference_compare_splits_records_without_dc():
     # the FDTD run's raw B record at the reference plane keeps a mean of
     # about 6.5e-5 of its peak, which split would report; the oracle's

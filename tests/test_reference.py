@@ -191,14 +191,17 @@ def _advance(e, h, j_e, j_m, dt, dx, wpe, wpm, eps0, mu0):
     e[1:-1] += (dt / eps0) * (-(h[1:] - h[:-1]) / dx - j_e[1:-1])
 
 
-def _advance_normalised(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0):
+def _advance_normalised(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0, g_h, g_e):
     """The plain allocating update in the normalised variables, with the
-    gains written as the oracle writes them."""
+    gains written as the oracle writes them, and each Drude current damped
+    by its factors ``g_h`` or ``g_e`` once it has taken its field."""
     a, b = (wpm * dt) ** 2, (wpe * dt) ** 2
     s = dt * dt / (eps0 * mu0 * dx * dx)
     m += a * h
+    m *= g_h
     h += (e[:-1] - e[1:]) - m
     q[1:-1] += b * e[1:-1]
+    q[1:-1] *= g_e[1:-1]
     e[1:-1] += s * (h[:-1] - h[1:]) - q[1:-1]
 
 
@@ -230,8 +233,8 @@ def test_normalised_leapfrog_matches_si_update(params, g, rng):
         assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-def test_leapfrog_step_is_nine_ufuncs_without_allocation(unit_params,
-                                                         monkeypatch):
+def test_leapfrog_step_is_ten_ufuncs_without_allocation(unit_params,
+                                                        monkeypatch):
     import tracemalloc
 
     g = YeeGrid1D(4096, 0.05, c=1.0)
@@ -249,7 +252,7 @@ def test_leapfrog_step_is_nine_ufuncs_without_allocation(unit_params,
     advance, fields = _stepper(g, unit_params, e=np.ones(g.nx))
     calls.clear()
     advance()
-    assert len(calls) == 9 and "divide" not in calls
+    assert len(calls) == 10 and "divide" not in calls
     monkeypatch.undo()
 
     advance, fields = _stepper(g, unit_params, e=np.ones(g.nx))
@@ -266,6 +269,161 @@ def test_leapfrog_step_is_nine_ufuncs_without_allocation(unit_params,
     assert peak - current < fields[0].nbytes / 4
 
 
+def _undamped_leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0):
+    """The oracle's 9-ufunc step before its absorbing layer, verbatim."""
+    off = -(-nx // 8) * 8 - 1
+    x, y, coef, tmp = (reference._aligned_zeros(off + nx) for _ in range(4))
+    h, e, m, q = x[:nx - 1], x[off:], y[:nx - 1], y[off:]
+    coef[:nx - 1], coef[off:] = (wpm * dt) ** 2, (wpe * dt) ** 2
+    s = np.array(dt * dt / (eps0 * mu0 * dx * dx))
+    tmp_h, tmp_in = tmp[:nx - 1], tmp[off + 1:off + nx - 1]
+    e_lo, e_hi, h_lo, h_hi = e[:-1], e[1:], h[:-1], h[1:]
+    e_in, q_in = e[1:-1], q[1:-1]
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+
+    def advance():
+        multiply(coef, x, tmp)
+        add(y, tmp, y)
+        subtract(e_lo, e_hi, tmp_h)
+        subtract(tmp_h, m, tmp_h)
+        add(h, tmp_h, h)
+        subtract(h_lo, h_hi, tmp_in)
+        multiply(tmp_in, s, tmp_in)
+        subtract(tmp_in, q_in, tmp_in)
+        add(e_in, tmp_in, e_in)
+
+    return advance, (e, h, m, q)
+
+
+@pytest.mark.parametrize("damping", [None, "ones"])
+def test_undamped_leapfrog_matches_the_step_without_a_layer_bit_for_bit(
+        damping, rng):
+    # g = 1 multiplies exactly, so a grid without a layer steps as before
+    params = DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0)
+    g = YeeGrid1D(203, 0.05, c=1.0)
+    args = (g.nx, g.dt_fdtd, g.dx, *_material(params))
+    extra = () if damping is None else ((np.ones(g.nx - 1), np.ones(g.nx)),)
+    runs = [_leapfrog(*args, *extra), _undamped_leapfrog(*args)]
+    start = [rng.standard_normal(n) for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)]
+    for _, fields in runs:
+        for a, values in zip(fields, start):
+            a[:] = values
+    for _ in range(300):
+        for advance, _ in runs:
+            advance()
+    (_, new), (_, old) = runs
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(new, old))
+
+
+def test_layer_damping_rises_as_the_square_of_the_depth():
+    # nodes at i dx, half nodes at (i + 1/2) dx; depth into the 2 m layer
+    # from the nearer wall at 0 or 10 m
+    g = YeeGrid1D(101, 0.1, c=1.0)
+    length, rate = 2.0, 3.0
+    g_h, g_e = reference.layer_damping(g, length, rate)
+    for got, x in ((g_e, np.arange(101) * 0.1),
+                   (g_h, (np.arange(100) + 0.5) * 0.1)):
+        depth = np.clip(length - np.minimum(x, 10.0 - x), 0.0, None)
+        want = np.exp(-rate * g.dt_fdtd * (depth / length) ** 2)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert np.all(got[(x >= length) & (x <= 10.0 - length)] == 1.0)
+    assert g_e[0] == g_e[-1] == np.exp(-rate * g.dt_fdtd)
+    # no layer damps nothing
+    assert all(np.all(a == 1.0) for a in reference.layer_damping(g, 0.0, rate))
+
+
+def _scaled_acceptance_9_pulse(params):
+    """Acceptance 9's pulse and oracle in units of w0 = min(p, q) and
+    c / w0: the source, dx, the duration, the probe offsets from the
+    source and the unit length."""
+    w0 = params.band_low
+    unit = params.c / w0
+    source = gaussian_pulse(TimeGrid(4096, 0.1 / w0), carrier=0.3 * w0,
+                            width=30.0 / w0)
+    probes = [x * unit for x in (0.48, 1.48, 2.48)]
+    return source, 0.04 * unit, 400.0 / w0, probes, unit
+
+
+def _padded_run(params, source, dx, duration, probes, pad):
+    """run_boundary_source on a grid padded by ``pad`` on each side, at
+    the plan's Courant number, and the damping its leapfrog took, which
+    leaves the nodes from the source to the last probe undamped."""
+    m = reference.steps_per_sample(source.grid.dt, 0.5 * dx / params.c)
+    g = YeeGrid1D(int(np.ceil((probes[-1] + 2.0 * pad) / dx)), dx,
+                  courant=params.c * source.grid.dt / (m * dx), c=params.c)
+    taken = []
+
+    def spy(*args):
+        taken.append(args[-1])
+        return _leapfrog(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "_leapfrog", spy)
+        out = run_boundary_source(source, g, params, duration, probes,
+                                  source_index=int(round(pad / dx)))
+    (g_h, g_e), i_src = taken[0], int(round(pad / dx))
+    inside = np.s_[i_src:i_src + int(round(probes[-1] / dx)) + 1]
+    assert np.all(g_e[inside] == 1.0) and np.all(g_h[inside][:-1] == 1.0)
+    return out, taken[0]
+
+
+@pytest.mark.parametrize("params", [
+    DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0),
+    DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0),
+    DrudeParams(2.0 * np.pi * 5e9, 2.0 * np.pi * 8e9),
+], ids=["p=q=1", "p=0.8,q=1.25", "SI"])
+def test_layer_records_match_a_clean_pec_run(params, monkeypatch):
+    # the derived layer and its gap against PEC walls 60 c/w0 away, where
+    # nothing returns within the run
+    source, dx, duration, probes, unit = _scaled_acceptance_9_pulse(params)
+    length = reference.absorbing_layer(params, source)[0]
+    pad = length + reference.LAYER_GAP * unit
+    out, (g_h, g_e) = _padded_run(params, source, dx, duration, probes, pad)
+    assert out["layer"] == pytest.approx(length, rel=1e-12)
+    assert not out["contaminated"]
+    assert np.min(g_e) < 1.0 and np.min(g_h) < 1.0
+
+    monkeypatch.setattr(reference, "absorbing_layer",
+                        lambda *_: (0.0, 0.0, np.zeros(2)))
+    clean, _ = _padded_run(params, source, dx, duration, probes, 60.0 * unit)
+    assert not clean["contaminated"]
+    for name in ("e", "b"):
+        for got, want in zip(out[name], clean[name]):
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("ignore:field activity near the walls")
+@pytest.mark.parametrize("pad, moved, raw", [(4.0, True, True),
+                                             (8.0, False, True),
+                                             (None, False, False)])
+def test_wall_flag_reads_wall_activity_through_the_layer(pad, moved, raw,
+                                                         unit_params,
+                                                         monkeypatch):
+    # pads of 4 and 8 c/w0 move the records by 1.9e-3 and 5e-6 from the
+    # clean run, and the derived pad by 3e-8; the raw wall activity passes
+    # 1e-4 of the record peak at 8 too, but not once it has crossed the
+    # layer back
+    source, dx, duration, probes, unit = _scaled_acceptance_9_pulse(
+        unit_params)
+    length, rate, _ = reference.absorbing_layer(unit_params, source)
+    if pad is None:
+        pad = length + reference.LAYER_GAP * unit
+    out, _ = _padded_run(unit_params, source, dx, duration, probes, pad)
+    assert out["contaminated"] is moved
+    # the same layer, read as if it did not attenuate
+    monkeypatch.setattr(reference, "absorbing_layer",
+                        lambda *_: (length, rate, np.zeros(2)))
+    assert _padded_run(unit_params, source, dx, duration, probes,
+                       pad)[0]["contaminated"] is raw
+    monkeypatch.setattr(reference, "absorbing_layer",
+                        lambda *_: (0.0, 0.0, np.zeros(2)))
+    clean, _ = _padded_run(unit_params, source, dx, duration, probes, 60.0)
+    change = max(np.linalg.norm(got - want) / np.linalg.norm(want)
+                 for name in ("e", "b")
+                 for got, want in zip(out[name], clean[name]))
+    assert bool(change > 1e-4) is moved
+
+
 def test_oracle_arrays_start_on_cache_lines(monkeypatch):
     # the leapfrog's step time moved by up to 20% with where malloc put its
     # arrays, so an unrelated allocation could slow the oracle; every array
@@ -279,7 +437,8 @@ def test_oracle_arrays_start_on_cache_lines(monkeypatch):
         arrays.update(zip("ehmq", fields))
         arrays.update((name, cell.cell_contents) for name, cell in
                       zip(advance.__code__.co_freevars, advance.__closure__)
-                      if name in ("x", "y", "coef", "tmp", "tmp_h", "tmp_in"))
+                      if name in ("x", "y", "coef", "g", "tmp", "tmp_h",
+                                  "tmp_in"))
         return advance, fields
 
     monkeypatch.setattr(reference, "_leapfrog", spy)
@@ -287,8 +446,8 @@ def test_oracle_arrays_start_on_cache_lines(monkeypatch):
         arrays.clear()
         run_boundary_source(source, YeeGrid1D(nx, 0.5, c=1.0), params, 5.0,
                             [2.0])
-        assert sorted(arrays) == ["coef", "e", "h", "m", "q", "tmp", "tmp_h",
-                                  "tmp_in", "x", "y"]
+        assert sorted(arrays) == ["coef", "e", "g", "h", "m", "q", "tmp",
+                                  "tmp_h", "tmp_in", "x", "y"]
         starts = {name: a.ctypes.data for name, a in arrays.items()}
         starts["e"] += 8
         starts["q"] += 8
@@ -307,11 +466,18 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     """Reference oracle loop: B on every half node, the blow-up guard and
     one Python loop over the probes per step, with the source kick read
     from the upsampled source, zero past its window, and the records of
-    every step decimated to the source's grid. Raises FloatingPointError
-    carrying the first step past the guard."""
+    every step decimated to the source's grid. The derived absorbing layer
+    reaches from each wall to the source or the outermost probe at most,
+    and the wall activity counts once it has crossed the layer again.
+    Raises FloatingPointError carrying the first step past the guard."""
     dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
     n_steps = int(round(duration / dt))
     idx = [source_index + int(round(xp / dx)) for xp in probes]
+    length, rate, decay = reference.absorbing_layer(params, source)
+    inner = [source_index] + idx
+    length = min(length, min(inner) * dx, (nx - 1 - max(inner)) * dx)
+    g_h, g_e = reference.layer_damping(grid1d, length, rate)
+    back = max(np.exp(-length * decay).tolist())
     steps_per_sample = int(round(source.grid.dt / dt))
     kick = upsample(source, steps_per_sample)
     src_peak = max(source.peak, 1e-300)
@@ -321,7 +487,7 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     rec_b = np.zeros((len(idx), n_steps + 1))
     wall_peak = 0.0
     for n in range(1, n_steps + 1):
-        _advance_normalised(e, h, m, q, dt, dx, *_material(params))
+        _advance_normalised(e, h, m, q, dt, dx, *_material(params), g_h, g_e)
         if n < kick.size:
             e[source_index] += kick[n] * (dt / dx)
         b_prev = b.copy()
@@ -338,7 +504,8 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
         kept = rec[:, ::steps_per_sample][:, :source.grid.n]
         out[:, :kept.shape[1]] = kept
     rec_e, rec_b = on_grid
-    contaminated = wall_peak > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0))
+    contaminated = (wall_peak * back
+                    > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0)))
     return rec_e, rec_b, bool(contaminated)
 
 
@@ -353,10 +520,13 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     (200, 100, 5.0, [0.1, 0.2, 0.3, -0.1], False),
     # exactly two blocks of steps; the pulse reaches the walls
     (200, 100, 2 * BLOCK_STEPS * 0.05, [0.1, 0.2, 0.3, -0.1], True),
-    # source midway between the walls: the fronts have passed the 1e-4
-    # threshold at nodes 3 and nx-4 (1.3x) but not at nodes 2 and nx-3
-    # (0.87x), so reading any tap one node inwards flips the flag
+    # source midway between the walls, the fronts half a step from the
+    # threshold
     (201, 100, 18.0, [0.1, 0.2, 0.3, -0.1], False),
+    # through the layer, the fronts have passed the 1e-4 threshold at node
+    # 3 or nx-4 but not at nodes 1, 2, nx-3 or nx-2, so reading the taps
+    # one node inwards flips the flag
+    (200, 100, 18.0, [0.1, 0.2, 0.3, -0.1], False),
 ])
 def test_source_run_records_match_full_grid_loop(nx, i_src, duration, probes,
                                                  walls_hit):

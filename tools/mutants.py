@@ -168,6 +168,47 @@ MUTANTS = [
      "new": "half[-1] *= 1.0 if m > 1 else 1.0",
      "tests": ["tests/test_reference.py::"
                "test_upsample_is_the_sources_trigonometric_interpolant"]},
+    # the absorbing layer and the pad it needs
+    {"name": "layer-profile-linear-in-depth", "file": REFERENCE,
+     "old": "(depth / max(length, 1e-300))**2",
+     "new": "(depth / max(length, 1e-300))",
+     "tests": ["tests/test_reference.py::"
+               "test_layer_damping_rises_as_the_square_of_the_depth"]},
+    {"name": "layer-damps-m-only", "file": REFERENCE,
+     "old": "g[:], (g[:nx - 1], g[off:]) = 1.0, damping",
+     "new": "g[:], (g[:nx - 1], g[off:]) = 1.0, (damping[0], 1.0)",
+     "tests": ["tests/test_reference.py::"
+               "test_source_run_records_match_full_grid_loop"]},
+    {"name": "layer-rate-without-mismatch-bound", "file": REFERENCE,
+     "old": "rate = min(w[1], LAYER_MISMATCH / slope)",
+     "new": "rate = w[1]",
+     "tests": ["tests/test_reference.py::"
+               "test_layer_records_match_a_clean_pec_run"]},
+    {"name": "wall-flag-without-the-layer", "file": REFERENCE,
+     "old": "back = wall_peak * max(attenuation)",
+     "new": "back = wall_peak",
+     "tests": ["tests/test_reference.py::"
+               "test_wall_flag_reads_wall_activity_through_the_layer"]},
+    {"name": "pad-ceiling-as-max", "file": CLI,
+     "old": "pad = min(pad, max(layer",
+     "new": "pad = max(pad, max(layer",
+     "tests": ["tests/test_cli.py::"
+               "test_reference_compare_pads_to_its_layer_at_most"]},
+    {"name": "pad-without-32-nodes", "file": CLI,
+     "old": "/ params.band_low, 32.0 * dx)",
+     "new": "/ params.band_low, 0.0 * dx)",
+     "tests": ["tests/test_cli.py::"
+               "test_oracle_pad_keeps_the_grid_the_plan_accepts"]},
+    {"name": "pad-without-the-reference-plane", "file": CLI,
+     "old": "32.0 * dx) - min(x_ref, 0.0))",
+     "new": "32.0 * dx))",
+     "tests": ["tests/test_cli.py::"
+               "test_oracle_pad_keeps_the_grid_the_plan_accepts"]},
+    {"name": "wall-taps-one-node-inward", "file": REFERENCE,
+     "old": "[1, nx - 2, 2, nx - 3]",
+     "new": "[2, nx - 3, 3, nx - 4]",
+     "tests": ["tests/test_reference.py::"
+               "test_source_run_records_match_full_grid_loop"]},
     # the size ceiling and the plan's overflows
     {"name": "size-ceiling-inclusive", "file": CLI,
      "old": "if not samples <= MAX_SAMPLES:",
