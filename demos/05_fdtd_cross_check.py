@@ -22,7 +22,7 @@ for dx in (0.04, 0.02):
         x_probes=[1.0, 2.0], duration=400.0, pad=60.0,
     )
     errors[dx] = summary["l2_errors_e"]
-    for *_, probe in tables.values():
+    for *_, probe in tables:
         print(f"{dx:>6.2f} {probe['x (m)']:>8.2f} "
               f"{probe['l2_error_e']:>10.2e} {probe['l2_error_b']:>10.2e}")
 

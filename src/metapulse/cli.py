@@ -379,19 +379,17 @@ def _check_a_inv(config, grid):
 
 
 def _station_tables(prefix, grid, xs, states, params=None):
-    """One table per station x of ``xs``: t, Pi and Lambda, and with
-    ``params`` the reconstructed B and E."""
-    tables = {}
+    """One table per station x of ``xs``, built when it is asked for: t, Pi
+    and Lambda, and with ``params`` the reconstructed B and E."""
+    header = "t (s),Pi (T),Lambda (T)" + ("" if params is None
+                                          else ",B (T),E (V/m)")
     for i, (x, state) in enumerate(zip(xs, states)):
         cols = [grid.times, state.pi.samples, state.lam.samples]
-        header = "t (s),Pi (T),Lambda (T)"
         if params is not None:
             fp = waves.reconstruct(state, params)
             cols += [fp.b.samples, fp.e.samples]
-            header += ",B (T),E (V/m)"
-        tables[f"{prefix}_station_{i:03d}.csv"] = (header, cols,
-                                                    {"x (m)": float(x)})
-    return tables
+        yield (f"{prefix}_station_{i:03d}.csv", header, cols,
+               {"x (m)": float(x)})
 
 
 def _remove_previous_run(out):
@@ -420,39 +418,43 @@ def plan(config):
     It builds the TimeGrid, the pulse, the entry pair and its split, the
     a-hat^{-1} of the scenarios that reconstruct, the Kerr step count and
     the FDTD oracle's grid, and raises ConfigError naming the config keys
-    that set whatever of these cannot be built. Returns the scenario's
-    runner paused after that: ``next`` on it marches, reconstructs and
-    gives the run's (tables, summary).
+    that set whatever of these cannot be built. Returns (tables, summary):
+    the runner paused after that, whose steps give each table as (name,
+    header, columns, meta) in write order, and the summary they fill.
     """
-    steps = SCENARIOS[config.scenario][1](config)
-    next(steps)
-    return steps
+    summary = {}
+    tables = SCENARIOS[config.scenario][1](config, summary)
+    next(tables)
+    return tables, summary
 
 
 def run_scenario(config, out_dir=None):
     """Plan and execute a scenario; returns (exit_status, written file
     paths).
 
-    An earlier run's files are deleted first, and each table is streamed
-    to its file chunk by chunk; a plan's ConfigError and every error of the
-    run go to ``error.txt``, output ``OSError``s propagate."""
+    An earlier run's files are deleted first. Each table is built, streamed
+    to its file chunk by chunk and dropped; every error of the plan or the
+    run goes to ``error.txt`` alone, output ``OSError``s propagate."""
     out = Path(out_dir if out_dir is not None else config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     _remove_previous_run(out)
+    metas = {}
     try:
-        tables, summary = next(plan(config))
+        tables, summary = plan(config)
+        for name, header, columns, meta in tables:
+            metas[name] = meta
+            with (out / name).open("wb") as fh:
+                fh.writelines(table_chunks(header, columns))
+    except OSError:  # the output's; main names the setting that chose it
+        raise
     except Exception as exc:  # propagate module errors to a diagnostic file
+        for name in metas:
+            (out / name).unlink()
         diag = out / "error.txt"
         diag.write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"error: {exc}", file=sys.stderr)
         return 1, [str(diag)]
 
-    written = []
-    for name, (header, columns, _) in tables.items():
-        path = out / name
-        with path.open("wb") as fh:
-            fh.writelines(table_chunks(header, columns))
-        written.append(str(path))
     manifest = {
         "tool": "metapulse",
         "version": __version__,
@@ -461,33 +463,28 @@ def run_scenario(config, out_dir=None):
         "grid": config.grid,
         "pulse": config.pulse,
         "run": config.run,
-        "tables": {name: meta for name, (*_, meta) in sorted(tables.items())},
+        "tables": metas,
         "summary": summary,
     }
     mpath = out / "manifest.json"
     mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    written.append(str(mpath))
-    return 0, written
+    return 0, [str(out / name) for name in metas] + [str(mpath)]
 
 
 # ---------------------------------------------------------------- runners
-# Each runner is a generator: the code before its first ``yield`` is the
-# run's plan, and the second ``yield`` gives (tables, summary). A runner
-# that serves two scenarios reads which from ``config.scenario``.
 
 
-def _run_split(config):
+def _run_split(config, summary):
     grid = _grid(config)
     fields, dp = _entry(config, grid, config.run["boundary"])
     yield
-    header = "t (s),j=E(0,t) (V/m),k=B(0,t) (T),Pi (T),Lambda (T)"
-    columns = [grid.times, fields.e.samples, fields.b.samples,
-               dp.pi.samples, dp.lam.samples]
-    summary = {"pi_peak (T)": dp.pi.peak, "lambda_peak (T)": dp.lam.peak}
-    yield {"split.csv": (header, columns, {})}, summary
+    summary.update({"pi_peak (T)": dp.pi.peak, "lambda_peak (T)": dp.lam.peak})
+    yield ("split.csv", "t (s),j (V/m),k (T),Pi (T),Lambda (T)",
+           [grid.times, fields.e.samples, fields.b.samples, dp.pi.samples,
+            dp.lam.samples], {})
 
 
-def _run_linear(config):
+def _run_linear(config, summary):
     grid = _grid(config)
     _check_ceilings(config, grid)
     dp0 = _entry(config, grid, config.run["boundary"])[1]
@@ -498,11 +495,10 @@ def _run_linear(config):
                   else evolution.propagate_linear_exact)
     xs = np.linspace(0.0, config.run["x_end"], config.run["n_stations"])
     states = propagator(dp0, xs, config.params)
-    tables = _station_tables(tag, grid, xs, states, config.params)
-    summary = {"stations (m)": [float(x) for x in xs]}
+    summary["stations (m)"] = [float(x) for x in xs]
     if tag == "kg":
         summary.update(_kg_budget(config.params, dp0, config.run["x_end"]))
-    yield tables, summary
+    yield from _station_tables(tag, grid, xs, states, config.params)
 
 
 def _kg_budget(params, dp0, x_end):
@@ -519,7 +515,7 @@ def _kg_budget(params, dp0, x_end):
     return {"band_edge (rad/s)": w_edge, "kg_error_budget (1)": budget}
 
 
-def _run_kerr(config):
+def _run_kerr(config, summary):
     run, grid = config.run, _grid(config)
     _check_ceilings(config, grid)
     tag = config.scenario.removeprefix("propagate-")
@@ -544,15 +540,15 @@ def _run_kerr(config):
              else evolution.propagate_unidirectional)
     record = march(entry, run["x_end"], n_steps, config.params, grid,
                    n_stations=run["n_stations"])
-    summary = {"n_steps": n_steps, "final_pi_peak (T)": record.final.pi.peak,
-               **{f"{key} (1)": value for key, value in record.meta.items()}}
+    summary["n_steps"] = n_steps
+    summary["final_pi_peak (T)"] = record.final.pi.peak
+    summary.update({f"{key} (1)": value for key, value in record.meta.items()})
     if coupled:
         summary["final_lambda_peak (T)"] = record.final.lam.peak
-    yield (_station_tables(tag, grid, record.stations, record.states),
-           summary)
+    yield from _station_tables(tag, grid, record.stations, record.states)
 
 
-def _run_stationary_linear(config):
+def _run_stationary_linear(config, summary):
     with _keys("medium.omega_pe", "medium.c", "run.v"):  # p^3, c^3, v^6
         sp = stationary.stationary_params(config.run["v"], config.params)
     yield
@@ -560,46 +556,48 @@ def _run_stationary_linear(config):
                      config.run["n_xi"])
     r = stationary.linear_r_profile(config.run["amplitude_r"], sp, xi)
     lw = stationary.linear_l_profile(config.run["amplitude_l"], sp, xi)
-    summary = {"k (1/m)": sp.k, "omega (rad/s)": sp.omega, "v (m/s)": sp.v}
-    yield {"stationary_linear.csv": ("xi (m),R (T),L (T)", [xi, r, lw],
-                                     {})}, summary
+    summary.update({"k (1/m)": sp.k, "omega (rad/s)": sp.omega,
+                    "v (m/s)": sp.v})
+    yield "stationary_linear.csv", "xi (m),R (T),L (T)", [xi, r, lw], {}
 
 
-def _run_stationary_nonlinear(config):
+def _run_stationary_nonlinear(config, summary):
     with _keys("medium.omega_pe", "medium.c", "run.v"):  # p^3, c^3, v^6
         sp = stationary.stationary_params(config.run["v"], config.params)
     yield
     xi, pi, slope = stationary.integrate_oscillator(
         config.run["pi0"], config.run["dpi0"], config.run["xi_end"],
         config.run["n_steps"], sp)
-    summary = {"k (1/m)": sp.k, "K_v": sp.big_k_v}
-    yield {"stationary_nonlinear.csv": ("xi (m),Pi (T),dPi/dxi (T/m)",
-                                        [xi, pi, slope], {})}, summary
+    summary.update({"k (1/m)": sp.k, "K_v": sp.big_k_v})
+    yield ("stationary_nonlinear.csv", "xi (m),Pi (T),dPi/dxi (T/m)",
+           [xi, pi, slope], {})
 
 
-def _run_taylor_error(config):
+def _run_taylor_error(config, summary):
     yield
     p = config.params
     omegas = np.linspace(0.0, 0.95, config.run["n_points"] + 1)[1:] * p.omega_pe
     err = medium.taylor_truncation_error(p, omegas)
-    summary = {"note": "claims reported, not gated"}
+    summary["note"] = "claims reported, not gated"
     # omega/omega_pe -> the claimed bound on the long-wave term's error
     for frac, claim in {0.5: 5e-5, 0.9: 0.10}.items():
         at = float(medium.taylor_truncation_error(p, frac * p.omega_pe))
         summary.update({f"error_at_{frac}_omega_pe": at,
                         f"claimed_below_{frac}": claim,
                         f"claim_met_at_{frac}": at <= claim})
-    yield {"taylor_error.csv": ("omega/omega_pe (1),relative error (1)",
-                                [omegas / p.omega_pe, err], {})}, summary
+    yield ("taylor_error.csv", "omega/omega_pe (1),relative error (1)",
+           [omegas / p.omega_pe, err], {})
 
 
-def _run_reference_compare(config):
+def _run_reference_compare(config, summary):
     grid = _grid(config)
     source = synthesize_pulse(grid, **config.pulse)
     _check_a_inv(config, grid)
     _oracle(config.params, grid, **config.run)
     yield
-    yield reference_compare(config.params, source, **config.run)
+    tables, compared = reference_compare(config.params, source, **config.run)
+    summary.update(compared)
+    yield from tables
 
 
 def reference_compare(params, source, dx, courant, x_ref, x_probes,
@@ -613,12 +611,13 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     relative L2 with each probe's record. ``pad`` bounds each side's pad,
     which the absorbing layer and its gap set, at 32 nodes at least and
     past an x_ref behind the source.
-    Returns the reference-compare scenario's (tables, summary): one table
-    per probe (t, E and B of both sides; its x and L2s as meta) and the
-    L2s, the 0.02 budget, ``pass`` (every L2 within it), the FDTD run's
-    wall-reflection flag as ``fdtd_contaminated``, its Courant number,
-    steps per sample, nodes and pad, and its layer's length and one-way
-    attenuation at the edges of the source's occupied band.
+    Returns the reference-compare scenario's (tables, summary): a list of
+    one (name, header, columns, meta) table per probe in probe order (t, E
+    and B of both sides; its x and L2s as meta), and the L2s, the 0.02
+    budget, ``pass`` (every L2 within it), the FDTD run's wall-reflection
+    flag as ``fdtd_contaminated``, its Courant number, steps per sample,
+    nodes and pad, and its layer's length and one-way attenuation at the
+    edges of the source's occupied band.
     """
     grid = source.grid
     layer = reference.absorbing_layer(params, source)[0]
@@ -634,17 +633,18 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     states = evolution.propagate_linear_exact(
         waves.split(fields, params), x_probes, params)
 
-    tables, l2_e, l2_b = {}, [], []
+    tables, l2_e, l2_b = [], [], []
     for i, (xp, dp, e_fd, b_fd) in enumerate(zip(x_probes, states, e_fdtd,
                                                  b_fdtd)):
         fp = waves.reconstruct(dp, params)
         l2_e.append(_rel_l2(fp.e.samples, e_fd))
         l2_b.append(_rel_l2(fp.b.samples, b_fd))
-        tables[f"compare_probe_{i:03d}.csv"] = (
+        tables.append((
+            f"compare_probe_{i:03d}.csv",
             "t (s),E fdtd (V/m),E spectral (V/m),B fdtd (T),B spectral (T)",
             [grid.times, e_fd, fp.e.samples, b_fd, fp.b.samples],
             {"x (m)": float(xp), "l2_error_e": l2_e[-1],
-             "l2_error_b": l2_b[-1]})
+             "l2_error_b": l2_b[-1]}))
     # a NaN error fails, as it would not under max(...) <= 0.02
     ok = all(e <= 0.02 and b <= 0.02 for e, b in zip(l2_e, l2_b))
     return tables, {"l2_errors_e": l2_e, "l2_errors_b": l2_b, "budget": 0.02,

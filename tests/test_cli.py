@@ -512,7 +512,9 @@ def test_format_table_bytes_match_per_value_rendering(n_rows, n_cols):
 def test_cli_tables_match_per_value_rendering(tmp_path):
     # every CSV that `metapulse run` writes for the 9 acceptance-10 configs,
     # parsed back with float() and rendered one value at a time, is the
-    # file's text
+    # file's text; its header names one field a column (split.csv's
+    # "j=E(0,t)" read as two), and the manifest lists exactly these tables,
+    # each station's and probe's under its own name
     from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
 
     tables = 0
@@ -520,13 +522,25 @@ def test_cli_tables_match_per_value_rendering(tmp_path):
         config = tmp_path / f"{name}.ini"
         config.write_text(f"[scenario]\nname = {name}\n{BASE_MEDIUM}{extra}")
         assert main(["run", str(config), "--out", str(tmp_path / name)]) == 0
-        for path in sorted((tmp_path / name).glob("*.csv")):
+        paths = sorted((tmp_path / name).glob("*.csv"))
+        for path in paths:
             table = path.read_bytes()
             header, *lines = table.decode("ascii").splitlines()
             rows = np.array([[float(v) for v in line.split(",")]
                              for line in lines])
+            assert len(header.split(",")) == rows.shape[1]
             assert table == _format_per_value(header, list(rows.T))
             tables += 1
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert list(manifest["tables"]) == [path.name for path in paths]
+        xs = [meta["x (m)"] for meta in manifest["tables"].values()
+              if "x (m)" in meta]
+        run = manifest["run"]
+        if "x_probes" in run:
+            assert xs == run["x_probes"]
+        elif "x_end" in run:  # Kerr stations fall on steps
+            assert xs[0] == 0.0 and xs[-1] == run["x_end"]
+            assert np.all(np.diff(xs) > 0)
     assert tables == 25
 
 
@@ -769,11 +783,12 @@ def test_reference_compare_passes_only_when_e_and_b_pass(monkeypatch, l2_e,
         return (l2_b, l2_e)[len(calls) % 2]
 
     monkeypatch.setattr(cli, "_rel_l2", rel_l2)
-    tables, summary = next(plan(_scenario_config("reference-compare")))
+    tables, summary = plan(_scenario_config("reference-compare"))
+    tables = list(tables)
     assert len(calls) == 2 * len(tables) == 2
     np.testing.assert_equal(summary["l2_errors_e"], [l2_e])
     np.testing.assert_equal(summary["l2_errors_b"], [l2_b])
-    (*_, meta), = tables.values()
+    (*_, meta), = tables
     np.testing.assert_equal([meta["l2_error_e"], meta["l2_error_b"]],
                             [l2_e, l2_b])
     assert summary["pass"] is passed
@@ -786,8 +801,9 @@ def test_reference_compare_of_empty_records_fails_without_a_warning():
     # encountered in scalar divide"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, summary = next(plan(_scenario_config("reference-compare",
-                                                ["run.duration=0.01"])))
+        tables, summary = plan(_scenario_config("reference-compare",
+                                                ["run.duration=0.01"]))
+        list(tables)
     assert np.isnan(summary["l2_errors_e"] + summary["l2_errors_b"]).all()
     assert summary["pass"] is False
 
@@ -796,7 +812,8 @@ def test_reference_compare_of_empty_records_fails_without_a_warning():
 def test_reference_compare_records_the_oracle_clock():
     # at the Courant bound of 0.5, dx 0.08 steps 0.04, 2.5 steps a sample
     # of 0.1; the oracle steps 3 times a sample, at Courant 5/12
-    _, summary = next(plan(_scenario_config("reference-compare")))
+    tables, summary = plan(_scenario_config("reference-compare"))
+    list(tables)
     assert summary["fdtd_steps_per_sample"] == 3
     assert summary["fdtd_courant"] == pytest.approx(5.0 / 12.0, rel=1e-15)
 
@@ -842,7 +859,8 @@ def test_reference_compare_pads_to_its_layer_at_most(pad):
     # run.pad bounds the pad: 40 m pads to the derived layer and its gap
     # (15.8 m), 5 m stays 5 m; the summary states the grid and the layer
     config = _scenario_config("reference-compare", [f"run.pad={pad}"])
-    _, summary = next(plan(config))
+    tables, summary = plan(config)
+    list(tables)
     params, dx = config.params, config.run["dx"]
     source = synthesize_pulse(TimeGrid(2048, 0.1), **config.pulse)
     length, _, decay = reference.absorbing_layer(params, source)
@@ -867,7 +885,8 @@ def test_reference_compare_pads_to_its_layer_at_most(pad):
     (["run.x_ref=-20.0", "run.x_probes=20.96"], 907),
 ])
 def test_oracle_pad_keeps_the_grid_the_plan_accepts(overrides, nodes):
-    _, summary = next(plan(_scenario_config("reference-compare", overrides)))
+    tables, summary = plan(_scenario_config("reference-compare", overrides))
+    list(tables)
     assert summary["fdtd_nodes (1)"] == nodes
 
 
@@ -892,15 +911,19 @@ def test_reference_compare_splits_records_without_dc():
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message=".*DC content")
         warnings.filterwarnings("ignore", message=".*(decay|walls)")
-        tables, summary = next(plan(_scenario_config("reference-compare")))
-    assert len(tables) == 1 and summary["budget"] == 0.02
+        tables, summary = plan(_scenario_config("reference-compare"))
+        assert len(list(tables)) == 1
+    assert summary["budget"] == 0.02
 
 
 @pytest.mark.filterwarnings("ignore:spectral content above")
 def test_kg_budget_grows_with_x_end():
-    budgets = [next(plan(_scenario_config(
-        "propagate-kg", [f"run.x_end={x}"])))[1]["kg_error_budget (1)"]
-               for x in (3.0, 6.0)]
+    budgets = []
+    for x in (3.0, 6.0):
+        tables, summary = plan(_scenario_config("propagate-kg",
+                                                [f"run.x_end={x}"]))
+        list(tables)
+        budgets.append(summary["kg_error_budget (1)"])
     assert budgets[0] > 0.0
     assert budgets[1] == 2.0 * budgets[0]
 
@@ -1502,21 +1525,60 @@ def test_rerun_with_fewer_stations_removes_the_old_tables(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_good_run_after_a_failed_run_removes_error_txt(tmp_path):
-    # the failed Kerr run's error.txt stayed beside a successful manifest
+def test_good_run_after_a_failed_run_removes_error_txt(tmp_path, capsys):
+    # the failed Kerr run's error.txt stayed beside a successful manifest;
+    # validate, the plan alone, accepts the loud run that blows up on its
+    # march
     text = BASE.replace("name = split", "name = propagate-nonlinear")
     text = text.replace("mu0 = 1.0", "mu0 = 1.0\nchi3 = 1.0")
     text = text.replace("width = 12.0", "width = 12.0\namplitude = 0.1")
     text += "\n[run]\nx_end = 5.0\nn_steps = 10\n"
-    assert run_scenario(parse_config(text), out_dir=tmp_path)[0] == 0
-    loud = parse_config(text, ["pulse.amplitude=1000.0"])
-    status, _ = run_scenario(loud, out_dir=tmp_path)
-    assert status == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["error.txt"]
-    status, written = run_scenario(parse_config(text), out_dir=tmp_path)
+    out = tmp_path / "out"
+    assert run_scenario(parse_config(text), out_dir=out)[0] == 0
+    config = tmp_path / "kerr.ini"
+    config.write_text(text)
+    loud = ["--override", "pulse.amplitude=1000.0"]
+    assert main(["validate", str(config), *loud]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+    assert main(["run", str(config), "--out", str(out), *loud]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+    assert (out / "error.txt").read_text().startswith("BlowUpError: ")
+    status, written = run_scenario(parse_config(text), out_dir=out)
     assert status == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+    assert sorted(p.name for p in out.iterdir()) == sorted(
         Path(p).name for p in written)
+
+
+def test_a_run_that_fails_on_its_second_table_leaves_only_error_txt(
+        tmp_path, monkeypatch):
+    # each table is written before the next is built: the first station's
+    # table is on disk when the second station's reconstruction fails, and
+    # the failed run deletes it, so no later run finds it stale
+    config = tmp_path / "linear.ini"
+    config.write_text(BASE.replace("name = split", "name = propagate-linear")
+                      + "\n[run]\nx_end = 3.0\n")
+    out = tmp_path / "out"
+    reconstruct, calls = waves.reconstruct, []
+
+    def fails_second(state, params):
+        calls.append(None)
+        if len(calls) == 2:
+            assert (out / "linear_station_000.csv").is_file()
+            raise RuntimeError("no second station")
+        return reconstruct(state, params)
+
+    monkeypatch.setattr(waves, "reconstruct", fails_second)
+    assert main(["run", str(config), "--out", str(out)]) == 1
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.txt"]
+    assert (out / "error.txt").read_text() == (
+        "RuntimeError: no second station\n")
+    monkeypatch.undo()
+    status, written = run_scenario(parse_config(BASE), out_dir=out)
+    assert status == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "split.csv"]
 
 
 @pytest.mark.parametrize("manifest", [
@@ -1538,14 +1600,27 @@ def test_previous_run_removal_deletes_only_listed_csv_names(tmp_path,
     assert (tmp_path / "split.csv").read_text() == "kept"
 
 
-@pytest.mark.parametrize("via", ["--out", "output.directory", "table"])
-def test_output_directory_errors_name_the_setting(tmp_path, capsys, via):
-    # an --out that is a file died in a FileExistsError traceback
+def _fills(header, columns):
+    """A table's chunks on a disk that fills after the first."""
+    yield f"{header}\n".encode()
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("via", ["--out", "output.directory", "table",
+                                 "full-disk"])
+def test_output_directory_errors_name_the_setting(tmp_path, capsys,
+                                                  monkeypatch, via):
+    # an --out that is a file died in a FileExistsError traceback; a table
+    # that cannot be opened, or whose disk fills after its first chunk, is
+    # the output directory's error too, and writes no error.txt
     f = tmp_path / "cfg.ini"
     f.write_text(BASE)
     out = tmp_path / "out"
-    if via == "table":
-        (out / "split.csv").mkdir(parents=True)
+    if via in ("table", "full-disk"):
+        if via == "table":
+            (out / "split.csv").mkdir(parents=True)
+        else:
+            monkeypatch.setattr(cli, "table_chunks", _fills)
         argv = ["run", str(f), "--out", str(out)]
     else:
         out.write_text("a file")
@@ -1554,8 +1629,10 @@ def test_output_directory_errors_name_the_setting(tmp_path, capsys, via):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: output directory {out}: ")
-    assert err.endswith(f"(set by {'--out' if via == 'table' else via})\n")
+    setting = "--out" if via in ("table", "full-disk") else via
+    assert err.endswith(f"(set by {setting})\n")
     assert "Traceback" not in err
+    assert not (out / "error.txt").exists()
 
 
 def test_writing_a_table_holds_one_chunk(tmp_path):

@@ -271,6 +271,29 @@ MUTANTS = [
      "old": "samples[k.astype(int)] = amplitude * values",
      "new": "samples[k.astype(int)] = values",
      "tests": ["tests/test_cli.py::test_synthesize_file_round_trip"]},
+    # each table written as it is built
+    {"name": "partial-tables-kept", "file": CLI,
+     "old": "        for name in metas:\n"
+            "            (out / name).unlink()\n",
+     "new": "",
+     "tests": ["tests/test_cli.py::test_a_run_that_fails_on_its_second_"
+               "table_leaves_only_error_txt"]},
+    {"name": "last-station-table-dropped", "file": CLI,
+     "old": "enumerate(zip(xs, states))",
+     "new": "enumerate(zip(xs[:-1], states))",
+     "tests": ["tests/test_cli.py::test_cli_tables_match_per_value_"
+               "rendering"]},
+    {"name": "station-meta-under-the-mirrored-name", "file": CLI,
+     "old": "enumerate(zip(xs, states))",
+     "new": "enumerate(zip(xs[::-1], states))",
+     "tests": ["tests/test_cli.py::test_cli_tables_match_per_value_"
+               "rendering"]},
+    {"name": "output-oserror-to-error-txt", "file": CLI,
+     "old": "    except OSError:  # the output's; main names the setting that "
+            "chose it\n        raise\n",
+     "new": "",
+     "tests": ["tests/test_cli.py::test_output_directory_errors_name_the_"
+               "setting[full-disk]"]},
     # the CSV renderer's chunks and slots
     *({"name": name, "file": RENDER,
        "old": "width = 26 if max(e.max(), -e.min()) >= 100 else 25",
