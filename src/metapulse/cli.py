@@ -428,47 +428,49 @@ def plan(config):
     return tables, summary
 
 
-def run_scenario(config, out_dir=None):
-    """Plan and execute a scenario; returns (exit_status, written file
-    paths).
+def run_scenario(config, out_dir):
+    """Plan and execute a scenario into the directory ``out_dir``; returns
+    (exit_status, written file paths).
 
     An earlier run's files are deleted first. Each table is built, streamed
-    to its file chunk by chunk and dropped; every error of the plan or the
-    run goes to ``error.txt`` alone, output ``OSError``s propagate."""
-    out = Path(out_dir if out_dir is not None else config.output["directory"])
+    to its file chunk by chunk and dropped, then ``manifest.json`` is
+    written. A run that stops deletes every file it opened; an output
+    ``OSError`` then propagates, any other error goes to ``error.txt``."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_previous_run(out)
-    metas = {}
+    metas, written = {}, []
     try:
         tables, summary = plan(config)
         for name, header, columns, meta in tables:
-            metas[name] = meta
             with (out / name).open("wb") as fh:
+                written.append(out / name)
+                metas[name] = meta
                 fh.writelines(table_chunks(header, columns))
-    except OSError:  # the output's; main names the setting that chose it
-        raise
-    except Exception as exc:  # propagate module errors to a diagnostic file
-        for name in metas:
-            (out / name).unlink()
+        manifest = {
+            "tool": "metapulse",
+            "version": __version__,
+            "scenario": config.scenario,
+            "medium": config.medium,
+            "grid": config.grid,
+            "pulse": config.pulse,
+            "run": config.run,
+            "tables": metas,
+            "summary": summary,
+        }
+        with (out / "manifest.json").open("w") as fh:
+            written.append(out / "manifest.json")
+            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    except Exception as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # the output's; main names its setting
+            raise
         diag = out / "error.txt"
         diag.write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"error: {exc}", file=sys.stderr)
         return 1, [str(diag)]
-
-    manifest = {
-        "tool": "metapulse",
-        "version": __version__,
-        "scenario": config.scenario,
-        "medium": config.medium,
-        "grid": config.grid,
-        "pulse": config.pulse,
-        "run": config.run,
-        "tables": metas,
-        "summary": summary,
-    }
-    mpath = out / "manifest.json"
-    mpath.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return 0, [str(out / name) for name in metas] + [str(mpath)]
+    return 0, [str(path) for path in written]
 
 
 # ---------------------------------------------------------------- runners

@@ -282,9 +282,6 @@ def run_boundary_source(source, grid1d, params, duration, probes,
 
     back = wall_peak * max(attenuation)  # a reflection crosses it again
     contaminated = back > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0))
-    if contaminated:
-        warnings.warn("field activity near the walls; probe data may be "
-                      "contaminated by reflections", stacklevel=2)
     return {"e": rec_e[:, :n], "b": rec_b[:, :n], "steps_per_sample": m,
             "contaminated": bool(contaminated), "layer": length,
             "attenuation": attenuation}

@@ -1,6 +1,7 @@
 """Config parsing, pulse synthesis and scenario running."""
 
 import collections
+import errno
 import json
 import math
 import os
@@ -857,10 +858,14 @@ def test_plan_bounds_the_oracle_source_interpolant(monkeypatch, ceiling,
 @pytest.mark.parametrize("pad", [40.0, 5.0])
 def test_reference_compare_pads_to_its_layer_at_most(pad):
     # run.pad bounds the pad: 40 m pads to the derived layer and its gap
-    # (15.8 m), 5 m stays 5 m; the summary states the grid and the layer
+    # (15.8 m), 5 m stays 5 m; the summary states the grid and the layer.
+    # The wall activity a 5 m pad lets through is the fdtd_contaminated
+    # flag alone: the oracle also warned of it
     config = _scenario_config("reference-compare", [f"run.pad={pad}"])
-    tables, summary = plan(config)
-    list(tables)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="field activity")
+        tables, summary = plan(config)
+        list(tables)
     params, dx = config.params, config.run["dx"]
     source = synthesize_pulse(TimeGrid(2048, 0.1), **config.pulse)
     length, _, decay = reference.absorbing_layer(params, source)
@@ -910,7 +915,7 @@ def test_reference_compare_splits_records_without_dc():
     # E and B are split less their means
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message=".*DC content")
-        warnings.filterwarnings("ignore", message=".*(decay|walls)")
+        warnings.filterwarnings("ignore", message=".*decay")
         tables, summary = plan(_scenario_config("reference-compare"))
         assert len(list(tables)) == 1
     assert summary["budget"] == 0.02
@@ -1633,6 +1638,64 @@ def test_output_directory_errors_name_the_setting(tmp_path, capsys,
     assert err.endswith(f"(set by {setting})\n")
     assert "Traceback" not in err
     assert not (out / "error.txt").exists()
+    if via == "full-disk":  # the header-only split.csv stayed
+        assert list(out.iterdir()) == []
+
+
+class _FullDisk:
+    """A file handle on a disk that is full: every write raises EFBIG."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.EFBIG, "File too large")
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize("fails_at", ["linear_station_000.csv",
+                                      "linear_station_002.csv",
+                                      "manifest.json"])
+def test_a_run_whose_output_fails_leaves_no_file_of_its_own(
+        tmp_path, capsys, monkeypatch, fails_at):
+    # the tables written before the failing file, and that file's partial
+    # bytes, stayed with no manifest, so a rerun with fewer stations kept
+    # linear_station_002.csv beside a manifest that listed 000 and 001
+    config = tmp_path / "linear.ini"
+    config.write_text(BASE.replace("name = split", "name = propagate-linear")
+                      + "\n[run]\nx_end = 3.0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return _FullDisk(fh) if path.name == fails_at else fh
+
+    monkeypatch.setattr(Path, "open", open_)
+    assert main(["run", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output directory {out}: [Errno {errno.EFBIG}] File too "
+        "large (set by --out)\n")
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    monkeypatch.undo()
+    assert main(["run", str(config), "--out", str(out),
+                 "--override", "run.n_stations=2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*manifest["tables"], "manifest.json", "notes.txt"])
+    assert sorted(manifest["tables"]) == [
+        "linear_station_000.csv", "linear_station_001.csv"]
 
 
 def test_writing_a_table_holds_one_chunk(tmp_path):

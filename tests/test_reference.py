@@ -392,7 +392,6 @@ def test_layer_records_match_a_clean_pec_run(params, monkeypatch):
             assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 
 
-@pytest.mark.filterwarnings("ignore:field activity near the walls")
 @pytest.mark.parametrize("pad, moved, raw", [(4.0, True, True),
                                              (8.0, False, True),
                                              (None, False, False)])
@@ -509,7 +508,6 @@ def _full_grid_source_run(source, grid1d, params, duration, probes,
     return rec_e, rec_b, bool(contaminated)
 
 
-@pytest.mark.filterwarnings("ignore:field activity near the walls")
 @pytest.mark.parametrize("nx, i_src, duration, probes, walls_hit", [
     # adjacent probes, the first next to the source, one behind it
     (200, 100, 16.0, [0.1, 0.2, 0.3, -0.1], False),

@@ -273,8 +273,8 @@ MUTANTS = [
      "tests": ["tests/test_cli.py::test_synthesize_file_round_trip"]},
     # each table written as it is built
     {"name": "partial-tables-kept", "file": CLI,
-     "old": "        for name in metas:\n"
-            "            (out / name).unlink()\n",
+     "old": "        for path in written:\n"
+            "            path.unlink(missing_ok=True)\n",
      "new": "",
      "tests": ["tests/test_cli.py::test_a_run_that_fails_on_its_second_"
                "table_leaves_only_error_txt"]},
@@ -289,11 +289,30 @@ MUTANTS = [
      "tests": ["tests/test_cli.py::test_cli_tables_match_per_value_"
                "rendering"]},
     {"name": "output-oserror-to-error-txt", "file": CLI,
-     "old": "    except OSError:  # the output's; main names the setting that "
-            "chose it\n        raise\n",
+     "old": "        if isinstance(exc, OSError):  # the output's; main names "
+            "its setting\n            raise\n",
      "new": "",
      "tests": ["tests/test_cli.py::test_output_directory_errors_name_the_"
                "setting[full-disk]"]},
+    {"name": "output-oserror-raised-before-cleanup", "file": CLI,
+     "old": "        for path in written:\n"
+            "            path.unlink(missing_ok=True)\n"
+            "        if isinstance(exc, OSError):  # the output's; main names "
+            "its setting\n            raise\n",
+     "new": "        if isinstance(exc, OSError):\n            raise\n"
+            "        for path in written:\n"
+            "            path.unlink(missing_ok=True)\n",
+     "tests": ["tests/test_cli.py::test_a_run_whose_output_fails_leaves_no_"
+               "file_of_its_own[linear_station_002.csv]"]},
+    {"name": "partial-manifest-kept", "file": CLI,
+     "old": "            written.append(out / \"manifest.json\")\n"
+            "            fh.write(json.dumps(manifest, sort_keys=True, "
+            "indent=2) + \"\\n\")\n",
+     "new": "            fh.write(json.dumps(manifest, sort_keys=True, "
+            "indent=2) + \"\\n\")\n"
+            "        written.append(out / \"manifest.json\")\n",
+     "tests": ["tests/test_cli.py::test_a_run_whose_output_fails_leaves_no_"
+               "file_of_its_own[manifest.json]"]},
     # the CSV renderer's chunks and slots
     *({"name": name, "file": RENDER,
        "old": "width = 26 if max(e.max(), -e.min()) >= 100 else 25",
