@@ -610,9 +610,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     on ``source.grid`` at the reference plane and at each probe; the
     reference-plane pair less its mean is split into directed waves,
     propagated the exact linear way, reconstructed, and compared in
-    relative L2 with each probe's record. ``pad`` bounds each side's pad,
-    which the absorbing layer and its gap set, at 32 nodes at least and
-    past an x_ref behind the source.
+    relative L2 with each probe's record. ``pad`` bounds the pad past the
+    farthest position, which the absorbing layer and its gap set.
     Returns the reference-compare scenario's (tables, summary): a list of
     one (name, header, columns, meta) table per probe in probe order (t, E
     and B of both sides; its x and L2s as meta), and the L2s, the 0.02
@@ -623,12 +622,11 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     """
     grid = source.grid
     layer = reference.absorbing_layer(params, source)[0]
-    pad = min(pad, max(layer + reference.LAYER_GAP * params.c
-                       / params.band_low, 32.0 * dx) - min(x_ref, 0.0))
-    grid1d, i_src, probes_abs = _oracle(params, grid, dx, courant, x_ref,
-                                        x_probes, duration, pad)
+    pad = min(pad, layer + reference.LAYER_GAP * params.c / params.band_low)
+    grid1d, probes_abs = _oracle(params, grid, dx, courant, x_ref, x_probes,
+                                 duration, pad)
     run = reference.run_boundary_source(source, grid1d, params, duration,
-                                        probes_abs, source_index=i_src)
+                                        probes_abs)
     (e_ref, *e_fdtd), (b_ref, *b_fdtd) = run["e"], run["b"]
     fields = FieldPair(b=Signal(grid, b_ref - np.mean(b_ref)),
                        e=Signal(grid, e_ref - np.mean(e_ref)))
@@ -659,20 +657,21 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
 
 
 def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
-    """The FDTD oracle of :func:`reference_compare`: its grid (pad, the
-    source, x_ref and the probes, then pad again) stepping grid.dt / m for
-    the m of :func:`reference.steps_per_sample` within ``courant``, its
-    source node and the probe positions from the source. Raises ConfigError
-    naming the keys when the spectral window, the oracle grid or
-    MAX_SAMPLES (its nodes, source points and records) cannot take them."""
+    """The FDTD oracle of :func:`reference_compare`: its grid (the source on
+    node 0, the farthest of x_ref and the probes or their mirror images,
+    then pad, on 64 nodes at least) stepping grid.dt / m for the m of
+    :func:`reference.steps_per_sample` within ``courant``, and the probe
+    positions from the source. Raises ConfigError naming the keys when the
+    spectral window, the oracle grid or MAX_SAMPLES (its nodes, source
+    points and records) cannot take them."""
     if grid.window < duration:
         raise ConfigError([f"run.duration: longer than the spectral window "
                            f"grid.n * grid.dt = {grid.window:g}"])
-    nodes = np.ceil((x_ref + max(x_probes) + 2.0 * pad) / dx)
+    probes = [x_ref] + [x_ref + xp for xp in x_probes]
+    nodes = max(np.ceil((max(-x_ref, probes[-1]) + pad) / dx), 64.0)
     _check_size(nodes, "run.dx/run.x_ref/run.x_probes/run.pad",
                 f"{nodes:.3g} oracle nodes",
                 "raise run.dx, or lower run.pad, run.x_ref or run.x_probes")
-    probes = [x_ref] + [x_ref + xp for xp in x_probes]
     _check_size(len(probes) * grid.n, "run.x_probes/grid.n",
                 f"{len(probes)} oracle records x {grid.n} samples",
                 "list fewer run.x_probes or lower grid.n")
@@ -684,9 +683,8 @@ def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
                 f"{m} oracle steps a sample x {grid.n} samples",
                 "raise run.dx or run.courant, or lower grid.n")
     with _keys("run.x_ref", "run.x_probes", "run.pad"):
-        i_src = int(round(pad / dx))
-        reference.source_layout(grid1d, duration, probes, i_src)
-    return grid1d, i_src, probes
+        reference.source_layout(grid1d, duration, probes)
+    return grid1d, probes
 
 
 def _rel_l2(a, b):
@@ -744,7 +742,8 @@ SCENARIOS = {
          "x_probes": (list, REQUIRED, _rule(lambda xs: xs and min(xs) >= 0,
                                             "must list distances >= 0")),
          "duration": (float, REQUIRED, _POSITIVE),
-         "pad": (float, 60.0, None)}),
+         "pad": (float, 60.0, _rule(lambda v: v >= 0,
+                                     "must not be negative"))}),
 }
 
 

@@ -19,16 +19,22 @@ so that, with a = (wpm dt)^2, b = (wpe dt)^2 and s = dt^2 / (eps0 mu0 dx^2)
 (the Courant ratio squared, since c^2 eps0 mu0 = 1),
 
     M += a H,      Q += b E,      H += (E[:-1] - E[1:]) - M,
-    E[1:-1] += s (H[:-1] - H[1:]) - Q[1:-1].
+    E[:-1] += s ([ghost, H][:-1] - H) - Q[:-1].
 
 This is the SI scheme with its gains folded into the stored variables: no
 step divides, and far fewer values are left subnormal in the vanishing tail
 ahead of a front, where numpy's arithmetic is slow. The oracle steps m
 times per sample of its source: it is driven by the source's band-limited
-interpolant and records every m-th step on the source's grid. PEC walls
-close it behind a layer where both currents decay at gamma_max (d/L)^2 at
-depth d: a passive collisional Drude medium, which unlike a PML cannot
-amplify backward waves (Becache, Joly & Vinoles 2018, Math. Comp. 87:2775).
+interpolant and records every m-th step on the source's grid.
+
+The grid is the half-line the paper's boundary problem poses. A soft
+current sheet at node 0 radiates an E field even about that node and an H
+field odd about it, so node 0 is a symmetry plane: a ghost H at -dx/2 holds
+-H(dx/2), and a position x < 0 reads the mirror image of -x. One PEC wall
+closes the grid behind a layer where both currents decay at gamma_max
+(d/L)^2 at depth d: a passive collisional Drude medium, which unlike a PML
+cannot amplify backward waves (Becache, Joly & Vinoles 2018, Math. Comp.
+87:2775).
 """
 
 import warnings
@@ -86,67 +92,67 @@ def _aligned_zeros(n):
 
 def _leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0, damping=(1.0, 1.0)):
     """The zero state (e, h, m, q) of an nx-node grid, normalised as in the
-    module docstring, and ``advance()``, its in-place leapfrog update; the
-    e endpoints stay fixed (PEC walls behind the absorbing layer).
+    module docstring, and ``advance(kick=0.0)``, its in-place leapfrog
+    update. Node 0 is the symmetry plane: between the H and E updates the
+    step sets the ghost h at -dx/2 to kick - h[0], so e[0] also takes s
+    kick. e[-1] stays fixed (the PEC wall behind the absorbing layer).
 
-    h and e share one buffer x = [h | e] and m and q another, y = [m | q],
-    so that both Drude currents advance in one pass, y += coef x, coef a on
-    h and b on e, and decay in one more, y *= g, g the ``damping`` (g_h,
-    g_e). The q endpoints take b times the fixed e endpoints and are never
-    read. Every intermediate lives in a buffer or view made here, so a call
-    allocates no array. Its 10 ufuncs match the plain update bit for bit:
-    ``m += a*h; m *= g_h; h += (e[:-1] - e[1:]) - m`` and its E twin.
+    h and e share one buffer x = [ghost | h | e] and m and q another, y =
+    [m | q], so that both Drude currents advance in one pass, y += coef x,
+    coef a on h and b on e, and decay in one more, y *= g, g the
+    ``damping`` (g_h, g_e). The q wall entry takes b times the fixed e[-1]
+    and is never read. Every intermediate lives in a buffer or view made
+    here, so a call allocates no array. Its 10 ufuncs and one scalar store
+    match the plain update bit for bit: ``m += a*h; m *= g_h; h += (e[:-1]
+    - e[1:]) - m`` and its E twin.
 
-    Every array the step writes, e's and q's interiors too, starts on a
-    cache line: that took 0.3-1 us off a 6124-cell step.
+    Every array the step writes starts on a cache line: that took 0.3-1 us
+    off a 6124-cell step.
     """
-    # e[1] is element off + 1 of x, a multiple of 8 at or past h's end
-    off = -(-nx // 8) * 8 - 1
+    # h from element 8 of x, after the ghost; e from the next multiple of 8
+    off = 8 + -(-(nx - 1) // 8) * 8
     x, y, coef, g, tmp = (_aligned_zeros(off + nx) for _ in range(5))
-    h, e, m, q = x[:nx - 1], x[off:], y[:nx - 1], y[off:]
-    coef[:nx - 1], coef[off:] = (wpm * dt) ** 2, (wpe * dt) ** 2
-    g[:], (g[:nx - 1], g[off:]) = 1.0, damping
+    on_h = slice(8, 7 + nx)
+    h, e, m, q = x[on_h], x[off:], y[on_h], y[off:]
+    coef[on_h], coef[off:] = (wpm * dt) ** 2, (wpe * dt) ** 2
+    g[:], (g[on_h], g[off:]) = 1.0, damping
     # 0-d: numpy takes it without converting a Python float at each call
     s = np.array(dt * dt / (eps0 * mu0 * dx * dx))
-    tmp_h, tmp_in = tmp[:nx - 1], tmp[off + 1:off + nx - 1]
-    e_lo, e_hi, h_lo, h_hi = e[:-1], e[1:], h[:-1], h[1:]
-    e_in, q_in = e[1:-1], q[1:-1]
+    tmp_h, tmp_e = tmp[on_h], tmp[off:off + nx - 1]
+    e_lo, e_hi, h_lo, q_lo = e[:-1], e[1:], x[7:6 + nx], q[:-1]
     add, subtract, multiply = np.add, np.subtract, np.multiply
 
-    def advance():
+    def advance(kick=0.0):
         multiply(coef, x, tmp)
         add(y, tmp, y)
         multiply(y, g, y)
         subtract(e_lo, e_hi, tmp_h)
         subtract(tmp_h, m, tmp_h)
         add(h, tmp_h, h)
-        subtract(h_lo, h_hi, tmp_in)
-        multiply(tmp_in, s, tmp_in)
-        subtract(tmp_in, q_in, tmp_in)
-        add(e_in, tmp_in, e_in)
+        x[7] = kick - h[0]
+        subtract(h_lo, h, tmp_e)
+        multiply(tmp_e, s, tmp_e)
+        subtract(tmp_e, q_lo, tmp_e)
+        add(e_lo, tmp_e, e_lo)
 
     return advance, (e, h, m, q)
 
 
-def source_layout(grid1d, duration, probes, source_index=None):
-    """(steps, source node, probe nodes) of a :func:`run_boundary_source`
-    run; ValueError when the source or a probe is off the nodes inside the
-    walls."""
+def source_layout(grid1d, duration, probes):
+    """(steps, probe nodes) of a :func:`run_boundary_source` run, a probe
+    behind the source on a negative node; ValueError when a probe, or its
+    mirror image, is off the nodes before the wall."""
     dx, nx = grid1d.dx, grid1d.nx
-    i_src = nx // 4 if source_index is None else int(source_index)
-    if not 0 < i_src < nx - 1:
-        raise ValueError(f"source node {i_src} falls outside the {nx}-node "
-                         f"grid")
     idx = []
     for xp in probes:
-        i = i_src + int(round(xp / dx))
-        if not 0 < i < nx - 1:
+        i = int(round(xp / dx))
+        if not abs(i) < nx - 1:
             raise ValueError(f"probe at {xp:g} m falls outside the {nx}-node "
                              f"grid")
         if not abs(xp / dx - np.rint(xp / dx)) <= 1e-6:
             raise ValueError(f"probe at {xp:g} m is not on a grid node")
         idx.append(i)
-    return int(round(duration / grid1d.dt_fdtd)), i_src, idx
+    return int(round(duration / grid1d.dt_fdtd)), idx
 
 
 def steps_per_sample(sample_dt, dt):
@@ -164,54 +170,60 @@ def upsample(signal, m):
 
 def absorbing_layer(params, source):
     """(length, rate, decay) of the layer for the band w that ``source``'s
-    bins within BAND_FLOOR of its peak span, p = wpe and q = wpm: rate
-    w_max, or less where the impedance change w rate |p^2 - q^2| / |(w^2 -
-    p^2)(w^2 - q^2)| passes LAYER_MISMATCH; decay at both edges, the mean
-    |Im k| over g = rate (d/length)^2, c k = sqrt((w - p^2/(w - i g)) (w -
-    q^2/(w - i g))); and exp(-decay length) at most LAYER_ATTENUATION."""
+    bins within BAND_FLOOR of its peak span, p = wpe and q = wpm: decay at
+    both edges, the mean |Im k| over g = rate (d/length)^2, c k = sqrt((w -
+    p^2/(w - i g)) (w - q^2/(w - i g))), and exp(-decay length) at most
+    LAYER_ATTENUATION. The rate makes the shortest such layer of w_max
+    2^(j/16), -32 <= j <= 64, each held where the impedance change w rate
+    |p^2 - q^2| / |(w^2 - p^2)(w^2 - q^2)| passes LAYER_MISMATCH; j = 0,
+    the band top, is one of them, so no layer is longer than it gives."""
     mag = np.abs(np.fft.rfft(source.samples))
     w = source.grid.half_omegas[mag >= BAND_FLOOR * np.max(mag)][[0, -1]]
     p2, q2 = params.omega_pe**2, params.omega_pm**2
     with np.errstate(divide="ignore"):
         slope = np.max(w * abs(p2 - q2) / np.abs((w * w - p2) * (w * w - q2)))
-        rate = min(w[1], LAYER_MISMATCH / slope)
-    w, g = w[:, None], rate * ((np.arange(64) + 0.5) / 64) ** 2  # midpoints
+        rates = np.minimum(w[1] * 2.0 ** (np.arange(-32, 65) / 16),
+                           LAYER_MISMATCH / slope)
+    # rates x edges x depths, at the layer's midpoints
+    w, g = w[:, None], rates[:, None, None] * ((np.arange(64) + 0.5) / 64)**2
     d = w * w + g * g
     (ap, bp), (aq, bq) = ((w - s * w / d, s * g / d) for s in (p2, q2))
     re, im = ap * aq - bp * bq, ap * bq + aq * bp  # (c k)^2, in real terms
-    decay = np.mean(np.sqrt(0.5 * (np.hypot(re, im) - re)), 1) / params.c
-    return float(np.log(LAYER_ATTENUATION) / -np.min(decay)), rate, decay
+    decay = np.mean(np.sqrt(0.5 * (np.hypot(re, im) - re)), -1) / params.c
+    best = np.argmax(np.min(decay, 1))
+    return (float(np.log(LAYER_ATTENUATION) / -np.min(decay[best])),
+            rates[best], decay[best])
 
 
 def layer_damping(grid1d, length, rate):
-    """(g_h, g_e) on the half nodes and nodes: exp(-rate (d/length)^2 dt)."""
+    """(g_h, g_e) on the half nodes and nodes: exp(-rate (d/length)^2 dt)
+    at depth d into the layer before the wall."""
     x = np.arange(2 * grid1d.nx - 1) * (0.5 * grid1d.dx)
-    depth = np.maximum(length - np.minimum(x, x[-1] - x), 0.0)
+    depth = np.maximum(length - (x[-1] - x), 0.0)
     g = np.exp(-rate * grid1d.dt_fdtd * (depth / max(length, 1e-300))**2)
     return g[1::2], g[::2]
 
 
-def run_boundary_source(source, grid1d, params, duration, probes,
-                        source_index=None):
+def run_boundary_source(source, grid1d, params, duration, probes):
     """Drive the grid with a soft E source and record probe time series.
 
-    The node ``source_index`` (default nx // 4: leftward radiation runs
-    into the absorbing layer, which may fill the quarter behind it) takes
-    the band-limited interpolant (:func:`upsample`) of the Signal
-    ``source``, sampled every m steps and zero past its window; ``probes``
-    are meters from it. Returns a dict: ``e`` and ``b``, of shape (probes,
-    n), every m-th step of each probe on ``source.grid.times``, zero past
-    ``duration``; ``steps_per_sample``, m; ``contaminated``, the
-    wall-activity flag; the ``layer`` length, and its ``attenuation``.
+    Node 0, the symmetry plane, takes the band-limited interpolant
+    (:func:`upsample`) of the Signal ``source``, sampled every m steps and
+    zero past its window; ``probes`` are meters from it, and one behind it
+    reads the mirror image: E(-x) = E(x), B(-x) = -B(x). Returns a dict:
+    ``e`` and ``b``, of shape (probes, n), every m-th step of each probe on
+    ``source.grid.times``, zero past ``duration``; ``steps_per_sample``, m;
+    ``contaminated``, the wall-activity flag; the ``layer`` length, and its
+    ``attenuation``.
 
     Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
     differ by more than 1e-12 relative, when the m steps of
     :func:`steps_per_sample` miss ``source.grid.dt`` by more than 1e-9
-    relative, or when :func:`source_layout`
-    finds the source or a probe off the nodes inside the walls. Raises
-    FloatingPointError when E exceeds 1e6 times the source peak or is not
-    finite. The guard runs once per ``BLOCK_STEPS`` steps, so the abort
-    comes within one block of the blow-up.
+    relative, or when :func:`source_layout` finds a probe off the nodes
+    before the wall. Raises FloatingPointError when E exceeds 1e6 times
+    the source peak or is not finite. The guard runs once per
+    ``BLOCK_STEPS`` steps, so the abort comes within one block of the
+    blow-up.
     """
     if not abs(grid1d.c - params.c) <= 1e-12 * params.c:
         raise ValueError(f"grid speed c = {grid1d.c!r} differs from the "
@@ -221,19 +233,22 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     if not abs(m * dt - source.grid.dt) <= 1e-9 * source.grid.dt:
         raise ValueError(f"FDTD step {dt!r} s does not divide the source's "
                          f"step {source.grid.dt!r} s")
-    n_steps, i_src, idx = source_layout(grid1d, duration, probes,
-                                        source_index)
+    n_steps, idx = source_layout(grid1d, duration, probes)
     if params.band_high * dt > 0.5:
         warnings.warn("plasma frequency underresolved: dt * wp > 0.5",
                       stacklevel=2)
-    # soft current-sheet source: dE/dt term with 1/dx density so the
-    # radiated amplitude is resolution-independent; zero past its window
+    # soft current-sheet source: a dE/dt term with 1/dx density, so the
+    # radiated amplitude is resolution-independent, carried by the ghost h
+    # as the kick over s; zero past its window
     kick = np.zeros(n_steps + 1)
-    kick[:m * n] = upsample(source, m)[:n_steps + 1] * (dt / dx)
+    kick[:m * n] = upsample(source, m)[:n_steps + 1] * (
+        params.eps0 * params.mu0 * dx / dt)
     src_peak = max(source.peak, 1e-300)
     length, rate, decay = absorbing_layer(params, source)
-    inner = [i_src, *idx]
-    length = min(length, dx * min(inner), dx * (nx - 1 - max(inner)))
+    # a probe on node i reads node |i| and its neighbours, the mirror image
+    # of its own; the layer reaches the farthest at most
+    taps = np.abs(np.add.outer(np.asarray(idx, dtype=int), [-1, 0, 1]))
+    length = min(length, dx * (nx - 1 - np.max(taps[:, 1], initial=0)))
     attenuation = np.exp(-length * decay).tolist()
 
     advance, (e, *_) = _leapfrog(nx, dt, dx, params.omega_pe,
@@ -241,11 +256,9 @@ def run_boundary_source(source, grid1d, params, duration, probes,
                                  layer_damping(grid1d, length, rate))
     take = e.take
     # one gather a step fills a block row: each probe with its neighbours,
-    # then four nodes by the walls; guard and records run once per block
+    # then two nodes by the wall; guard and records run once per block
     n_probes = len(idx)
-    taps = np.concatenate([np.add.outer(np.asarray(idx, dtype=int),
-                                        [-1, 0, 1]).ravel(),
-                           [1, nx - 2, 2, nx - 3]])
+    taps = np.concatenate([taps.ravel(), [nx - 2, nx - 3]])
     block = np.empty((BLOCK_STEPS, taps.size))
     rows = list(block)
     # B from dB/dt = -dE/dx (exact Maxwell law) is needed only on the two
@@ -259,8 +272,7 @@ def run_boundary_source(source, grid1d, params, duration, probes,
     for n0 in range(1, n_steps + 1, BLOCK_STEPS):
         n1 = min(n0 + BLOCK_STEPS, n_steps + 1)
         for k, row in zip(kick[n0:n1].tolist(), rows):
-            advance()
-            e[i_src] += k
+            advance(k)
             take(taps, out=row, mode="clip")
         if not np.max(np.abs(e)) <= 1e6 * src_peak:
             raise FloatingPointError(

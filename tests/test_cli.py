@@ -1,6 +1,7 @@
 """Config parsing, pulse synthesis and scenario running."""
 
 import collections
+import configparser
 import errno
 import json
 import math
@@ -829,11 +830,10 @@ def test_oracle_run_takes_the_step_its_plan_makes(dt):
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     grid = TimeGrid(64, dt)
     source = Signal(grid, np.sin(2.0 * np.pi * grid.times / grid.window))
-    grid1d, i_src, probes = cli._oracle(params, grid, 1.0, 0.5, x_ref=1.0,
-                                        x_probes=[1.0], duration=4.0 * dt,
-                                        pad=40.0)
+    grid1d, probes = cli._oracle(params, grid, 1.0, 0.5, x_ref=1.0,
+                                 x_probes=[1.0], duration=4.0 * dt, pad=40.0)
     run = reference.run_boundary_source(source, grid1d, params, 4.0 * dt,
-                                        probes, source_index=i_src)
+                                        probes)
     assert run["steps_per_sample"] == round(2.0 * dt)
     assert grid1d.courant > 0.5
 
@@ -855,12 +855,13 @@ def test_plan_bounds_the_oracle_source_interpolant(monkeypatch, ceiling,
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("pad", [40.0, 5.0])
+@pytest.mark.parametrize("pad", [40.0, 5.0, 4.0])
 def test_reference_compare_pads_to_its_layer_at_most(pad):
-    # run.pad bounds the pad: 40 m pads to the derived layer and its gap
-    # (15.8 m), 5 m stays 5 m; the summary states the grid and the layer.
-    # The wall activity a 5 m pad lets through is the fdtd_contaminated
-    # flag alone: the oracle also warned of it
+    # run.pad bounds the pad past the probe: 40 m pads to the derived layer
+    # and its gap (12.4 m), 5 m and 4 m stay as they are; the summary
+    # states the grid and the layer. The wall activity a 4 m pad lets
+    # through is the fdtd_contaminated flag alone: the oracle also warned
+    # of it
     config = _scenario_config("reference-compare", [f"run.pad={pad}"])
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="field activity")
@@ -872,27 +873,105 @@ def test_reference_compare_pads_to_its_layer_at_most(pad):
     used = min(pad, length + reference.LAYER_GAP * params.c / params.band_low)
     assert used < 40.0
     assert summary["fdtd_pad (m)"] == used
-    assert summary["fdtd_nodes (1)"] == math.ceil((0.48 + 0.96 + 2.0 * used)
-                                                  / dx)
-    layer = min(length, round(used / dx) * dx)
+    nodes = math.ceil((0.48 + 0.96 + used) / dx)
+    assert summary["fdtd_nodes (1)"] == nodes
+    layer = min(length, (nodes - 1 - round(1.44 / dx)) * dx)
     assert summary["fdtd_layer (m)"] == pytest.approx(layer, rel=1e-12)
     np.testing.assert_allclose(
         summary["fdtd_layer_attenuation (1)"], np.exp(-layer * decay),
         rtol=1e-12)
-    assert summary["fdtd_contaminated"] is (pad == 5.0)
+    assert summary["fdtd_contaminated"] is (pad == 4.0)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("overrides, nodes", [
-    # the derived pad, 15.8 m, is 16 nodes of 0.96 m: the pad keeps 32
-    (["run.dx=0.96", "run.x_ref=0.96"], 66),
-    # a reference plane 20 m behind the source stays 15.8 m off the wall
-    (["run.x_ref=-20.0", "run.x_probes=20.96"], 907),
+    # the derived pad, 12.4 m, is 13 nodes of 0.96 m: the grid keeps 64
+    (["run.dx=0.96", "run.x_ref=0.96"], 64),
+    # a reference plane 20 m behind the source reads its mirror image,
+    # which stays 12.4 m off the wall
+    (["run.x_ref=-20.0", "run.x_probes=20.96"], 406),
 ])
 def test_oracle_pad_keeps_the_grid_the_plan_accepts(overrides, nodes):
     tables, summary = plan(_scenario_config("reference-compare", overrides))
     list(tables)
     assert summary["fdtd_nodes (1)"] == nodes
+
+
+# the benchmark's oracle-fdtd workload at seed 1
+ORACLE_FDTD_SEED_1 = (
+    "[scenario]\nname = reference-compare\n[medium]\nomega_pe = 1.0\n"
+    "omega_pm = 1.0\nc = 1.0\neps0 = 1.0\nmu0 = 1.0\nchi3 = 0.0\n[grid]\n"
+    "n = 4096\ndt = 0.1\n[run]\ndx = 0.02\ncourant = 0.5\nx_ref = 0.48\n"
+    "x_probes = 1.0, 2.0\nduration = 400.0\npad = 60.0\n[pulse]\n"
+    "carrier = 0.2888637361980836\nwidth = 29.488630186200727\n"
+    "amplitude = 1.0270176185996716\n")
+
+
+def _oracle_fields(text):
+    """fdtd_nodes (1), fdtd_pad (m), fdtd_layer (m) and
+    fdtd_layer_attenuation (1) of a reference-compare config, derived from
+    its keys alone: the Gaussian pulse's band edges w (bins within 1e-3 of
+    its peak), c k = sqrt((w - p^2/(w - i g))(w - q^2/(w - i g))) along a
+    layer of rate r (d/L)^2 for the r among w_max 2^(j/16), -32 <= j <=
+    64, held to an impedance change of 0.05, whose edges' least mean
+    |Im k| is largest; the layer that attenuates both edges to 1e-3, a pad
+    of it and c/min(p, q) within run.pad, and a grid of 64 nodes at least
+    from the source to that pad past the farthest position or its mirror
+    image, whose layer reaches that position at most."""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    med, grid, run, pulse = (cfg[s] for s in ("medium", "grid", "run",
+                                               "pulse"))
+    p, q, c = (float(med[k]) for k in ("omega_pe", "omega_pm", "c"))
+    n, dt = int(grid["n"]), float(grid["dt"])
+    tt = np.arange(n) * dt - 0.5 * n * dt
+    width, carrier = float(pulse["width"]), float(pulse["carrier"])
+    samples = (float(pulse.get("amplitude", "1.0"))
+               * np.exp(-tt**2 / (2.0 * width**2)) * np.sin(carrier * tt))
+    mag = np.abs(np.fft.rfft(samples - np.mean(samples)))
+    w = (2.0 * np.pi / (n * dt) * np.arange(mag.size))[
+        mag >= 1e-3 * np.max(mag)][[0, -1]]
+    with np.errstate(divide="ignore"):
+        cap = 0.05 / np.max(w * abs(p * p - q * q)
+                            / np.abs((w * w - p * p) * (w * w - q * q)))
+    depth = (np.arange(64) + 0.5) / 64
+    decays = []
+    for j in range(-32, 65):
+        g = min(w[1] * 2.0 ** (j / 16), cap) * depth**2
+        decays.append([np.mean(np.abs(np.sqrt(
+            (wi - p * p / (wi - 1j * g)) * (wi - q * q / (wi - 1j * g))).imag))
+            / c for wi in w])
+    decay = max(decays, key=min)
+    length = math.log(1e3) / min(decay)
+    pad = min(float(run["pad"]), length + c / min(p, q))
+    dx, x_ref = float(run["dx"]), float(run["x_ref"])
+    far = max(-x_ref, x_ref + max(float(x)
+                                  for x in run["x_probes"].split(",")))
+    nodes = max(math.ceil((far + pad) / dx), 64)
+    layer = min(length, dx * (nodes - 1 - round(far / dx)))
+    return nodes, pad, layer, [math.exp(-layer * d) for d in decay]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("config", ["acceptance-10", "oracle-fdtd"])
+def test_oracle_manifest_fields_follow_from_the_config_keys(tmp_path,
+                                                            config):
+    from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
+
+    text = {"acceptance-10": "[scenario]\nname = reference-compare\n"
+                             + BASE_MEDIUM
+                             + SCENARIO_CONFIGS["reference-compare"],
+            "oracle-fdtd": ORACLE_FDTD_SEED_1}[config]
+    assert run_scenario(parse_config(text), out_dir=tmp_path)[0] == 0
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    nodes, pad, layer, attenuation = _oracle_fields(text)
+    assert summary["fdtd_nodes (1)"] == nodes
+    assert summary["fdtd_pad (m)"] == pytest.approx(pad, rel=1e-12)
+    assert summary["fdtd_layer (m)"] == pytest.approx(layer, rel=1e-12)
+    np.testing.assert_allclose(summary["fdtd_layer_attenuation (1)"],
+                               attenuation, rtol=1e-9)
+    # run.pad does not cut the pad: the whole layer and its gap, 1 m, fit
+    assert layer == pytest.approx(pad - 1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("dx", [0.04, 0.02])
@@ -1059,20 +1138,22 @@ def test_validate_and_run_agree_under_an_override(tmp_path, capsys, text,
     # the carrier's default dt, 2 pi / (32 * 0.3), makes a window of 1340
     ({"dt = 0.1\n": ""}, None),
     ({"dt = 0.1\n": "", "duration = 150.0": "duration = 1400.0"}, "duration"),
-    # the oracle grid: run failed in YeeGrid1D ("nx must be at least 64") or
-    # in run_boundary_source ("probe at ... falls outside the grid"), and a
-    # source node of 0 drove the wall, one below 0 the far end
-    ({"pad = 40.0": "pad = 0.0"}, "dx"),
-    ({"pad = 40.0": "pad = -0.1"}, "dx"),
-    ({"pad = 40.0": "pad = 0.5"}, "dx"),
+    # the oracle grid: run failed in run_boundary_source ("probe at ...
+    # falls outside the grid"); a grid under 64 nodes takes 64, so pads
+    # that left fewer run
+    ({"pad = 40.0": "pad = 0.0"}, None),
+    ({"pad = 40.0": "pad = -0.1"}, "pad"),
+    ({"pad = 40.0": "pad = 0.5"}, None),
     ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.0"}, "pad"),
     ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.01"}, "pad"),
     ({"dx = 0.08": "dx = 0.02", "x_probes = 0.96": "x_probes = 2.0",
       "pad = 40.0": "pad = -0.1"}, "pad"),
     # the farthest probe lands on the wall node nx - 1 = 73
     ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.02"}, "pad"),
-    ({"dx = 0.08": "dx = 0.02", "x_ref = 0.48": "x_ref = -0.48",
-      "x_probes = 0.96": "x_probes = 2.0", "pad = 40.0": "pad = 0.1"},
+    # the mirror image of a reference plane 2 m behind the source lands on
+    # the wall node nx - 1 = 100
+    ({"dx = 0.08": "dx = 0.02", "x_ref = 0.48": "x_ref = -2.0",
+      "x_probes = 0.96": "x_probes = 2.0", "pad = 40.0": "pad = 0.01"},
      "x_ref"),
     # 2.5e13 and 2.5e7 oracle nodes printed "config ok"
     ({"pad = 40.0": "pad = 1e12"}, "pad"),
@@ -1099,11 +1180,10 @@ def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
                for v in violations)
 
 
-@pytest.mark.parametrize("pad, node, nx", [("0.0", 0, 124), ("0.01", 0, 125),
-                                           ("-0.1", -5, 114)])
-def test_validate_names_the_oracle_source_node(pad, node, nx):
-    # a source node on or behind the wall also puts the farthest probe on
-    # or past the other wall; the source is named as the cause
+@pytest.mark.parametrize("pad, nx", [("0.0", 124), ("0.01", 125)])
+def test_validate_names_the_oracle_probe_off_the_grid(pad, nx):
+    # the farthest probe, 2.48 m from the source on node 0, lands on node
+    # 124: on or past the wall node nx - 1
     from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
 
     text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
@@ -1112,19 +1192,20 @@ def test_validate_names_the_oracle_source_node(pad, node, nx):
         plan(parse_config(text, ["run.dx=0.02", "run.x_probes=2.0",
                                  f"run.pad={pad}"]))
     assert exc.value.violations == [
-        f"run.x_ref/run.x_probes/run.pad: source node {node} falls outside "
-        f"the {nx}-node grid"]
+        f"run.x_ref/run.x_probes/run.pad: probe at 2.48 m falls outside the "
+        f"{nx}-node grid"]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_tightest_oracle_pad_that_validates_runs(tmp_path):
-    # pad 0.035 on dx 0.02: 76 nodes, the source on node 2 and the
-    # farthest probe on node 74, the last one inside the walls
+    # pad 0.021 on dx 0.02, just over one node: 74 nodes, the source on
+    # node 0 and the farthest probe on node 72, the last one before the
+    # wall
     from test_acceptance import BASE_MEDIUM, SCENARIO_CONFIGS
 
     text = ("[scenario]\nname = reference-compare\n" + BASE_MEDIUM
             + SCENARIO_CONFIGS["reference-compare"])
-    cfg = parse_config(text, ["run.dx=0.02", "run.pad=0.035",
+    cfg = parse_config(text, ["run.dx=0.02", "run.pad=0.021",
                               "run.duration=20.0"])
     assert run_scenario(cfg, out_dir=tmp_path)[0] == 0
 
@@ -1300,11 +1381,12 @@ def test_a_size_key_passes_at_the_ceiling_and_not_past_it(tmp_path, capsys,
 @pytest.mark.parametrize("pad, refused", [(524287.25, False),
                                           (524287.3125, True)])
 def test_plan_bounds_the_oracle_nodes(pad, refused):
-    # at dx 1/8, x_ref 0.5, a probe 1.0 past it and two pads take
-    # 12 + 16 pad nodes, exactly: 2^23 at the first pad, one more at the
-    # second; the plan allocates nothing of the nodes' size
+    # at dx 1/8, the probe 524288.25 past x_ref 0.5 lies 4194310 nodes
+    # out and the pad takes 8 pad more, exactly 2^23 at the first pad, one
+    # more at the second; the plan allocates nothing of the nodes' size
     config = _scenario_config("reference-compare", [
-        "run.dx=0.125", "run.x_ref=0.5", "run.x_probes=1.0", f"run.pad={pad}"])
+        "run.dx=0.125", "run.x_ref=0.5", "run.x_probes=524288.25",
+        f"run.pad={pad}"])
     if not refused:
         plan(config)
         return

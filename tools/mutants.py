@@ -157,7 +157,7 @@ MUTANTS = [
      "old": "on, j = slice(-n0 % m, None, m)",
      "new": "on, j = slice((1 - n0) % m, None, m)",
      "tests": ["tests/test_reference.py::"
-               "test_source_run_records_match_full_grid_loop"]},
+               "test_source_run_records_match_plain_loop"]},
     {"name": "kick-without-m", "file": REFERENCE,
      "old": "return m * np.fft.irfft(half, m * signal.grid.n)",
      "new": "return np.fft.irfft(half, m * signal.grid.n)",
@@ -175,40 +175,54 @@ MUTANTS = [
      "tests": ["tests/test_reference.py::"
                "test_layer_damping_rises_as_the_square_of_the_depth"]},
     {"name": "layer-damps-m-only", "file": REFERENCE,
-     "old": "g[:], (g[:nx - 1], g[off:]) = 1.0, damping",
-     "new": "g[:], (g[:nx - 1], g[off:]) = 1.0, (damping[0], 1.0)",
+     "old": "g[:], (g[on_h], g[off:]) = 1.0, damping",
+     "new": "g[:], (g[on_h], g[off:]) = 1.0, (damping[0], 1.0)",
      "tests": ["tests/test_reference.py::"
-               "test_source_run_records_match_full_grid_loop"]},
-    {"name": "layer-rate-without-mismatch-bound", "file": REFERENCE,
-     "old": "rate = min(w[1], LAYER_MISMATCH / slope)",
-     "new": "rate = w[1]",
+               "test_source_run_records_match_plain_loop"]},
+    {"name": "layer-rate-search-without-mismatch-bound", "file": REFERENCE,
+     "old": "rates = np.minimum(w[1] * 2.0 ** (np.arange(-32, 65) / 16),\n"
+            "                           LAYER_MISMATCH / slope)",
+     "new": "rates = w[1] * 2.0 ** (np.arange(-32, 65) / 16)",
      "tests": ["tests/test_reference.py::"
-               "test_layer_records_match_a_clean_pec_run"]},
+               "test_derived_layer_is_never_longer_than_the_band_top_rule"]},
     {"name": "wall-flag-without-the-layer", "file": REFERENCE,
      "old": "back = wall_peak * max(attenuation)",
      "new": "back = wall_peak",
      "tests": ["tests/test_reference.py::"
                "test_wall_flag_reads_wall_activity_through_the_layer"]},
     {"name": "pad-ceiling-as-max", "file": CLI,
-     "old": "pad = min(pad, max(layer",
-     "new": "pad = max(pad, max(layer",
+     "old": "pad = min(pad, layer",
+     "new": "pad = max(pad, layer",
      "tests": ["tests/test_cli.py::"
                "test_reference_compare_pads_to_its_layer_at_most"]},
-    {"name": "pad-without-32-nodes", "file": CLI,
-     "old": "/ params.band_low, 32.0 * dx)",
-     "new": "/ params.band_low, 0.0 * dx)",
+    {"name": "grid-without-64-nodes", "file": CLI,
+     "old": "nodes = max(np.ceil((max(-x_ref, probes[-1]) + pad) / dx), 64.0)",
+     "new": "nodes = np.ceil((max(-x_ref, probes[-1]) + pad) / dx)",
      "tests": ["tests/test_cli.py::"
                "test_oracle_pad_keeps_the_grid_the_plan_accepts"]},
-    {"name": "pad-without-the-reference-plane", "file": CLI,
-     "old": "32.0 * dx) - min(x_ref, 0.0))",
-     "new": "32.0 * dx))",
+    {"name": "grid-without-the-reference-plane", "file": CLI,
+     "old": "max(-x_ref, probes[-1])",
+     "new": "probes[-1]",
      "tests": ["tests/test_cli.py::"
                "test_oracle_pad_keeps_the_grid_the_plan_accepts"]},
     {"name": "wall-taps-one-node-inward", "file": REFERENCE,
-     "old": "[1, nx - 2, 2, nx - 3]",
-     "new": "[2, nx - 3, 3, nx - 4]",
+     "old": "[nx - 2, nx - 3]",
+     "new": "[nx - 3, nx - 4]",
      "tests": ["tests/test_reference.py::"
-               "test_source_run_records_match_full_grid_loop"]},
+               "test_source_run_records_match_plain_loop"]},
+    # the source node as a symmetry plane
+    {"name": "ghost-as-plus-h", "file": REFERENCE,
+     "old": "x[7] = kick - h[0]",
+     "new": "x[7] = kick + h[0]",
+     "tests": ["tests/test_reference.py::"
+               "test_mirrored_run_is_the_right_half_of_a_symmetric_full_"
+               "grid"]},
+    {"name": "taps-clipped-not-mirrored", "file": REFERENCE,
+     "old": "taps = np.abs(np.add.outer(",
+     "new": "taps = (np.add.outer(",
+     "tests": ["tests/test_reference.py::"
+               "test_reference_plane_behind_the_source_reads_the_mirror_"
+               "image"]},
     # the size ceiling and the plan's overflows
     {"name": "size-ceiling-inclusive", "file": CLI,
      "old": "if not samples <= MAX_SAMPLES:",
