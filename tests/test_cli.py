@@ -1138,11 +1138,11 @@ def test_validate_and_run_agree_under_an_override(tmp_path, capsys, text,
     # the carrier's default dt, 2 pi / (32 * 0.3), makes a window of 1340
     ({"dt = 0.1\n": ""}, None),
     ({"dt = 0.1\n": "", "duration = 150.0": "duration = 1400.0"}, "duration"),
-    # the oracle grid: run failed in run_boundary_source ("probe at ...
-    # falls outside the grid"); a grid under 64 nodes takes 64, so pads
-    # that left fewer run
-    ({"pad = 40.0": "pad = 0.0"}, None),
-    ({"pad = 40.0": "pad = -0.1"}, "pad"),
+    # the oracle grid: 4.1e10 nodes, and 5000 steps a sample of 2048
+    ({"dx = 0.08": "dx = 1e-9"}, "dx"),
+    ({"dx = 0.08": "dx = 4e-5"}, "dx"),
+    # run failed in run_boundary_source ("probe at ... falls outside the
+    # grid"); a grid under 64 nodes takes 64, so pads that left fewer run
     ({"pad = 40.0": "pad = 0.5"}, None),
     ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.0"}, "pad"),
     ({"dx = 0.08": "dx = 0.02", "pad = 40.0": "pad = 0.01"}, "pad"),
@@ -1158,6 +1158,10 @@ def test_validate_and_run_agree_under_an_override(tmp_path, capsys, text,
     # 2.5e13 and 2.5e7 oracle nodes printed "config ok"
     ({"pad = 40.0": "pad = 1e12"}, "pad"),
     ({"pad = 40.0": "pad = 1e6"}, "pad"),
+    # no pad leaves 18 nodes, and the grid takes 64; a negative pad is
+    # refused by its own range
+    ({"pad = 40.0": "pad = 0.0"}, None),
+    ({"pad = 40.0": "pad = -0.1"}, "pad"),
 ])
 def test_validate_rejects_oracle_run_keys(tmp_path, capsys, edits, key):
     # keys that YeeGrid1D, run_boundary_source or reference_compare would

@@ -628,6 +628,103 @@ def test_source_run_records_match_plain_loop(nx, duration, probes, walls_hit):
     assert np.all(np.max(np.abs(rec_b[~on_source]), axis=1) > 0.0)
 
 
+def _two_wall_damping(grid1d, length, rate):
+    """(g_h, g_e) of a layer before each wall of ``grid1d``: exp(-rate
+    (d/length)^2 dt) at depth d from the nearer wall, as the oracle damped
+    its grid before the source became a symmetry plane, verbatim."""
+    x = np.arange(2 * grid1d.nx - 1) * (0.5 * grid1d.dx)
+    depth = np.maximum(length - np.minimum(x, x[-1] - x), 0.0)
+    g = np.exp(-rate * grid1d.dt_fdtd * (depth / max(length, 1e-300))**2)
+    return g[1::2], g[::2]
+
+
+def _full_grid_source_run(source, grid1d, params, duration, probes,
+                          source_index):
+    """Reference loop on a grid with PEC walls at both ends: the source
+    kick added to E on node ``source_index`` after each step of
+    :func:`_full_grid_leapfrog`, B on every half node, the probes read on
+    their own side of the source, and the records of every step decimated
+    to the source's grid. The derived absorbing layer reaches from each
+    wall to the source or the outermost probe at most, and the wall
+    activity at both walls counts once it has crossed the layer again."""
+    dt, dx, nx = grid1d.dt_fdtd, grid1d.dx, grid1d.nx
+    n_steps = int(round(duration / dt))
+    idx = [source_index + int(round(xp / dx)) for xp in probes]
+    length, rate, decay = reference.absorbing_layer(params, source)
+    inner = [source_index] + idx
+    length = min(length, min(inner) * dx, (nx - 1 - max(inner)) * dx)
+    back = max(np.exp(-length * decay).tolist())
+    advance, (e, *_) = _full_grid_leapfrog(
+        nx, dt, dx, *_material(params),
+        _two_wall_damping(grid1d, length, rate))
+    steps_per_sample = int(round(source.grid.dt / dt))
+    kick = upsample(source, steps_per_sample)
+    b = np.zeros(nx - 1)
+    rec_e = np.zeros((len(idx), n_steps + 1))
+    rec_b = np.zeros((len(idx), n_steps + 1))
+    wall_peak = 0.0
+    for n in range(1, n_steps + 1):
+        advance()
+        if n < kick.size:
+            e[source_index] += kick[n] * (dt / dx)
+        b_prev = b.copy()
+        b += -dt * (e[1:] - e[:-1]) / dx
+        for k, i in enumerate(idx):
+            rec_e[k, n] = e[i]
+            rec_b[k, n] = 0.25 * (b_prev[i - 1] + b_prev[i] + b[i - 1] + b[i])
+        wall_peak = max(wall_peak,
+                        abs(e[1]), abs(e[-2]), abs(e[2]), abs(e[-3]))
+    on_grid = np.zeros((2, len(idx), source.grid.n))
+    for rec, out in zip((rec_e, rec_b), on_grid):
+        kept = rec[:, ::steps_per_sample][:, :source.grid.n]
+        out[:, :kept.shape[1]] = kept
+    rec_e, rec_b = on_grid
+    contaminated = (wall_peak * back
+                    > 1e-4 * float(np.max(np.abs(rec_e), initial=0.0)))
+    return rec_e, rec_b, bool(contaminated)
+
+
+@pytest.mark.parametrize("nx, i_src, duration, probes, walls_hit", [
+    # the nodes from i_src of an nx-node grid with the source on node
+    # i_src, as the oracle laid its grid out before the source became a
+    # symmetry plane; adjacent probes, the first next to the source, one
+    # behind it
+    (200, 100, 16.0, [0.1, 0.2, 0.3, -0.1], False),
+    # the half-line takes 64 nodes, the grid's floor; probes on the nodes
+    # beside the wall and its mirror image and on the source; the pulse
+    # reaches the walls and the run outlasts the source window (zero kick)
+    (80, 40, 60.0, [-6.1, 0.0, 6.2], True),
+    # shorter than one block of steps (dt = 0.05)
+    (200, 100, 5.0, [0.1, 0.2, 0.3, -0.1], False),
+    # exactly two blocks of steps; the pulse reaches the walls
+    (200, 100, 2 * BLOCK_STEPS * 0.05, [0.1, 0.2, 0.3, -0.1], True),
+    # source midway between the walls, the fronts half a step from the
+    # threshold
+    (201, 100, 18.0, [0.1, 0.2, 0.3, -0.1], False),
+    (200, 100, 18.0, [0.1, 0.2, 0.3, -0.1], False),
+])
+def test_source_run_records_match_full_grid_loop(nx, i_src, duration, probes,
+                                                 walls_hit):
+    # the half-line oracle on those nodes records what a grid
+    # stepped on both sides of its source records, when that grid is the
+    # half-line's mirror image: the source midway between two walls and
+    # two layers, and a probe behind the source read on its own node. The
+    # kick the ghost carries rounds differently from one added to E
+    params = DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0)
+    source = gaussian_pulse(TimeGrid(128, 0.2), carrier=0.5, width=2.5)
+    half = YeeGrid1D(max(nx - i_src, 64), 0.1, courant=0.5, c=1.0)
+    whole = YeeGrid1D(2 * half.nx - 1, 0.1, courant=0.5, c=1.0)
+    out = run_boundary_source(source, half, params, duration, probes)
+    rec_e, rec_b, contaminated = _full_grid_source_run(
+        source, whole, params, duration, probes, half.nx - 1)
+    assert contaminated is walls_hit
+    assert out["contaminated"] is contaminated
+    for got, want in ((out["e"], rec_e), (out["b"], rec_b)):
+        peak = np.max(np.abs(want))
+        assert peak > 0.0
+        assert np.max(np.abs(np.stack(got) - want)) <= 1e-13 * peak
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_source_run_aborts_on_blow_up_within_one_block():
     # dt * wp = 10: the leapfrog is unstable, overflows to inf and then to
