@@ -617,8 +617,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     and B of both sides; its x and L2s as meta), and the L2s, the 0.02
     budget, ``pass`` (every L2 within it), the FDTD run's wall-reflection
     flag as ``fdtd_contaminated``, its Courant number, steps per sample,
-    nodes and pad, and its layer's length and one-way attenuation at the
-    edges of the source's occupied band.
+    nodes and pad (before the 64-node floor), and its layer's length and
+    one-way attenuation at the edges of the source's occupied band.
     """
     grid = source.grid
     layer = reference.absorbing_layer(params, source)[0]
@@ -668,7 +668,7 @@ def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
         raise ConfigError([f"run.duration: longer than the spectral window "
                            f"grid.n * grid.dt = {grid.window:g}"])
     probes = [x_ref] + [x_ref + xp for xp in x_probes]
-    nodes = max(np.ceil((max(-x_ref, probes[-1]) + pad) / dx), 64.0)
+    nodes = max(np.ceil((max(map(abs, probes)) + pad) / dx), 64.0)
     _check_size(nodes, "run.dx/run.x_ref/run.x_probes/run.pad",
                 f"{nodes:.3g} oracle nodes",
                 "raise run.dx, or lower run.pad, run.x_ref or run.x_probes")

@@ -890,6 +890,9 @@ def test_reference_compare_pads_to_its_layer_at_most(pad):
     # a reference plane 20 m behind the source reads its mirror image,
     # which stays 12.4 m off the wall
     (["run.x_ref=-20.0", "run.x_probes=20.96"], 406),
+    # probes in any order: the grid reaches the farthest, 2.4 m, not the
+    # last listed
+    (["run.x_probes=1.92, 0.96"], 186),
 ])
 def test_oracle_pad_keeps_the_grid_the_plan_accepts(overrides, nodes):
     tables, summary = plan(_scenario_config("reference-compare", overrides))

@@ -196,13 +196,18 @@ MUTANTS = [
      "tests": ["tests/test_cli.py::"
                "test_reference_compare_pads_to_its_layer_at_most"]},
     {"name": "grid-without-64-nodes", "file": CLI,
-     "old": "nodes = max(np.ceil((max(-x_ref, probes[-1]) + pad) / dx), 64.0)",
-     "new": "nodes = np.ceil((max(-x_ref, probes[-1]) + pad) / dx)",
+     "old": "nodes = max(np.ceil((max(map(abs, probes)) + pad) / dx), 64.0)",
+     "new": "nodes = np.ceil((max(map(abs, probes)) + pad) / dx)",
      "tests": ["tests/test_cli.py::"
                "test_oracle_pad_keeps_the_grid_the_plan_accepts"]},
     {"name": "grid-without-the-reference-plane", "file": CLI,
-     "old": "max(-x_ref, probes[-1])",
-     "new": "probes[-1]",
+     "old": "max(map(abs, probes))",
+     "new": "max(probes)",
+     "tests": ["tests/test_cli.py::"
+               "test_oracle_pad_keeps_the_grid_the_plan_accepts"]},
+    {"name": "grid-to-the-last-probe", "file": CLI,
+     "old": "max(map(abs, probes))",
+     "new": "abs(probes[-1])",
      "tests": ["tests/test_cli.py::"
                "test_oracle_pad_keeps_the_grid_the_plan_accepts"]},
     {"name": "wall-taps-one-node-inward", "file": REFERENCE,
