@@ -595,7 +595,7 @@ def _run_reference_compare(config, summary):
     grid = _grid(config)
     source = synthesize_pulse(grid, **config.pulse)
     _check_a_inv(config, grid)
-    _oracle(config.params, grid, **config.run)
+    _oracle(config.params, source, **config.run)
     yield
     tables, compared = reference_compare(config.params, source, **config.run)
     summary.update(compared)
@@ -610,8 +610,7 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     on ``source.grid`` at the reference plane and at each probe; the
     reference-plane pair less its mean is split into directed waves,
     propagated the exact linear way, reconstructed, and compared in
-    relative L2 with each probe's record. ``pad`` bounds the pad past the
-    farthest position, which the absorbing layer and its gap set.
+    relative L2 with each probe's record, on the grid of :func:`_oracle`.
     Returns the reference-compare scenario's (tables, summary): a list of
     one (name, header, columns, meta) table per probe in probe order (t, E
     and B of both sides; its x and L2s as meta), and the L2s, the 0.02
@@ -621,10 +620,8 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     one-way attenuation at the edges of the source's occupied band.
     """
     grid = source.grid
-    layer = reference.absorbing_layer(params, source)[0]
-    pad = min(pad, layer + reference.LAYER_GAP * params.c / params.band_low)
-    grid1d, probes_abs = _oracle(params, grid, dx, courant, x_ref, x_probes,
-                                 duration, pad)
+    grid1d, probes_abs, pad = _oracle(params, source, dx, courant, x_ref,
+                                      x_probes, duration, pad)
     run = reference.run_boundary_source(source, grid1d, params, duration,
                                         probes_abs)
     (e_ref, *e_fdtd), (b_ref, *b_fdtd) = run["e"], run["b"]
@@ -649,24 +646,29 @@ def reference_compare(params, source, dx, courant, x_ref, x_probes,
     ok = all(e <= 0.02 and b <= 0.02 for e, b in zip(l2_e, l2_b))
     return tables, {"l2_errors_e": l2_e, "l2_errors_b": l2_b, "budget": 0.02,
                     "pass": ok, "fdtd_contaminated": run["contaminated"],
-                    "fdtd_courant": grid1d.courant,
+                    "fdtd_courant": params.c * grid.dt / (
+                        run["steps_per_sample"] * dx),
                     "fdtd_steps_per_sample": run["steps_per_sample"],
                     "fdtd_nodes (1)": grid1d.nx, "fdtd_pad (m)": pad,
                     "fdtd_layer (m)": run["layer"],
                     "fdtd_layer_attenuation (1)": run["attenuation"]}
 
 
-def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
-    """The FDTD oracle of :func:`reference_compare`: its grid (the source on
-    node 0, the farthest of x_ref and the probes or their mirror images,
-    then pad, on 64 nodes at least) stepping grid.dt / m for the m of
-    :func:`reference.steps_per_sample` within ``courant``, and the probe
-    positions from the source. Raises ConfigError naming the keys when the
-    spectral window, the oracle grid or MAX_SAMPLES (its nodes, source
-    points and records) cannot take them."""
+def _oracle(params, source, dx, courant, x_ref, x_probes, duration, pad):
+    """The FDTD oracle of :func:`reference_compare`, sized here alone: its
+    grid (the source on node 0, the farthest of x_ref and the probes or
+    their mirror images, then the pad, on 64 nodes at least) stepping
+    grid.dt / m for the m of :func:`reference.steps_per_sample` within
+    ``courant``, the probe positions from the source, and the pad, ``pad``
+    capped by the source's absorbing layer and its gap. Raises ConfigError
+    naming the keys when the spectral window, the oracle grid or
+    MAX_SAMPLES (its nodes, source points and records) cannot take them."""
+    grid = source.grid
     if grid.window < duration:
         raise ConfigError([f"run.duration: longer than the spectral window "
                            f"grid.n * grid.dt = {grid.window:g}"])
+    layer = reference.absorbing_layer(params, source)[0]
+    pad = min(pad, layer + reference.LAYER_GAP * params.c / params.band_low)
     probes = [x_ref] + [x_ref + xp for xp in x_probes]
     nodes = max(np.ceil((max(map(abs, probes)) + pad) / dx), 64.0)
     _check_size(nodes, "run.dx/run.x_ref/run.x_probes/run.pad",
@@ -677,14 +679,13 @@ def _oracle(params, grid, dx, courant, x_ref, x_probes, duration, pad):
                 "list fewer run.x_probes or lower grid.n")
     with _keys("run.dx", "run.pad", "run.courant"):
         m = reference.steps_per_sample(grid.dt, courant * dx / params.c)
-        grid1d = reference.YeeGrid1D(nx=int(nodes), dx=dx, c=params.c,
-                                     courant=params.c * grid.dt / (m * dx))
+        grid1d = reference.YeeGrid1D(int(nodes), dx, grid.dt / m)
     _check_size(m * grid.n, "run.dx/run.courant/grid.dt/grid.n",
                 f"{m} oracle steps a sample x {grid.n} samples",
                 "raise run.dx or run.courant, or lower grid.n")
     with _keys("run.x_ref", "run.x_probes", "run.pad"):
         reference.source_layout(grid1d, duration, probes)
-    return grid1d, probes
+    return grid1d, probes, pad
 
 
 def _rel_l2(a, b):

@@ -42,12 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import C
-
 __all__ = ["YeeGrid1D", "source_layout", "steps_per_sample", "upsample",
            "run_boundary_source"]
 
-#: largest Courant ratio c*dt/dx that YeeGrid1D accepts (1D limit: 1)
+#: largest Courant number c dt/dx that run_boundary_source steps, within
+#: the 1e-9 of steps_per_sample (1D limit: 1)
 MAX_COURANT = 0.99
 
 #: source-run steps per block: the blow-up guard and the probe records run
@@ -62,24 +61,18 @@ LAYER_GAP = 1.0
 
 @dataclass(frozen=True)
 class YeeGrid1D:
-    """Staggered 1D grid: nx E-nodes, spacing dx, time step from courant."""
+    """Staggered 1D grid: nx E-nodes, spacing dx, and the time step dt_fdtd
+    its leapfrog takes."""
 
     nx: int
     dx: float
-    courant: float = 0.5
-    c: float = C
+    dt_fdtd: float
 
     def __post_init__(self):
         if self.nx < 64:
             raise ValueError(f"nx must be at least 64, got {self.nx}")
-        if not 0 < self.courant <= MAX_COURANT:
-            raise ValueError(f"courant ratio must lie in (0, {MAX_COURANT}]")
-        if not (self.dx > 0 and self.c > 0):
-            raise ValueError("dx and c must be positive")
-
-    @property
-    def dt_fdtd(self):
-        return self.courant * self.dx / self.c
+        if not (self.dx > 0 and self.dt_fdtd > 0):
+            raise ValueError("dx and dt_fdtd must be positive")
 
 
 def _aligned_zeros(n):
@@ -216,8 +209,9 @@ def run_boundary_source(source, grid1d, params, duration, probes):
     ``contaminated``, the wall-activity flag; the ``layer`` length, and its
     ``attenuation``.
 
-    Raises ValueError, before any step, when ``grid1d.c`` and ``params.c``
-    differ by more than 1e-12 relative, when the m steps of
+    Raises ValueError, before any step, when the Courant number
+    ``params.c`` dt / dx passes MAX_COURANT by more than the 1e-9 of
+    :func:`steps_per_sample`, when the m steps of
     :func:`steps_per_sample` miss ``source.grid.dt`` by more than 1e-9
     relative, or when :func:`source_layout` finds a probe off the nodes
     before the wall. Raises FloatingPointError when E exceeds 1e6 times
@@ -225,11 +219,12 @@ def run_boundary_source(source, grid1d, params, duration, probes):
     ``BLOCK_STEPS`` steps, so the abort comes within one block of the
     blow-up.
     """
-    if not abs(grid1d.c - params.c) <= 1e-12 * params.c:
-        raise ValueError(f"grid speed c = {grid1d.c!r} differs from the "
-                         f"medium's c = {params.c!r}")
     dt, dx, nx, n = grid1d.dt_fdtd, grid1d.dx, grid1d.nx, source.grid.n
     m = steps_per_sample(source.grid.dt, dt)
+    # m counted as the plan counts it: a grid the plan builds passes
+    if m < steps_per_sample(source.grid.dt, MAX_COURANT * dx / params.c):
+        raise ValueError(f"Courant number c dt/dx = {params.c * dt / dx!r} "
+                         f"exceeds {MAX_COURANT}")
     if not abs(m * dt - source.grid.dt) <= 1e-9 * source.grid.dt:
         raise ValueError(f"FDTD step {dt!r} s does not divide the source's "
                          f"step {source.grid.dt!r} s")

@@ -821,21 +821,27 @@ def test_reference_compare_records_the_oracle_clock():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("dt", [0.5000000005, 1.000000001, 2.000000002])
-def test_oracle_run_takes_the_step_its_plan_makes(dt):
+@pytest.mark.parametrize("dt, courant", [
+    *(pytest.param(dt, 0.5, id=repr(dt))
+      for dt in (0.5000000005, 1.000000001, 2.000000002)),
+    # at the bound itself, which the plan refused as a grid past it
+    *(pytest.param(0.99 * k * 1.000000001, 0.99, id=f"0.99-{k}")
+      for k in (1, 2, 4))])
+def test_oracle_run_takes_the_step_its_plan_makes(dt, courant):
     # c dt / (courant dx) lies 1e-9 above an integer k, which counts as k;
-    # the plan's Courant number c dt / (k dx) is then 1e-9 past the bound.
-    # Clamped to the bound, k steps missed dt by over 1e-9, so the plan
+    # the plan's Courant number c dt / (k dx) is then 1e-9 past courant.
+    # Clamped to courant, k steps missed dt by over 1e-9, so the plan
     # passed and the run refused the step
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     grid = TimeGrid(64, dt)
     source = Signal(grid, np.sin(2.0 * np.pi * grid.times / grid.window))
-    grid1d, probes = cli._oracle(params, grid, 1.0, 0.5, x_ref=1.0,
-                                 x_probes=[1.0], duration=4.0 * dt, pad=40.0)
+    grid1d, probes, _ = cli._oracle(params, source, 1.0, courant, x_ref=1.0,
+                                    x_probes=[1.0], duration=4.0 * dt,
+                                    pad=40.0)
     run = reference.run_boundary_source(source, grid1d, params, 4.0 * dt,
                                         probes)
-    assert run["steps_per_sample"] == round(2.0 * dt)
-    assert grid1d.courant > 0.5
+    assert run["steps_per_sample"] == round(dt / courant)
+    assert params.c * grid1d.dt_fdtd / grid1d.dx > courant
 
 
 @pytest.mark.parametrize("ceiling, refused", [(6144, False), (6143, True)])
@@ -855,13 +861,14 @@ def test_plan_bounds_the_oracle_source_interpolant(monkeypatch, ceiling,
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("pad", [40.0, 5.0, 4.0])
+@pytest.mark.parametrize("pad", [40.0, 5.0, 4.0, 1e6, 1e12])
 def test_reference_compare_pads_to_its_layer_at_most(pad):
     # run.pad bounds the pad past the probe: 40 m pads to the derived layer
     # and its gap (12.4 m), 5 m and 4 m stay as they are; the summary
     # states the grid and the layer. The wall activity a 4 m pad lets
     # through is the fdtd_contaminated flag alone: the oracle also warned
-    # of it
+    # of it. The plan sizes the same grid, so 1e6 m and 1e12 m plan the
+    # nodes of 40 m, not 2.5e7 and 2.5e13
     config = _scenario_config("reference-compare", [f"run.pad={pad}"])
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="field activity")
@@ -989,6 +996,45 @@ def test_acceptance_9_oracle_sees_no_wall_reflection(dx):
                                        duration=400.0, pad=60.0)
     assert summary["fdtd_contaminated"] is False
     assert summary["fdtd_nodes (1)"] < 6124 * 0.02 / dx
+
+
+# acceptance 9 on an optical SI medium, p = q = w0 = 2 pi 200 THz, with the
+# SI c, eps0 and mu0 and no run.pad: its keys in 1/w0, c/w0 and w0
+SI_ACCEPTANCE_9 = "\n".join([
+    "[scenario]", "name = reference-compare", "[medium]",
+    "omega_pe = {w0!r}", "omega_pm = {w0!r}", "chi3 = 0.0", "[grid]",
+    "n = 4096", "dt = {dt!r}", "[pulse]", "carrier = {carrier!r}",
+    "width = {width!r}", "[run]", "dx = {dx!r}", "x_ref = {x_ref!r}",
+    "x_probes = {x1!r}, {x2!r}", "duration = {duration!r}", ""])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_acceptance_9_on_an_optical_si_medium(tmp_path, capsys):
+    # validate sized the grid by the 60 m default of run.pad, 1.26e10
+    # nodes, and refused what the run steps on 628 nodes at dx 0.02 c/w0
+    from metapulse.medium import C
+
+    w0 = 2.0 * np.pi * 200e12
+    unit = C / w0
+    errs = {}
+    for dx in (0.04, 0.02):
+        f = tmp_path / f"si-{dx}.ini"
+        f.write_text(SI_ACCEPTANCE_9.format(
+            w0=w0, dt=0.1 / w0, carrier=0.3 * w0, width=30.0 / w0,
+            dx=dx * unit, x_ref=0.48 * unit, x1=1.0 * unit, x2=2.0 * unit,
+            duration=400.0 / w0))
+        assert main(["validate", str(f)]) == 0
+        assert capsys.readouterr().out == "config ok\n"
+        assert main(["run", str(f), "--out", str(tmp_path / f"{dx}")]) == 0
+        capsys.readouterr()
+        summary = json.loads(
+            (tmp_path / f"{dx}" / "manifest.json").read_text())["summary"]
+        assert summary["pass"] is True
+        assert summary["fdtd_contaminated"] is False
+        assert summary["fdtd_nodes (1)"] < 700 * 0.02 / dx
+        errs[dx] = summary["l2_errors_e"]
+    assert max(errs[0.04]) <= 0.02
+    assert all(2.5 <= c / f <= 6.0 for c, f in zip(errs[0.04], errs[0.02]))
 
 
 def test_reference_compare_splits_records_without_dc():
@@ -1158,9 +1204,10 @@ def test_validate_and_run_agree_under_an_override(tmp_path, capsys, text,
     ({"dx = 0.08": "dx = 0.02", "x_ref = 0.48": "x_ref = -2.0",
       "x_probes = 0.96": "x_probes = 2.0", "pad = 40.0": "pad = 0.01"},
      "x_ref"),
-    # 2.5e13 and 2.5e7 oracle nodes printed "config ok"
-    ({"pad = 40.0": "pad = 1e12"}, "pad"),
-    ({"pad = 40.0": "pad = 1e6"}, "pad"),
+    # a pad past the layer and its gap plans the grid the run steps, not
+    # the 2.5e13 and 2.5e7 nodes of run.pad itself
+    ({"pad = 40.0": "pad = 1e12"}, None),
+    ({"pad = 40.0": "pad = 1e6"}, None),
     # no pad leaves 18 nodes, and the grid takes 64; a negative pad is
     # refused by its own range
     ({"pad = 40.0": "pad = 0.0"}, None),
@@ -1385,15 +1432,16 @@ def test_a_size_key_passes_at_the_ceiling_and_not_past_it(tmp_path, capsys,
     assert status == 1 and err.startswith(f"invalid: {key}: must lie in [")
 
 
-@pytest.mark.parametrize("pad, refused", [(524287.25, False),
-                                          (524287.3125, True)])
-def test_plan_bounds_the_oracle_nodes(pad, refused):
-    # at dx 1/8, the probe 524288.25 past x_ref 0.5 lies 4194310 nodes
-    # out and the pad takes 8 pad more, exactly 2^23 at the first pad, one
-    # more at the second; the plan allocates nothing of the nodes' size
+@pytest.mark.parametrize("probe, refused", [(1048567.5, False),
+                                            (1048567.5625, True)])
+def test_plan_bounds_the_oracle_nodes(probe, refused):
+    # at dx 1/8, the first probe past x_ref 0.5 lies 8388544 nodes out and
+    # the pad of 8 m, below the layer and its gap, takes 64 more: exactly
+    # 2^23 nodes, one more at the second probe; the plan allocates nothing
+    # of the nodes' size
     config = _scenario_config("reference-compare", [
-        "run.dx=0.125", "run.x_ref=0.5", "run.x_probes=524288.25",
-        f"run.pad={pad}"])
+        "run.dx=0.125", "run.x_ref=0.5", f"run.x_probes={probe}",
+        "run.pad=8.0"])
     if not refused:
         plan(config)
         return

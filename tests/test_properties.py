@@ -458,11 +458,12 @@ def test_oracle_steps_divide_the_grid_step_within_the_courant_bound(
     grid = TimeGrid(8, dt)
     # more steps than that are refused by the plan before any is taken
     assume(c * dt / (courant * dx) < MAX_SAMPLES / grid.n)
-    grid1d, *_ = _oracle(params, grid, dx, courant, x_ref=dx, x_probes=[dx],
-                         duration=dt, pad=40.0 * dx)
+    source = Signal(grid, np.sin(2.0 * np.pi * grid.times / grid.window))
+    grid1d, *_ = _oracle(params, source, dx, courant, x_ref=dx,
+                         x_probes=[dx], duration=dt, pad=40.0 * dx)
     m = round(dt / grid1d.dt_fdtd)
     assert abs(m * grid1d.dt_fdtd - dt) <= 1e-9 * dt
-    assert grid1d.courant <= courant * (1.0 + 1.01e-9)
+    assert c * grid1d.dt_fdtd / dx <= courant * (1.0 + 1.01e-9)
     assert m == 1 or (m - 1) * courant * dx / c < dt * (1.0 - 1e-9)
 
 

@@ -12,18 +12,17 @@ from metapulse import (
     run_boundary_source,
 )
 from metapulse import reference
-from metapulse.medium import EPS0, MU0
+from metapulse.medium import C, EPS0, MU0
 from metapulse.reference import BLOCK_STEPS, _leapfrog, upsample
 from conftest import gaussian_pulse
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        YeeGrid1D(32, 0.01)
-    with pytest.raises(ValueError):
-        YeeGrid1D(128, 0.01, courant=1.2)
-    g = YeeGrid1D(128, 0.01, courant=0.5, c=1.0)
-    assert g.dt_fdtd == pytest.approx(0.005)
+    with pytest.raises(ValueError, match="at least 64"):
+        YeeGrid1D(32, 0.01, 0.005)
+    for dx, dt in ((0.0, 0.005), (0.01, 0.0), (0.01, -0.005)):
+        with pytest.raises(ValueError, match="positive"):
+            YeeGrid1D(128, dx, dt)
 
 
 def _material(params=None):
@@ -52,7 +51,7 @@ def _to_si(fields, dt, dx, eps0, mu0):
 
 
 def test_zero_fields_stay_zero(unit_params):
-    g = YeeGrid1D(128, 0.05, c=1.0)
+    g = YeeGrid1D(128, 0.05, 0.025)
     advance, fields = _stepper(g, unit_params)
     for _ in range(20):
         advance()
@@ -61,7 +60,7 @@ def test_zero_fields_stay_zero(unit_params):
 
 def test_vacuum_pulse_speed():
     # SI vacuum: the grid speed must match the material constants
-    g = YeeGrid1D(2048, 0.01, courant=0.5)
+    g = YeeGrid1D(2048, 0.01, 0.005 / C)
     c_med = 1.0 / np.sqrt(EPS0 * MU0)
     x = np.arange(g.nx) * g.dx
     x0, sigma = 4.0, 0.25
@@ -82,7 +81,7 @@ def test_vacuum_pulse_speed():
 
 
 def test_vacuum_energy_conserved():
-    g = YeeGrid1D(512, 0.05, courant=0.5)
+    g = YeeGrid1D(512, 0.05, 0.025 / C)
     x = np.arange(g.nx) * g.dx
     e = np.exp(-((x - 12.8) ** 2) / (2.0 * 1.0**2))
     e[-1] = 0.0
@@ -106,7 +105,7 @@ def test_vacuum_energy_conserved():
 
 
 def test_superposition(unit_params, rng):
-    g = YeeGrid1D(128, 0.05, c=1.0)
+    g = YeeGrid1D(128, 0.05, 0.025)
     s1, s2 = ([rng.standard_normal(n)
                for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)]
               for _ in range(2))
@@ -119,17 +118,33 @@ def test_superposition(unit_params, rng):
     assert np.max(np.abs(e12 - e1 - e2)) <= 1e-12 * np.max(np.abs(e12))
 
 
-def test_source_run_rejects_grid_speed_unlike_the_medium():
-    # the normalised step's s = courant^2 holds only when the speeds agree;
-    # a mismatch ran until the blow-up guard fired
+@pytest.mark.filterwarnings("ignore:plasma frequency underresolved")
+@pytest.mark.parametrize("courant, runs", [
+    pytest.param(1.0, False, id="1"),
+    pytest.param(0.99 * 1.000000002, False, id="0.99-past-2e-9"),
+    pytest.param(0.99 * 1.000000001, True, id="0.99-past-1e-9")])
+def test_source_run_refuses_a_courant_number_past_the_bound(courant, runs,
+                                                           monkeypatch):
+    # one step a sample at c dt / dx = courant, with the medium's c: past
+    # MAX_COURANT by more than the 1e-9 of steps_per_sample, the run
+    # refuses before any step and names the bound
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
-    source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
-    g = YeeGrid1D(128, 0.5, courant=0.5, c=1.0 + 1e-9)
-    with pytest.raises(ValueError, match=r"c = 1\.000000001.* c = 1\.0\b"):
+    source = gaussian_pulse(TimeGrid(256, courant), carrier=0.3, width=10.0)
+    g = YeeGrid1D(128, 1.0, courant)
+    built = []
+
+    def spy(*args):
+        built.append(None)
+        return _leapfrog(*args)
+
+    monkeypatch.setattr(reference, "_leapfrog", spy)
+    if runs:
+        assert run_boundary_source(source, g, params, 5.0,
+                                   [2.0])["steps_per_sample"] == 1
+        return
+    with pytest.raises(ValueError, match=r"Courant number .* exceeds 0\.99$"):
         run_boundary_source(source, g, params, 5.0, [2.0])
-    # a difference within 1e-12 relative runs
-    g = YeeGrid1D(128, 0.5, courant=0.5, c=1.0 + 1e-13)
-    run_boundary_source(source, g, params, 5.0, [2.0])
+    assert built == []
 
 
 @pytest.mark.parametrize("dx, steps", [(0.6, r"0\.3"), (4.0, r"2\.0"),
@@ -140,7 +155,7 @@ def test_source_run_rejects_a_step_that_does_not_divide_the_source(dx,
     # must make its dt: 3.33, 0.5 and 2.86 steps per sample are refused
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
-    g = YeeGrid1D(128, dx, courant=0.5, c=1.0)
+    g = YeeGrid1D(128, dx, 0.5 * dx)
     with pytest.raises(ValueError, match=f"step {steps}.* step 1\\.0 s"):
         run_boundary_source(source, g, params, 5.0, [2.0])
 
@@ -167,7 +182,7 @@ def test_upsample_is_the_sources_trigonometric_interpolant(m, rng):
 def test_underresolved_warning():
     # the warning points at the driver's caller
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
-    g = YeeGrid1D(128, 2.0, courant=0.5, c=1.0)  # dt = 1.0, wp*dt = 1
+    g = YeeGrid1D(128, 2.0, 1.0)  # wp*dt = 1
     source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
     with pytest.warns(UserWarning, match="underresolved") as rec:
         run_boundary_source(source, g, params, 5.0, [2.0])
@@ -204,13 +219,13 @@ def _advance_normalised(e, h, m, q, dt, dx, wpe, wpm, eps0, mu0, g_h, g_e,
 @pytest.mark.parametrize("params, g", [
     # p = q: the evanescent band is one point
     (DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0),
-     YeeGrid1D(256, 0.05, c=1.0)),
+     YeeGrid1D(256, 0.05, 0.025)),
     # p != q: a real gap
     (DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0),
-     YeeGrid1D(256, 0.05, c=1.0)),
+     YeeGrid1D(256, 0.05, 0.025)),
     # SI scale: GHz plasma frequencies, wp dt = 0.05 and 0.08
     (DrudeParams(2.0 * np.pi * 5e9, 2.0 * np.pi * 8e9),
-     YeeGrid1D(256, 1e-3, courant=0.5)),
+     YeeGrid1D(256, 1e-3, 5e-4 / C)),
 ])
 def test_normalised_leapfrog_matches_si_update(params, g, rng):
     dt, dx = g.dt_fdtd, g.dx
@@ -233,7 +248,7 @@ def test_leapfrog_step_is_ten_ufuncs_without_allocation(unit_params,
                                                         monkeypatch):
     import tracemalloc
 
-    g = YeeGrid1D(4096, 0.05, c=1.0)
+    g = YeeGrid1D(4096, 0.05, 0.025)
     calls = []
 
     def counted(ufunc):
@@ -341,7 +356,7 @@ def test_undamped_leapfrog_matches_the_step_without_a_layer_bit_for_bit(
     # grid without a layer steps as the right half of the symmetric full
     # grid of the step before both
     params = DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0)
-    g = YeeGrid1D(203, 0.05, c=1.0)
+    g = YeeGrid1D(203, 0.05, 0.025)
     args = (g.dt_fdtd, g.dx, *_material(params))
     extra = () if damping is None else ((np.ones(g.nx - 1), np.ones(g.nx)),)
     runs = [_leapfrog(g.nx, *args, *extra),
@@ -370,7 +385,7 @@ def test_mirrored_run_is_the_right_half_of_a_symmetric_full_grid(params, dx):
     # added to e[0] after the step, and to 1e-13 relative with the kick
     # carried by the ghost h
     nx = 160
-    g = YeeGrid1D(nx, dx, courant=0.5, c=params.c)
+    g = YeeGrid1D(nx, dx, 0.5 * dx / params.c)
     dt, s = g.dt_fdtd, (g.dt_fdtd / dx) ** 2 / (params.eps0 * params.mu0)
     args = (g.dt_fdtd, dx, *_material(params))
     g_h, g_e = reference.layer_damping(g, 40 * dx, 0.5 / dt)
@@ -399,7 +414,7 @@ def test_mirrored_run_is_the_right_half_of_a_symmetric_full_grid(params, dx):
 def test_layer_damping_rises_as_the_square_of_the_depth():
     # nodes at i dx, half nodes at (i + 1/2) dx; depth into the 2 m layer
     # before the wall at 10 m; the symmetry plane at 0 takes none
-    g = YeeGrid1D(101, 0.1, c=1.0)
+    g = YeeGrid1D(101, 0.1, 0.05)
     length, rate = 2.0, 3.0
     g_h, g_e = reference.layer_damping(g, length, rate)
     for got, x in ((g_e, np.arange(101) * 0.1),
@@ -431,7 +446,7 @@ def _padded_run(params, source, dx, duration, probes, pad):
     leaves the nodes from the source to the last probe undamped."""
     m = reference.steps_per_sample(source.grid.dt, 0.5 * dx / params.c)
     g = YeeGrid1D(int(np.ceil((probes[-1] + pad) / dx)), dx,
-                  courant=params.c * source.grid.dt / (m * dx), c=params.c)
+                  source.grid.dt / m)
     taken = []
 
     def spy(*args):
@@ -523,7 +538,7 @@ def test_oracle_arrays_start_on_cache_lines(monkeypatch):
     monkeypatch.setattr(reference, "_leapfrog", spy)
     for nx in (127, 128, 129, 130):
         arrays.clear()
-        run_boundary_source(source, YeeGrid1D(nx, 0.5, c=1.0), params, 5.0,
+        run_boundary_source(source, YeeGrid1D(nx, 0.5, 0.25), params, 5.0,
                             [2.0])
         assert sorted(arrays) == ["coef", "e", "g", "h", "m", "q", "tmp",
                                   "tmp_e", "tmp_h", "x", "y"]
@@ -614,7 +629,7 @@ def _plain_source_run(source, grid1d, params, duration, probes):
 def test_source_run_records_match_plain_loop(nx, duration, probes, walls_hit):
     params = DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0)
     source = gaussian_pulse(TimeGrid(128, 0.2), carrier=0.5, width=2.5)
-    g = YeeGrid1D(nx, 0.1, courant=0.5, c=1.0)
+    g = YeeGrid1D(nx, 0.1, 0.05)
     out = run_boundary_source(source, g, params, duration, probes)
     rec_e, rec_b, contaminated = _plain_source_run(source, g, params,
                                                    duration, probes)
@@ -712,8 +727,8 @@ def test_source_run_records_match_full_grid_loop(nx, i_src, duration, probes,
     # kick the ghost carries rounds differently from one added to E
     params = DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0)
     source = gaussian_pulse(TimeGrid(128, 0.2), carrier=0.5, width=2.5)
-    half = YeeGrid1D(max(nx - i_src, 64), 0.1, courant=0.5, c=1.0)
-    whole = YeeGrid1D(2 * half.nx - 1, 0.1, courant=0.5, c=1.0)
+    half = YeeGrid1D(max(nx - i_src, 64), 0.1, 0.05)
+    whole = YeeGrid1D(2 * half.nx - 1, 0.1, 0.05)
     out = run_boundary_source(source, half, params, duration, probes)
     rec_e, rec_b, contaminated = _full_grid_source_run(
         source, whole, params, duration, probes, half.nx - 1)
@@ -730,7 +745,7 @@ def test_source_run_aborts_on_blow_up_within_one_block():
     # dt * wp = 10: the leapfrog is unstable, overflows to inf and then to
     # NaN well inside the first block; a NaN-blind guard returned NaN records
     params = DrudeParams(10.0, 10.0, c=1.0, eps0=1.0, mu0=1.0)
-    g = YeeGrid1D(128, 2.0, courant=0.5, c=1.0)
+    g = YeeGrid1D(128, 2.0, 1.0)
     source = gaussian_pulse(TimeGrid(256, 1.0), carrier=0.3, width=10.0)
     duration = 250 * g.dt_fdtd
     with pytest.warns(UserWarning, match="underresolved"):
@@ -748,7 +763,7 @@ def _probe_run(dx, probes, duration=400.0, pad=85.0):
     src_grid = TimeGrid(4096, 0.1)
     source = gaussian_pulse(src_grid, carrier=0.3, width=30.0)
     nx = int(round((max(probes) + pad) / dx))
-    g = YeeGrid1D(nx, dx, courant=0.5, c=1.0)
+    g = YeeGrid1D(nx, dx, 0.5 * dx)
     out = run_boundary_source(source, g, params, duration, probes)
     return source, out
 
@@ -785,7 +800,7 @@ def test_probe_errors():
     params = DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0)
     src_grid = TimeGrid(1024, 0.1)
     source = gaussian_pulse(src_grid, carrier=0.3, width=10.0)
-    g = YeeGrid1D(256, 0.02, courant=0.5, c=1.0)
+    g = YeeGrid1D(256, 0.02, 0.01)
     with pytest.raises(ValueError):
         run_boundary_source(source, g, params, 10.0, [100.0])
     with pytest.raises(ValueError):
@@ -880,9 +895,8 @@ def test_convergence_second_order():
 
     def probe_series(dx):
         nx = int(round((probe + pad) / dx))
-        # the plan's Courant number: at most 0.5, its step dividing 0.1
-        courant = {0.08: 5.0 / 12.0}.get(dx, 0.5)
-        g = YeeGrid1D(nx, dx, courant=courant, c=1.0)
+        # the plan's step: at most dx / 2, dividing 0.1
+        g = YeeGrid1D(nx, dx, {0.08: 0.1 / 3}.get(dx, 0.5 * dx))
         out = run_boundary_source(source, g, params, duration, [probe])
         return out["e"][0][src_grid.times <= duration - 1.0]
 

@@ -149,10 +149,20 @@ MUTANTS = [
                "test_oracle_steps_divide_the_grid_step_within_the_courant_"
                "bound"]},
     {"name": "plan-clamps-the-courant-number", "file": CLI,
-     "old": "courant=params.c * grid.dt / (m * dx))",
-     "new": "courant=min(params.c * grid.dt / (m * dx), courant))",
+     "old": "grid.dt / m)", "new": "courant * dx / params.c)",
      "tests": ["tests/test_cli.py::test_oracle_run_takes_the_step_its_plan_"
                "makes"]},
+    {"name": "courant-bound-without-margin", "file": REFERENCE,
+     "old": "if m < steps_per_sample(source.grid.dt, MAX_COURANT * dx / "
+            "params.c):",
+     "new": "if m < source.grid.dt / (MAX_COURANT * dx / params.c):",
+     "tests": ["tests/test_reference.py::"
+               "test_source_run_refuses_a_courant_number_past_the_bound"]},
+    {"name": "courant-bound-doubled", "file": REFERENCE,
+     "old": "MAX_COURANT * dx / params.c)",
+     "new": "2 * MAX_COURANT * dx / params.c)",
+     "tests": ["tests/test_reference.py::"
+               "test_source_run_refuses_a_courant_number_past_the_bound"]},
     {"name": "records-from-step-1", "file": REFERENCE,
      "old": "on, j = slice(-n0 % m, None, m)",
      "new": "on, j = slice((1 - n0) % m, None, m)",
@@ -195,6 +205,14 @@ MUTANTS = [
      "new": "pad = max(pad, layer",
      "tests": ["tests/test_cli.py::"
                "test_reference_compare_pads_to_its_layer_at_most"]},
+    {"name": "plan-pads-uncapped", "file": CLI,
+     "old": "    pad = min(pad, layer + reference.LAYER_GAP * params.c / "
+            "params.band_low)\n",
+     "new": "",
+     "tests": ["tests/test_cli.py::"
+               "test_reference_compare_pads_to_its_layer_at_most",
+               "tests/test_cli.py::test_acceptance_9_on_an_optical_si_"
+               "medium"]},
     {"name": "grid-without-64-nodes", "file": CLI,
      "old": "nodes = max(np.ceil((max(map(abs, probes)) + pad) / dx), 64.0)",
      "new": "nodes = np.ceil((max(map(abs, probes)) + pad) / dx)",
