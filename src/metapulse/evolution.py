@@ -105,7 +105,10 @@ def _entry_spectrum(entry):
 def _advance(spec, grid, theta):
     """One pair per row of the (stations, bins) phase table ``theta``: the
     entry half-spectra ``spec`` (Pi-hat, Lambda-hat) times exp(-/+ i theta),
-    with DC and Nyquist kept, through one stacked irfft."""
+    with DC and Nyquist kept, through one stacked irfft. The paper's kernel
+    delta(t) - sqrt(beta/t) J1(2 sqrt(beta t)) annihilates DC, since its
+    Bessel term integrates to 1; the DC bin keeps factor 1 here, which the
+    zero-mean entries of runs make moot."""
     factors = 1j * np.array([[-1.0], [1.0]]) * theta[:, None, :]
     np.exp(factors, out=factors)
     factors[..., [0, -1]] = 1.0

@@ -115,13 +115,11 @@ def _render_rows(block):
     most 2^-45. So rint(t) gives D, rounded half-even, wherever t lies
     2^-30 or more from a half-integer.
 
-    Ties: R = (odd part of M) 5^(17-E) 2^(tz+ex-36-E), tz the trailing
-    zero bits of M, so R is a half-integer exactly when tz + ex - E = 35;
-    M lo and t are then exact, and rint rounds the tie to even. Only the
-    values within 2^-30 of a half-integer have tz counted. Those that are
-    no tie, +-inf and nan are rendered by Python's ``'%.17e'`` one at a
-    time. The table's rows for the binades of ``block`` that no earlier
-    call met are filled in first.
+    Ties: every value whose t lies within 2^-30 of a half-integer, exact
+    ties included, is rendered by Python's ``'%.17e'`` one at a time, as
+    are +-inf and nan; Python rounds an exact tie half-even. The table's
+    rows for the binades of ``block`` that no earlier call met are filled
+    in first.
 
     The work arrays are written in place and dropped once read. Each value
     gets a 25-byte slot (:func:`_fill_slots`), 26 if a decade has 3 digits.
@@ -152,11 +150,7 @@ def _render_rows(block):
     del h, l, m_high, m_low
     t_int = np.rint(t)
     # t - rint(t) is exact, and within 2^-30 of +-0.5 on a near tie
-    near = np.flatnonzero(np.abs(t - t_int) > 0.5 - 2.0**-30)
-    if near.size:
-        m_int = m[near].astype(np.int64)
-        tz = np.frexp((m_int & -m_int).astype(float))[1] - 1
-        slow[near[tz + (i[near] - 1073) - e[near] != 35]] = True
+    slow[np.abs(t - t_int) > 0.5 - 2.0**-30] = True
     digits = p.astype(np.int64) + t_int.astype(np.int64)
     # 9.99...95e(E) rounds up to 1.00...0e(E+1)
     carry = digits == 10**18

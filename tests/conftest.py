@@ -1,5 +1,8 @@
 """Shared fixtures: natural-unit media, band-limited random pulses, the
-projector pair on field columns and the Drude multipliers no run applies."""
+projector pair on field columns, the Drude multipliers no run applies and
+the paper's convolution kernels in the time domain."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -100,3 +103,58 @@ def field_peak(f, g=None):
     if g is not None:
         f = FieldPair(f.b - g.b, f.e - g.e)
     return max(f.b.peak, f.e.peak)
+
+
+def bessel_j1(z):
+    """J1 at the 1-D points ``z`` from numpy alone: (1/pi) int_0^pi
+    cos(tau - z sin tau) dtau on 512 midpoints. The integrand is even and
+    2 pi-periodic, so this is the midpoint rule on a whole period, exact to
+    rounding while |z| stays well below 1024."""
+    tau = (np.arange(512) + 0.5) * (np.pi / 512)
+    sin = np.sin(tau)
+    out = np.empty(z.size)
+    for s in range(0, z.size, 2048):  # 8 MiB of integrand at a time
+        out[s:s + 2048] = np.cos(tau - z[s:s + 2048, None] * sin).mean(axis=1)
+    return out
+
+
+@functools.cache
+def _bessel_term(beta, dtau, count):
+    """sqrt(beta/tau) J1(2 sqrt(beta tau)) at tau = k dtau, k < count; its
+    limit beta at tau = 0."""
+    tau = np.arange(1, count) * dtau
+    return np.concatenate([[beta], np.sqrt(beta / tau)
+                           * bessel_j1(2.0 * np.sqrt(beta * tau))])
+
+
+def kernel_response(f, grid, beta, delay=0.0, reflect=False):
+    """The paper's convolution kernel delta(t) - sqrt(beta/t) J1(2
+    sqrt(beta t)), t > 0, applied after a ``delay`` to the callable pulse
+    ``f``, at ``grid.times``, in the time domain and so free of the
+    window's wrap. It is the causal inverse of exp(+i beta/w) in numpy's
+    exp(+i w t) synthesis: Pi's long-wave factor, beta = pq x/c, and on
+    p = q the exact factor once a delay x/c is taken out, beta = p^2 x/c.
+    ``reflect`` reflects the kernel and the delay in time, as Lambda's.
+
+    The integral runs over tau in [0, window] by the trapezoid rule at
+    tau steps dt and dt/2, with one Richardson step, each step's sum one
+    zero-padded (so linear) FFT convolution. ``f`` must be negligible
+    outside [0, window).
+    """
+    n, dt = grid.n, grid.dt
+    if reflect:  # the causal response of f(window - v), read at v = window - t
+        window = n * dt
+        return kernel_response(lambda v: f(window - v), grid, beta,
+                               delay)[-np.arange(n)]
+    term = _bessel_term(beta, dt / 2, 2 * n + 1)
+    sums = []
+    for k in (1, 2):  # tau steps of dt / k
+        weights = term[::2 // k] * (dt / k)
+        weights[[0, -1]] *= 0.5
+        g = f(np.arange(-k * n, k * n) * (dt / k) - delay)
+        size = 1 << (weights.size + g.size - 2).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(weights, size) * np.fft.rfft(g, size),
+                            size)
+        at = k * n + k * np.arange(n)  # g's index of t_i - delay
+        sums.append(g[at] - conv[at])
+    return (4.0 * sums[1] - sums[0]) / 3.0

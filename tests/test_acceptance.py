@@ -35,6 +35,7 @@ from metapulse import (
 )
 from metapulse.cli import (
     SCENARIOS,
+    main,
     parse_config,
     reference_compare,
     run_scenario,
@@ -47,6 +48,7 @@ from metapulse.evolution import (
     _march_rk4,
     _stiffness,
 )
+from metapulse.medium import C
 from conftest import (drude_multiplier, field_peak, fft_omegas,
                       gaussian_pulse, projections, random_zero_mean)
 
@@ -441,9 +443,52 @@ def test_acceptance_09_oracle_cross_check(capsys):
         and all(2.5 <= r <= 6.0 for r in ratios)
         and elapsed < 120.0
     )
-    verdict(9, ok, f"L2 at dx=0.04 {['%.1e' % e for e in errs[0.04]]}, "
+    verdict(9, ok, f"p = q = 1: L2 at dx=0.04 "
+                   f"{['%.1e' % e for e in errs[0.04]]}, "
                    f"refinement ratios {['%.2f' % r for r in ratios]}, "
                    f"{elapsed:.1f}s", capsys)
+
+
+# acceptance 9 on an optical SI medium, p = q = w0 = 2 pi 200 THz, with the
+# SI c, eps0 and mu0 and no run.pad: its keys in 1/w0, c/w0 and w0
+SI_ACCEPTANCE_9 = "\n".join([
+    "[scenario]", "name = reference-compare", "[medium]",
+    "omega_pe = {w0!r}", "omega_pm = {w0!r}", "chi3 = 0.0", "[grid]",
+    "n = 4096", "dt = {dt!r}", "[pulse]", "carrier = {carrier!r}",
+    "width = {width!r}", "[run]", "dx = {dx!r}", "x_ref = {x_ref!r}",
+    "x_probes = {x1!r}, {x2!r}", "duration = {duration!r}", ""])
+
+
+def test_acceptance_09_on_an_optical_si_medium(capsys, tmp_path):
+    # through the CLI: validate sized the grid by the 60 m default of
+    # run.pad, 1.26e10 nodes, and refused what the run steps on 628 nodes
+    # at dx 0.02 c/w0
+    w0 = 2.0 * np.pi * 200e12
+    unit = C / w0
+    errs = {}
+    for dx in (0.04, 0.02):
+        f = tmp_path / f"si-{dx}.ini"
+        f.write_text(SI_ACCEPTANCE_9.format(
+            w0=w0, dt=0.1 / w0, carrier=0.3 * w0, width=30.0 / w0,
+            dx=dx * unit, x_ref=0.48 * unit, x1=1.0 * unit, x2=2.0 * unit,
+            duration=400.0 / w0))
+        assert main(["validate", str(f)]) == 0
+        assert capsys.readouterr().out == "config ok\n"
+        assert main(["run", str(f), "--out", str(tmp_path / f"{dx}")]) == 0
+        capsys.readouterr()
+        summary = json.loads(
+            (tmp_path / f"{dx}" / "manifest.json").read_text())["summary"]
+        assert summary["pass"] is True
+        assert summary["fdtd_contaminated"] is False
+        assert summary["fdtd_nodes (1)"] < 700 * 0.02 / dx
+        errs[dx] = summary["l2_errors_e"]
+    worst = max(errs[0.04])
+    ratios = [c / f for c, f in zip(errs[0.04], errs[0.02])]
+    ok = worst <= 0.02 and all(2.5 <= r <= 6.0 for r in ratios)
+    verdict(9, ok, f"p = q = 2 pi 200 THz, SI c: L2 at dx=0.04 c/w0 "
+                   f"{['%.1e' % e for e in errs[0.04]]}, "
+                   f"refinement ratios {['%.2f' % r for r in ratios]}",
+            capsys)
 
 
 BASE_MEDIUM = (
@@ -476,7 +521,9 @@ SCENARIO_CONFIGS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings(
+    "ignore:boundary signal [jk] does not decay at window edges")
+@pytest.mark.filterwarnings("ignore:spectral content above")
 def test_acceptance_10_determinism(capsys, tmp_path):
     assert set(SCENARIO_CONFIGS) == set(SCENARIOS)
     mismatched = []

@@ -23,7 +23,8 @@ from metapulse import (
 )
 from metapulse.evolution import (KERR_TAIL, PropagationRecord,
                                  _entry_spectrum, _kerr_rhs, _march_rk4)
-from conftest import fft_omegas, random_zero_mean, gaussian_pulse
+from conftest import (fft_omegas, gaussian_pulse, kernel_response,
+                      random_zero_mean)
 from test_acceptance import (
     from_dimensionless,
     kerr_coupling,
@@ -237,6 +238,74 @@ def test_kg_matches_exact_in_band(unit_params):
         np.abs(w_occ * a_symbol(unit_params, w_occ))
     ) * x
     assert disc <= budget
+
+
+# the kernel tests' window: 2^16 samples of 0.05 s, 3276.8 s, long enough
+# that the Bessel tails from a pulse 150 s from one end wrap back below 1e-6
+# of its peak
+KERNEL_GRID = TimeGrid(2**16, 0.05)
+KERNEL_X = 3.0
+
+
+def kernel_pulse(t0):
+    """A sine of 0.25 rad/s under a Gaussian of width 24 s centred on the
+    sample t0: zero mean, and under 1e-8 of its spectral peak above 0.5
+    rad/s, so that ``propagate_kg`` has no cause to warn."""
+    return lambda t: (np.sin(0.25 * (t - t0))
+                      * np.exp(-0.5 * ((t - t0) / 24.0) ** 2))
+
+
+def kernel_entry():
+    """(Pi's pulse, Lambda's pulse, their entry pair): Pi's 150 s after the
+    window's start, Lambda's 150 s before its end, so each kernel's tail has
+    the window ahead of it."""
+    window = KERNEL_GRID.n * KERNEL_GRID.dt
+    pi, lam = kernel_pulse(150.0), kernel_pulse(window - 150.0)
+    t = KERNEL_GRID.times
+    return pi, lam, DirectedPair(Signal(KERNEL_GRID, pi(t)),
+                                 Signal(KERNEL_GRID, lam(t)))
+
+
+@pytest.mark.parametrize("params", [
+    DrudeParams(1.0, 1.0, c=1.0, eps0=1.0, mu0=1.0),
+    DrudeParams(1.0, 2.0, c=1.0, eps0=1.0, mu0=1.0),
+], ids=["unit", "p_ne_q"])
+def test_kg_matches_the_bessel_kernel(params):
+    # Pi's factor exp(+i pq x/(c w)) is the causal kernel with beta = pq x/c,
+    # Lambda's that kernel reflected in time; they departed by 6.7e-8 (unit)
+    # and 3.4e-7 (p != q) of the peak
+    pi, lam, dp0 = kernel_entry()
+    out = propagate_kg(dp0, [KERNEL_X], params)[0]
+    beta = params.omega_pe * params.omega_pm * KERNEL_X / params.c
+    bound = 1e-5 * dp0.pi.peak
+    for got, f, reflect in ((out.pi, pi, False), (out.lam, lam, True)):
+        want = kernel_response(f, KERNEL_GRID, beta, reflect=reflect)
+        assert np.max(np.abs(got.samples - want)) <= bound
+
+
+def test_exact_on_p_eq_q_is_the_delayed_bessel_kernel(unit_params):
+    # on p = q, w a(w) x = w x/c - p^2 x/(c w): a delay of x/c, then the
+    # KG kernel with beta = p^2 x/c; they departed by 6.7e-8 of the peak
+    pi, lam, dp0 = kernel_entry()
+    out = propagate_linear_exact(dp0, [KERNEL_X], unit_params)[0]
+    p, c = unit_params.omega_pe, unit_params.c
+    bound = 1e-5 * dp0.pi.peak
+    for got, f, reflect in ((out.pi, pi, False), (out.lam, lam, True)):
+        want = kernel_response(f, KERNEL_GRID, p * p * KERNEL_X / c,
+                               delay=KERNEL_X / c, reflect=reflect)
+        assert np.max(np.abs(got.samples - want)) <= bound
+
+
+def test_exact_pi_holds_nothing_before_its_front_arrives(unit_params):
+    # Pi is directed: nothing at x precedes the entry's front by x/c. The
+    # entry's envelope, of peak 1, is under 1e-7 before t = 13.7 s; Pi at
+    # x = 3 held 2.3e-8 of the peak before 16.7 s
+    _, _, dp0 = kernel_entry()
+    front = 150.0 - 24.0 * np.sqrt(2.0 * np.log(1e7))
+    assert np.max(np.abs(dp0.pi.samples[KERNEL_GRID.times < front])) <= 1e-7
+    out = propagate_linear_exact(dp0, [KERNEL_X], unit_params)[0]
+    early = KERNEL_GRID.times < front + KERNEL_X / unit_params.c
+    assert np.max(np.abs(out.pi.samples[early])) <= 1e-5 * dp0.pi.peak
 
 
 @pytest.mark.filterwarnings("ignore:spectral content")

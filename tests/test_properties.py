@@ -134,7 +134,8 @@ def test_half_spectrum_apply_matches_full_fft(case):
         assert err <= 1e-12 * np.max(np.abs(ref)), kind
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings(
+    "ignore:boundary signal [jk] does not decay at window edges")
 @PROPERTY_SETTINGS
 @given(cases())
 def test_split_then_reconstruct_is_identity(case):
@@ -149,7 +150,8 @@ def test_split_then_reconstruct_is_identity(case):
     assert np.max(np.abs(fields.b.samples - k.samples)) <= 1e-12 * k.peak
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.filterwarnings(
+    "ignore:boundary signal [jk] does not decay at window edges")
 @PROPERTY_SETTINGS
 @given(cases(), st.floats(0.1, 50.0), st.floats(0.05, 0.95))
 def test_exact_propagation_is_additive_in_x(case, max_phase, fraction):

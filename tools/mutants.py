@@ -211,8 +211,8 @@ MUTANTS = [
      "new": "",
      "tests": ["tests/test_cli.py::"
                "test_reference_compare_pads_to_its_layer_at_most",
-               "tests/test_cli.py::test_acceptance_9_on_an_optical_si_"
-               "medium"]},
+               "tests/test_acceptance.py::test_acceptance_09_on_an_optical_"
+               "si_medium"]},
     {"name": "grid-without-64-nodes", "file": CLI,
      "old": "nodes = max(np.ceil((max(map(abs, probes)) + pad) / dx), 64.0)",
      "new": "nodes = np.ceil((max(map(abs, probes)) + pad) / dx)",
@@ -350,6 +350,15 @@ MUTANTS = [
             "        written.append(out / \"manifest.json\")\n",
      "tests": ["tests/test_cli.py::test_a_run_whose_output_fails_leaves_no_"
                "file_of_its_own[manifest.json]"]},
+    # the linear propagators against the paper's convolution kernels
+    {"name": "advance-signs-swapped", "file": EVOLUTION,
+     "old": "1j * np.array([[-1.0], [1.0]]) * theta",
+     "new": "1j * np.array([[1.0], [-1.0]]) * theta",
+     "tests": ["tests/test_evolution.py::test_kg_matches_the_bessel_kernel",
+               "tests/test_evolution.py::test_exact_on_p_eq_q_is_the_delayed_"
+               "bessel_kernel",
+               "tests/test_evolution.py::test_exact_pi_holds_nothing_before_"
+               "its_front_arrives"]},
     # the CSV renderer's chunks and slots
     *({"name": name, "file": RENDER,
        "old": "width = 26 if max(e.max(), -e.min()) >= 100 else 25",
@@ -360,6 +369,10 @@ MUTANTS = [
           ("slot-width-past-E-100",
            "width = 26 if max(e.max(), -e.min()) > 100 else 25"),
           ("slot-fixed-at-25-bytes", "width = 25"))),
+    {"name": "near-tie-window-narrowed", "file": RENDER,
+     "old": "> 0.5 - 2.0**-30] = True", "new": "> 0.5 - 2.0**-60] = True",
+     "tests": [f"tests/test_cli.py::test_format_table_bytes_match_per_value_"
+               f"rendering[near-ties-{n_cols}]" for n_cols in (1, 2, 5)]},
     {"name": "chunk-rows-not-divided-by-columns", "file": RENDER,
      "old": "step = max(1, CSV_CHUNK_VALUES // len(columns))",
      "new": "step = CSV_CHUNK_VALUES",
