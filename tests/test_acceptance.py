@@ -521,6 +521,18 @@ SCENARIO_CONFIGS = {
 }
 
 
+def _assert_tables_as_listed(out):
+    """``out`` holds manifest.json and exactly the CSV tables it lists, and
+    each table's rows have as many fields as its header."""
+    listed = json.loads((out / "manifest.json").read_text())["tables"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*listed, "manifest.json"]), out
+    for name in listed:
+        assert name.endswith(".csv"), name
+        header, *rows = (out / name).read_text().splitlines()
+        assert {row.count(",") for row in rows} == {header.count(",")}, name
+
+
 @pytest.mark.filterwarnings(
     "ignore:boundary signal [jk] does not decay at window edges")
 @pytest.mark.filterwarnings("ignore:spectral content above")
@@ -533,6 +545,7 @@ def test_acceptance_10_determinism(capsys, tmp_path):
         for d in dirs:
             status, _ = run_scenario(cfg, out_dir=d)
             assert status == 0, name
+            _assert_tables_as_listed(d)
         files = sorted(p.name for p in dirs[0].iterdir())
         assert files == sorted(p.name for p in dirs[1].iterdir())
         for f in files:

@@ -113,15 +113,28 @@ def test_parse_collects_all_violations():
      ["run.x_end: must be positive",
       "run.n_steps/run.n_stations: 4 steps hold at most 5 stations; "
       "raise run.n_steps or lower run.n_stations"]),
+    # the Gaussian's rules run on a refused medium too, after it
+    ("propagate-linear", "chi3 = -1\n", "carrier = -0.5\n", "x_end = -1\n",
+     ["run.x_end: must be positive", "medium.chi3: must not be negative",
+      "pulse.carrier: must be positive"]),
+    # an unknown name leaves no scenario whose keys could be checked
+    ("bogus", "", "", "",
+     [f"scenario.name: unknown scenario 'bogus'; choose from "
+      f"{sorted(cli.SCENARIOS)}"]),
 ], ids=["run-keys", "pulse-keys", "pulse-unused", "medium-pulse-run",
         "medium-refused", "medium-refused-taylor", "output-pulse",
-        "kerr-run-medium-pulse", "kerr-stations-run"])
+        "kerr-run-medium-pulse", "kerr-stations-run",
+        "medium-pulse-run-gaussian", "unknown-scenario"])
 def test_validate_reports_every_key_violation_in_one_pass(
         tmp_path, capsys, scenario, medium, pulse, run, expected):
-    # a typo hid every range violation: only the unknown key was listed
+    # a typo hid every range violation: only the unknown key was listed; a
+    # pulse key of the row replaces BASE's, any other is added after them
+    keys = {line.partition(" = ")[0]: line
+            for line in ["carrier = 0.5", "width = 12.0", *pulse.splitlines()]}
     text = BASE.replace("name = split", f"name = {scenario}").replace(
         "mu0 = 1.0\n", f"mu0 = 1.0\n{medium}").replace(
-        "width = 12.0\n", f"width = 12.0\n{pulse}") + f"\n[run]\n{run}"
+        "carrier = 0.5\nwidth = 12.0\n",
+        "".join(f"{line}\n" for line in keys.values())) + f"\n[run]\n{run}"
     f = tmp_path / "cfg.ini"
     f.write_text(text)
     assert main(["validate", str(f)]) == (1 if expected else 0)
@@ -1503,6 +1516,29 @@ def test_validate_names_grid_n_that_cannot_be_allocated(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("override, violation", [
+    ("grid.n=8.5", "grid.n: cannot parse '8.5' as int"),
+    ("grid.n", "override 'grid.n': expected section.key=value"),
+    ("n=4", "override 'n=4': expected section.key=value"),
+])
+def test_validate_refuses_a_value_it_cannot_read(tmp_path, capsys, override,
+                                                 violation):
+    assert _validate(tmp_path, capsys, "split", override) == (
+        1, f"invalid: {violation}\n")
+
+
+def test_constant_pulse_file_is_refused_as_zero(tmp_path, capsys):
+    # a constant on every grid time is all mean, so nothing is left of it
+    pulse = tmp_path / "pulse.txt"
+    f = tmp_path / "cfg.ini"
+    f.write_text(_user_file_config(pulse))
+    grid = TimeGrid(1024, 0.2)
+    np.savetxt(pulse, np.column_stack([grid.times, np.full(grid.n, 0.5)]))
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid: pulse.file/grid.n/grid.dt: pulse is identically zero\n")
+
+
 def _user_file_config(path):
     """BASE with its Gaussian written to ``path`` and read back as a
     user-file pulse."""
@@ -1849,7 +1885,10 @@ def test_run_scenario_memory_stays_below_the_bytes_it_writes(tmp_path):
 def test_main_subcommands(tmp_path, capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out
-    assert "reference-compare" in out
+    # one unindented line a scenario, its run keys indented below it
+    names = [ln.partition(":")[0] for ln in out.splitlines()
+             if not ln.startswith(" ")]
+    assert len(names) == 9 and names == sorted(cli.SCENARIOS)
 
     f = tmp_path / "cfg.ini"
     f.write_text(BASE)

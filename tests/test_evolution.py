@@ -14,12 +14,14 @@ from metapulse import (
     TimeGrid,
     a_symbol,
     apply,
+    integrate_oscillator,
     kerr_default_steps,
     make_multiplier,
     propagate_kg,
     propagate_linear_exact,
     propagate_nonlinear,
     propagate_unidirectional,
+    stationary_params,
 )
 from metapulse.evolution import (KERR_TAIL, PropagationRecord,
                                  _entry_spectrum, _kerr_rhs, _march_rk4)
@@ -50,6 +52,9 @@ def test_record_validation(grid):
         PropagationRecord(np.array([0.5, 1.0]), [dp, dp])
     with pytest.raises(ValueError):
         PropagationRecord(np.array([0.0, 1.0, 0.5]), [dp, dp, dp])
+    other = Signal.zeros(TimeGrid(grid.n, 2 * grid.dt))
+    with pytest.raises(ValueError, match="one grid"):
+        PropagationRecord(np.array([0.0, 1.0]), [dp, DirectedPair(other, other)])
 
 
 def test_kerr_coupling_scales(kerr_params):
@@ -954,6 +959,46 @@ def test_unidirectional_chi3_zero_is_kg(unit_params, grid):
     )[0]
     assert rel_l2(rec.final.pi.samples, kg.pi.samples) <= 1e-6
     assert rec.final.lam.peak == 0.0
+
+
+def _oscillator_period(sp):
+    """The period of the orbit through the turning point (1, 0): four times
+    its first zero, found by RK4 to the first sign change of Pi, then by
+    Newton on the length of the last step."""
+    span = np.pi / sp.k  # half a linear period; the cubic term lengthens it
+    xi, pi, slope = integrate_oscillator(1.0, 0.0, span, 2048, sp)
+    i = int(np.argmax(pi <= 0.0)) - 1
+    assert i >= 0, "no zero within half a linear period"
+    tau = (xi[1] - xi[0]) * pi[i] / (pi[i] - pi[i + 1])
+    for _ in range(6):
+        _, p, s = integrate_oscillator(pi[i], slope[i], tau, 4, sp)
+        tau -= p[-1] / s[-1]
+    return 4.0 * (xi[i] + tau)
+
+
+@pytest.mark.parametrize("omega_pm, chi3, v", [
+    (1.0, 0.0, 1.0), (1.0, 0.2, 1.0), (2.0, 0.0, 1.0), (2.0, 0.2, 1.0),
+    *(pytest.param(1.0, 0.2, v, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: cardano_f drops |v| from the "
+        "cubic's linear term, so its profile solves the marched equation "
+        "only at |v| = 1")) for v in (0.5, 2.0)),
+])
+def test_kerr_march_carries_the_stationary_profile_one_shift(omega_pm, chi3,
+                                                             v):
+    # Pi(x, t) = P(x + |v| t) solves c Pi_xt + pq Pi = -K (Pi_tt)^3 when P''
+    # is the real root y of K v^6 y^3 + c |v| y + pq P = 0: the profile
+    # travels towards -x, so at x = 8 dt |v| the exit is the entry 8 samples
+    # on. One period on 256 samples, each 16 oscillator steps.
+    params = DrudeParams(1.0, omega_pm, c=1.0, eps0=1.0, mu0=1.0, chi3=chi3)
+    sp = stationary_params(v, params)
+    period, n = _oscillator_period(sp), 256
+    profile = integrate_oscillator(1.0, 0.0, period, 16 * n, sp)[1][:-1:16]
+    grid = TimeGrid(n, period / (n * v))
+    entry = Signal(grid, profile - np.mean(profile))
+    record = propagate_unidirectional(entry, 8 * grid.dt * v, 200, params,
+                                      grid)
+    want = np.roll(entry.samples, -8)
+    assert np.max(np.abs(record.final.pi.samples - want)) <= 1e-10 * entry.peak
 
 
 def test_cubic_amplitude_scaling(kerr_params, unit_params, grid):

@@ -90,6 +90,21 @@ def test_apply_identity_and_mismatch(unit_params, grid, rng):
         apply(ident, random_zero_mean(TimeGrid(grid.n, 2 * grid.dt), rng))
 
 
+def test_signal_arithmetic_refuses_another_grid(grid, rng):
+    s = random_zero_mean(grid, rng)
+    other = random_zero_mean(TimeGrid(grid.n, 2 * grid.dt), rng)
+    for op in (s.__add__, s.__sub__):
+        with pytest.raises(GridMismatchError):
+            op(other)
+
+
+def test_apply_names_the_multiplier_of_a_non_finite_output(grid, rng):
+    huge = Multiplier(grid, np.full(grid.n // 2 + 1, 1e308), kind="huge")
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                  match="'huge'"):
+        apply(huge, random_zero_mean(grid, rng))
+
+
 def test_multiplier_rejects_full_length_values(grid):
     # a multiplier holds the rfft bins 0..n/2 only
     with pytest.raises(ValueError, match="n//2\\+1"):

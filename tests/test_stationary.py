@@ -7,6 +7,7 @@ import pytest
 
 from metapulse import (
     DrudeParams,
+    StationaryParams,
     cardano_f,
     integrate_oscillator,
     linear_l_profile,
@@ -102,6 +103,18 @@ def test_oscillator_linear_limit(unit_params):
     # first integral of the harmonic oscillator
     energy = 0.5 * slope**2 + 0.5 * pi**2
     assert np.max(np.abs(energy - energy[0])) <= 1e-8 * energy[0]
+
+
+@pytest.mark.parametrize("v", [0.0, -1.0])
+def test_profile_refuses_a_speed_that_is_not_positive(unit_params, v):
+    with pytest.raises(ValueError, match="speed must be positive"):
+        StationaryParams(v, 1.0, 1.0, 0.0, unit_params)
+
+
+def test_oscillator_refuses_fewer_than_four_steps(sp):
+    integrate_oscillator(1.0, 0.0, 1.0, 4, sp)
+    with pytest.raises(ValueError, match="at least 4"):
+        integrate_oscillator(1.0, 0.0, 1.0, 3, sp)
 
 
 def test_oscillator_zero_and_order(unit_params, sp, kerr_params):

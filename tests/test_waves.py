@@ -7,7 +7,9 @@ import warnings
 from metapulse import (
     DirectedPair,
     FieldPair,
+    GridMismatchError,
     Signal,
+    TimeGrid,
     apply,
     make_multiplier,
     reconstruct,
@@ -78,6 +80,12 @@ def test_reconstruct_degenerate_pairs(unit_params, grid, rng):
     assert out.b.peak <= 1e-12 * pi.peak
     out = reconstruct(DirectedPair(pi=pi, lam=pi), unit_params)
     assert out.e.peak <= 1e-12 * pi.peak
+
+
+def test_directed_pair_refuses_two_grids(grid, rng):
+    other = TimeGrid(grid.n, 2 * grid.dt)
+    with pytest.raises(GridMismatchError):
+        DirectedPair(random_zero_mean(grid, rng), random_zero_mean(other, rng))
 
 
 def test_energy_bookkeeping(unit_params, grid, rng):

@@ -1,10 +1,11 @@
 """Hand mutants of ``src/``, each with the tests expected to kill it.
 
 Every mutant replaces one text of one file that occurs there exactly once.
-The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, checks that the named tests pass there, then applies each mutant
-on its own and runs only its named tests. A mutant survives when they all
-pass, and is killed only when one of them fails (pytest's exit status 1).
+The runner copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``
+(whose INI example is a test input) to a temporary directory, checks that
+the named tests pass there, then applies each mutant on its own and runs
+only its named tests. A mutant survives when they all pass, and is killed
+only when one of them fails (pytest's exit status 1).
 The run exits 1 on any survivor, and 2 when the list no longer matches the
 source, a mutant does not compile, a named test fails unmutated or a
 mutated run ends in any other way. Mutants marked ``equivalent`` cannot be
@@ -20,9 +21,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-CLI, EVOLUTION, REFERENCE, RENDER, STATIONARY = (
+CLI, EVOLUTION, MEDIUM, REFERENCE, RENDER, SPECTRAL, STATIONARY, WAVES = (
     f"src/metapulse/{name}.py"
-    for name in ("cli", "evolution", "reference", "render", "stationary"))
+    for name in ("cli", "evolution", "medium", "reference", "render",
+                 "spectral", "stationary", "waves"))
 
 MUTANTS = [
     # summaries and warnings
@@ -167,7 +169,9 @@ MUTANTS = [
      "old": "on, j = slice(-n0 % m, None, m)",
      "new": "on, j = slice((1 - n0) % m, None, m)",
      "tests": ["tests/test_reference.py::"
-               "test_source_run_records_match_plain_loop"]},
+               "test_source_run_records_match_plain_loop",
+               "tests/test_acceptance.py::test_acceptance_09_on_an_optical_"
+               "si_medium"]},
     {"name": "kick-without-m", "file": REFERENCE,
      "old": "return m * np.fft.irfft(half, m * signal.grid.n)",
      "new": "return np.fft.irfft(half, m * signal.grid.n)",
@@ -200,11 +204,19 @@ MUTANTS = [
      "new": "back = wall_peak",
      "tests": ["tests/test_reference.py::"
                "test_wall_flag_reads_wall_activity_through_the_layer"]},
+    # the layer at SI scale, where c is not 1
+    {"name": "layer-decay-without-c", "file": REFERENCE,
+     "old": "np.hypot(re, im) - re)), -1) / params.c",
+     "new": "np.hypot(re, im) - re)), -1)",
+     "tests": ["tests/test_acceptance.py::test_acceptance_09_on_an_optical_"
+               "si_medium"]},
     {"name": "pad-ceiling-as-max", "file": CLI,
      "old": "pad = min(pad, layer",
      "new": "pad = max(pad, layer",
      "tests": ["tests/test_cli.py::"
-               "test_reference_compare_pads_to_its_layer_at_most"]},
+               "test_reference_compare_pads_to_its_layer_at_most",
+               "tests/test_acceptance.py::test_acceptance_09_on_an_optical_"
+               "si_medium"]},
     {"name": "plan-pads-uncapped", "file": CLI,
      "old": "    pad = min(pad, layer + reference.LAYER_GAP * params.c / "
             "params.band_low)\n",
@@ -270,7 +282,12 @@ MUTANTS = [
      "old": "_COUNT = _rule(lambda n: 1 <= n <= MAX_SAMPLES,",
      "new": "_COUNT = _rule(lambda n: 1 <= n,",
      "tests": ["tests/test_cli.py::test_a_size_key_passes_at_the_ceiling_and_"
-               "not_past_it"]},
+               "not_past_it",
+               "tests/test_cli.py::test_validate_refuses_each_size_over_the_"
+               "ceiling[stationary-linear-run.n_xi=100000000000-run.n_xi: "
+               "must lie in [1, 8388608]]",
+               "tests/test_cli.py::test_validate_names_grid_n_that_cannot_be_"
+               "allocated"]},
     *({"name": f"oscillator-steps-{name}", "file": CLI,
        "old": "_rule(lambda n: 4 <= n < MAX_SAMPLES,",
        "new": f"_rule(lambda n: {rule},",
@@ -359,6 +376,21 @@ MUTANTS = [
                "bessel_kernel",
                "tests/test_evolution.py::test_exact_pi_holds_nothing_before_"
                "its_front_arrives"]},
+    # the DC bin keeps factor 1, a convention no physics test reads: the
+    # paper's kernel annihilates DC, and the entries of runs have none
+    {"name": "advance-dc-factor-zero", "file": EVOLUTION,
+     "old": "factors[..., [0, -1]] = 1.0\n",
+     "new": "factors[..., [0, -1]] = 1.0\n    factors[..., 0] = 0.0\n",
+     "tests": [f"tests/test_evolution.py::test_batched_linear_stations_match_"
+               f"per_x_bit_for_bit[{case}]"
+               for case in ("exact-unit", "exact-p_ne_q", "kg-unit",
+                            "kg-p_ne_q")]},
+    # the Kerr marcher against the stationary profile at |v| = 1
+    {"name": "kerr-k-c-halved", "file": EVOLUTION,
+     "old": "/ (2.0 * params.omega_pe**3 * params.omega_pm))",
+     "new": "/ (4.0 * params.omega_pe**3 * params.omega_pm))",
+     "tests": ["tests/test_evolution.py::test_kerr_march_carries_the_"
+               "stationary_profile_one_shift"]},
     # the CSV renderer's chunks and slots
     *({"name": name, "file": RENDER,
        "old": "width = 26 if max(e.max(), -e.min()) >= 100 else 25",
@@ -377,6 +409,125 @@ MUTANTS = [
      "old": "step = max(1, CSV_CHUNK_VALUES // len(columns))",
      "new": "step = CSV_CHUNK_VALUES",
      "tests": ["tests/test_cli.py::test_writing_a_table_holds_one_chunk"]},
+    # what the CI job once checked through the shell, each a tier-1 test
+    {"name": "override-refused", "file": CLI,
+     "old": 'if not (section and option and value != ""):',
+     "new": 'if not (section and option and value == ""):',
+     "tests": ["tests/test_cli.py::test_validate_and_run_agree_under_an_"
+               "override"]},
+    {"name": "kerr-summary-not-json", "file": CLI,
+     "old": 'summary["n_steps"] = n_steps',
+     "new": 'summary["n_steps"] = np.int64(n_steps)',
+     "tests": ["tests/test_cli.py::test_readme_kerr_config_runs_with_"
+               "defaults[0.2]",
+               "tests/test_acceptance.py::test_acceptance_10_determinism"]},
+    {"name": "amplitude-overflow-keyed-to-the-section", "file": CLI,
+     "old": 'with np.errstate(all="ignore"), _keys("pulse.amplitude"):',
+     "new": 'with np.errstate(all="ignore"), _keys("pulse"):',
+     "tests": ["tests/test_cli.py::test_validate_names_the_key_of_a_non_"
+               "finite_pulse[pulse.amplitude]"]},
+    {"name": "file-values-unchecked", "file": CLI,
+     "old": "if not np.all(np.isfinite(data)):",
+     "new": "if not np.all(np.isfinite(data[:, 0])):",
+     "tests": ["tests/test_cli.py::test_validate_names_the_key_of_a_non_"
+               "finite_pulse[pulse.file]"]},
+    {"name": "empty-pulse-file-unfiltered", "file": CLI,
+     "old": 'warnings.simplefilter("ignore")',
+     "new": "pass",
+     "tests": ["tests/test_cli.py::"
+               "test_empty_pulse_file_names_the_key_without_a_warning"]},
+    {"name": "phase-without-x_end", "file": CLI,
+     "old": 'theta = config.run["x_end"] * max(',
+     "new": "theta = max(",
+     "tests": ["tests/test_cli.py::test_validate_refuses_a_phase_below_"
+               "rounding"]},
+    {"name": "station-samples-without-n_stations", "file": CLI,
+     "old": 'samples = config.run["n_stations"] * grid.n',
+     "new": "samples = grid.n",
+     "tests": ["tests/test_cli.py::test_validate_refuses_stations_over_the_"
+               "ceiling"]},
+    {"name": "product-refusal-names-c-alone", "file": MEDIUM,
+     "old": 'raise ParameterError(("c", "eps0", "mu0"),',
+     "new": 'raise ParameterError(("c",),',
+     "tests": ["tests/test_cli.py::test_validate_names_the_keys_of_an_"
+               "overflow[medium.c=1e300-medium.c/medium.eps0/medium.mu0]"]},
+    {"name": "derived-count-overflow-uncaught", "file": CLI,
+     "old": "except (OverflowError, ValueError):\n        n_steps = np.inf",
+     "new": "except ValueError:\n        n_steps = np.inf",
+     "tests": ["tests/test_cli.py::test_validate_prints_a_huge_derived_count_"
+               "in_three_digits[1e308-inf]"]},
+    {"name": "manifest-keeps-the-last-table", "file": CLI,
+     "old": "metas[name] = meta", "new": "metas = {name: meta}",
+     "tests": ["tests/test_acceptance.py::test_acceptance_10_determinism"]},
+    {"name": "split-header-without-lambda", "file": CLI,
+     "old": '"t (s),j (V/m),k (T),Pi (T),Lambda (T)"',
+     "new": '"t (s),j (V/m),k (T),Pi (T)"',
+     "tests": ["tests/test_acceptance.py::test_acceptance_10_determinism"]},
+    {"name": "scenario-list-drops-the-first", "file": CLI,
+     "old": "for name in sorted(SCENARIOS):",
+     "new": "for name in sorted(SCENARIOS)[1:]:",
+     "tests": ["tests/test_cli.py::test_main_subcommands"]},
+    {"name": "range-rules-skipped-after-a-violation", "file": CLI,
+     "old": "problem = checked and rule and value is not None and rule(value)",
+     "new": "problem = (checked and rule and value is not None\n"
+            "                       and not violations and rule(value))",
+     "tests": ["tests/test_cli.py::test_validate_reports_every_key_violation_"
+               "in_one_pass[run-keys]"]},
+    {"name": "pulse-rules-skipped-for-a-refused-medium", "file": CLI,
+     "old": "    if spanned_clean:\n",
+     "new": "    if spanned_clean and params:\n",
+     "tests": ["tests/test_cli.py::test_validate_reports_every_key_violation_"
+               "in_one_pass[medium-pulse-run-gaussian]"]},
+    {"name": "kerr-stations-rule-dropped", "file": CLI,
+     "old": "    if (steps and stations and _KERR_STEPS(steps) is None",
+     "new": "    if (False and steps and stations and _KERR_STEPS(steps) is None",
+     "tests": ["tests/test_cli.py::test_validate_reports_every_key_violation_"
+               "in_one_pass[kerr-stations-run]",
+               "tests/test_cli.py::test_kerr_plan_refuses_fewer_steps_than_"
+               "stations"]},
+    # refusals that no workload reaches
+    {"name": "unparsable-value-unquoted", "file": CLI,
+     "old": "cannot parse {raw!r} as", "new": "cannot parse {raw} as",
+     "tests": ["tests/test_cli.py::test_validate_refuses_a_value_it_cannot_"
+               "read[grid.n=8.5-grid.n: cannot parse '8.5' as int]"]},
+    {"name": "override-without-key-or-value", "file": CLI,
+     "old": 'if not (section and option and value != ""):',
+     "new": "if not section:",
+     "tests": ["tests/test_cli.py::test_validate_refuses_a_value_it_cannot_"
+               "read"]},
+    {"name": "unknown-scenario-accepted", "file": CLI,
+     "old": "if scenario is not None and scenario not in SCENARIOS:",
+     "new": "if scenario is None and scenario not in SCENARIOS:",
+     "tests": ["tests/test_cli.py::test_validate_reports_every_key_violation_"
+               "in_one_pass[unknown-scenario]"]},
+    {"name": "zero-pulse-accepted", "file": CLI,
+     "old": "if sig.peak == 0.0:", "new": "if sig.peak < 0.0:",
+     "tests": ["tests/test_cli.py::test_constant_pulse_file_is_refused_as_"
+               "zero"]},
+    {"name": "record-states-on-two-grids", "file": EVOLUTION,
+     "old": "if len(grids) > 1:", "new": "if len(grids) > 2:",
+     "tests": ["tests/test_evolution.py::test_record_validation"]},
+    {"name": "signal-grids-compared-by-n", "file": SPECTRAL,
+     "old": "if a.grid != b.grid:", "new": "if a.grid.n != b.grid.n:",
+     "tests": ["tests/test_spectral.py::test_signal_arithmetic_refuses_"
+               "another_grid"]},
+    {"name": "apply-output-unchecked", "file": SPECTRAL,
+     "old": "    if not np.all(np.isfinite(out)):\n",
+     "new": "    if False:\n",
+     "tests": ["tests/test_spectral.py::test_apply_names_the_multiplier_of_a_"
+               "non_finite_output"]},
+    {"name": "profile-speed-zero-accepted", "file": STATIONARY,
+     "old": "if not self.v > 0:", "new": "if not self.v >= 0:",
+     "tests": ["tests/test_stationary.py::test_profile_refuses_a_speed_that_"
+               "is_not_positive"]},
+    {"name": "oscillator-takes-three-steps", "file": STATIONARY,
+     "old": "if n_steps < 4:", "new": "if n_steps < 3:",
+     "tests": ["tests/test_stationary.py::test_oscillator_refuses_fewer_than_"
+               "four_steps"]},
+    {"name": "pair-grids-compared-by-n", "file": WAVES,
+     "old": "if self.pi.grid != self.lam.grid:",
+     "new": "if self.pi.grid.n != self.lam.grid.n:",
+     "tests": ["tests/test_waves.py::test_directed_pair_refuses_two_grids"]},
 ]
 
 
@@ -402,7 +553,8 @@ def main():
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for name in ("src", "tests"):
             shutil.copytree(repo / name, root / name, ignore=skip)
-        shutil.copy(repo / "pyproject.toml", root)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(repo / name, root)
 
         stale = [mu["name"] for mu in MUTANTS
                  if (root / mu["file"]).read_text().count(mu["old"]) != 1]
