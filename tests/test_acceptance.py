@@ -1,5 +1,9 @@
 """Acceptance criteria: one test per criterion, one printed verdict each.
 
+Each criterion is the one home of its checks: no unit test repeats one of
+them on the same medium and grid at the same or a looser bound, and the
+unit tests check what no criterion does.
+
 Run with ``pytest tests/test_acceptance.py -v``; the PASS/FAIL lines are
 printed unbuffered so they show up even under capture.
 """

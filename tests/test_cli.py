@@ -995,6 +995,7 @@ def test_oracle_manifest_fields_follow_from_the_config_keys(tmp_path,
     assert run_scenario(parse_config(text), out_dir=tmp_path)[0] == 0
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
     nodes, pad, layer, attenuation = _oracle_fields(text)
+    assert summary["fdtd_contaminated"] is False
     assert summary["fdtd_nodes (1)"] == nodes
     assert summary["fdtd_pad (m)"] == pytest.approx(pad, rel=1e-12)
     assert summary["fdtd_layer (m)"] == pytest.approx(layer, rel=1e-12)

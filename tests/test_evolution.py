@@ -76,15 +76,11 @@ def test_linear_exact_identity_at_zero(unit_params, grid, rng):
 
 
 def test_linear_exact_plane_wave_phase(unit_params, grid):
+    # Lambda carries the opposite phase of Pi's, which acceptance 3 checks
     k = 13
     wk = fft_omegas(grid)[k]
     a = a_symbol(unit_params, wk)
     x = 2.5
-    dp0 = DirectedPair(Signal(grid, np.cos(wk * grid.times)), Signal.zeros(grid))
-    out = propagate_linear_exact(dp0, [x], unit_params)[0]
-    factor = np.fft.fft(out.pi.samples)[k] / np.fft.fft(dp0.pi.samples)[k]
-    assert abs(factor - np.exp(-1j * wk * a * x)) <= 1e-12
-    # Lambda branch carries the opposite phase
     dp0 = DirectedPair(Signal.zeros(grid), Signal(grid, np.cos(wk * grid.times)))
     out = propagate_linear_exact(dp0, [x], unit_params)[0]
     factor = np.fft.fft(out.lam.samples)[k] / np.fft.fft(dp0.lam.samples)[k]
@@ -94,30 +90,21 @@ def test_linear_exact_plane_wave_phase(unit_params, grid):
 def test_linear_exact_magnitude_and_energy(unit_params, grid, rng):
     dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
     out = propagate_linear_exact(dp0, [7.0], unit_params)[0]
-    mag0 = np.abs(np.fft.fft(dp0.pi.samples))
-    mag1 = np.abs(np.fft.fft(out.pi.samples))
-    assert np.max(np.abs(mag1 - mag0)) <= 1e-10 * np.max(mag0)
+    # the energy; acceptance 3 checks each bin's magnitude
     e0 = np.sum(dp0.pi.samples**2)
     e1 = np.sum(out.pi.samples**2)
     assert e1 == pytest.approx(e0, rel=1e-10)
 
 
 @pytest.mark.filterwarnings("ignore:spectral content")
-def test_group_additivity(unit_params, grid, rng):
-    dp0 = DirectedPair(random_zero_mean(grid, rng), random_zero_mean(grid, rng))
-    for prop in (propagate_linear_exact, propagate_kg):
-        if prop is propagate_kg:
-            dp0 = DirectedPair(
-                band_pulse(grid, 0.3, 20.0), band_pulse(grid, 0.25, 25.0)
-            )
-        two_leg = prop(prop(dp0, [1.3], unit_params)[0], [2.2],
-                       unit_params)[0]
-        one_leg = prop(dp0, [3.5], unit_params)[0]
-        assert (
-            np.max(np.abs(two_leg.pi.samples - one_leg.pi.samples))
-            <= 1e-10 * dp0.peak
-        )
-
+def test_group_additivity(unit_params, grid):
+    # Klein-Gordon's; acceptance 3 checks the exact propagator's
+    dp0 = DirectedPair(band_pulse(grid, 0.3, 20.0), band_pulse(grid, 0.25, 25.0))
+    two_leg = propagate_kg(propagate_kg(dp0, [1.3], unit_params)[0], [2.2],
+                           unit_params)[0]
+    one_leg = propagate_kg(dp0, [3.5], unit_params)[0]
+    assert (np.max(np.abs(two_leg.pi.samples - one_leg.pi.samples))
+            <= 1e-10 * dp0.peak)
 
 
 # The per-x linear propagators that the batched ones replaced, kept as their
@@ -215,36 +202,6 @@ def test_kg_plane_wave_phase(unit_params, grid):
     assert abs(factor - expected) <= 1e-12
 
 
-def test_kg_band_warning(unit_params, grid):
-    hot = DirectedPair(band_pulse(grid, 0.9, 10.0), Signal.zeros(grid))
-    with pytest.warns(UserWarning):
-        propagate_kg(hot, [1.0], unit_params)[0]
-
-
-def test_kg_matches_exact_in_band(unit_params):
-    # deep long-wave pulse: content below 0.1 of the plasma frequency
-    grid = TimeGrid(4096, 0.4)
-    dp0 = DirectedPair(
-        gaussian_pulse(grid, carrier=0.05, width=130.0), Signal.zeros(grid)
-    )
-    x = 1.0
-    kg = propagate_kg(dp0, [x], unit_params)[0]
-    exact = propagate_linear_exact(dp0, [x], unit_params)[0]
-    disc = rel_l2(kg.pi.samples, exact.pi.samples)
-
-    spec = np.abs(np.fft.fft(dp0.pi.samples))
-    occupied = spec > 1e-8 * np.max(spec)
-    w_occ = np.abs(fft_omegas(grid)[occupied])
-    w_edge = np.max(w_occ)
-    assert w_edge <= 0.1
-    from metapulse import taylor_truncation_error
-
-    budget = taylor_truncation_error(unit_params, w_edge) * np.max(
-        np.abs(w_occ * a_symbol(unit_params, w_occ))
-    ) * x
-    assert disc <= budget
-
-
 # the kernel tests' window: 2^16 samples of 0.05 s, 3276.8 s, long enough
 # that the Bessel tails from a pulse 150 s from one end wrap back below 1e-6
 # of its peak
@@ -337,16 +294,6 @@ def test_kg_second_order_residual(unit_params, grid):
 
 
 @pytest.mark.filterwarnings("ignore:spectral content")
-def test_nonlinear_chi3_zero_matches_kg(unit_params, grid):
-    dp0 = DirectedPair(band_pulse(grid, 0.4, 15.0), band_pulse(grid, 0.3, 20.0))
-    x = 2.0
-    rec = propagate_nonlinear(dp0, x, 200, unit_params, grid)
-    kg = propagate_kg(dp0, [x], unit_params)[0]
-    assert rel_l2(rec.final.pi.samples, kg.pi.samples) <= 1e-6
-    assert rel_l2(rec.final.lam.samples, kg.lam.samples) <= 1e-6
-
-
-@pytest.mark.filterwarnings("ignore:spectral content")
 @pytest.mark.parametrize("n_steps", [4, 37])
 @pytest.mark.parametrize("medium", ["unit", "p_ne_q"])
 def test_chi3_zero_march_is_kg_to_rounding(unit_params, grid, medium,
@@ -363,39 +310,19 @@ def test_chi3_zero_march_is_kg_to_rounding(unit_params, grid, medium,
         dp0 = DirectedPair(band_pulse(grid, 0.2, 60.0),
                            band_pulse(grid, 0.15, 80.0))
     x = 2.0
+    uni = propagate_unidirectional(dp0.pi, x, n_steps, params, grid,
+                                   n_stations=5)
+    assert all(s.lam.peak == 0.0 for s in uni.states)  # not marched
     for rec, entry in (
         (propagate_nonlinear(dp0, x, n_steps, params, grid, n_stations=5),
          dp0),
-        (propagate_unidirectional(dp0.pi, x, n_steps, params, grid,
-                                  n_stations=5),
-         DirectedPair(dp0.pi, Signal.zeros(grid))),
+        (uni, DirectedPair(dp0.pi, Signal.zeros(grid))),
     ):
         kg = propagate_kg(entry, rec.stations, params)
         for got, want in zip(rec.states, kg):
             for a, b in ((got.pi, want.pi), (got.lam, want.lam)):
                 assert np.max(np.abs(a.samples - b.samples)) <= (
                     1e-12 * entry.peak)
-
-
-def test_nonlinear_zero_fixed_point(kerr_params, grid):
-    dp0 = DirectedPair(Signal.zeros(grid), Signal.zeros(grid))
-    rec = propagate_nonlinear(dp0, 1.0, 8, kerr_params, grid)
-    assert rec.final.pi.peak == 0.0
-    assert rec.final.lam.peak == 0.0
-
-
-def test_nonlinear_convergence_order(kerr_params, grid):
-    dp0 = DirectedPair(
-        band_pulse(grid, 0.5, 12.0, amplitude=1.0), Signal.zeros(grid)
-    )
-    x = 2.0
-    ref = propagate_nonlinear(dp0, x, 800, kerr_params, grid).final.pi.samples
-    errs = []
-    for n in (100, 200):
-        out = propagate_nonlinear(dp0, x, n, kerr_params, grid).final.pi.samples
-        errs.append(np.linalg.norm(out - ref))
-    order = np.log2(errs[0] / errs[1])
-    assert order >= 3.7
 
 
 def _flipped_nonlinear(dp0, x_end, n_steps, params, grid, n_stations=2):
@@ -950,23 +877,12 @@ def test_unidirectional_agrees_while_lambda_small(unit_params, grid):
     assert rel_l2(uni.pi.samples, kg.pi.samples) > lam_rel
 
 
-@pytest.mark.filterwarnings("ignore:spectral content")
-def test_unidirectional_chi3_zero_is_kg(unit_params, grid):
-    pi0 = band_pulse(grid, 0.4, 15.0)
-    rec = propagate_unidirectional(pi0, 2.0, 200, unit_params, grid)
-    kg = propagate_kg(
-        DirectedPair(pi0, Signal.zeros(grid)), [2.0], unit_params
-    )[0]
-    assert rel_l2(rec.final.pi.samples, kg.pi.samples) <= 1e-6
-    assert rec.final.lam.peak == 0.0
-
-
-def _oscillator_period(sp):
-    """The period of the orbit through the turning point (1, 0): four times
-    its first zero, found by RK4 to the first sign change of Pi, then by
-    Newton on the length of the last step."""
+def _oscillator_period(sp, amplitude):
+    """The period of the orbit through the turning point (amplitude, 0):
+    four times its first zero, found by RK4 to the first sign change of Pi,
+    then by Newton on the length of the last step."""
     span = np.pi / sp.k  # half a linear period; the cubic term lengthens it
-    xi, pi, slope = integrate_oscillator(1.0, 0.0, span, 2048, sp)
+    xi, pi, slope = integrate_oscillator(amplitude, 0.0, span, 2048, sp)
     i = int(np.argmax(pi <= 0.0)) - 1
     assert i >= 0, "no zero within half a linear period"
     tau = (xi[1] - xi[0]) * pi[i] / (pi[i] - pi[i + 1])
@@ -976,45 +892,51 @@ def _oscillator_period(sp):
     return 4.0 * (xi[i] + tau)
 
 
-@pytest.mark.parametrize("omega_pm, chi3, v", [
-    (1.0, 0.0, 1.0), (1.0, 0.2, 1.0), (2.0, 0.0, 1.0), (2.0, 0.2, 1.0),
-    *(pytest.param(1.0, 0.2, v, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: cardano_f drops |v| from the "
-        "cubic's linear term, so its profile solves the marched equation "
-        "only at |v| = 1")) for v in (0.5, 2.0)),
-])
-def test_kerr_march_carries_the_stationary_profile_one_shift(omega_pm, chi3,
-                                                             v):
+def _unit_kerr(omega_pm, chi3):
+    return DrudeParams(1.0, omega_pm, c=1.0, eps0=1.0, mu0=1.0, chi3=chi3)
+
+
+SI_KERR = DrudeParams(2e10, 3e10, chi3=1e-18)  # acceptance 8's SI medium
+ITEM_3 = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: cardano_f drops |v| from the "
+    "cubic's linear term, so its profile solves the marched equation only "
+    "at |v| = 1")
+
+
+def _medium_id(value):
+    """A unit medium reads omega_pm-chi3, the SI one SI; v keeps its own."""
+    if isinstance(value, DrudeParams):
+        return "SI" if value is SI_KERR else f"{value.omega_pm}-{value.chi3}"
+    return None
+
+
+@pytest.mark.parametrize("params, v", [
+    *((_unit_kerr(q, chi3), 1.0) for q in (1.0, 2.0) for chi3 in (0.0, 0.2)),
+    *(pytest.param(_unit_kerr(1.0, 0.2), v, marks=ITEM_3) for v in (0.5, 2.0)),
+    (SI_KERR, 1.0),
+    *(pytest.param(SI_KERR, v, marks=ITEM_3) for v in (0.5, 2.0)),
+], ids=_medium_id)
+def test_kerr_march_carries_the_stationary_profile_one_shift(params, v):
     # Pi(x, t) = P(x + |v| t) solves c Pi_xt + pq Pi = -K (Pi_tt)^3 when P''
     # is the real root y of K v^6 y^3 + c |v| y + pq P = 0: the profile
     # travels towards -x, so at x = 8 dt |v| the exit is the entry 8 samples
-    # on. One period on 256 samples, each 16 oscillator steps.
-    params = DrudeParams(1.0, omega_pm, c=1.0, eps0=1.0, mu0=1.0, chi3=chi3)
+    # on. One period on 256 samples, each 16 oscillator steps. The unit
+    # media's amplitude 1 is 0.32-0.45 of the series radius c^1.5 /
+    # (sqrt(K_v) pq) where chi3 > 0; the SI medium's is 0.3 of it, where
+    # the period is 2.9% past the linear one at |v| = 1
     sp = stationary_params(v, params)
-    period, n = _oscillator_period(sp), 256
-    profile = integrate_oscillator(1.0, 0.0, period, 16 * n, sp)[1][:-1:16]
+    pq, c = params.omega_pe * params.omega_pm, params.c
+    amplitude = (0.3 * c**1.5 / (np.sqrt(sp.big_k_v) * pq)
+                 if params is SI_KERR else 1.0)
+    period, n = _oscillator_period(sp, amplitude), 256
+    profile = integrate_oscillator(amplitude, 0.0, period, 16 * n,
+                                   sp)[1][:-1:16]
     grid = TimeGrid(n, period / (n * v))
     entry = Signal(grid, profile - np.mean(profile))
     record = propagate_unidirectional(entry, 8 * grid.dt * v, 200, params,
                                       grid)
     want = np.roll(entry.samples, -8)
     assert np.max(np.abs(record.final.pi.samples - want)) <= 1e-10 * entry.peak
-
-
-def test_cubic_amplitude_scaling(kerr_params, unit_params, grid):
-    pi0 = band_pulse(grid, 0.5, 12.0, amplitude=1.0)
-    x, n = 2.0, 150
-    # same marcher with chi3 = 0 so the linear discretization error cancels
-    lin = propagate_unidirectional(pi0, x, n, unit_params, grid).final.pi.samples
-    scales = np.array([1e-3, 10**-2.5, 1e-2])
-    corr = []
-    for s in scales:
-        out = propagate_unidirectional(
-            s * pi0, x, n, kerr_params, grid
-        ).final.pi.samples
-        corr.append(np.linalg.norm(out - s * lin))
-    slope = np.polyfit(np.log(scales), np.log(corr), 1)[0]
-    assert abs(slope - 3.0) <= 0.1
 
 
 def test_dimensionless_round_trip(kerr_params, grid, rng):
@@ -1029,23 +951,3 @@ def test_dimensionless_round_trip(kerr_params, grid, rng):
 def test_dimensionless_beta_example():
     params = DrudeParams(2.0, 2.0, c=1.0, eps0=1.0, mu0=1.0, chi3=1.0)
     assert kerr_coupling(params).beta == pytest.approx(1.0 / 4.0)
-
-
-def test_dimensionless_dual_path(kerr_params, grid):
-    dp0 = DirectedPair(
-        band_pulse(grid, 0.5, 12.0, amplitude=0.5),
-        band_pulse(grid, 0.4, 16.0, amplitude=0.3),
-    )
-    kc = kerr_coupling(kerr_params)
-    x, n = 1.0, 100
-    phys = propagate_nonlinear(dp0, x, n, kerr_params, grid)
-    path_a = to_dimensionless(phys, kc).final
-
-    dimless0 = to_dimensionless(
-        PropagationRecord(np.array([0.0]), [dp0], {}), kc
-    ).final
-    path_b = propagate_dimensionless(dimless0, x / kc.beta, n, grid).final
-
-    assert rel_l2(path_a.pi.samples, path_b.pi.samples) <= 1e-6
-    assert rel_l2(path_a.lam.samples, path_b.lam.samples) <= 1e-6
-

@@ -183,11 +183,8 @@ def test_taylor_symbol_approximates_a():
 
 
 def test_truncation_error_examples(unit_params):
+    # acceptance 5 checks 1/3 at 0.5 and the rise on (0, 0.95]
     assert taylor_truncation_error(unit_params, 1e-6) < 1e-11
-    assert taylor_truncation_error(unit_params, 0.5) == pytest.approx(1.0 / 3.0)
-    w = np.linspace(1e-3, 0.5, 200)
-    err = taylor_truncation_error(unit_params, w)
-    assert np.all(np.diff(err) > 0.0)
     with pytest.raises(EvanescentBandError):
         taylor_truncation_error(unit_params, 1.0)
 

@@ -56,27 +56,11 @@ def commutation_check(params, grid, n_trials=50, seed=0):
     return worst
 
 
-def test_completeness(unit_params, grid, rng):
-    for _ in range(10):
-        psi = random_pair(grid, rng)
-        p1, p2 = projections(psi, unit_params, grid)
-        total = FieldPair(p1.b + p2.b, p1.e + p2.e)
-        assert field_peak(total, psi) <= 1e-10 * field_peak(psi)
-
-
-def test_idempotence(unit_params, grid, rng):
-    psi = random_pair(grid, rng)
-    for which, once in enumerate(projections(psi, unit_params, grid)):
-        twice = projections(once, unit_params, grid)[which]
-        assert field_peak(twice, once) <= 1e-10 * field_peak(psi)
-
-
 def test_orthogonality(unit_params, grid, rng):
+    # P2 P1 = 0; acceptance 1 checks completeness, idempotence and P1 P2
     psi = random_pair(grid, rng)
-    p1, p2 = projections(psi, unit_params, grid)
+    p1 = projections(psi, unit_params, grid)[0]
     assert field_peak(projections(p1, unit_params, grid)[1]) <= (
-        1e-10 * field_peak(psi))
-    assert field_peak(projections(p2, unit_params, grid)[0]) <= (
         1e-10 * field_peak(psi))
 
 

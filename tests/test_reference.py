@@ -280,32 +280,6 @@ def test_leapfrog_step_is_ten_ufuncs_without_allocation(unit_params,
     assert peak - current < fields[0].nbytes / 4
 
 
-def _undamped_leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0):
-    """The oracle's 9-ufunc step before its absorbing layer, verbatim."""
-    off = -(-nx // 8) * 8 - 1
-    x, y, coef, tmp = (reference._aligned_zeros(off + nx) for _ in range(4))
-    h, e, m, q = x[:nx - 1], x[off:], y[:nx - 1], y[off:]
-    coef[:nx - 1], coef[off:] = (wpm * dt) ** 2, (wpe * dt) ** 2
-    s = np.array(dt * dt / (eps0 * mu0 * dx * dx))
-    tmp_h, tmp_in = tmp[:nx - 1], tmp[off + 1:off + nx - 1]
-    e_lo, e_hi, h_lo, h_hi = e[:-1], e[1:], h[:-1], h[1:]
-    e_in, q_in = e[1:-1], q[1:-1]
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-
-    def advance():
-        multiply(coef, x, tmp)
-        add(y, tmp, y)
-        subtract(e_lo, e_hi, tmp_h)
-        subtract(tmp_h, m, tmp_h)
-        add(h, tmp_h, h)
-        subtract(h_lo, h_hi, tmp_in)
-        multiply(tmp_in, s, tmp_in)
-        subtract(tmp_in, q_in, tmp_in)
-        add(e_in, tmp_in, e_in)
-
-    return advance, (e, h, m, q)
-
-
 def _full_grid_leapfrog(nx, dt, dx, wpe, wpm, eps0, mu0, damping=(1.0, 1.0)):
     """The oracle's 10-ufunc step on a grid with PEC walls at both ends,
     before its source node became a symmetry plane, verbatim."""
@@ -354,13 +328,13 @@ def test_undamped_leapfrog_matches_the_step_without_a_layer_bit_for_bit(
         damping, rng):
     # g = 1 multiplies exactly and the ghost's -h[0] negates exactly, so a
     # grid without a layer steps as the right half of the symmetric full
-    # grid of the step before both
+    # grid of the step before the symmetry plane, its g = 1 too
     params = DrudeParams(0.8, 1.25, c=1.0, eps0=1.0, mu0=1.0)
     g = YeeGrid1D(203, 0.05, 0.025)
     args = (g.dt_fdtd, g.dx, *_material(params))
     extra = () if damping is None else ((np.ones(g.nx - 1), np.ones(g.nx)),)
     runs = [_leapfrog(g.nx, *args, *extra),
-            _undamped_leapfrog(2 * g.nx - 1, *args)]
+            _full_grid_leapfrog(2 * g.nx - 1, *args)]
     start = [rng.standard_normal(n) for n in (g.nx, g.nx - 1, g.nx - 1, g.nx)]
     for (_, fields), values in zip(runs, (start, _mirrored(*start))):
         for a, v in zip(fields, values):

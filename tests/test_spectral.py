@@ -147,14 +147,6 @@ def test_eps_mu_commute(unit_params, grid, rng):
     assert np.max(np.abs(ab.samples - ba.samples)) <= 1e-12 * s.peak
 
 
-def test_evanescent_grid_rejected():
-    params = DrudeParams(1.0, 2.0, c=1.0, eps0=1.0, mu0=1.0)
-    grid = TimeGrid(1024, 0.05)  # bins cover (1, 2) densely
-    for kind in ("a", "a_inv"):
-        with pytest.raises(EvanescentBandError):
-            make_multiplier(kind, params, grid)
-
-
 @pytest.mark.parametrize("build", [
     lambda j, params, grid: make_multiplier("a", params, grid),
     lambda j, params, grid: make_multiplier("a_inv", params, grid),

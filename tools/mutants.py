@@ -51,6 +51,17 @@ MUTANTS = [
      "new": "radius = 10.0 * c**1.5 / (np.sqrt(sp.big_k_v) * p * q)",
      "tests": ["tests/test_stationary.py::"
                "test_series_radius_is_where_the_cubic_term_takes_over"]},
+    {"name": "series-radius-unchecked", "file": STATIONARY,
+     "old": "if sp.big_k_v > 0:", "new": "if sp.big_k_v < 0:",
+     "tests": ["tests/test_stationary.py::"
+               "test_series_radius_is_where_the_cubic_term_takes_over"]},
+    {"name": "kg-band-warning-never-fires", "file": EVOLUTION,
+     "old": "> 1e-6 * np.max(mag):", "new": "> 1.0 * np.max(mag):",
+     "tests": ["tests/test_evolution.py::test_kg_band_warning_threshold"]},
+    {"name": "contamination-flag-at-any-wall-activity", "file": REFERENCE,
+     "old": "contaminated = back > 1e-4 *", "new": "contaminated = back > 0.0 *",
+     "tests": ["tests/test_cli.py::test_oracle_manifest_fields_follow_from_"
+               "the_config_keys[oracle-fdtd]"]},
     {"name": "empty-pulse-file-warns", "file": CLI,
      "old": 'warnings.simplefilter("ignore")',
      "new": 'warnings.simplefilter("always")',
@@ -134,7 +145,8 @@ MUTANTS = [
             "    while m > 16 and _fraction(state, np.s_[down(m) // 12 + 1:]) "
             "<= KERR_TAIL:\n"
             "        m = down(m)\n",
-     "tests": ["tests/test_evolution.py::test_nonlinear_convergence_order"]},
+     "tests": ["tests/test_acceptance.py::test_acceptance_06_nonlinear_"
+               "solver"]},
     # the oracle's clock
     {"name": "steps-per-sample-rounded", "file": REFERENCE,
      "old": "return int(np.ceil(sample_dt / dt",
@@ -390,7 +402,9 @@ MUTANTS = [
      "old": "/ (2.0 * params.omega_pe**3 * params.omega_pm))",
      "new": "/ (4.0 * params.omega_pe**3 * params.omega_pm))",
      "tests": ["tests/test_evolution.py::test_kerr_march_carries_the_"
-               "stationary_profile_one_shift"]},
+               "stationary_profile_one_shift",
+               "tests/test_acceptance.py::test_acceptance_07_dimensionless_"
+               "equivalence"]},
     # the CSV renderer's chunks and slots
     *({"name": name, "file": RENDER,
        "old": "width = 26 if max(e.max(), -e.min()) >= 100 else 25",
@@ -485,6 +499,72 @@ MUTANTS = [
                "in_one_pass[kerr-stations-run]",
                "tests/test_cli.py::test_kerr_plan_refuses_fewer_steps_than_"
                "stations"]},
+    # each acceptance criterion is the one home of its checks
+    *({"name": name, "file": file, "old": old, "new": new,
+       "tests": [f"tests/test_acceptance.py::test_acceptance_{test}"]}
+      for name, file, old, new, test in (
+          ("split-lambda-doubled", WAVES, "lam = 0.5 * (fields.b - aj)",
+           "lam = fields.b - aj", "01_projector_algebra"),
+          ("reconstruct-e-negated", WAVES, "e = apply(a_inv, dp.pi - dp.lam)",
+           "e = apply(a_inv, dp.lam - dp.pi)", "01_projector_algebra"),
+          ("reconstruct-pi-without-a_inv", WAVES,
+           "e = apply(a_inv, dp.pi - dp.lam)",
+           "e = dp.pi - apply(a_inv, dp.lam)", "01_projector_algebra"),
+          ("pi-phase-as-lambdas", EVOLUTION,
+           "factors = 1j * np.array([[-1.0], [1.0]]) * theta",
+           "factors = 1j * np.array([[1.0], [1.0]]) * theta",
+           "03_exact_linear"),
+          ("advance-factor-off-the-unit-circle", EVOLUTION,
+           "factors = 1j * np.array([[-1.0], [1.0]]) * theta",
+           "factors = (1j + 1e-3) * np.array([[-1.0], [1.0]]) * theta",
+           "03_exact_linear"),
+          ("exact-phase-quadratic-in-x", EVOLUTION,
+           "theta = np.multiply.outer(xs, grid.half_omegas * a_vals)",
+           "theta = np.multiply.outer(xs * xs, grid.half_omegas * a_vals)",
+           "03_exact_linear"),
+          ("truncation-error-squared", MEDIUM,
+           "out = np.abs(lead - a) / np.abs(a)",
+           "out = (np.abs(lead - a) / np.abs(a)) ** 2", "04_kg_reduction"),
+          ("truncation-error-over-the-lead", MEDIUM,
+           "out = np.abs(lead - a) / np.abs(a)",
+           "out = np.abs(lead - a) / np.abs(lead)", "05_taylor_claims"),
+          ("entry-offset-below-rounding", EVOLUTION,
+           "return np.fft.rfft([entry.pi.samples, entry.lam.samples])",
+           "return np.fft.rfft([entry.pi.samples + 1e-300, "
+           "entry.lam.samples])", "06_nonlinear_solver"),
+          ("cube-is-a-square", EVOLUTION,
+           "        np.multiply(u3[:m], u[:m], out=u3[:m])\n", "",
+           "06_nonlinear_solver"),
+          ("r-profile-at-omega", STATIONARY, "np.exp(sp.k * xi)",
+           "np.exp(sp.omega * xi)", "08_stationary_suite"),
+          ("l-profile-at-omega", STATIONARY, "np.sin(sp.k * xi)",
+           "np.sin(sp.omega * xi)", "08_stationary_suite"),
+          ("stationary-k-over-v-squared", STATIONARY,
+           "k = np.sqrt(p * q / (c * v))", "k = np.sqrt(p * q / (c * v * v))",
+           "08_stationary_suite"),
+          ("cardano-discriminant-over-9", STATIONARY, "big_p**3 / 27.0",
+           "big_p**3 / 9.0", "08_stationary_suite"),
+          ("series-cubic-doubled", STATIONARY,
+           "out = lin + sp.big_k_v * (p * q) ** 3",
+           "out = lin + 2.0 * sp.big_k_v * (p * q) ** 3",
+           "08_stationary_suite"),
+          ("oscillator-k4-from-k2", STATIONARY, "k4y, k4s = s + h * k3s,",
+           "k4y, k4s = s + h * k2s,", "08_stationary_suite"))),
+    # a Kerr march without the cubic term is Klein-Gordon to rounding
+    *({"name": name, "file": EVOLUTION, "old": old, "new": new,
+       "tests": [f"tests/test_evolution.py::test_chi3_zero_march_is_kg_to_"
+                 f"rounding[unit-{n}]" for n in (4, 37)]}
+      for name, old, new in (
+          ("kerr-linear-signs-swapped",
+           "rhs.lin = np.array([[-1.0], [1.0]]) * (pq_c * inv_iw)",
+           "rhs.lin = np.array([[1.0], [-1.0]]) * (pq_c * inv_iw)"),
+          ("one-row-lambda-below-rounding", "else Signal.zeros(grid)",
+           "else Signal(grid, 1e-300 * rows[0])"))),
+    {"name": "gap-rule-never-raises", "file": MEDIUM,
+     "old": "    if inside:\n        raise EvanescentBandError(",
+     "new": "    if False:\n        raise EvanescentBandError(",
+     "tests": ["tests/test_spectral.py::test_every_a_hat_build_meets_one_gap_"
+               "rule"]},
     # refusals that no workload reaches
     {"name": "unparsable-value-unquoted", "file": CLI,
      "old": "cannot parse {raw!r} as", "new": "cannot parse {raw} as",
